@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig5_apmm_cpu");
+    let mut group = c.benchmark_group("fig5_apmm");
     group
         .sample_size(10)
         .warm_up_time(Duration::from_millis(300))

@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig7_apconv_cpu");
+    let mut group = c.benchmark_group("fig7_apconv");
     group
         .sample_size(10)
         .warm_up_time(Duration::from_millis(300))

@@ -2,8 +2,11 @@
 //!
 //! The exec/serve artifacts track end-to-end throughput; this sweep sits
 //! one level below and measures the popcount **microkernel** itself
-//! (`apnn_kernels::micro`) through [`apnn_kernels::apmm::cpu::apmm_cpu_with_micro`]:
-//! one row per emulation case, reporting
+//! (`apnn_kernels::micro`) through the one APMM driver
+//! ([`apnn_kernels::PreparedApmm::execute_into`] with a reused
+//! [`ApmmScratch`]): every row is **one thread, allocation-free** — no
+//! output `vec!`, no pool dispatch inside the timed loop. One row per
+//! emulation case, reporting
 //!
 //! * `word_gbps` — operand bytes the plane-pair products logically
 //!   consume per second (`m·n·p·q·k_words·16` bytes per call: every pair
@@ -22,8 +25,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use apnn_bitpack::{BitPlanes, Encoding, PopcntArm};
-use apnn_kernels::apmm::cpu::apmm_cpu_tuned;
-use apnn_kernels::apmm::ApmmDesc;
+use apnn_kernels::apmm::cpu::ApmmScratch;
+use apnn_kernels::apmm::{Apmm, ApmmDesc};
 use apnn_kernels::autotune::select_micro;
 use apnn_kernels::select::plan_for_device;
 use apnn_sim::BmmaOp;
@@ -133,13 +136,21 @@ pub fn kernel_bench_on(
         let k_words = apnn_bitpack::word::pad_to_bmma_k(k) / 64;
         let micro = select_micro(n, k_words, p, q, arm);
 
-        // Warm once (first touch of the packed operands), then time.
-        let mut sink = apmm_cpu_tuned(&desc, &w, &x, eplan, micro, arm);
+        let prepared = Apmm::new(desc)
+            .prepare(w)
+            .with_plan(eplan)
+            .with_micro(micro)
+            .with_arm(arm);
+        let (mut scratch, mut sink) = (ApmmScratch::default(), Vec::new());
+
+        // Warm once (first touch of the packed operands, buffers reach
+        // capacity), then time.
+        prepared.execute_into(&x, &mut scratch, &mut sink);
         let mut best = f64::INFINITY;
         for _ in 0..5 {
             let t0 = Instant::now();
             for _ in 0..iters {
-                sink = apmm_cpu_tuned(&desc, &w, &x, eplan, micro, arm);
+                prepared.execute_into(std::hint::black_box(&x), &mut scratch, &mut sink);
             }
             best = best.min(t0.elapsed().as_secs_f64().max(1e-9) / iters as f64);
         }

@@ -550,7 +550,7 @@ mod tests {
 
     #[cfg(feature = "fault-inject")]
     #[test]
-    fn chaos_sweep_pairs_a_faulted_run_with_its_fault_free_twin() {
+    fn chaos_sweep_pairs_a_faulted_run_and_its_fault_free_twin() {
         let _serialize = crate::timing_test_lock();
         let points = chaos_sweep(48);
         assert_eq!(points.len(), 2, "one baseline row, one faulted row");

@@ -1,36 +1,24 @@
-//! Functional multi-threaded CPU backend for APConv.
+//! Functional CPU backend for APConv.
 //!
 //! Direct convolution over the channel-major packed layout: for every output
 //! pixel the `KH·KW` window taps are gathered as aligned channel vectors
 //! (the CPU analogue of the coalesced NPHWC reads of §4.2(a)), then every
 //! output channel reduces against its packed weight row with XOR/AND +
 //! popcount. Out-of-frame taps follow the input-aware padding strategies.
+//! One loop nest — `conv_exec`, on the calling thread — drives it all.
 
 use apnn_bitpack::{BitTensor4, Encoding, PopcntArm};
-use rayon::prelude::*;
 
-use super::padding::{correct_xor_window, fill_words, pad_fill, valid_row_popc, PadFill};
-use super::{ConvDesc, ConvOutput, ConvWeights, Pool2};
+use super::padding::{correct_xor_window, fill_words, pad_fill, valid_row_popc};
+use super::{ConvDesc, ConvWeights, Pool2};
 use crate::autotune::{select_micro, MicroTile};
 use crate::fusion::Epilogue;
 use crate::micro::{popc_tile, PlaneView, MAX_TILE};
 use crate::select::{plan, EmulationCase};
 
-/// Gathered window for one output pixel: per activation plane, the
-/// concatenated tap words, plus the out-of-frame bookkeeping.
-struct Window {
-    /// `q` planes × (taps · words_per_tap) words.
-    planes: Vec<Vec<u64>>,
-    /// Indices of out-of-frame taps.
-    oob_taps: Vec<usize>,
-    /// Per-plane popcount of the gathered bits (the `J·X` window sum used by
-    /// Case III; pads are zero there so this equals the valid-bit sum).
-    plane_popc: Vec<i32>,
-}
-
 /// Input coordinates + frame status of window tap `(ky, kx)` for output
 /// pixel `(oy, ox)` — the **single** copy of the stride/padding index
-/// arithmetic every gather path uses.
+/// arithmetic of the window gather.
 #[inline]
 fn tap_coords(desc: &ConvDesc, oy: usize, ox: usize, ky: usize, kx: usize) -> (isize, isize, bool) {
     let iy = (oy * desc.stride + ky) as isize - desc.pad as isize;
@@ -39,67 +27,12 @@ fn tap_coords(desc: &ConvDesc, oy: usize, ox: usize, ky: usize, kx: usize) -> (i
     (iy, ix, in_frame)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn gather_window(
-    desc: &ConvDesc,
-    input: &BitTensor4,
-    fill: PadFill,
-    fill_pattern: &[u64],
-    b: usize,
-    oy: usize,
-    ox: usize,
-    need_popc: bool,
-) -> Window {
-    let wpt = input.words_per_pixel();
-    let taps = desc.kh * desc.kw;
-    let q = desc.x_bits as usize;
-    let mut planes = vec![vec![0u64; taps * wpt]; q];
-    let mut oob_taps = Vec::new();
-    for ky in 0..desc.kh {
-        for kx in 0..desc.kw {
-            let tap = ky * desc.kw + kx;
-            let (iy, ix, in_frame) = tap_coords(desc, oy, ox, ky, kx);
-            if in_frame {
-                for (t, plane) in planes.iter_mut().enumerate() {
-                    plane[tap * wpt..(tap + 1) * wpt].copy_from_slice(input.pixel_words(
-                        b,
-                        t as u32,
-                        iy as usize,
-                        ix as usize,
-                    ));
-                }
-            } else {
-                oob_taps.push(tap);
-                if fill != PadFill::Zeros {
-                    for plane in planes.iter_mut() {
-                        plane[tap * wpt..(tap + 1) * wpt].copy_from_slice(fill_pattern);
-                    }
-                }
-            }
-        }
-    }
-    let plane_popc = if need_popc {
-        planes
-            .iter()
-            .map(|p| p.iter().map(|w| w.count_ones()).sum::<u32>() as i32)
-            .collect()
-    } else {
-        Vec::new()
-    };
-    Window {
-        planes,
-        oob_taps,
-        plane_popc,
-    }
-}
-
 /// Per-call-invariant execution state for a convolution: the emulation plan
 /// and the materialized padding pattern. Compiled plans build this once;
-/// the ad-hoc [`conv_cpu`] entry point rebuilds it per call.
+/// the ad-hoc [`super::ApConv::execute`] entry point rebuilds it per call.
 #[derive(Debug, Clone)]
 pub struct ConvExecPlan {
     pub(crate) eplan: crate::select::EmulationPlan,
-    pub(crate) fill: PadFill,
     pub(crate) fill_pattern: Vec<u64>,
     /// CPU microkernel `(JB, KB)` tile: the column block runs over output
     /// channels (they share each loaded window word). Chosen once here —
@@ -118,8 +51,11 @@ impl ConvExecPlan {
     /// re-selects nothing after the first call per layer shape.
     pub fn new(desc: &ConvDesc, weights: &ConvWeights) -> Self {
         let eplan = plan(desc.w_enc, desc.x_enc);
-        let fill = pad_fill(desc.w_enc, desc.x_enc);
-        let fill_pattern = fill_words(fill, desc.cin, weights.words_per_tap());
+        let fill_pattern = fill_words(
+            pad_fill(desc.w_enc, desc.x_enc),
+            desc.cin,
+            weights.words_per_tap(),
+        );
         let arm = PopcntArm::detect();
         let micro = select_micro(
             desc.cout,
@@ -130,7 +66,6 @@ impl ConvExecPlan {
         );
         ConvExecPlan {
             eplan,
-            fill,
             fill_pattern,
             micro,
             arm,
@@ -161,7 +96,7 @@ impl ConvExecPlan {
     }
 }
 
-/// Reusable per-call scratch for the sequential (workspace) APConv path:
+/// Reusable per-call scratch for the `execute_into` entry points:
 /// one gathered window (reused across every output pixel) plus the
 /// accumulator and pooling buffers of fused executions. Size it once with
 /// [`ConvScratch::reserve`] (at the plan's full batch); every later call —
@@ -211,11 +146,10 @@ impl ConvScratch {
     }
 }
 
-/// Gather one output pixel's window into the reused scratch buffers
-/// (the allocation-free form of [`gather_window`]). Every tap's words are
-/// overwritten — in-frame taps copy the input, out-of-frame taps write the
-/// fill pattern (or zeros) — so stale data from the previous pixel never
-/// survives.
+/// Gather one output pixel's window into the reused scratch buffers.
+/// Every tap's words are overwritten — in-frame taps copy the input,
+/// out-of-frame taps write the fill pattern (or zeros) — so stale data
+/// from the previous pixel never survives.
 ///
 /// `shift_prev` enables the stride-1 fast path: when the scratch still
 /// holds this row's previous window (`(b, oy, ox−1)` at stride 1), tap
@@ -225,7 +159,7 @@ impl ConvScratch {
 /// right-hand column is gathered from the input. Word contents (and hence
 /// every popcount downstream) are bit-identical to a full gather.
 #[allow(clippy::too_many_arguments)]
-fn gather_window_seq(
+fn gather_into(
     desc: &ConvDesc,
     input: &BitTensor4,
     fill_pattern: &[u64],
@@ -355,8 +289,7 @@ fn gather_window_seq(
 /// conv call shape (A side = window planes, B side = weight rows); the
 /// s-outer / t-inner accumulation order matches the pre-microkernel
 /// kernels, so results are bit-identical. This is the **single** copy of
-/// the conv correction arithmetic — both the parallel and the sequential
-/// path consume their tiles here.
+/// the conv correction arithmetic.
 #[allow(clippy::too_many_arguments)]
 fn combine_conv_block(
     desc: &ConvDesc,
@@ -392,7 +325,7 @@ fn combine_conv_block(
                         2 * popc - valid_row_popc(weights.row_popc(s as u32, co), oob_w_popc)
                     }
                     // The XOR-only (Turing) derivations are supported at
-                    // the GEMM level (`apmm_cpu_with_plan`); the direct
+                    // the GEMM level (`PreparedApmm::with_plan`); the direct
                     // convolution always plans for the target device via
                     // `plan(..)`, which never emits them here.
                     EmulationCase::XorDerivedUnsigned
@@ -408,11 +341,13 @@ fn combine_conv_block(
     }
 }
 
-/// Sequential zero-allocation core of the prepared conv path: identical
-/// arithmetic (same per-element accumulation order, hence bit-identical
-/// results) to [`conv_exec`], running on the calling thread with a reused
-/// window gather. Serving workers are the concurrency unit for this path.
-pub(crate) fn conv_exec_seq(
+/// The one APConv driver: convolve `input` (whose batch may be ≤
+/// `desc.batch` when a compiled plan serves a partial shard — zero images
+/// included) into NHWC i32 accumulators, on the **calling thread** with a
+/// reused window gather and a caller-owned `out` (zero allocations once
+/// both are at capacity). Serving workers are the concurrency unit, not
+/// this loop.
+pub(crate) fn conv_exec(
     desc: &ConvDesc,
     weights: &ConvWeights,
     input: &BitTensor4,
@@ -432,7 +367,6 @@ pub(crate) fn conv_exec_seq(
 
     let ConvExecPlan {
         eplan,
-        fill: _,
         fill_pattern,
         micro,
         arm,
@@ -463,7 +397,7 @@ pub(crate) fn conv_exec_seq(
         // left — shift-reuse the overlapping taps instead of re-copying
         // the full window.
         let shift_prev = desc.stride == 1 && ox > 0;
-        gather_window_seq(
+        gather_into(
             desc,
             input,
             fill_pattern,
@@ -504,7 +438,7 @@ pub(crate) fn conv_exec_seq(
     }
 }
 
-/// Sequential fused execution: [`conv_exec_seq`] + in-place pooling +
+/// Fused execution: [`conv_exec`] + in-place pooling +
 /// quantizing epilogue, packing the next layer's channel-major activations
 /// into the caller-owned `out` tensor. The whole pipeline is
 /// allocation-free once `scratch` and `out` have reached the plan's
@@ -515,7 +449,7 @@ pub(crate) fn conv_exec_seq(
 /// fused residual block: `quantize(epi(acc + residual))`, with no
 /// intermediate rounding between the two integer paths.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn conv_exec_fused_seq(
+pub(crate) fn conv_exec_fused(
     desc: &ConvDesc,
     weights: &ConvWeights,
     input: &BitTensor4,
@@ -534,7 +468,7 @@ pub(crate) fn conv_exec_fused_seq(
         acc,
         pooled,
     } = scratch;
-    conv_exec_seq(desc, weights, input, eplan_state, window, acc);
+    conv_exec(desc, weights, input, eplan_state, window, acc);
     if let Some(res) = residual {
         assert_eq!(
             res.len(),
@@ -571,137 +505,6 @@ pub(crate) fn conv_exec_fused_seq(
             }
         }
     }
-}
-
-/// Direct convolution returning NHWC i32 accumulators.
-pub fn conv_cpu(desc: &ConvDesc, weights: &ConvWeights, input: &BitTensor4) -> Vec<i32> {
-    let (n, ..) = input.shape();
-    assert_eq!(n, desc.batch, "batch mismatch");
-    conv_exec(desc, weights, input, &ConvExecPlan::new(desc, weights))
-}
-
-/// [`conv_cpu`] with an explicit microkernel tile — the knob the
-/// differential proptests and the kernel-level bench sweep turn. Any tile
-/// is bit-identical (exact i32 accumulation); only throughput moves.
-pub fn conv_cpu_with_micro(
-    desc: &ConvDesc,
-    weights: &ConvWeights,
-    input: &BitTensor4,
-    micro: MicroTile,
-) -> Vec<i32> {
-    let (n, ..) = input.shape();
-    assert_eq!(n, desc.batch, "batch mismatch");
-    let state = ConvExecPlan::new(desc, weights).with_micro(micro);
-    conv_exec(desc, weights, input, &state)
-}
-
-/// [`conv_cpu_with_micro`] with an explicit popcount arm as well — the
-/// differential tests pin both knobs; every (tile, arm) pair is
-/// bit-identical.
-pub fn conv_cpu_tuned(
-    desc: &ConvDesc,
-    weights: &ConvWeights,
-    input: &BitTensor4,
-    micro: MicroTile,
-    arm: PopcntArm,
-) -> Vec<i32> {
-    let (n, ..) = input.shape();
-    assert_eq!(n, desc.batch, "batch mismatch");
-    let state = ConvExecPlan::new(desc, weights)
-        .with_micro(micro)
-        .with_arm(arm);
-    conv_exec(desc, weights, input, &state)
-}
-
-/// Shared core: convolve `input` (whose batch may be ≤ `desc.batch` when a
-/// compiled plan serves a partial shard) with prepared invariants.
-pub(crate) fn conv_exec(
-    desc: &ConvDesc,
-    weights: &ConvWeights,
-    input: &BitTensor4,
-    eplan_state: &ConvExecPlan,
-) -> Vec<i32> {
-    let (n, h, w, c) = input.shape();
-    assert!(n <= desc.batch, "input batch exceeds plan batch");
-    assert_eq!((h, w, c), (desc.h, desc.w, desc.cin));
-    assert_eq!(input.bits(), desc.x_bits);
-    assert_eq!(input.encoding(), desc.x_enc);
-    let (cout, taps, cin, _padded) = weights.dims();
-    assert_eq!(cout, desc.cout);
-    assert_eq!(taps, desc.kh * desc.kw);
-    assert_eq!(cin, desc.cin);
-
-    let ConvExecPlan {
-        eplan,
-        fill,
-        fill_pattern,
-        micro,
-        arm,
-    } = eplan_state;
-    let (eplan, fill) = (*eplan, *fill);
-    let arm = arm.sanitized();
-    let need_popc = eplan.case == EmulationCase::AndWeightTransformed;
-
-    let (oh, ow) = (desc.out_h(), desc.out_w());
-    let p = desc.w_bits as usize;
-    let q = desc.x_bits as usize;
-    let pixels = n * oh * ow;
-    let mut out = vec![0i32; pixels * cout];
-    if pixels == 0 {
-        return out;
-    }
-    let MicroTile { jb, kb } = micro.sanitized();
-    let plane_words = taps * input.words_per_pixel();
-    let w_view = PlaneView::from_bitplanes(weights.planes());
-
-    out.par_chunks_mut(cout).enumerate().for_each_init(
-        // One accumulator tile per pool participant, reused across
-        // every output pixel it claims (popc_tile zeroes the live
-        // prefix itself — no per-pixel 2 KiB init).
-        || [0i32; MAX_TILE],
-        |tile, (pix, chunk)| {
-            let b = pix / (oh * ow);
-            let oy = (pix / ow) % oh;
-            let ox = pix % ow;
-            let win = gather_window(desc, input, fill, fill_pattern, b, oy, ox, need_popc);
-            let valid_taps = (taps - win.oob_taps.len()) as i32;
-            let oob_taps = win.oob_taps.len() as i32;
-            let win_view = PlaneView::from_plane_rows(&win.planes, plane_words);
-
-            let mut co0 = 0;
-            while co0 < cout {
-                let jbc = jb.min(cout - co0);
-                let live = &mut tile[..jbc * q * p];
-                popc_tile(eplan.op, arm, &win_view, 0, &w_view, co0, jbc, kb, live);
-                combine_conv_block(
-                    desc,
-                    weights,
-                    eplan.case,
-                    live,
-                    co0,
-                    &win.oob_taps,
-                    &win.plane_popc,
-                    valid_taps,
-                    oob_taps,
-                    &mut chunk[co0..co0 + jbc],
-                );
-                co0 += jbc;
-            }
-        },
-    );
-    out
-}
-
-/// Convolution with fused 2×2 pooling and element-wise epilogue (§5.2).
-pub fn conv_cpu_fused(
-    desc: &ConvDesc,
-    weights: &ConvWeights,
-    input: &BitTensor4,
-    pool: Option<Pool2>,
-    epi: &Epilogue,
-) -> ConvOutput {
-    let state = ConvExecPlan::new(desc, weights);
-    conv_exec_fused(desc, weights, input, &state, pool, epi)
 }
 
 /// Fused 2×2/stride-2 pooling over NHWC i32 accumulators — the shared
@@ -753,58 +556,11 @@ pub fn pool2_i32_into(
     }
 }
 
-/// [`conv_exec`] + fused pooling/epilogue over the actual input batch.
-pub(crate) fn conv_exec_fused(
-    desc: &ConvDesc,
-    weights: &ConvWeights,
-    input: &BitTensor4,
-    eplan_state: &ConvExecPlan,
-    pool: Option<Pool2>,
-    epi: &Epilogue,
-) -> ConvOutput {
-    let y = conv_exec(desc, weights, input, eplan_state);
-    let batch = input.shape().0;
-    let (oh, ow) = (desc.out_h(), desc.out_w());
-    let cout = desc.cout;
-
-    // Optional fused pooling on the i32 accumulators.
-    let (ph, pw, pooled) = match pool {
-        None => (oh, ow, y),
-        Some(kind) => (oh / 2, ow / 2, pool2_i32(&y, batch, oh, ow, cout, kind)),
-    };
-
-    match epi.output_bits() {
-        None => {
-            // Element-wise epilogue without quantization keeps i32.
-            let mut v = pooled;
-            if !epi.ops().is_empty() {
-                for (idx, e) in v.iter_mut().enumerate() {
-                    let co = idx % cout;
-                    *e = epi.apply(*e, co) as i32;
-                }
-            }
-            ConvOutput::Int32(v)
-        }
-        Some(bits) => {
-            let mut t = BitTensor4::zeros(batch, ph, pw, cout, bits, Encoding::ZeroOne);
-            for b in 0..batch {
-                for py in 0..ph {
-                    for px in 0..pw {
-                        for co in 0..cout {
-                            let acc = pooled[((b * ph + py) * pw + px) * cout + co];
-                            t.set_code(b, py, px, co, epi.apply_to_code(acc, co));
-                        }
-                    }
-                }
-            }
-            ConvOutput::Packed(t)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apconv::{ApConv, ConvOutput};
+    use crate::fusion::EpilogueOp;
     use crate::reference::conv2d_i32;
     use apnn_bitpack::{Layout, Tensor4};
 
@@ -854,11 +610,11 @@ mod tests {
         (w, vals)
     }
 
-    fn check_against_reference(desc: &ConvDesc, seed: u64) {
+    /// Seeded operands plus the naive i32 oracle's NHWC accumulators.
+    fn operands_and_oracle(desc: &ConvDesc, seed: u64) -> (BitTensor4, ConvWeights, Vec<i32>) {
         let mut seed = seed;
         let (input, x_vals) = make_input(desc, &mut seed);
         let (weights, w_vals) = make_weights(desc, &mut seed);
-        let got = conv_cpu(desc, &weights, &input);
         let want = conv2d_i32(
             &x_vals,
             &w_vals,
@@ -872,7 +628,86 @@ mod tests {
             desc.stride,
             desc.pad,
         );
+        (input, weights, want)
+    }
+
+    fn check_against_reference(desc: &ConvDesc, seed: u64) {
+        let (input, weights, want) = operands_and_oracle(desc, seed);
+        let got = ApConv::new(*desc).execute(&weights, &input);
         assert_eq!(got, want, "desc {desc:?}");
+    }
+
+    fn with_encodings(mut desc: ConvDesc, w_enc: Encoding, x_enc: Encoding) -> ConvDesc {
+        desc.w_enc = w_enc;
+        desc.x_enc = x_enc;
+        desc
+    }
+
+    /// 2×2/stride-2 pooling of NHWC `y` written out by hand.
+    fn pooled_by_hand(y: &[i32], desc: &ConvDesc, kind: Pool2) -> Vec<i32> {
+        let (oh, ow, c) = (desc.out_h(), desc.out_w(), desc.cout);
+        let mut v = Vec::new();
+        for b in 0..desc.batch {
+            for py in 0..oh / 2 {
+                for px in 0..ow / 2 {
+                    for co in 0..c {
+                        let at = |dy, dx| y[((b * oh + 2 * py + dy) * ow + 2 * px + dx) * c + co];
+                        let quad = [at(0, 0), at(0, 1), at(1, 0), at(1, 1)];
+                        v.push(match kind {
+                            Pool2::Max => *quad.iter().max().unwrap(),
+                            Pool2::Avg => quad.iter().sum::<i32>().div_euclid(4),
+                        });
+                    }
+                }
+            }
+        }
+        v
+    }
+
+    /// Drive the one driver through every conv emulation case and gather
+    /// geometry × `tiles` × `arms` × {full, partial, zero-image} shard,
+    /// reusing one scratch as shapes shrink and grow, and compare each
+    /// result with the naive i32 oracle.
+    fn check_every_case(tiles: &[MicroTile], arms: &[PopcntArm]) {
+        use Encoding::{PlusMinusOne as Pm, ZeroOne as Zo};
+        let descs = [
+            // Stride-1 with padding: the shift-reuse window gather runs on
+            // every non-leading column.
+            ConvDesc::unsigned(2, 5, 7, 9, 3, 1, 1, 2, 2),
+            // Stride 2 (full gather every pixel), wide kernel, wide channels.
+            ConvDesc::unsigned(1, 4, 9, 5, 5, 2, 2, 1, 2),
+            ConvDesc::unsigned(1, 130, 4, 3, 3, 1, 1, 1, 3),
+            // ±1/±1 (pad-1 + counter correction) and the two Case III forms.
+            with_encodings(ConvDesc::unsigned(1, 5, 6, 4, 3, 1, 1, 1, 1), Pm, Pm),
+            with_encodings(ConvDesc::unsigned(2, 6, 5, 7, 3, 1, 1, 1, 3), Pm, Zo),
+            with_encodings(ConvDesc::unsigned(2, 5, 5, 3, 3, 1, 1, 2, 1), Zo, Pm),
+        ];
+        let mut cases = Vec::new();
+        let mut scratch = ConvScratch::default();
+        let mut out = Vec::new();
+        for (i, desc) in descs.iter().enumerate() {
+            let (input, weights, want) = operands_and_oracle(desc, 300 + i as u64);
+            let per_image = desc.out_h() * desc.out_w() * desc.cout;
+            for (&micro, &arm) in tiles.iter().flat_map(|t| arms.iter().map(move |a| (t, a))) {
+                let prepared = ApConv::new(*desc)
+                    .prepare(weights.clone())
+                    .with_micro(micro)
+                    .with_arm(arm);
+                let case = prepared.exec_plan.eplan.case;
+                if !cases.contains(&case) {
+                    cases.push(case);
+                }
+                for images in [desc.batch, desc.batch - 1, 0] {
+                    prepared.execute_into(&input.batch_slice(0, images), &mut scratch, &mut out);
+                    assert_eq!(
+                        out,
+                        want[..images * per_image],
+                        "{micro:?} {arm:?} shard {images} desc {desc:?}"
+                    );
+                }
+            }
+        }
+        assert_eq!(cases.len(), 4, "all four conv emulation cases");
     }
 
     #[test]
@@ -918,184 +753,70 @@ mod tests {
 
     #[test]
     fn fused_pool_and_quantize() {
-        let desc = ConvDesc::unsigned(1, 4, 8, 3, 3, 1, 1, 1, 2);
-        let mut seed = 13;
-        let (input, x_vals) = make_input(&desc, &mut seed);
-        let (weights, w_vals) = make_weights(&desc, &mut seed);
+        // Oracle: reference conv → hand-written pool → quantize, for the
+        // allocating wrapper and the workspace form (one packed slot
+        // reused across pool shapes) alike.
+        let desc = ConvDesc::unsigned(2, 4, 8, 3, 3, 1, 1, 1, 2);
+        let (input, weights, y) = operands_and_oracle(&desc, 13);
         let epi = Epilogue::quantize(4.0, 0.0, 2);
-        let out = conv_cpu_fused(&desc, &weights, &input, Some(Pool2::Max), &epi);
-        let ConvOutput::Packed(packed) = out else {
-            panic!("expected packed")
-        };
-        let (n, ph, pw, c) = packed.shape();
-        assert_eq!((n, ph, pw, c), (1, 4, 4, 3));
-
-        // Oracle: reference conv → max pool → quantize.
-        let y = conv2d_i32(&x_vals, &w_vals, 1, 8, 8, 4, 3, 3, 3, 1, 1);
-        let (oh, ow) = (8, 8);
-        for py in 0..4 {
-            for px in 0..4 {
-                for co in 0..3 {
-                    let at =
-                        |dy: usize, dx: usize| y[(((2 * py + dy) * ow) + 2 * px + dx) * 3 + co];
-                    let m = at(0, 0).max(at(0, 1)).max(at(1, 0)).max(at(1, 1));
-                    assert_eq!(packed.get_code(0, py, px, co), epi.apply_to_code(m, co));
-                }
-            }
-        }
-        let _ = oh;
-    }
-
-    #[test]
-    fn sequential_workspace_core_matches_pooled_path_every_case() {
-        let mut descs = vec![
-            ConvDesc::unsigned(2, 5, 6, 4, 3, 1, 1, 2, 2),
-            ConvDesc::unsigned(1, 130, 4, 3, 3, 1, 1, 1, 3),
-        ];
-        // ±1/±1 (pad-1 + counter correction) and the two Case III forms.
-        let mut d = ConvDesc::unsigned(1, 5, 6, 4, 3, 1, 1, 1, 1);
-        d.w_enc = Encoding::PlusMinusOne;
-        d.x_enc = Encoding::PlusMinusOne;
-        descs.push(d);
-        let mut d = ConvDesc::unsigned(2, 9, 5, 3, 3, 2, 1, 1, 4);
-        d.w_enc = Encoding::PlusMinusOne;
-        descs.push(d);
-        let mut d = ConvDesc::unsigned(1, 5, 5, 3, 3, 1, 1, 2, 1);
-        d.x_enc = Encoding::PlusMinusOne;
-        descs.push(d);
-
-        let mut scratch = WindowScratch::default();
-        let mut out = Vec::new();
-        for (i, desc) in descs.iter().enumerate() {
-            let mut seed = 100 + i as u64;
-            let (input, _) = make_input(desc, &mut seed);
-            let (weights, _) = if desc.w_enc == Encoding::PlusMinusOne {
-                let n = desc.cout * desc.kh * desc.kw * desc.cin;
-                let vals: Vec<i32> = (0..n)
-                    .map(|_| if lcg(&mut seed) & 1 == 0 { -1 } else { 1 })
-                    .collect();
-                (ConvWeights::from_signed(desc, &vals), vals)
-            } else {
-                make_weights(desc, &mut seed)
+        let prepared = ApConv::new(desc).prepare(weights.clone());
+        let mut scratch = ConvScratch::default();
+        let mut slot = BitTensor4::zeros(1, 1, 1, 1, 1, Encoding::ZeroOne);
+        for pool in [None, Some(Pool2::Max), Some(Pool2::Avg)] {
+            let (want, side) = match pool {
+                None => (y.clone(), 8),
+                Some(kind) => (pooled_by_hand(&y, &desc, kind), 4),
             };
-            let state = ConvExecPlan::new(desc, &weights);
-            // One scratch reused across every desc: shapes shrink and grow.
-            conv_exec_seq(desc, &weights, &input, &state, &mut scratch, &mut out);
-            assert_eq!(out, conv_cpu(desc, &weights, &input), "desc {desc:?}");
+            let out = ApConv::new(desc).execute_fused(&weights, &input, pool, &epi);
+            let ConvOutput::Packed(packed) = out else {
+                panic!("expected packed")
+            };
+            prepared.execute_fused_into(&input, pool, &epi, &mut scratch, &mut slot);
+            assert_eq!(packed, slot, "pool {pool:?}");
+            assert_eq!(packed.shape(), (2, side, side, 3));
+            for (idx, &acc) in want.iter().enumerate() {
+                let (co, px) = (idx % 3, idx / 3);
+                let (b, py, px) = (px / (side * side), px / side % side, px % side);
+                let code = epi.apply_to_code(acc, co);
+                assert_eq!(packed.get_code(b, py, px, co), code, "pool {pool:?}");
+            }
         }
     }
 
     #[test]
     fn every_micro_tile_is_bit_identical_for_conv() {
-        let mut descs = vec![
-            // Stride-1 with padding: the sequential path takes the
-            // shift-reuse window gather on every non-leading column.
-            ConvDesc::unsigned(2, 5, 7, 9, 3, 1, 1, 2, 2),
-            // Stride 2 (full gather every pixel) and a wide-kernel shape.
-            ConvDesc::unsigned(1, 4, 9, 5, 5, 2, 2, 1, 2),
-        ];
-        let mut d = ConvDesc::unsigned(1, 5, 6, 4, 3, 1, 1, 1, 1);
-        d.w_enc = Encoding::PlusMinusOne;
-        d.x_enc = Encoding::PlusMinusOne;
-        descs.push(d);
-        let mut d = ConvDesc::unsigned(2, 6, 5, 7, 3, 1, 1, 1, 3);
-        d.w_enc = Encoding::PlusMinusOne;
-        descs.push(d);
-
-        for (i, desc) in descs.iter().enumerate() {
-            let mut seed = 300 + i as u64;
-            let (input, _) = make_input(desc, &mut seed);
-            let weights = if desc.w_enc == Encoding::PlusMinusOne {
-                let n = desc.cout * desc.kh * desc.kw * desc.cin;
-                let vals: Vec<i32> = (0..n)
-                    .map(|_| if lcg(&mut seed) & 1 == 0 { -1 } else { 1 })
-                    .collect();
-                ConvWeights::from_signed(desc, &vals)
-            } else {
-                make_weights(desc, &mut seed).0
-            };
-            let want = conv_cpu(desc, &weights, &input);
-            let mut scratch = WindowScratch::default();
-            let mut out = Vec::new();
-            for jb in [1usize, 2, 8] {
-                for kb in [1usize, 4, 64] {
-                    let micro = MicroTile { jb, kb };
-                    assert_eq!(
-                        conv_cpu_with_micro(desc, &weights, &input, micro),
-                        want,
-                        "parallel jb={jb} kb={kb} desc {desc:?}"
-                    );
-                    let state = ConvExecPlan::new(desc, &weights).with_micro(micro);
-                    conv_exec_seq(desc, &weights, &input, &state, &mut scratch, &mut out);
-                    assert_eq!(out, want, "seq jb={jb} kb={kb} desc {desc:?}");
-                }
-            }
-        }
+        let tiles: Vec<MicroTile> = [1usize, 2, 8]
+            .iter()
+            .flat_map(|&jb| [1usize, 4, 64].map(|kb| MicroTile { jb, kb }))
+            .collect();
+        check_every_case(&tiles, &[PopcntArm::detect()]);
     }
 
     #[test]
     fn every_available_arm_is_bit_identical_for_conv() {
-        // One Ampere case per encoding class, run through every popcount
-        // arm on both the parallel and sequential paths. Unavailable arms
-        // sanitize to the detected best — still exact, so asserting on
-        // the full set is safe on any host.
-        let mut descs = vec![ConvDesc::unsigned(2, 5, 7, 9, 3, 1, 1, 2, 2)];
-        let mut d = ConvDesc::unsigned(1, 5, 6, 4, 3, 1, 1, 1, 1);
-        d.w_enc = Encoding::PlusMinusOne;
-        d.x_enc = Encoding::PlusMinusOne;
-        descs.push(d);
-        let mut d = ConvDesc::unsigned(2, 6, 5, 7, 3, 1, 1, 1, 3);
-        d.w_enc = Encoding::PlusMinusOne;
-        descs.push(d);
-
-        for (i, desc) in descs.iter().enumerate() {
-            let mut seed = 700 + i as u64;
-            let (input, _) = make_input(desc, &mut seed);
-            let weights = if desc.w_enc == Encoding::PlusMinusOne {
-                let n = desc.cout * desc.kh * desc.kw * desc.cin;
-                let vals: Vec<i32> = (0..n)
-                    .map(|_| if lcg(&mut seed) & 1 == 0 { -1 } else { 1 })
-                    .collect();
-                ConvWeights::from_signed(desc, &vals)
-            } else {
-                make_weights(desc, &mut seed).0
-            };
-            let want = conv_cpu(desc, &weights, &input);
-            let mut scratch = WindowScratch::default();
-            let mut out = Vec::new();
-            for arm in PopcntArm::ALL {
-                let state = ConvExecPlan::new(desc, &weights).with_arm(arm);
-                assert_eq!(
-                    conv_exec(desc, &weights, &input, &state),
-                    want,
-                    "parallel arm {} desc {desc:?}",
-                    arm.label()
-                );
-                conv_exec_seq(desc, &weights, &input, &state, &mut scratch, &mut out);
-                assert_eq!(out, want, "seq arm {} desc {desc:?}", arm.label());
-            }
-        }
+        // Unavailable arms sanitize to the detected best — still exact, so
+        // asserting on the full set is safe on any host.
+        check_every_case(&[MicroTile { jb: 4, kb: 16 }], &PopcntArm::ALL);
     }
 
     #[test]
     fn ad_hoc_conv_entry_reuses_the_shape_keyed_memo() {
-        // Satellite contract: `conv_cpu` rebuilds its `ConvExecPlan` per
-        // call, but tile selection must go through the shape-keyed memo —
-        // first call per layer shape selects (and, in measured mode,
+        // Satellite contract: `ApConv::execute` rebuilds its `ConvExecPlan`
+        // per call, but tile selection must go through the shape-keyed memo
+        // — first call per layer shape selects (and, in measured mode,
         // benches) once; repeats move neither counter. The shape is unique
         // to this test so the first call is a guaranteed memo miss.
         let desc = ConvDesc::unsigned(1, 37, 5, 13, 3, 1, 1, 2, 2);
-        let mut seed = 41;
-        let (input, _) = make_input(&desc, &mut seed);
-        let (weights, _) = make_weights(&desc, &mut seed);
+        let (input, weights, _) = operands_and_oracle(&desc, 41);
+        let conv = ApConv::new(desc);
 
         let s = crate::stats::scope();
-        let y1 = conv_cpu(&desc, &weights, &input);
+        let y1 = conv.execute(&weights, &input);
         assert_eq!(s.micro_tunes(), 1, "first call per shape selects once");
         assert!(s.micro_benches() <= 1);
         let (tunes, benches) = (s.micro_tunes(), s.micro_benches());
-        let y2 = conv_cpu(&desc, &weights, &input);
-        let y3 = conv_cpu(&desc, &weights, &input);
+        let y2 = conv.execute(&weights, &input);
+        let y3 = conv.execute(&weights, &input);
         assert_eq!(
             (s.micro_tunes(), s.micro_benches()),
             (tunes, benches),
@@ -1112,13 +833,7 @@ mod tests {
         // Case-III popcount bookkeeping.
         let mut desc = ConvDesc::unsigned(1, 5, 8, 3, 3, 1, 1, 1, 2);
         desc.w_enc = Encoding::PlusMinusOne; // AndWeightTransformed → need_popc
-        let mut seed = 23;
-        let (input, _) = make_input(&desc, &mut seed);
-        let n = desc.cout * desc.kh * desc.kw * desc.cin;
-        let vals: Vec<i32> = (0..n)
-            .map(|_| if lcg(&mut seed) & 1 == 0 { -1 } else { 1 })
-            .collect();
-        let weights = ConvWeights::from_signed(&desc, &vals);
+        let (input, weights, _) = operands_and_oracle(&desc, 23);
         let state = ConvExecPlan::new(&desc, &weights);
 
         let mut rolling = WindowScratch::default();
@@ -1126,7 +841,7 @@ mod tests {
         for oy in 0..desc.out_h() {
             for ox in 0..desc.out_w() {
                 let shift = ox > 0;
-                gather_window_seq(
+                gather_into(
                     &desc,
                     &input,
                     &state.fill_pattern,
@@ -1137,7 +852,7 @@ mod tests {
                     shift,
                     &mut rolling,
                 );
-                gather_window_seq(
+                gather_into(
                     &desc,
                     &input,
                     &state.fill_pattern,
@@ -1156,62 +871,19 @@ mod tests {
     }
 
     #[test]
-    fn sequential_fused_matches_allocating_fused() {
-        let desc = ConvDesc::unsigned(2, 4, 8, 3, 3, 1, 1, 1, 2);
-        let mut seed = 13;
-        let (input, _) = make_input(&desc, &mut seed);
-        let (weights, _) = make_weights(&desc, &mut seed);
-        let epi = Epilogue::quantize(4.0, 0.0, 2);
-        let state = ConvExecPlan::new(&desc, &weights);
-        let mut scratch = ConvScratch::default();
-        let mut packed = BitTensor4::zeros(1, 1, 1, 1, 1, Encoding::ZeroOne);
-        for pool in [None, Some(Pool2::Max), Some(Pool2::Avg)] {
-            conv_exec_fused_seq(
-                &desc,
-                &weights,
-                &input,
-                &state,
-                None,
-                pool,
-                &epi,
-                &mut scratch,
-                &mut packed,
-            );
-            let ConvOutput::Packed(want) = conv_cpu_fused(&desc, &weights, &input, pool, &epi)
-            else {
-                panic!("expected packed")
-            };
-            assert_eq!(packed, want, "pool {pool:?}");
-        }
-    }
-
-    #[test]
     fn residual_adds_into_raw_accumulators_before_the_epilogue() {
         let desc = ConvDesc::unsigned(2, 4, 8, 3, 3, 1, 1, 1, 2);
-        let mut seed = 29;
-        let (input, _) = make_input(&desc, &mut seed);
-        let (weights, _) = make_weights(&desc, &mut seed);
+        let (input, weights, raw) = operands_and_oracle(&desc, 29);
         let epi = Epilogue::quantize(4.0, 0.0, 2);
-        let state = ConvExecPlan::new(&desc, &weights);
-        let n = desc.batch * desc.out_h() * desc.out_w() * desc.cout;
-        let res: Vec<i32> = (0..n).map(|i| (i as i32 % 11) - 5).collect();
+        let res: Vec<i32> = (0..raw.len()).map(|i| (i as i32 % 11) - 5).collect();
 
         let mut scratch = ConvScratch::default();
         let mut packed = BitTensor4::zeros(1, 1, 1, 1, 1, Encoding::ZeroOne);
-        conv_exec_fused_seq(
-            &desc,
-            &weights,
-            &input,
-            &state,
-            Some(&res),
-            None,
-            &epi,
-            &mut scratch,
-            &mut packed,
-        );
+        ApConv::new(desc)
+            .prepare(weights)
+            .execute_fused_residual_into(&input, &res, None, &epi, &mut scratch, &mut packed);
 
         // Oracle: raw accumulators + residual, then the epilogue.
-        let raw = conv_cpu(&desc, &weights, &input);
         for b in 0..desc.batch {
             for y in 0..desc.out_h() {
                 for x in 0..desc.out_w() {
@@ -1227,14 +899,25 @@ mod tests {
 
     #[test]
     fn avg_pool_floors_toward_neg_infinity() {
-        let desc = ConvDesc::unsigned(1, 1, 4, 1, 1, 1, 0, 1, 1);
-        let mut seed = 17;
-        let (input, _) = make_input(&desc, &mut seed);
-        let (weights, _) = make_weights(&desc, &mut seed);
-        let out = conv_cpu_fused(&desc, &weights, &input, Some(Pool2::Avg), &Epilogue::none());
-        let ConvOutput::Int32(v) = out else {
-            panic!("expected i32")
-        };
-        assert_eq!(v.len(), 4); // 2x2 pooled
+        // ±1 weights give negative window sums, so flooring the mean toward
+        // −∞ (not toward zero) is observable. A non-quantizing epilogue
+        // keeps i32 — the output form only the allocating wrappers produce.
+        let desc = with_encodings(
+            ConvDesc::unsigned(2, 3, 6, 4, 3, 1, 1, 1, 2),
+            Encoding::PlusMinusOne,
+            Encoding::ZeroOne,
+        );
+        let (input, weights, y) = operands_and_oracle(&desc, 17);
+        let pooled = pooled_by_hand(&y, &desc, Pool2::Avg);
+        assert!(pooled.iter().any(|&v| v < 0), "negative means exercised");
+        let relu = Epilogue::none().then(EpilogueOp::Relu);
+        let clamped: Vec<i32> = pooled.iter().map(|&v| v.max(0)).collect();
+        for (epi, want) in [(Epilogue::none(), &pooled), (relu, &clamped)] {
+            let out = ApConv::new(desc).execute_fused(&weights, &input, Some(Pool2::Avg), &epi);
+            let ConvOutput::Int32(v) = out else {
+                panic!("expected i32")
+            };
+            assert_eq!(&v, want, "epilogue {epi:?}");
+        }
     }
 }

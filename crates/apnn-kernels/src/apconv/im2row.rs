@@ -21,7 +21,7 @@
 use apnn_bitpack::{BitPlanes, BitTensor4, Encoding};
 
 use super::{ConvDesc, ConvWeights};
-use crate::apmm::{cpu::apmm_cpu, ApmmDesc};
+use crate::apmm::{Apmm, ApmmDesc};
 
 /// Materialize the implicit-GEMM activation operand: one row per output
 /// pixel, `KH·KW` channel segments per row (each padded to the fragment
@@ -80,7 +80,7 @@ pub fn im2row_planes_into(
 }
 
 /// Convolution by explicit im2row + APMM. Output layout matches
-/// [`super::cpu::conv_cpu`] (NHWC i32).
+/// [`super::ApConv::execute`] (NHWC i32).
 ///
 /// Panics on ±1 activations (see module docs).
 pub fn im2row_conv(desc: &ConvDesc, weights: &ConvWeights, input: &BitTensor4) -> Vec<i32> {
@@ -106,7 +106,7 @@ pub fn im2row_conv(desc: &ConvDesc, weights: &ConvWeights, input: &BitTensor4) -
         x_enc: desc.x_enc,
     };
     // APMM returns cout × pixels; conv output is pixel-major (NHWC).
-    let y = apmm_cpu(&gemm_desc, weights.planes(), &acts);
+    let y = Apmm::new(gemm_desc).execute(weights.planes(), &acts);
     let (m, n) = (g.m, g.n);
     let mut out = vec![0i32; m * n];
     for co in 0..m {
@@ -127,6 +127,7 @@ pub fn im2row_bytes(desc: &ConvDesc) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apconv::ApConv;
     use apnn_bitpack::{Layout, Tensor4};
 
     fn lcg(seed: &mut u64) -> u64 {
@@ -162,7 +163,7 @@ mod tests {
                 .collect();
             let weights = ConvWeights::from_codes(&desc, &codes);
             let input = rand_input(&desc, &mut seed);
-            let direct = super::super::cpu::conv_cpu(&desc, &weights, &input);
+            let direct = ApConv::new(desc).execute(&weights, &input);
             let lowered = im2row_conv(&desc, &weights, &input);
             assert_eq!(direct, lowered, "desc {desc:?}");
         }
@@ -180,7 +181,7 @@ mod tests {
         let weights = ConvWeights::from_signed(&desc, &vals);
         let input = rand_input(&desc, &mut seed);
         assert_eq!(
-            super::super::cpu::conv_cpu(&desc, &weights, &input),
+            ApConv::new(desc).execute(&weights, &input),
             im2row_conv(&desc, &weights, &input)
         );
     }
@@ -233,7 +234,7 @@ mod tests {
         let weights = ConvWeights::from_codes(&desc, &codes);
         let input = rand_input(&desc, &mut seed);
         assert_eq!(
-            super::super::cpu::conv_cpu(&desc, &weights, &input),
+            ApConv::new(desc).execute(&weights, &input),
             im2row_conv(&desc, &weights, &input)
         );
     }

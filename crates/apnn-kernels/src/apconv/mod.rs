@@ -185,8 +185,14 @@ impl ApConv {
     }
 
     /// Functional CPU convolution over packed operands. Returns NHWC i32.
+    /// Borrows the weights and builds transient scratch; serving loops
+    /// [`ApConv::prepare`] once instead.
     pub fn execute(&self, weights: &ConvWeights, input: &BitTensor4) -> Vec<i32> {
-        cpu::conv_cpu(&self.desc, weights, input)
+        assert_eq!(input.shape().0, self.desc.batch, "batch mismatch");
+        let state = cpu::ConvExecPlan::new(&self.desc, weights);
+        let (mut window, mut out) = (cpu::WindowScratch::default(), Vec::new());
+        cpu::conv_exec(&self.desc, weights, input, &state, &mut window, &mut out);
+        out
     }
 
     /// Functional CPU convolution with fused pooling + epilogue.
@@ -197,7 +203,9 @@ impl ApConv {
         pool: Option<Pool2>,
         epi: &Epilogue,
     ) -> ConvOutput {
-        cpu::conv_cpu_fused(&self.desc, weights, input, pool, epi)
+        assert_eq!(input.shape().0, self.desc.batch, "batch mismatch");
+        let state = cpu::ConvExecPlan::new(&self.desc, weights);
+        fused_owned(&self.desc, weights, input, &state, pool, epi)
     }
 
     /// Hoist every per-call invariant out of the serving loop: take
@@ -294,32 +302,35 @@ impl PreparedConv {
     }
 
     /// NHWC i32 accumulators for an input shard (batch ≤ compiled batch).
+    /// Allocating convenience over [`PreparedConv::execute_into`].
     pub fn execute(&self, input: &BitTensor4) -> Vec<i32> {
-        cpu::conv_exec(&self.desc, &self.weights, input, &self.exec_plan)
+        let mut out = Vec::new();
+        self.execute_into(input, &mut cpu::ConvScratch::default(), &mut out);
+        out
     }
 
-    /// Fused pooling + epilogue execution for an input shard.
+    /// Fused pooling + epilogue execution for an input shard (allocating;
+    /// the only form that serves non-quantizing epilogues).
     pub fn execute_fused(
         &self,
         input: &BitTensor4,
         pool: Option<Pool2>,
         epi: &Epilogue,
     ) -> ConvOutput {
-        cpu::conv_exec_fused(&self.desc, &self.weights, input, &self.exec_plan, pool, epi)
+        fused_owned(&self.desc, &self.weights, input, &self.exec_plan, pool, epi)
     }
 
-    /// Sequential workspace form of [`PreparedConv::execute`]: NHWC i32
-    /// accumulators land in `out`, the window gather reuses `scratch`, and
-    /// — once the buffers have reached the plan's full-batch capacity — the
-    /// call performs **zero heap allocations**. Bit-identical to the
-    /// thread-pool path (integer-exact kernels, same accumulation order).
+    /// Workspace form of [`PreparedConv::execute`]: NHWC i32 accumulators
+    /// land in `out`, the window gather reuses `scratch`, and — once the
+    /// buffers have reached the plan's full-batch capacity — the call
+    /// performs **zero heap allocations**.
     pub fn execute_into(
         &self,
         input: &BitTensor4,
         scratch: &mut cpu::ConvScratch,
         out: &mut Vec<i32>,
     ) {
-        cpu::conv_exec_seq(
+        cpu::conv_exec(
             &self.desc,
             &self.weights,
             input,
@@ -329,7 +340,7 @@ impl PreparedConv {
         );
     }
 
-    /// Sequential workspace form of [`PreparedConv::execute_fused`] for
+    /// Workspace form of [`PreparedConv::execute_fused`] for
     /// quantizing epilogues: accumulators and pooled values go through
     /// `scratch`, and the packed channel-major activations are rebuilt in
     /// place in `out` (see [`apnn_bitpack::BitTensor4::reset_zeros`]).
@@ -343,7 +354,7 @@ impl PreparedConv {
         scratch: &mut cpu::ConvScratch,
         out: &mut BitTensor4,
     ) {
-        cpu::conv_exec_fused_seq(
+        cpu::conv_exec_fused(
             &self.desc,
             &self.weights,
             input,
@@ -371,7 +382,7 @@ impl PreparedConv {
         scratch: &mut cpu::ConvScratch,
         out: &mut BitTensor4,
     ) {
-        cpu::conv_exec_fused_seq(
+        cpu::conv_exec_fused(
             &self.desc,
             &self.weights,
             input,
@@ -383,6 +394,51 @@ impl PreparedConv {
             out,
         );
     }
+}
+
+/// The allocating fused tail behind both `execute_fused` spellings: a
+/// quantizing epilogue packs through [`cpu::conv_exec_fused`]; a
+/// non-quantizing one returns the (pooled, epilogue-transformed) i32
+/// accumulators — the one output form the workspace entry points never
+/// produce.
+fn fused_owned(
+    desc: &ConvDesc,
+    weights: &ConvWeights,
+    input: &BitTensor4,
+    state: &cpu::ConvExecPlan,
+    pool: Option<Pool2>,
+    epi: &Epilogue,
+) -> ConvOutput {
+    let mut scratch = cpu::ConvScratch::default();
+    if let Some(bits) = epi.output_bits() {
+        let mut t = BitTensor4::zeros(0, 1, 1, desc.cout, bits, Encoding::ZeroOne);
+        cpu::conv_exec_fused(
+            desc,
+            weights,
+            input,
+            state,
+            None,
+            pool,
+            epi,
+            &mut scratch,
+            &mut t,
+        );
+        return ConvOutput::Packed(t);
+    }
+    let cpu::ConvScratch { window, acc, .. } = &mut scratch;
+    cpu::conv_exec(desc, weights, input, state, window, acc);
+    let (n, oh, ow) = (input.shape().0, desc.out_h(), desc.out_w());
+    let mut v = match pool {
+        None => scratch.acc,
+        Some(kind) => cpu::pool2_i32(&scratch.acc, n, oh, ow, desc.cout, kind),
+    };
+    // `Epilogue::apply` goes through f32; an empty chain must stay exact.
+    if !epi.ops().is_empty() {
+        for (idx, e) in v.iter_mut().enumerate() {
+            *e = epi.apply(*e, idx % desc.cout) as i32;
+        }
+    }
+    ConvOutput::Int32(v)
 }
 
 #[cfg(test)]

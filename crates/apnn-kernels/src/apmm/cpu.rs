@@ -1,16 +1,15 @@
-//! Functional multi-threaded CPU backend for APMM.
+//! Functional CPU backend for APMM.
 //!
 //! This is the "real compute" path: bit-packed rows, XOR/AND + popcount
-//! inner loops (the CPU equivalent of the tensor-core `bmma` pipeline), and
-//! Rayon data parallelism over output rows. The Criterion benches measure
-//! this engine; its results are validated against the naive i32 oracle and
+//! inner loops (the CPU equivalent of the tensor-core `bmma` pipeline),
+//! driven by the **one** APMM loop nest, `apmm_exec`, on the calling
+//! thread. Its results are validated against the naive i32 oracle and
 //! against the fragment-level [`crate::emulate::ap_bit_mm`].
 
 use apnn_bitpack::{BitPlanes, PopcntArm};
-use rayon::prelude::*;
 
 use super::ApmmDesc;
-use crate::autotune::{select_micro, MicroTile};
+use crate::autotune::MicroTile;
 use crate::micro::{popc_tile, PlaneView, MAX_TILE};
 use crate::select::{adjust_partial, EmulationCase, EmulationPlan};
 
@@ -44,151 +43,11 @@ pub fn weight_row_sums(w: &BitPlanes, eplan: EmulationPlan) -> Vec<Vec<i32>> {
     }
 }
 
-/// Compute the decoded `m×n` i32 product with the default (Ampere) plan.
-pub fn apmm_cpu(desc: &ApmmDesc, w: &BitPlanes, x: &BitPlanes) -> Vec<i32> {
-    apmm_cpu_with_plan(desc, w, x, desc.plan())
-}
-
-/// Compute with an explicit emulation plan — e.g.
-/// [`crate::select::plan_xor_only`] for Turing-class (XOR-only) targets.
-///
-/// Tile selection goes through the same shape-keyed
-/// [`select_micro`] memo the plan compiler uses, so hammering this
-/// entry point re-selects nothing after the first call per shape.
-pub fn apmm_cpu_with_plan(
-    desc: &ApmmDesc,
-    w: &BitPlanes,
-    x: &BitPlanes,
-    eplan: EmulationPlan,
-) -> Vec<i32> {
-    let arm = PopcntArm::detect();
-    let micro = select_micro(
-        desc.n,
-        w.plane(0).words_per_row(),
-        desc.w_bits,
-        desc.x_bits,
-        arm,
-    );
-    apmm_cpu_tuned(desc, w, x, eplan, micro, arm)
-}
-
-/// [`apmm_cpu_with_plan`] with an explicit microkernel tile — the knob the
-/// differential proptests and the kernel-level bench sweep turn. Any tile
-/// is bit-identical (exact i32 accumulation); only throughput moves.
-pub fn apmm_cpu_with_micro(
-    desc: &ApmmDesc,
-    w: &BitPlanes,
-    x: &BitPlanes,
-    eplan: EmulationPlan,
-    micro: MicroTile,
-) -> Vec<i32> {
-    apmm_cpu_tuned(desc, w, x, eplan, micro, PopcntArm::detect())
-}
-
-/// [`apmm_cpu_with_micro`] with an explicit popcount arm as well — the
-/// fully-pinned entry point the arm-differential proptests and the bench
-/// arm sweep drive. Every `(tile, arm)` pair is bit-identical.
-pub fn apmm_cpu_tuned(
-    desc: &ApmmDesc,
-    w: &BitPlanes,
-    x: &BitPlanes,
-    eplan: EmulationPlan,
-    micro: MicroTile,
-    arm: PopcntArm,
-) -> Vec<i32> {
-    // The ad-hoc path promises a full `m×n` product; only the prepared
-    // (compiled-plan) path may serve partial batch shards.
-    assert_eq!(x.rows(), desc.n, "activation rows");
-    apmm_exec(desc, w, x, eplan, None, micro, arm)
-}
-
-/// Shared core: multiply packed `w` (rows = output features) against packed
-/// `x` (rows = batch; may carry *fewer* rows than `desc.n` when a compiled
-/// plan serves a partial shard). `w_row_sums_pre` supplies precomputed
-/// weight corrections from a prepared kernel; `None` computes them on the
-/// fly (the ad-hoc path).
-pub(crate) fn apmm_exec(
-    desc: &ApmmDesc,
-    w: &BitPlanes,
-    x: &BitPlanes,
-    eplan: EmulationPlan,
-    w_row_sums_pre: Option<&[Vec<i32>]>,
-    micro: MicroTile,
-    arm: PopcntArm,
-) -> Vec<i32> {
-    let m = desc.m;
-    let n = x.rows();
-    assert!(n <= desc.n, "activation batch exceeds plan batch");
-    let (p, q) = (desc.w_bits as usize, desc.x_bits as usize);
-    let k_valid = desc.k as i32;
-    assert_eq!(
-        w.plane(0).padded_cols(),
-        x.plane(0).padded_cols(),
-        "operands must share padded K"
-    );
-    let mut y = vec![0i32; m * n];
-    if n == 0 {
-        // A zero-row shard is a legal (empty) product: return the `m × 0`
-        // output instead of handing `par_chunks_mut` a fabricated width.
-        return y;
-    }
-
-    // Correction vectors (bit-plane sums). The weight side is loop-invariant
-    // across calls and comes precomputed from prepared kernels; the
-    // activation side depends on this call's operand.
-    let (needs_row, needs_col) = correction_needs(eplan.case);
-    let x_col_sums: Vec<Vec<i32>> = if needs_col {
-        (0..q).map(|t| x.plane(t as u32).row_sums()).collect()
-    } else {
-        Vec::new()
-    };
-    let w_row_sums_local;
-    let w_row_sums: &[Vec<i32>] = match w_row_sums_pre {
-        Some(pre) => pre,
-        None => {
-            w_row_sums_local = weight_row_sums(w, eplan);
-            &w_row_sums_local
-        }
-    };
-
-    let MicroTile { jb, kb } = micro.sanitized();
-    let arm = arm.sanitized();
-    let w_view = PlaneView::from_bitplanes(w);
-    let x_view = PlaneView::from_bitplanes(x);
-    y.par_chunks_mut(n).enumerate().for_each_init(
-        // One accumulator tile per pool participant, reused across every
-        // output row it claims (popc_tile zeroes the live prefix itself).
-        || [0i32; MAX_TILE],
-        |tile, (i, row_out)| {
-            let mut j0 = 0;
-            while j0 < n {
-                let jbc = jb.min(n - j0);
-                let live = &mut tile[..jbc * p * q];
-                popc_tile(eplan.op, arm, &w_view, i, &x_view, j0, jbc, kb, live);
-                combine_apmm_block(
-                    eplan.case,
-                    live,
-                    (p, q),
-                    k_valid,
-                    j0,
-                    |s| if needs_row { w_row_sums[s][i] } else { 0 },
-                    |t, j| if needs_col { x_col_sums[t][j] } else { 0 },
-                    &mut row_out[j0..j0 + jbc],
-                );
-                j0 += jbc;
-            }
-        },
-    );
-    y
-}
-
 /// Consume one popcount tile block for a `jbc`-wide batch-column block:
 /// apply the §3.2 correction ([`adjust_partial`]) and the shift-add
 /// combination, in the same s-outer / t-inner order as the
 /// pre-microkernel kernels (bit-identical results). This is the
-/// **single** copy of the APMM combination arithmetic — the parallel and
-/// sequential paths both consume their tiles here; only the correction
-/// lookups differ (closures, so each path keeps its own table layout).
+/// **single** copy of the APMM combination arithmetic.
 #[allow(clippy::too_many_arguments)]
 fn combine_apmm_block(
     case: EmulationCase,
@@ -219,7 +78,7 @@ fn combine_apmm_block(
     }
 }
 
-/// Reusable per-call scratch for the sequential (workspace) APMM path:
+/// Reusable per-call scratch for the `execute_into` entry points:
 /// the activation-side correction table and the raw accumulator buffer.
 /// Size it once with [`ApmmScratch::reserve`] (at the plan's full batch);
 /// every later call — full or partial shard — is then allocation-free.
@@ -242,13 +101,15 @@ impl ApmmScratch {
     }
 }
 
-/// Sequential zero-allocation core of the prepared path: identical
-/// arithmetic (same per-element accumulation order, hence bit-identical
-/// results) to [`apmm_exec`], but running on the **calling thread** with
-/// every buffer caller-owned. Serving workers are the concurrency unit for
-/// this path; the thread-pool path above stays for ad-hoc/batch calls.
+/// The one APMM driver: multiply packed `w` (rows = output features)
+/// against packed `x` (rows = batch; may carry *fewer* rows than `desc.n`
+/// when a compiled plan serves a partial shard — zero rows included) into
+/// the row-major `m × x.rows()` product `out`, on the **calling thread**
+/// with every buffer caller-owned (zero allocations once `col_sums` and
+/// `out` are at capacity). `w_row_sums` are [`weight_row_sums`] for `eplan`.
+/// Serving workers are the concurrency unit, not this loop.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn apmm_exec_seq(
+pub(crate) fn apmm_exec(
     desc: &ApmmDesc,
     w: &BitPlanes,
     x: &BitPlanes,
@@ -321,7 +182,9 @@ pub(crate) fn apmm_exec_seq(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apmm::Apmm;
     use crate::emulate::decoded_reference;
+    use crate::select::plan_xor_only;
     use apnn_bitpack::Encoding;
 
     fn lcg(seed: &mut u64) -> u64 {
@@ -341,117 +204,44 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn unsigned_matches_reference_various_shapes() {
-        let mut seed = 11;
-        for (m, n, k, p, q) in [
-            (1, 1, 1, 1, 1),
-            (8, 8, 128, 1, 2),
-            (33, 65, 200, 2, 2),
-            (64, 128, 512, 3, 5),
-            (5, 3, 1000, 8, 8),
-        ] {
-            let wc = rand_codes(m * k, p, &mut seed);
-            let xc = rand_codes(n * k, q, &mut seed);
-            let w = BitPlanes::from_codes(&wc, m, k, p, Encoding::ZeroOne);
-            let x = BitPlanes::from_codes(&xc, n, k, q, Encoding::ZeroOne);
-            let desc = ApmmDesc::unsigned(m, n, k, p, q);
-            assert_eq!(
-                apmm_cpu(&desc, &w, &x),
-                decoded_reference(&w, &x),
-                "shape {m}x{n}x{k} w{p}a{q}"
-            );
+    /// A random `rows × k` operand under `enc`.
+    fn operand(rows: usize, k: usize, bits: u32, enc: Encoding, seed: &mut u64) -> BitPlanes {
+        if enc == Encoding::PlusMinusOne {
+            BitPlanes::from_signed_binary(&rand_signs(rows * k, seed), rows, k)
+        } else {
+            BitPlanes::from_codes(&rand_codes(rows * k, bits, seed), rows, k, bits, enc)
         }
     }
 
-    #[test]
-    fn signed_binary_matches_reference() {
-        let mut seed = 13;
-        let (m, n, k) = (24, 40, 300);
-        let w = BitPlanes::from_signed_binary(&rand_signs(m * k, &mut seed), m, k);
-        let x = BitPlanes::from_signed_binary(&rand_signs(n * k, &mut seed), n, k);
-        let desc = ApmmDesc::w1aq(m, n, k, 1, Encoding::PlusMinusOne);
-        assert_eq!(apmm_cpu(&desc, &w, &x), decoded_reference(&w, &x));
-    }
-
-    #[test]
-    fn w1aq_case3_matches_reference() {
-        let mut seed = 17;
-        for q in [2u32, 3, 4, 8] {
-            let (m, n, k) = (16, 20, 250);
-            let w = BitPlanes::from_signed_binary(&rand_signs(m * k, &mut seed), m, k);
-            let x =
-                BitPlanes::from_codes(&rand_codes(n * k, q, &mut seed), n, k, q, Encoding::ZeroOne);
-            let desc = ApmmDesc::w1aq(m, n, k, q, Encoding::ZeroOne);
-            assert_eq!(apmm_cpu(&desc, &w, &x), decoded_reference(&w, &x), "w1a{q}");
+    /// The first `rows` rows of `x` as their own operand (a batch shard).
+    fn shard(x: &BitPlanes, rows: usize) -> BitPlanes {
+        let k = x.cols();
+        if x.encoding() == Encoding::PlusMinusOne {
+            BitPlanes::from_signed_binary(&x.values()[..rows * k], rows, k)
+        } else {
+            let codes = &x.reconstruct_codes()[..rows * k];
+            BitPlanes::from_codes(codes, rows, k, x.bits(), x.encoding())
         }
     }
 
-    #[test]
-    fn mirrored_case3_matches_reference() {
-        let mut seed = 19;
-        let (m, n, k, p) = (12, 9, 130, 4);
-        let w = BitPlanes::from_codes(&rand_codes(m * k, p, &mut seed), m, k, p, Encoding::ZeroOne);
-        let x = BitPlanes::from_signed_binary(&rand_signs(n * k, &mut seed), n, k);
-        let desc = ApmmDesc {
-            m,
-            n,
-            k,
-            w_bits: p,
-            x_bits: 1,
-            w_enc: Encoding::ZeroOne,
-            x_enc: Encoding::PlusMinusOne,
-        };
-        assert_eq!(apmm_cpu(&desc, &w, &x), decoded_reference(&w, &x));
-    }
+    /// One encoding pair per Ampere case; with [`plan_xor_only`] on top
+    /// they reach all seven [`EmulationCase`]s.
+    const ENCODINGS: [(Encoding, Encoding, u32, u32); 4] = [
+        (Encoding::ZeroOne, Encoding::ZeroOne, 3, 2),
+        (Encoding::PlusMinusOne, Encoding::ZeroOne, 1, 4),
+        (Encoding::ZeroOne, Encoding::PlusMinusOne, 2, 1),
+        (Encoding::PlusMinusOne, Encoding::PlusMinusOne, 1, 1),
+    ];
 
-    #[test]
-    fn xor_only_plan_matches_ampere_plan_every_case() {
-        // Turing (XOR-only) plans must produce identical products.
-        use crate::select::plan_xor_only;
-        let mut seed = 29;
-        let cases = [
-            (Encoding::ZeroOne, Encoding::ZeroOne, 3u32, 2u32),
-            (Encoding::PlusMinusOne, Encoding::ZeroOne, 1, 4),
-            (Encoding::ZeroOne, Encoding::PlusMinusOne, 2, 1),
-            (Encoding::PlusMinusOne, Encoding::PlusMinusOne, 1, 1),
-        ];
-        for (w_enc, x_enc, p, q) in cases {
-            let (m, n, k) = (14, 22, 250);
-            let desc = ApmmDesc {
-                m,
-                n,
-                k,
-                w_bits: p,
-                x_bits: q,
-                w_enc,
-                x_enc,
-            };
-            let mk = |rows: usize, bits: u32, enc: Encoding, seed: &mut u64| {
-                if enc == Encoding::PlusMinusOne {
-                    BitPlanes::from_signed_binary(&rand_signs(rows * k, seed), rows, k)
-                } else {
-                    BitPlanes::from_codes(&rand_codes(rows * k, bits, seed), rows, k, bits, enc)
-                }
-            };
-            let w = mk(m, p, w_enc, &mut seed);
-            let x = mk(n, q, x_enc, &mut seed);
-            let ampere = apmm_cpu(&desc, &w, &x);
-            let turing = apmm_cpu_with_plan(&desc, &w, &x, plan_xor_only(w_enc, x_enc));
-            assert_eq!(ampere, turing, "{w_enc:?}/{x_enc:?} w{p}a{q}");
-        }
-    }
-
-    #[test]
-    fn sequential_workspace_core_matches_pooled_path_every_case() {
+    /// Drive the one driver through every emulation case × `tiles` ×
+    /// `arms` × {full, partial, zero-row} shard, reusing one scratch, and
+    /// compare each product with the naive decoded oracle.
+    fn check_every_case(tiles: &[MicroTile], arms: &[PopcntArm]) {
         let mut seed = 37;
-        let cases = [
-            (Encoding::ZeroOne, Encoding::ZeroOne, 3u32, 2u32),
-            (Encoding::PlusMinusOne, Encoding::ZeroOne, 1, 4),
-            (Encoding::ZeroOne, Encoding::PlusMinusOne, 2, 1),
-            (Encoding::PlusMinusOne, Encoding::PlusMinusOne, 1, 1),
-        ];
-        for (w_enc, x_enc, p, q) in cases {
+        let mut cases = Vec::new();
+        let mut scratch = ApmmScratch::default();
+        let mut out = Vec::new();
+        for (w_enc, x_enc, p, q) in ENCODINGS {
             let (m, n, k) = (13, 21, 230);
             let desc = ApmmDesc {
                 m,
@@ -462,156 +252,193 @@ mod tests {
                 w_enc,
                 x_enc,
             };
-            let mk = |rows: usize, bits: u32, enc: Encoding, seed: &mut u64| {
-                if enc == Encoding::PlusMinusOne {
-                    BitPlanes::from_signed_binary(&rand_signs(rows * k, seed), rows, k)
-                } else {
-                    BitPlanes::from_codes(&rand_codes(rows * k, bits, seed), rows, k, bits, enc)
+            let w = operand(m, k, p, w_enc, &mut seed);
+            let x = operand(n, k, q, x_enc, &mut seed);
+            let want = decoded_reference(&w, &x);
+            for eplan in [desc.plan(), plan_xor_only(w_enc, x_enc)] {
+                if !cases.contains(&eplan.case) {
+                    cases.push(eplan.case);
                 }
-            };
-            let w = mk(m, p, w_enc, &mut seed);
-            let x = mk(n, q, x_enc, &mut seed);
-            let eplan = desc.plan();
-            let pooled = apmm_cpu(&desc, &w, &x);
-
-            let w_sums = weight_row_sums(&w, eplan);
-            let micro = MicroTile { jb: 4, kb: 2 };
-            let arm = PopcntArm::detect();
-            let mut col_sums = Vec::new();
-            let mut out = Vec::new();
-            apmm_exec_seq(
-                &desc,
-                &w,
-                &x,
-                eplan,
-                &w_sums,
-                micro,
-                arm,
-                &mut col_sums,
-                &mut out,
-            );
-            assert_eq!(out, pooled, "{w_enc:?}/{x_enc:?} w{p}a{q}");
-
-            // Partial shard through the same reused buffers.
-            let half = n / 2;
-            let xh = if x_enc == Encoding::PlusMinusOne {
-                BitPlanes::from_signed_binary(&x.values()[..half * k], half, k)
-            } else {
-                BitPlanes::from_codes(
-                    &x.reconstruct_codes()[..half * k],
-                    half,
-                    k,
-                    q,
-                    Encoding::ZeroOne,
-                )
-            };
-            apmm_exec_seq(
-                &desc,
-                &w,
-                &xh,
-                eplan,
-                &w_sums,
-                micro,
-                arm,
-                &mut col_sums,
-                &mut out,
-            );
-            for i in 0..m {
-                for j in 0..half {
-                    assert_eq!(out[i * half + j], pooled[i * n + j]);
+                for (&micro, &arm) in tiles.iter().flat_map(|t| arms.iter().map(move |a| (t, a))) {
+                    let prepared = Apmm::new(desc)
+                        .prepare(w.clone())
+                        .with_plan(eplan)
+                        .with_micro(micro)
+                        .with_arm(arm);
+                    for rows in [n, n / 2, 0] {
+                        prepared.execute_into(&shard(&x, rows), &mut scratch, &mut out);
+                        assert_eq!(out.len(), m * rows);
+                        for (idx, &got) in out.iter().enumerate() {
+                            let (i, j) = (idx / rows, idx % rows);
+                            assert_eq!(
+                                got,
+                                want[i * n + j],
+                                "{:?} {micro:?} {arm:?} shard {rows} at ({i},{j})",
+                                eplan.case
+                            );
+                        }
+                    }
                 }
             }
+        }
+        assert_eq!(cases.len(), 7, "all seven emulation cases");
+    }
+
+    #[test]
+    fn unsigned_matches_reference_various_shapes() {
+        let mut seed = 11;
+        for (m, n, k, p, q) in [
+            (1, 1, 1, 1, 1),
+            (8, 8, 128, 1, 2),
+            (33, 65, 200, 2, 2),
+            (64, 128, 512, 3, 5),
+            (5, 3, 1000, 8, 8),
+        ] {
+            let w = operand(m, k, p, Encoding::ZeroOne, &mut seed);
+            let x = operand(n, k, q, Encoding::ZeroOne, &mut seed);
+            let desc = ApmmDesc::unsigned(m, n, k, p, q);
+            assert_eq!(
+                Apmm::new(desc).execute(&w, &x),
+                decoded_reference(&w, &x),
+                "shape {m}x{n}x{k} w{p}a{q}"
+            );
+        }
+    }
+
+    #[test]
+    fn signed_binary_matches_reference() {
+        let mut seed = 13;
+        let (m, n, k) = (24, 40, 300);
+        let w = operand(m, k, 1, Encoding::PlusMinusOne, &mut seed);
+        let x = operand(n, k, 1, Encoding::PlusMinusOne, &mut seed);
+        let desc = ApmmDesc::w1aq(m, n, k, 1, Encoding::PlusMinusOne);
+        assert_eq!(Apmm::new(desc).execute(&w, &x), decoded_reference(&w, &x));
+    }
+
+    #[test]
+    fn w1aq_case3_matches_reference() {
+        let mut seed = 17;
+        for q in [2u32, 3, 4, 8] {
+            let (m, n, k) = (16, 20, 250);
+            let w = operand(m, k, 1, Encoding::PlusMinusOne, &mut seed);
+            let x = operand(n, k, q, Encoding::ZeroOne, &mut seed);
+            let desc = ApmmDesc::w1aq(m, n, k, q, Encoding::ZeroOne);
+            assert_eq!(
+                Apmm::new(desc).execute(&w, &x),
+                decoded_reference(&w, &x),
+                "w1a{q}"
+            );
+        }
+    }
+
+    #[test]
+    fn mirrored_case3_matches_reference() {
+        let mut seed = 19;
+        let (m, n, k, p) = (12, 9, 130, 4);
+        let w = operand(m, k, p, Encoding::ZeroOne, &mut seed);
+        let x = operand(n, k, 1, Encoding::PlusMinusOne, &mut seed);
+        let desc = ApmmDesc {
+            m,
+            n,
+            k,
+            w_bits: p,
+            x_bits: 1,
+            w_enc: Encoding::ZeroOne,
+            x_enc: Encoding::PlusMinusOne,
+        };
+        assert_eq!(Apmm::new(desc).execute(&w, &x), decoded_reference(&w, &x));
+    }
+
+    #[test]
+    fn xor_only_plan_matches_ampere_plan_every_case() {
+        // Turing (XOR-only) plans must produce identical products; the
+        // tile and arm are whatever `prepare` selected.
+        let mut seed = 29;
+        for (w_enc, x_enc, p, q) in ENCODINGS {
+            let (m, n, k) = (14, 22, 250);
+            let desc = ApmmDesc {
+                m,
+                n,
+                k,
+                w_bits: p,
+                x_bits: q,
+                w_enc,
+                x_enc,
+            };
+            let w = operand(m, k, p, w_enc, &mut seed);
+            let x = operand(n, k, q, x_enc, &mut seed);
+            let ampere = Apmm::new(desc).execute(&w, &x);
+            let turing = Apmm::new(desc)
+                .prepare(w)
+                .with_plan(plan_xor_only(w_enc, x_enc))
+                .execute(&x);
+            assert_eq!(ampere, turing, "{w_enc:?}/{x_enc:?} w{p}a{q}");
         }
     }
 
     #[test]
     fn zero_row_batches_yield_empty_products_on_every_path() {
-        // Regression: the parallel path used to hand `par_chunks_mut` a
-        // fabricated chunk width of `n.max(1)` for zero-row batches; the
-        // empty shard must produce the (empty) `m × 0` product on both the
-        // pooled and the sequential-workspace path, without panicking.
+        // The empty shard must produce the (empty) `m × 0` product through
+        // the allocating wrapper and the workspace form alike, clearing
+        // whatever the reused buffers held.
         let mut seed = 41;
         let (m, k, p, q) = (7, 200, 2u32, 2u32);
-        let wc = rand_codes(m * k, p, &mut seed);
-        let w = BitPlanes::from_codes(&wc, m, k, p, Encoding::ZeroOne);
+        let w = operand(m, k, p, Encoding::ZeroOne, &mut seed);
         let x0 = BitPlanes::from_codes(&[], 0, k, q, Encoding::ZeroOne);
-        let desc = ApmmDesc::unsigned(m, 4, k, p, q);
-        let eplan = desc.plan();
-        let micro = MicroTile { jb: 8, kb: 16 };
-
-        let arm = PopcntArm::detect();
-        let y = apmm_exec(&desc, &w, &x0, eplan, None, micro, arm);
-        assert!(y.is_empty(), "m×0 product must be empty");
-
-        let w_sums = weight_row_sums(&w, eplan);
-        let mut col_sums = vec![1i32; 3]; // stale state must be cleared
-        let mut out = vec![7i32; 5];
-        apmm_exec_seq(
-            &desc,
-            &w,
-            &x0,
-            eplan,
-            &w_sums,
-            micro,
-            arm,
-            &mut col_sums,
-            &mut out,
+        let prepared = Apmm::new(ApmmDesc::unsigned(m, 4, k, p, q))
+            .prepare(w)
+            .with_plan(plan_xor_only(Encoding::ZeroOne, Encoding::ZeroOne));
+        assert!(
+            prepared.execute(&x0).is_empty(),
+            "m×0 product must be empty"
         );
+
+        let mut scratch = ApmmScratch {
+            col_sums: vec![1; 3], // stale state must be cleared
+            acc: Vec::new(),
+        };
+        let mut out = vec![7i32; 5];
+        prepared.execute_into(&x0, &mut scratch, &mut out);
         assert!(out.is_empty());
-        assert!(col_sums.is_empty());
+        assert!(scratch.col_sums.is_empty());
     }
 
     #[test]
     fn every_micro_tile_is_bit_identical() {
-        let mut seed = 43;
-        let (m, n, k, p, q) = (9, 13, 310, 2, 3);
-        let wc = rand_codes(m * k, p, &mut seed);
-        let xc = rand_codes(n * k, q, &mut seed);
-        let w = BitPlanes::from_codes(&wc, m, k, p, Encoding::ZeroOne);
-        let x = BitPlanes::from_codes(&xc, n, k, q, Encoding::ZeroOne);
-        let desc = ApmmDesc::unsigned(m, n, k, p, q);
-        let want = decoded_reference(&w, &x);
-        for jb in [1usize, 2, 3, 8] {
-            for kb in [1usize, 4, 64] {
-                let got = apmm_cpu_with_micro(&desc, &w, &x, desc.plan(), MicroTile { jb, kb });
-                assert_eq!(got, want, "jb={jb} kb={kb}");
-            }
-        }
+        let tiles: Vec<MicroTile> = [1usize, 2, 3, 8]
+            .iter()
+            .flat_map(|&jb| [1usize, 4, 64].map(|kb| MicroTile { jb, kb }))
+            .collect();
+        check_every_case(&tiles, &[PopcntArm::detect()]);
     }
 
     #[test]
     fn every_available_arm_is_bit_identical() {
-        let mut seed = 47;
-        let (m, n, k, p, q) = (11, 17, 290, 3, 2);
-        let w = BitPlanes::from_codes(&rand_codes(m * k, p, &mut seed), m, k, p, Encoding::ZeroOne);
-        let x = BitPlanes::from_codes(&rand_codes(n * k, q, &mut seed), n, k, q, Encoding::ZeroOne);
-        let desc = ApmmDesc::unsigned(m, n, k, p, q);
-        let want = decoded_reference(&w, &x);
-        for arm in PopcntArm::ALL {
-            let got = apmm_cpu_tuned(&desc, &w, &x, desc.plan(), MicroTile { jb: 4, kb: 16 }, arm);
-            assert_eq!(got, want, "{arm:?}");
-        }
+        // Unavailable arms sanitize to the detected best — still exact, so
+        // asserting on the full set is safe on any host.
+        check_every_case(&[MicroTile { jb: 4, kb: 16 }], &PopcntArm::ALL);
     }
 
     #[test]
     fn ad_hoc_entry_point_reuses_the_shape_keyed_memo() {
-        // Satellite contract: `apmm_cpu` must not re-run tile selection on
-        // every call — the first call per shape selects (and, in measured
-        // mode, benches) once; repeats move neither counter. The shape is
-        // unique to this test so the first call is a guaranteed memo miss.
+        // Satellite contract: `Apmm::execute` must not re-run tile
+        // selection on every call — the first call per shape selects (and,
+        // in measured mode, benches) once; repeats move neither counter.
+        // The shape is unique to this test so the first call is a
+        // guaranteed memo miss.
         let mut seed = 53;
         let (m, n, k, p, q) = (6, 19, 331, 2, 2);
-        let w = BitPlanes::from_codes(&rand_codes(m * k, p, &mut seed), m, k, p, Encoding::ZeroOne);
-        let x = BitPlanes::from_codes(&rand_codes(n * k, q, &mut seed), n, k, q, Encoding::ZeroOne);
-        let desc = ApmmDesc::unsigned(m, n, k, p, q);
+        let w = operand(m, k, p, Encoding::ZeroOne, &mut seed);
+        let x = operand(n, k, q, Encoding::ZeroOne, &mut seed);
+        let apmm = Apmm::new(ApmmDesc::unsigned(m, n, k, p, q));
 
         let s = crate::stats::scope();
-        let y1 = apmm_cpu(&desc, &w, &x);
+        let y1 = apmm.execute(&w, &x);
         assert_eq!(s.micro_tunes(), 1, "first call per shape selects once");
         assert!(s.micro_benches() <= 1);
         let (tunes, benches) = (s.micro_tunes(), s.micro_benches());
-        let y2 = apmm_cpu(&desc, &w, &x);
-        let y3 = apmm_cpu(&desc, &w, &x);
+        let y2 = apmm.execute(&w, &x);
+        let y3 = apmm.execute(&w, &x);
         assert_eq!(
             (s.micro_tunes(), s.micro_benches()),
             (tunes, benches),
@@ -625,9 +452,12 @@ mod tests {
     fn agrees_with_fragment_template() {
         let mut seed = 23;
         let (m, n, k, p, q) = (17, 15, 260, 2, 3);
-        let w = BitPlanes::from_codes(&rand_codes(m * k, p, &mut seed), m, k, p, Encoding::ZeroOne);
-        let x = BitPlanes::from_codes(&rand_codes(n * k, q, &mut seed), n, k, q, Encoding::ZeroOne);
+        let w = operand(m, k, p, Encoding::ZeroOne, &mut seed);
+        let x = operand(n, k, q, Encoding::ZeroOne, &mut seed);
         let desc = ApmmDesc::unsigned(m, n, k, p, q);
-        assert_eq!(apmm_cpu(&desc, &w, &x), crate::emulate::ap_bit_mm(&w, &x));
+        assert_eq!(
+            Apmm::new(desc).execute(&w, &x),
+            crate::emulate::ap_bit_mm(&w, &x)
+        );
     }
 }

@@ -7,8 +7,9 @@
 //! memory/registers (§4.1(b)).
 //!
 //! Three execution paths share one tiling:
-//! * [`Apmm::execute`] — functional multi-threaded CPU compute (bit-serial
-//!   words + popcount), the "real" engine measured by the Criterion benches.
+//! * [`Apmm::execute`] — functional CPU compute (bit-serial words +
+//!   popcount) through the one calling-thread driver, the "real" engine
+//!   measured by the Criterion benches.
 //! * [`Apmm::simulate`] — closed-form counter estimate priced by the
 //!   `apnn-sim` cost model (fast, any problem size).
 //! * [`simmap::run_functional`] — the tiled algorithm executed block-by-block
@@ -22,10 +23,10 @@ pub mod simmap;
 
 pub use config::TileConfig;
 
-use apnn_bitpack::{BitPlanes, Encoding};
+use apnn_bitpack::{BitPlanes, Encoding, PopcntArm};
 use apnn_sim::{GpuSpec, KernelReport};
 
-use crate::autotune::autotune;
+use crate::autotune::{autotune, select_micro, MicroTile};
 use crate::fusion::Epilogue;
 use crate::select::{plan, EmulationPlan};
 
@@ -155,11 +156,36 @@ impl Apmm {
         Apmm { desc, tile }
     }
 
+    /// The detected popcount arm and the memoized microkernel tile for
+    /// this shape on it.
+    fn arm_and_micro(&self, w: &BitPlanes) -> (PopcntArm, MicroTile) {
+        let d = &self.desc;
+        let arm = PopcntArm::detect();
+        let k_words = w.plane(0).words_per_row();
+        (arm, select_micro(d.n, k_words, d.w_bits, d.x_bits, arm))
+    }
+
     /// Functional CPU execution: returns the row-major `m×n` i32 product of
-    /// the decoded operands.
+    /// the decoded operands. Borrows both operands and builds transient
+    /// scratch; serving loops [`Apmm::prepare`] once instead.
     pub fn execute(&self, w: &BitPlanes, x: &BitPlanes) -> Vec<i32> {
         self.desc.check_operands(w, x);
-        cpu::apmm_cpu(&self.desc, w, x)
+        let eplan = self.desc.plan();
+        let sums = cpu::weight_row_sums(w, eplan);
+        let (arm, micro) = self.arm_and_micro(w);
+        let (mut col_sums, mut out) = (Vec::new(), Vec::new());
+        cpu::apmm_exec(
+            &self.desc,
+            w,
+            x,
+            eplan,
+            &sums,
+            micro,
+            arm,
+            &mut col_sums,
+            &mut out,
+        );
+        out
     }
 
     /// Functional CPU execution with a fused epilogue. When the epilogue
@@ -183,14 +209,7 @@ impl Apmm {
         crate::stats::count_weight_prepare();
         let plan = self.desc.plan();
         let w_row_sums = cpu::weight_row_sums(&weights, plan);
-        let arm = apnn_bitpack::PopcntArm::detect();
-        let micro = crate::autotune::select_micro(
-            self.desc.n,
-            weights.plane(0).words_per_row(),
-            self.desc.w_bits,
-            self.desc.x_bits,
-            arm,
-        );
+        let (arm, micro) = self.arm_and_micro(&weights);
         PreparedApmm {
             desc: self.desc,
             tile: self.tile,
@@ -222,10 +241,9 @@ pub struct PreparedApmm {
     pub desc: ApmmDesc,
     /// Block tiling chosen at compile time.
     pub tile: TileConfig,
-    /// Operator-selection plan fixed at compile time.
-    pub plan: crate::select::EmulationPlan,
-    micro: crate::autotune::MicroTile,
-    arm: apnn_bitpack::PopcntArm,
+    plan: EmulationPlan,
+    micro: MicroTile,
+    arm: PopcntArm,
     weights: BitPlanes,
     w_row_sums: Vec<Vec<i32>>,
 }
@@ -236,30 +254,46 @@ impl PreparedApmm {
         &self.weights
     }
 
+    /// The operator-selection plan this kernel executes (the device plan
+    /// of [`ApmmDesc::plan`] unless replaced by [`PreparedApmm::with_plan`]).
+    pub fn plan(&self) -> EmulationPlan {
+        self.plan
+    }
+
+    /// Replace the emulation plan — e.g. [`crate::select::plan_xor_only`]
+    /// for Turing-class (XOR-only) targets — rebuilding the weight-side
+    /// correction sums the new plan's case consumes. Every plan is
+    /// bit-identical.
+    pub fn with_plan(mut self, plan: EmulationPlan) -> Self {
+        self.w_row_sums = cpu::weight_row_sums(&self.weights, plan);
+        self.plan = plan;
+        self
+    }
+
     /// The CPU microkernel `(JB, KB)` tile this plan executes with (chosen
-    /// at prepare time by [`crate::autotune::autotune_micro`]; same
-    /// accessor pair as [`crate::apconv::PreparedConv`]).
-    pub fn micro(&self) -> crate::autotune::MicroTile {
+    /// at prepare time by [`crate::autotune::select_micro`]; same accessor
+    /// pair as [`crate::apconv::PreparedConv`]).
+    pub fn micro(&self) -> MicroTile {
         self.micro
     }
 
     /// Replace the microkernel tile (bench sweeps, differential tests) —
     /// every value is bit-identical.
-    pub fn with_micro(mut self, micro: crate::autotune::MicroTile) -> Self {
+    pub fn with_micro(mut self, micro: MicroTile) -> Self {
         self.micro = micro;
         self
     }
 
     /// The popcount arm this plan's microkernel runs on (bound once at
-    /// prepare time by [`apnn_bitpack::PopcntArm::detect`]).
-    pub fn arm(&self) -> apnn_bitpack::PopcntArm {
+    /// prepare time by [`PopcntArm::detect`]).
+    pub fn arm(&self) -> PopcntArm {
         self.arm
     }
 
     /// Force a popcount arm (tests, benches, CI force-arm legs). An arm
     /// the CPU cannot run is clamped to the detected best; every arm is
     /// bit-identical.
-    pub fn with_arm(mut self, arm: apnn_bitpack::PopcntArm) -> Self {
+    pub fn with_arm(mut self, arm: PopcntArm) -> Self {
         self.arm = arm.sanitized();
         self
     }
@@ -274,18 +308,11 @@ impl PreparedApmm {
     }
 
     /// Row-major `m × x.rows()` i32 product, reusing every precomputed
-    /// artifact.
+    /// artifact. Allocating convenience over [`PreparedApmm::execute_into`].
     pub fn execute(&self, x: &BitPlanes) -> Vec<i32> {
-        self.check_acts(x);
-        cpu::apmm_exec(
-            &self.desc,
-            &self.weights,
-            x,
-            self.plan,
-            Some(&self.w_row_sums),
-            self.micro,
-            self.arm,
-        )
+        let mut out = Vec::new();
+        self.execute_into(x, &mut cpu::ApmmScratch::default(), &mut out);
+        out
     }
 
     /// [`PreparedApmm::execute`] with a fused epilogue (packed output when
@@ -295,16 +322,14 @@ impl PreparedApmm {
         finish_fused(y, self.desc.m, x.rows(), epi)
     }
 
-    /// Sequential workspace form of [`PreparedApmm::execute`]: the raw
+    /// Workspace form of [`PreparedApmm::execute`]: the raw
     /// `m × x.rows()` product lands in `out`, every intermediate lives in
     /// `scratch`, and — once the buffers have reached the plan's full-batch
-    /// capacity — the call performs **zero heap allocations**. Results are
-    /// bit-identical to the thread-pool path (integer-exact kernels, same
-    /// per-element accumulation order).
+    /// capacity — the call performs **zero heap allocations**.
     pub fn execute_into(&self, x: &BitPlanes, scratch: &mut cpu::ApmmScratch, out: &mut Vec<i32>) {
         self.check_acts(x);
         let cpu::ApmmScratch { col_sums, .. } = scratch;
-        cpu::apmm_exec_seq(
+        cpu::apmm_exec(
             &self.desc,
             &self.weights,
             x,
@@ -317,7 +342,7 @@ impl PreparedApmm {
         );
     }
 
-    /// Sequential workspace form of [`PreparedApmm::execute_fused`] for
+    /// Workspace form of [`PreparedApmm::execute_fused`] for
     /// quantizing epilogues: accumulators go through `scratch`, quantized
     /// transposed codes through `codes`, and the packed next-layer operand
     /// is rebuilt in place in `out`. Panics if `epi` does not end in
@@ -335,7 +360,7 @@ impl PreparedApmm {
             .expect("execute_fused_into requires a quantizing epilogue");
         self.check_acts(x);
         let cpu::ApmmScratch { col_sums, acc } = scratch;
-        cpu::apmm_exec_seq(
+        cpu::apmm_exec(
             &self.desc,
             &self.weights,
             x,

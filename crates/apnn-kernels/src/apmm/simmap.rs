@@ -389,7 +389,7 @@ pub fn overheads(desc: &ApmmDesc, tile: &TileConfig, spec: &GpuSpec) -> Emulatio
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apmm::cpu::apmm_cpu;
+    use crate::apmm::Apmm;
 
     fn lcg(seed: &mut u64) -> u64 {
         *seed = seed
@@ -427,7 +427,7 @@ mod tests {
         let FusedOutput::Int32(y) = out else {
             panic!("expected i32 output")
         };
-        assert_eq!(y, apmm_cpu(&desc, &w, &x));
+        assert_eq!(y, Apmm::new(desc).execute(&w, &x));
         let est = estimate(&desc, &tile, &spec, None);
         assert_eq!(report.counters, est.counters);
         assert_eq!(report.cost.total_s, est.cost.total_s);
@@ -456,7 +456,7 @@ mod tests {
             panic!("expected packed output")
         };
         // CPU path: full product then quantize+pack.
-        let y = apmm_cpu(&desc, &w, &x);
+        let y = Apmm::new(desc).execute(&w, &x);
         let expected = crate::apmm::combine::quantize_pack_transposed(&y, desc.m, desc.n, &epi, 2);
         assert_eq!(packed.reconstruct_codes(), expected.reconstruct_codes());
         // Counter equivalence with the closed form.

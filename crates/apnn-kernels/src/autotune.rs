@@ -100,7 +100,7 @@ pub const MICRO_L1_BUDGET: usize = 16 * 1024;
 /// output channels for APConv) share each loaded A-side word, and K is
 /// walked in `kb`-word blocks so every streamed chunk stays L1-resident
 /// while all `pa·pb` plane pairs consume it. Chosen per layer at compile
-/// time by [`autotune_micro`]; any value is *exact* (the accumulators are
+/// time by [`select_micro`]; any value is *exact* (the accumulators are
 /// i32), so tiling only moves throughput, never results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MicroTile {
@@ -121,8 +121,10 @@ impl MicroTile {
     }
 }
 
-/// Pick the microkernel tile for a problem with `n_cols` B-side columns,
-/// `k_words` packed words per row and `pa × pb` bit planes.
+/// The heuristic microkernel tile for a problem with `n_cols` B-side
+/// columns, `k_words` packed words per row and `pa × pb` bit planes —
+/// [`select_micro`]'s answer in [`MicroSelect::Heuristic`] mode, counted
+/// as one [`crate::stats::micro_tunes`] selection.
 ///
 /// Heuristic (the CPU analogue of §4.3.2's two antagonistic quantities):
 /// the column block wants to be as wide as possible — every extra column
@@ -131,12 +133,12 @@ impl MicroTile {
 /// a block wider than the problem wastes tile slots. The K block takes
 /// whatever budget the column block leaves. Deterministic and pure, so
 /// compiled plans are reproducible.
-pub fn autotune_micro(n_cols: usize, k_words: usize, pa: u32, pb: u32) -> MicroTile {
+fn autotune_micro(n_cols: usize, k_words: usize, pa: u32, pb: u32) -> MicroTile {
     crate::stats::count_micro_tune();
     micro_heuristic(n_cols, k_words, pa, pb)
 }
 
-/// The pure L1-budget model behind [`autotune_micro`] (no counter, no
+/// The pure L1-budget model behind `autotune_micro` (no counter, no
 /// memo): the fallback answer for deterministic mode and the seed
 /// candidate for the measured grid.
 fn micro_heuristic(n_cols: usize, k_words: usize, pa: u32, pb: u32) -> MicroTile {

@@ -39,8 +39,8 @@ pub mod stats;
 pub use apconv::{ApConv, ConvDesc, PreparedConv};
 pub use apmm::{Apmm, ApmmDesc, PreparedApmm, TileConfig};
 pub use autotune::{
-    autotune, autotune_micro, compute_intensity, stage_cost, thread_level_parallelism, MicroTile,
-    StageShape, MICRO_MEMO_CAP,
+    autotune, compute_intensity, stage_cost, thread_level_parallelism, MicroTile, StageShape,
+    MICRO_MEMO_CAP,
 };
 pub use emulate::ap_bit_mm;
 pub use fusion::{Epilogue, EpilogueOp};

@@ -61,10 +61,11 @@ pub fn row_sum_builds() -> u64 {
 }
 
 /// Total CPU-microkernel tile selections
-/// ([`crate::autotune::autotune_micro`]) in this process. Compiled plans
-/// pick one `(JB, KB)` tile per layer at compile time; the ad-hoc kernel
-/// entry points re-tune per call — the counter is how tests prove the
-/// hoist, exactly like [`row_sum_builds`].
+/// ([`crate::autotune::select_micro`] memo misses) in this process.
+/// Compiled plans pick one `(JB, KB)` tile per layer at compile time and
+/// the ad-hoc kernel entry points go through the same shape-keyed memo —
+/// the counter is how tests prove the hoist, exactly like
+/// [`row_sum_builds`].
 pub fn micro_tunes() -> u64 {
     MICRO_TUNES.load(Ordering::Relaxed)
 }

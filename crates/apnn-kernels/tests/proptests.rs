@@ -2,16 +2,16 @@
 //! invariants, epilogue safety.
 
 use apnn_bitpack::{BitPlanes, BitTensor4, Encoding, Layout, PopcntArm, Tensor4};
-use apnn_kernels::apconv::cpu::{conv_cpu_tuned, ConvScratch};
-use apnn_kernels::apconv::{ApConv, ConvDesc, ConvWeights};
-use apnn_kernels::apmm::cpu::{apmm_cpu_tuned, ApmmScratch};
-use apnn_kernels::apmm::{simmap, Apmm, ApmmDesc, TileConfig};
+use apnn_kernels::apconv::cpu::ConvScratch;
+use apnn_kernels::apconv::{ApConv, ConvDesc, ConvOutput, ConvWeights, Pool2};
+use apnn_kernels::apmm::cpu::ApmmScratch;
+use apnn_kernels::apmm::{simmap, Apmm, ApmmDesc, FusedOutput, TileConfig};
 use apnn_kernels::autotune::{
     autotune, compute_intensity, thread_level_parallelism, MicroTile, TILE_CANDIDATES,
     TLP_THRESHOLD,
 };
 use apnn_kernels::emulate::decoded_reference;
-use apnn_kernels::fusion::Epilogue;
+use apnn_kernels::fusion::{Epilogue, EpilogueOp};
 use apnn_kernels::reference::conv2d_i32;
 use apnn_kernels::select::plan_for_device;
 use apnn_sim::GpuSpec;
@@ -138,11 +138,10 @@ proptest! {
 
     /// The microkernel differential: for any shape, any encoding pair
     /// (all seven `EmulationCase`s — the four Ampere cases plus the three
-    /// XOR-only derivations), any `(JB, KB)` block size, any available
-    /// popcount arm and any partial shard, the tiled kernels are
-    /// **bit-identical** to the naive decoded i32 oracle — on the ad-hoc
-    /// parallel path, the prepared path and the sequential workspace path
-    /// alike.
+    /// XOR-only derivations), any `(JB, KB)` block size, every available
+    /// popcount arm and any partial (down to zero-row) shard, the one
+    /// driver is **bit-identical** to the naive decoded i32 oracle —
+    /// through the allocating wrappers and the workspace form alike.
     #[test]
     fn microkernel_matches_oracle_across_cases_blocks_and_shards(
         m in 1usize..14, n in 1usize..22, k in 1usize..280,
@@ -151,7 +150,6 @@ proptest! {
         xor_only in any::<bool>(),
         jb in 1usize..=8,
         kb in prop_oneof![Just(1usize), Just(2), Just(5), Just(64)],
-        arm_sel in 0usize..64,
         shard_sel in 0usize..1000,
         seed in any::<u64>(),
     ) {
@@ -164,46 +162,55 @@ proptest! {
         let w = operand(m, k, p, w_signed, &mut seed);
         let x = operand(n, k, q, x_signed, &mut seed);
         let desc = ApmmDesc { m, n, k, w_bits: p, x_bits: q, w_enc, x_enc };
-        let micro = MicroTile { jb, kb };
-        let arms = PopcntArm::available();
-        let arm = arms[arm_sel % arms.len()];
         let oracle = decoded_reference(&w, &x);
 
-        // Ad-hoc parallel path, Ampere or XOR-only (Turing) plan.
-        let eplan = plan_for_device(w_enc, x_enc, !xor_only);
-        prop_assert_eq!(
-            &apmm_cpu_tuned(&desc, &w, &x, eplan, micro, arm),
-            &oracle,
-            "ad-hoc {:?} jb={} kb={} arm={}", eplan.case, jb, kb, arm.label()
-        );
+        // Ad-hoc wrapper: device plan, selected tile, detected arm.
+        let apmm = Apmm::with_tile(desc, TileConfig::new(32, 32));
+        prop_assert_eq!(&apmm.execute(&w, &x), &oracle, "ad-hoc");
 
-        // Prepared path (partial shard) + sequential workspace path.
+        // Prepared path on a partial shard, Ampere or XOR-only (Turing)
+        // plan: `with_plan` must rebuild the weight-row sums the XOR
+        // derivations consume.
+        let eplan = plan_for_device(w_enc, x_enc, !xor_only);
         let shard = shard_sel % (n + 1);
-        let prepared = Apmm::with_tile(desc, TileConfig::new(32, 32))
-            .prepare(w)
-            .with_micro(micro)
-            .with_arm(arm);
         let xs = if x_signed {
             BitPlanes::from_signed_binary(&x.values()[..shard * k], shard, k)
         } else {
             BitPlanes::from_codes(&x.reconstruct_codes()[..shard * k], shard, k, q, x_enc)
         };
-        let got = prepared.execute(&xs);
+        let relu = Epilogue::none().then(EpilogueOp::Relu);
         let mut scratch = ApmmScratch::default();
         let mut out = Vec::new();
-        prepared.execute_into(&xs, &mut scratch, &mut out);
-        prop_assert_eq!(&got, &out, "prepared vs sequential shard={}", shard);
-        for i in 0..m {
-            for j in 0..shard {
-                prop_assert_eq!(got[i * shard + j], oracle[i * n + j]);
+        for arm in PopcntArm::available() {
+            let prepared = apmm
+                .prepare(w.clone())
+                .with_plan(eplan)
+                .with_micro(MicroTile { jb, kb })
+                .with_arm(arm);
+            let got = prepared.execute(&xs);
+            prepared.execute_into(&xs, &mut scratch, &mut out);
+            prop_assert_eq!(&got, &out, "wrapper vs workspace form, shard={}", shard);
+            prop_assert_eq!(got.len(), m * shard);
+            for (idx, &v) in got.iter().enumerate() {
+                prop_assert_eq!(
+                    v, oracle[idx / shard * n + idx % shard],
+                    "{:?} jb={} kb={} arm={} shard={}", eplan.case, jb, kb, arm.label(), shard
+                );
             }
+            // Non-quantizing epilogue: the i32 output form only the
+            // allocating wrapper produces.
+            let FusedOutput::Int32(fused) = prepared.execute_fused(&xs, &relu) else {
+                panic!("non-quantizing epilogues keep i32")
+            };
+            let clamped: Vec<i32> = got.iter().map(|&v| v.max(0)).collect();
+            prop_assert_eq!(fused, clamped);
         }
     }
 
     /// The conv form of the differential: any stride/pad geometry (the
     /// stride-1 shift-reuse gather included), any encoding pair, any
-    /// block size, any available popcount arm and any partial shard
-    /// equals the naive conv oracle.
+    /// block size, every available popcount arm and any partial (down to
+    /// zero-image) shard equals the naive conv oracle.
     #[test]
     fn conv_microkernel_matches_oracle_across_blocks_and_shards(
         batch in 1usize..3, cin in 1usize..6, hw in 3usize..8,
@@ -213,7 +220,6 @@ proptest! {
         w_signed in any::<bool>(), x_signed in any::<bool>(),
         jb in 1usize..=8,
         kb in prop_oneof![Just(1usize), Just(3), Just(64)],
-        arm_sel in 0usize..64,
         seed in any::<u64>(),
     ) {
         prop_assume!(hw + 2 * pad >= kk);
@@ -249,26 +255,50 @@ proptest! {
             &x_vals, &w_vals, batch, hw, hw, cin, cout, kk, kk, stride, pad,
         );
 
-        let micro = MicroTile { jb, kb };
-        let arms = PopcntArm::available();
-        let arm = arms[arm_sel % arms.len()];
-        prop_assert_eq!(
-            &conv_cpu_tuned(&desc, &weights, &input, micro, arm),
-            &oracle,
-            "parallel conv jb={} kb={} arm={}", jb, kb, arm.label()
-        );
+        // Ad-hoc wrapper: selected tile, detected arm.
+        let conv = ApConv::new(desc);
+        prop_assert_eq!(&conv.execute(&weights, &input), &oracle, "ad-hoc conv");
 
-        // Prepared sequential path on a partial shard.
-        let shard = 1 + (seed as usize) % batch;
-        let prepared = ApConv::new(desc)
-            .prepare(weights)
-            .with_micro(micro)
-            .with_arm(arm);
+        // Prepared path on a partial (down to zero-image) shard, on every
+        // available arm.
+        let shard = (seed as usize) % (batch + 1);
+        let xs = input.batch_slice(0, shard);
+        let (oh, ow) = (desc.out_h(), desc.out_w());
+        let want = &oracle[..shard * oh * ow * cout];
+        // Hand-computed 2×2 max pool + ReLU of the oracle accumulators.
+        let mut pooled = Vec::new();
+        for b in 0..shard {
+            for py in 0..oh / 2 {
+                for px in 0..ow / 2 {
+                    for co in 0..cout {
+                        let at = |dy, dx| want[((b * oh + 2 * py + dy) * ow + 2 * px + dx) * cout + co];
+                        pooled.push(at(0, 0).max(at(0, 1)).max(at(1, 0)).max(at(1, 1)).max(0));
+                    }
+                }
+            }
+        }
+        let relu = Epilogue::none().then(EpilogueOp::Relu);
         let mut scratch = ConvScratch::default();
         let mut out = Vec::new();
-        prepared.execute_into(&input.batch_slice(0, shard), &mut scratch, &mut out);
-        let per_image = desc.out_h() * desc.out_w() * cout;
-        prop_assert_eq!(&out[..], &oracle[..shard * per_image], "seq conv shard={}", shard);
+        for arm in PopcntArm::available() {
+            let prepared = conv
+                .prepare(weights.clone())
+                .with_micro(MicroTile { jb, kb })
+                .with_arm(arm);
+            prepared.execute_into(&xs, &mut scratch, &mut out);
+            prop_assert_eq!(
+                &out[..], want,
+                "conv jb={} kb={} arm={} shard={}", jb, kb, arm.label(), shard
+            );
+            prop_assert_eq!(&prepared.execute(&xs), &out, "wrapper vs workspace form");
+            // Pool + non-quantizing epilogue: the i32 output form only the
+            // allocating wrapper produces.
+            let ConvOutput::Int32(fused) = prepared.execute_fused(&xs, Some(Pool2::Max), &relu)
+            else {
+                panic!("non-quantizing epilogues keep i32")
+            };
+            prop_assert_eq!(&fused, &pooled);
+        }
     }
 
     /// Latency estimates are monotone in every problem dimension.

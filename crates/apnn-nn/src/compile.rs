@@ -25,14 +25,14 @@
 //!   Rayon pool.
 
 use apnn_bitpack::word::pad_to_bmma_k;
-use apnn_bitpack::{BitPlanes, BitTensor4, Encoding, PopcntArm};
+use apnn_bitpack::{BitPlanes, BitTensor4, Encoding};
 use apnn_kernels::apconv::cpu::{pool2_i32, ConvScratch};
 use apnn_kernels::apconv::simmap::{estimate_with_efficiency as conv_estimate, ActLayout};
 use apnn_kernels::apconv::{ApConv, ConvDesc, ConvWeights, Pool2, PreparedConv};
 use apnn_kernels::apmm::cpu::ApmmScratch;
 use apnn_kernels::apmm::simmap::{estimate_with_efficiency as apmm_estimate, APMM_TC_EFFICIENCY};
 use apnn_kernels::apmm::{Apmm, ApmmDesc, PreparedApmm, TileConfig};
-use apnn_kernels::autotune::{autotune, autotune_micro, MicroTile};
+use apnn_kernels::autotune::autotune;
 use apnn_kernels::baselines::conv::{conv_report, ConvShape};
 use apnn_kernels::baselines::gemm::gemm_report;
 use apnn_kernels::baselines::BNN_KERNEL_EFFICIENCY;
@@ -115,18 +115,10 @@ pub enum MainKernel {
         desc: ConvDesc,
         /// Tile chosen at compile time (§4.3.2).
         tile: TileConfig,
-        /// CPU microkernel `(JB, KB)` tile chosen at compile time (the
-        /// shape-keyed `select_micro` memo — measured on the selected
-        /// popcount arm by default, heuristic under `APNN_MICRO_SELECT=
-        /// heuristic`): output channels share each loaded window word in
-        /// `micro.jb`-wide blocks, K walks in `micro.kb`-word rounds.
-        /// Surfaced here (and in the plan's `Debug` output) so the
-        /// per-layer choice is inspectable.
-        micro: MicroTile,
-        /// Popcount arm the microkernel dispatches to, detected once at
-        /// compile time (`PopcntArm::detect`).
-        arm: PopcntArm,
-        /// Packed weights + padding plan (functional plans only).
+        /// Packed weights + padding plan (functional plans only). Also
+        /// the one home of the CPU microkernel `(JB, KB)` tile and
+        /// popcount arm bound at compile time (`prepared.micro()` /
+        /// `.arm()`, visible in the plan's `Debug` output).
         prepared: Option<PreparedConv>,
     },
     /// Emulated arbitrary-precision GEMM.
@@ -135,14 +127,9 @@ pub enum MainKernel {
         desc: ApmmDesc,
         /// Tile chosen at compile time.
         tile: TileConfig,
-        /// CPU microkernel `(JB, KB)` tile chosen at compile time: batch
-        /// columns share each loaded weight word in `micro.jb`-wide
-        /// blocks.
-        micro: MicroTile,
-        /// Popcount arm the microkernel dispatches to, detected once at
-        /// compile time (`PopcntArm::detect`).
-        arm: PopcntArm,
-        /// Packed weights + correction vectors (functional plans only).
+        /// Packed weights + correction vectors (functional plans only),
+        /// carrying the microkernel tile and popcount arm like
+        /// [`MainKernel::Conv`]'s.
         prepared: Option<PreparedApmm>,
     },
     /// Library baseline kernel (fp32/fp16/int8) — priced, never executed
@@ -592,23 +579,6 @@ impl CompiledNet {
         }
     }
 
-    /// Run an engine over this plan with a transient workspace.
-    pub fn run<'a, E: Engine>(&self, engine: &E, input: E::Input<'a>) -> E::Output {
-        let mut ws = engine.workspace(self);
-        engine.execute(self, input, &mut ws)
-    }
-
-    /// Run an engine over this plan, reusing a caller-owned workspace —
-    /// the steady-state serving form (see [`ExecWorkspace`]).
-    pub fn run_with<'a, E: Engine>(
-        &self,
-        engine: &E,
-        input: E::Input<'a>,
-        ws: &mut E::Workspace,
-    ) -> E::Output {
-        engine.execute(self, input, ws)
-    }
-
     /// Price the plan on the simulated GPU (convenience for
     /// [`SimEngine`]).
     pub fn report(&self, spec: &GpuSpec) -> NetworkReport {
@@ -634,43 +604,31 @@ impl CompiledNet {
         WorkspaceSpec::for_plan(self)
     }
 
-    /// Functional inference on a packed feature map. Returns logits as
-    /// `batch × classes`, row-major.
+    /// Functional inference on a packed feature map (or, for all-linear
+    /// plans, packed feature vectors: rows = batch, cols = features).
+    /// Returns logits as `batch × classes`, row-major.
     ///
-    /// Thin wrapper owning a transient [`ExecWorkspace`]; hot loops should
-    /// hold a workspace and call [`CompiledNet::infer_into`] instead.
-    pub fn infer(&self, input: &BitTensor4) -> Vec<i32> {
-        self.run(&CpuEngine, ActInput::Map(input))
-    }
-
-    /// Functional inference on packed feature vectors (all-linear plans):
-    /// rows = batch, cols = features. Thin wrapper owning a transient
-    /// workspace, like [`CompiledNet::infer`].
-    pub fn infer_vec(&self, input: &BitPlanes) -> Vec<i32> {
-        self.run(&CpuEngine, ActInput::Vec(input))
-    }
-
-    /// Functional inference reusing a caller-owned workspace; returns
-    /// freshly allocated logits. See [`CompiledNet::infer_into`] for the
-    /// fully allocation-free form.
-    pub fn infer_with(&self, input: &BitTensor4, ws: &mut ExecWorkspace) -> Vec<i32> {
-        self.run_with(&CpuEngine, ActInput::Map(input), ws)
+    /// Allocating convenience over [`CompiledNet::infer_into`] with a
+    /// transient [`ExecWorkspace`]; hot loops hold a workspace and call
+    /// that form instead.
+    pub fn infer<'a>(&self, input: impl Into<ActInput<'a>>) -> Vec<i32> {
+        let mut out = Vec::new();
+        self.infer_into(input, &mut self.workspace(), &mut out);
+        out
     }
 
     /// Allocation-free steady-state inference: activations flow through
     /// `ws`'s plan-sized slots and logits land in `out` (resized in
     /// place). Once `ws` and `out` have reached capacity — `ws` is born at
     /// capacity, `out` after the first call — the call performs **zero
-    /// heap allocations**, for full and partial shards alike. Results are
-    /// bit-identical to [`CompiledNet::infer`].
-    pub fn infer_into(&self, input: &BitTensor4, ws: &mut ExecWorkspace, out: &mut Vec<i32>) {
-        cpu_execute_into(self, ActInput::Map(input), ws, out);
-    }
-
-    /// [`CompiledNet::infer_into`] for packed feature vectors (all-linear
-    /// plans).
-    pub fn infer_vec_into(&self, input: &BitPlanes, ws: &mut ExecWorkspace, out: &mut Vec<i32>) {
-        cpu_execute_into(self, ActInput::Vec(input), ws, out);
+    /// heap allocations**, for full and partial shards alike.
+    pub fn infer_into<'a>(
+        &self,
+        input: impl Into<ActInput<'a>>,
+        ws: &mut ExecWorkspace,
+        out: &mut Vec<i32>,
+    ) {
+        cpu_execute_into(self, input.into(), ws, out);
     }
 
     /// Serve a large request batch by sharding it over the Rayon pool with
@@ -947,6 +905,18 @@ pub enum ActInput<'a> {
     Map(&'a BitTensor4),
     /// Packed feature vectors (all-linear networks).
     Vec(&'a BitPlanes),
+}
+
+impl<'a> From<&'a BitTensor4> for ActInput<'a> {
+    fn from(map: &'a BitTensor4) -> Self {
+        ActInput::Map(map)
+    }
+}
+
+impl<'a> From<&'a BitPlanes> for ActInput<'a> {
+    fn from(vec: &'a BitPlanes) -> Self {
+        ActInput::Vec(vec)
+    }
 }
 
 /// Executes a compiled plan functionally on the CPU (real bit-packed
@@ -1850,24 +1820,10 @@ fn compile_main(
                     )
                 }
             };
-            // One microkernel tile + popcount arm per layer, fixed at
-            // compile time: read both back from the prepared kernel (whose
-            // `prepare` selected them through the shape-keyed memo), or —
-            // for simulation-only plans, which never execute — take the
-            // free heuristic tile instead of paying for a measurement.
-            let (micro, arm) = match &prepared {
-                Some(p) => (p.micro(), p.arm()),
-                None => (
-                    autotune_micro(cout, desc.k_bits() / 64, x_bits, w_bits),
-                    PopcntArm::detect(),
-                ),
-            };
             (
                 MainKernel::Conv {
                     desc,
                     tile,
-                    micro,
-                    arm,
                     prepared,
                 },
                 init,
@@ -1913,19 +1869,10 @@ fn compile_main(
                     )
                 }
             };
-            let (micro, arm) = match &prepared {
-                Some(p) => (p.micro(), p.arm()),
-                None => (
-                    autotune_micro(desc.n, pad_to_bmma_k(desc.k) / 64, w_bits, x_bits),
-                    PopcntArm::detect(),
-                ),
-            };
             (
                 MainKernel::Linear {
                     desc,
                     tile,
-                    micro,
-                    arm,
                     prepared,
                 },
                 init,
@@ -2349,7 +2296,6 @@ mod tests {
             let input = BitTensor4::from_tensor(&codes, 8, Encoding::ZeroOne);
             plan.infer_into(&input, &mut ws, &mut out);
             assert_eq!(out, plan.infer(&input), "shard of {n}");
-            assert_eq!(plan.infer_with(&input, &mut ws), out);
         }
     }
 

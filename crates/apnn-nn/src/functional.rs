@@ -13,12 +13,12 @@
 //! Use [`QuantNet::into_plan`] to extract the underlying [`CompiledNet`]
 //! for batched serving or simulator pricing.
 
-use apnn_bitpack::{BitPlanes, BitTensor4};
+use apnn_bitpack::BitPlanes;
 use apnn_kernels::apconv::{ApConv, ConvWeights, Pool2};
 use apnn_kernels::apmm::Apmm;
 use apnn_kernels::fusion::Epilogue;
 
-use crate::compile::{CompiledNet, MainKernel, MainStage, PlanStage};
+use crate::compile::{ActInput, CompiledNet, MainKernel, MainStage, PlanStage};
 use crate::fuse::{MainOp, StageSrc};
 
 pub use crate::compile::flatten_map;
@@ -79,8 +79,6 @@ impl QuantNet {
                 let desc = conv.desc;
                 let tile = conv.tile;
                 let prepared = conv.prepare(weights);
-                let micro = prepared.micro();
-                let arm = prepared.arm();
                 MainStage {
                     name: format!("stage{idx}"),
                     op: MainOp::Conv {
@@ -97,8 +95,6 @@ impl QuantNet {
                     kernel: MainKernel::Conv {
                         desc,
                         tile,
-                        micro,
-                        arm,
                         prepared: Some(prepared),
                     },
                     init: None,
@@ -111,8 +107,6 @@ impl QuantNet {
                 let desc = apmm.desc;
                 let tile = apmm.tile;
                 let prepared = apmm.prepare(weights);
-                let micro = prepared.micro();
-                let arm = prepared.arm();
                 MainStage {
                     name: format!("stage{idx}"),
                     op: MainOp::Linear {
@@ -124,8 +118,6 @@ impl QuantNet {
                     kernel: MainKernel::Linear {
                         desc,
                         tile,
-                        micro,
-                        arm,
                         prepared: Some(prepared),
                     },
                     init: None,
@@ -148,17 +140,12 @@ impl QuantNet {
         self.plan.stages().is_empty()
     }
 
-    /// Run inference on a packed input feature map.
+    /// Run inference on a packed input feature map — or, for all-linear
+    /// networks, packed feature *vectors* (rows = batch, cols = features).
     ///
     /// Returns logits as `batch × classes`, row-major.
-    pub fn infer(&self, input: &BitTensor4) -> Vec<i32> {
+    pub fn infer<'a>(&self, input: impl Into<ActInput<'a>>) -> Vec<i32> {
         self.plan.infer(input)
-    }
-
-    /// Run inference on packed feature *vectors* (all-linear networks):
-    /// `input` rows = batch, cols = features.
-    pub fn infer_vec(&self, input: &BitPlanes) -> Vec<i32> {
-        self.plan.infer_vec(input)
     }
 
     /// Output classes (from the last linear stage).
@@ -187,7 +174,7 @@ impl QuantNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apnn_bitpack::{Encoding, Layout, Tensor4};
+    use apnn_bitpack::{BitTensor4, Encoding, Layout, Tensor4};
     use apnn_kernels::apconv::ConvDesc;
     use apnn_kernels::apmm::ApmmDesc;
     use apnn_kernels::reference::{conv2d_i32, gemm_i32};
@@ -324,6 +311,6 @@ mod tests {
 
         let xc: Vec<u32> = (0..20).map(|_| (lcg(&mut seed) as u32) % 4).collect();
         let x = BitPlanes::from_codes(&xc, 2, 10, 2, Encoding::ZeroOne);
-        assert_eq!(net.infer_vec(&x), net.infer_vec(&x));
+        assert_eq!(net.infer(&x), net.infer(&x));
     }
 }

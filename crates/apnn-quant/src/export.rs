@@ -135,7 +135,7 @@ impl ExportedNet {
     /// Lower the trained model straight into a [`apnn_nn::CompiledNet`]
     /// plan for a given batch size — weights packed, emulation plans and
     /// correction vectors materialized once, ready for repeated
-    /// `infer_vec` / `infer_batched` serving.
+    /// `infer` / `infer_batched` serving.
     pub fn build_compiled(&self, batch: usize) -> apnn_nn::CompiledNet {
         self.build_qnet(batch).into_plan()
     }
@@ -200,7 +200,7 @@ impl ExportedNet {
         let codes: Vec<u32> = self.quantize_input(xs);
         let input =
             BitPlanes::from_codes(&codes, batch, self.dim, self.input_bits, Encoding::ZeroOne);
-        plan.infer_vec(&input)
+        plan.infer(&input)
     }
 
     /// Integer logits for a batch of raw inputs (row-major `batch × dim`),

@@ -107,9 +107,8 @@ fn zero_rows_matrix_is_legal() {
 
 #[test]
 fn zero_row_activation_shard_yields_empty_product() {
-    // Regression for the empty-shard edge: a prepared plan handed a
-    // zero-row activation batch must return the empty `m × 0` product —
-    // the parallel path used to fabricate a `n.max(1)` chunk width here.
+    // The empty-shard edge: a prepared plan handed a zero-row activation
+    // batch must return the empty `m × 0` product.
     let desc = ApmmDesc::unsigned(6, 4, 96, 2, 2);
     let w_codes: Vec<u32> = (0..6 * 96).map(|i| (i % 4) as u32).collect();
     let w = BitPlanes::from_codes(&w_codes, 6, 96, 2, Encoding::ZeroOne);

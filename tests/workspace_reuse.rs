@@ -135,7 +135,7 @@ proptest! {
             let (ws, out, gather) = &mut *state;
             for shard in &shards {
                 combo.input.batch_gather_into(shard, gather);
-                combo.plan.infer_into(gather, ws, out);
+                combo.plan.infer_into(&*gather, ws, out);
                 prop_assert_eq!(out.len(), shard.len() * classes);
                 for (j, &req) in shard.iter().enumerate() {
                     prop_assert_eq!(

@@ -145,7 +145,7 @@ fn steady_state_inference_performs_zero_heap_allocations() {
 
     // -- Kernel level: the register-blocked microkernel paths. ------------
     // The popcount tile lives on the stack, so the prepared APMM/APConv
-    // sequential paths must stay allocation-free from warm onward for
+    // `execute_into` forms must stay allocation-free from warm onward for
     // *any* (JB, KB) block shape — including ragged blocks (jb not
     // dividing the column count) and K blocks smaller than one row.
     tiled_kernel_paths_allocate_nothing_from_warm_onward();
