@@ -16,8 +16,8 @@
 //! * `pair_mops` — plane-pair partial products (`m·n·p·q`) per second, in
 //!   millions: the CPU analogue of the paper's "1-bit BMMA ops" rate.
 //!
-//! Each case runs at the compile-time-autotuned `(JB, KB)` tile (recorded
-//! in the row), over a reduction long enough that the column-block reuse
+//! Each case runs at the compile-time-autotuned row block `jb` (recorded
+//! in the row), over a reduction long enough that the row-block reuse
 //! matters. Like the other artifacts the committed copy is schema-gated,
 //! not threshold-gated (`apnn_bench::schema::validate_kernels`).
 
@@ -50,10 +50,8 @@ pub struct KernelPoint {
     pub n: usize,
     /// Reduction length in bits.
     pub k: usize,
-    /// Column block the tuner chose.
+    /// Row block (batch columns sharing a weight-cell load) the tuner chose.
     pub jb: usize,
-    /// K block (64-bit words per round) the tuner chose.
-    pub kb: usize,
     /// Logical operand GB/s through the plane-pair products.
     pub word_gbps: f64,
     /// Plane-pair partial products per second, in millions.
@@ -171,7 +169,6 @@ pub fn kernel_bench_on(
             n,
             k,
             jb: micro.jb,
-            kb: micro.kb,
             word_gbps: bytes / best / 1e9,
             pair_mops: pairs / best / 1e6,
         });
@@ -179,8 +176,8 @@ pub fn kernel_bench_on(
     points
 }
 
-/// Per-arm comparison table over every available arm (plus the scalar and
-/// Harley–Seal portable fallbacks, which are always available): one
+/// Per-arm comparison table over every available arm (the scalar fallback
+/// included, which is always available): one
 /// [`kernel_bench_on`] sweep per arm. Printed by `repro arms`; the
 /// dispatch-quality check in CI reads the `word_gbps` ratios off it.
 pub fn arms_report(m: usize, n: usize, k: usize, iters: usize) -> String {
@@ -227,7 +224,7 @@ pub fn kernels_json(points: &[KernelPoint]) -> String {
         let _ = write!(
             body,
             "  {{\"case\": \"{}\", \"op\": \"{}\", \"arm\": \"{}\", \"p\": {}, \"q\": {}, \
-             \"m\": {}, \"n\": {}, \"k\": {}, \"jb\": {}, \"kb\": {}, \"word_gbps\": {:.2}, \
+             \"m\": {}, \"n\": {}, \"k\": {}, \"jb\": {}, \"word_gbps\": {:.2}, \
              \"pair_mops\": {:.2}}}{}",
             pt.case,
             pt.op,
@@ -238,7 +235,6 @@ pub fn kernels_json(points: &[KernelPoint]) -> String {
             pt.n,
             pt.k,
             pt.jb,
-            pt.kb,
             pt.word_gbps,
             pt.pair_mops,
             if i + 1 == points.len() { "\n" } else { ",\n" }
@@ -253,14 +249,14 @@ pub fn kernels_report(points: &[KernelPoint]) -> String {
         String::from("## Kernels: plane-pair popcount microkernel throughput per emulation case\n");
     let _ = writeln!(
         out,
-        "{:<33}{:<5}{:<13}{:>3}{:>3}{:>6}{:>6}{:>7}{:>4}{:>4}{:>12}{:>12}",
-        "case", "op", "arm", "p", "q", "m", "n", "k", "jb", "kb", "word GB/s", "pair Mop/s"
+        "{:<33}{:<5}{:<13}{:>3}{:>3}{:>6}{:>6}{:>7}{:>4}{:>12}{:>12}",
+        "case", "op", "arm", "p", "q", "m", "n", "k", "jb", "word GB/s", "pair Mop/s"
     );
     for p in points {
         let _ = writeln!(
             out,
-            "{:<33}{:<5}{:<13}{:>3}{:>3}{:>6}{:>6}{:>7}{:>4}{:>4}{:>12.2}{:>12.2}",
-            p.case, p.op, p.arm, p.p, p.q, p.m, p.n, p.k, p.jb, p.kb, p.word_gbps, p.pair_mops
+            "{:<33}{:<5}{:<13}{:>3}{:>3}{:>6}{:>6}{:>7}{:>4}{:>12.2}{:>12.2}",
+            p.case, p.op, p.arm, p.p, p.q, p.m, p.n, p.k, p.jb, p.word_gbps, p.pair_mops
         );
     }
     out
@@ -291,7 +287,7 @@ mod tests {
         let detected = PopcntArm::detect().label();
         for p in &points {
             assert!(p.word_gbps > 0.0 && p.pair_mops > 0.0);
-            assert!(p.jb >= 1 && p.kb >= 1);
+            assert!(p.jb >= 1);
             assert_eq!(p.arm, detected, "sweep records the dispatched arm");
         }
     }
@@ -300,10 +296,10 @@ mod tests {
     fn forced_arm_sweeps_are_bit_identical_inputs_and_labeled() {
         // The per-arm sweep pins the arm it was asked for (when available)
         // and still measures every case.
-        let points = kernel_bench_on(PopcntArm::HarleySeal, 8, 8, 256, 1);
+        let points = kernel_bench_on(PopcntArm::Scalar, 8, 8, 256, 1);
         assert_eq!(points.len(), 7);
         for p in &points {
-            assert_eq!(p.arm, "harley-seal");
+            assert_eq!(p.arm, "scalar");
         }
     }
 
@@ -334,7 +330,6 @@ mod tests {
             n: 96,
             k: 4096,
             jb: 8,
-            kb: 64,
             word_gbps: 12.345,
             pair_mops: 678.9,
         })

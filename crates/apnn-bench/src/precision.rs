@@ -45,8 +45,12 @@ pub struct MainGeom {
     /// Output positions per image (`oh·ow` for convs, 1 for linears) —
     /// the streamed GEMM row count before the batch factor.
     pub rows: usize,
-    /// Output channels / features — the microkernel's `n_cols`.
+    /// Output channels / features — the weight rows the kernel spreads
+    /// over its lanes.
     pub cols: usize,
+    /// Whether the layer is a convolution: a conv feeds the microkernel one
+    /// gathered window at a time, a linear layer blocks over the batch.
+    pub conv: bool,
     /// Packed reduction length in 64-bit words (`k²·⌈cin/64⌉` for convs).
     pub k_words: usize,
     /// `main_index` of the layer whose output activations this layer
@@ -72,6 +76,7 @@ pub fn main_geometry(net: &Network) -> Vec<MainGeom> {
                     geoms.push(MainGeom {
                         rows: oh * ow,
                         cols: *cout,
+                        conv: true,
                         k_words: k * k * c.div_ceil(64),
                         producer: last_main,
                     });
@@ -82,6 +87,7 @@ pub fn main_geometry(net: &Network) -> Vec<MainGeom> {
                 geoms.push(MainGeom {
                     rows: 1,
                     cols: *out_features,
+                    conv: false,
                     k_words: features.div_ceil(64),
                     producer: last_main,
                 });
@@ -105,6 +111,7 @@ pub fn main_geometry(net: &Network) -> Vec<MainGeom> {
                     geoms.push(MainGeom {
                         rows: oh * ow,
                         cols: *cout,
+                        conv: true,
                         k_words: k * k * c.div_ceil(64),
                         producer: src_main,
                     });
@@ -177,28 +184,29 @@ pub fn schedule_from_segments(
 /// layer's emulation case, the detected popcount arm, and the tile
 /// `select_micro` would pick at compile time — so the estimate ranks
 /// schedules with the same numbers the compiled plans will run on. `pa` is
-/// the layer's *input* activation bits (8-bit quantized input for the
-/// first main, else the producer's `a`), `pb` its weight bits; 1-bit
-/// weights run the ±1-transformed AND case, multi-bit the unsigned one.
+/// the layer's weight bits (the static, lane-interleaved side), `pb` its
+/// *input* activation bits (8-bit quantized input for the first main, else
+/// the producer's `a`); 1-bit weights run the ±1-transformed AND case,
+/// multi-bit the unsigned one.
 pub fn estimate_cost_ms(geoms: &[MainGeom], schedule: &PrecisionSchedule, batch: usize) -> f64 {
     assert_eq!(geoms.len(), schedule.len());
     let arm = PopcntArm::detect();
     let mut total_ns = 0.0f64;
     for (i, g) in geoms.iter().enumerate() {
-        let lp = schedule.layer(i);
-        let pa = match g.producer {
+        let pa = schedule.layer(i).w;
+        let pb = match g.producer {
             None => 8,
             Some(p) => schedule.layer(p).a,
         };
-        let pb = lp.w;
-        let case = if pb == 1 {
+        let case = if pa == 1 {
             EmulationCase::AndWeightTransformed
         } else {
             EmulationCase::AndUnsigned
         };
-        let tile = select_micro(g.cols, g.k_words, pa, pb, arm);
+        let n_cols = if g.conv { 1 } else { batch };
+        let tile = select_micro(n_cols, g.k_words, pa, pb, arm);
         let shape = StageShape {
-            n_cols: g.cols,
+            n_cols,
             k_words: g.k_words,
             pa,
             pb,

@@ -234,7 +234,6 @@ pub fn validate_kernels(rows: &[Row]) -> Result<Vec<KernelKey>, String> {
         let n = num(row, "n").map_err(ctx)?;
         let k = num(row, "k").map_err(ctx)?;
         let jb = num(row, "jb").map_err(ctx)?;
-        let kb = num(row, "kb").map_err(ctx)?;
         let gbps = num(row, "word_gbps").map_err(ctx)?;
         let mops = num(row, "pair_mops").map_err(ctx)?;
         if op != "and" && op != "xor" {
@@ -246,7 +245,7 @@ pub fn validate_kernels(rows: &[Row]) -> Result<Vec<KernelKey>, String> {
         if !(1.0..=8.0).contains(&p) || !(1.0..=8.0).contains(&q) {
             return Err(format!("kernels row {i}: plane counts out of range"));
         }
-        if m < 1.0 || n < 1.0 || k < 1.0 || jb < 1.0 || kb < 1.0 {
+        if m < 1.0 || n < 1.0 || k < 1.0 || jb < 1.0 {
             return Err(format!("kernels row {i}: implausible sweep dimensions"));
         }
         if gbps <= 0.0 || mops <= 0.0 {
@@ -818,7 +817,7 @@ mod tests {
     fn rejects_bad_kernels_rows() {
         let rows = parse_rows(
             r#"{"kernels": [{"case": "AndUnsigned", "op": "nand", "arm": "avx2", "p": 2, "q": 2,
-                "m": 8, "n": 8, "k": 128, "jb": 4, "kb": 8, "word_gbps": 1.0, "pair_mops": 1.0}]}"#,
+                "m": 8, "n": 8, "k": 128, "jb": 4, "word_gbps": 1.0, "pair_mops": 1.0}]}"#,
         )
         .unwrap();
         let err = validate_kernels(&rows).unwrap_err();
@@ -826,7 +825,7 @@ mod tests {
 
         let rows = parse_rows(
             r#"{"kernels": [{"case": "AndUnsigned", "op": "and", "arm": "avx2", "p": 9, "q": 2,
-                "m": 8, "n": 8, "k": 128, "jb": 4, "kb": 8, "word_gbps": 1.0, "pair_mops": 1.0}]}"#,
+                "m": 8, "n": 8, "k": 128, "jb": 4, "word_gbps": 1.0, "pair_mops": 1.0}]}"#,
         )
         .unwrap();
         let err = validate_kernels(&rows).unwrap_err();
@@ -836,7 +835,7 @@ mod tests {
         // artifacts fail loudly instead of sliding through.
         let rows = parse_rows(
             r#"{"kernels": [{"case": "AndUnsigned", "op": "and", "p": 2, "q": 2, "m": 8,
-                "n": 8, "k": 128, "jb": 4, "kb": 8, "word_gbps": 1.0, "pair_mops": 1.0}]}"#,
+                "n": 8, "k": 128, "jb": 4, "word_gbps": 1.0, "pair_mops": 1.0}]}"#,
         )
         .unwrap();
         let err = validate_kernels(&rows).unwrap_err();
@@ -844,7 +843,7 @@ mod tests {
 
         let rows = parse_rows(
             r#"{"kernels": [{"case": "AndUnsigned", "op": "and", "arm": "mmx", "p": 2, "q": 2,
-                "m": 8, "n": 8, "k": 128, "jb": 4, "kb": 8, "word_gbps": 1.0, "pair_mops": 1.0}]}"#,
+                "m": 8, "n": 8, "k": 128, "jb": 4, "word_gbps": 1.0, "pair_mops": 1.0}]}"#,
         )
         .unwrap();
         let err = validate_kernels(&rows).unwrap_err();
@@ -853,7 +852,7 @@ mod tests {
         // A sweep that drops one of the seven emulation cases is a broken
         // trajectory even when every surviving row is well-formed.
         let one_case = r#"{"kernels": [{"case": "AndUnsigned", "op": "and", "arm": "scalar",
-            "p": 2, "q": 2, "m": 8, "n": 8, "k": 128, "jb": 4, "kb": 8,
+            "p": 2, "q": 2, "m": 8, "n": 8, "k": 128, "jb": 4,
             "word_gbps": 1.0, "pair_mops": 1.0}]}"#;
         let err = validate_kernels(&parse_rows(one_case).unwrap()).unwrap_err();
         assert!(err.contains("missing case"), "{err}");

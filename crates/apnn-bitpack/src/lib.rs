@@ -13,6 +13,9 @@
 //! * [`planes`] — bit-plane decomposition (`x⁽ᵗ⁾ = (x >> t) & 1`, Eq. 2 of the
 //!   paper) and its inverse, plus the [`planes::BitPlanes`] bundle consumed by
 //!   the APMM/APConv kernels.
+//! * [`LanePanel`] — the weight operand interleaved eight rows per cache
+//!   line, and [`popcnt`] — the lane-per-output popcount kernel that consumes
+//!   it, with its runtime-dispatched arms ([`PopcntArm`]).
 //! * [`Encoding`] — the value semantics of a stored bit (`{0,1}` vs `{−1,+1}`),
 //!   which drives the paper's *data-adaptive operator selection* (§3.2).
 //! * [`Tensor4`] — dense 4-D tensors with NCHW/NHWC layouts, and
@@ -30,6 +33,7 @@ pub mod bitmatrix;
 pub mod bittensor;
 pub mod buf;
 pub mod encoding;
+pub mod panel;
 pub mod planes;
 pub mod popcnt;
 pub mod tensor;
@@ -39,6 +43,7 @@ pub use bitmatrix::BitMatrix;
 pub use bittensor::BitTensor4;
 pub use buf::resize_for_overwrite;
 pub use encoding::Encoding;
+pub use panel::{LanePanel, LANES};
 pub use planes::BitPlanes;
 pub use popcnt::PopcntArm;
 pub use tensor::{Layout, Tensor4};

@@ -1,69 +1,68 @@
-//! Explicit SIMD popcount-reduction arms with runtime dispatch.
+//! The lane-per-output popcount kernel and its runtime-dispatched arms.
 //!
-//! [`crate::word::xor_popcount`] / [`crate::word::and_popcount`] pick their
-//! reduction at **compile time** from target features, which is the right
-//! default for a `target-cpu=native` build — but a portable binary (CI pins
-//! `x86-64-v3`, release artifacts may pin `x86-64-v2`) silently loses
-//! AVX512-VPOPCNTDQ auto-vectorization and falls back to scalar code even
-//! when the machine it lands on has the fast instructions. This module adds
-//! the **runtime** story: a [`PopcntArm`] enum naming each explicit
-//! implementation, one-time CPUID detection ([`PopcntArm::detect`]), and
-//! arm-dispatched merged popcounts ([`xor_popcount_arm`] /
-//! [`and_popcount_arm`]) so a kernel plan can bind the best arm once at
-//! compile time and run it on every chunk.
+//! The one reduction every functional kernel runs is
 //!
-//! Every arm computes exactly `Σ popc(op(a[i], b[i]))` — bit-identical to
-//! the scalar reference for any input — so arm selection moves throughput,
-//! never results. The arms:
+//! `out[r][lane] = Σ_k popc(op(cells[k·LANES + lane], xs[r][k]))`
 //!
-//! * [`PopcntArm::Scalar`] — the existing word-at-a-time reduction with its
-//!   compile-time plain/Harley–Seal choice (the portable fallback; under
-//!   `target-cpu=native` it auto-vectorizes).
-//! * [`PopcntArm::HarleySeal`] — the scalar carry-save-adder tree, forced.
-//!   One SWAR popcount per four words; the right arm when the build has no
-//!   hardware popcount at all.
-//! * [`PopcntArm::Avx2`] — explicit 256-bit Harley–Seal: the same
-//!   [`crate::word::csa`] tree lifted to `__m256i`, with the Mula
-//!   `vpshufb` nibble-LUT popcount and `vpsadbw` byte-sum accumulation.
-//! * [`PopcntArm::Avx512`] — `vpopcntq` (`_mm512_popcnt_epi64`), eight
-//!   words per instruction, masked loads for the tail
-//!   (`avx512f` + `avx512vpopcntdq`).
-//! * [`PopcntArm::Neon`] — aarch64 `vcntq_u8` + `vaddvq_u8`, 128 bits per
-//!   round.
+//! over a [`crate::panel::LanePanel`] row group (`cells`: eight interleaved
+//! weight rows, 64 bytes per K word) and a few *streams* `xs[r]` — one
+//! activation row of one bit plane each. Per K word the kernel loads the
+//! cell once and, for every stream, broadcasts the stream's word against
+//! it: AND/XOR, per-lane popcount, per-lane add. Each lane of an
+//! accumulator is a different output, so the K pass ends with the counts
+//! where they are needed — no horizontal sum, no per-output call. This is
+//! the CPU form of the `bmma` accumulator fragment (one output per
+//! element, K reduced inside the primitive).
 //!
-//! The `APNN_POPCNT_ARM` environment variable (`scalar`, `harley-seal`,
-//! `avx2`, `avx512`, `neon`) force-overrides detection for tests and CI;
-//! an unavailable forced arm falls back to the detected best, and the
-//! dispatchers themselves re-check availability so a stale or forged enum
-//! value can never reach an instruction the CPU lacks.
+//! The kernel is **one generic body** (`popcount_streams`), instantiated
+//! once per [`PopcntArm`] under that arm's `#[target_feature]` so the whole
+//! K pass runs inside the feature boundary:
+//!
+//! * [`PopcntArm::Scalar`] — the body over `[u64; 8]` lanes at the build's
+//!   baseline features. LLVM vectorizes the lane loop with whatever the
+//!   baseline has (SSE2/SSSE3 byte-LUT or SWAR `count_ones` on a portable
+//!   build; under `target-cpu=native` the host's own vectors).
+//! * [`PopcntArm::Avx2`] — the same `[u64; 8]` body under `avx2`: two ymm
+//!   per cell, `vpshufb` nibble-LUT popcount.
+//! * [`PopcntArm::Avx512`] — the body over one explicit `__m512i` per cell
+//!   (`avx512f` + `avx512vpopcntdq`): `vpandq`/`vpxorq` with a broadcast
+//!   memory operand, `vpopcntq`, `vpaddq` — three instructions per 512
+//!   bit-MACs. The lane type is explicit because Intel server tunings make
+//!   LLVM prefer 256-bit vectors, which halves `vpopcntq` throughput.
+//! * [`PopcntArm::Neon`] — aarch64, where NEON `cnt` is baseline: the
+//!   `[u64; 8]` body, four q registers per cell.
+//!
+//! Every arm produces the same integers, so arm selection moves throughput,
+//! never results. [`PopcntArm::detect`] picks the best arm the CPU can run
+//! once per process; the `APNN_POPCNT_ARM` environment variable (`scalar`,
+//! `avx2`, `avx512`, `neon`) forces one for tests and CI, an unavailable
+//! forced arm falls back to the detected best, and the dispatcher re-checks
+//! availability so a forged enum value can never reach an instruction the
+//! CPU lacks.
 
-use crate::word;
+use crate::panel::LANES;
 
-/// One explicit implementation of the merged popcount reduction. See the
+/// One instantiation of the lane-per-output popcount kernel. See the
 /// module docs for what each arm runs; all arms are exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PopcntArm {
-    /// Word-at-a-time reduction with the compile-time plain/Harley–Seal
-    /// choice — the portable fallback, and the auto-vectorizing fast path
-    /// under `target-cpu=native`.
+    /// The generic body at the build's baseline target features — the
+    /// portable fallback.
     Scalar,
-    /// The scalar Harley–Seal carry-save tree, forced regardless of target
-    /// features.
-    HarleySeal,
-    /// 256-bit Harley–Seal with the Mula nibble-LUT popcount (`avx2`).
+    /// The generic body under `avx2`.
     Avx2,
-    /// `vpopcntq` vectors (`avx512f` + `avx512vpopcntdq`).
+    /// Explicit 512-bit lanes with `vpopcntq` (`avx512f` +
+    /// `avx512vpopcntdq`).
     Avx512,
-    /// aarch64 `vcntq_u8` + `vaddvq_u8`.
+    /// aarch64, where NEON is baseline.
     Neon,
 }
 
 impl PopcntArm {
     /// Every arm, in detection-preference order (later is preferred when
     /// available).
-    pub const ALL: [PopcntArm; 5] = [
+    pub const ALL: [PopcntArm; 4] = [
         PopcntArm::Scalar,
-        PopcntArm::HarleySeal,
         PopcntArm::Avx2,
         PopcntArm::Avx512,
         PopcntArm::Neon,
@@ -74,26 +73,24 @@ impl PopcntArm {
     pub fn label(self) -> &'static str {
         match self {
             PopcntArm::Scalar => "scalar",
-            PopcntArm::HarleySeal => "harley-seal",
             PopcntArm::Avx2 => "avx2",
             PopcntArm::Avx512 => "avx512",
             PopcntArm::Neon => "neon",
         }
     }
 
-    /// Parse a [`Self::label`] string (case-insensitive; `_` and `-` are
-    /// interchangeable).
+    /// Parse a [`Self::label`] string (case-insensitive).
     pub fn parse(s: &str) -> Option<PopcntArm> {
-        let norm = s.trim().to_ascii_lowercase().replace('_', "-");
+        let norm = s.trim().to_ascii_lowercase();
         Self::ALL.into_iter().find(|a| a.label() == norm)
     }
 
     /// Whether this arm can run on the current machine (CPUID-checked for
-    /// the x86 SIMD arms, architecture-checked for NEON; the scalar arms
-    /// run anywhere).
+    /// the x86 SIMD arms, architecture-checked for NEON; the scalar arm
+    /// runs anywhere).
     pub fn is_available(self) -> bool {
         match self {
-            PopcntArm::Scalar | PopcntArm::HarleySeal => true,
+            PopcntArm::Scalar => true,
             PopcntArm::Avx2 => {
                 #[cfg(target_arch = "x86_64")]
                 {
@@ -125,37 +122,12 @@ impl PopcntArm {
     }
 
     /// The best available arm by pure capability detection (no environment
-    /// override): AVX-512 VPOPCNTDQ > AVX2 > NEON > scalar, where "scalar"
-    /// means [`PopcntArm::Scalar`] when the build has a hardware popcount
-    /// and [`PopcntArm::HarleySeal`] when it does not.
-    ///
-    /// One static-baseline exception: when the build itself was compiled
-    /// with `avx512vpopcntdq` in the target features (`target-cpu=native`
-    /// on an AVX-512 host, per the committed `.cargo/config.toml`), the
-    /// compiler already auto-vectorizes the inlined scalar reduction to
-    /// `vpopcntq` — and, unlike the explicit arms, inlines it into the
-    /// register-blocked microkernel with no call overhead. Measured on
-    /// such a build, the out-of-line `#[target_feature]` AVX-512 arm
-    /// loses ~7% end-to-end on conv-dominated plans (their per-tap slices
-    /// are a handful of words, so the unlined call dominates), so the
-    /// scalar arm is the honest best. Portable builds — every CI leg and
-    /// any distributed binary — lack the static feature and still pick
-    /// the explicit SIMD arms, which is where runtime dispatch earns its
-    /// 3–4× over the portable scalar codegen.
+    /// override): AVX-512 VPOPCNTDQ > AVX2 > NEON > scalar.
     pub fn best_available() -> PopcntArm {
-        if cfg!(target_feature = "avx512vpopcntdq") {
-            PopcntArm::Scalar
-        } else if PopcntArm::Avx512.is_available() {
-            PopcntArm::Avx512
-        } else if PopcntArm::Avx2.is_available() {
-            PopcntArm::Avx2
-        } else if PopcntArm::Neon.is_available() {
-            PopcntArm::Neon
-        } else if cfg!(any(target_feature = "popcnt", target_arch = "aarch64")) {
-            PopcntArm::Scalar
-        } else {
-            PopcntArm::HarleySeal
-        }
+        [PopcntArm::Avx512, PopcntArm::Avx2, PopcntArm::Neon]
+            .into_iter()
+            .find(|a| a.is_available())
+            .unwrap_or(PopcntArm::Scalar)
     }
 
     /// The arm kernel plans should bind: [`Self::best_available`], unless
@@ -171,8 +143,7 @@ impl PopcntArm {
                 None => {
                     eprintln!(
                         "apnn-bitpack: unknown APNN_POPCNT_ARM value `{s}` (accepted: \
-                         `scalar`, `harley-seal`, `avx2`, `avx512`, `neon`); using the \
-                         detected best arm"
+                         `scalar`, `avx2`, `avx512`, `neon`); using the detected best arm"
                     );
                     PopcntArm::best_available()
                 }
@@ -192,240 +163,212 @@ impl PopcntArm {
     }
 }
 
-/// `Σ popc(a[i] ^ b[i])` on an explicit arm. Exact for every arm and
-/// length; an arm the CPU cannot run is transparently re-dispatched to the
-/// best available one, so the call is always sound.
+/// `out[r][lane] = Σ_k popc(cells[k·LANES + lane] & xs[r][k])` on an
+/// explicit arm: `cells` is one [`crate::panel::LanePanel::group`], every
+/// stream `xs[r]` holds (at least) one word per cell. Exact for every arm
+/// and length; an arm the CPU cannot run executes the baseline body, so the
+/// call is always sound.
 #[inline]
-pub fn xor_popcount_arm(arm: PopcntArm, a: &[u64], b: &[u64]) -> u32 {
-    merged_popcount_arm::<true>(arm, a, b)
+pub fn and_popcount_lanes(arm: PopcntArm, cells: &[u64], xs: &[&[u64]], out: &mut [[i32; LANES]]) {
+    popcount_lanes::<false>(arm, cells, xs, out)
 }
 
-/// `Σ popc(a[i] & b[i])` on an explicit arm (same contract as
-/// [`xor_popcount_arm`]).
+/// `out[r][lane] = Σ_k popc(cells[k·LANES + lane] ^ xs[r][k])` (same
+/// contract as [`and_popcount_lanes`]). A zero pad lane counts `popc(xs[r])`
+/// here — callers discard pad lanes.
 #[inline]
-pub fn and_popcount_arm(arm: PopcntArm, a: &[u64], b: &[u64]) -> u32 {
-    merged_popcount_arm::<false>(arm, a, b)
+pub fn xor_popcount_lanes(arm: PopcntArm, cells: &[u64], xs: &[&[u64]], out: &mut [[i32; LANES]]) {
+    popcount_lanes::<true>(arm, cells, xs, out)
 }
 
 #[inline]
-fn merged_popcount_arm<const XOR: bool>(arm: PopcntArm, a: &[u64], b: &[u64]) -> u32 {
-    debug_assert_eq!(a.len(), b.len());
+fn popcount_lanes<const XOR: bool>(
+    arm: PopcntArm,
+    cells: &[u64],
+    xs: &[&[u64]],
+    out: &mut [[i32; LANES]],
+) {
+    assert_eq!(xs.len(), out.len(), "one output cell per stream");
     match arm {
-        PopcntArm::Scalar => {
-            if XOR {
-                word::xor_popcount(a, b)
-            } else {
-                word::and_popcount(a, b)
-            }
-        }
-        PopcntArm::HarleySeal => {
-            if XOR {
-                word::merged_popcount_harley_seal(a, b, |x, y| x ^ y)
-            } else {
-                word::merged_popcount_harley_seal(a, b, |x, y| x & y)
-            }
+        #[cfg(target_arch = "x86_64")]
+        PopcntArm::Avx512 if arm.is_available() => {
+            // SAFETY: `is_available` just CPUID-verified avx512f +
+            // avx512vpopcntdq (`is_x86_feature_detected!` caches the lookup).
+            unsafe { x86::streams_avx512::<XOR>(cells, xs, out) }
         }
         #[cfg(target_arch = "x86_64")]
-        PopcntArm::Avx2 if PopcntArm::Avx2.is_available() => {
-            // SAFETY: AVX2 support was just CPUID-verified on this machine
-            // (`is_x86_feature_detected!` caches the lookup).
-            unsafe { x86::merged_avx2::<XOR>(a, b) }
+        PopcntArm::Avx2 if arm.is_available() => {
+            // SAFETY: `is_available` just CPUID-verified avx2.
+            unsafe { x86::streams_avx2::<XOR>(cells, xs, out) }
         }
-        #[cfg(target_arch = "x86_64")]
-        PopcntArm::Avx512 if PopcntArm::Avx512.is_available() => {
-            // SAFETY: AVX512F + AVX512VPOPCNTDQ support was just
-            // CPUID-verified on this machine.
-            unsafe { x86::merged_avx512::<XOR>(a, b) }
+        _ => popcount_streams::<[u64; LANES], XOR>(cells, xs, out),
+    }
+}
+
+/// One panel cell held in registers: [`LANES`] u64 lanes.
+trait Lanes: Copy {
+    /// Whether eight accumulators plus a cell fit the register file; when
+    /// not, streams go four at a time.
+    const WIDE: bool;
+    fn zero() -> Self;
+    fn load(cell: &[u64; LANES]) -> Self;
+    /// `self + popc(op(cell, splat(x)))`, per lane.
+    fn accumulate<const XOR: bool>(self, cell: Self, x: u64) -> Self;
+    fn store(self, out: &mut [i32; LANES]);
+}
+
+impl Lanes for [u64; LANES] {
+    // Two ymm per cell on AVX2's sixteen registers: four streams.
+    const WIDE: bool = false;
+
+    #[inline(always)]
+    fn zero() -> Self {
+        [0; LANES]
+    }
+
+    #[inline(always)]
+    fn load(cell: &[u64; LANES]) -> Self {
+        *cell
+    }
+
+    #[inline(always)]
+    fn accumulate<const XOR: bool>(mut self, cell: Self, x: u64) -> Self {
+        for (acc, w) in self.iter_mut().zip(cell) {
+            *acc += u64::from((if XOR { w ^ x } else { w & x }).count_ones());
         }
-        #[cfg(target_arch = "aarch64")]
-        PopcntArm::Neon => {
-            // SAFETY: NEON is mandatory on aarch64.
-            unsafe { neon::merged_neon::<XOR>(a, b) }
+        self
+    }
+
+    #[inline(always)]
+    fn store(self, out: &mut [i32; LANES]) {
+        for (o, acc) in out.iter_mut().zip(self) {
+            *o = acc as i32;
         }
-        // Anything left is an arm this machine cannot run (or a SIMD arm on
-        // a foreign architecture): re-dispatch on the detected best, which
-        // by construction is runnable.
-        _ => merged_popcount_arm::<XOR>(PopcntArm::best_available(), a, b),
+    }
+}
+
+/// The kernel body: every stream's K pass against one row group, the
+/// streams taken eight, four, two and one at a time so each pass's
+/// accumulators are a compile-time-sized register set.
+#[inline(always)]
+fn popcount_streams<V: Lanes, const XOR: bool>(
+    cells: &[u64],
+    xs: &[&[u64]],
+    out: &mut [[i32; LANES]],
+) {
+    let mut r = 0;
+    while V::WIDE && xs.len() - r >= 8 {
+        k_pass::<V, XOR, 8>(cells, &xs[r..], &mut out[r..]);
+        r += 8;
+    }
+    while xs.len() - r >= 4 {
+        k_pass::<V, XOR, 4>(cells, &xs[r..], &mut out[r..]);
+        r += 4;
+    }
+    if xs.len() - r >= 2 {
+        k_pass::<V, XOR, 2>(cells, &xs[r..], &mut out[r..]);
+        r += 2;
+    }
+    if xs.len() - r >= 1 {
+        k_pass::<V, XOR, 1>(cells, &xs[r..], &mut out[r..]);
+    }
+}
+
+/// One pass over K for the first `R` streams: `R` accumulators live in
+/// registers, each cell is loaded once and every stream's word is
+/// broadcast against it.
+#[inline(always)]
+fn k_pass<V: Lanes, const XOR: bool, const R: usize>(
+    cells: &[u64],
+    xs: &[&[u64]],
+    out: &mut [[i32; LANES]],
+) {
+    let kw = cells.len() / LANES;
+    // Slicing every stream to `kw` up front checks the lengths once and
+    // lets the K loop index without bounds checks.
+    let xs: [&[u64]; R] = std::array::from_fn(|r| &xs[r][..kw]);
+    let mut acc = [V::zero(); R];
+    for (k, cell) in cells.chunks_exact(LANES).enumerate() {
+        let cell = V::load(cell.try_into().expect("chunks_exact yields LANES words"));
+        for r in 0..R {
+            acc[r] = acc[r].accumulate::<XOR>(cell, xs[r][k]);
+        }
+    }
+    for (o, a) in out[..R].iter_mut().zip(acc) {
+        a.store(o);
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use super::{popcount_streams, Lanes, LANES};
     use core::arch::x86_64::*;
 
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn loadu(p: *const u64) -> __m256i {
-        _mm256_loadu_si256(p as *const __m256i)
-    }
+    /// One cell in one zmm. Private to this module and only ever
+    /// constructed inside [`streams_avx512`], whose caller CPUID-verified
+    /// avx512f + avx512vpopcntdq — the precondition every `unsafe` block
+    /// below relies on.
+    #[derive(Clone, Copy)]
+    struct Zmm(__m512i);
 
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn combine256<const XOR: bool>(a: __m256i, b: __m256i) -> __m256i {
-        if XOR {
-            _mm256_xor_si256(a, b)
-        } else {
-            _mm256_and_si256(a, b)
+    impl Lanes for Zmm {
+        const WIDE: bool = true;
+
+        #[inline(always)]
+        fn zero() -> Self {
+            // SAFETY: avx512f is present (see `Zmm`).
+            Zmm(unsafe { _mm512_setzero_si512() })
+        }
+
+        #[inline(always)]
+        fn load(cell: &[u64; LANES]) -> Self {
+            // SAFETY: avx512f is present (see `Zmm`); `cell` is 64 readable
+            // bytes and the load is unaligned.
+            Zmm(unsafe { _mm512_loadu_si512(cell.as_ptr().cast()) })
+        }
+
+        #[inline(always)]
+        fn accumulate<const XOR: bool>(self, cell: Self, x: u64) -> Self {
+            // SAFETY: avx512f + avx512vpopcntdq are present (see `Zmm`).
+            unsafe {
+                let x = _mm512_set1_epi64(x as i64);
+                let bits = if XOR {
+                    _mm512_xor_si512(cell.0, x)
+                } else {
+                    _mm512_and_si512(cell.0, x)
+                };
+                Zmm(_mm512_add_epi64(self.0, _mm512_popcnt_epi64(bits)))
+            }
+        }
+
+        #[inline(always)]
+        fn store(self, out: &mut [i32; LANES]) {
+            // SAFETY: avx512f is present (see `Zmm`); `out` is 32 writable
+            // bytes and the store is unaligned.
+            unsafe { _mm256_storeu_si256(out.as_mut_ptr().cast(), _mm512_cvtepi64_epi32(self.0)) }
         }
     }
 
-    /// The carry-save adder of `word::csa`, lifted lane-wise to 256 bits.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn csa256(a: __m256i, b: __m256i, c: __m256i) -> (__m256i, __m256i) {
-        let u = _mm256_xor_si256(a, b);
-        (
-            _mm256_xor_si256(u, c),
-            _mm256_or_si256(_mm256_and_si256(a, b), _mm256_and_si256(u, c)),
-        )
-    }
-
-    /// Mula nibble-LUT per-byte popcount: two `vpshufb` table lookups.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn popcnt_bytes(v: __m256i) -> __m256i {
-        #[rustfmt::skip]
-        let lut = _mm256_setr_epi8(
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-        );
-        let low = _mm256_set1_epi8(0x0F);
-        let lo = _mm256_and_si256(v, low);
-        let hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low);
-        _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi))
-    }
-
-    /// Per-byte popcount of `v` summed into the four 64-bit lanes of `acc`
-    /// via `vpsadbw` (byte sums against zero can never overflow a lane).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn accumulate_popcnt(acc: __m256i, v: __m256i) -> __m256i {
-        _mm256_add_epi64(
-            acc,
-            _mm256_sad_epu8(popcnt_bytes(v), _mm256_setzero_si256()),
-        )
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn hsum_epi64(v: __m256i) -> u64 {
-        let mut lanes = [0u64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, v);
-        lanes.iter().sum()
-    }
-
-    /// 256-bit Harley–Seal merged popcount: four vectors (16 words) flow
-    /// through the CSA tree per round, so the LUT popcount runs once per
-    /// 16 words on the `fours` carries; `ones`/`twos` counters are counted
-    /// once at the end, exactly like the scalar tree.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn merged_avx2<const XOR: bool>(a: &[u64], b: &[u64]) -> u32 {
-        let n = a.len();
-        let pa = a.as_ptr();
-        let pb = b.as_ptr();
-        let mut fours_acc = _mm256_setzero_si256();
-        let mut ones = _mm256_setzero_si256();
-        let mut twos = _mm256_setzero_si256();
-        let mut i = 0usize;
-        while i + 16 <= n {
-            let d0 = combine256::<XOR>(loadu(pa.add(i)), loadu(pb.add(i)));
-            let d1 = combine256::<XOR>(loadu(pa.add(i + 4)), loadu(pb.add(i + 4)));
-            let d2 = combine256::<XOR>(loadu(pa.add(i + 8)), loadu(pb.add(i + 8)));
-            let d3 = combine256::<XOR>(loadu(pa.add(i + 12)), loadu(pb.add(i + 12)));
-            let (s1, c1) = csa256(ones, d0, d1);
-            let (s2, c2) = csa256(s1, d2, d3);
-            let (t, c4) = csa256(twos, c1, c2);
-            ones = s2;
-            twos = t;
-            fours_acc = accumulate_popcnt(fours_acc, c4);
-            i += 16;
-        }
-        // Whole vectors that did not fill a CSA round.
-        let mut units = _mm256_setzero_si256();
-        while i + 4 <= n {
-            let d = combine256::<XOR>(loadu(pa.add(i)), loadu(pb.add(i)));
-            units = accumulate_popcnt(units, d);
-            i += 4;
-        }
-        let twos_cnt = hsum_epi64(accumulate_popcnt(_mm256_setzero_si256(), twos));
-        let ones_cnt = hsum_epi64(accumulate_popcnt(_mm256_setzero_si256(), ones));
-        let mut total = 4 * hsum_epi64(fours_acc) + 2 * twos_cnt + ones_cnt + hsum_epi64(units);
-        // Scalar word tail.
-        while i < n {
-            let d = if XOR { a[i] ^ b[i] } else { a[i] & b[i] };
-            total += d.count_ones() as u64;
-            i += 1;
-        }
-        total as u32
-    }
-
-    /// `vpopcntq` merged popcount: eight per-word popcounts per
-    /// instruction, masked loads for the ragged tail — no scalar cleanup
-    /// at all.
+    /// # Safety
+    /// The CPU must support avx512f and avx512vpopcntdq.
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    pub unsafe fn merged_avx512<const XOR: bool>(a: &[u64], b: &[u64]) -> u32 {
-        let n = a.len();
-        let pa = a.as_ptr() as *const i64;
-        let pb = b.as_ptr() as *const i64;
-        let mut acc = _mm512_setzero_si512();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let va = _mm512_loadu_si512(pa.add(i) as *const _);
-            let vb = _mm512_loadu_si512(pb.add(i) as *const _);
-            let d = if XOR {
-                _mm512_xor_si512(va, vb)
-            } else {
-                _mm512_and_si512(va, vb)
-            };
-            acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(d));
-            i += 8;
-        }
-        let rem = n - i;
-        if rem > 0 {
-            let k: __mmask8 = (1u8 << rem) - 1;
-            let va = _mm512_maskz_loadu_epi64(k, pa.add(i));
-            let vb = _mm512_maskz_loadu_epi64(k, pb.add(i));
-            let d = if XOR {
-                _mm512_xor_si512(va, vb)
-            } else {
-                _mm512_and_si512(va, vb)
-            };
-            acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(d));
-        }
-        _mm512_reduce_add_epi64(acc) as u32
+    pub unsafe fn streams_avx512<const XOR: bool>(
+        cells: &[u64],
+        xs: &[&[u64]],
+        out: &mut [[i32; LANES]],
+    ) {
+        popcount_streams::<Zmm, XOR>(cells, xs, out)
     }
-}
 
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use core::arch::aarch64::*;
-
-    /// NEON merged popcount: `vcntq_u8` per-byte counts over 128-bit
-    /// chunks, horizontally summed with `vaddvq_u8` (16 bytes × ≤8 bits
-    /// fits the u8 sum).
-    #[target_feature(enable = "neon")]
-    pub unsafe fn merged_neon<const XOR: bool>(a: &[u64], b: &[u64]) -> u32 {
-        let n = a.len();
-        let pa = a.as_ptr();
-        let pb = b.as_ptr();
-        let mut acc = 0u32;
-        let mut i = 0usize;
-        while i + 2 <= n {
-            let va = vld1q_u64(pa.add(i));
-            let vb = vld1q_u64(pb.add(i));
-            let d = if XOR {
-                veorq_u64(va, vb)
-            } else {
-                vandq_u64(va, vb)
-            };
-            acc += vaddvq_u8(vcntq_u8(vreinterpretq_u8_u64(d))) as u32;
-            i += 2;
-        }
-        if i < n {
-            let d = if XOR { a[i] ^ b[i] } else { a[i] & b[i] };
-            acc += d.count_ones();
-        }
-        acc
+    /// # Safety
+    /// The CPU must support avx2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn streams_avx2<const XOR: bool>(
+        cells: &[u64],
+        xs: &[&[u64]],
+        out: &mut [[i32; LANES]],
+    ) {
+        popcount_streams::<[u64; LANES], XOR>(cells, xs, out)
     }
 }
 
@@ -433,11 +376,40 @@ mod neon {
 mod tests {
     use super::*;
 
-    fn xs(seed: &mut u64) -> u64 {
+    fn xs64(seed: &mut u64) -> u64 {
         *seed ^= *seed << 13;
         *seed ^= *seed >> 7;
         *seed ^= *seed << 17;
         *seed
+    }
+
+    /// The per-output scalar reference.
+    fn reference(xor: bool, cells: &[u64], xs: &[&[u64]]) -> Vec<[i32; LANES]> {
+        xs.iter()
+            .map(|x| {
+                std::array::from_fn(|lane| {
+                    x.iter()
+                        .enumerate()
+                        .map(|(k, &xw)| {
+                            let w = cells[k * LANES + lane];
+                            (if xor { w ^ xw } else { w & xw }).count_ones() as i32
+                        })
+                        .sum()
+                })
+            })
+            .collect()
+    }
+
+    fn check(cells: &[u64], streams: &[Vec<u64>], ctx: &str) {
+        let xs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
+        for arm in PopcntArm::ALL {
+            // Stale contents must be overwritten, not accumulated into.
+            let mut out = vec![[-1i32; LANES]; xs.len()];
+            xor_popcount_lanes(arm, cells, &xs, &mut out);
+            assert_eq!(out, reference(true, cells, &xs), "{arm:?} xor {ctx}");
+            and_popcount_lanes(arm, cells, &xs, &mut out);
+            assert_eq!(out, reference(false, cells, &xs), "{arm:?} and {ctx}");
+        }
     }
 
     #[test]
@@ -446,15 +418,14 @@ mod tests {
             assert_eq!(PopcntArm::parse(arm.label()), Some(arm));
         }
         assert_eq!(PopcntArm::parse("AVX512"), Some(PopcntArm::Avx512));
-        assert_eq!(PopcntArm::parse("harley_seal"), Some(PopcntArm::HarleySeal));
+        assert_eq!(PopcntArm::parse("harley-seal"), None, "arm removed");
         assert_eq!(PopcntArm::parse("riscv-v"), None);
     }
 
     #[test]
     fn scalar_arms_are_always_available() {
         assert!(PopcntArm::Scalar.is_available());
-        assert!(PopcntArm::HarleySeal.is_available());
-        assert!(PopcntArm::available().len() >= 2);
+        assert!(!PopcntArm::available().is_empty());
         assert!(PopcntArm::best_available().is_available());
         assert!(PopcntArm::detect().is_available());
     }
@@ -468,47 +439,50 @@ mod tests {
 
     #[test]
     fn every_arm_matches_the_scalar_reference_for_every_length() {
-        // Tails, CSA round boundaries (scalar: 4 words; AVX2: 16 words;
-        // AVX-512: 8 words), and full rounds all in one sweep. Unavailable
-        // arms re-dispatch, which must also be exact.
+        // Every K length around the word counts real layers have, and every
+        // stream count around the 8/4/2/1 pass split. Unavailable arms run
+        // the baseline body, which must also be exact.
         let mut seed = 0xA076_1D64_78BD_642Fu64;
-        for len in (0..=36).chain([63, 64, 65, 100, 128, 129]) {
-            let a: Vec<u64> = (0..len).map(|_| xs(&mut seed)).collect();
-            let b: Vec<u64> = (0..len).map(|_| xs(&mut seed)).collect();
-            let xor_ref: u32 = a.iter().zip(&b).map(|(&x, &y)| (x ^ y).count_ones()).sum();
-            let and_ref: u32 = a.iter().zip(&b).map(|(&x, &y)| (x & y).count_ones()).sum();
-            for arm in PopcntArm::ALL {
-                assert_eq!(
-                    xor_popcount_arm(arm, &a, &b),
-                    xor_ref,
-                    "{arm:?} xor len {len}"
-                );
-                assert_eq!(
-                    and_popcount_arm(arm, &a, &b),
-                    and_ref,
-                    "{arm:?} and len {len}"
-                );
+        for kw in (0..=20).chain([36, 63, 64, 65, 129]) {
+            let cells: Vec<u64> = (0..kw * LANES).map(|_| xs64(&mut seed)).collect();
+            for n_streams in (0..=17).chain([64]) {
+                let streams: Vec<Vec<u64>> = (0..n_streams)
+                    .map(|_| (0..kw).map(|_| xs64(&mut seed)).collect())
+                    .collect();
+                check(&cells, &streams, &format!("kw {kw} streams {n_streams}"));
             }
         }
     }
 
     #[test]
     fn dense_and_sparse_extremes_are_exact() {
+        let kw = 33;
+        let (ones, zeros) = (vec![u64::MAX; kw * LANES], vec![0u64; kw * LANES]);
+        let streams = vec![vec![u64::MAX; kw], vec![0u64; kw], vec![u64::MAX; kw]];
+        check(&ones, &streams, "dense cells");
+        check(&zeros, &streams, "zero cells");
+        let xs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
         for arm in PopcntArm::ALL {
-            let ones = vec![u64::MAX; 33];
-            let zeros = vec![0u64; 33];
-            assert_eq!(xor_popcount_arm(arm, &ones, &zeros), 33 * 64, "{arm:?}");
-            assert_eq!(and_popcount_arm(arm, &ones, &ones), 33 * 64, "{arm:?}");
-            assert_eq!(and_popcount_arm(arm, &ones, &zeros), 0, "{arm:?}");
-            assert_eq!(xor_popcount_arm(arm, &ones, &ones), 0, "{arm:?}");
+            let mut out = [[0i32; LANES]; 3];
+            and_popcount_lanes(arm, &ones, &xs, &mut out);
+            let full = [kw as i32 * 64; LANES];
+            assert_eq!(out, [full, [0; LANES], full], "{arm:?}");
         }
     }
 
     #[test]
     fn empty_slices_count_zero_on_every_arm() {
-        for arm in PopcntArm::ALL {
-            assert_eq!(xor_popcount_arm(arm, &[], &[]), 0, "{arm:?}");
-            assert_eq!(and_popcount_arm(arm, &[], &[]), 0, "{arm:?}");
-        }
+        // A zero-word reduction stores zeros; zero streams store nothing.
+        check(&[], &[vec![], vec![]], "kw 0");
+        check(&[0; LANES], &[], "no streams");
+    }
+
+    #[test]
+    #[should_panic]
+    fn short_streams_are_rejected() {
+        let cells = [0u64; 2 * LANES];
+        let short = [0u64; 1];
+        let mut out = [[0i32; LANES]; 1];
+        and_popcount_lanes(PopcntArm::Scalar, &cells, &[&short], &mut out);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! All bit-packed containers in this crate store bits in little-endian order
 //! inside `u64` words: bit `i` of a logical row lives at
-//! `data[i / 64] >> (i % 64) & 1`. The hot loops below (XOR/AND + popcount)
-//! are the software equivalent of the `bmma` + `popc` pipeline the paper uses
-//! on Ampere tensor cores, and are written so LLVM auto-vectorizes them.
+//! `data[i / 64] >> (i % 64) & 1`. The row reductions below (XOR/AND +
+//! popcount) are the software equivalent of the `bmma` + `popc` pipeline the
+//! paper uses on Ampere tensor cores, one output at a time.
 
 /// Number of bits per packed word.
 pub const WORD_BITS: usize = 64;
@@ -103,8 +103,9 @@ fn merged_popcount_plain(a: &[u64], b: &[u64], op: impl Fn(u64, u64) -> u64) -> 
 }
 
 /// Merged popcount of `op(a[i], b[i])` over two equal-length word slices —
-/// the one reduction the popcount microkernel and all row-level primitives
-/// run on.
+/// the reduction the row-level primitives and the simulator's `bmma` run on
+/// (the functional kernels use the lane-per-output form in
+/// [`crate::popcnt`] instead).
 ///
 /// Two exact implementations, chosen at compile time by target capability:
 /// with a hardware popcount (x86 `popcnt`; with AVX512-VPOPCNTDQ the plain

@@ -7,14 +7,15 @@
 //! popcount. Out-of-frame taps follow the input-aware padding strategies.
 //! One loop nest — `conv_exec`, on the calling thread — drives it all.
 
-use apnn_bitpack::{BitTensor4, Encoding, PopcntArm};
+use apnn_bitpack::{BitTensor4, Encoding, LanePanel, PopcntArm, LANES};
 
 use super::padding::{correct_xor_window, fill_words, pad_fill, valid_row_popc};
-use super::{ConvDesc, ConvWeights, Pool2};
+use super::weights::TapPopc;
+use super::{ConvDesc, Pool2};
 use crate::autotune::{select_micro, MicroTile};
 use crate::fusion::Epilogue;
-use crate::micro::{popc_tile, PlaneView, MAX_TILE};
-use crate::select::{plan, EmulationCase};
+use crate::micro::{flat_streams, popc_tile, MAX_PLANES, MAX_TILE};
+use crate::select::{plan, Correction};
 
 /// Input coordinates + frame status of window tap `(ky, kx)` for output
 /// pixel `(oy, ox)` — the **single** copy of the stride/padding index
@@ -34,10 +35,10 @@ fn tap_coords(desc: &ConvDesc, oy: usize, ox: usize, ky: usize, kx: usize) -> (i
 pub struct ConvExecPlan {
     pub(crate) eplan: crate::select::EmulationPlan,
     pub(crate) fill_pattern: Vec<u64>,
-    /// CPU microkernel `(JB, KB)` tile: the column block runs over output
-    /// channels (they share each loaded window word). Chosen once here —
-    /// per layer at compile time for prepared kernels — and exact for any
-    /// value (tests override it freely).
+    /// CPU microkernel tile. The row block runs over dynamic rows and a
+    /// convolution feeds the kernel its one gathered window, so every
+    /// value executes as a one-row block (and selection measures a single
+    /// candidate); kept so conv and APMM plans describe themselves alike.
     pub(crate) micro: MicroTile,
     /// Popcount arm the microkernel runs on, bound once at plan time by
     /// [`PopcntArm::detect`] (exact for any value).
@@ -49,19 +50,16 @@ impl ConvExecPlan {
     /// tile for a layer. Tile selection goes through the shape-keyed
     /// [`select_micro`] memo, so rebuilding this state per ad-hoc call
     /// re-selects nothing after the first call per layer shape.
-    pub fn new(desc: &ConvDesc, weights: &ConvWeights) -> Self {
+    pub fn new(desc: &ConvDesc) -> Self {
         let eplan = plan(desc.w_enc, desc.x_enc);
-        let fill_pattern = fill_words(
-            pad_fill(desc.w_enc, desc.x_enc),
-            desc.cin,
-            weights.words_per_tap(),
-        );
+        let words_per_tap = desc.padded_c() / 64;
+        let fill_pattern = fill_words(pad_fill(desc.w_enc, desc.x_enc), desc.cin, words_per_tap);
         let arm = PopcntArm::detect();
         let micro = select_micro(
-            desc.cout,
-            desc.kh * desc.kw * weights.words_per_tap(),
-            desc.x_bits,
+            1,
+            desc.kh * desc.kw * words_per_tap,
             desc.w_bits,
+            desc.x_bits,
             arm,
         );
         ConvExecPlan {
@@ -283,111 +281,112 @@ fn gather_into(
     }
 }
 
-/// Consume one popcount tile block: apply the per-case §3.2/§4.2(b)
-/// corrections and the shift-add combination for a `jbc`-wide
-/// output-channel block. The `[j][t][s]` tile orientation comes from the
-/// conv call shape (A side = window planes, B side = weight rows); the
-/// s-outer / t-inner accumulation order matches the pre-microkernel
-/// kernels, so results are bit-identical. This is the **single** copy of
-/// the conv correction arithmetic.
-#[allow(clippy::too_many_arguments)]
+/// Consume one popcount tile — one window × row group `g`: apply the
+/// §3.2 correction with its §4.2(b) padding amendments and the shift-add
+/// combination lane-wise over the group's eight output channels, in the
+/// same s-outer / t-inner order as the per-output kernels (bit-identical
+/// results). The case dispatch is the [`Correction`] coefficient table, so
+/// the per-channel loop is branch-free; the out-of-frame weight popcounts
+/// are summed once per `(window, group, s)` — nothing for interior windows
+/// — and enter through the effective `K` ([`correct_xor_window`]) and row
+/// sum ([`valid_row_popc`]) the correction sees. This is the **single**
+/// copy of the conv correction arithmetic.
 fn combine_conv_block(
     desc: &ConvDesc,
-    weights: &ConvWeights,
-    case: EmulationCase,
-    tile: &[i32],
-    co0: usize,
+    popc: &TapPopc,
+    corr: Correction,
+    tile: &[[i32; LANES]],
+    g: usize,
     oob: &[usize],
     plane_popc: &[i32],
-    valid_taps: i32,
-    oob_taps: i32,
-    out_block: &mut [i32],
-) {
-    let p = desc.w_bits as usize;
-    let q = desc.x_bits as usize;
-    for (jj, out_v) in out_block.iter_mut().enumerate() {
-        let co = co0 + jj;
-        let mut acc = 0i32;
-        for s in 0..p {
-            let oob_w_popc: i32 = oob
-                .iter()
-                .map(|&tap| weights.seg_popc(s as u32, co, tap))
-                .sum();
-            for t in 0..q {
-                let popc = tile[(jj * q + t) * p + s];
-                let adj = match case {
-                    EmulationCase::AndUnsigned => popc,
-                    EmulationCase::XorSignedBinary => {
-                        correct_xor_window(popc, desc.cin as i32, valid_taps, oob_w_popc, oob_taps)
-                    }
-                    EmulationCase::AndWeightTransformed => 2 * popc - plane_popc[t],
-                    EmulationCase::AndActivationTransformed => {
-                        2 * popc - valid_row_popc(weights.row_popc(s as u32, co), oob_w_popc)
-                    }
-                    // The XOR-only (Turing) derivations are supported at
-                    // the GEMM level (`PreparedApmm::with_plan`); the direct
-                    // convolution always plans for the target device via
-                    // `plan(..)`, which never emits them here.
-                    EmulationCase::XorDerivedUnsigned
-                    | EmulationCase::XorDerivedWeightTransformed
-                    | EmulationCase::XorDerivedActivationTransformed => {
-                        unreachable!("conv kernels use the Ampere plan")
-                    }
-                };
-                acc += adj << (s + t);
+) -> [i32; LANES] {
+    let (p, q) = (desc.w_bits as usize, desc.x_bits as usize);
+    let cin = desc.cin as i32;
+    let oob_taps = oob.len() as i32;
+    let valid_taps = (desc.kh * desc.kw) as i32 - oob_taps;
+    let mut acc = [0i32; LANES];
+    for s in 0..p {
+        let mut oob_w = [0i32; LANES];
+        for &tap in oob {
+            for (sum, v) in oob_w.iter_mut().zip(popc.seg_lanes(s, tap, g)) {
+                *sum += v;
             }
         }
-        *out_v = acc;
+        // The offset is linear, so its weight-side part is shared by the
+        // plane's `q` pairs.
+        let row = popc.row_lanes(s, g);
+        let w_side: [i32; LANES] = std::array::from_fn(|l| {
+            corr.offset(
+                correct_xor_window(0, cin, valid_taps, oob_w[l], oob_taps),
+                valid_row_popc(row[l], oob_w[l]),
+                0,
+            )
+        });
+        for t in 0..q {
+            // Tracked only for the case that consumes it.
+            let x_side = corr.offset(0, 0, plane_popc.get(t).copied().unwrap_or(0));
+            let counts = &tile[s * q + t];
+            for l in 0..LANES {
+                acc[l] += corr.apply(counts[l], w_side[l] + x_side) << (s + t);
+            }
+        }
     }
+    acc
 }
 
 /// The one APConv driver: convolve `input` (whose batch may be ≤
 /// `desc.batch` when a compiled plan serves a partial shard — zero images
-/// included) into NHWC i32 accumulators, on the **calling thread** with a
-/// reused window gather and a caller-owned `out` (zero allocations once
-/// both are at capacity). Serving workers are the concurrency unit, not
-/// this loop.
+/// included) against the weight panel `w` into NHWC i32 accumulators, on
+/// the **calling thread** with a reused window gather and a caller-owned
+/// `out` (zero allocations once both are at capacity). Serving workers are
+/// the concurrency unit, not this loop.
 pub(crate) fn conv_exec(
     desc: &ConvDesc,
-    weights: &ConvWeights,
+    w: &LanePanel,
+    popc: &TapPopc,
     input: &BitTensor4,
     eplan_state: &ConvExecPlan,
     scratch: &mut WindowScratch,
     out: &mut Vec<i32>,
 ) {
-    let (n, h, w, c) = input.shape();
+    let (n, h, wd, c) = input.shape();
     assert!(n <= desc.batch, "input batch exceeds plan batch");
-    assert_eq!((h, w, c), (desc.h, desc.w, desc.cin));
+    assert_eq!((h, wd, c), (desc.h, desc.w, desc.cin));
     assert_eq!(input.bits(), desc.x_bits);
     assert_eq!(input.encoding(), desc.x_enc);
-    let (cout, taps, cin, _padded) = weights.dims();
+    let (cout, taps, cin, _padded) = popc.dims();
     assert_eq!(cout, desc.cout);
     assert_eq!(taps, desc.kh * desc.kw);
     assert_eq!(cin, desc.cin);
+    assert_eq!(w.rows(), cout, "weight panel rows");
 
     let ConvExecPlan {
         eplan,
         fill_pattern,
-        micro,
         arm,
+        ..
     } = eplan_state;
     let eplan = *eplan;
     let arm = arm.sanitized();
-    let need_popc = eplan.case == EmulationCase::AndWeightTransformed;
+    let corr = eplan.case.correction();
+    let need_popc = corr.needs_col_sums();
 
     let (oh, ow) = (desc.out_h(), desc.out_w());
     let p = desc.w_bits as usize;
     let q = desc.x_bits as usize;
     let pixels = n * oh * ow;
-    let wpt = input.words_per_pixel();
-    let plane_words = taps * wpt;
+    let plane_words = taps * input.words_per_pixel();
+    assert_eq!(
+        w.words_per_row(),
+        plane_words,
+        "operands must share padded K"
+    );
     // Every element of `[0, pixels·cout)` is stored by the loop below, so
     // the accumulator reshape pays no zeroing pass.
     apnn_bitpack::resize_for_overwrite(out, pixels * cout);
 
-    let MicroTile { jb, kb } = micro.sanitized();
-    let w_view = PlaneView::from_bitplanes(weights.planes());
-    let mut tile = [0i32; MAX_TILE];
+    let mut tile = [[0i32; LANES]; MAX_TILE];
+    let live = &mut tile[..p * q];
     for pix in 0..pixels {
         let b = pix / (oh * ow);
         let oy = (pix / ow) % oh;
@@ -408,32 +407,17 @@ pub(crate) fn conv_exec(
             shift_prev,
             scratch,
         );
-        let valid_taps = (taps - scratch.oob.len()) as i32;
-        let oob_taps = scratch.oob.len() as i32;
-        let win_view = PlaneView::from_flat(&scratch.win, q, plane_words);
+        // The window's `q` planes are the kernel's streams, broadcast
+        // against every row group of the panel.
+        let mut xs: [&[u64]; MAX_PLANES] = [&[]; MAX_PLANES];
+        let n_xs = flat_streams(&scratch.win, q, plane_words, &mut xs);
 
         let chunk = &mut out[pix * cout..(pix + 1) * cout];
-        let mut co0 = 0;
-        while co0 < cout {
-            let jbc = jb.min(cout - co0);
-            // A-side = the gathered window (q planes, shared by the whole
-            // output-channel block), B-side = the weight rows: the tile
-            // comes back `[j][t][s]`-indexed.
-            let live = &mut tile[..jbc * q * p];
-            popc_tile(eplan.op, arm, &win_view, 0, &w_view, co0, jbc, kb, live);
-            combine_conv_block(
-                desc,
-                weights,
-                eplan.case,
-                live,
-                co0,
-                &scratch.oob,
-                &scratch.popc,
-                valid_taps,
-                oob_taps,
-                &mut chunk[co0..co0 + jbc],
-            );
-            co0 += jbc;
+        for (g, chunk) in chunk.chunks_mut(LANES).enumerate() {
+            popc_tile(eplan.op, arm, w, g, &xs[..n_xs], live);
+            let acc = combine_conv_block(desc, popc, corr, live, g, &scratch.oob, &scratch.popc);
+            // A ragged last group's pad lanes hold no output channel.
+            chunk.copy_from_slice(&acc[..chunk.len()]);
         }
     }
 }
@@ -451,7 +435,8 @@ pub(crate) fn conv_exec(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv_exec_fused(
     desc: &ConvDesc,
-    weights: &ConvWeights,
+    w: &LanePanel,
+    popc: &TapPopc,
     input: &BitTensor4,
     eplan_state: &ConvExecPlan,
     residual: Option<&[i32]>,
@@ -468,7 +453,7 @@ pub(crate) fn conv_exec_fused(
         acc,
         pooled,
     } = scratch;
-    conv_exec(desc, weights, input, eplan_state, window, acc);
+    conv_exec(desc, w, popc, input, eplan_state, window, acc);
     if let Some(res) = residual {
         assert_eq!(
             res.len(),
@@ -559,7 +544,7 @@ pub fn pool2_i32_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apconv::{ApConv, ConvOutput};
+    use crate::apconv::{ApConv, ConvOutput, ConvWeights};
     use crate::fusion::EpilogueOp;
     use crate::reference::conv2d_i32;
     use apnn_bitpack::{Layout, Tensor4};
@@ -785,10 +770,7 @@ mod tests {
 
     #[test]
     fn every_micro_tile_is_bit_identical_for_conv() {
-        let tiles: Vec<MicroTile> = [1usize, 2, 8]
-            .iter()
-            .flat_map(|&jb| [1usize, 4, 64].map(|kb| MicroTile { jb, kb }))
-            .collect();
+        let tiles = [1usize, 2, 8].map(|jb| MicroTile { jb });
         check_every_case(&tiles, &[PopcntArm::detect()]);
     }
 
@@ -796,7 +778,7 @@ mod tests {
     fn every_available_arm_is_bit_identical_for_conv() {
         // Unavailable arms sanitize to the detected best — still exact, so
         // asserting on the full set is safe on any host.
-        check_every_case(&[MicroTile { jb: 4, kb: 16 }], &PopcntArm::ALL);
+        check_every_case(&[MicroTile { jb: 4 }], &PopcntArm::ALL);
     }
 
     #[test]
@@ -833,8 +815,8 @@ mod tests {
         // Case-III popcount bookkeeping.
         let mut desc = ConvDesc::unsigned(1, 5, 8, 3, 3, 1, 1, 1, 2);
         desc.w_enc = Encoding::PlusMinusOne; // AndWeightTransformed → need_popc
-        let (input, weights, _) = operands_and_oracle(&desc, 23);
-        let state = ConvExecPlan::new(&desc, &weights);
+        let (input, _, _) = operands_and_oracle(&desc, 23);
+        let state = ConvExecPlan::new(&desc);
 
         let mut rolling = WindowScratch::default();
         let mut fresh = WindowScratch::default();

@@ -22,7 +22,7 @@ pub mod simmap;
 pub mod weights;
 
 use apnn_bitpack::word::pad_to_bmma_k;
-use apnn_bitpack::{BitTensor4, Encoding};
+use apnn_bitpack::{BitTensor4, Encoding, LanePanel};
 use apnn_sim::{GpuSpec, KernelReport};
 
 use crate::apmm::{ApmmDesc, TileConfig};
@@ -185,13 +185,22 @@ impl ApConv {
     }
 
     /// Functional CPU convolution over packed operands. Returns NHWC i32.
-    /// Borrows the weights and builds transient scratch; serving loops
-    /// [`ApConv::prepare`] once instead.
+    /// Borrows the weights and builds a transient weight panel and scratch;
+    /// serving loops [`ApConv::prepare`] once instead.
     pub fn execute(&self, weights: &ConvWeights, input: &BitTensor4) -> Vec<i32> {
         assert_eq!(input.shape().0, self.desc.batch, "batch mismatch");
-        let state = cpu::ConvExecPlan::new(&self.desc, weights);
+        let state = cpu::ConvExecPlan::new(&self.desc);
+        let panel = LanePanel::from_bitplanes(weights.planes());
         let (mut window, mut out) = (cpu::WindowScratch::default(), Vec::new());
-        cpu::conv_exec(&self.desc, weights, input, &state, &mut window, &mut out);
+        cpu::conv_exec(
+            &self.desc,
+            &panel,
+            weights.popc(),
+            input,
+            &state,
+            &mut window,
+            &mut out,
+        );
         out
     }
 
@@ -204,26 +213,29 @@ impl ApConv {
         epi: &Epilogue,
     ) -> ConvOutput {
         assert_eq!(input.shape().0, self.desc.batch, "batch mismatch");
-        let state = cpu::ConvExecPlan::new(&self.desc, weights);
-        fused_owned(&self.desc, weights, input, &state, pool, epi)
+        let state = cpu::ConvExecPlan::new(&self.desc);
+        let panel = LanePanel::from_bitplanes(weights.planes());
+        fused_owned(&self.desc, &panel, weights.popc(), input, &state, pool, epi)
     }
 
-    /// Hoist every per-call invariant out of the serving loop: take
-    /// ownership of the packed weights and materialize the emulation plan +
-    /// input-aware padding pattern (§4.2(b)). The result executes repeatedly
-    /// without re-packing or re-planning, and accepts partial batches.
+    /// Hoist every per-call invariant out of the serving loop: re-lay the
+    /// packed weights out as the microkernel's lane panel (the only copy
+    /// kept, beside the per-tap popcount tables) and materialize the
+    /// emulation plan + input-aware padding pattern (§4.2(b)). The result
+    /// executes repeatedly without re-packing or re-planning, and accepts
+    /// partial batches.
     pub fn prepare(&self, weights: ConvWeights) -> PreparedConv {
         let (cout, taps, cin, _) = weights.dims();
         assert_eq!(cout, self.desc.cout, "weight cout");
         assert_eq!(taps, self.desc.kh * self.desc.kw, "weight taps");
         assert_eq!(cin, self.desc.cin, "weight cin");
         crate::stats::count_weight_prepare();
-        let exec_plan = cpu::ConvExecPlan::new(&self.desc, &weights);
         PreparedConv {
             desc: self.desc,
             tile: self.tile,
-            weights,
-            exec_plan,
+            panel: LanePanel::from_bitplanes(weights.planes()),
+            popc: weights.into_popc(),
+            exec_plan: cpu::ConvExecPlan::new(&self.desc),
         }
     }
 
@@ -257,26 +269,29 @@ impl ApConv {
     }
 }
 
-/// An APConv kernel compiled for serving: packed weights + emulation plan +
-/// padding pattern, all materialized once at compile time.
+/// An APConv kernel compiled for serving: lane-interleaved weight panel +
+/// per-tap popcount tables + emulation plan + padding pattern, all
+/// materialized once at compile time.
 #[derive(Debug, Clone)]
 pub struct PreparedConv {
     /// Layer description (`batch` is the *compiled* batch; calls may shard).
     pub desc: ConvDesc,
     /// Block tiling chosen at compile time.
     pub tile: TileConfig,
-    weights: ConvWeights,
+    panel: LanePanel,
+    popc: weights::TapPopc,
     exec_plan: cpu::ConvExecPlan,
 }
 
 impl PreparedConv {
-    /// The packed weight operand.
-    pub fn weights(&self) -> &ConvWeights {
-        &self.weights
+    /// The weight operand, in the microkernel's panel layout.
+    pub fn weights(&self) -> &LanePanel {
+        &self.panel
     }
 
-    /// The CPU microkernel `(JB, KB)` tile this plan executes with (chosen
-    /// at prepare time by [`crate::autotune::select_micro`]).
+    /// The CPU microkernel tile this plan was compiled with (chosen at
+    /// prepare time by [`crate::autotune::select_micro`]; a convolution
+    /// feeds the kernel one window, so it always runs one-row blocks).
     pub fn micro(&self) -> crate::autotune::MicroTile {
         self.exec_plan.micro()
     }
@@ -317,7 +332,15 @@ impl PreparedConv {
         pool: Option<Pool2>,
         epi: &Epilogue,
     ) -> ConvOutput {
-        fused_owned(&self.desc, &self.weights, input, &self.exec_plan, pool, epi)
+        fused_owned(
+            &self.desc,
+            &self.panel,
+            &self.popc,
+            input,
+            &self.exec_plan,
+            pool,
+            epi,
+        )
     }
 
     /// Workspace form of [`PreparedConv::execute`]: NHWC i32 accumulators
@@ -332,7 +355,8 @@ impl PreparedConv {
     ) {
         cpu::conv_exec(
             &self.desc,
-            &self.weights,
+            &self.panel,
+            &self.popc,
             input,
             &self.exec_plan,
             &mut scratch.window,
@@ -356,7 +380,8 @@ impl PreparedConv {
     ) {
         cpu::conv_exec_fused(
             &self.desc,
-            &self.weights,
+            &self.panel,
+            &self.popc,
             input,
             &self.exec_plan,
             None,
@@ -384,7 +409,8 @@ impl PreparedConv {
     ) {
         cpu::conv_exec_fused(
             &self.desc,
-            &self.weights,
+            &self.panel,
+            &self.popc,
             input,
             &self.exec_plan,
             Some(residual),
@@ -403,7 +429,8 @@ impl PreparedConv {
 /// produce.
 fn fused_owned(
     desc: &ConvDesc,
-    weights: &ConvWeights,
+    w: &LanePanel,
+    popc: &weights::TapPopc,
     input: &BitTensor4,
     state: &cpu::ConvExecPlan,
     pool: Option<Pool2>,
@@ -414,7 +441,8 @@ fn fused_owned(
         let mut t = BitTensor4::zeros(0, 1, 1, desc.cout, bits, Encoding::ZeroOne);
         cpu::conv_exec_fused(
             desc,
-            weights,
+            w,
+            popc,
             input,
             state,
             None,
@@ -426,7 +454,7 @@ fn fused_owned(
         return ConvOutput::Packed(t);
     }
     let cpu::ConvScratch { window, acc, .. } = &mut scratch;
-    cpu::conv_exec(desc, weights, input, state, window, acc);
+    cpu::conv_exec(desc, w, popc, input, state, window, acc);
     let (n, oh, ow) = (input.shape().0, desc.out_h(), desc.out_w());
     let mut v = match pool {
         None => scratch.acc,

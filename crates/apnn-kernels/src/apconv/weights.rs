@@ -1,6 +1,6 @@
 //! Packed convolution weights in implicit-GEMM row layout.
 
-use apnn_bitpack::{BitMatrix, BitPlanes, Encoding};
+use apnn_bitpack::{BitPlanes, Encoding, LANES};
 
 use super::ConvDesc;
 
@@ -12,14 +12,46 @@ use super::ConvDesc;
 #[derive(Debug, Clone)]
 pub struct ConvWeights {
     planes: BitPlanes,
-    /// Per-plane, per-row, per-tap popcounts `w_seg_popc[s][cout][tap]` —
-    /// the correction table used by the input-aware padding (§4.2(b)) for
-    /// ±1 encodings.
-    seg_popc: Vec<Vec<Vec<i32>>>,
+    popc: TapPopc,
+}
+
+/// Per-tap weight popcounts — the correction tables of the input-aware
+/// padding (§4.2(b)) for ±1 encodings — stored flat with the output channel
+/// innermost and padded to whole lane groups, so the kernel reads the eight
+/// channels of a row group as one contiguous `[i32; LANES]`.
+#[derive(Debug, Clone)]
+pub(crate) struct TapPopc {
+    /// `[s][tap][co]`: popcount of plane `s`, row `co`, window tap `tap`.
+    seg: Vec<i32>,
+    /// `[s][co]`: popcount of plane `s`, row `co`, all taps.
+    row: Vec<i32>,
+    /// `co` stride of both tables: `cout` rounded up to whole groups.
+    lanes: usize,
     cout: usize,
     taps: usize,
     cin: usize,
     padded_c: usize,
+}
+
+impl TapPopc {
+    /// Tap `tap` popcounts of plane `s` for the channels of row group `g`.
+    #[inline]
+    pub(crate) fn seg_lanes(&self, s: usize, tap: usize, g: usize) -> &[i32] {
+        let base = (s * self.taps + tap) * self.lanes + g * LANES;
+        &self.seg[base..base + LANES]
+    }
+
+    /// Whole-row popcounts of plane `s` for the channels of row group `g`.
+    #[inline]
+    pub(crate) fn row_lanes(&self, s: usize, g: usize) -> &[i32] {
+        let base = s * self.lanes + g * LANES;
+        &self.row[base..base + LANES]
+    }
+
+    /// `(cout, taps, cin, padded_c)`.
+    pub(crate) fn dims(&self) -> (usize, usize, usize, usize) {
+        (self.cout, self.taps, self.cin, self.padded_c)
+    }
 }
 
 impl ConvWeights {
@@ -29,68 +61,47 @@ impl ConvWeights {
     /// `bits` must be 1.
     pub fn from_codes(desc: &ConvDesc, codes: &[u32]) -> Self {
         assert_eq!(codes.len(), desc.cout * desc.kh * desc.kw * desc.cin);
-        let padded_c = desc.padded_c();
+        let (cout, cin, padded_c) = (desc.cout, desc.cin, desc.padded_c());
         let taps = desc.kh * desc.kw;
         let k_bits = desc.k_bits();
 
-        // Build per-plane bit matrices with the segmented layout.
-        let mut plane_mats = Vec::with_capacity(desc.w_bits as usize);
-        for s in 0..desc.w_bits {
-            let mut m = BitMatrix::zeros(desc.cout, k_bits);
-            for co in 0..desc.cout {
-                for tap in 0..taps {
-                    for ci in 0..desc.cin {
-                        let code = codes[(co * taps + tap) * desc.cin + ci];
-                        if (code >> s) & 1 != 0 {
-                            m.set(co, tap * padded_c + ci, true);
-                        }
-                    }
-                }
-            }
-            plane_mats.push(m);
+        // Spread each tap's channel codes to its fragment-aligned segment,
+        // then decompose into planes.
+        let mut seg_codes = vec![0u32; cout * k_bits];
+        for (src, dst) in codes
+            .chunks_exact(cin)
+            .zip(seg_codes.chunks_exact_mut(padded_c))
+        {
+            dst[..cin].copy_from_slice(src);
         }
+        let planes = BitPlanes::from_codes(&seg_codes, cout, k_bits, desc.w_bits, desc.w_enc);
 
-        // Segment popcounts for the padding corrections.
-        let seg_popc = plane_mats
-            .iter()
-            .map(|m| {
-                (0..desc.cout)
-                    .map(|co| {
-                        (0..taps)
-                            .map(|tap| {
-                                let mut acc = 0i32;
-                                for ci in 0..desc.cin {
-                                    acc += m.get(co, tap * padded_c + ci) as i32;
-                                }
-                                acc
-                            })
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
-
-        // Wrap the matrices in a BitPlanes by reconstructing codes in the
-        // segmented layout (keeps the BitPlanes invariants + encoding).
-        let mut seg_codes = vec![0u32; desc.cout * k_bits];
-        for (s, m) in plane_mats.iter().enumerate() {
-            for co in 0..desc.cout {
-                for bit in 0..k_bits {
-                    if m.get(co, bit) {
-                        seg_codes[co * k_bits + bit] |= 1 << s;
-                    }
+        // Channel padding is zero, so a tap's popcount is its words'.
+        let (words_per_tap, lanes) = (padded_c / 64, cout.div_ceil(LANES) * LANES);
+        let p = desc.w_bits as usize;
+        let mut seg = vec![0i32; p * taps * lanes];
+        let mut row = vec![0i32; p * lanes];
+        for (s, plane) in planes.planes().iter().enumerate() {
+            for co in 0..cout {
+                for (tap, words) in plane.row_words(co).chunks_exact(words_per_tap).enumerate() {
+                    let popc = apnn_bitpack::word::popcount(words) as i32;
+                    seg[(s * taps + tap) * lanes + co] = popc;
+                    row[s * lanes + co] += popc;
                 }
             }
         }
-        let planes = BitPlanes::from_codes(&seg_codes, desc.cout, k_bits, desc.w_bits, desc.w_enc);
 
         ConvWeights {
             planes,
-            seg_popc,
-            cout: desc.cout,
-            taps,
-            cin: desc.cin,
-            padded_c,
+            popc: TapPopc {
+                seg,
+                row,
+                lanes,
+                cout,
+                taps,
+                cin,
+                padded_c,
+            },
         }
     }
 
@@ -113,26 +124,39 @@ impl ConvWeights {
         &self.planes
     }
 
+    /// The per-tap popcount tables.
+    #[inline]
+    pub(crate) fn popc(&self) -> &TapPopc {
+        &self.popc
+    }
+
+    /// Give up the planes, keeping only the popcount tables (a prepared
+    /// kernel owns the weights in panel form instead).
+    pub(crate) fn into_popc(self) -> TapPopc {
+        self.popc
+    }
+
     /// Popcount of plane `s`, output row `cout`, window tap `tap`.
     #[inline]
     pub fn seg_popc(&self, s: u32, cout: usize, tap: usize) -> i32 {
-        self.seg_popc[s as usize][cout][tap]
+        self.popc.seg[(s as usize * self.popc.taps + tap) * self.popc.lanes + cout]
     }
 
     /// Total popcount of plane `s`, row `cout` (all taps).
+    #[inline]
     pub fn row_popc(&self, s: u32, cout: usize) -> i32 {
-        self.seg_popc[s as usize][cout].iter().sum()
+        self.popc.row[s as usize * self.popc.lanes + cout]
     }
 
     /// Words per channel segment (= `padded_c / 64`).
     #[inline]
     pub fn words_per_tap(&self) -> usize {
-        self.padded_c / 64
+        self.popc.padded_c / 64
     }
 
     /// `(cout, taps, cin, padded_c)`.
     pub fn dims(&self) -> (usize, usize, usize, usize) {
-        (self.cout, self.taps, self.cin, self.padded_c)
+        self.popc.dims()
     }
 
     /// Packed footprint in bytes (for dataflow accounting).

@@ -6,75 +6,58 @@
 //! thread. Its results are validated against the naive i32 oracle and
 //! against the fragment-level [`crate::emulate::ap_bit_mm`].
 
-use apnn_bitpack::{BitPlanes, PopcntArm};
+use apnn_bitpack::{BitPlanes, LanePanel, PopcntArm, LANES};
 
 use super::ApmmDesc;
-use crate::autotune::MicroTile;
-use crate::micro::{popc_tile, PlaneView, MAX_TILE};
-use crate::select::{adjust_partial, EmulationCase, EmulationPlan};
-
-/// Which correction vectors a case consumes.
-pub(crate) fn correction_needs(case: EmulationCase) -> (bool, bool) {
-    use EmulationCase::*;
-    let needs_row = matches!(
-        case,
-        AndActivationTransformed | XorDerivedUnsigned | XorDerivedWeightTransformed
-    );
-    let needs_col = matches!(
-        case,
-        AndWeightTransformed | XorDerivedUnsigned | XorDerivedActivationTransformed
-    );
-    (needs_row, needs_col)
-}
+use crate::autotune::{MicroTile, MAX_JB};
+use crate::micro::{popc_tile, row_streams, MAX_TILE};
+use crate::select::{Correction, EmulationPlan};
 
 /// Compute the per-plane weight-row sums a case's correction consumes (the
-/// `W·J` vectors of §3.2). Returns an empty vec when the plan needs none —
-/// this is the weight-side precomputation hoisted into compiled plans.
-/// Every *actual* build bumps [`crate::stats::row_sum_builds`], so tests
-/// can prove prepared kernels compute these exactly once per plan and
-/// never on the inference hot path.
-pub fn weight_row_sums(w: &BitPlanes, eplan: EmulationPlan) -> Vec<Vec<i32>> {
-    let (needs_row, _) = correction_needs(eplan.case);
-    if needs_row {
+/// `W·J` vectors of §3.2), one entry per panel lane (pad lanes zero).
+/// Returns an empty vec when the plan needs none — this is the weight-side
+/// precomputation hoisted into compiled plans. Every *actual* build bumps
+/// [`crate::stats::row_sum_builds`], so tests can prove prepared kernels
+/// compute these exactly once per plan and never on the inference hot path.
+pub fn weight_row_sums(w: &LanePanel, eplan: EmulationPlan) -> Vec<Vec<i32>> {
+    if eplan.case.correction().needs_row_sums() {
         crate::stats::count_row_sums_build();
-        (0..w.bits()).map(|s| w.plane(s).row_sums()).collect()
+        (0..w.n_planes()).map(|s| w.row_sums(s)).collect()
     } else {
         Vec::new()
     }
 }
 
-/// Consume one popcount tile block for a `jbc`-wide batch-column block:
-/// apply the §3.2 correction ([`adjust_partial`]) and the shift-add
-/// combination, in the same s-outer / t-inner order as the
-/// pre-microkernel kernels (bit-identical results). This is the
+/// Consume one popcount tile — one row group × the `block.len()` batch
+/// columns of a block: apply the §3.2 correction and the shift-add
+/// combination lane-wise over the group's eight outputs, in the same
+/// s-outer / t-inner order as the per-output kernels (bit-identical
+/// results), leaving column `jj`'s eight sums in `block[jj]`. This is the
 /// **single** copy of the APMM combination arithmetic.
-#[allow(clippy::too_many_arguments)]
 fn combine_apmm_block(
-    case: EmulationCase,
-    tile: &[i32],
+    corr: Correction,
+    tile: &[[i32; LANES]],
     (p, q): (usize, usize),
     k_valid: i32,
-    j0: usize,
-    row_sum: impl Fn(usize) -> i32,
+    row_sums: impl Fn(usize) -> [i32; LANES],
     col_sum: impl Fn(usize, usize) -> i32,
-    out_block: &mut [i32],
+    block: &mut [[i32; LANES]],
 ) {
-    for (jj, out_v) in out_block.iter_mut().enumerate() {
-        let j = j0 + jj;
-        let mut acc = 0i32;
-        for s in 0..p {
+    let jbc = block.len();
+    block.fill([0; LANES]);
+    for s in 0..p {
+        // The offset is linear, so its weight-side part is shared by the
+        // whole column block.
+        let w_side = row_sums(s).map(|rs| corr.offset(k_valid, rs, 0));
+        for (jj, acc) in block.iter_mut().enumerate() {
             for t in 0..q {
-                let adj = adjust_partial(
-                    case,
-                    tile[(jj * p + s) * q + t],
-                    k_valid,
-                    row_sum(s),
-                    col_sum(t, j),
-                );
-                acc += adj << (s + t);
+                let counts = &tile[(s * jbc + jj) * q + t];
+                let x_side = corr.offset(0, 0, col_sum(t, jj));
+                for l in 0..LANES {
+                    acc[l] += corr.apply(counts[l], w_side[l] + x_side) << (s + t);
+                }
             }
         }
-        *out_v = acc;
     }
 }
 
@@ -101,17 +84,22 @@ impl ApmmScratch {
     }
 }
 
-/// The one APMM driver: multiply packed `w` (rows = output features)
-/// against packed `x` (rows = batch; may carry *fewer* rows than `desc.n`
-/// when a compiled plan serves a partial shard — zero rows included) into
-/// the row-major `m × x.rows()` product `out`, on the **calling thread**
-/// with every buffer caller-owned (zero allocations once `col_sums` and
-/// `out` are at capacity). `w_row_sums` are [`weight_row_sums`] for `eplan`.
-/// Serving workers are the concurrency unit, not this loop.
+/// The one APMM driver: multiply the weight panel `w` (rows = output
+/// features) against packed `x` (rows = batch; may carry *fewer* rows than
+/// `desc.n` when a compiled plan serves a partial shard — zero rows
+/// included) into the row-major `m × x.rows()` product `out`, on the
+/// **calling thread** with every buffer caller-owned (zero allocations once
+/// `col_sums` and `out` are at capacity). `w_row_sums` are
+/// [`weight_row_sums`] for `eplan`. Serving workers are the concurrency
+/// unit, not this loop.
+///
+/// Batch-column blocks are the outer loop and row groups the inner one, so
+/// the activations stream through once while each block's rows stay hot
+/// across the whole panel.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn apmm_exec(
     desc: &ApmmDesc,
-    w: &BitPlanes,
+    w: &LanePanel,
     x: &BitPlanes,
     eplan: EmulationPlan,
     w_row_sums: &[Vec<i32>],
@@ -123,11 +111,12 @@ pub(crate) fn apmm_exec(
     let m = desc.m;
     let n = x.rows();
     assert!(n <= desc.n, "activation batch exceeds plan batch");
+    assert_eq!(w.rows(), m, "weight panel rows");
     let (p, q) = (desc.w_bits as usize, desc.x_bits as usize);
     let k_valid = desc.k as i32;
     assert_eq!(
-        w.plane(0).padded_cols(),
-        x.plane(0).padded_cols(),
+        w.words_per_row(),
+        x.plane(0).words_per_row(),
         "operands must share padded K"
     );
 
@@ -138,7 +127,8 @@ pub(crate) fn apmm_exec(
         return;
     }
 
-    let (needs_row, needs_col) = correction_needs(eplan.case);
+    let corr = eplan.case.correction();
+    let (needs_row, needs_col) = (corr.needs_row_sums(), corr.needs_col_sums());
     if needs_col {
         // Every entry is stored below — reshape without the zeroing pass.
         apnn_bitpack::resize_for_overwrite(col_sums, q * n);
@@ -152,30 +142,53 @@ pub(crate) fn apmm_exec(
         col_sums.clear();
     }
 
-    let MicroTile { jb, kb } = micro.sanitized();
+    let jb = micro.rows_for(p, q);
     let arm = arm.sanitized();
-    let w_view = PlaneView::from_bitplanes(w);
-    let x_view = PlaneView::from_bitplanes(x);
-    let mut tile = [0i32; MAX_TILE];
-    for i in 0..m {
-        let row_out = &mut out[i * n..(i + 1) * n];
-        let mut j0 = 0;
-        while j0 < n {
-            let jbc = jb.min(n - j0);
-            let live = &mut tile[..jbc * p * q];
-            popc_tile(eplan.op, arm, &w_view, i, &x_view, j0, jbc, kb, live);
+    let mut tile = [[0i32; LANES]; MAX_TILE];
+    let mut block = [[0i32; LANES]; MAX_JB];
+    let mut xs: [&[u64]; MAX_TILE] = [&[]; MAX_TILE];
+    let mut j0 = 0;
+    while j0 < n {
+        let jbc = jb.min(n - j0);
+        let n_xs = row_streams(x, j0, jbc, &mut xs);
+        let live = &mut tile[..p * n_xs];
+        let block = &mut block[..jbc];
+        for g in 0..w.groups() {
+            popc_tile(eplan.op, arm, w, g, &xs[..n_xs], live);
+            let i0 = g * LANES;
             combine_apmm_block(
-                eplan.case,
+                corr,
                 live,
                 (p, q),
                 k_valid,
-                j0,
-                |s| if needs_row { w_row_sums[s][i] } else { 0 },
-                |t, j| if needs_col { col_sums[t * n + j] } else { 0 },
-                &mut row_out[j0..j0 + jbc],
+                |s| {
+                    if needs_row {
+                        w_row_sums[s][i0..i0 + LANES]
+                            .try_into()
+                            .expect("row sums cover whole groups")
+                    } else {
+                        [0; LANES]
+                    }
+                },
+                |t, jj| {
+                    if needs_col {
+                        col_sums[t * n + j0 + jj]
+                    } else {
+                        0
+                    }
+                },
+                block,
             );
-            j0 += jbc;
+            // Scatter the group's rows; a ragged last group's pad lanes
+            // hold no output.
+            for l in 0..LANES.min(m - i0) {
+                let row = &mut out[(i0 + l) * n + j0..][..jbc];
+                for (dst, acc) in row.iter_mut().zip(block.iter()) {
+                    *dst = acc[l];
+                }
+            }
         }
+        j0 += jbc;
     }
 }
 
@@ -265,6 +278,8 @@ mod tests {
                         .with_plan(eplan)
                         .with_micro(micro)
                         .with_arm(arm);
+                    // A forced arm the CPU can run is the one that runs.
+                    assert!(!arm.is_available() || prepared.arm() == arm);
                     for rows in [n, n / 2, 0] {
                         prepared.execute_into(&shard(&x, rows), &mut scratch, &mut out);
                         assert_eq!(out.len(), m * rows);
@@ -405,10 +420,7 @@ mod tests {
 
     #[test]
     fn every_micro_tile_is_bit_identical() {
-        let tiles: Vec<MicroTile> = [1usize, 2, 3, 8]
-            .iter()
-            .flat_map(|&jb| [1usize, 4, 64].map(|kb| MicroTile { jb, kb }))
-            .collect();
+        let tiles = [1usize, 2, 3, 8].map(|jb| MicroTile { jb });
         check_every_case(&tiles, &[PopcntArm::detect()]);
     }
 
@@ -416,7 +428,24 @@ mod tests {
     fn every_available_arm_is_bit_identical() {
         // Unavailable arms sanitize to the detected best — still exact, so
         // asserting on the full set is safe on any host.
-        check_every_case(&[MicroTile { jb: 4, kb: 16 }], &PopcntArm::ALL);
+        check_every_case(&[MicroTile { jb: 4 }], &PopcntArm::ALL);
+    }
+
+    #[test]
+    fn forced_env_arm_is_the_arm_plans_bind() {
+        // CI's portable-arms legs force `APNN_POPCNT_ARM` on a build whose
+        // baseline has no AVX: an available forced arm must be the
+        // instantiation plans bind — never silently the detected best, or
+        // the leg would exercise the wrong `#[target_feature]` wrapper.
+        let forced = std::env::var("APNN_POPCNT_ARM")
+            .ok()
+            .and_then(|s| PopcntArm::parse(&s))
+            .filter(|arm| arm.is_available());
+        let want = forced.unwrap_or_else(PopcntArm::best_available);
+        let mut seed = 61;
+        let w = operand(9, 130, 2, Encoding::ZeroOne, &mut seed);
+        let prepared = Apmm::new(ApmmDesc::unsigned(9, 4, 130, 2, 2)).prepare(w);
+        assert_eq!(prepared.arm().label(), want.label());
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub mod simmap;
 
 pub use config::TileConfig;
 
-use apnn_bitpack::{BitPlanes, Encoding, PopcntArm};
+use apnn_bitpack::{BitPlanes, Encoding, LanePanel, PopcntArm};
 use apnn_sim::{GpuSpec, KernelReport};
 
 use crate::autotune::{autotune, select_micro, MicroTile};
@@ -158,25 +158,27 @@ impl Apmm {
 
     /// The detected popcount arm and the memoized microkernel tile for
     /// this shape on it.
-    fn arm_and_micro(&self, w: &BitPlanes) -> (PopcntArm, MicroTile) {
+    fn arm_and_micro(&self, w: &LanePanel) -> (PopcntArm, MicroTile) {
         let d = &self.desc;
         let arm = PopcntArm::detect();
-        let k_words = w.plane(0).words_per_row();
-        (arm, select_micro(d.n, k_words, d.w_bits, d.x_bits, arm))
+        let micro = select_micro(d.n, w.words_per_row(), d.w_bits, d.x_bits, arm);
+        (arm, micro)
     }
 
     /// Functional CPU execution: returns the row-major `m×n` i32 product of
-    /// the decoded operands. Borrows both operands and builds transient
-    /// scratch; serving loops [`Apmm::prepare`] once instead.
+    /// the decoded operands. Borrows both operands and builds a transient
+    /// weight panel and scratch; serving loops [`Apmm::prepare`] once
+    /// instead.
     pub fn execute(&self, w: &BitPlanes, x: &BitPlanes) -> Vec<i32> {
         self.desc.check_operands(w, x);
         let eplan = self.desc.plan();
-        let sums = cpu::weight_row_sums(w, eplan);
-        let (arm, micro) = self.arm_and_micro(w);
+        let panel = LanePanel::from_bitplanes(w);
+        let sums = cpu::weight_row_sums(&panel, eplan);
+        let (arm, micro) = self.arm_and_micro(&panel);
         let (mut col_sums, mut out) = (Vec::new(), Vec::new());
         cpu::apmm_exec(
             &self.desc,
-            w,
+            &panel,
             x,
             eplan,
             &sums,
@@ -197,10 +199,11 @@ impl Apmm {
         finish_fused(y, self.desc.m, self.desc.n, epi)
     }
 
-    /// Hoist every per-call invariant out of the serving loop: take
-    /// ownership of the packed weights, fix the emulation plan, and
-    /// precompute the weight-side correction vectors (§3.2's `W·J` sums).
-    /// The result executes repeatedly without re-packing or re-planning.
+    /// Hoist every per-call invariant out of the serving loop: re-lay the
+    /// packed weights out as the microkernel's lane panel (the only copy
+    /// kept), fix the emulation plan, and precompute the weight-side
+    /// correction vectors (§3.2's `W·J` sums). The result executes
+    /// repeatedly without re-packing or re-planning.
     pub fn prepare(&self, weights: BitPlanes) -> PreparedApmm {
         assert_eq!(weights.rows(), self.desc.m, "weight rows");
         assert_eq!(weights.cols(), self.desc.k, "weight cols");
@@ -208,15 +211,16 @@ impl Apmm {
         assert_eq!(weights.encoding(), self.desc.w_enc, "weight encoding");
         crate::stats::count_weight_prepare();
         let plan = self.desc.plan();
-        let w_row_sums = cpu::weight_row_sums(&weights, plan);
-        let (arm, micro) = self.arm_and_micro(&weights);
+        let panel = LanePanel::from_bitplanes(&weights);
+        let w_row_sums = cpu::weight_row_sums(&panel, plan);
+        let (arm, micro) = self.arm_and_micro(&panel);
         PreparedApmm {
             desc: self.desc,
             tile: self.tile,
             plan,
             micro,
             arm,
-            weights,
+            panel,
             w_row_sums,
         }
     }
@@ -232,9 +236,9 @@ impl Apmm {
     }
 }
 
-/// An APMM kernel compiled for serving: packed weights + emulation plan +
-/// correction vectors, all materialized once (§4.1 batched emulation with
-/// the per-call setup hoisted out of the hot loop).
+/// An APMM kernel compiled for serving: lane-interleaved weight panel +
+/// emulation plan + correction vectors, all materialized once (§4.1 batched
+/// emulation with the per-call setup hoisted out of the hot loop).
 #[derive(Debug, Clone)]
 pub struct PreparedApmm {
     /// Problem description (`n` is the *compiled* batch; calls may shard).
@@ -244,14 +248,14 @@ pub struct PreparedApmm {
     plan: EmulationPlan,
     micro: MicroTile,
     arm: PopcntArm,
-    weights: BitPlanes,
+    panel: LanePanel,
     w_row_sums: Vec<Vec<i32>>,
 }
 
 impl PreparedApmm {
-    /// The packed weight operand.
-    pub fn weights(&self) -> &BitPlanes {
-        &self.weights
+    /// The weight operand, in the microkernel's panel layout.
+    pub fn weights(&self) -> &LanePanel {
+        &self.panel
     }
 
     /// The operator-selection plan this kernel executes (the device plan
@@ -265,12 +269,12 @@ impl PreparedApmm {
     /// correction sums the new plan's case consumes. Every plan is
     /// bit-identical.
     pub fn with_plan(mut self, plan: EmulationPlan) -> Self {
-        self.w_row_sums = cpu::weight_row_sums(&self.weights, plan);
+        self.w_row_sums = cpu::weight_row_sums(&self.panel, plan);
         self.plan = plan;
         self
     }
 
-    /// The CPU microkernel `(JB, KB)` tile this plan executes with (chosen
+    /// The CPU microkernel row-block tile this plan executes with (chosen
     /// at prepare time by [`crate::autotune::select_micro`]; same accessor
     /// pair as [`crate::apconv::PreparedConv`]).
     pub fn micro(&self) -> MicroTile {
@@ -331,7 +335,7 @@ impl PreparedApmm {
         let cpu::ApmmScratch { col_sums, .. } = scratch;
         cpu::apmm_exec(
             &self.desc,
-            &self.weights,
+            &self.panel,
             x,
             self.plan,
             &self.w_row_sums,
@@ -362,7 +366,7 @@ impl PreparedApmm {
         let cpu::ApmmScratch { col_sums, acc } = scratch;
         cpu::apmm_exec(
             &self.desc,
-            &self.weights,
+            &self.panel,
             x,
             self.plan,
             &self.w_row_sums,

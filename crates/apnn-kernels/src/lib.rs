@@ -16,10 +16,10 @@
 //! * [`apconv`] — arbitrary-precision convolution (§4.2) with channel-major
 //!   NPHWC data organization and input-aware padding.
 //! * [`mod@autotune`] — the TLP/CI performance model and tile-size search
-//!   heuristic (§4.3), plus the CPU microkernel's `(JB, KB)` tile selection.
-//! * [`micro`] — the register-blocked multi-plane popcount microkernel: the
-//!   one inner loop every functional kernel path runs on (the CPU analogue
-//!   of the paper's AP-BMMA fragment reuse).
+//!   heuristic (§4.3), plus the CPU microkernel's row-block selection.
+//! * [`micro`] — the lane-per-output popcount microkernel over interleaved
+//!   weight panels: the one inner loop every functional kernel path runs on
+//!   (the CPU analogue of the paper's AP-BMMA accumulator fragment).
 //! * [`fusion`] — fusable epilogues (BN / ReLU / pool / quantize, §5.2).
 //! * [`baselines`] — cutlass/cublas-like fixed-tile kernels at int1, int4,
 //!   int8, fp16 and fp32, used by every speedup figure in the paper.

@@ -1,190 +1,103 @@
-//! The register-blocked multi-plane popcount microkernel — the **one**
-//! inner loop every functional kernel path runs on.
+//! The lane-per-output popcount microkernel — the **one** inner loop every
+//! functional kernel path runs on.
 //!
-//! The paper's AP-BMMA tiles bit-planes through the memory hierarchy:
-//! operand fragments are loaded once and reused across all `p·q`
-//! plane-pair products, with batch-based double caching keeping them hot
-//! (§4–5). The CPU analogue here is [`popc_tile`]: a single pass over the
-//! packed K words that
+//! The paper's AP-BMMA primitive never reduces across lanes in software:
+//! every element of the 8×8 accumulator fragment *is* one output, the K
+//! reduction happens inside the primitive, and operands are laid out in
+//! the fragment's shape (§4.2). [`popc_tile`] is the CPU form of that:
 //!
-//! * walks K in `KB`-word blocks, so each streamed chunk of every plane is
-//!   cache-resident while **all** plane pairs consume it (the old kernels
-//!   re-streamed the whole activation row once per `(s, t)` pair);
-//! * blocks `JB` B-side columns (batch columns for APMM, output channels
-//!   for APConv) over each A-side chunk, amortizing those loads `JB`-fold
-//!   — the register/L1 form of the paper's fragment reuse;
-//! * accumulates all `pa·pb` plane-pair popcounts of the block into one
-//!   stack-resident i32 tile, combining the words with the Harley–Seal
-//!   merged popcount of [`apnn_bitpack::word`].
+//! * the **static** operand (the weights, in APMM and APConv alike) is an
+//!   [`apnn_bitpack::LanePanel`] — eight rows interleaved word by word, so
+//!   one 64-byte cell holds the `k`-th word of eight different outputs;
+//! * the **dynamic** operand (batch rows for APMM, the one gathered window
+//!   for APConv) arrives as *streams*: one packed row of one bit plane
+//!   each, whose words are broadcast against the cells;
+//! * one K pass per `(row group, stream block)` accumulates
+//!   `popc(op(cell, word))` per lane, so it ends with eight finished counts
+//!   per plane pair — no horizontal sum, no per-output call, no tile
+//!   read-modify-write. The accumulators are registers; the pass itself is
+//!   [`apnn_bitpack::popcnt`]'s kernel, instantiated per popcount arm.
 //!
-//! Every accumulator is exact i32 arithmetic, so **any** tile shape is
-//! bit-identical to any other (and to the pre-microkernel kernels): tiling
-//! moves throughput, never results. The differential proptests drive this
-//! across all emulation cases × block sizes × partial shards.
+//! Every count is an exact integer, so **any** row-block width and any arm
+//! is bit-identical to any other: tiling moves throughput, never results.
+//! The differential proptests drive this across all emulation cases × block
+//! sizes × arms × partial shards.
 
-use apnn_bitpack::popcnt::{and_popcount_arm, xor_popcount_arm};
-use apnn_bitpack::word::{and_popcount, xor_popcount};
-use apnn_bitpack::{BitPlanes, PopcntArm};
+use apnn_bitpack::popcnt::{and_popcount_lanes, xor_popcount_lanes};
+use apnn_bitpack::{BitPlanes, LanePanel, PopcntArm, LANES};
 use apnn_sim::BmmaOp;
-
-use crate::autotune::MAX_JB;
 
 /// Maximum plane count per operand (codes are 1..=8 bits wide).
 pub const MAX_PLANES: usize = 8;
 
-/// Stack accumulator capacity: a full column block at maximal plane
-/// counts. Kernels declare `[i32; MAX_TILE]` locals and slice them to the
-/// live `jb·pa·pb` prefix.
-pub const MAX_TILE: usize = MAX_JB * MAX_PLANES * MAX_PLANES;
+/// Stack tile capacity in cells (one `[i32; LANES]` per plane pair per
+/// dynamic row): a single dynamic row at maximal plane counts. Kernels
+/// declare `[[i32; LANES]; MAX_TILE]` locals, slice them to the live
+/// `pa·jb·pb` prefix, and narrow the row block when `pa·pb` is large
+/// ([`crate::autotune::MicroTile::rows_for`]).
+pub const MAX_TILE: usize = MAX_PLANES * MAX_PLANES;
 
-/// A bit-plane operand viewed as `planes × rows` of equal-width word rows
-/// — the one shape both kernel families feed the microkernel: packed
-/// [`BitPlanes`] matrices (weights, activations) and the conv window
-/// scratch (a flat `q × plane_words` gather).
-#[derive(Debug, Clone, Copy)]
-pub struct PlaneView<'a> {
-    planes: [&'a [u64]; MAX_PLANES],
+/// Fill `xs` with the streams of rows `row0..row0 + jb` of a packed
+/// operand, `[j][u]`-ordered (row-major over rows, then planes), and return
+/// the stream count `jb · x.bits()`.
+pub fn row_streams<'a>(x: &'a BitPlanes, row0: usize, jb: usize, xs: &mut [&'a [u64]]) -> usize {
+    let pb = x.bits() as usize;
+    for (r, slot) in xs[..jb * pb].iter_mut().enumerate() {
+        *slot = x.plane((r % pb) as u32).row_words(row0 + r / pb);
+    }
+    jb * pb
+}
+
+/// Fill `xs` with the streams of a flat single-row gather: `n_planes`
+/// consecutive `words_per_row`-word planes (the conv window scratch
+/// layout). Returns the stream count `n_planes`.
+pub fn flat_streams<'a>(
+    words: &'a [u64],
     n_planes: usize,
     words_per_row: usize,
+    xs: &mut [&'a [u64]],
+) -> usize {
+    for (slot, plane) in xs[..n_planes]
+        .iter_mut()
+        .zip(words.chunks_exact(words_per_row))
+    {
+        *slot = plane;
+    }
+    n_planes
 }
 
-impl<'a> PlaneView<'a> {
-    /// View a packed [`BitPlanes`] operand (each plane's rows are
-    /// contiguous at the matrix's padded word stride).
-    pub fn from_bitplanes(p: &'a BitPlanes) -> Self {
-        let n_planes = p.bits() as usize;
-        assert!(n_planes <= MAX_PLANES, "plane counts are 1..=8");
-        let words_per_row = p.plane(0).words_per_row();
-        let mut planes: [&'a [u64]; MAX_PLANES] = [&[]; MAX_PLANES];
-        for (s, slot) in planes.iter_mut().enumerate().take(n_planes) {
-            *slot = p.plane(s as u32).words();
-        }
-        PlaneView {
-            planes,
-            n_planes,
-            words_per_row,
-        }
-    }
-
-    /// View a flat single-row gather: `n_planes` consecutive
-    /// `words_per_row`-word planes (the conv window scratch layout).
-    pub fn from_flat(words: &'a [u64], n_planes: usize, words_per_row: usize) -> Self {
-        assert!(n_planes <= MAX_PLANES, "plane counts are 1..=8");
-        assert!(words.len() >= n_planes * words_per_row);
-        let mut planes: [&'a [u64]; MAX_PLANES] = [&[]; MAX_PLANES];
-        for (s, slot) in planes.iter_mut().enumerate().take(n_planes) {
-            *slot = &words[s * words_per_row..(s + 1) * words_per_row];
-        }
-        PlaneView {
-            planes,
-            n_planes,
-            words_per_row,
-        }
-    }
-
-    /// Plane count.
-    #[inline]
-    pub fn n_planes(&self) -> usize {
-        self.n_planes
-    }
-
-    /// Words per logical row.
-    #[inline]
-    pub fn words_per_row(&self) -> usize {
-        self.words_per_row
-    }
-
-    /// The `[k0, k0+len)` word chunk of `row` in `plane`.
-    #[inline]
-    fn chunk(&self, plane: usize, row: usize, k0: usize, len: usize) -> &'a [u64] {
-        let base = row * self.words_per_row + k0;
-        &self.planes[plane][base..base + len]
-    }
-}
-
-/// Accumulate the raw plane-pair popcounts of a `jb`-wide column block in
-/// one K pass:
+/// The raw plane-pair popcounts of row group `g` of the static operand
+/// against a block of dynamic streams, in one K pass per static plane:
 ///
-/// `tile[(j·pa + s)·pb + u] = Σ_k popc(op(A[s][ai][k], B[u][bj0+j][k]))`
+/// `tile[s·n + r][lane] = Σ_k popc(op(W[s][LANES·g + lane][k], xs[r][k]))`
 ///
-/// for every A plane `s`, B plane `u` and block column `j`. K is walked in
-/// `kb`-word rounds; within a round the A chunks are hoisted once and
-/// every `(j, u)` chunk is combined against all of them while hot. The
-/// counts are exact, so the caller's correction/shift-add step
-/// ([`crate::select::adjust_partial`]) sees the same integers the
-/// un-tiled kernels produced.
+/// for every static plane `s` and stream `r < n = xs.len()` (streams are
+/// `[j][u]`-ordered: dynamic row, then dynamic plane). Every cell is
+/// stored, never accumulated into. Lanes past the operand's last row are
+/// zero rows of the panel: they count 0 under AND and `popc(xs[r])` under
+/// XOR, and the caller must not store them. The counts are exact, so the
+/// caller's correction/shift-add step sees the same integers a per-output
+/// reduction would produce.
 ///
-/// `arm` names the merged-popcount implementation the chunks run on
-/// ([`PopcntArm`], bound once per plan at compile time); every arm is
-/// bit-identical, so it moves throughput only. The [`PopcntArm::Scalar`]
-/// arm keeps the historical compile-time dispatch (and its auto-vectorized
-/// codegen under `target-cpu=native`); the SIMD arms reach explicit
-/// `core::arch` reductions regardless of build flags.
-#[allow(clippy::too_many_arguments)]
+/// `arm` names the kernel instantiation the pass runs on ([`PopcntArm`],
+/// bound once per plan); every arm is bit-identical.
 pub fn popc_tile(
     op: BmmaOp,
     arm: PopcntArm,
-    a: &PlaneView<'_>,
-    ai: usize,
-    b: &PlaneView<'_>,
-    bj0: usize,
-    jb: usize,
-    kb: usize,
-    tile: &mut [i32],
+    w: &LanePanel,
+    g: usize,
+    xs: &[&[u64]],
+    tile: &mut [[i32; LANES]],
 ) {
-    match (op, arm) {
-        (BmmaOp::And, PopcntArm::Scalar) => {
-            popc_tile_with(a, ai, b, bj0, jb, kb, tile, and_popcount)
-        }
-        (BmmaOp::Xor, PopcntArm::Scalar) => {
-            popc_tile_with(a, ai, b, bj0, jb, kb, tile, xor_popcount)
-        }
-        (BmmaOp::And, arm) => popc_tile_with(a, ai, b, bj0, jb, kb, tile, |x, y| {
-            and_popcount_arm(arm, x, y)
-        }),
-        (BmmaOp::Xor, arm) => popc_tile_with(a, ai, b, bj0, jb, kb, tile, |x, y| {
-            xor_popcount_arm(arm, x, y)
-        }),
+    assert_eq!(tile.len(), w.n_planes() * xs.len(), "tile mis-sized");
+    if xs.is_empty() {
+        return;
     }
-}
-
-/// [`popc_tile`] monomorphized over the combining popcount, so the op
-/// dispatch happens once per call instead of once per word.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn popc_tile_with(
-    a: &PlaneView<'_>,
-    ai: usize,
-    b: &PlaneView<'_>,
-    bj0: usize,
-    jb: usize,
-    kb: usize,
-    tile: &mut [i32],
-    popc: impl Fn(&[u64], &[u64]) -> u32,
-) {
-    let (pa, pb) = (a.n_planes, b.n_planes);
-    let kw = a.words_per_row;
-    debug_assert_eq!(kw, b.words_per_row, "operands must share padded K");
-    debug_assert_eq!(tile.len(), jb * pa * pb, "accumulator tile mis-sized");
-    tile.fill(0);
-    let kb = kb.max(1);
-    let mut k0 = 0;
-    while k0 < kw {
-        let len = kb.min(kw - k0);
-        // Hoist the A-side chunks: every (j, u) pair of the block reuses
-        // them while they are hot.
-        let a_chunks: [&[u64]; MAX_PLANES] =
-            std::array::from_fn(|s| if s < pa { a.chunk(s, ai, k0, len) } else { &[] });
-        for j in 0..jb {
-            for u in 0..pb {
-                let b_chunk = b.chunk(u, bj0 + j, k0, len);
-                let row = &mut tile[(j * pa) * pb..(j * pa + pa) * pb];
-                for (s, a_chunk) in a_chunks[..pa].iter().enumerate() {
-                    row[s * pb + u] += popc(a_chunk, b_chunk) as i32;
-                }
-            }
+    for (s, cells) in tile.chunks_exact_mut(xs.len()).enumerate() {
+        match op {
+            BmmaOp::And => and_popcount_lanes(arm, w.group(s, g), xs, cells),
+            BmmaOp::Xor => xor_popcount_lanes(arm, w.group(s, g), xs, cells),
         }
-        k0 += len;
     }
 }
 
@@ -200,33 +113,46 @@ mod tests {
         *seed >> 33
     }
 
-    /// The naive per-pair reference the microkernel must reproduce.
+    fn operand(rows: usize, k: usize, bits: u32, seed: &mut u64) -> BitPlanes {
+        let codes: Vec<u32> = (0..rows * k)
+            .map(|_| (lcg(seed) as u32) % (1 << bits))
+            .collect();
+        BitPlanes::from_codes(&codes, rows, k, bits, Encoding::ZeroOne)
+    }
+
+    /// The naive per-pair reference the microkernel must reproduce, pad
+    /// lanes included (a zero weight row).
     fn naive_tile(
         op: BmmaOp,
         w: &BitPlanes,
-        i: usize,
+        g: usize,
         x: &BitPlanes,
         j0: usize,
         jb: usize,
-    ) -> Vec<i32> {
-        let (pa, pb) = (w.bits() as usize, x.bits() as usize);
-        let mut out = vec![0i32; jb * pa * pb];
-        for j in 0..jb {
-            for (s, cell) in out[j * pa * pb..(j + 1) * pa * pb]
-                .chunks_mut(pb)
-                .enumerate()
-            {
-                for (u, v) in cell.iter_mut().enumerate() {
-                    let a_row = w.plane(s as u32).row_words(i);
-                    let b_row = x.plane(u as u32).row_words(j0 + j);
-                    *v = a_row
-                        .iter()
-                        .zip(b_row)
-                        .map(|(&aw, &bw)| match op {
-                            BmmaOp::And => (aw & bw).count_ones(),
-                            BmmaOp::Xor => (aw ^ bw).count_ones(),
-                        })
-                        .sum::<u32>() as i32;
+    ) -> Vec<[i32; LANES]> {
+        let (pa, pb) = (w.bits(), x.bits());
+        let zero_row = vec![0u64; w.plane(0).words_per_row()];
+        let mut out = Vec::new();
+        for s in 0..pa {
+            for j in 0..jb {
+                for u in 0..pb {
+                    let b_row = x.plane(u).row_words(j0 + j);
+                    out.push(std::array::from_fn(|lane| {
+                        let i = g * LANES + lane;
+                        let a_row = if i < w.rows() {
+                            w.plane(s).row_words(i)
+                        } else {
+                            &zero_row
+                        };
+                        a_row
+                            .iter()
+                            .zip(b_row)
+                            .map(|(&aw, &bw)| match op {
+                                BmmaOp::And => (aw & bw).count_ones(),
+                                BmmaOp::Xor => (aw ^ bw).count_ones(),
+                            })
+                            .sum::<u32>() as i32
+                    }));
                 }
             }
         }
@@ -236,29 +162,27 @@ mod tests {
     #[test]
     fn tile_matches_naive_for_every_block_shape() {
         let mut seed = 5;
-        let (m, n, k) = (5, 9, 300);
+        let (n, k) = (9, 300);
         for (p, q) in [(1u32, 1u32), (1, 2), (2, 2), (3, 5), (8, 8)] {
-            let wc: Vec<u32> = (0..m * k)
-                .map(|_| (lcg(&mut seed) as u32) % (1 << p))
-                .collect();
-            let xc: Vec<u32> = (0..n * k)
-                .map(|_| (lcg(&mut seed) as u32) % (1 << q))
-                .collect();
-            let w = BitPlanes::from_codes(&wc, m, k, p, Encoding::ZeroOne);
-            let x = BitPlanes::from_codes(&xc, n, k, q, Encoding::ZeroOne);
-            let (wv, xv) = (PlaneView::from_bitplanes(&w), PlaneView::from_bitplanes(&x));
-            for op in [BmmaOp::And, BmmaOp::Xor] {
-                for arm in PopcntArm::ALL {
-                    for jb in [1usize, 2, 3, 8] {
-                        for kb in [1usize, 2, 4, 64] {
-                            let jb = jb.min(n);
-                            let mut tile = [0i32; MAX_TILE];
-                            let live = &mut tile[..jb * p as usize * q as usize];
-                            popc_tile(op, arm, &wv, 2, &xv, 1, jb, kb, live);
+            let x = operand(n, k, q, &mut seed);
+            // Ragged row counts: a lone partial group, exact groups, and a
+            // partial group after full ones.
+            for m in [1usize, 7, 8, 9, 17] {
+                let w = operand(m, k, p, &mut seed);
+                let panel = LanePanel::from_bitplanes(&w);
+                for op in [BmmaOp::And, BmmaOp::Xor] {
+                    for arm in PopcntArm::ALL {
+                        for jb in [1usize, 2, 3, 8] {
+                            let g = panel.groups() - 1;
+                            let mut xs: [&[u64]; MAX_TILE] = [&[]; MAX_TILE];
+                            let n_xs = row_streams(&x, 1, jb, &mut xs);
+                            // Stale cells must be overwritten.
+                            let mut tile = vec![[-7i32; LANES]; p as usize * n_xs];
+                            popc_tile(op, arm, &panel, g, &xs[..n_xs], &mut tile);
                             assert_eq!(
-                                live,
-                                &naive_tile(op, &w, 2, &x, 1, jb)[..],
-                                "w{p}a{q} {op:?} {arm:?} jb={jb} kb={kb}"
+                                tile,
+                                naive_tile(op, &w, g, &x, 1, jb),
+                                "w{p}a{q} m={m} {op:?} {arm:?} jb={jb}"
                             );
                         }
                     }
@@ -269,28 +193,27 @@ mod tests {
 
     #[test]
     fn flat_view_matches_bitplanes_view() {
-        // A flat single-row gather must behave exactly like a one-row
+        // A flat single-row gather must stream exactly like a one-row
         // BitPlanes operand.
         let mut seed = 11;
         let (k, q) = (260, 3u32);
-        let xc: Vec<u32> = (0..k).map(|_| (lcg(&mut seed) as u32) % (1 << q)).collect();
-        let x = BitPlanes::from_codes(&xc, 1, k, q, Encoding::ZeroOne);
+        let x = operand(1, k, q, &mut seed);
         let wpr = x.plane(0).words_per_row();
         let flat: Vec<u64> = (0..q)
             .flat_map(|t| x.plane(t).row_words(0).to_vec())
             .collect();
-        let wc: Vec<u32> = (0..2 * k).map(|_| (lcg(&mut seed) as u32) % 4).collect();
-        let w = BitPlanes::from_codes(&wc, 2, k, 2, Encoding::ZeroOne);
+        let panel = LanePanel::from_bitplanes(&operand(10, k, 2, &mut seed));
 
-        let fv = PlaneView::from_flat(&flat, q as usize, wpr);
-        let xv = PlaneView::from_bitplanes(&x);
-        let wv = PlaneView::from_bitplanes(&w);
-        let mut t1 = [0i32; MAX_TILE];
-        let mut t2 = [0i32; MAX_TILE];
-        let live = 2 * q as usize * 2;
+        let mut fs: [&[u64]; MAX_PLANES] = [&[]; MAX_PLANES];
+        let mut rs: [&[u64]; MAX_PLANES] = [&[]; MAX_PLANES];
+        let n = flat_streams(&flat, q as usize, wpr, &mut fs);
+        assert_eq!(n, row_streams(&x, 0, 1, &mut rs));
+        assert_eq!(fs[..n], rs[..n]);
+        let mut t1 = vec![[0i32; LANES]; 2 * n];
+        let mut t2 = t1.clone();
         for arm in PopcntArm::ALL {
-            popc_tile(BmmaOp::And, arm, &fv, 0, &wv, 0, 2, 8, &mut t1[..live]);
-            popc_tile(BmmaOp::And, arm, &xv, 0, &wv, 0, 2, 8, &mut t2[..live]);
+            popc_tile(BmmaOp::And, arm, &panel, 1, &fs[..n], &mut t1);
+            popc_tile(BmmaOp::And, arm, &panel, 1, &rs[..n], &mut t2);
             assert_eq!(t1, t2, "{arm:?}");
         }
     }

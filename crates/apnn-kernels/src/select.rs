@@ -100,6 +100,72 @@ pub fn plan_for_device(w: Encoding, x: Encoding, supports_and: bool) -> Emulatio
     }
 }
 
+/// One case's §3.2 correction as data. Every case's partial product is
+/// affine in the raw popcount,
+///
+/// `adj = (a·popc + k·K + r·(W⁽ˢ⁾·J) + c·(J·X⁽ᵗ⁾)) >> halve`,
+///
+/// so the kernels split it into a per-plane-pair [`Correction::offset`] and
+/// a branch-free per-output [`Correction::apply`] that runs lane-wise over
+/// eight outputs at a time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Correction {
+    /// Multiplier of the raw popcount.
+    a: i32,
+    /// Multiplier of the valid reduction length `K`.
+    k: i32,
+    /// Multiplier of the weight-plane row sum `W⁽ˢ⁾·J`.
+    r: i32,
+    /// Multiplier of the activation-plane column sum `J·X⁽ᵗ⁾`.
+    c: i32,
+    /// 1 where the AND identity leaves a factor 2 to divide out (the
+    /// numerator is `2·popc(AND)`: even and non-negative), else 0.
+    halve: u32,
+}
+
+impl EmulationCase {
+    /// The case's correction coefficients (see the variant docs for the
+    /// identities they come from).
+    pub const fn correction(self) -> Correction {
+        let (a, k, r, c, halve) = match self {
+            EmulationCase::AndUnsigned => (1, 0, 0, 0, 0),
+            EmulationCase::XorSignedBinary => (-2, 1, 0, 0, 0),
+            EmulationCase::AndWeightTransformed => (2, 0, 0, -1, 0),
+            EmulationCase::AndActivationTransformed => (2, 0, -1, 0, 0),
+            EmulationCase::XorDerivedUnsigned => (-1, 0, 1, 1, 1),
+            EmulationCase::XorDerivedWeightTransformed => (-1, 0, 1, 0, 0),
+            EmulationCase::XorDerivedActivationTransformed => (-1, 0, 0, 1, 0),
+        };
+        Correction { a, k, r, c, halve }
+    }
+}
+
+impl Correction {
+    /// Whether the case consumes the weight-row sums `W·J`.
+    pub const fn needs_row_sums(self) -> bool {
+        self.r != 0
+    }
+
+    /// Whether the case consumes the activation column sums `J·X`.
+    pub const fn needs_col_sums(self) -> bool {
+        self.c != 0
+    }
+
+    /// The popcount-independent part of the correction for one plane pair
+    /// of one output.
+    #[inline(always)]
+    pub fn offset(self, k_valid: i32, w_row_sum: i32, x_col_sum: i32) -> i32 {
+        self.k * k_valid + self.r * w_row_sum + self.c * x_col_sum
+    }
+
+    /// The arithmetic partial product from a raw popcount and its
+    /// [`Correction::offset`].
+    #[inline(always)]
+    pub fn apply(self, popc: i32, offset: i32) -> i32 {
+        (self.a * popc + offset) >> self.halve
+    }
+}
+
 /// Turn a raw popcount partial into the arithmetic partial product for one
 /// `(s, t)` plane pair.
 ///
@@ -117,18 +183,13 @@ pub fn adjust_partial(
     w_row_sum: i32,
     x_col_sum: i32,
 ) -> i32 {
-    match case {
-        EmulationCase::AndUnsigned => popc,
-        EmulationCase::XorSignedBinary => k_valid - 2 * popc,
-        EmulationCase::AndWeightTransformed => 2 * popc - x_col_sum,
-        EmulationCase::AndActivationTransformed => 2 * popc - w_row_sum,
-        EmulationCase::XorDerivedUnsigned => {
-            debug_assert!((w_row_sum + x_col_sum - popc) % 2 == 0);
-            (w_row_sum + x_col_sum - popc) / 2
-        }
-        EmulationCase::XorDerivedWeightTransformed => w_row_sum - popc,
-        EmulationCase::XorDerivedActivationTransformed => x_col_sum - popc,
-    }
+    let corr = case.correction();
+    let offset = corr.offset(k_valid, w_row_sum, x_col_sum);
+    debug_assert!(
+        (corr.a * popc + offset) & corr.halve as i32 == 0,
+        "halved corrections have even numerators"
+    );
+    corr.apply(popc, offset)
 }
 
 #[cfg(test)]

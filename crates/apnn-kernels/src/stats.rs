@@ -62,7 +62,7 @@ pub fn row_sum_builds() -> u64 {
 
 /// Total CPU-microkernel tile selections
 /// ([`crate::autotune::select_micro`] memo misses) in this process.
-/// Compiled plans pick one `(JB, KB)` tile per layer at compile time and
+/// Compiled plans pick one row-block tile per layer at compile time and
 /// the ad-hoc kernel entry points go through the same shape-keyed memo —
 /// the counter is how tests prove the hoist, exactly like
 /// [`row_sum_builds`].
@@ -71,7 +71,7 @@ pub fn micro_tunes() -> u64 {
 }
 
 /// Total microkernel tile **measurements** in this process: timed
-/// `(JB, KB)` grid sweeps run by [`crate::autotune::select_micro`] on a
+/// row-block candidate sweeps run by [`crate::autotune::select_micro`] on a
 /// memo miss in measured mode. Every measurement is also a tile selection
 /// (so [`micro_tunes`] moves with it), but a memo hit or a pinned
 /// heuristic answer moves neither — the pair of counters is how tests
@@ -155,7 +155,7 @@ impl StatsScope {
         TL_MICRO_TUNES.get() - self.micro0
     }
 
-    /// Microkernel tile measurements (timed grid sweeps) on this thread
+    /// Microkernel tile measurements (timed candidate sweeps) on this thread
     /// since the scope opened.
     pub fn micro_benches(&self) -> u64 {
         TL_MICRO_BENCHES.get() - self.bench0

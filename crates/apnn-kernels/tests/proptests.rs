@@ -138,7 +138,7 @@ proptest! {
 
     /// The microkernel differential: for any shape, any encoding pair
     /// (all seven `EmulationCase`s — the four Ampere cases plus the three
-    /// XOR-only derivations), any `(JB, KB)` block size, every available
+    /// XOR-only derivations), any row-block size, every available
     /// popcount arm and any partial (down to zero-row) shard, the one
     /// driver is **bit-identical** to the naive decoded i32 oracle —
     /// through the allocating wrappers and the workspace form alike.
@@ -149,7 +149,6 @@ proptest! {
         w_signed in any::<bool>(), x_signed in any::<bool>(),
         xor_only in any::<bool>(),
         jb in 1usize..=8,
-        kb in prop_oneof![Just(1usize), Just(2), Just(5), Just(64)],
         shard_sel in 0usize..1000,
         seed in any::<u64>(),
     ) {
@@ -185,7 +184,7 @@ proptest! {
             let prepared = apmm
                 .prepare(w.clone())
                 .with_plan(eplan)
-                .with_micro(MicroTile { jb, kb })
+                .with_micro(MicroTile { jb })
                 .with_arm(arm);
             let got = prepared.execute(&xs);
             prepared.execute_into(&xs, &mut scratch, &mut out);
@@ -194,7 +193,7 @@ proptest! {
             for (idx, &v) in got.iter().enumerate() {
                 prop_assert_eq!(
                     v, oracle[idx / shard * n + idx % shard],
-                    "{:?} jb={} kb={} arm={} shard={}", eplan.case, jb, kb, arm.label(), shard
+                    "{:?} jb={} arm={} shard={}", eplan.case, jb, arm.label(), shard
                 );
             }
             // Non-quantizing epilogue: the i32 output form only the
@@ -219,7 +218,6 @@ proptest! {
         p in 1u32..=3, q in 1u32..=3,
         w_signed in any::<bool>(), x_signed in any::<bool>(),
         jb in 1usize..=8,
-        kb in prop_oneof![Just(1usize), Just(3), Just(64)],
         seed in any::<u64>(),
     ) {
         prop_assume!(hw + 2 * pad >= kk);
@@ -283,12 +281,12 @@ proptest! {
         for arm in PopcntArm::available() {
             let prepared = conv
                 .prepare(weights.clone())
-                .with_micro(MicroTile { jb, kb })
+                .with_micro(MicroTile { jb })
                 .with_arm(arm);
             prepared.execute_into(&xs, &mut scratch, &mut out);
             prop_assert_eq!(
                 &out[..], want,
-                "conv jb={} kb={} arm={} shard={}", jb, kb, arm.label(), shard
+                "conv jb={} arm={} shard={}", jb, arm.label(), shard
             );
             prop_assert_eq!(&prepared.execute(&xs), &out, "wrapper vs workspace form");
             // Pool + non-quantizing epilogue: the i32 output form only the

@@ -116,7 +116,7 @@ pub enum MainKernel {
         /// Tile chosen at compile time (§4.3.2).
         tile: TileConfig,
         /// Packed weights + padding plan (functional plans only). Also
-        /// the one home of the CPU microkernel `(JB, KB)` tile and
+        /// the one home of the CPU microkernel row-block tile and
         /// popcount arm bound at compile time (`prepared.micro()` /
         /// `.arm()`, visible in the plan's `Debug` output).
         prepared: Option<PreparedConv>,

@@ -453,13 +453,15 @@ fn repeated_inference_reuses_the_compiled_plan() {
     assert_eq!(
         compiling.micro_tunes(),
         0,
-        "recompiling known shapes re-selected (JB, KB)"
+        "recompiling known shapes re-selected the row block"
     );
     // A first-seen layer shape *does* pay exactly one selection per main
-    // stage — this throwaway network's shapes are unique to this test.
+    // stage — this throwaway network's shapes are unique to this test (a
+    // conv's key is its reduction width, so the probe uses a 4×4 kernel no
+    // zoo model has).
     let fresh = stats::scope();
     let plan3 = Network::new("memo-probe", 3, 26, 26)
-        .push(LayerSpec::conv("c1", 21, 3, 1, 1))
+        .push(LayerSpec::conv("c1", 21, 4, 1, 1))
         .push(LayerSpec::Relu)
         .push(LayerSpec::QuantizeActs)
         .push(LayerSpec::Flatten)
@@ -468,7 +470,7 @@ fn repeated_inference_reuses_the_compiled_plan() {
     assert_eq!(
         fresh.micro_tunes(),
         plan3.main_stages().count() as u64,
-        "one (JB, KB) selection per first-seen layer shape"
+        "one tile selection per first-seen layer shape"
     );
     // The per-layer tile *and* popcount arm are surfaced in the plan's
     // debug output.
