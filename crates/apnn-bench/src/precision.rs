@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use apnn_bitpack::PopcntArm;
 use apnn_kernels::autotune::select_micro;
-use apnn_kernels::{stage_cost, EmulationCase, StageShape};
+use apnn_kernels::{stage_cost, ConvDesc, EmulationCase, StageShape};
 use apnn_nn::models::resnet18_tiny;
 use apnn_nn::{
     identity_join_groups, CompileOptions, LayerPrecision, LayerSpec, Network, PrecisionSchedule,
@@ -48,15 +48,32 @@ pub struct MainGeom {
     /// Output channels / features — the weight rows the kernel spreads
     /// over its lanes.
     pub cols: usize,
-    /// Whether the layer is a convolution: a conv feeds the microkernel one
-    /// gathered window at a time, a linear layer blocks over the batch.
+    /// Whether the layer is a convolution: a conv blocks the microkernel
+    /// over the `out_w` pixels of an output row, a linear layer over the
+    /// batch ([`MainGeom::n_cols`]).
     pub conv: bool,
-    /// Packed reduction length in 64-bit words (`k²·⌈cin/64⌉` for convs).
+    /// Output row width in pixels (1 for linears).
+    pub out_w: usize,
+    /// Packed reduction length in 64-bit words — for convs
+    /// [`ConvDesc::k_words`], the same live-word count the compiled plan's
+    /// weight panel and tile selection use.
     pub k_words: usize,
     /// `main_index` of the layer whose output activations this layer
     /// consumes (`None` for the first main layer, which reads the 8-bit
     /// quantized input; skip projections point at the branch producer).
     pub producer: Option<usize>,
+}
+
+impl MainGeom {
+    /// The dynamic rows one K pass can block over at `batch` — the `n_cols`
+    /// the compiled plan keys its tile selection with.
+    pub fn n_cols(&self, batch: usize) -> usize {
+        if self.conv {
+            self.out_w
+        } else {
+            batch
+        }
+    }
 }
 
 /// Walk the network and extract [`MainGeom`] for every main layer, in
@@ -69,31 +86,50 @@ pub fn main_geometry(net: &Network) -> Vec<MainGeom> {
     let mut geoms = Vec::new();
     let mut last_main: Option<usize> = None;
     let mut branch: Option<(ShapeCursor, Option<usize>)> = None;
+    // A conv's geometry through the kernels' own descriptor (precision
+    // fields are irrelevant to it), so the oracle and the plan cannot
+    // disagree about output width or K.
+    let conv_geom = |src: ShapeCursor, cout, k, stride, pad, producer| {
+        let ShapeCursor::Map { c, h, w } = src else {
+            return None;
+        };
+        let mut desc = ConvDesc::unsigned(1, c, h, cout, k, stride, pad, 1, 1);
+        desc.w = w;
+        Some(MainGeom {
+            rows: desc.out_h() * desc.out_w(),
+            cols: cout,
+            conv: true,
+            out_w: desc.out_w(),
+            k_words: desc.k_words(),
+            producer,
+        })
+    };
     for (i, l) in net.layers.iter().enumerate() {
-        match (shapes[i], l) {
-            (ShapeCursor::Map { c, .. }, LayerSpec::Conv { cout, k, .. }) => {
-                if let ShapeCursor::Map { h: oh, w: ow, .. } = shapes[i + 1] {
-                    geoms.push(MainGeom {
-                        rows: oh * ow,
-                        cols: *cout,
-                        conv: true,
-                        k_words: k * k * c.div_ceil(64),
-                        producer: last_main,
-                    });
-                    last_main = Some(geoms.len() - 1);
-                }
-            }
+        let geom = match (shapes[i], l) {
+            (
+                src,
+                LayerSpec::Conv {
+                    cout,
+                    k,
+                    stride,
+                    pad,
+                    ..
+                },
+            ) => conv_geom(src, *cout, *k, *stride, *pad, last_main),
             (ShapeCursor::Vector { features }, LayerSpec::Linear { out_features, .. }) => {
-                geoms.push(MainGeom {
+                Some(MainGeom {
                     rows: 1,
                     cols: *out_features,
                     conv: false,
+                    out_w: 1,
                     k_words: features.div_ceil(64),
                     producer: last_main,
-                });
-                last_main = Some(geoms.len() - 1);
+                })
             }
-            (s, LayerSpec::BranchSave) => branch = Some((s, last_main)),
+            (s, LayerSpec::BranchSave) => {
+                branch = Some((s, last_main));
+                None
+            }
             (
                 _,
                 LayerSpec::SkipConv {
@@ -105,20 +141,13 @@ pub fn main_geometry(net: &Network) -> Vec<MainGeom> {
                 },
             ) => {
                 let (src, src_main) = branch.expect("SkipConv requires a preceding BranchSave");
-                if let ShapeCursor::Map { c, h, w } = src {
-                    let oh = (h + 2 * pad - k) / stride + 1;
-                    let ow = (w + 2 * pad - k) / stride + 1;
-                    geoms.push(MainGeom {
-                        rows: oh * ow,
-                        cols: *cout,
-                        conv: true,
-                        k_words: k * k * c.div_ceil(64),
-                        producer: src_main,
-                    });
-                    last_main = Some(geoms.len() - 1);
-                }
+                conv_geom(src, *cout, *k, *stride, *pad, src_main)
             }
-            _ => {}
+            _ => None,
+        };
+        if let Some(g) = geom {
+            geoms.push(g);
+            last_main = Some(geoms.len() - 1);
         }
     }
     geoms
@@ -178,32 +207,25 @@ pub fn schedule_from_segments(
 /// The cost oracle: estimated forward-pass milliseconds for one batch
 /// under `schedule`, from *measured* per-shape microkernel rates.
 ///
-/// Per main layer, the streamed popcount work is
-/// `rows·batch × cols × pa × pb × k_words` plane-pair words, and
-/// [`apnn_kernels::stage_cost`] prices one word on this machine for the
-/// layer's emulation case, the detected popcount arm, and the tile
-/// `select_micro` would pick at compile time — so the estimate ranks
-/// schedules with the same numbers the compiled plans will run on. `pa` is
-/// the layer's weight bits (the static, lane-interleaved side), `pb` its
-/// *input* activation bits (8-bit quantized input for the first main, else
-/// the producer's `a`); 1-bit weights run the ±1-transformed AND case,
-/// multi-bit the unsigned one.
+/// Per main layer, the streamed popcount work is [`layer_words`]
+/// plane-pair words, and [`apnn_kernels::stage_cost`] prices one word on
+/// this machine for the layer's emulation case, the detected popcount arm,
+/// and the tile `select_micro` picks at compile time for the same
+/// `(n_cols, k_words)` key — so the estimate ranks schedules with the same
+/// numbers the compiled plans run on. 1-bit weights run the
+/// ±1-transformed AND case, multi-bit the unsigned one.
 pub fn estimate_cost_ms(geoms: &[MainGeom], schedule: &PrecisionSchedule, batch: usize) -> f64 {
     assert_eq!(geoms.len(), schedule.len());
     let arm = PopcntArm::detect();
     let mut total_ns = 0.0f64;
     for (i, g) in geoms.iter().enumerate() {
-        let pa = schedule.layer(i).w;
-        let pb = match g.producer {
-            None => 8,
-            Some(p) => schedule.layer(p).a,
-        };
+        let (pa, pb) = plane_counts(geoms, schedule, i);
         let case = if pa == 1 {
             EmulationCase::AndWeightTransformed
         } else {
             EmulationCase::AndUnsigned
         };
-        let n_cols = if g.conv { 1 } else { batch };
+        let n_cols = g.n_cols(batch);
         let tile = select_micro(n_cols, g.k_words, pa, pb, arm);
         let shape = StageShape {
             n_cols,
@@ -211,12 +233,34 @@ pub fn estimate_cost_ms(geoms: &[MainGeom], schedule: &PrecisionSchedule, batch:
             pa,
             pb,
         };
-        let ns_per_word = stage_cost(shape, case, arm, tile);
-        let words =
-            (g.rows * batch) as f64 * g.cols as f64 * pa as f64 * pb as f64 * g.k_words as f64;
-        total_ns += ns_per_word * words;
+        total_ns += stage_cost(shape, case, arm, tile) * layer_words(geoms, schedule, i, batch);
     }
     total_ns / 1e6
+}
+
+/// Layer `i`'s `(pa, pb)` under `schedule`: its weight bits (the static,
+/// lane-interleaved side) and its *input* activation bits (the 8-bit
+/// quantized input for the first main, else the producer's `a`).
+fn plane_counts(geoms: &[MainGeom], schedule: &PrecisionSchedule, i: usize) -> (u32, u32) {
+    let pb = match geoms[i].producer {
+        None => 8,
+        Some(p) => schedule.layer(p).a,
+    };
+    (schedule.layer(i).w, pb)
+}
+
+/// The plane-pair 64-bit words layer `i` streams through the popcount
+/// kernel for one batch under `schedule`:
+/// `rows·batch × cols × pa × pb × k_words` — the deterministic factor of
+/// the cost oracle.
+pub fn layer_words(
+    geoms: &[MainGeom],
+    schedule: &PrecisionSchedule,
+    i: usize,
+    batch: usize,
+) -> f64 {
+    let (g, (pa, pb)) = (&geoms[i], plane_counts(geoms, schedule, i));
+    (g.rows * batch) as f64 * g.cols as f64 * pa as f64 * pb as f64 * g.k_words as f64
 }
 
 /// Indices of the Pareto-optimal points over `(cost, accuracy)`: a point
@@ -510,23 +554,87 @@ mod tests {
 
     #[test]
     fn cost_oracle_orders_uniform_schemes() {
-        // The per-word probes below are memoized process-wide, so a
-        // concurrent CPU-saturating test poisons them for good — keep the
-        // load sweeps out of this window.
-        let _serialize = crate::timing_test_lock();
-        // Heuristic tile selection keeps this test free of timing grids;
-        // the per-word probe itself still runs (memoized process-wide).
-        force_micro_select(Some(MicroSelect::Heuristic));
         let net = resnet18_tiny();
         let geoms = main_geometry(&net);
         let n = geoms.len();
-        let cost = |w, a| estimate_cost_ms(&geoms, &PrecisionSchedule::uniform(w, a, n), 1);
-        let (w1a2, w1a3, w2a2) = (cost(1, 2), cost(1, 3), cost(2, 2));
+        // The oracle is rate × words, and the per-word rate is the same
+        // three vector instructions at every precision, so what orders
+        // uniform schemes is the word count — compared exactly (an ordering
+        // of wall-clock probes would flake on a loaded machine). Every body
+        // layer's plane-pair work scales with w·a: 2 < 3 < 4 pairs; the
+        // first main keeps its 8-bit input.
+        let words = |w, a| -> Vec<f64> {
+            let schedule = PrecisionSchedule::uniform(w, a, n);
+            (0..n)
+                .map(|i| layer_words(&geoms, &schedule, i, 1))
+                .collect()
+        };
+        let (w1a2, w1a3, w2a2) = (words(1, 2), words(1, 3), words(2, 2));
+        assert_eq!(w1a3[0], w1a2[0]);
+        assert_eq!(w2a2[0], 2.0 * w1a2[0]);
+        for i in 1..n {
+            assert!(w1a2[i] > 0.0);
+            assert_eq!(2.0 * w1a3[i], 3.0 * w1a2[i], "layer {i}");
+            assert_eq!(w2a2[i], 2.0 * w1a2[i], "layer {i}");
+        }
+        // The timed half: every estimate is a finite positive price. The
+        // probes are memoized process-wide, so keep the CPU-saturating load
+        // sweeps out of this window; heuristic tile selection keeps it free
+        // of timing grids.
+        let _serialize = crate::timing_test_lock();
+        force_micro_select(Some(MicroSelect::Heuristic));
+        let costs = [(1, 2), (1, 3), (2, 2)]
+            .map(|(w, a)| estimate_cost_ms(&geoms, &PrecisionSchedule::uniform(w, a, n), 1));
         force_micro_select(None);
-        assert!(w1a2 > 0.0);
-        // Plane-pair work scales with w·a: 2 < 3 < 4 pairs.
-        assert!(w1a3 > w1a2, "w1a3 {w1a3} vs w1a2 {w1a2}");
-        assert!(w2a2 > w1a3, "w2a2 {w2a2} vs w1a3 {w1a3}");
+        assert!(costs.iter().all(|c| c.is_finite() && *c > 0.0), "{costs:?}");
+    }
+
+    #[test]
+    fn oracle_geometry_matches_every_compiled_zoo_conv() {
+        // The oracle must price — and key its tile/cost memos with — exactly
+        // the K and block width the compiled plan runs.
+        use apnn_nn::compile::MainKernel;
+        use apnn_nn::models::{alexnet_tiny, vgg_variant_tiny};
+        for net in [alexnet_tiny(), vgg_variant_tiny(), resnet18_tiny()] {
+            let geoms = main_geometry(&net);
+            let plan = net.compile(
+                apnn_nn::NetPrecision::w1a2(),
+                &CompileOptions::functional(1, 2021),
+            );
+            // Geometry is in network order; the plan hoists skip
+            // projections, so pair the two by layer name.
+            let names = net.layers.iter().filter(|l| l.is_main()).map(|l| l.name());
+            let geoms: Vec<(String, &MainGeom)> = names.zip(&geoms).collect();
+            assert_eq!(geoms.len(), plan.main_stages().count(), "{}", net.name);
+            let mut convs = 0;
+            for stage in plan.main_stages() {
+                let at = format!("{}/{}", net.name, stage.name);
+                let (_, g) = geoms
+                    .iter()
+                    .find(|(name, _)| *name == stage.name)
+                    .expect(&at);
+                let MainKernel::Conv { desc, prepared, .. } = &stage.kernel else {
+                    assert!(!g.conv, "{at}");
+                    continue;
+                };
+                let prepared = prepared
+                    .as_ref()
+                    .expect("functional plans are materialized");
+                assert!(g.conv, "{at}");
+                assert_eq!(
+                    (g.k_words, g.out_w, g.rows, g.cols),
+                    (
+                        prepared.weights().words_per_row(),
+                        desc.out_w(),
+                        desc.out_h() * desc.out_w(),
+                        desc.cout
+                    ),
+                    "{at}"
+                );
+                convs += 1;
+            }
+            assert!(convs > 0, "{}", net.name);
+        }
     }
 
     #[test]

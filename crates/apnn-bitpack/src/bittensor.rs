@@ -58,13 +58,15 @@ impl BitTensor4 {
     pub fn from_tensor(codes: &Tensor4<u32>, bits: u32, encoding: Encoding) -> Self {
         let (n, c, h, w) = codes.shape();
         let mut t = Self::zeros(n, h, w, c, bits, encoding);
+        let mut row = vec![0u32; w * c];
         for in_ in 0..n {
             for ih in 0..h {
-                for iw in 0..w {
-                    for ic in 0..c {
-                        t.set_code(in_, ih, iw, ic, codes.get(in_, ic, ih, iw));
+                for (iw, px) in row.chunks_exact_mut(c.max(1)).enumerate() {
+                    for (ic, code) in px.iter_mut().enumerate() {
+                        *code = codes.get(in_, ic, ih, iw);
                     }
                 }
+                t.pack_row(in_, ih, &row);
             }
         }
         t
@@ -361,6 +363,72 @@ impl BitTensor4 {
         &mut self.data[base..base + self.words_per_pixel]
     }
 
+    /// The packed words of plane `plane` of image row `(n, h)`: `w` pixels ×
+    /// [`BitTensor4::words_per_pixel`] words, pixel-major.
+    #[inline]
+    pub fn row_words(&self, n: usize, plane: u32, h: usize) -> &[u64] {
+        let base = self.pixel_base(n, plane, h, 0);
+        &self.data[base..base + self.w * self.words_per_pixel]
+    }
+
+    /// Pack one image row of codes — `codes[x·c + ch]`, each `< 2^bits` —
+    /// into every plane at `(n, h)`, a whole word at a time: 64 channels
+    /// become one word per plane, and every word of every pixel is stored
+    /// (channel padding as zeros), so the row's previous contents never
+    /// matter. The word-level form of [`BitTensor4::set_code`].
+    pub fn pack_row(&mut self, n: usize, h: usize, codes: &[u32]) {
+        assert_eq!(
+            codes.len(),
+            self.w * self.c,
+            "one code per (pixel, channel)"
+        );
+        let (wpp, stride) = (self.words_per_pixel, self.h * self.w * self.words_per_pixel);
+        let base = self.pixel_base(n, 0, h, 0);
+        for (x, px) in codes.chunks_exact(self.c.max(1)).enumerate() {
+            // Live words, then the all-padding words of the fragment.
+            let chunks = px.chunks(WORD_BITS).chain(std::iter::repeat(&[][..]));
+            for (j, chunk) in chunks.take(wpp).enumerate() {
+                let words = pack_word(chunk, self.bits);
+                for (plane, &word) in words[..self.bits as usize].iter().enumerate() {
+                    self.data[base + plane * stride + x * wpp + j] = word;
+                }
+            }
+        }
+    }
+
+    /// Unpack image row `(n, h)` into `out[x·c + ch]` (`u32` codes or the
+    /// `i32` activations they are), a word at a time — inverse of
+    /// [`BitTensor4::pack_row`], the word-level form of
+    /// [`BitTensor4::get_code`].
+    pub fn unpack_row<T>(&self, n: usize, h: usize, out: &mut [T])
+    where
+        T: Copy + From<u8> + std::ops::BitOrAssign,
+    {
+        assert_eq!(out.len(), self.w * self.c, "one code per (pixel, channel)");
+        let (wpp, stride) = (self.words_per_pixel, self.h * self.w * self.words_per_pixel);
+        let base = self.pixel_base(n, 0, h, 0);
+        for (x, px) in out.chunks_exact_mut(self.c.max(1)).enumerate() {
+            for (j, chunk) in px.chunks_mut(WORD_BITS).enumerate() {
+                chunk.fill(T::from(0));
+                for plane in 0..self.bits as usize {
+                    unpack_word(self.data[base + plane * stride + x * wpp + j], plane, chunk);
+                }
+            }
+        }
+    }
+
+    /// [`BitTensor4::unpack_row`] over every row of every image: the whole
+    /// tensor as dense NHWC values, `out[((n·h + y)·w + x)·c + ch]`.
+    pub fn unpack<T>(&self, out: &mut [T])
+    where
+        T: Copy + From<u8> + std::ops::BitOrAssign,
+    {
+        assert_eq!(out.len(), self.n * self.h * self.w * self.c);
+        for (i, row) in out.chunks_exact_mut((self.w * self.c).max(1)).enumerate() {
+            self.unpack_row(i / self.h, i % self.h, row);
+        }
+    }
+
     /// Read one bit of plane `plane` at `(n, h, w, c)`.
     #[inline]
     pub fn get_bit(&self, n: usize, plane: u32, h: usize, w: usize, c: usize) -> bool {
@@ -430,6 +498,34 @@ impl BitTensor4 {
     }
 }
 
+/// One word per plane (`words[..bits]`) from up to 64 channel codes:
+/// channel `i`'s bit `t` lands at bit `i` of `words[t]`.
+#[inline]
+fn pack_word(codes: &[u32], bits: u32) -> [u64; 8] {
+    let mut words = [0u64; 8];
+    for (t, word) in words[..bits as usize].iter_mut().enumerate() {
+        for (i, &code) in codes.iter().enumerate() {
+            *word |= u64::from((code >> t) & 1) << i;
+        }
+    }
+    words
+}
+
+/// OR bit `i` of `word`, shifted to bit `plane`, into `out[i]` — written
+/// over 32-bit halves so the lane-indexed shifts vectorize.
+#[inline]
+fn unpack_word<T>(word: u64, plane: usize, out: &mut [T])
+where
+    T: Copy + From<u8> + std::ops::BitOrAssign,
+{
+    for (half, out) in out.chunks_mut(32).enumerate() {
+        let w = (word >> (32 * half)) as u32;
+        for (i, code) in out.iter_mut().enumerate() {
+            *code |= T::from((((w >> i) & 1) << plane) as u8);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,6 +566,62 @@ mod tests {
                 for h in 0..3 {
                     for w in 0..3 {
                         assert_eq!(codes.get(n, c, h, w), unpacked.get(n, c, h, w));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_pack_unpack_round_trips_and_zeroes_padding_over_a_dirty_slot() {
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        for c in [1usize, 63, 64, 65, 130] {
+            for bits in [1u32, 2, 3, 8] {
+                let (n, h, w) = (2, 3, 5);
+                let codes = Tensor4::<u32>::from_fn(n, c, h, w, Layout::Nhwc, |_, _, _, _| {
+                    seed ^= seed << 13;
+                    seed ^= seed >> 7;
+                    seed ^= seed << 17;
+                    (seed >> 33) as u32 & ((1 << bits) - 1)
+                });
+                // Element-wise reference on a clean tensor.
+                let mut want = BitTensor4::zeros(n, h, w, c, bits, Encoding::ZeroOne);
+                // Word-level packing over a slot whose every bit — channel
+                // padding included — is stale.
+                let mut got = want.clone();
+                got.data.fill(u64::MAX);
+                let mut row = vec![0u32; w * c];
+                for b in 0..n {
+                    for y in 0..h {
+                        for x in 0..w {
+                            for ch in 0..c {
+                                want.set_code(b, y, x, ch, codes.get(b, ch, y, x));
+                                row[x * c + ch] = codes.get(b, ch, y, x);
+                            }
+                        }
+                        got.pack_row(b, y, &row);
+                    }
+                }
+                assert_eq!(got, want, "c={c} bits={bits}");
+                assert!(got.padding_is_zero(), "c={c} bits={bits}");
+                assert_eq!(
+                    BitTensor4::from_tensor(&codes, bits, Encoding::ZeroOne),
+                    want
+                );
+                // Unpacking overwrites stale output, as codes and as i32.
+                let (mut back, mut back_i32) = (vec![u32::MAX; w * c], vec![-1i32; w * c]);
+                for b in 0..n {
+                    for y in 0..h {
+                        got.unpack_row(b, y, &mut back);
+                        got.unpack_row(b, y, &mut back_i32);
+                        for (i, (&u, &v)) in back.iter().zip(&back_i32).enumerate() {
+                            let code = got.get_code(b, y, i / c, i % c);
+                            assert_eq!((u, v), (code, code as i32), "c={c} bits={bits} at {i}");
+                        }
+                        let words: Vec<u64> = (0..w)
+                            .flat_map(|x| got.pixel_words(b, bits - 1, y, x).to_vec())
+                            .collect();
+                        assert_eq!(got.row_words(b, bits - 1, y), &words[..]);
                     }
                 }
             }

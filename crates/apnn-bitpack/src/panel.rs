@@ -23,7 +23,8 @@ pub const LANES: usize = 8;
 
 /// A [`BitPlanes`] operand re-laid out for the lane-per-output popcount
 /// kernel ([`crate::popcnt::and_popcount_lanes`]); see the module docs for
-/// the layout. Built once per weight operand, word by word.
+/// the layout. Built once per weight operand, word by word
+/// ([`LanePanel::from_fn`]).
 #[derive(Debug, Clone)]
 pub struct LanePanel {
     /// `[plane][group][k][lane]`, flat.
@@ -34,17 +35,24 @@ pub struct LanePanel {
 }
 
 impl LanePanel {
-    /// Interleave the rows of every plane of `p`, [`LANES`] at a time.
-    pub fn from_bitplanes(p: &BitPlanes) -> Self {
-        let (n_planes, rows) = (p.bits() as usize, p.rows());
-        let kw = p.plane(0).words_per_row();
+    /// Build a panel word by word: `word(plane, row, k)` is word `k` of
+    /// logical row `row` — the one constructor, so a caller states its K
+    /// order as a function and never touches the interleave (pad lanes stay
+    /// zero).
+    pub fn from_fn(
+        n_planes: usize,
+        rows: usize,
+        words_per_row: usize,
+        word: impl Fn(usize, usize, usize) -> u64,
+    ) -> Self {
         let groups = rows.div_ceil(LANES);
-        let mut words = vec![0u64; n_planes * groups * kw * LANES];
-        for (plane, dst) in p.planes().iter().zip(words.chunks_mut(groups * kw * LANES)) {
-            for (row, src) in plane.words()[..rows * kw].chunks_exact(kw).enumerate() {
+        let mut words = vec![0u64; n_planes * groups * words_per_row * LANES];
+        let planes = words.chunks_exact_mut((groups * words_per_row * LANES).max(1));
+        for (plane, dst) in planes.enumerate() {
+            for row in 0..rows {
                 let (g, lane) = (row / LANES, row % LANES);
-                for (k, &w) in src.iter().enumerate() {
-                    dst[(g * kw + k) * LANES + lane] = w;
+                for k in 0..words_per_row {
+                    dst[(g * words_per_row + k) * LANES + lane] = word(plane, row, k);
                 }
             }
         }
@@ -52,8 +60,17 @@ impl LanePanel {
             words,
             n_planes,
             rows,
-            words_per_row: kw,
+            words_per_row,
         }
+    }
+
+    /// Interleave the rows of every plane of `p`, [`LANES`] at a time, in
+    /// their packed K order.
+    pub fn from_bitplanes(p: &BitPlanes) -> Self {
+        let kw = p.plane(0).words_per_row();
+        Self::from_fn(p.bits() as usize, p.rows(), kw, |plane, row, k| {
+            p.plane(plane as u32).row_words(row)[k]
+        })
     }
 
     /// Plane count.
@@ -148,6 +165,16 @@ mod tests {
                                     "m={m} kw={kw} bits={bits} plane {s} row {row} word {k}"
                                 );
                             }
+                        }
+                        // A permuted K order is just a different word function.
+                        let rev = LanePanel::from_fn(bits as usize, m, kw_padded, |s, row, k| {
+                            src.plane(s as u32).row_words(row)[kw_padded - 1 - k]
+                        });
+                        for (row, k) in (0..m).flat_map(|r| (0..kw_padded).map(move |k| (r, k))) {
+                            assert_eq!(
+                                rev.row_word(s, row, k),
+                                panel.row_word(s, row, kw_padded - 1 - k)
+                            );
                         }
                         let sums = panel.row_sums(s);
                         assert_eq!(&sums[..m], &plane.row_sums()[..]);

@@ -1,11 +1,28 @@
 //! Functional CPU backend for APConv.
 //!
-//! Direct convolution over the channel-major packed layout: for every output
-//! pixel the `KH·KW` window taps are gathered as aligned channel vectors
-//! (the CPU analogue of the coalesced NPHWC reads of §4.2(a)), then every
-//! output channel reduces against its packed weight row with XOR/AND +
-//! popcount. Out-of-frame taps follow the input-aware padding strategies.
-//! One loop nest — `conv_exec`, on the calling thread — drives it all.
+//! Direct convolution over the channel-major packed layout, one **output
+//! row** at a time. Per `(image, output row, plane)` the `KH` input rows the
+//! row's windows touch are copied once into a *column-interleaved activation
+//! strip* —
+//!
+//! `strip[(col·KH + ky)·L + j] = word j of input pixel (oy·stride + ky − pad, col − pad)`
+//!
+//! for `col ∈ 0..W + 2·pad` and the `L = ⌈C_in/64⌉` live words of a pixel
+//! ([`ConvDesc::live_words`]), out-of-frame rows and columns holding the
+//! input-aware fill pattern of §4.2(b) — the CPU form of the coalesced NPHWC
+//! reads of §4.2(a). The weight panel's K order is `(kx, ky, word)`
+//! ([`super::ConvWeights::lane_panel`]), so every output pixel's window is
+//! the **contiguous slice** `strip[ox·stride·KH·L ..][.. KW·KH·L]`: nothing
+//! is gathered per pixel, and because consecutive pixels' slices overlap in
+//! place, one K pass streams a block of [`MicroTile::jb`] pixels × `q`
+//! planes against each loaded weight cell with no further scratch.
+//!
+//! One loop nest — `conv_exec`, on the calling thread — drives it all and
+//! hands every finished accumulator row to a *row sink*: the unfused entry
+//! points store it, `conv_exec_fused` runs the §5.2 tail on it while it is
+//! cache-hot.
+
+use std::ops::Range;
 
 use apnn_bitpack::{BitTensor4, Encoding, LanePanel, PopcntArm, LANES};
 
@@ -14,18 +31,17 @@ use super::weights::TapPopc;
 use super::{ConvDesc, Pool2};
 use crate::autotune::{select_micro, MicroTile};
 use crate::fusion::Epilogue;
-use crate::micro::{flat_streams, popc_tile, MAX_PLANES, MAX_TILE};
+use crate::micro::{popc_tile, MAX_PLANES, MAX_TILE};
 use crate::select::{plan, Correction};
 
-/// Input coordinates + frame status of window tap `(ky, kx)` for output
-/// pixel `(oy, ox)` — the **single** copy of the stride/padding index
-/// arithmetic of the window gather.
+/// The kernel offsets (of `0..k`) whose input coordinate
+/// `o·stride + offset − pad` lies inside `0..extent`, for output coordinate
+/// `o` — the **single** copy of the stride/padding index arithmetic, used
+/// for rows and columns alike. Empty when the window misses the frame.
 #[inline]
-fn tap_coords(desc: &ConvDesc, oy: usize, ox: usize, ky: usize, kx: usize) -> (isize, isize, bool) {
-    let iy = (oy * desc.stride + ky) as isize - desc.pad as isize;
-    let ix = (ox * desc.stride + kx) as isize - desc.pad as isize;
-    let in_frame = iy >= 0 && ix >= 0 && (iy as usize) < desc.h && (ix as usize) < desc.w;
-    (iy, ix, in_frame)
+fn in_frame(o: usize, stride: usize, pad: usize, extent: usize, k: usize) -> Range<usize> {
+    let first = o * stride;
+    pad.saturating_sub(first).min(k)..(extent + pad).saturating_sub(first).min(k)
 }
 
 /// Per-call-invariant execution state for a convolution: the emulation plan
@@ -34,11 +50,11 @@ fn tap_coords(desc: &ConvDesc, oy: usize, ox: usize, ky: usize, kx: usize) -> (i
 #[derive(Debug, Clone)]
 pub struct ConvExecPlan {
     pub(crate) eplan: crate::select::EmulationPlan,
+    /// The §4.2(b) fill of one out-of-frame pixel ([`ConvDesc::live_words`]
+    /// words).
     pub(crate) fill_pattern: Vec<u64>,
-    /// CPU microkernel tile. The row block runs over dynamic rows and a
-    /// convolution feeds the kernel its one gathered window, so every
-    /// value executes as a one-row block (and selection measures a single
-    /// candidate); kept so conv and APMM plans describe themselves alike.
+    /// CPU microkernel tile: `jb` consecutive output pixels of a row share
+    /// each loaded weight cell.
     pub(crate) micro: MicroTile,
     /// Popcount arm the microkernel runs on, bound once at plan time by
     /// [`PopcntArm::detect`] (exact for any value).
@@ -48,20 +64,15 @@ pub struct ConvExecPlan {
 impl ConvExecPlan {
     /// Resolve the plan + padding strategy + popcount arm + microkernel
     /// tile for a layer. Tile selection goes through the shape-keyed
-    /// [`select_micro`] memo, so rebuilding this state per ad-hoc call
+    /// [`select_micro`] memo — an output row is the dynamic extent one K
+    /// pass can block over — so rebuilding this state per ad-hoc call
     /// re-selects nothing after the first call per layer shape.
     pub fn new(desc: &ConvDesc) -> Self {
         let eplan = plan(desc.w_enc, desc.x_enc);
-        let words_per_tap = desc.padded_c() / 64;
-        let fill_pattern = fill_words(pad_fill(desc.w_enc, desc.x_enc), desc.cin, words_per_tap);
+        let fill = pad_fill(desc.w_enc, desc.x_enc);
+        let fill_pattern = fill_words(fill, desc.cin, desc.live_words());
         let arm = PopcntArm::detect();
-        let micro = select_micro(
-            1,
-            desc.kh * desc.kw * words_per_tap,
-            desc.w_bits,
-            desc.x_bits,
-            arm,
-        );
+        let micro = select_micro(desc.out_w(), desc.k_words(), desc.w_bits, desc.x_bits, arm);
         ConvExecPlan {
             eplan,
             fill_pattern,
@@ -94,240 +105,218 @@ impl ConvExecPlan {
     }
 }
 
-/// Reusable per-call scratch for the `execute_into` entry points:
-/// one gathered window (reused across every output pixel) plus the
-/// accumulator and pooling buffers of fused executions. Size it once with
-/// [`ConvScratch::reserve`] (at the plan's full batch); every later call —
-/// full or partial shard — is then allocation-free.
+/// Reusable per-call scratch for the `execute_into` entry points — all of
+/// it **row-sized**: the activation strip of the output row in flight, its
+/// accumulator row (two under a fused 2×2 pool) and the fused tail's `f32`
+/// and code rows. Size it once with [`ConvScratch::reserve`]; every later
+/// call — full or partial shard — is then allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct ConvScratch {
-    /// The reused window gather.
-    pub(crate) window: WindowScratch,
-    /// Raw NHWC i32 accumulators for fused executions.
-    pub(crate) acc: Vec<i32>,
-    /// Pooled accumulators (fused 2×2 pooling).
-    pub(crate) pooled: Vec<i32>,
-}
-
-/// The window-gather portion of [`ConvScratch`], split out so fused
-/// executions can borrow it independently of the accumulator buffers.
-#[derive(Debug, Clone, Default)]
-pub struct WindowScratch {
-    /// Flat `q` planes × (taps · words_per_tap) gathered window words.
-    win: Vec<u64>,
-    /// Indices of out-of-frame taps of the current window.
-    oob: Vec<usize>,
-    /// Per-plane popcounts of the gathered window (Case `AndWeightTransformed`).
-    popc: Vec<i32>,
+    strip: Strip,
+    /// The accumulator rows handed to the row sink.
+    acc: Vec<i32>,
+    /// One (pooled) row as `f32` — what the row epilogue transforms.
+    vals: Vec<f32>,
+    /// One (pooled) row of quantized codes, ready to pack.
+    codes: Vec<u32>,
+    /// [`Epilogue::rows`]' BatchNorm denominators.
+    bn_den: Vec<f32>,
 }
 
 impl ConvScratch {
-    /// Pre-size the scratch: `win_words` gathered-window words
-    /// (`x_bits × taps × words_per_tap`), `taps` out-of-frame slots,
-    /// `planes` popcount slots (`x_bits`), `acc` accumulator elements
-    /// (`batch × oh × ow × cout`) and `pooled` pooled elements.
+    /// Pre-size the scratch: `strip_words` strip words
+    /// (`x_bits × (w + 2·pad) × kh × live_words`), `cols` strip columns
+    /// per plane set (`x_bits × (w + 2·pad + 1)` popcount prefix sums),
+    /// `acc` accumulator elements (`out_w × cout`, twice under a fused
+    /// pool), `row` elements of one fused output row (`≤ out_w × cout`)
+    /// and `bn_den` elements ([`Epilogue::row_scratch_len`]).
     pub fn reserve(
         &mut self,
-        win_words: usize,
-        taps: usize,
-        planes: usize,
+        strip_words: usize,
+        cols: usize,
         acc: usize,
-        pooled: usize,
+        row: usize,
+        bn_den: usize,
     ) {
-        let w = &mut self.window;
-        w.win.reserve(win_words.saturating_sub(w.win.len()));
-        w.oob.reserve(taps.saturating_sub(w.oob.len()));
-        w.popc.reserve(planes.saturating_sub(w.popc.len()));
-        self.acc.reserve(acc.saturating_sub(self.acc.len()));
-        self.pooled
-            .reserve(pooled.saturating_sub(self.pooled.len()));
+        fn grow<T>(v: &mut Vec<T>, len: usize) {
+            v.reserve(len.saturating_sub(v.len()));
+        }
+        grow(&mut self.strip.words, strip_words);
+        grow(&mut self.strip.col_popc, cols);
+        grow(&mut self.acc, acc);
+        grow(&mut self.vals, row);
+        grow(&mut self.codes, row);
+        grow(&mut self.bn_den, bn_den);
     }
 }
 
-/// Gather one output pixel's window into the reused scratch buffers.
-/// Every tap's words are overwritten — in-frame taps copy the input,
-/// out-of-frame taps write the fill pattern (or zeros) — so stale data
-/// from the previous pixel never survives.
-///
-/// `shift_prev` enables the stride-1 fast path: when the scratch still
-/// holds this row's previous window (`(b, oy, ox−1)` at stride 1), tap
-/// `(ky, kx)` of the new window reads exactly the same input pixel as tap
-/// `(ky, kx+1)` of the old one — so the overlapping taps are moved left
-/// with one in-place `copy_within` per kernel row and only the fresh
-/// right-hand column is gathered from the input. Word contents (and hence
-/// every popcount downstream) are bit-identical to a full gather.
-#[allow(clippy::too_many_arguments)]
-fn gather_into(
-    desc: &ConvDesc,
-    input: &BitTensor4,
-    fill_pattern: &[u64],
-    b: usize,
-    oy: usize,
-    ox: usize,
-    need_popc: bool,
-    shift_prev: bool,
-    scratch: &mut WindowScratch,
+/// The column-interleaved activation strip of one output row (see the
+/// module docs for the layout), all `q` planes back to back.
+#[derive(Debug, Clone, Default)]
+struct Strip {
+    words: Vec<u64>,
+    /// Per plane, prefix sums over the strip columns' popcounts
+    /// (`cols + 1` entries) — a window's `J·X` is the difference of two.
+    /// Built only for the case that consumes it.
+    col_popc: Vec<i32>,
+    /// Words per plane: `cols · kh · live_words`.
+    plane_words: usize,
+    /// Strip words between consecutive output pixels' windows.
+    step: usize,
+    /// Strip columns: `w + 2·pad`.
+    cols: usize,
+}
+
+impl Strip {
+    /// Lay out output row `oy` of image `b`. Every word is stored — input
+    /// rows copy their live words, out-of-frame rows and the `pad` columns
+    /// either side store `fill` — so nothing survives from the last row.
+    fn build(
+        &mut self,
+        desc: &ConvDesc,
+        input: &BitTensor4,
+        fill: &[u64],
+        b: usize,
+        oy: usize,
+        need_popc: bool,
+    ) {
+        let (kh, live, wpp) = (desc.kh, desc.live_words(), input.words_per_pixel());
+        let q = desc.x_bits as usize;
+        self.cols = desc.w + 2 * desc.pad;
+        self.plane_words = self.cols * kh * live;
+        self.step = desc.stride * kh * live;
+        apnn_bitpack::resize_for_overwrite(&mut self.words, q * self.plane_words);
+        let rows = in_frame(oy, desc.stride, desc.pad, desc.h, kh);
+        let planes = self.words.chunks_exact_mut(self.plane_words.max(1));
+        for (t, plane) in planes.enumerate() {
+            for ky in 0..kh {
+                let mut cells = plane[ky * live..].chunks_mut(kh * live);
+                let fills = std::iter::repeat(fill);
+                if rows.contains(&ky) {
+                    let iy = oy * desc.stride + ky - desc.pad;
+                    let row = input.row_words(b, t as u32, iy);
+                    store_cells(cells.by_ref().take(desc.pad), fills.clone(), live);
+                    store_cells(cells.by_ref().take(desc.w), row.chunks_exact(wpp), live);
+                    store_cells(cells, fills, live);
+                } else {
+                    store_cells(cells, fills, live);
+                }
+            }
+        }
+        self.col_popc.clear();
+        if need_popc {
+            for plane in self.words.chunks_exact(self.plane_words.max(1)) {
+                let mut sum = 0i32;
+                self.col_popc.push(sum);
+                for col in plane.chunks_exact(kh * live) {
+                    sum += apnn_bitpack::word::popcount(col) as i32;
+                    self.col_popc.push(sum);
+                }
+            }
+        }
+    }
+
+    /// Plane `t`'s stream for output pixel `ox`: its window is the first
+    /// `kw·kh·live_words` words (the slice runs on to the end of the plane;
+    /// the kernel reads one word per weight cell).
+    #[inline]
+    fn stream(&self, t: usize, ox: usize) -> &[u64] {
+        &self.words[t * self.plane_words + ox * self.step..(t + 1) * self.plane_words]
+    }
+
+    /// Popcount of plane `t` of pixel `ox`'s `kw`-column window (needs the
+    /// prefix sums).
+    #[inline]
+    fn window_popc(&self, t: usize, ox: usize, stride: usize, kw: usize) -> i32 {
+        let pre = &self.col_popc[t * (self.cols + 1)..];
+        pre[ox * stride + kw] - pre[ox * stride]
+    }
+}
+
+/// Store the first `live` words of each source into the matching strip
+/// cell.
+#[inline]
+fn store_cells<'a>(
+    cells: impl Iterator<Item = &'a mut [u64]>,
+    srcs: impl Iterator<Item = &'a [u64]>,
+    live: usize,
 ) {
-    let wpt = input.words_per_pixel();
-    let taps = desc.kh * desc.kw;
-    let q = desc.x_bits as usize;
-    let plane_words = taps * wpt;
-    if shift_prev {
-        debug_assert_eq!(desc.stride, 1);
-        debug_assert!(ox > 0);
-        debug_assert_eq!(scratch.win.len(), q * plane_words);
-        // The per-plane popcounts update incrementally: only the departing
-        // left column and the arriving right column change, and both are
-        // touched by the shift anyway (exact integers, so this equals a
-        // full recount). Valid whenever the previous gather tracked them
-        // — same `need_popc` for every pixel of one execution.
-        let track_popc = need_popc && scratch.popc.len() == q;
-        if track_popc {
-            for t in 0..q {
-                let mut departing = 0u32;
-                for ky in 0..desc.kh {
-                    let base = t * plane_words + ky * desc.kw * wpt;
-                    departing += apnn_bitpack::word::popcount(&scratch.win[base..base + wpt]);
-                }
-                scratch.popc[t] -= departing as i32;
-            }
-        }
-        // Shift the kw−1 overlapping columns left in place, per plane and
-        // kernel row. An old out-of-frame tap already holds the fill
-        // pattern, which is exactly what the shifted position needs, so no
-        // oob rewrite is required either.
-        for t in 0..q {
-            for ky in 0..desc.kh {
-                let base = t * plane_words + ky * desc.kw * wpt;
-                scratch
-                    .win
-                    .copy_within(base + wpt..base + desc.kw * wpt, base);
-            }
-        }
-        // Rebuild the bounds bookkeeping (cheap — no word traffic) and
-        // gather only the new rightmost column.
-        scratch.oob.clear();
-        for ky in 0..desc.kh {
-            for kx in 0..desc.kw {
-                let tap = ky * desc.kw + kx;
-                let (iy, ix, in_frame) = tap_coords(desc, oy, ox, ky, kx);
-                if kx + 1 == desc.kw {
-                    for t in 0..q {
-                        let dst = t * plane_words + tap * wpt;
-                        if in_frame {
-                            scratch.win[dst..dst + wpt].copy_from_slice(input.pixel_words(
-                                b,
-                                t as u32,
-                                iy as usize,
-                                ix as usize,
-                            ));
-                        } else {
-                            scratch.win[dst..dst + wpt].copy_from_slice(fill_pattern);
-                        }
-                        if track_popc {
-                            scratch.popc[t] +=
-                                apnn_bitpack::word::popcount(&scratch.win[dst..dst + wpt]) as i32;
-                        }
-                    }
-                }
-                if !in_frame {
-                    scratch.oob.push(tap);
-                }
-            }
-        }
-        if track_popc {
-            return;
+    if live == 1 {
+        // One word per pixel (`cin ≤ 64`, most layers): a plain store
+        // where the general arm's variable-length copy is a `memcpy` call.
+        for (cell, src) in cells.zip(srcs) {
+            cell[0] = src[0];
         }
     } else {
-        // Every (plane, tap) slot is written exactly once below — in-frame
-        // taps copy the input, out-of-frame taps copy the fill pattern
-        // (which is all-zero words for `PadFill::Zeros`) — so the reshape
-        // skips the per-pixel zeroing pass the old `resize(.., 0)` paid on
-        // every window.
-        apnn_bitpack::resize_for_overwrite(&mut scratch.win, q * plane_words);
-        scratch.oob.clear();
-        for ky in 0..desc.kh {
-            for kx in 0..desc.kw {
-                let tap = ky * desc.kw + kx;
-                let (iy, ix, in_frame) = tap_coords(desc, oy, ox, ky, kx);
-                if in_frame {
-                    for t in 0..q {
-                        let dst = t * plane_words + tap * wpt;
-                        scratch.win[dst..dst + wpt].copy_from_slice(input.pixel_words(
-                            b,
-                            t as u32,
-                            iy as usize,
-                            ix as usize,
-                        ));
-                    }
-                } else {
-                    scratch.oob.push(tap);
-                    for t in 0..q {
-                        let dst = t * plane_words + tap * wpt;
-                        scratch.win[dst..dst + wpt].copy_from_slice(fill_pattern);
-                    }
-                }
-            }
-        }
-    }
-    scratch.popc.clear();
-    if need_popc {
-        for t in 0..q {
-            let plane = &scratch.win[t * plane_words..(t + 1) * plane_words];
-            scratch
-                .popc
-                .push(plane.iter().map(|w| w.count_ones()).sum::<u32>() as i32);
+        for (cell, src) in cells.zip(srcs) {
+            cell[..live].copy_from_slice(&src[..live]);
         }
     }
 }
 
-/// Consume one popcount tile — one window × row group `g`: apply the
-/// §3.2 correction with its §4.2(b) padding amendments and the shift-add
-/// combination lane-wise over the group's eight output channels, in the
-/// same s-outer / t-inner order as the per-output kernels (bit-identical
-/// results). The case dispatch is the [`Correction`] coefficient table, so
-/// the per-channel loop is branch-free; the out-of-frame weight popcounts
-/// are summed once per `(window, group, s)` — nothing for interior windows
-/// — and enter through the effective `K` ([`correct_xor_window`]) and row
-/// sum ([`valid_row_popc`]) the correction sees. This is the **single**
-/// copy of the conv correction arithmetic.
-fn combine_conv_block(
+/// The weight-side part of the correction offset of row group `g`, per
+/// weight plane, over a window whose taps `out_of_frame(ky, kx)` reports
+/// missing: their weight popcounts leave the effective `K`
+/// ([`correct_xor_window`]) and row sum ([`valid_row_popc`]) the §3.2
+/// correction sees — the §4.2(b) amendment, summed per tap.
+fn weight_sides(
     desc: &ConvDesc,
     popc: &TapPopc,
     corr: Correction,
-    tile: &[[i32; LANES]],
     g: usize,
-    oob: &[usize],
-    plane_popc: &[i32],
-) -> [i32; LANES] {
-    let (p, q) = (desc.w_bits as usize, desc.x_bits as usize);
+    out_of_frame: impl Fn(usize, usize) -> bool,
+) -> [[i32; LANES]; MAX_PLANES] {
     let cin = desc.cin as i32;
-    let oob_taps = oob.len() as i32;
-    let valid_taps = (desc.kh * desc.kw) as i32 - oob_taps;
-    let mut acc = [0i32; LANES];
-    for s in 0..p {
+    let mut sides = [[0i32; LANES]; MAX_PLANES];
+    for (s, side) in sides[..desc.w_bits as usize].iter_mut().enumerate() {
         let mut oob_w = [0i32; LANES];
-        for &tap in oob {
-            for (sum, v) in oob_w.iter_mut().zip(popc.seg_lanes(s, tap, g)) {
-                *sum += v;
+        let mut oob_taps = 0i32;
+        for (ky, kx) in (0..desc.kh).flat_map(|ky| (0..desc.kw).map(move |kx| (ky, kx))) {
+            if out_of_frame(ky, kx) {
+                oob_taps += 1;
+                let seg = popc.seg_lanes(s, ky * desc.kw + kx, g);
+                for (sum, v) in oob_w.iter_mut().zip(seg) {
+                    *sum += v;
+                }
             }
         }
-        // The offset is linear, so its weight-side part is shared by the
-        // plane's `q` pairs.
+        let valid_taps = (desc.kh * desc.kw) as i32 - oob_taps;
         let row = popc.row_lanes(s, g);
-        let w_side: [i32; LANES] = std::array::from_fn(|l| {
+        *side = std::array::from_fn(|l| {
             corr.offset(
                 correct_xor_window(0, cin, valid_taps, oob_w[l], oob_taps),
                 valid_row_popc(row[l], oob_w[l]),
                 0,
             )
         });
+    }
+    sides
+}
+
+/// Consume pixel `j` of a popcount tile over `n_px` pixels × row group:
+/// apply the §3.2 correction and the shift-add combination lane-wise over
+/// the group's eight output channels, in the same s-outer / t-inner order
+/// as the per-output kernels (bit-identical results). The case dispatch is
+/// the [`Correction`] coefficient table, so the per-channel loop is
+/// branch-free; the offset is linear, so its weight-side part
+/// ([`weight_sides`]) is shared by a plane's `q` pairs. With
+/// [`weight_sides`], the **single** copy of the conv correction arithmetic.
+fn combine_conv_block(
+    corr: Correction,
+    (p, q): (usize, usize),
+    tile: &[[i32; LANES]],
+    (n_px, j): (usize, usize),
+    w_side: &[[i32; LANES]],
+    plane_popc: &[i32],
+) -> [i32; LANES] {
+    let mut acc = [0i32; LANES];
+    for s in 0..p {
         for t in 0..q {
-            // Tracked only for the case that consumes it.
-            let x_side = corr.offset(0, 0, plane_popc.get(t).copied().unwrap_or(0));
-            let counts = &tile[s * q + t];
+            // Zero unless the case consumes it.
+            let x_side = corr.offset(0, 0, plane_popc[t]);
+            let counts = &tile[(s * n_px + j) * q + t];
             for l in 0..LANES {
-                acc[l] += corr.apply(counts[l], w_side[l] + x_side) << (s + t);
+                acc[l] += corr.apply(counts[l], w_side[s][l] + x_side) << (s + t);
             }
         }
     }
@@ -336,18 +325,24 @@ fn combine_conv_block(
 
 /// The one APConv driver: convolve `input` (whose batch may be ≤
 /// `desc.batch` when a compiled plan serves a partial shard — zero images
-/// included) against the weight panel `w` into NHWC i32 accumulators, on
-/// the **calling thread** with a reused window gather and a caller-owned
-/// `out` (zero allocations once both are at capacity). Serving workers are
-/// the concurrency unit, not this loop.
-pub(crate) fn conv_exec(
+/// included) against the weight panel `w`, on the **calling thread**, and
+/// hand the NHWC i32 accumulators to `sink(image, band, rows)` one *band*
+/// of `band` consecutive output rows at a time (`rows` is `band·out_w·cout`
+/// values the sink may overwrite; a trailing partial band is never
+/// computed — nothing pools it). Zero allocations once `strip` and `acc`
+/// are at capacity. Serving workers are the concurrency unit, not this
+/// loop.
+#[allow(clippy::too_many_arguments)]
+fn conv_exec(
     desc: &ConvDesc,
     w: &LanePanel,
     popc: &TapPopc,
     input: &BitTensor4,
     eplan_state: &ConvExecPlan,
-    scratch: &mut WindowScratch,
-    out: &mut Vec<i32>,
+    band: usize,
+    strip: &mut Strip,
+    acc: &mut Vec<i32>,
+    mut sink: impl FnMut(usize, usize, &mut [i32]),
 ) {
     let (n, h, wd, c) = input.shape();
     assert!(n <= desc.batch, "input batch exceeds plan batch");
@@ -359,74 +354,118 @@ pub(crate) fn conv_exec(
     assert_eq!(taps, desc.kh * desc.kw);
     assert_eq!(cin, desc.cin);
     assert_eq!(w.rows(), cout, "weight panel rows");
+    assert_eq!(w.words_per_row(), desc.k_words(), "weight panel K order");
 
-    let ConvExecPlan {
-        eplan,
-        fill_pattern,
-        arm,
-        ..
-    } = eplan_state;
-    let eplan = *eplan;
-    let arm = arm.sanitized();
-    let corr = eplan.case.correction();
-    let need_popc = corr.needs_col_sums();
-
-    let (oh, ow) = (desc.out_h(), desc.out_w());
-    let p = desc.w_bits as usize;
-    let q = desc.x_bits as usize;
-    let pixels = n * oh * ow;
-    let plane_words = taps * input.words_per_pixel();
-    assert_eq!(
-        w.words_per_row(),
-        plane_words,
-        "operands must share padded K"
-    );
-    // Every element of `[0, pixels·cout)` is stored by the loop below, so
-    // the accumulator reshape pays no zeroing pass.
-    apnn_bitpack::resize_for_overwrite(out, pixels * cout);
-
-    let mut tile = [[0i32; LANES]; MAX_TILE];
-    let live = &mut tile[..p * q];
-    for pix in 0..pixels {
-        let b = pix / (oh * ow);
-        let oy = (pix / ow) % oh;
-        let ox = pix % ow;
-        // The stride-1 fast path: within an output row the previous
-        // pixel's gather is still in the scratch, one input column to the
-        // left — shift-reuse the overlapping taps instead of re-copying
-        // the full window.
-        let shift_prev = desc.stride == 1 && ox > 0;
-        gather_into(
-            desc,
-            input,
-            fill_pattern,
-            b,
-            oy,
-            ox,
-            need_popc,
-            shift_prev,
-            scratch,
-        );
-        // The window's `q` planes are the kernel's streams, broadcast
-        // against every row group of the panel.
-        let mut xs: [&[u64]; MAX_PLANES] = [&[]; MAX_PLANES];
-        let n_xs = flat_streams(&scratch.win, q, plane_words, &mut xs);
-
-        let chunk = &mut out[pix * cout..(pix + 1) * cout];
-        for (g, chunk) in chunk.chunks_mut(LANES).enumerate() {
-            popc_tile(eplan.op, arm, w, g, &xs[..n_xs], live);
-            let acc = combine_conv_block(desc, popc, corr, live, g, &scratch.oob, &scratch.popc);
-            // A ragged last group's pad lanes hold no output channel.
-            chunk.copy_from_slice(&acc[..chunk.len()]);
+    let need_popc = eplan_state.eplan.case.correction().needs_col_sums();
+    let row_len = desc.out_w() * cout;
+    // Every element of a band is stored before the sink sees it.
+    apnn_bitpack::resize_for_overwrite(acc, band * row_len);
+    for b in 0..n {
+        for band_idx in 0..desc.out_h() / band {
+            for (r, row) in acc.chunks_exact_mut(row_len.max(1)).enumerate() {
+                let oy = band_idx * band + r;
+                strip.build(desc, input, &eplan_state.fill_pattern, b, oy, need_popc);
+                conv_row(desc, w, popc, eplan_state, strip, oy, row);
+            }
+            sink(b, band_idx, acc);
         }
     }
 }
 
-/// Fused execution: [`conv_exec`] + in-place pooling +
-/// quantizing epilogue, packing the next layer's channel-major activations
-/// into the caller-owned `out` tensor. The whole pipeline is
-/// allocation-free once `scratch` and `out` have reached the plan's
-/// full-batch capacity.
+/// Output row `oy` from its strip: for every weight row group, one K pass
+/// per block of `jb` pixels × `q` planes — the group's cells stay cache-hot
+/// across the row — then each pixel's counts combined. Pixels whose window
+/// misses no column share one weight-side offset per `(group, plane)`;
+/// only the border pixels sum their own out-of-frame taps.
+fn conv_row(
+    desc: &ConvDesc,
+    w: &LanePanel,
+    popc: &TapPopc,
+    state: &ConvExecPlan,
+    strip: &Strip,
+    oy: usize,
+    row: &mut [i32],
+) {
+    let corr = state.eplan.case.correction();
+    let arm = state.arm.sanitized();
+    let (p, q) = (desc.w_bits as usize, desc.x_bits as usize);
+    let jb = state.micro.rows_for(p, q);
+    let (ow, cout) = (desc.out_w(), desc.cout);
+    let rows_in = in_frame(oy, desc.stride, desc.pad, desc.h, desc.kh);
+
+    let mut tile = [[0i32; LANES]; MAX_TILE];
+    let mut xs: [&[u64]; MAX_TILE] = [&[]; MAX_TILE];
+    let mut plane_popc = [0i32; MAX_PLANES];
+    for g in 0..w.groups() {
+        let chans = g * LANES..cout.min((g + 1) * LANES);
+        let interior = weight_sides(desc, popc, corr, g, |ky, _| !rows_in.contains(&ky));
+        for ox0 in (0..ow).step_by(jb) {
+            let n_px = jb.min(ow - ox0);
+            // Streams are `[pixel][plane]`-ordered.
+            for (r, slot) in xs[..n_px * q].iter_mut().enumerate() {
+                *slot = strip.stream(r % q, ox0 + r / q);
+            }
+            let live = &mut tile[..p * n_px * q];
+            popc_tile(state.eplan.op, arm, w, g, &xs[..n_px * q], live);
+            for (j, ox) in (ox0..ox0 + n_px).enumerate() {
+                let cols_in = in_frame(ox, desc.stride, desc.pad, desc.w, desc.kw);
+                let border;
+                let w_side = if cols_in == (0..desc.kw) {
+                    &interior
+                } else {
+                    border = weight_sides(desc, popc, corr, g, |ky, kx| {
+                        !rows_in.contains(&ky) || !cols_in.contains(&kx)
+                    });
+                    &border
+                };
+                if corr.needs_col_sums() {
+                    for (t, sum) in plane_popc[..q].iter_mut().enumerate() {
+                        *sum = strip.window_popc(t, ox, desc.stride, desc.kw);
+                    }
+                }
+                let lanes = combine_conv_block(corr, (p, q), live, (n_px, j), w_side, &plane_popc);
+                // A ragged last group's pad lanes hold no output channel.
+                row[ox * cout..][chans.clone()].copy_from_slice(&lanes[..chans.len()]);
+            }
+        }
+    }
+}
+
+/// [`conv_exec`] with the storing row sink: the whole shard's NHWC i32
+/// accumulators land in the caller-owned `out`.
+pub(crate) fn conv_exec_store(
+    desc: &ConvDesc,
+    w: &LanePanel,
+    popc: &TapPopc,
+    input: &BitTensor4,
+    eplan_state: &ConvExecPlan,
+    scratch: &mut ConvScratch,
+    out: &mut Vec<i32>,
+) {
+    let (oh, row_len) = (desc.out_h(), desc.out_w() * desc.cout);
+    // Every row of every image is stored by the sink — no zeroing pass.
+    apnn_bitpack::resize_for_overwrite(out, input.shape().0 * oh * row_len);
+    let ConvScratch { strip, acc, .. } = scratch;
+    conv_exec(
+        desc,
+        w,
+        popc,
+        input,
+        eplan_state,
+        1,
+        strip,
+        acc,
+        |b, oy, row| out[(b * oh + oy) * row_len..][..row_len].copy_from_slice(row),
+    );
+}
+
+/// Fused execution: [`conv_exec`] with the §5.2 tail as its row sink —
+/// residual add, 2×2 pool, the epilogue applied row-wise
+/// ([`Epilogue::rows`]) and word-level packing
+/// ([`BitTensor4::pack_row`]) of the next layer's channel-major
+/// activations into the caller-owned `out` tensor, each band while it is
+/// cache-hot. Allocation-free once `scratch` and `out` have reached the
+/// plan's capacity.
 ///
 /// `residual` adds a same-shaped NHWC i32 buffer into the raw accumulators
 /// *before* the pool/epilogue run — the exact-i32 requantization point of a
@@ -448,52 +487,92 @@ pub(crate) fn conv_exec_fused(
     let bits = epi
         .output_bits()
         .expect("fused conv stages must end in quantization");
-    let ConvScratch {
-        window,
-        acc,
-        pooled,
-    } = scratch;
-    conv_exec(desc, w, popc, input, eplan_state, window, acc);
+    let batch = input.shape().0;
+    let (oh, ow, cout) = (desc.out_h(), desc.out_w(), desc.cout);
     if let Some(res) = residual {
         assert_eq!(
             res.len(),
-            acc.len(),
+            batch * oh * ow * cout,
             "residual buffer must match the accumulator shape"
         );
-        for (a, r) in acc.iter_mut().zip(res) {
-            *a += r;
-        }
     }
-    let batch = input.shape().0;
-    let (oh, ow) = (desc.out_h(), desc.out_w());
-    let cout = desc.cout;
-    let (ph, pw, vals): (usize, usize, &[i32]) = match pool {
-        None => (oh, ow, acc),
-        Some(kind) => {
-            pool2_i32_into(acc, batch, oh, ow, cout, kind, pooled);
-            (oh / 2, ow / 2, pooled)
-        }
+    let (band, ph, pw) = match pool {
+        None => (1, oh, ow),
+        Some(_) => (2, oh / 2, ow / 2),
     };
-    // `set_code` stores every real-channel bit of every plane for each of
-    // the `batch` images below, and channel-padding bits are zero
-    // inductively (this slot only ever holds outputs of this stage, whose
-    // padding was zeroed at construction and never set since), so the
-    // reshape skips the zeroing pass of `reset_zeros`.
+    // `pack_row` stores every word of every row of the `batch` images
+    // below, channel padding included, so the reshape skips the zeroing
+    // pass of `reset_zeros`.
     out.reset_for_overwrite(batch, ph, pw, cout, bits, Encoding::ZeroOne);
-    for b in 0..batch {
-        for py in 0..ph {
-            for px in 0..pw {
-                for co in 0..cout {
-                    let a = vals[((b * ph + py) * pw + px) * cout + co];
-                    out.set_code(b, py, px, co, epi.apply_to_code(a, co));
+    let ConvScratch {
+        strip,
+        acc,
+        vals,
+        codes,
+        bn_den,
+    } = scratch;
+    let epi = epi.rows(cout, bn_den);
+    apnn_bitpack::resize_for_overwrite(vals, pw * cout);
+    apnn_bitpack::resize_for_overwrite(codes, pw * cout);
+    conv_exec(
+        desc,
+        w,
+        popc,
+        input,
+        eplan_state,
+        band,
+        strip,
+        acc,
+        |b, py, rows| {
+            if let Some(res) = residual {
+                let res = &res[(b * oh + py * band) * ow * cout..][..rows.len()];
+                for (a, r) in rows.iter_mut().zip(res) {
+                    *a += r;
                 }
             }
+            match pool {
+                None => {
+                    for (v, &a) in vals.iter_mut().zip(rows.iter()) {
+                        *v = a as f32;
+                    }
+                }
+                Some(kind) => {
+                    let (r0, r1) = rows.split_at(ow * cout);
+                    pool2_rows(kind, r0, r1, cout, vals, |a| a as f32);
+                }
+            }
+            epi.apply_to_codes(vals, codes);
+            out.pack_row(b, py, codes);
+        },
+    );
+}
+
+/// 2×2/stride-2 pooling of two NHWC accumulator rows into `out.len() /
+/// cout` pooled pixels (a trailing odd column is dropped) — the one copy
+/// of the pooling arithmetic.
+fn pool2_rows<T>(
+    kind: Pool2,
+    r0: &[i32],
+    r1: &[i32],
+    cout: usize,
+    out: &mut [T],
+    to: impl Fn(i32) -> T,
+) {
+    let quads = r0.chunks_exact(2 * cout).zip(r1.chunks_exact(2 * cout));
+    for (px, (top, bottom)) in out.chunks_exact_mut(cout).zip(quads) {
+        let ((a, b), (c, d)) = (top.split_at(cout), bottom.split_at(cout));
+        for co in 0..cout {
+            px[co] = to(match kind {
+                Pool2::Max => a[co].max(b[co]).max(c[co]).max(d[co]),
+                Pool2::Avg => (a[co] + b[co] + c[co] + d[co]).div_euclid(4),
+            });
         }
     }
 }
 
-/// Fused 2×2/stride-2 pooling over NHWC i32 accumulators — the shared
-/// implementation behind the fused kernels and compile-time calibration.
+/// Fused 2×2/stride-2 pooling over whole-batch NHWC i32 accumulators — for
+/// the allocating paths (compile-time calibration, non-quantizing fused
+/// outputs); the workspace path pools row pairs inside its sink.
 pub fn pool2_i32(
     y: &[i32],
     batch: usize,
@@ -502,48 +581,21 @@ pub fn pool2_i32(
     cout: usize,
     kind: Pool2,
 ) -> Vec<i32> {
-    let mut v = Vec::new();
-    pool2_i32_into(y, batch, oh, ow, cout, kind, &mut v);
-    v
-}
-
-/// [`pool2_i32`] writing into a caller-owned buffer (allocation-free once
-/// `out` has reached its peak capacity).
-pub fn pool2_i32_into(
-    y: &[i32],
-    batch: usize,
-    oh: usize,
-    ow: usize,
-    cout: usize,
-    kind: Pool2,
-    out: &mut Vec<i32>,
-) {
-    let ph = oh / 2;
-    let pw = ow / 2;
-    // Every pooled element is stored below — no zeroing pass needed.
-    apnn_bitpack::resize_for_overwrite(out, batch * ph * pw * cout);
-    let v = out;
-    for b in 0..batch {
-        for py in 0..ph {
-            for px in 0..pw {
-                for co in 0..cout {
-                    let at = |dy: usize, dx: usize| {
-                        y[((b * oh + 2 * py + dy) * ow + 2 * px + dx) * cout + co]
-                    };
-                    let vv = match kind {
-                        Pool2::Max => at(0, 0).max(at(0, 1)).max(at(1, 0)).max(at(1, 1)),
-                        Pool2::Avg => (at(0, 0) + at(0, 1) + at(1, 0) + at(1, 1)).div_euclid(4),
-                    };
-                    v[((b * ph + py) * pw + px) * cout + co] = vv;
-                }
-            }
-        }
+    let (ph, pw) = (oh / 2, ow / 2);
+    let mut v = vec![0i32; batch * ph * pw * cout];
+    for (i, out) in v.chunks_exact_mut((pw * cout).max(1)).enumerate() {
+        let (b, py) = (i / ph, i % ph);
+        let rows = &y[(b * oh + 2 * py) * ow * cout..][..2 * ow * cout];
+        let (r0, r1) = rows.split_at(ow * cout);
+        pool2_rows(kind, r0, r1, cout, out, |a| a);
     }
+    v
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apconv::padding::PadFill;
     use crate::apconv::{ApConv, ConvOutput, ConvWeights};
     use crate::fusion::EpilogueOp;
     use crate::reference::conv2d_i32;
@@ -649,17 +701,17 @@ mod tests {
         v
     }
 
-    /// Drive the one driver through every conv emulation case and gather
+    /// Drive the one driver through every conv emulation case and window
     /// geometry × `tiles` × `arms` × {full, partial, zero-image} shard,
     /// reusing one scratch as shapes shrink and grow, and compare each
     /// result with the naive i32 oracle.
     fn check_every_case(tiles: &[MicroTile], arms: &[PopcntArm]) {
         use Encoding::{PlusMinusOne as Pm, ZeroOne as Zo};
         let descs = [
-            // Stride-1 with padding: the shift-reuse window gather runs on
-            // every non-leading column.
+            // Stride 1 with padding: a ragged last pixel block (7 columns)
+            // and a ragged last row group (9 channels).
             ConvDesc::unsigned(2, 5, 7, 9, 3, 1, 1, 2, 2),
-            // Stride 2 (full gather every pixel), wide kernel, wide channels.
+            // Stride 2, wide kernel, wide channels.
             ConvDesc::unsigned(1, 4, 9, 5, 5, 2, 2, 1, 2),
             ConvDesc::unsigned(1, 130, 4, 3, 3, 1, 1, 1, 3),
             // ±1/±1 (pad-1 + counter correction) and the two Case III forms.
@@ -770,7 +822,7 @@ mod tests {
 
     #[test]
     fn every_micro_tile_is_bit_identical_for_conv() {
-        let tiles = [1usize, 2, 8].map(|jb| MicroTile { jb });
+        let tiles = [1usize, 2, 4, 8].map(|jb| MicroTile { jb });
         check_every_case(&tiles, &[PopcntArm::detect()]);
     }
 
@@ -808,47 +860,95 @@ mod tests {
         assert_eq!(y1, y3);
     }
 
+    /// Every strip slice against a tap-by-tap gather of the same window —
+    /// word for word, in the panel's `(kx, ky, word)` order — plus the
+    /// in-frame ranges against a per-tap coordinate test and the prefix-sum
+    /// window popcounts against a recount, for every output pixel.
+    fn check_strip_against_tap_gather(desc: &ConvDesc, fill: &[u64], seed: u64) {
+        let mut seed = seed;
+        let (input, _) = make_input(desc, &mut seed);
+        let (kh, kw, live) = (desc.kh, desc.kw, desc.live_words());
+        let mut strip = Strip::default();
+        for b in 0..desc.batch {
+            for oy in 0..desc.out_h() {
+                strip.build(desc, &input, fill, b, oy, true);
+                let rows_in = in_frame(oy, desc.stride, desc.pad, desc.h, kh);
+                for ox in 0..desc.out_w() {
+                    let cols_in = in_frame(ox, desc.stride, desc.pad, desc.w, kw);
+                    for t in 0..desc.x_bits as usize {
+                        let mut want = Vec::new();
+                        for (kx, ky) in (0..kw).flat_map(|kx| (0..kh).map(move |ky| (kx, ky))) {
+                            let iy = (oy * desc.stride + ky) as isize - desc.pad as isize;
+                            let ix = (ox * desc.stride + kx) as isize - desc.pad as isize;
+                            let inside = (0..desc.h as isize).contains(&iy)
+                                && (0..desc.w as isize).contains(&ix);
+                            assert_eq!(
+                                rows_in.contains(&ky) && cols_in.contains(&kx),
+                                inside,
+                                "frame test at ({oy},{ox}) tap ({ky},{kx}) of {desc:?}"
+                            );
+                            want.extend_from_slice(if inside {
+                                &input.pixel_words(b, t as u32, iy as usize, ix as usize)[..live]
+                            } else {
+                                fill
+                            });
+                        }
+                        let got = &strip.stream(t, ox)[..kw * kh * live];
+                        assert_eq!(got, &want[..], "window ({oy},{ox}) plane {t} of {desc:?}");
+                        assert_eq!(
+                            strip.window_popc(t, ox, desc.stride, kw),
+                            apnn_bitpack::word::popcount(&want) as i32,
+                            "window popcount ({oy},{ox}) plane {t} of {desc:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn shifted_window_gather_matches_full_gather() {
-        // Drive the stride-1 shift path directly against a fresh full
-        // gather for every pixel of a padded feature map, including the
-        // Case-III popcount bookkeeping.
-        let mut desc = ConvDesc::unsigned(1, 5, 8, 3, 3, 1, 1, 1, 2);
-        desc.w_enc = Encoding::PlusMinusOne; // AndWeightTransformed → need_popc
-        let (input, _, _) = operands_and_oracle(&desc, 23);
-        let state = ConvExecPlan::new(&desc);
-
-        let mut rolling = WindowScratch::default();
-        let mut fresh = WindowScratch::default();
-        for oy in 0..desc.out_h() {
-            for ox in 0..desc.out_w() {
-                let shift = ox > 0;
-                gather_into(
-                    &desc,
-                    &input,
-                    &state.fill_pattern,
-                    0,
-                    oy,
-                    ox,
-                    true,
-                    shift,
-                    &mut rolling,
-                );
-                gather_into(
-                    &desc,
-                    &input,
-                    &state.fill_pattern,
-                    0,
-                    oy,
-                    ox,
-                    true,
-                    false,
-                    &mut fresh,
-                );
-                assert_eq!(rolling.win, fresh.win, "window words at ({oy},{ox})");
-                assert_eq!(rolling.oob, fresh.oob, "oob taps at ({oy},{ox})");
-                assert_eq!(rolling.popc, fresh.popc, "plane popc at ({oy},{ox})");
+        // Every strip slice equals a tap-by-tap gather: both strides, pads
+        // up to windows wholly outside the frame (pad 2 under a 3×3
+        // kernel), square and oblong kernels, channel counts either side of
+        // the word boundaries, both fill patterns, 1–3 planes.
+        let mut seed = 23;
+        for (stride, pad) in [1usize, 2]
+            .into_iter()
+            .flat_map(|s| [0, 1, 2].map(|p| (s, p)))
+        {
+            for (kh, kw) in [(1usize, 1usize), (3, 3), (5, 5), (3, 5)] {
+                for cin in [3usize, 16, 64, 65, 130] {
+                    for q in 1u32..=3 {
+                        let mut desc = ConvDesc::unsigned(2, cin, 6, 1, kh, stride, pad, 1, q);
+                        (desc.w, desc.kw) = (7, kw);
+                        for fill in [PadFill::Zeros, PadFill::OnesValidChannels] {
+                            let fill = fill_words(fill, cin, desc.live_words());
+                            seed += 1;
+                            check_strip_against_tap_gather(&desc, &fill, seed);
+                        }
+                    }
+                }
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The grid above at random geometry (the nightly deep run drives
+        /// this at 2048 cases).
+        #[test]
+        fn strip_slices_equal_tap_gather(
+            h in 1usize..9, w in 1usize..9, kh in 1usize..6, kw in 1usize..6,
+            stride in 1usize..4, pad in 0usize..4, cin in 1usize..200, q in 1u32..4,
+            ones in proptest::prelude::any::<bool>(), seed in proptest::prelude::any::<u64>(),
+        ) {
+            proptest::prop_assume!(h + 2 * pad >= kh && w + 2 * pad >= kw);
+            let mut desc = ConvDesc::unsigned(1, cin, h, 1, kh, stride, pad, 1, q);
+            (desc.w, desc.kw) = (w, kw);
+            let fill = if ones { PadFill::OnesValidChannels } else { PadFill::Zeros };
+            check_strip_against_tap_gather(&desc, &fill_words(fill, cin, desc.live_words()), seed);
         }
     }
 

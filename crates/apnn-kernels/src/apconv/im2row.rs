@@ -1,8 +1,8 @@
 //! Explicit im2row lowering: convolution as a materialized APMM call.
 //!
-//! The production path ([`super::cpu`]) performs *direct* convolution with
-//! on-the-fly window gathers (no im2row buffer, the §4.2 design). This
-//! module materializes the gathered windows into activation planes and runs
+//! The production path ([`super::cpu`]) performs *direct* convolution over
+//! a one-row activation strip (no im2row buffer, the §4.2 design). This
+//! module materializes every window into activation planes and runs
 //! the stock [`crate::apmm`] kernel instead — the classic GEMM-lowering
 //! alternative. It exists for two reasons:
 //!

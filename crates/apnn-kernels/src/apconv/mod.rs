@@ -113,6 +113,21 @@ impl ConvDesc {
         self.kh * self.kw * self.padded_c()
     }
 
+    /// Live packed words per window tap, `⌈cin/64⌉`: what the CPU kernel
+    /// reduces over. The fragment padding beyond them ([`Self::padded_c`])
+    /// is a BMMA operand constraint with no CPU counterpart — zero in both
+    /// operands, so dropping it changes no count.
+    pub fn live_words(&self) -> usize {
+        self.cin.div_ceil(64)
+    }
+
+    /// The CPU kernel's reduction length in packed words (`KH·KW` taps of
+    /// [`Self::live_words`]) — the one definition shared by the weight
+    /// panel, the activation strip, tile selection and the cost oracle.
+    pub fn k_words(&self) -> usize {
+        self.kh * self.kw * self.live_words()
+    }
+
     /// Valid (logical) reduction length per fully-in-frame window.
     pub fn k_valid(&self) -> usize {
         self.kh * self.kw * self.cin
@@ -190,15 +205,15 @@ impl ApConv {
     pub fn execute(&self, weights: &ConvWeights, input: &BitTensor4) -> Vec<i32> {
         assert_eq!(input.shape().0, self.desc.batch, "batch mismatch");
         let state = cpu::ConvExecPlan::new(&self.desc);
-        let panel = LanePanel::from_bitplanes(weights.planes());
-        let (mut window, mut out) = (cpu::WindowScratch::default(), Vec::new());
-        cpu::conv_exec(
+        let panel = weights.lane_panel(&self.desc);
+        let (mut scratch, mut out) = (cpu::ConvScratch::default(), Vec::new());
+        cpu::conv_exec_store(
             &self.desc,
             &panel,
             weights.popc(),
             input,
             &state,
-            &mut window,
+            &mut scratch,
             &mut out,
         );
         out
@@ -214,13 +229,14 @@ impl ApConv {
     ) -> ConvOutput {
         assert_eq!(input.shape().0, self.desc.batch, "batch mismatch");
         let state = cpu::ConvExecPlan::new(&self.desc);
-        let panel = LanePanel::from_bitplanes(weights.planes());
+        let panel = weights.lane_panel(&self.desc);
         fused_owned(&self.desc, &panel, weights.popc(), input, &state, pool, epi)
     }
 
     /// Hoist every per-call invariant out of the serving loop: re-lay the
-    /// packed weights out as the microkernel's lane panel (the only copy
-    /// kept, beside the per-tap popcount tables) and materialize the
+    /// packed weights out as the microkernel's lane panel
+    /// ([`ConvWeights::lane_panel`] — the only copy kept, beside the
+    /// per-tap popcount tables) and materialize the
     /// emulation plan + input-aware padding pattern (§4.2(b)). The result
     /// executes repeatedly without re-packing or re-planning, and accepts
     /// partial batches.
@@ -233,7 +249,7 @@ impl ApConv {
         PreparedConv {
             desc: self.desc,
             tile: self.tile,
-            panel: LanePanel::from_bitplanes(weights.planes()),
+            panel: weights.lane_panel(&self.desc),
             popc: weights.into_popc(),
             exec_plan: cpu::ConvExecPlan::new(&self.desc),
         }
@@ -284,14 +300,15 @@ pub struct PreparedConv {
 }
 
 impl PreparedConv {
-    /// The weight operand, in the microkernel's panel layout.
+    /// The weight operand, in the microkernel's panel layout (K order
+    /// `(kx, ky, word)` over the live words — [`ConvWeights::lane_panel`]).
     pub fn weights(&self) -> &LanePanel {
         &self.panel
     }
 
     /// The CPU microkernel tile this plan was compiled with (chosen at
-    /// prepare time by [`crate::autotune::select_micro`]; a convolution
-    /// feeds the kernel one window, so it always runs one-row blocks).
+    /// prepare time by [`crate::autotune::select_micro`]): `jb` consecutive
+    /// output pixels of a row share each loaded weight cell.
     pub fn micro(&self) -> crate::autotune::MicroTile {
         self.exec_plan.micro()
     }
@@ -344,30 +361,31 @@ impl PreparedConv {
     }
 
     /// Workspace form of [`PreparedConv::execute`]: NHWC i32 accumulators
-    /// land in `out`, the window gather reuses `scratch`, and — once the
-    /// buffers have reached the plan's full-batch capacity — the call
-    /// performs **zero heap allocations**.
+    /// land in `out`, the activation strip reuses `scratch`, and — once
+    /// the buffers have reached the plan's capacity — the call performs
+    /// **zero heap allocations**.
     pub fn execute_into(
         &self,
         input: &BitTensor4,
         scratch: &mut cpu::ConvScratch,
         out: &mut Vec<i32>,
     ) {
-        cpu::conv_exec(
+        cpu::conv_exec_store(
             &self.desc,
             &self.panel,
             &self.popc,
             input,
             &self.exec_plan,
-            &mut scratch.window,
+            scratch,
             out,
         );
     }
 
     /// Workspace form of [`PreparedConv::execute_fused`] for
-    /// quantizing epilogues: accumulators and pooled values go through
-    /// `scratch`, and the packed channel-major activations are rebuilt in
-    /// place in `out` (see [`apnn_bitpack::BitTensor4::reset_zeros`]).
+    /// quantizing epilogues: each accumulator row is pooled, transformed
+    /// and packed out of `scratch` as soon as it is finished, and the
+    /// packed channel-major activations are rebuilt in place in `out`
+    /// (see [`apnn_bitpack::BitTensor4::pack_row`]).
     /// Panics if `epi` does not end in quantization — the compiled-plan
     /// engine only runs quantizing conv stages.
     pub fn execute_fused_into(
@@ -453,13 +471,12 @@ fn fused_owned(
         );
         return ConvOutput::Packed(t);
     }
-    let cpu::ConvScratch { window, acc, .. } = &mut scratch;
-    cpu::conv_exec(desc, w, popc, input, state, window, acc);
-    let (n, oh, ow) = (input.shape().0, desc.out_h(), desc.out_w());
-    let mut v = match pool {
-        None => scratch.acc,
-        Some(kind) => cpu::pool2_i32(&scratch.acc, n, oh, ow, desc.cout, kind),
-    };
+    let mut v = Vec::new();
+    cpu::conv_exec_store(desc, w, popc, input, state, &mut scratch, &mut v);
+    if let Some(kind) = pool {
+        let (n, oh, ow) = (input.shape().0, desc.out_h(), desc.out_w());
+        v = cpu::pool2_i32(&v, n, oh, ow, desc.cout, kind);
+    }
     // `Epilogue::apply` goes through f32; an empty chain must stay exact.
     if !epi.ops().is_empty() {
         for (idx, e) in v.iter_mut().enumerate() {

@@ -1,14 +1,14 @@
 //! Packed convolution weights in implicit-GEMM row layout.
 
-use apnn_bitpack::{BitPlanes, Encoding, LANES};
+use apnn_bitpack::{BitPlanes, Encoding, LanePanel, LANES};
 
 use super::ConvDesc;
 
 /// Convolution weights decomposed into bit planes and packed so that row
 /// `c_out` of each plane is the implicit-GEMM K vector: `KH·KW` channel
 /// segments, each padded to the 128-bit fragment boundary (matching the
-/// NPHWC activation layout, so window gathers and weight rows align
-/// word-for-word).
+/// NPHWC activation layout word for word — what `im2row` and the simulator
+/// read; the CPU kernel runs on [`ConvWeights::lane_panel`]).
 #[derive(Debug, Clone)]
 pub struct ConvWeights {
     planes: BitPlanes,
@@ -124,6 +124,24 @@ impl ConvWeights {
         &self.planes
     }
 
+    /// The weights as the CPU kernel's lane panel: K runs `(kx, ky, word)`
+    /// over the [`ConvDesc::live_words`] live words of each tap — the order
+    /// the activation strip presents a window in — so the fragment padding
+    /// words of [`ConvWeights::planes`] (zero in both operands) are dropped.
+    pub fn lane_panel(&self, desc: &ConvDesc) -> LanePanel {
+        let (cout, taps, cin, _) = self.dims();
+        assert_eq!(
+            (cout, taps, cin),
+            (desc.cout, desc.kh * desc.kw, desc.cin),
+            "weights were packed for another layer"
+        );
+        let (live, wpt) = (desc.live_words(), self.words_per_tap());
+        LanePanel::from_fn(desc.w_bits as usize, cout, desc.k_words(), |s, co, k| {
+            let (kx, ky, j) = (k / (desc.kh * live), k / live % desc.kh, k % live);
+            self.planes.plane(s as u32).row_words(co)[(ky * desc.kw + kx) * wpt + j]
+        })
+    }
+
     /// The per-tap popcount tables.
     #[inline]
     pub(crate) fn popc(&self) -> &TapPopc {
@@ -196,6 +214,60 @@ mod tests {
                             (code >> s) & 1 != 0
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_panel_is_the_planes_in_kx_ky_word_order_without_dead_words() {
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        // Ragged cout (pad lanes), oblong kernels, channel counts either
+        // side of the word and fragment boundaries.
+        for (cout, kh, kw, cin, p) in [
+            (2usize, 3usize, 3usize, 3usize, 2u32),
+            (9, 1, 1, 64, 1),
+            (13, 3, 5, 65, 2),
+            (17, 5, 3, 130, 3),
+            (8, 3, 3, 200, 1),
+        ] {
+            let mut desc = ConvDesc::unsigned(1, cin, 8, cout, kh, 1, 1, p, 1);
+            desc.kw = kw;
+            let codes: Vec<u32> = (0..cout * kh * kw * cin)
+                .map(|_| {
+                    seed ^= seed << 13;
+                    seed ^= seed >> 7;
+                    seed ^= seed << 17;
+                    (seed >> 40) as u32 & ((1 << p) - 1)
+                })
+                .collect();
+            let w = ConvWeights::from_codes(&desc, &codes);
+            let panel = w.lane_panel(&desc);
+            let (live, wpt) = (desc.live_words(), w.words_per_tap());
+            assert_eq!(
+                (panel.n_planes(), panel.rows(), panel.words_per_row()),
+                (p as usize, cout, kh * kw * live)
+            );
+            for s in 0..p as usize {
+                for row in 0..panel.groups() * LANES {
+                    let mut k = 0;
+                    for (kx, ky) in (0..kw).flat_map(|kx| (0..kh).map(move |ky| (kx, ky))) {
+                        let tap = if row < cout {
+                            &w.planes().plane(s as u32).row_words(row)[(ky * kw + kx) * wpt..]
+                                [..wpt]
+                        } else {
+                            &[0u64; 4][..wpt]
+                        };
+                        for (j, &word) in tap.iter().enumerate() {
+                            if j < live {
+                                assert_eq!(panel.row_word(s, row, k), word, "{desc:?} row {row}");
+                                k += 1;
+                            } else {
+                                assert_eq!(word, 0, "dropped words are fragment padding");
+                            }
+                        }
+                    }
+                    assert_eq!(k, panel.words_per_row());
                 }
             }
         }

@@ -88,9 +88,9 @@ pub const JB_CANDIDATES: [usize; 4] = [1, 2, 4, 8];
 pub const MAX_JB: usize = 8;
 
 /// Blocking of the CPU popcount microkernel (`apnn_kernels::micro`): `jb`
-/// dynamic rows (batch columns for APMM; APConv feeds its one gathered
-/// window) share each loaded weight cell, their words broadcast against it
-/// in one K pass. K itself needs no blocking — it is the outermost loop and
+/// dynamic rows (batch columns for APMM, consecutive output pixels of a row
+/// for APConv) share each loaded weight cell, their words broadcast against
+/// it in one K pass. K itself needs no blocking — it is the outermost loop and
 /// the accumulators are registers. Chosen per layer at compile time by
 /// [`select_micro`]; any value is *exact* (the counts are integers), so
 /// tiling only moves throughput, never results.
@@ -302,7 +302,8 @@ fn update_resident_gauge() {
 /// mode also one [`crate::stats::micro_benches`] tick for the timed
 /// candidate sweep), every repeat is a lock-and-lookup with no counter
 /// movement. `pa` counts the static (weight) planes, `pb` the dynamic
-/// (activation) planes, `n_cols` the dynamic rows one call can block over.
+/// (activation) planes, `n_cols` the dynamic rows one call can block over
+/// (the batch for APMM, an output row's `out_w` pixels for APConv).
 /// This is the CPU analogue of the paper's measured AP-BMMA fragment
 /// tiling (§4.3 measures, not models, what a fragment shape is worth), and
 /// it is safe precisely because every tile is exact — measurement can only
@@ -344,10 +345,11 @@ pub fn select_micro(n_cols: usize, k_words: usize, pa: u32, pb: u32, arm: Popcnt
 /// measured cost oracle ([`stage_cost`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StageShape {
-    /// Dynamic rows one call can block over (batch columns for APMM, 1 for
-    /// APConv's single window).
+    /// Dynamic rows one call can block over (batch columns for APMM, the
+    /// `out_w` pixels of an output row for APConv).
     pub n_cols: usize,
-    /// Packed 64-bit words per row of the reduction.
+    /// Packed 64-bit words per row of the reduction (for APConv,
+    /// [`crate::ConvDesc::k_words`]: live words only).
     pub k_words: usize,
     /// Static (weight) bit planes.
     pub pa: u32,

@@ -9,9 +9,10 @@
 //! * the **static** operand (the weights, in APMM and APConv alike) is an
 //!   [`apnn_bitpack::LanePanel`] — eight rows interleaved word by word, so
 //!   one 64-byte cell holds the `k`-th word of eight different outputs;
-//! * the **dynamic** operand (batch rows for APMM, the one gathered window
-//!   for APConv) arrives as *streams*: one packed row of one bit plane
-//!   each, whose words are broadcast against the cells;
+//! * the **dynamic** operand (batch rows for APMM, the windows of a block
+//!   of output pixels for APConv — overlapping slices of its activation
+//!   strip) arrives as *streams*: one packed row of one bit plane each,
+//!   whose words are broadcast against the cells;
 //! * one K pass per `(row group, stream block)` accumulates
 //!   `popc(op(cell, word))` per lane, so it ends with eight finished counts
 //!   per plane pair — no horizontal sum, no per-output call, no tile
@@ -48,31 +49,15 @@ pub fn row_streams<'a>(x: &'a BitPlanes, row0: usize, jb: usize, xs: &mut [&'a [
     jb * pb
 }
 
-/// Fill `xs` with the streams of a flat single-row gather: `n_planes`
-/// consecutive `words_per_row`-word planes (the conv window scratch
-/// layout). Returns the stream count `n_planes`.
-pub fn flat_streams<'a>(
-    words: &'a [u64],
-    n_planes: usize,
-    words_per_row: usize,
-    xs: &mut [&'a [u64]],
-) -> usize {
-    for (slot, plane) in xs[..n_planes]
-        .iter_mut()
-        .zip(words.chunks_exact(words_per_row))
-    {
-        *slot = plane;
-    }
-    n_planes
-}
-
 /// The raw plane-pair popcounts of row group `g` of the static operand
 /// against a block of dynamic streams, in one K pass per static plane:
 ///
 /// `tile[s·n + r][lane] = Σ_k popc(op(W[s][LANES·g + lane][k], xs[r][k]))`
 ///
 /// for every static plane `s` and stream `r < n = xs.len()` (streams are
-/// `[j][u]`-ordered: dynamic row, then dynamic plane). Every cell is
+/// `[j][u]`-ordered: dynamic row, then dynamic plane; a stream may run past
+/// the panel's K extent — only its first `words_per_row` words are read).
+/// Every cell is
 /// stored, never accumulated into. Lanes past the operand's last row are
 /// zero rows of the panel: they count 0 under AND and `popc(xs[r])` under
 /// XOR, and the caller must not store them. The counts are exact, so the
@@ -193,28 +178,38 @@ mod tests {
 
     #[test]
     fn flat_view_matches_bitplanes_view() {
-        // A flat single-row gather must stream exactly like a one-row
-        // BitPlanes operand.
+        // Overlapping slices of one flat buffer, each running on past the K
+        // extent (how the conv strip presents a pixel block's windows), must
+        // stream exactly like row views of the same words.
         let mut seed = 11;
-        let (k, q) = (260, 3u32);
-        let x = operand(1, k, q, &mut seed);
-        let wpr = x.plane(0).words_per_row();
-        let flat: Vec<u64> = (0..q)
-            .flat_map(|t| x.plane(t).row_words(0).to_vec())
+        let (kw, step, n_px) = (6usize, 2usize, 4usize);
+        let flat: Vec<u64> = (0..kw + step * (n_px - 1) + 3)
+            .map(|_| lcg(&mut seed) << 31 ^ lcg(&mut seed))
             .collect();
-        let panel = LanePanel::from_bitplanes(&operand(10, k, 2, &mut seed));
+        let panel = LanePanel::from_bitplanes(&operand(10, kw * 64, 2, &mut seed));
 
         let mut fs: [&[u64]; MAX_PLANES] = [&[]; MAX_PLANES];
         let mut rs: [&[u64]; MAX_PLANES] = [&[]; MAX_PLANES];
-        let n = flat_streams(&flat, q as usize, wpr, &mut fs);
-        assert_eq!(n, row_streams(&x, 0, 1, &mut rs));
-        assert_eq!(fs[..n], rs[..n]);
-        let mut t1 = vec![[0i32; LANES]; 2 * n];
+        for j in 0..n_px {
+            fs[j] = &flat[j * step..];
+            rs[j] = &flat[j * step..j * step + kw];
+        }
+        let mut t1 = vec![[0i32; LANES]; 2 * n_px];
         let mut t2 = t1.clone();
         for arm in PopcntArm::ALL {
-            popc_tile(BmmaOp::And, arm, &panel, 1, &fs[..n], &mut t1);
-            popc_tile(BmmaOp::And, arm, &panel, 1, &rs[..n], &mut t2);
+            popc_tile(BmmaOp::And, arm, &panel, 1, &fs[..n_px], &mut t1);
+            popc_tile(BmmaOp::And, arm, &panel, 1, &rs[..n_px], &mut t2);
             assert_eq!(t1, t2, "{arm:?}");
         }
+        // The exact views are the rows of a BitPlanes operand holding the
+        // same bits.
+        let codes: Vec<u32> = rs[..n_px]
+            .iter()
+            .flat_map(|r| (0..kw * 64).map(|i| (r[i / 64] >> (i % 64)) as u32 & 1))
+            .collect();
+        let x = BitPlanes::from_codes(&codes, n_px, kw * 64, 1, Encoding::ZeroOne);
+        let mut bs: [&[u64]; MAX_PLANES] = [&[]; MAX_PLANES];
+        assert_eq!(row_streams(&x, 0, n_px, &mut bs), n_px);
+        assert_eq!(bs[..n_px], rs[..n_px]);
     }
 }

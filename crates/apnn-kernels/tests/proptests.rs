@@ -206,13 +206,16 @@ proptest! {
         }
     }
 
-    /// The conv form of the differential: any stride/pad geometry (the
-    /// stride-1 shift-reuse gather included), any encoding pair, any
-    /// block size, every available popcount arm and any partial (down to
+    /// The conv form of the differential: any stride/pad geometry, any
+    /// encoding pair, any pixel-block size, every available popcount arm and any partial (down to
     /// zero-image) shard equals the naive conv oracle.
     #[test]
     fn conv_microkernel_matches_oracle_across_blocks_and_shards(
-        batch in 1usize..3, cin in 1usize..6, hw in 3usize..8,
+        batch in 1usize..3,
+        // One live word per pixel, and channel counts straddling the word
+        // and fragment boundaries.
+        cin in prop_oneof![1usize..6, 63usize..67, 127usize..131],
+        hw in 3usize..8,
         cout in 1usize..10, kk in 1usize..=3,
         stride in 1usize..=2, pad in 0usize..=1,
         p in 1u32..=3, q in 1u32..=3,

@@ -1163,7 +1163,8 @@ fn cpu_execute_stages(
 }
 
 /// Decode a packed map's activation codes into the shared residual buffer,
-/// in the kernels' NHWC accumulator order — the identity-skip form of the
+/// in the kernels' NHWC accumulator order, a word at a time
+/// ([`BitTensor4::unpack`]) — the identity-skip form of the
 /// exact-i32 residual contract (quantized codes *are* the integer
 /// activations the block adds back).
 fn decode_codes_into(map: &BitTensor4, res: &mut Vec<i32>) {
@@ -1174,15 +1175,7 @@ fn decode_codes_into(map: &BitTensor4, res: &mut Vec<i32>) {
     );
     let (n, h, w, c) = map.shape();
     apnn_bitpack::resize_for_overwrite(res, n * h * w * c);
-    for b in 0..n {
-        for y in 0..h {
-            for x in 0..w {
-                for ch in 0..c {
-                    res[((b * h + y) * w + x) * c + ch] = map.get_code(b, y, x, ch) as i32;
-                }
-            }
-        }
-    }
+    map.unpack(res);
 }
 
 /// Flatten a packed NHWC map into per-image feature rows, ordered `(h,w,c)`
@@ -1201,17 +1194,10 @@ pub fn flatten_map(map: &BitTensor4) -> BitPlanes {
 pub fn flatten_map_into(map: &BitTensor4, codes: &mut Vec<u32>, out: &mut BitPlanes) {
     let (n, h, w, c) = map.shape();
     let features = h * w * c;
-    // Every code is stored by the walk below — no zeroing pass.
+    // Every code is stored by the unpack — no zeroing pass; NHWC order is
+    // the per-image `(h, w, c)` feature order.
     apnn_bitpack::resize_for_overwrite(codes, n * features);
-    for b in 0..n {
-        for y in 0..h {
-            for x in 0..w {
-                for ch in 0..c {
-                    codes[b * features + (y * w + x) * c + ch] = map.get_code(b, y, x, ch);
-                }
-            }
-        }
-    }
+    map.unpack(codes);
     out.from_codes_into(codes, n, features, map.bits(), map.encoding());
 }
 
@@ -1229,8 +1215,9 @@ pub fn flatten_map_into(map: &BitTensor4, codes: &mut Vec<u32>, out: &mut BitPla
 ///   stages write a [`BitTensor4`] map, hidden linear stages a
 ///   [`BitPlanes`] vector), plus a flatten slot where a linear stage
 ///   consumes a map;
-/// * the kernel scratch ([`ConvScratch`] window gather /
-///   [`ApmmScratch`] correction table), sized at the per-stage peaks;
+/// * the kernel scratch ([`ConvScratch`] — one output row's activation
+///   strip, accumulator rows and fused-tail rows — / [`ApmmScratch`]
+///   correction table), sized at the per-stage peaks;
 /// * the shared dense-code scratch and the raw logits buffer.
 ///
 /// Keep one workspace per serving thread and pass it to
@@ -1299,11 +1286,11 @@ impl ExecWorkspace {
         }
         let mut conv = ConvScratch::default();
         conv.reserve(
-            peaks.win,
-            peaks.taps,
-            peaks.planes,
+            peaks.strip,
+            peaks.strip_cols,
             peaks.conv_acc,
-            peaks.pooled,
+            peaks.conv_row,
+            peaks.bn_den,
         );
         let mut apmm = ApmmScratch::default();
         apmm.reserve(peaks.col_sums, peaks.apmm_acc);
@@ -1347,7 +1334,7 @@ impl ExecWorkspace {
 pub struct WorkspaceSpec {
     /// Per-main-stage buffer demands, in execution order.
     pub stages: Vec<StageWorkspace>,
-    /// Shared scratch (window gather, correction tables, accumulators,
+    /// Shared scratch (activation strip, correction tables, accumulators,
     /// dense codes, raw logits), sized at the per-stage peaks.
     pub scratch_bytes: usize,
     /// Total workspace footprint: per-stage slots + shared scratch.
@@ -1364,8 +1351,8 @@ pub struct StageWorkspace {
     /// Flatten-slot bytes (linear stages that may consume a map).
     pub flat_bytes: usize,
     /// Peak i32 accumulator bytes this stage demands of the shared scratch
-    /// (pre-pool accumulators + pooled buffer for conv, raw product for
-    /// linear).
+    /// (the accumulator rows in flight for conv — one, or two under a
+    /// fused pool — plus its residual buffer; the raw product for linear).
     pub acc_bytes: usize,
 }
 
@@ -1392,7 +1379,7 @@ impl WorkspaceSpec {
                 name: l.name.clone(),
                 out_bytes,
                 flat_bytes,
-                acc_bytes: (l.acc_elems + l.pooled_elems + l.y_elems + l.res_elems) * 4,
+                acc_bytes: (l.acc_elems + l.y_elems + l.res_elems) * 4,
             });
         }
         let scratch_bytes = peaks.bytes();
@@ -1415,16 +1402,17 @@ impl WorkspaceSpec {
 /// never disagree about a buffer.
 #[derive(Debug, Clone, Copy, Default)]
 struct ScratchPeaks {
-    /// Conv window-gather words.
-    win: usize,
-    /// Conv out-of-frame tap slots (`usize` each).
-    taps: usize,
-    /// Conv per-plane popcount slots (`i32` each).
-    planes: usize,
-    /// Conv accumulator elements (`i32`).
+    /// Conv activation-strip words (one output row, all planes).
+    strip: usize,
+    /// Conv strip-column popcount prefix sums (`i32` each).
+    strip_cols: usize,
+    /// Conv accumulator-row elements (`i32`): one output row, two under a
+    /// fused pool.
     conv_acc: usize,
-    /// Pooled accumulator elements (`i32`).
-    pooled: usize,
+    /// Elements of one fused conv output row (an `f32` and a `u32` each).
+    conv_row: usize,
+    /// Row-epilogue BatchNorm denominators (`f32` each).
+    bn_den: usize,
     /// APMM activation column-sum elements (`i32`).
     col_sums: usize,
     /// APMM accumulator elements (`i32`).
@@ -1442,11 +1430,11 @@ impl ScratchPeaks {
     fn of(layouts: &[StageLayout]) -> ScratchPeaks {
         let mut p = ScratchPeaks::default();
         for l in layouts {
-            p.win = p.win.max(l.conv_win_words);
-            p.taps = p.taps.max(l.conv_taps);
-            p.planes = p.planes.max(l.conv_planes);
+            p.strip = p.strip.max(l.conv_strip_words);
+            p.strip_cols = p.strip_cols.max(l.conv_strip_cols);
             p.conv_acc = p.conv_acc.max(if l.is_conv { l.acc_elems } else { 0 });
-            p.pooled = p.pooled.max(l.pooled_elems);
+            p.conv_row = p.conv_row.max(l.conv_row_elems);
+            p.bn_den = p.bn_den.max(l.conv_bn_den);
             p.col_sums = p.col_sums.max(l.apmm_col_sums);
             p.apmm_acc = p.apmm_acc.max(if l.is_conv { 0 } else { l.acc_elems });
             p.codes = p.codes.max(l.codes_elems);
@@ -1458,10 +1446,10 @@ impl ScratchPeaks {
 
     /// Total bytes of every shared buffer listed above.
     fn bytes(&self) -> usize {
-        (self.win + self.taps) * 8
-            + (self.planes
+        (self.strip + self.conv_row) * 8
+            + (self.strip_cols
                 + self.conv_acc
-                + self.pooled
+                + self.bn_den
                 + self.col_sums
                 + self.apmm_acc
                 + self.y
@@ -1496,12 +1484,12 @@ struct StageLayout {
     out: Option<SlotShape>,
     flat: Option<(usize, usize, u32)>,
     acc_elems: usize,
-    pooled_elems: usize,
     y_elems: usize,
     res_elems: usize,
-    conv_win_words: usize,
-    conv_taps: usize,
-    conv_planes: usize,
+    conv_strip_words: usize,
+    conv_strip_cols: usize,
+    conv_row_elems: usize,
+    conv_bn_den: usize,
     apmm_col_sums: usize,
     codes_elems: usize,
     is_conv: bool,
@@ -1525,9 +1513,13 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                 MainKernel::Conv { desc, .. } => {
                     assert!(!last, "plan did not end in an i32 linear output stage");
                     let (oh, ow) = (desc.out_h(), desc.out_w());
-                    let acc_elems = desc.batch * oh * ow * desc.cout;
-                    let conv_win_words =
-                        desc.x_bits as usize * desc.kh * desc.kw * (desc.padded_c() / 64);
+                    let map_elems = desc.batch * oh * ow * desc.cout;
+                    // The kernel scratch is row-sized: one output row's
+                    // strip and accumulators, whatever the batch.
+                    let (q, cols) = (desc.x_bits as usize, desc.w + 2 * desc.pad);
+                    let conv_strip_words = q * cols * desc.kh * desc.live_words();
+                    let conv_strip_cols = q * (cols + 1);
+                    let row_elems = ow * desc.cout;
                     if m.input == StageSrc::Branch {
                         // Skip projection: raw accumulators land straight in
                         // the shared residual buffer — no packed output
@@ -1536,13 +1528,13 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                             name: m.name.clone(),
                             out: None,
                             flat: None,
-                            acc_elems: 0,
-                            pooled_elems: 0,
+                            acc_elems: row_elems,
                             y_elems: 0,
-                            res_elems: acc_elems,
-                            conv_win_words,
-                            conv_taps: desc.kh * desc.kw,
-                            conv_planes: desc.x_bits as usize,
+                            res_elems: map_elems,
+                            conv_strip_words,
+                            conv_strip_cols,
+                            conv_row_elems: 0,
+                            conv_bn_den: 0,
                             apmm_col_sums: 0,
                             codes_elems: 0,
                             is_conv: true,
@@ -1568,20 +1560,20 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                                 bits,
                             }),
                             flat: None,
-                            acc_elems,
-                            pooled_elems: if m.pool.is_some() {
-                                desc.batch * ph * pw * desc.cout
+                            acc_elems: if m.pool.is_some() {
+                                2 * row_elems
                             } else {
-                                0
+                                row_elems
                             },
                             y_elems: 0,
-                            // Residual consumers read a same-shaped i32
+                            // Residual consumers read a whole-map i32
                             // buffer (decoded identity branch or the skip
                             // stage's parked accumulators).
-                            res_elems: if m.residual.is_some() { acc_elems } else { 0 },
-                            conv_win_words,
-                            conv_taps: desc.kh * desc.kw,
-                            conv_planes: desc.x_bits as usize,
+                            res_elems: if m.residual.is_some() { map_elems } else { 0 },
+                            conv_strip_words,
+                            conv_strip_cols,
+                            conv_row_elems: pw * desc.cout,
+                            conv_bn_den: m.epi.row_scratch_len(desc.cout),
                             apmm_col_sums: 0,
                             codes_elems: 0,
                             is_conv: true,
@@ -1626,12 +1618,12 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                             None
                         },
                         acc_elems,
-                        pooled_elems: 0,
                         y_elems: if last { desc.m * desc.n } else { 0 },
                         res_elems: 0,
-                        conv_win_words: 0,
-                        conv_taps: 0,
-                        conv_planes: 0,
+                        conv_strip_words: 0,
+                        conv_strip_cols: 0,
+                        conv_row_elems: 0,
+                        conv_bn_den: 0,
                         apmm_col_sums: desc.x_bits as usize * desc.n,
                         codes_elems: flat_codes.max(pack_codes),
                         is_conv: false,
@@ -1977,8 +1969,7 @@ fn calibrate_stage(
     residual: Option<&[i32]>,
     rng: &mut SynthRng,
 ) -> (Epilogue, Option<Act>) {
-    // Raw i32 accumulators (+ pooled geometry) and a per-element channel
-    // index function.
+    // Raw i32 accumulators (+ pooled geometry).
     enum OutShape {
         Map { n: usize, oh: usize, ow: usize },
         Vector { n: usize },
@@ -2027,10 +2018,20 @@ fn calibrate_stage(
         ),
     };
 
-    let channel_of = |idx: usize| -> usize {
+    // A chain applied to every accumulator, in accumulator order: row-wise
+    // over a map (channel innermost), per element over a linear stage's
+    // features×batch product.
+    let apply_all = |epi: &Epilogue| -> Vec<f32> {
         match shape {
-            OutShape::Map { .. } => idx % channels,
-            OutShape::Vector { n } => idx / n.max(1),
+            OutShape::Map { .. } => {
+                let mut vals: Vec<f32> = accs.iter().map(|&a| a as f32).collect();
+                epi.rows(channels, &mut Vec::new()).apply(&mut vals);
+                vals
+            }
+            OutShape::Vector { n } => {
+                let vals = accs.iter().enumerate();
+                vals.map(|(idx, &a)| epi.apply(a, idx / n.max(1))).collect()
+            }
         }
     };
 
@@ -2046,8 +2047,7 @@ fn calibrate_stage(
     // codes spread across the full width.
     let mut lo = f32::INFINITY;
     let mut hi = f32::NEG_INFINITY;
-    for (idx, &a) in accs.iter().enumerate() {
-        let v = epi.apply(a, channel_of(idx));
+    for v in apply_all(&epi) {
         lo = lo.min(v);
         hi = hi.max(v);
     }
@@ -2063,31 +2063,25 @@ fn calibrate_stage(
     });
 
     // Pack the calibrated activations for the next stage.
+    let codes: Vec<u32> = apply_all(&epi).into_iter().map(|v| v as u32).collect();
     let next = match shape {
         OutShape::Map { n, oh, ow } => {
             let mut t = BitTensor4::zeros(n, oh, ow, channels, out_bits, next_enc);
-            for b in 0..n {
-                for y in 0..oh {
-                    for x in 0..ow {
-                        for co in 0..channels {
-                            let acc = accs[((b * oh + y) * ow + x) * channels + co];
-                            t.set_code(b, y, x, co, epi.apply_to_code(acc, co));
-                        }
-                    }
-                }
+            for (i, row) in codes.chunks_exact((ow * channels).max(1)).enumerate() {
+                t.pack_row(i / oh, i % oh, row);
             }
             Act::Map(t)
         }
         OutShape::Vector { n } => {
             // accs are features×batch; the next layer consumes rows=batch.
-            let mut codes = vec![0u32; n * channels];
+            let mut rows = vec![0u32; n * channels];
             for f in 0..channels {
                 for b in 0..n {
-                    codes[b * channels + f] = epi.apply_to_code(accs[f * n + b], f);
+                    rows[b * channels + f] = codes[f * n + b];
                 }
             }
             Act::Vector(BitPlanes::from_codes(
-                &codes, n, channels, out_bits, next_enc,
+                &rows, n, channels, out_bits, next_enc,
             ))
         }
     };
@@ -2308,14 +2302,14 @@ mod tests {
         );
         let spec = plan.workspace_spec();
         assert_eq!(spec.stages.len(), plan.main_stages().count());
-        // Conv stage: packed map out, pre-pool accumulators.
+        // Conv stage: packed map out, two accumulator rows under the pool.
         let conv = &spec.stages[0];
         assert_eq!(conv.name, "c1");
         // 2 images × 2 bits × 4×4 pooled pixels × 1 padded channel word.
         assert_eq!(conv.out_bytes, 2 * 2 * 4 * 4 * 2 * 8);
         assert_eq!(conv.flat_bytes, 0);
-        // Pre-pool 8×8×8 accumulators + pooled 4×4×8, i32 each.
-        assert_eq!(conv.acc_bytes, (2 * 8 * 8 * 8 + 2 * 4 * 4 * 8) * 4);
+        // Two 8-pixel × 8-channel accumulator rows, whatever the batch.
+        assert_eq!(conv.acc_bytes, 2 * 8 * 8 * 4);
         // Output stage: no packed slot, flatten slot for the pooled map.
         let fc = &spec.stages[1];
         assert_eq!(fc.out_bytes, 0);
