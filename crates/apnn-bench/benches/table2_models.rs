@@ -8,8 +8,7 @@ use apnn_bitpack::Encoding;
 use apnn_kernels::apconv::{ApConv, ConvDesc, Pool2};
 use apnn_kernels::apmm::{Apmm, ApmmDesc};
 use apnn_kernels::fusion::Epilogue;
-use apnn_nn::compile::CompileOptions;
-use apnn_nn::functional::{QuantNet, QuantStage};
+use apnn_nn::compile::{CompileOptions, CompiledNet};
 use apnn_nn::models::{all_models, vgg_variant_tiny};
 use apnn_nn::{simulate, NetPrecision};
 use apnn_sim::GpuSpec;
@@ -17,9 +16,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 
 /// A small VGG-style w1a2 network at CIFAR scale (3×32×32, 10 classes).
-fn cifar_net(batch: usize) -> (QuantNet, apnn_bitpack::BitTensor4) {
+fn cifar_net(batch: usize) -> (CompiledNet, apnn_bitpack::BitTensor4) {
     let epi = |bits| Epilogue::quantize(16.0, 0.0, bits);
-    let mut net = QuantNet::default();
+    let mut net = CompiledNet::hand_built("cifar", "hand-built-w1a2", batch);
 
     let c1 = ConvDesc {
         batch,
@@ -37,12 +36,7 @@ fn cifar_net(batch: usize) -> (QuantNet, apnn_bitpack::BitTensor4) {
         x_enc: Encoding::ZeroOne,
     };
     let (w1, input) = gen::conv_operands(&c1, 101);
-    net.push(QuantStage::Conv {
-        conv: ApConv::new(c1),
-        weights: w1,
-        pool: Some(Pool2::Max),
-        epi: epi(2),
-    });
+    net.push_conv(ApConv::new(c1).prepare(w1), Some(Pool2::Max), epi(2));
 
     let c2 = ConvDesc {
         batch,
@@ -60,20 +54,11 @@ fn cifar_net(batch: usize) -> (QuantNet, apnn_bitpack::BitTensor4) {
         x_enc: Encoding::ZeroOne,
     };
     let (w2, _) = gen::conv_operands(&c2, 102);
-    net.push(QuantStage::Conv {
-        conv: ApConv::new(c2),
-        weights: w2,
-        pool: Some(Pool2::Max),
-        epi: epi(2),
-    });
+    net.push_conv(ApConv::new(c2).prepare(w2), Some(Pool2::Max), epi(2));
 
     let fc = ApmmDesc::w1aq(10, batch, 8 * 8 * 64, 2, Encoding::ZeroOne);
     let (wf, _) = gen::gemm_operands(&fc, 103);
-    net.push(QuantStage::Linear {
-        apmm: Apmm::new(fc),
-        weights: wf,
-        epi: Epilogue::none(),
-    });
+    net.push_linear(Apmm::new(fc).prepare(wf), Epilogue::none());
     (net, input)
 }
 

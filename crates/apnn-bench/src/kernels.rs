@@ -132,7 +132,7 @@ pub fn kernel_bench_on(
         let x = operand(n, k, q, x_enc, &mut seed);
         let eplan = plan_for_device(w_enc, x_enc, ampere);
         let k_words = apnn_bitpack::word::pad_to_bmma_k(k) / 64;
-        let micro = select_micro(n, k_words, p, q, arm);
+        let micro = select_micro(n);
 
         let prepared = Apmm::new(desc)
             .prepare(w)

@@ -1,7 +1,7 @@
 //! The compile-time **precision autotuner**: search per-layer `(w, a)` bit
 //! assignments for a zoo model against (1) a *measured* microkernel cost
-//! oracle ([`apnn_kernels::stage_cost`], fed by the same memoized
-//! microbenchmarks `select_micro` runs at compile time) and (2) the
+//! oracle ([`apnn_kernels::stage_cost`], memoized single-tile
+//! microbenchmarks of the tile `select_micro` binds at compile time) and (2) the
 //! `apnn-quant` QAT accuracy harness ([`apnn_quant::schedule_accuracy`]),
 //! and emit the latency/accuracy **Pareto front** as `BENCH_precision.json`.
 //!
@@ -211,8 +211,8 @@ pub fn schedule_from_segments(
 /// plane-pair words, and [`apnn_kernels::stage_cost`] prices one word on
 /// this machine for the layer's emulation case, the detected popcount arm,
 /// and the tile `select_micro` picks at compile time for the same
-/// `(n_cols, k_words)` key — so the estimate ranks schedules with the same
-/// numbers the compiled plans run on. 1-bit weights run the
+/// `n_cols` — so the estimate ranks schedules with the same numbers the
+/// compiled plans run on. 1-bit weights run the
 /// ±1-transformed AND case, multi-bit the unsigned one.
 pub fn estimate_cost_ms(geoms: &[MainGeom], schedule: &PrecisionSchedule, batch: usize) -> f64 {
     assert_eq!(geoms.len(), schedule.len());
@@ -226,7 +226,7 @@ pub fn estimate_cost_ms(geoms: &[MainGeom], schedule: &PrecisionSchedule, batch:
             EmulationCase::AndUnsigned
         };
         let n_cols = g.n_cols(batch);
-        let tile = select_micro(n_cols, g.k_words, pa, pb, arm);
+        let tile = select_micro(n_cols);
         let shape = StageShape {
             n_cols,
             k_words: g.k_words,
@@ -508,7 +508,6 @@ pub fn precision_report(points: &[PrecisionPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apnn_kernels::autotune::{force_micro_select, MicroSelect};
 
     #[test]
     fn resnet_geometry_and_segments_line_up() {
@@ -579,13 +578,10 @@ mod tests {
         }
         // The timed half: every estimate is a finite positive price. The
         // probes are memoized process-wide, so keep the CPU-saturating load
-        // sweeps out of this window; heuristic tile selection keeps it free
-        // of timing grids.
+        // sweeps out of this window.
         let _serialize = crate::timing_test_lock();
-        force_micro_select(Some(MicroSelect::Heuristic));
         let costs = [(1, 2), (1, 3), (2, 2)]
             .map(|(w, a)| estimate_cost_ms(&geoms, &PrecisionSchedule::uniform(w, a, n), 1));
-        force_micro_select(None);
         assert!(costs.iter().all(|c| c.is_finite() && *c > 0.0), "{costs:?}");
     }
 

@@ -110,7 +110,11 @@ pub fn sweep(bursts: &[usize], threads: &[usize], total: usize) -> Vec<LoadPoint
                 while done < total {
                     let n = burst.min(total - done);
                     let tickets: Vec<_> = (0..n)
-                        .map(|i| server.submit(&key, image(done + i)).unwrap())
+                        .map(|i| {
+                            server
+                                .submit_request(Request::new(key.clone(), image(done + i)))
+                                .unwrap()
+                        })
                         .collect();
                     for t in &tickets {
                         t.wait().expect("serve request failed");
@@ -187,7 +191,11 @@ pub fn overload_sweep(multipliers_x100: &[usize], total: usize) -> Vec<LoadPoint
         while done < total {
             let n = (2 * batch).min(total - done);
             let tickets: Vec<_> = (0..n)
-                .map(|i| server.submit(&key, image(done + i)).unwrap())
+                .map(|i| {
+                    server
+                        .submit_request(Request::new(key.clone(), image(done + i)))
+                        .unwrap()
+                })
                 .collect();
             for t in &tickets {
                 t.wait().expect("saturation request failed");

@@ -49,50 +49,13 @@ pub fn popcount(words: &[u64]) -> u32 {
     words.iter().map(|w| w.count_ones()).sum()
 }
 
-/// Carry-save adder over bit-sliced counters — the Harley–Seal building
-/// block: per bit position, `a + b + c == sum + 2·carry`.
+/// Merged popcount of `op(a[i], b[i])` over two equal-length word slices —
+/// the reduction the row-level primitives and the simulator's `bmma` run on
+/// (the functional kernels use the lane-per-output form in
+/// [`crate::popcnt`] instead): one `count_ones` per combined word, which
+/// auto-vectorizes wherever the target has a vector popcount.
 #[inline(always)]
-pub const fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
-    let u = a ^ b;
-    (u ^ c, (a & b) | (u & c))
-}
-
-/// Harley–Seal merged popcount of `op(a[i], b[i])`: four combined words
-/// flow through a carry-save adder tree per round, so long reductions
-/// spend one `count_ones` per four words (plus the final `ones`/`twos`
-/// counts) instead of one per word. Exact for any length — the tail falls
-/// back to word-at-a-time counting.
-#[inline(always)]
-pub(crate) fn merged_popcount_harley_seal(
-    a: &[u64],
-    b: &[u64],
-    op: impl Fn(u64, u64) -> u64,
-) -> u32 {
-    let n = a.len();
-    debug_assert_eq!(n, b.len());
-    let mut fours = 0u32;
-    let (mut ones, mut twos) = (0u64, 0u64);
-    let mut i = 0;
-    while i + 4 <= n {
-        let (s1, c1) = csa(ones, op(a[i], b[i]), op(a[i + 1], b[i + 1]));
-        let (s2, c2) = csa(s1, op(a[i + 2], b[i + 2]), op(a[i + 3], b[i + 3]));
-        let (t, c4) = csa(twos, c1, c2);
-        ones = s2;
-        twos = t;
-        fours += c4.count_ones();
-        i += 4;
-    }
-    let mut acc = 4 * fours + 2 * twos.count_ones() + ones.count_ones();
-    while i < n {
-        acc += op(a[i], b[i]).count_ones();
-        i += 1;
-    }
-    acc
-}
-
-/// Plain merged popcount reduction: one `count_ones` per combined word.
-#[inline(always)]
-fn merged_popcount_plain(a: &[u64], b: &[u64], op: impl Fn(u64, u64) -> u64) -> u32 {
+fn merged_popcount(a: &[u64], b: &[u64], op: impl Fn(u64, u64) -> u64) -> u32 {
     let n = a.len();
     debug_assert_eq!(n, b.len());
     let mut acc = 0u32;
@@ -102,33 +65,7 @@ fn merged_popcount_plain(a: &[u64], b: &[u64], op: impl Fn(u64, u64) -> u64) -> 
     acc
 }
 
-/// Merged popcount of `op(a[i], b[i])` over two equal-length word slices —
-/// the reduction the row-level primitives and the simulator's `bmma` run on
-/// (the functional kernels use the lane-per-output form in
-/// [`crate::popcnt`] instead).
-///
-/// Two exact implementations, chosen at compile time by target capability:
-/// with a hardware popcount (x86 `popcnt`; with AVX512-VPOPCNTDQ the plain
-/// loop auto-vectorizes to `vpopcntq`, eight words per instruction) the
-/// straight reduction is fastest. Without one, `count_ones` lowers to a
-/// ~12-op SWAR sequence per word, and the Harley–Seal carry-save tree —
-/// which spends only one SWAR popcount per four words — wins. Both paths
-/// produce identical counts; the `cfg!` folds at compile time.
-#[inline(always)]
-fn merged_popcount(a: &[u64], b: &[u64], op: impl Fn(u64, u64) -> u64) -> u32 {
-    // `popcnt` is the x86 feature name; aarch64 always has NEON `cnt`, so
-    // the plain loop is the fast path there too — Harley–Seal is only for
-    // targets whose `count_ones` lowers to the scalar SWAR sequence.
-    if cfg!(any(target_feature = "popcnt", target_arch = "aarch64")) {
-        merged_popcount_plain(a, b, op)
-    } else {
-        merged_popcount_harley_seal(a, b, op)
-    }
-}
-
-/// `popc(a ^ b)` over two equal-length word slices — a plain
-/// auto-vectorizing reduction on hardware-popcount targets, the
-/// Harley–Seal carry-save tree otherwise (compile-time dispatch).
+/// `popc(a ^ b)` over two equal-length word slices.
 ///
 /// With `{−1,+1}` encodings this is the core of Case II of the paper's
 /// operator selection: `dot(a, b) = n − 2·popc(a ⊕ b)`.
@@ -137,8 +74,7 @@ pub fn xor_popcount(a: &[u64], b: &[u64]) -> u32 {
     merged_popcount(a, b, |x, y| x ^ y)
 }
 
-/// `popc(a & b)` over two equal-length word slices (Case I / Case III),
-/// with the same per-target reduction dispatch as [`xor_popcount`].
+/// `popc(a & b)` over two equal-length word slices (Case I / Case III).
 #[inline]
 pub fn and_popcount(a: &[u64], b: &[u64]) -> u32 {
     merged_popcount(a, b, |x, y| x & y)
@@ -218,52 +154,6 @@ mod tests {
         assert_eq!(xnor_popcount(&a, &b, 128), 128);
         assert_eq!(xnor_popcount(&a, &b, 64), 64);
         assert_eq!(xnor_popcount(&a, &b, 0), 0);
-    }
-
-    #[test]
-    fn csa_is_a_full_adder_per_bit() {
-        for a in [0u64, 1, u64::MAX, 0xDEAD_BEEF] {
-            for b in [0u64, 1, u64::MAX, 0x0F0F_F0F0] {
-                for c in [0u64, u64::MAX, 0xAAAA_5555] {
-                    let (s, cy) = csa(a, b, c);
-                    for bit in 0..64 {
-                        let at = |w: u64| (w >> bit) & 1;
-                        assert_eq!(at(a) + at(b) + at(c), at(s) + 2 * at(cy));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn harley_seal_matches_scalar_for_every_length() {
-        // Cover the CSA rounds (len >= 4), the tail, and mixed cases —
-        // both dispatch arms must agree with the zip-sum reference
-        // regardless of which one the build selects.
-        let mut seed = 0x1234_5678_9ABC_DEF0u64;
-        let mut next = || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        for len in 0..=21 {
-            let a: Vec<u64> = (0..len).map(|_| next()).collect();
-            let b: Vec<u64> = (0..len).map(|_| next()).collect();
-            let xor_ref: u32 = a.iter().zip(&b).map(|(&x, &y)| (x ^ y).count_ones()).sum();
-            let and_ref: u32 = a.iter().zip(&b).map(|(&x, &y)| (x & y).count_ones()).sum();
-            let hs =
-                |x: &[u64], y: &[u64], f: fn(u64, u64) -> u64| merged_popcount_harley_seal(x, y, f);
-            assert_eq!(hs(&a, &b, |x, y| x ^ y), xor_ref, "hs xor len {len}");
-            assert_eq!(hs(&a, &b, |x, y| x & y), and_ref, "hs and len {len}");
-            assert_eq!(
-                merged_popcount_plain(&a, &b, |x, y| x ^ y),
-                xor_ref,
-                "plain xor len {len}"
-            );
-            assert_eq!(xor_popcount(&a, &b), xor_ref, "xor len {len}");
-            assert_eq!(and_popcount(&a, &b), and_ref, "and len {len}");
-        }
     }
 
     #[test]

@@ -196,6 +196,7 @@ pub(crate) fn apmm_exec(
 mod tests {
     use super::*;
     use crate::apmm::Apmm;
+    use crate::autotune::select_micro;
     use crate::emulate::decoded_reference;
     use crate::select::plan_xor_only;
     use apnn_bitpack::Encoding;
@@ -450,31 +451,23 @@ mod tests {
 
     #[test]
     fn ad_hoc_entry_point_reuses_the_shape_keyed_memo() {
-        // Satellite contract: `Apmm::execute` must not re-run tile
-        // selection on every call — the first call per shape selects (and,
-        // in measured mode, benches) once; repeats move neither counter.
-        // The shape is unique to this test so the first call is a
-        // guaranteed memo miss.
+        // Tile selection is a closed form of the batch width: no prepare
+        // or ad-hoc call ever measures, and the bound tile is never wider
+        // than `n` rounds up to.
         let mut seed = 53;
-        let (m, n, k, p, q) = (6, 19, 331, 2, 2);
+        let (m, n, k, p, q) = (6, 3, 331, 2, 2);
         let w = operand(m, k, p, Encoding::ZeroOne, &mut seed);
         let x = operand(n, k, q, Encoding::ZeroOne, &mut seed);
         let apmm = Apmm::new(ApmmDesc::unsigned(m, n, k, p, q));
 
         let s = crate::stats::scope();
         let y1 = apmm.execute(&w, &x);
-        assert_eq!(s.micro_tunes(), 1, "first call per shape selects once");
-        assert!(s.micro_benches() <= 1);
-        let (tunes, benches) = (s.micro_tunes(), s.micro_benches());
         let y2 = apmm.execute(&w, &x);
-        let y3 = apmm.execute(&w, &x);
-        assert_eq!(
-            (s.micro_tunes(), s.micro_benches()),
-            (tunes, benches),
-            "repeat calls must be memo hits"
-        );
         assert_eq!(y1, y2);
-        assert_eq!(y1, y3);
+        let prepared = apmm.prepare(w);
+        assert_eq!(s.micro_benches(), 0, "prepare and execute never measure");
+        assert_eq!(prepared.micro(), select_micro(n));
+        assert!(prepared.micro().jb <= n.next_power_of_two());
     }
 
     #[test]

@@ -156,15 +156,6 @@ impl Apmm {
         Apmm { desc, tile }
     }
 
-    /// The detected popcount arm and the memoized microkernel tile for
-    /// this shape on it.
-    fn arm_and_micro(&self, w: &LanePanel) -> (PopcntArm, MicroTile) {
-        let d = &self.desc;
-        let arm = PopcntArm::detect();
-        let micro = select_micro(d.n, w.words_per_row(), d.w_bits, d.x_bits, arm);
-        (arm, micro)
-    }
-
     /// Functional CPU execution: returns the row-major `m×n` i32 product of
     /// the decoded operands. Borrows both operands and builds a transient
     /// weight panel and scratch; serving loops [`Apmm::prepare`] once
@@ -174,7 +165,7 @@ impl Apmm {
         let eplan = self.desc.plan();
         let panel = LanePanel::from_bitplanes(w);
         let sums = cpu::weight_row_sums(&panel, eplan);
-        let (arm, micro) = self.arm_and_micro(&panel);
+        let (arm, micro) = (PopcntArm::detect(), select_micro(self.desc.n));
         let (mut col_sums, mut out) = (Vec::new(), Vec::new());
         cpu::apmm_exec(
             &self.desc,
@@ -213,7 +204,7 @@ impl Apmm {
         let plan = self.desc.plan();
         let panel = LanePanel::from_bitplanes(&weights);
         let w_row_sums = cpu::weight_row_sums(&panel, plan);
-        let (arm, micro) = self.arm_and_micro(&panel);
+        let (arm, micro) = (PopcntArm::detect(), select_micro(self.desc.n));
         PreparedApmm {
             desc: self.desc,
             tile: self.tile,

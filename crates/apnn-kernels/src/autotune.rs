@@ -117,21 +117,20 @@ impl MicroTile {
     }
 }
 
-/// The heuristic microkernel tile for a problem with `n_cols` dynamic rows
-/// — [`select_micro`]'s answer in [`MicroSelect::Heuristic`] mode, counted
-/// as one [`crate::stats::micro_tunes`] selection.
-fn autotune_micro(n_cols: usize) -> MicroTile {
+/// Pick the microkernel tile for a problem with `n_cols` dynamic rows (the
+/// batch for APMM, an output row's `out_w` pixels for APConv) — the one
+/// selector both the plan compiler and the ad-hoc kernels use, counted as
+/// one [`crate::stats::micro_tunes`] selection.
+///
+/// A closed form, like the paper's TLP/CI tile rule (§4.3.2): the widest
+/// [`JB_CANDIDATES`] entry the problem fills. Every extra row amortizes
+/// the weight-cell loads once more, but a block wider than the problem
+/// wastes passes (one row beyond the problem width may round up). The
+/// answer depends on nothing but `n_cols`, so a compiled plan — its
+/// `Debug` output included — is the same on every machine and every run;
+/// DESIGN.md §5 records the measurement that retired the timed sweep.
+pub fn select_micro(n_cols: usize) -> MicroTile {
     crate::stats::count_micro_tune();
-    micro_heuristic(n_cols)
-}
-
-/// The pure model behind `autotune_micro` (no counter, no memo): the row
-/// block wants to be as wide as possible — every extra row amortizes the
-/// weight-cell loads once more — but a block wider than the problem wastes
-/// passes (one row beyond the problem width may round up). Deterministic,
-/// so compiled plans are reproducible; also the seed candidate for the
-/// measured sweep.
-fn micro_heuristic(n_cols: usize) -> MicroTile {
     let jb = JB_CANDIDATES
         .into_iter()
         .rfind(|&cand| (cand / 2) < n_cols.max(1))
@@ -140,91 +139,14 @@ fn micro_heuristic(n_cols: usize) -> MicroTile {
 }
 
 // ---------------------------------------------------------------------------
-// Measurement-driven, memoized tile selection.
+// The measured cost oracle of the precision autotuner.
 // ---------------------------------------------------------------------------
 
-/// How [`select_micro`] answers a memo miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MicroSelect {
-    /// Time the candidate row blocks on the selected popcount arm and keep
-    /// the fastest (the default). Counted by
-    /// [`crate::stats::micro_benches`].
-    Measure,
-    /// Pin the pure heuristic answer — fully deterministic, for
-    /// golden regeneration and reproducible CI plans. (Results are exact
-    /// either way; this pins the *plan*, e.g. `Debug` output.)
-    Heuristic,
-}
-
-/// The active [`MicroSelect`] mode: a programmatic override
-/// ([`force_micro_select`]) wins, else the `APNN_MICRO_SELECT` environment
-/// variable (`measure` / `heuristic`, read once), else
-/// [`MicroSelect::Measure`].
-pub fn micro_select_mode() -> MicroSelect {
-    match MICRO_SELECT_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed) {
-        1 => return MicroSelect::Measure,
-        2 => return MicroSelect::Heuristic,
-        _ => {}
-    }
-    static ENV_MODE: std::sync::OnceLock<MicroSelect> = std::sync::OnceLock::new();
-    *ENV_MODE.get_or_init(
-        || match std::env::var("APNN_MICRO_SELECT").ok().as_deref() {
-            None => MicroSelect::Measure,
-            Some(s) if s.trim().eq_ignore_ascii_case("heuristic") => MicroSelect::Heuristic,
-            Some(s) if s.trim().eq_ignore_ascii_case("measure") => MicroSelect::Measure,
-            Some(s) => {
-                eprintln!(
-                    "apnn-kernels: unknown APNN_MICRO_SELECT value `{s}` \
-                     (accepted: `measure`, `heuristic`); using measured selection"
-                );
-                MicroSelect::Measure
-            }
-        },
-    )
-}
-
-/// Force the [`select_micro`] mode for this process (`None` restores the
-/// environment/default behavior) — the test/bench knob, so suites can pin
-/// determinism without mutating the environment.
-pub fn force_micro_select(mode: Option<MicroSelect>) {
-    let v = match mode {
-        None => 0,
-        Some(MicroSelect::Measure) => 1,
-        Some(MicroSelect::Heuristic) => 2,
-    };
-    MICRO_SELECT_OVERRIDE.store(v, std::sync::atomic::Ordering::Relaxed);
-}
-
-static MICRO_SELECT_OVERRIDE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// The memo key: a layer shape as the microkernel sees it, plus the arm it
-/// will run on and the selection mode that produced the entry (so a pinned
-/// heuristic answer never masquerades as a measurement).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct MicroKey {
-    n_cols: usize,
-    k_words: usize,
-    pa: u32,
-    pb: u32,
-    arm: PopcntArm,
-    measured: bool,
-}
-
-/// A memoized selection: the winning tile, and — for measured entries —
-/// its per-word microbenchmark time, retained as the autotuner's measured
-/// cost oracle ([`stage_cost`]).
-#[derive(Debug, Clone, Copy)]
-struct MicroEntry {
-    tile: MicroTile,
-    ns_per_word: Option<f64>,
-}
-
-/// Hard cap on resident entries across the process-global microkernel
-/// memos ([`select_micro`] selections and [`stage_cost`] probes, each
-/// bounded separately at this cap). Far above any real model zoo's
-/// distinct-shape count, so steady-state compilation never evicts; a
-/// pathological shape stream (fuzzers, synthetic sweeps) stays bounded via
-/// insertion-order (FIFO) eviction.
+/// Hard cap on resident entries of the process-global [`stage_cost`] probe
+/// memo. Far above any real model zoo's distinct-shape count, so
+/// steady-state autotuning never evicts; a pathological shape stream
+/// (fuzzers, synthetic sweeps) stays bounded via insertion-order (FIFO)
+/// eviction.
 pub const MICRO_MEMO_CAP: usize = 1024;
 
 /// A shape-keyed memo with FIFO eviction at [`MICRO_MEMO_CAP`] entries.
@@ -264,12 +186,6 @@ impl<K: Eq + Hash + Copy, V: Copy> BoundedMemo<K, V> {
     }
 }
 
-fn micro_memo() -> &'static Mutex<BoundedMemo<MicroKey, MicroEntry>> {
-    static MEMO: std::sync::OnceLock<Mutex<BoundedMemo<MicroKey, MicroEntry>>> =
-        std::sync::OnceLock::new();
-    MEMO.get_or_init(|| Mutex::new(BoundedMemo::new()))
-}
-
 /// A stage-cost probe key: the microkernel shape plus the exact `(op, arm,
 /// tile)` the probe timed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -288,57 +204,11 @@ fn cost_memo() -> &'static Mutex<BoundedMemo<CostKey, f64>> {
     MEMO.get_or_init(|| Mutex::new(BoundedMemo::new()))
 }
 
-fn update_resident_gauge() {
-    let n = micro_memo().lock().unwrap().len() + cost_memo().lock().unwrap().len();
-    crate::stats::set_micro_memo_resident(n as u64);
-}
-
-/// Pick the microkernel tile for a layer shape on a popcount arm — the one
-/// entry point both the plan compiler and the ad-hoc kernels use.
-///
-/// The answer is **memoized process-wide by shape** (`n_cols`, `k_words`,
-/// `pa × pb`, `arm`): the first query for a distinct shape selects a tile
-/// (one [`crate::stats::micro_tunes`] tick; in [`MicroSelect::Measure`]
-/// mode also one [`crate::stats::micro_benches`] tick for the timed
-/// candidate sweep), every repeat is a lock-and-lookup with no counter
-/// movement. `pa` counts the static (weight) planes, `pb` the dynamic
-/// (activation) planes, `n_cols` the dynamic rows one call can block over
-/// (the batch for APMM, an output row's `out_w` pixels for APConv).
-/// This is the CPU analogue of the paper's measured AP-BMMA fragment
-/// tiling (§4.3 measures, not models, what a fragment shape is worth), and
-/// it is safe precisely because every tile is exact — measurement can only
-/// change throughput.
-pub fn select_micro(n_cols: usize, k_words: usize, pa: u32, pb: u32, arm: PopcntArm) -> MicroTile {
-    let mode = micro_select_mode();
-    let key = MicroKey {
-        n_cols,
-        k_words,
-        pa,
-        pb,
-        arm,
-        measured: mode == MicroSelect::Measure,
-    };
-    if let Some(entry) = micro_memo().lock().unwrap().get(&key) {
-        return entry.tile;
-    }
-    let entry = match mode {
-        MicroSelect::Heuristic => MicroEntry {
-            tile: autotune_micro(n_cols),
-            ns_per_word: None,
-        },
-        MicroSelect::Measure => {
-            crate::stats::count_micro_tune();
-            crate::stats::count_micro_bench();
-            let (tile, ns_per_word) = bench_micro_grid(n_cols, k_words, pa, pb, arm);
-            MicroEntry {
-                tile,
-                ns_per_word: Some(ns_per_word),
-            }
-        }
-    };
-    micro_memo().lock().unwrap().insert(key, entry);
-    update_resident_gauge();
-    entry.tile
+/// Record a fresh probe and publish the memo's resident-entry gauge.
+fn remember_cost(key: CostKey, ns: f64) {
+    let mut memo = cost_memo().lock().unwrap();
+    memo.insert(key, ns);
+    crate::stats::set_micro_memo_resident(memo.len() as u64);
 }
 
 /// A layer shape as the popcount microkernel sees it — the key of the
@@ -362,12 +232,12 @@ pub struct StageShape {
 /// `arm` with the microkernel tile `tile` — the precision autotuner's cost
 /// oracle.
 ///
-/// The probe runs the same synthetic-operand microbenchmark that
-/// [`select_micro`]'s measured mode sweeps, but for the *single* requested
-/// candidate, and memoizes the answer process-wide in a bounded map (same
-/// [`MICRO_MEMO_CAP`] / FIFO-eviction policy as the tile memo; resident
-/// entries of both are reported by [`crate::stats::micro_memo_resident`]).
-/// Repeat probes for a seen `(shape, op, arm, tile)` are a lock-and-lookup.
+/// The probe times a synthetic-operand microbenchmark of the *single*
+/// requested candidate (one [`crate::stats::micro_benches`] tick) and
+/// memoizes the answer process-wide in a bounded map ([`MICRO_MEMO_CAP`],
+/// FIFO eviction; resident entries are reported by
+/// [`crate::stats::micro_memo_resident`]). Repeat probes for a seen
+/// `(shape, op, arm, tile)` are a lock-and-lookup.
 pub fn stage_cost(shape: StageShape, case: EmulationCase, arm: PopcntArm, tile: MicroTile) -> f64 {
     let op = match case {
         EmulationCase::AndUnsigned
@@ -391,46 +261,18 @@ pub fn stage_cost(shape: StageShape, case: EmulationCase, arm: PopcntArm, tile: 
     if let Some(ns) = cost_memo().lock().unwrap().get(&key) {
         return ns;
     }
-    // A measured tile selection for this shape already timed its winning
-    // candidate with `And` — reuse that measurement instead of re-probing.
-    // The memo lookup is bound to a plain Option *before* the branch so the
-    // guard is dropped here: `update_resident_gauge` re-locks this mutex,
-    // and an `if let` scrutinee guard would still be live in the body.
-    if op == BmmaOp::And {
-        let micro_key = MicroKey {
-            n_cols: shape.n_cols,
-            k_words: shape.k_words,
-            pa: shape.pa,
-            pb: shape.pb,
-            arm,
-            measured: true,
-        };
-        let reused = micro_memo()
-            .lock()
-            .unwrap()
-            .get(&micro_key)
-            .filter(|entry| entry.tile == tile)
-            .and_then(|entry| entry.ns_per_word);
-        if let Some(ns) = reused {
-            cost_memo().lock().unwrap().insert(key, ns);
-            update_resident_gauge();
-            return ns;
-        }
-    }
     crate::stats::count_micro_bench();
     let operands = BenchOperands::synthesize(shape.k_words, shape.pa, shape.pb);
     let ns = operands.time_candidate(op, arm, tile.jb);
-    cost_memo().lock().unwrap().insert(key, ns);
-    update_resident_gauge();
+    remember_cost(key, ns);
     ns
 }
 
 /// Plane-pair words a single measured candidate runs through the
 /// microkernel, over all its timed rounds — big enough for stable relative
-/// ordering, small enough that a whole four-candidate
-/// sweep costs well under a millisecond at compile time. Debug builds
-/// shrink it: the ordering is meaningless there anyway (tests only need
-/// the plumbing) and unoptimized popcounts are ~20× slower.
+/// ordering, small enough that a probe costs a fraction of a millisecond.
+/// Debug builds shrink it: the ordering is meaningless there anyway (tests
+/// only need the plumbing) and unoptimized popcounts are ~20× slower.
 const MICRO_BENCH_WORDS: usize = if cfg!(debug_assertions) {
     32_768
 } else {
@@ -445,9 +287,8 @@ const MICRO_BENCH_ROUNDS: usize = 4;
 /// streamed, not cached), so the cap only bounds measurement cost.
 const MICRO_BENCH_MAX_KW: usize = 512;
 
-/// Synthetic microbenchmark operands for one microkernel shape, shared by
-/// the candidate sweep ([`bench_micro_grid`]) and the single-candidate cost
-/// probe ([`stage_cost`]): one weight row group and [`MAX_JB`] dynamic
+/// Synthetic microbenchmark operands for one microkernel shape — what the
+/// [`stage_cost`] probe times: one weight row group and [`MAX_JB`] dynamic
 /// rows. Deterministic contents.
 struct BenchOperands {
     w: LanePanel,
@@ -520,41 +361,6 @@ impl BenchOperands {
     }
 }
 
-/// A narrower row block must measure this much faster per word than the
-/// incumbent to displace it. The K pass is bound by the same three vector
-/// instructions per cell-step at every width, so the probe often ties —
-/// and at equal per-word time the wider block is the better plan, because
-/// it amortizes the driver's per-tile work (tile store, correction,
-/// scatter), which the probe does not see, over more outputs.
-const MICRO_WIN_MARGIN: f64 = 0.94;
-
-/// Time the candidate row blocks on `arm` with synthetic operands of the
-/// given shape and return the winner plus its per-word time (so wide and
-/// narrow blocks compare fairly, and the winner's throughput can seed the
-/// cost oracle). Deterministic inputs; the heuristic answer — the widest
-/// block the problem fills — is the incumbent, and narrower candidates are
-/// visited in a fixed order and must beat it by [`MICRO_WIN_MARGIN`].
-fn bench_micro_grid(
-    n_cols: usize,
-    k_words: usize,
-    pa: u32,
-    pb: u32,
-    arm: PopcntArm,
-) -> (MicroTile, f64) {
-    let operands = BenchOperands::synthesize(k_words, pa, pb);
-    let widest = micro_heuristic(n_cols).jb;
-    let mut best = MicroTile { jb: widest };
-    let mut best_ns_per_word = operands.time_candidate(BmmaOp::And, arm, widest);
-    for jb in JB_CANDIDATES.into_iter().rev().filter(|&jb| jb < widest) {
-        let ns_per_word = operands.time_candidate(BmmaOp::And, arm, jb);
-        if ns_per_word < best_ns_per_word * MICRO_WIN_MARGIN {
-            best_ns_per_word = ns_per_word;
-            best = MicroTile { jb };
-        }
-    }
-    (best, best_ns_per_word)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -606,8 +412,8 @@ mod tests {
     #[test]
     fn micro_tile_is_deterministic_and_bounded() {
         for n_cols in [0usize, 1, 3, 64, 512] {
-            let a = autotune_micro(n_cols);
-            let b = autotune_micro(n_cols);
+            let a = select_micro(n_cols);
+            let b = select_micro(n_cols);
             assert_eq!(a, b, "selection must be pure");
             assert!(JB_CANDIDATES.contains(&a.jb));
             assert_eq!(a, a.sanitized());
@@ -625,82 +431,36 @@ mod tests {
     #[test]
     fn micro_tile_narrow_problems_get_narrow_blocks() {
         // One dynamic row cannot use an 8-wide block...
-        assert_eq!(autotune_micro(1).jb, 1);
+        assert_eq!(select_micro(1).jb, 1);
         // ...but rounding up to cover a ragged tail is allowed.
-        assert!(autotune_micro(3).jb >= 2);
-        assert_eq!(autotune_micro(1024).jb, MAX_JB);
+        assert!(select_micro(3).jb >= 2);
+        assert_eq!(select_micro(1024).jb, MAX_JB);
     }
 
     #[test]
     fn micro_tune_moves_the_stats_counter() {
         let s = crate::stats::scope();
-        let _ = autotune_micro(64);
+        let _ = select_micro(64);
         assert_eq!(s.micro_tunes(), 1);
-        assert_eq!(s.micro_benches(), 0, "the heuristic never measures");
+        assert_eq!(s.micro_benches(), 0, "the closed form never measures");
     }
 
-    /// One test covers both [`select_micro`] modes so the process-global
-    /// mode override is never toggled concurrently with another test.
+    /// The selector is a pure closed form: no memo (every call is one
+    /// selection, repeats included), no measurement, no mode.
     #[test]
     fn select_micro_memoizes_and_respects_the_mode() {
-        let arm = PopcntArm::detect();
-
-        // Measured mode: a distinct shape costs one selection + one timed
-        // candidate sweep; repeats are memo hits and move nothing.
-        force_micro_select(Some(MicroSelect::Measure));
         let s = crate::stats::scope();
-        let t1 = select_micro(97, 31, 2, 3, arm);
-        assert_eq!((s.micro_tunes(), s.micro_benches()), (1, 1));
-        let t2 = select_micro(97, 31, 2, 3, arm);
-        assert_eq!(
-            (s.micro_tunes(), s.micro_benches()),
-            (1, 1),
-            "repeat shapes are free"
-        );
-        assert_eq!(t1, t2, "memo must return the recorded tile");
-        assert!(JB_CANDIDATES.contains(&t1.jb));
-        // The autotuner's hot path: an And-case cost probe for the shape a
-        // measured sweep just selected must *reuse* the sweep's winner
-        // timing (no fresh microbenchmark) — and must not deadlock on the
-        // memo mutex doing so (regression: the reuse branch once held the
-        // tile-memo guard across `update_resident_gauge`, which re-locks
-        // it).
-        let ns = stage_cost(
-            StageShape {
-                n_cols: 97,
-                k_words: 31,
-                pa: 2,
-                pb: 3,
-            },
-            EmulationCase::AndUnsigned,
-            arm,
-            t1,
-        );
-        assert!(ns.is_finite() && ns > 0.0, "{ns}");
-        assert_eq!(
-            (s.micro_tunes(), s.micro_benches()),
-            (1, 1),
-            "the And-case probe must reuse the sweep's winner timing"
-        );
-        // A different arm (when one exists) is a different key.
-        if let Some(&other) = PopcntArm::available().iter().find(|&&a| a != arm) {
-            let _ = select_micro(97, 31, 2, 3, other);
-            assert_eq!((s.micro_tunes(), s.micro_benches()), (2, 2));
+        for n_cols in [0usize, 1, 2, 3, 5, 8, 16, 97, 4096] {
+            let t = select_micro(n_cols);
+            assert_eq!(t, select_micro(n_cols), "selection must be pure");
+            assert!(JB_CANDIDATES.contains(&t.jb));
+            // The widest candidate the problem fills: never wider than
+            // `n_cols` rounds up to, and the next candidate would be.
+            let fills = n_cols.max(1).next_power_of_two().min(MAX_JB);
+            assert_eq!(t.jb, fills, "n_cols {n_cols}");
         }
-
-        // Deterministic mode pins the pure heuristic: one selection, zero
-        // measurements, and the exact `autotune_micro` answer.
-        force_micro_select(Some(MicroSelect::Heuristic));
-        assert_eq!(micro_select_mode(), MicroSelect::Heuristic);
-        let s = crate::stats::scope();
-        let t = select_micro(98, 33, 2, 3, arm);
-        assert_eq!((s.micro_tunes(), s.micro_benches()), (1, 0));
-        assert_eq!(t, micro_heuristic(98));
-        let t2 = select_micro(98, 33, 2, 3, arm);
-        assert_eq!((s.micro_tunes(), s.micro_benches()), (1, 0));
-        assert_eq!(t, t2);
-
-        force_micro_select(None);
+        assert_eq!(s.micro_tunes(), 18, "one selection per call");
+        assert_eq!(s.micro_benches(), 0, "selection never measures");
     }
 
     #[test]
@@ -748,17 +508,15 @@ mod tests {
             assert!(ns.is_finite() && ns > 0.0, "{ns}");
         }
         assert_eq!(cost_memo().lock().unwrap().len(), MICRO_MEMO_CAP);
-        // The resident gauge covers both memos, each bounded at the cap.
-        assert!(crate::stats::micro_memo_resident() <= 2 * MICRO_MEMO_CAP as u64);
+        assert!(crate::stats::micro_memo_resident() <= MICRO_MEMO_CAP as u64);
     }
 
     #[test]
     fn narrow_problems_never_measure_overwide_blocks() {
-        // Both modes filter the row-block candidates the same way, so no
-        // mode forcing is needed (keeps this test race-free with the
-        // mode-toggling test above).
-        let t = select_micro(1, 409, 3, 3, PopcntArm::detect());
+        let s = crate::stats::scope();
+        let t = select_micro(1);
         assert_eq!(t.jb, 1, "one dynamic row cannot use a wide block");
+        assert_eq!(s.micro_benches(), 0);
     }
 
     #[test]

@@ -61,30 +61,27 @@ pub fn row_sum_builds() -> u64 {
 }
 
 /// Total CPU-microkernel tile selections
-/// ([`crate::autotune::select_micro`] memo misses) in this process.
-/// Compiled plans pick one row-block tile per layer at compile time and
-/// the ad-hoc kernel entry points go through the same shape-keyed memo —
-/// the counter is how tests prove the hoist, exactly like
+/// ([`crate::autotune::select_micro`] calls) in this process. Compiled
+/// plans pick one row-block tile per layer at compile time and never in
+/// the hot loop — the counter is how tests prove the hoist, exactly like
 /// [`row_sum_builds`].
 pub fn micro_tunes() -> u64 {
     MICRO_TUNES.load(Ordering::Relaxed)
 }
 
-/// Total microkernel tile **measurements** in this process: timed
-/// row-block candidate sweeps run by [`crate::autotune::select_micro`] on a
-/// memo miss in measured mode. Every measurement is also a tile selection
-/// (so [`micro_tunes`] moves with it), but a memo hit or a pinned
-/// heuristic answer moves neither — the pair of counters is how tests
-/// prove "measured once per distinct shape, free afterwards".
+/// Total microkernel **measurements** in this process: timed
+/// single-candidate probes run by [`crate::autotune::stage_cost`] (the
+/// precision autotuner's cost oracle) on a memo miss. Tile selection is a
+/// closed form and never measures, so compiling and serving plans leave
+/// this at 0.
 pub fn micro_benches() -> u64 {
     MICRO_BENCHES.load(Ordering::Relaxed)
 }
 
-/// Entries currently resident across the process-global microkernel memo
-/// maps (tile selections + single-candidate cost probes). A gauge, not a
-/// counter: both maps are bounded at
-/// [`crate::autotune::MICRO_MEMO_CAP`] entries each with FIFO eviction,
-/// so this never exceeds `2 * MICRO_MEMO_CAP`.
+/// Entries currently resident in the process-global
+/// [`crate::autotune::stage_cost`] probe memo. A gauge, not a counter: the
+/// map is bounded at [`crate::autotune::MICRO_MEMO_CAP`] entries with FIFO
+/// eviction.
 pub fn micro_memo_resident() -> u64 {
     MICRO_MEMO_RESIDENT.load(Ordering::Relaxed)
 }

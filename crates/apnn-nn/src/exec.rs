@@ -2,29 +2,24 @@
 //!
 //! [`simulate`] lowers the network through the compilation layer
 //! ([`crate::compile::CompiledNet`]) and prices the resulting plan on the
-//! `apnn-sim` cost model via [`crate::compile::SimEngine`]: main stages go
-//! through the APMM/APConv estimators (emulated schemes) or the
-//! cutlass/cublas-like baselines; element-wise stages go through the
-//! generic element-wise kernel. The result is the per-layer breakdown
-//! behind Fig. 9 and the whole-network latency/throughput numbers of
-//! Tables 2 & 3.
+//! `apnn-sim` cost model ([`CompiledNet::report`]): main stages go through the
+//! APMM/APConv estimators (emulated schemes) or the cutlass/cublas-like
+//! baselines; element-wise stages go through the generic element-wise
+//! kernel. The result is the per-layer breakdown behind Fig. 9 and the
+//! whole-network latency/throughput numbers of Tables 2 & 3.
 //!
-//! The pre-refactor direct-dispatch executor is preserved in [`legacy`] as
-//! the pricing oracle: integration tests assert the compiled plan prices
-//! bit-identically to it.
+//! This is the only pricer: `tests/golden/sim_prices.txt` pins its
+//! per-stage output for the paper zoo × every scheme.
 
 use apnn_kernels::apconv::simmap::{estimate_with_efficiency as conv_estimate, ActLayout};
-use apnn_kernels::apconv::{ConvDesc, Pool2};
 use apnn_kernels::apmm::simmap::{estimate_with_efficiency as apmm_estimate, APMM_TC_EFFICIENCY};
-use apnn_kernels::apmm::{ApmmDesc, TileConfig};
-use apnn_kernels::autotune::autotune;
 use apnn_kernels::baselines::conv::{conv_report, ConvShape};
 use apnn_kernels::baselines::gemm::gemm_report;
 use apnn_kernels::baselines::BNN_KERNEL_EFFICIENCY;
-use apnn_kernels::fusion::{Epilogue, EpilogueOp};
 use apnn_sim::GpuSpec;
 
-use crate::fuse::{fuse_network, EwKind, FusedTail, MainOp, Stage};
+use crate::compile::{CompileOptions, CompiledNet, MainKernel, MainStage, Materialize, PlanStage};
+use crate::fuse::{EwKind, MainOp};
 use crate::net::Network;
 use crate::precision::NetPrecision;
 
@@ -96,32 +91,6 @@ impl NetworkReport {
     }
 }
 
-/// Build a cost-shaped epilogue from a fused tail (parameter values don't
-/// affect pricing, only the op mix does).
-pub(crate) fn tail_epilogue(tail: &FusedTail, channels: usize, out_bits: u32) -> Epilogue {
-    let mut epi = Epilogue::none();
-    if tail.bn {
-        epi = epi.then(EpilogueOp::BatchNorm {
-            gamma: vec![1.0; channels],
-            beta: vec![0.0; channels],
-            mean: vec![0.0; channels],
-            var: vec![1.0; channels],
-            eps: 1e-5,
-        });
-    }
-    if tail.relu {
-        epi = epi.then(EpilogueOp::Relu);
-    }
-    if tail.quantize {
-        epi = epi.then(EpilogueOp::Quantize {
-            scale: 1.0,
-            zero_point: 0.0,
-            bits: out_bits,
-        });
-    }
-    epi
-}
-
 /// Simulate one network at one precision scheme.
 pub fn simulate(
     net: &Network,
@@ -143,16 +112,64 @@ pub fn simulate_with(
     batch: usize,
     fuse: bool,
 ) -> NetworkReport {
-    let opts = crate::compile::CompileOptions {
+    let opts = CompileOptions {
         batch,
         fuse,
-        materialize: crate::compile::Materialize::SimOnly,
+        materialize: Materialize::SimOnly,
     };
-    crate::compile::CompiledNet::compile(net, precision, &opts).report(spec)
+    CompiledNet::compile(net, precision, &opts).report(spec)
+}
+
+impl CompiledNet {
+    /// Price the plan on the simulated GPU.
+    pub fn report(&self, spec: &GpuSpec) -> NetworkReport {
+        price_plan(self, spec)
+    }
+}
+
+/// Price every stage of a compiled plan on the `apnn-sim` cost model.
+fn price_plan(plan: &CompiledNet, spec: &GpuSpec) -> NetworkReport {
+    let batch = plan.batch();
+    let mut reports = Vec::with_capacity(plan.stages().len());
+    for stage in plan.stages() {
+        let rep = match stage {
+            PlanStage::InputPack { elements } => price_input_pack(spec, (elements * batch) as u64),
+            PlanStage::Elementwise {
+                name,
+                kind,
+                in_elements,
+                out_elements,
+                ..
+            } => {
+                let precision = plan
+                    .precision()
+                    .expect("element-wise pricing needs a network precision");
+                price_elementwise(
+                    precision,
+                    spec,
+                    batch,
+                    name,
+                    *kind,
+                    *in_elements,
+                    *out_elements,
+                )
+            }
+            PlanStage::Main(m) => price_compiled_main(plan, m, spec, batch),
+        };
+        reports.push(rep);
+    }
+    let total_s = reports.iter().map(|s| s.time_s).sum();
+    NetworkReport {
+        model: plan.model.clone(),
+        scheme: plan.scheme.clone(),
+        batch,
+        stages: reports,
+        total_s,
+    }
 }
 
 /// Price the §5.1 input layer: quantize + pack the 8-bit RGB image.
-pub(crate) fn price_input_pack(spec: &GpuSpec, elems: u64) -> StageReport {
+fn price_input_pack(spec: &GpuSpec, elems: u64) -> StageReport {
     let r = apnn_kernels::apconv::simmap::elementwise_kernel(
         spec,
         elems,     // 1 byte per u8 element in
@@ -170,237 +187,73 @@ pub(crate) fn price_input_pack(spec: &GpuSpec, elems: u64) -> StageReport {
     }
 }
 
-/// The pre-refactor direct-dispatch simulator, preserved verbatim as the
-/// pricing oracle for the compiled-plan path. Every stage is re-fused,
-/// re-autotuned and re-priced on each call — exactly what compilation
-/// hoists out — so tests can assert `compile(..).report(..)` produces
-/// bit-identical numbers.
-pub mod legacy {
-    use super::*;
-
-    /// Pre-refactor [`super::simulate`].
-    pub fn simulate(
-        net: &Network,
-        precision: NetPrecision,
-        spec: &GpuSpec,
-        batch: usize,
-    ) -> NetworkReport {
-        let fuse = matches!(precision, NetPrecision::Apnn { .. });
-        simulate_with(net, precision, spec, batch, fuse)
-    }
-
-    /// Pre-refactor [`super::simulate_with`]: walks the fused stage list and
-    /// prices each stage ad hoc.
-    pub fn simulate_with(
-        net: &Network,
-        precision: NetPrecision,
-        spec: &GpuSpec,
-        batch: usize,
-        fuse: bool,
-    ) -> NetworkReport {
-        let stages = fuse_network(net, fuse);
-        let mut reports = Vec::with_capacity(stages.len() + 1);
-
-        if precision.is_emulated() {
-            // §5.1 input layer: quantize + pack the 8-bit RGB image.
-            let elems = (net.input_c * net.input_h * net.input_w * batch) as u64;
-            reports.push(price_input_pack(spec, elems));
-        }
-
-        for stage in &stages {
-            let rep = match stage {
-                Stage::Main {
-                    name,
-                    op,
-                    main_index,
-                    tail,
-                    out_elements,
-                    ..
-                } => {
-                    let first = *main_index == 0;
-                    price_main(
-                        net,
-                        precision,
-                        spec,
-                        batch,
-                        name,
-                        op,
-                        first,
-                        tail,
-                        *out_elements,
-                    )
-                }
-                Stage::Elementwise {
-                    name,
-                    kind,
-                    in_elements,
-                    out_elements,
-                    ..
-                } => price_elementwise(
-                    precision,
-                    spec,
-                    batch,
-                    name,
-                    *kind,
-                    *in_elements,
-                    *out_elements,
-                ),
-            };
-            reports.push(rep);
-        }
-
-        let total_s = reports.iter().map(|s| s.time_s).sum();
-        NetworkReport {
-            model: net.name.clone(),
-            scheme: precision.label(),
-            batch,
-            stages: reports,
-            total_s,
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn price_main(
-    net: &Network,
-    precision: NetPrecision,
+fn price_compiled_main(
+    plan: &CompiledNet,
+    m: &MainStage,
     spec: &GpuSpec,
     batch: usize,
-    name: &str,
-    op: &MainOp,
-    first: bool,
-    tail: &FusedTail,
-    _out_elements: usize,
 ) -> StageReport {
-    let last = false; // the zoo never quantizes after the last layer; tail drives it
-    let _ = last;
-    let channels = op.out_channels();
-
-    if let Some(kind) = precision.baseline_kind() {
-        // Library baseline: un-fused kernel at uniform precision.
-        let r = match *op {
-            MainOp::Conv {
-                cin,
-                h,
-                w,
-                cout,
-                k,
-                stride,
-                pad,
-            } => {
-                assert_eq!(h, w, "baseline conv shapes are square");
-                conv_report(
-                    kind,
-                    &ConvShape {
-                        batch,
-                        cin,
-                        hw: h,
-                        cout,
-                        k,
-                        stride,
-                        pad,
-                    },
-                    spec,
-                )
-            }
-            MainOp::Linear {
-                in_features,
-                out_features,
-            } => gemm_report(kind, batch, out_features, in_features, spec),
-        };
-        return StageReport {
-            name: name.to_string(),
-            time_s: r.time_s(),
-            is_main: true,
-            macs: r.counters.tc_macs,
-            global_bytes: r.counters.global_bytes(),
-            bound: r.cost.bound,
-        };
-    }
-
-    // Emulated schemes.
-    let w_bits = precision.weight_bits();
-    let x_bits = precision.activation_bits(first);
-    let w_enc = precision.weight_encoding();
-    let x_enc = precision.activation_encoding(first);
-    let out_bits = precision.activation_bits(false);
-    let epi = tail_epilogue(tail, channels, out_bits);
-    let epi_opt = if epi.ops().is_empty() {
+    let efficiency = match plan.precision() {
+        Some(NetPrecision::Bnn) => BNN_KERNEL_EFFICIENCY,
+        _ => APMM_TC_EFFICIENCY,
+    };
+    let epi_opt = if m.epi.ops().is_empty() {
         None
     } else {
-        Some(&epi)
+        Some(&m.epi)
     };
-    let (tile, efficiency) = match precision {
-        NetPrecision::Bnn => (TileConfig::new(32, 32), BNN_KERNEL_EFFICIENCY),
-        _ => (TileConfig::new(0, 0), APMM_TC_EFFICIENCY), // tile set below
-    };
-
-    let r = match *op {
-        MainOp::Conv {
-            cin,
-            h,
-            w,
-            cout,
-            k,
-            stride,
-            pad,
-        } => {
-            let desc = ConvDesc {
-                batch,
-                cin,
-                h,
-                w,
-                cout,
-                kh: k,
-                kw: k,
-                stride,
-                pad,
-                w_bits,
-                x_bits,
-                w_enc,
-                x_enc,
-            };
-            let g = desc.as_gemm();
-            let tile = if tile.bm == 0 {
-                autotune(g.m, g.n, g.k, g.w_bits, g.x_bits)
-            } else {
-                tile
-            };
-            let pool = if tail.pool2 { Some(Pool2::Max) } else { None };
-            conv_estimate(
-                &desc,
-                &tile,
-                spec,
-                pool,
-                epi_opt,
-                ActLayout::Nphwc,
-                efficiency,
-            )
+    let r = match &m.kernel {
+        MainKernel::Baseline => {
+            let kind = plan
+                .precision()
+                .and_then(|p| p.baseline_kind())
+                .expect("baseline stage without baseline precision");
+            match m.op {
+                MainOp::Conv {
+                    cin,
+                    h,
+                    w,
+                    cout,
+                    k,
+                    stride,
+                    pad,
+                } => {
+                    assert_eq!(h, w, "baseline conv shapes are square");
+                    conv_report(
+                        kind,
+                        &ConvShape {
+                            batch,
+                            cin,
+                            hw: h,
+                            cout,
+                            k,
+                            stride,
+                            pad,
+                        },
+                        spec,
+                    )
+                }
+                MainOp::Linear {
+                    in_features,
+                    out_features,
+                } => gemm_report(kind, batch, out_features, in_features, spec),
+            }
         }
-        MainOp::Linear {
-            in_features,
-            out_features,
-        } => {
-            let desc = ApmmDesc {
-                m: out_features,
-                n: batch,
-                k: in_features,
-                w_bits,
-                x_bits,
-                w_enc,
-                x_enc,
-            };
-            let tile = if tile.bm == 0 {
-                autotune(desc.m, desc.n, desc.k, w_bits, x_bits)
-            } else {
-                tile
-            };
-            apmm_estimate(&desc, &tile, spec, epi_opt, efficiency)
+        MainKernel::Conv { desc, tile, .. } => conv_estimate(
+            desc,
+            tile,
+            spec,
+            m.pool,
+            epi_opt,
+            ActLayout::Nphwc,
+            efficiency,
+        ),
+        MainKernel::Linear { desc, tile, .. } => {
+            apmm_estimate(desc, tile, spec, epi_opt, efficiency)
         }
     };
-    let _ = net;
     StageReport {
-        name: name.to_string(),
+        name: m.name.clone(),
         time_s: r.time_s(),
         is_main: true,
         macs: r.counters.tc_macs,
@@ -409,7 +262,7 @@ fn price_main(
     }
 }
 
-pub(crate) fn price_elementwise(
+fn price_elementwise(
     precision: NetPrecision,
     spec: &GpuSpec,
     batch: usize,

@@ -13,15 +13,15 @@
 //! instantiable at fp32 / fp16 / int8 / BNN / arbitrary `wPaQ` precision
 //! ([`NetPrecision`]).
 //!
-//! Since the compilation-layer refactor, both halves run the *same*
-//! executable plan: [`compile::CompiledNet`] lowers a network once
-//! (fusion, tile autotuning, weight packing, correction vectors) and the
-//! [`compile::Engine`] implementations — [`compile::SimEngine`] and
-//! [`compile::CpuEngine`] — either price it or actually run it.
+//! Both halves consume the *same* executable plan:
+//! [`compile::CompiledNet`] lowers a network once (fusion, tile
+//! autotuning, weight packing, correction vectors) — a pure function of
+//! `(network, precision, seed)` — and the plan is then either priced
+//! ([`CompiledNet::report`], in [`exec`]) or actually run
+//! ([`CompiledNet::infer`] and its `_into` / `_batched` forms).
 
 pub mod compile;
 pub mod exec;
-pub mod functional;
 pub mod fuse;
 pub mod layer;
 pub mod models;
@@ -29,12 +29,8 @@ pub mod net;
 pub mod pool;
 pub mod precision;
 
-pub use compile::{
-    ActInput, CompileError, CompileOptions, CompiledNet, CpuEngine, Engine, Materialize, Shard,
-    SimEngine,
-};
+pub use compile::{ActInput, CompileError, CompileOptions, CompiledNet, Materialize, Shard};
 pub use exec::{simulate, simulate_with, NetworkReport, StageReport};
-pub use functional::{QuantNet, QuantStage};
 pub use fuse::{fuse_network, identity_join_groups, MainOp, ResidualSrc, Stage, StageSrc};
 pub use layer::{LayerSpec, ShapeCursor};
 pub use net::Network;

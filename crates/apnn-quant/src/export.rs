@@ -20,7 +20,7 @@ use apnn_bitpack::BitPlanes;
 use apnn_bitpack::Encoding;
 use apnn_kernels::apmm::{Apmm, ApmmDesc};
 use apnn_kernels::fusion::{Epilogue, EpilogueOp};
-use apnn_nn::functional::{QuantNet, QuantStage};
+use apnn_nn::CompiledNet;
 
 use crate::mlp::{argmax, Mlp, QuantScheme};
 
@@ -132,17 +132,12 @@ impl ExportedNet {
             .collect()
     }
 
-    /// Lower the trained model straight into a [`apnn_nn::CompiledNet`]
+    /// Lower the trained model straight into a [`CompiledNet`]
     /// plan for a given batch size — weights packed, emulation plans and
     /// correction vectors materialized once, ready for repeated
     /// `infer` / `infer_batched` serving.
-    pub fn build_compiled(&self, batch: usize) -> apnn_nn::CompiledNet {
-        self.build_qnet(batch).into_plan()
-    }
-
-    /// Build the packed engine network for a given batch size.
-    pub fn build_qnet(&self, batch: usize) -> QuantNet {
-        let mut net = QuantNet::default();
+    pub fn build_compiled(&self, batch: usize) -> CompiledNet {
+        let mut plan = CompiledNet::hand_built("exported-mlp", "hand-built", batch);
         let n_layers = self.layers.len();
         for (li, l) in self.layers.iter().enumerate() {
             let weights = BitPlanes::from_signed_binary(&l.signs, l.fan_out, l.fan_in);
@@ -178,24 +173,15 @@ impl ExportedNet {
                         bits: self.a_bits,
                     })
             };
-            net.push(QuantStage::Linear {
-                apmm: Apmm::new(desc),
-                weights,
-                epi,
-            });
+            plan.push_linear(Apmm::new(desc).prepare(weights), epi);
         }
-        net
+        plan
     }
 
     /// Integer logits through an already-compiled plan (from
     /// [`Self::build_compiled`]) — the serving path: lower once, call this
     /// per request batch with no weight re-packing.
-    pub fn logits_int_with(
-        &self,
-        plan: &apnn_nn::CompiledNet,
-        xs: &[f32],
-        batch: usize,
-    ) -> Vec<i32> {
+    pub fn logits_int_with(&self, plan: &CompiledNet, xs: &[f32], batch: usize) -> Vec<i32> {
         assert_eq!(xs.len(), batch * self.dim);
         let codes: Vec<u32> = self.quantize_input(xs);
         let input =

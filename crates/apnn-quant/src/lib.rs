@@ -15,8 +15,9 @@
 //!   (the offline substitute for ImageNet in the Table 1 accuracy
 //!   experiment; see `DESIGN.md` §2 for the substitution argument).
 //! * [`export`] — lowering trained QAT models onto the packed integer
-//!   engine (`apnn_nn::QuantNet`), closing the loop between training-time
-//!   fake quantization and the bit-serial inference kernels.
+//!   engine (an `apnn_nn::CompiledNet` built stage by stage), closing the
+//!   loop between training-time fake quantization and the bit-serial
+//!   inference kernels.
 //! * [`serialize`] — compact `APNN1` binary artifacts for exported models
 //!   (±1 weights pack to one bit each).
 

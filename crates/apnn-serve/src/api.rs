@@ -1,14 +1,13 @@
 //! The redesigned request/response surface: [`Request`] builders in,
 //! cancellable [`Ticket`]s out.
 //!
-//! PR 2's positional `submit(&ModelKey, BitTensor4)` had no place to say
-//! *who* is asking (tenant), *how long* the answer is worth waiting for
-//! (deadline), or *how much* the caller cares (priority) — exactly the
-//! dimensions a network-facing serve tier schedules on. [`Request`] is the
-//! new canonical submission: a builder over `(key, image)` carrying
-//! tenant, deadline-in-ticks and priority, consumed by
-//! [`crate::Server::submit_request`]. The old positional `submit` survives
-//! as a thin compat shim that builds a default `Request`.
+//! A positional `(key, image)` pair has no place to say *who* is asking
+//! (tenant), *how long* the answer is worth waiting for (deadline), or
+//! *how much* the caller cares (priority) — exactly the dimensions a
+//! network-facing serve tier schedules on. [`Request`] is the one
+//! submission type: a builder over `(key, image)` carrying tenant,
+//! deadline-in-ticks and priority, consumed by
+//! [`crate::Server::submit_request`] — the only way in.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};

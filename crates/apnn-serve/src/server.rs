@@ -36,8 +36,8 @@ fn backstop(config: &ServeConfig) -> Duration {
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Bounded queue size; `submit` blocks (backpressure) once this many
-    /// requests are waiting. Only consulted under
+    /// Bounded queue size; [`Server::submit_request`] blocks (backpressure)
+    /// once this many requests are waiting. Only consulted under
     /// [`Admission::Backpressure`] — the shedding admission bounds each
     /// tenant's lane instead (see [`Admission::Shed`]).
     pub queue_capacity: usize,
@@ -209,13 +209,6 @@ impl Server {
     /// `server.registry().promote("M", v)`.
     pub fn registry(&self) -> &PlanRegistry {
         &self.shared.registry
-    }
-
-    /// Submit one packed image for `key` under the default tenant with no
-    /// deadline — compat shim over [`Server::submit_request`], kept so the
-    /// PR 2 call sites compile unchanged.
-    pub fn submit(&self, key: &ModelKey, image: BitTensor4) -> Result<Ticket, ServeError> {
-        self.submit_request(Request::new(key.clone(), image))
     }
 
     /// Submit one [`Request`] (image by value — no copy on the hot path;
@@ -810,7 +803,11 @@ mod tests {
         let server = zoo_server(2, 3);
         let key = ModelKey::new("VGG-Variant-Tiny", NetPrecision::w1a2());
         let tickets: Vec<Ticket> = (0..6)
-            .map(|i| server.submit(&key, image(i)).unwrap())
+            .map(|i| {
+                server
+                    .submit_request(Request::new(key.clone(), image(i)))
+                    .unwrap()
+            })
             .collect();
         let plan = server.registry().get(&key).unwrap();
         for (i, t) in tickets.iter().enumerate() {
@@ -841,7 +838,11 @@ mod tests {
         for intra in [1usize, 4] {
             let server = zoo_server_threads(2, 4, intra);
             let tickets: Vec<Ticket> = (0..12)
-                .map(|i| server.submit(&key, image(i)).unwrap())
+                .map(|i| {
+                    server
+                        .submit_request(Request::new(key.clone(), image(i)))
+                        .unwrap()
+                })
                 .collect();
             let got: Vec<Vec<i32>> = tickets.iter().map(|t| t.wait().unwrap()).collect();
             server.wait_idle();
@@ -866,24 +867,24 @@ mod tests {
         let codes = Tensor4::<u32>::from_fn(1, 3, 8, 8, Layout::Nhwc, |_, _, _, _| 0);
         let small = BitTensor4::from_tensor(&codes, 8, Encoding::ZeroOne);
         assert!(matches!(
-            server.submit(&key, small),
+            server.submit_request(Request::new(key.clone(), small)),
             Err(ServeError::BadInput(_))
         ));
         // Wrong bit width.
         let codes = Tensor4::<u32>::from_fn(1, 3, 32, 32, Layout::Nhwc, |_, _, _, _| 1);
         let narrow = BitTensor4::from_tensor(&codes, 2, Encoding::ZeroOne);
         assert!(matches!(
-            server.submit(&key, narrow),
+            server.submit_request(Request::new(key.clone(), narrow)),
             Err(ServeError::BadInput(_))
         ));
         let missing = ModelKey::new("nope", NetPrecision::w1a2());
         assert!(matches!(
-            server.submit(&missing, image(0)),
+            server.submit_request(Request::new(missing, image(0))),
             Err(ServeError::UnknownModel(_))
         ));
         // Pinning an unregistered version is a typed error too.
         assert!(matches!(
-            server.submit(&key.clone().at_version(3), image(0)),
+            server.submit_request(Request::new(key.clone().at_version(3), image(0))),
             Err(ServeError::UnknownVersion { version: 3, .. })
         ));
     }
@@ -895,8 +896,20 @@ mod tests {
         let alex = ModelKey::new("AlexNet-Tiny", NetPrecision::Apnn { w: 2, a: 2 });
         let mut tickets = Vec::new();
         for i in 0..4 {
-            tickets.push((vgg.clone(), i, server.submit(&vgg, image(i)).unwrap()));
-            tickets.push((alex.clone(), i, server.submit(&alex, image(i)).unwrap()));
+            tickets.push((
+                vgg.clone(),
+                i,
+                server
+                    .submit_request(Request::new(vgg.clone(), image(i)))
+                    .unwrap(),
+            ));
+            tickets.push((
+                alex.clone(),
+                i,
+                server
+                    .submit_request(Request::new(alex.clone(), image(i)))
+                    .unwrap(),
+            ));
         }
         for (key, i, t) in &tickets {
             let plan = server.registry().get(key).unwrap();
@@ -938,7 +951,11 @@ mod tests {
         // Push the clock past every deadline with traffic that fills its
         // own batches (a different model so it does not rescue the group).
         let fillers: Vec<Ticket> = (0..8)
-            .map(|i| server.submit(&vgg, image(i)).unwrap())
+            .map(|i| {
+                server
+                    .submit_request(Request::new(vgg.clone(), image(i)))
+                    .unwrap()
+            })
             .collect();
         for t in &fillers {
             t.wait().unwrap();
@@ -1113,9 +1130,13 @@ mod tests {
             .register("AlexNet-Tiny", move || net.clone());
         assert_eq!(v2, 2);
         // Unpinned traffic still lands on v1 until promotion.
-        let before = server.submit(&key, image(0)).unwrap();
+        let before = server
+            .submit_request(Request::new(key.clone(), image(0)))
+            .unwrap();
         server.registry().promote("AlexNet-Tiny", v2).unwrap();
-        let after = server.submit(&key, image(0)).unwrap();
+        let after = server
+            .submit_request(Request::new(key.clone(), image(0)))
+            .unwrap();
         // Both complete; the v1 plan and v2 plan are separate compiles.
         before.wait().unwrap();
         after.wait().unwrap();

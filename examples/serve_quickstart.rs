@@ -8,7 +8,7 @@
 
 use apnn_tc::bitpack::{BitTensor4, Encoding, Layout, Tensor4};
 use apnn_tc::nn::NetPrecision;
-use apnn_tc::serve::{ModelKey, PlanRegistry, ServeConfig, Server};
+use apnn_tc::serve::{ModelKey, PlanRegistry, Request, ServeConfig, Server};
 
 fn image(seed: usize) -> BitTensor4 {
     let codes = Tensor4::<u32>::from_fn(1, 3, 32, 32, Layout::Nhwc, |_, c, h, w| {
@@ -44,7 +44,9 @@ fn main() {
                 .collect::<Vec<_>>()
         })
         .map(|(key, i)| {
-            let ticket = server.submit(&key, image(i)).expect("submit");
+            let ticket = server
+                .submit_request(Request::new(key.clone(), image(i)))
+                .expect("submit");
             (key, i, ticket)
         })
         .collect();

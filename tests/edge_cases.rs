@@ -151,8 +151,7 @@ fn accumulator_headroom_at_max_everything() {
 #[test]
 #[should_panic(expected = "empty network")]
 fn empty_functional_network_rejects_inference() {
-    use apnn_tc::nn::QuantNet;
-    let net = QuantNet::default();
+    let net = apnn_tc::nn::CompiledNet::hand_built("empty", "hand-built", 1);
     let input = BitTensor4::zeros(1, 2, 2, 4, 2, Encoding::ZeroOne);
     let _ = net.infer(&input);
 }

@@ -341,7 +341,14 @@ fn worker_kills_restart_workers_and_lose_no_work() {
         server.registry().get(&key()).unwrap();
         let plan = server.registry().get(&key()).unwrap();
         let tickets: Vec<_> = (0..12u64)
-            .map(|i| (i, server.submit(&key(), image(i)).unwrap()))
+            .map(|i| {
+                (
+                    i,
+                    server
+                        .submit_request(Request::new(key(), image(i)))
+                        .unwrap(),
+                )
+            })
             .collect();
         for (i, t) in &tickets {
             assert_eq!(t.wait().unwrap(), plan.infer(&image(*i)), "request {i}");
@@ -386,7 +393,9 @@ fn failed_promote_rolls_back_with_zero_failed_requests() {
         assert_eq!(server.registry().active_version("AlexNet-Tiny"), Some(v2));
         // The green build's compile fails at admission: the request must
         // degrade to the blue build and *succeed* — zero failed requests.
-        let ticket = server.submit(&key(), image(0)).unwrap();
+        let ticket = server
+            .submit_request(Request::new(key(), image(0)))
+            .unwrap();
         assert_eq!(ticket.wait().unwrap(), v1_plan.infer(&image(0)));
         assert_eq!(
             server.registry().active_version("AlexNet-Tiny"),
@@ -399,7 +408,9 @@ fn failed_promote_rolls_back_with_zero_failed_requests() {
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.failed, 0);
         // Traffic after the rollback stays on v1 without further incident.
-        let again = server.submit(&key(), image(1)).unwrap();
+        let again = server
+            .submit_request(Request::new(key(), image(1)))
+            .unwrap();
         assert_eq!(again.wait().unwrap(), v1_plan.infer(&image(1)));
     });
 }

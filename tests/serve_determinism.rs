@@ -4,7 +4,7 @@
 
 use apnn_tc::bitpack::{BitTensor4, Encoding, Layout, Tensor4};
 use apnn_tc::nn::NetPrecision;
-use apnn_tc::serve::{ModelKey, PlanRegistry, ServeConfig, Server};
+use apnn_tc::serve::{ModelKey, PlanRegistry, Request, ServeConfig, Server};
 
 const BATCH: usize = 3;
 const SEED: u64 = 2021;
@@ -49,8 +49,11 @@ fn serve_once(workers: usize) -> Vec<Vec<i32>> {
         .flat_map(|i| {
             let input = &input;
             let server = &server;
-            keys.iter()
-                .map(move |key| server.submit(key, input.batch_slice(i, 1)).unwrap())
+            keys.iter().map(move |key| {
+                server
+                    .submit_request(Request::new(key.clone(), input.batch_slice(i, 1)))
+                    .unwrap()
+            })
         })
         .collect();
     tickets.iter().map(|t| t.wait().unwrap()).collect()

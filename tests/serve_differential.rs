@@ -12,7 +12,7 @@ use std::sync::{Arc, OnceLock};
 
 use apnn_tc::bitpack::{BitTensor4, Encoding, Layout, Tensor4};
 use apnn_tc::nn::{CompiledNet, NetPrecision};
-use apnn_tc::serve::{ModelKey, PlanRegistry, ServeConfig, Server};
+use apnn_tc::serve::{ModelKey, PlanRegistry, Request, ServeConfig, Server};
 use proptest::prelude::*;
 
 /// Requests per differential round.
@@ -196,7 +196,7 @@ proptest! {
             for &req in &order {
                 for combo in combos() {
                     let img = combo.input.batch_slice(req, 1);
-                    let ticket = server.submit(&combo.key, img).unwrap();
+                    let ticket = server.submit_request(Request::new(combo.key.clone(), img)).unwrap();
                     tickets.push((combo, req, ticket));
                 }
             }

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use apnn_tc::bitpack::{BitTensor4, Encoding, Layout, Tensor4};
 use apnn_tc::nn::{NetPrecision, Shard};
-use apnn_tc::serve::{ModelKey, PlanRegistry, ServeConfig, Server};
+use apnn_tc::serve::{ModelKey, PlanRegistry, Request, ServeConfig, Server};
 
 const SEED: u64 = 404;
 
@@ -129,7 +129,11 @@ fn shutdown_drains_queued_requests() {
         let plan = server.registry().get(&key).unwrap();
         let input = images(5);
         let tickets: Vec<_> = (0..5)
-            .map(|i| server.submit(&key, input.batch_slice(i, 1)).unwrap())
+            .map(|i| {
+                server
+                    .submit_request(Request::new(key.clone(), input.batch_slice(i, 1)))
+                    .unwrap()
+            })
             .collect();
         // Drop with work still queued: every accepted request must still
         // complete with correct logits.
@@ -155,7 +159,11 @@ fn bounded_queue_applies_backpressure_without_losing_requests() {
         let key = vgg_key();
         let input = images(10);
         let tickets: Vec<_> = (0..10)
-            .map(|i| server.submit(&key, input.batch_slice(i, 1)).unwrap())
+            .map(|i| {
+                server
+                    .submit_request(Request::new(key.clone(), input.batch_slice(i, 1)))
+                    .unwrap()
+            })
             .collect();
         for t in &tickets {
             assert!(t.wait().is_ok());

@@ -12,7 +12,7 @@
 use apnn_tc::bitpack::{BitTensor4, Encoding, Layout, Tensor4};
 use apnn_tc::kernels::stats;
 use apnn_tc::nn::NetPrecision;
-use apnn_tc::serve::{ModelKey, PlanRegistry, ServeConfig, Server};
+use apnn_tc::serve::{ModelKey, PlanRegistry, Request, ServeConfig, Server};
 
 fn image(seed: u64) -> BitTensor4 {
     let codes = Tensor4::<u32>::from_fn(1, 3, 32, 32, Layout::Nhwc, |_, c, h, w| {
@@ -52,7 +52,10 @@ fn workers_build_one_workspace_per_plan_and_reuse_it() {
                 let server = &server;
                 keys.iter().map(move |key| {
                     server
-                        .submit(key, image((round * PER_ROUND + i) as u64))
+                        .submit_request(Request::new(
+                            key.clone(),
+                            image((round * PER_ROUND + i) as u64),
+                        ))
                         .unwrap()
                 })
             })
@@ -100,7 +103,9 @@ fn workers_build_one_workspace_per_plan_and_reuse_it() {
         },
     );
     let before = stats::workspace_creates();
-    let t = server.submit(&keys[0], image(1)).unwrap();
+    let t = server
+        .submit_request(Request::new(keys[0].clone(), image(1)))
+        .unwrap();
     t.wait().unwrap();
     server.wait_idle();
     assert_eq!(stats::workspace_creates() - before, 1);
