@@ -55,8 +55,8 @@ pub struct MainGeom {
     /// Output row width in pixels (1 for linears).
     pub out_w: usize,
     /// Packed reduction length in 64-bit words — for convs
-    /// [`ConvDesc::k_words`], the same live-word count the compiled plan's
-    /// weight panel and tile selection use.
+    /// [`ConvDesc::k_words`], the same column-dense word count the compiled
+    /// plan's weight panel and tile selection use.
     pub k_words: usize,
     /// `main_index` of the layer whose output activations this layer
     /// consumes (`None` for the first main layer, which reads the 8-bit
@@ -569,6 +569,19 @@ mod tests {
                 .collect()
         };
         let (w1a2, w1a3, w2a2) = (words(1, 2), words(1, 3), words(2, 2));
+        // Column-dense packing shortens K per layer (3×3×3 and 3×3×16: 3
+        // words, 3×3×32: 6, not 9) — the same for every precision, so the
+        // 2 : 3 : 4 ratios below hold on the packed counts.
+        let ks: Vec<usize> = geoms.iter().filter(|g| g.conv).map(|g| g.k_words).collect();
+        assert_eq!(
+            ks[..2],
+            [3, 3],
+            "stem and layer1 pack to one word per column"
+        );
+        assert!(
+            ks.contains(&6) && ks.contains(&9) && ks.contains(&18),
+            "{ks:?}"
+        );
         assert_eq!(w1a3[0], w1a2[0]);
         assert_eq!(w2a2[0], 2.0 * w1a2[0]);
         for i in 1..n {

@@ -22,7 +22,7 @@ use crate::planes::BitPlanes;
 pub const LANES: usize = 8;
 
 /// A [`BitPlanes`] operand re-laid out for the lane-per-output popcount
-/// kernel ([`crate::popcnt::and_popcount_lanes`]); see the module docs for
+/// kernel ([`crate::popcnt::finish_lanes`]); see the module docs for
 /// the layout. Built once per weight operand, word by word
 /// ([`LanePanel::from_fn`]).
 #[derive(Debug, Clone)]

@@ -2,24 +2,32 @@
 //!
 //! The one reduction every functional kernel runs is
 //!
-//! `out[r][lane] = Σ_k popc(op(cells[k·LANES + lane], xs[r][k]))`
+//! `popc[s][t][j][lane] = Σ_k popc(op(W⁽ˢ⁾[k·LANES + lane], xs[t][j][k]))`
 //!
-//! over a [`crate::panel::LanePanel`] row group (`cells`: eight interleaved
-//! weight rows, 64 bytes per K word) and a few *streams* `xs[r]` — one
-//! activation row of one bit plane each. Per K word the kernel loads the
-//! cell once and, for every stream, broadcasts the stream's word against
-//! it: AND/XOR, per-lane popcount, per-lane add. Each lane of an
+//! over a [`crate::panel::LanePanel`] row group (per static plane `s`, eight
+//! interleaved weight rows, 64 bytes per K word) and a few *streams*
+//! `xs[t][j]` — plane `t` of one activation row `j` each ([`Streams`]: rows
+//! of a packed operand, or offsets into one buffer). Per K word the kernel
+//! loads the cell once and, for every stream, broadcasts the stream's word
+//! against it: AND/XOR, per-lane popcount, per-lane add. Each lane of an
 //! accumulator is a different output, so the K pass ends with the counts
 //! where they are needed — no horizontal sum, no per-output call. This is
-//! the CPU form of the `bmma` accumulator fragment (one output per
-//! element, K reduced inside the primitive).
+//! the CPU form of the `bmma` accumulator fragment (one output per element,
+//! K reduced inside the primitive).
 //!
-//! The kernel is **one generic body** (`popcount_streams`), instantiated
-//! once per [`PopcntArm`] under that arm's `#[target_feature]` so the whole
-//! K pass runs inside the feature boundary:
+//! A pass never stores its counts. Like the paper's memory-efficient bit
+//! combination (§4.1(b)), the §3.2 correction and the shift-add run on the
+//! accumulators while they are registers ([`Finish`], `Lanes::finish`), and
+//! what reaches memory is the finished sum over all plane pairs:
+//! [`finish_lanes`] is the single entry point APMM, APConv and the cost
+//! probe share.
+//!
+//! The kernel is **one generic body** (`finish_streams`), instantiated once
+//! per [`PopcntArm`] under that arm's `#[target_feature]` so the whole K
+//! pass and its finish run inside the feature boundary:
 //!
 //! * [`PopcntArm::Scalar`] — the body over `[u64; 8]` lanes at the build's
-//!   baseline features. LLVM vectorizes the lane loop with whatever the
+//!   baseline features. LLVM vectorizes the lane loops with whatever the
 //!   baseline has (SSE2/SSSE3 byte-LUT or SWAR `count_ones` on a portable
 //!   build; under `target-cpu=native` the host's own vectors).
 //! * [`PopcntArm::Avx2`] — the same `[u64; 8]` body under `avx2`: two ymm
@@ -27,8 +35,10 @@
 //! * [`PopcntArm::Avx512`] — the body over one explicit `__m512i` per cell
 //!   (`avx512f` + `avx512vpopcntdq`): `vpandq`/`vpxorq` with a broadcast
 //!   memory operand, `vpopcntq`, `vpaddq` — three instructions per 512
-//!   bit-MACs. The lane type is explicit because Intel server tunings make
-//!   LLVM prefer 256-bit vectors, which halves `vpopcntq` throughput.
+//!   bit-MACs — and a finish of `vpmovqd`, `vpmulld`, `vpaddd`, `vpsrad`,
+//!   `vpslld` on the narrowed counts. The lane type is explicit because
+//!   Intel server tunings make LLVM prefer 256-bit vectors, which halves
+//!   `vpopcntq` throughput.
 //! * [`PopcntArm::Neon`] — aarch64, where NEON `cnt` is baseline: the
 //!   `[u64; 8]` body, four q registers per cell.
 //!
@@ -40,7 +50,8 @@
 //! availability so a forged enum value can never reach an instruction the
 //! CPU lacks.
 
-use crate::panel::LANES;
+use crate::panel::{LanePanel, LANES};
+use crate::planes::BitPlanes;
 
 /// One instantiation of the lane-per-output popcount kernel. See the
 /// module docs for what each arm runs; all arms are exact.
@@ -163,45 +174,112 @@ impl PopcntArm {
     }
 }
 
-/// `out[r][lane] = Σ_k popc(cells[k·LANES + lane] & xs[r][k])` on an
-/// explicit arm: `cells` is one [`crate::panel::LanePanel::group`], every
-/// stream `xs[r]` holds (at least) one word per cell. Exact for every arm
-/// and length; an arm the CPU cannot run executes the baseline body, so the
-/// call is always sound.
-#[inline]
-pub fn and_popcount_lanes(arm: PopcntArm, cells: &[u64], xs: &[&[u64]], out: &mut [[i32; LANES]]) {
-    popcount_lanes::<false>(arm, cells, xs, out)
+/// The dynamic operand of one kernel call: stream `(t, j)` is plane `t` of
+/// the `j`-th output's packed row — (at least) one word per panel cell. The
+/// two addressings instantiate the one K-loop body; neither copies it.
+pub trait Streams {
+    /// The first `kw` words of stream `(t, j)`.
+    fn words(&self, t: usize, j: usize, kw: usize) -> &[u64];
 }
 
-/// `out[r][lane] = Σ_k popc(cells[k·LANES + lane] ^ xs[r][k])` (same
-/// contract as [`and_popcount_lanes`]). A zero pad lane counts `popc(xs[r])`
-/// here — callers discard pad lanes.
-#[inline]
-pub fn xor_popcount_lanes(arm: PopcntArm, cells: &[u64], xs: &[&[u64]], out: &mut [[i32; LANES]]) {
-    popcount_lanes::<true>(arm, cells, xs, out)
+/// Streams as row slices (APMM: the packed rows `row0..` of a batch block).
+#[derive(Debug, Clone, Copy)]
+pub struct Rows<'a> {
+    /// The packed operand.
+    pub x: &'a BitPlanes,
+    /// The block's first row.
+    pub row0: usize,
 }
 
+impl Streams for Rows<'_> {
+    #[inline(always)]
+    fn words(&self, t: usize, j: usize, kw: usize) -> &[u64] {
+        &self.x.plane(t as u32).row_words(self.row0 + j)[..kw]
+    }
+}
+
+/// Streams as word offsets into one buffer (APConv: the windows of a pixel
+/// block, overlapping slices of the activation strip, addressed through a
+/// plane-major table built once per plan).
+#[derive(Debug, Clone, Copy)]
+pub struct Offsets<'a> {
+    /// The buffer every stream lies in.
+    pub base: &'a [u64],
+    /// Stream `(t, j)` starts at `base[at[t·stride + j]]`.
+    pub at: &'a [u32],
+    /// Entries of `at` per plane.
+    pub stride: usize,
+}
+
+impl Streams for Offsets<'_> {
+    #[inline(always)]
+    fn words(&self, t: usize, j: usize, kw: usize) -> &[u64] {
+        &self.base[self.at[t * self.stride + j] as usize..][..kw]
+    }
+}
+
+/// What a K pass does with its counts while they are still in registers:
+/// the §3.2 correction and the §4.1(b) shift-add. The count of stream
+/// `(t, j)` against static plane `s` becomes, per lane,
+///
+/// `((a·popc + w_sides[side_at[j] + s][lane] + x_sides[t·x_stride + j]) >> halve) << (s + t)`
+///
+/// and is summed into `out[j][lane]`.
+#[derive(Debug, Clone, Copy)]
+pub struct Finish<'a> {
+    /// Combine operands with XOR (else AND) before counting.
+    pub xor: bool,
+    /// Multiplier of the raw popcount.
+    pub a: i32,
+    /// 1 where the case leaves a factor 2 to divide out, else 0.
+    pub halve: u32,
+    /// Dynamic planes per output.
+    pub q: usize,
+    /// The weight-side part of the correction offset of each lane, per
+    /// static plane, for every class of output the call spans (a conv
+    /// window's offset depends on which of its taps miss the frame).
+    pub w_sides: &'a [[i32; LANES]],
+    /// Per output, where its class's planes start in `w_sides`.
+    pub side_at: &'a [u32],
+    /// The activation-side part of the offset of every stream,
+    /// plane-major; empty when the case has none.
+    pub x_sides: &'a [i32],
+    /// Entries of `x_sides` per plane.
+    pub x_stride: usize,
+}
+
+/// The one kernel entry: row group `g` of `w` against `fin.q` planes of
+/// `out.len()` outputs' streams, every plane pair's K pass finished in
+/// registers ([`Finish`]) and summed into `out` — one `[i32; LANES]` per
+/// output, **stored** by its first plane pair (stale contents never
+/// matter). Lanes past the panel's last row are zero rows: their sums are
+/// meaningless and the caller must not keep them.
+///
+/// Exact for every arm and length; an arm the CPU cannot run executes the
+/// baseline body, so the call is always sound.
 #[inline]
-fn popcount_lanes<const XOR: bool>(
+pub fn finish_lanes<S: Streams>(
     arm: PopcntArm,
-    cells: &[u64],
-    xs: &[&[u64]],
+    w: &LanePanel,
+    g: usize,
+    xs: &S,
+    fin: &Finish<'_>,
     out: &mut [[i32; LANES]],
 ) {
-    assert_eq!(xs.len(), out.len(), "one output cell per stream");
+    assert_eq!(fin.side_at.len(), out.len(), "one offset class per output");
     match arm {
         #[cfg(target_arch = "x86_64")]
         PopcntArm::Avx512 if arm.is_available() => {
             // SAFETY: `is_available` just CPUID-verified avx512f +
             // avx512vpopcntdq (`is_x86_feature_detected!` caches the lookup).
-            unsafe { x86::streams_avx512::<XOR>(cells, xs, out) }
+            unsafe { x86::streams_avx512(w, g, xs, fin, out) }
         }
         #[cfg(target_arch = "x86_64")]
         PopcntArm::Avx2 if arm.is_available() => {
             // SAFETY: `is_available` just CPUID-verified avx2.
-            unsafe { x86::streams_avx2::<XOR>(cells, xs, out) }
+            unsafe { x86::streams_avx2(w, g, xs, fin, out) }
         }
-        _ => popcount_streams::<[u64; LANES], XOR>(cells, xs, out),
+        _ => finish_either_op::<[u64; LANES], S>(w, g, xs, fin, out),
     }
 }
 
@@ -214,7 +292,17 @@ trait Lanes: Copy {
     fn load(cell: &[u64; LANES]) -> Self;
     /// `self + popc(op(cell, splat(x)))`, per lane.
     fn accumulate<const XOR: bool>(self, cell: Self, x: u64) -> Self;
-    fn store(self, out: &mut [i32; LANES]);
+    /// `out (= | +=) ((a·self + w_side + x_side) >> halve) << shift`, per
+    /// lane (`=` when `first`) — the only copy of the §3.2 arithmetic the
+    /// kernels run.
+    fn finish(
+        self,
+        first: bool,
+        a_halve_shift: (i32, u32, u32),
+        w_side: &[i32; LANES],
+        x_side: i32,
+        out: &mut [i32; LANES],
+    );
 }
 
 impl Lanes for [u64; LANES] {
@@ -240,68 +328,125 @@ impl Lanes for [u64; LANES] {
     }
 
     #[inline(always)]
-    fn store(self, out: &mut [i32; LANES]) {
-        for (o, acc) in out.iter_mut().zip(self) {
-            *o = acc as i32;
+    fn finish(
+        self,
+        first: bool,
+        (a, halve, shift): (i32, u32, u32),
+        w_side: &[i32; LANES],
+        x_side: i32,
+        out: &mut [i32; LANES],
+    ) {
+        let mut v = [0i32; LANES];
+        for l in 0..LANES {
+            v[l] = ((a * self[l] as i32 + w_side[l] + x_side) >> halve) << shift;
+        }
+        if first {
+            *out = v;
+        } else {
+            for (o, v) in out.iter_mut().zip(v) {
+                *o += v;
+            }
         }
     }
 }
 
-/// The kernel body: every stream's K pass against one row group, the
-/// streams taken eight, four, two and one at a time so each pass's
-/// accumulators are a compile-time-sized register set.
+/// [`finish_streams`] for the call's boolean op, a compile-time constant of
+/// the K loop.
 #[inline(always)]
-fn popcount_streams<V: Lanes, const XOR: bool>(
-    cells: &[u64],
-    xs: &[&[u64]],
+fn finish_either_op<V: Lanes, S: Streams>(
+    w: &LanePanel,
+    g: usize,
+    xs: &S,
+    fin: &Finish<'_>,
     out: &mut [[i32; LANES]],
 ) {
-    let mut r = 0;
-    while V::WIDE && xs.len() - r >= 8 {
-        k_pass::<V, XOR, 8>(cells, &xs[r..], &mut out[r..]);
-        r += 8;
-    }
-    while xs.len() - r >= 4 {
-        k_pass::<V, XOR, 4>(cells, &xs[r..], &mut out[r..]);
-        r += 4;
-    }
-    if xs.len() - r >= 2 {
-        k_pass::<V, XOR, 2>(cells, &xs[r..], &mut out[r..]);
-        r += 2;
-    }
-    if xs.len() - r >= 1 {
-        k_pass::<V, XOR, 1>(cells, &xs[r..], &mut out[r..]);
+    if fin.xor {
+        finish_streams::<V, S, true>(w, g, xs, fin, out)
+    } else {
+        finish_streams::<V, S, false>(w, g, xs, fin, out)
     }
 }
 
-/// One pass over K for the first `R` streams: `R` accumulators live in
-/// registers, each cell is loaded once and every stream's word is
-/// broadcast against it.
+/// The kernel body: per plane pair `(s, t)`, the K passes of the outputs'
+/// plane-`t` streams against the row group, the streams taken eight, four,
+/// two and one at a time so each pass's accumulators are a
+/// compile-time-sized register set. A pass spans consecutive outputs of
+/// one plane pair, so its shift and store-or-add are fixed and its table
+/// entries contiguous.
 #[inline(always)]
-fn k_pass<V: Lanes, const XOR: bool, const R: usize>(
+fn finish_streams<V: Lanes, S: Streams, const XOR: bool>(
+    w: &LanePanel,
+    g: usize,
+    xs: &S,
+    fin: &Finish<'_>,
+    out: &mut [[i32; LANES]],
+) {
+    let n = out.len();
+    for (s, t) in (0..w.n_planes()).flat_map(|s| (0..fin.q).map(move |t| (s, t))) {
+        let cells = w.group(s, g);
+        let mut j = 0;
+        while V::WIDE && n - j >= 8 {
+            k_pass::<V, S, XOR, 8>(cells, xs, (s, t, j), fin, out);
+            j += 8;
+        }
+        while n - j >= 4 {
+            k_pass::<V, S, XOR, 4>(cells, xs, (s, t, j), fin, out);
+            j += 4;
+        }
+        if n - j >= 2 {
+            k_pass::<V, S, XOR, 2>(cells, xs, (s, t, j), fin, out);
+            j += 2;
+        }
+        if n - j >= 1 {
+            k_pass::<V, S, XOR, 1>(cells, xs, (s, t, j), fin, out);
+        }
+    }
+}
+
+/// One pass over K for plane pair `(s, t)` of outputs `j0..j0 + R`: `R`
+/// accumulators live in registers, each cell is loaded once and every
+/// stream's word is broadcast against it; the pass ends in
+/// [`Lanes::finish`], not a store of counts.
+#[inline(always)]
+fn k_pass<V: Lanes, S: Streams, const XOR: bool, const R: usize>(
     cells: &[u64],
-    xs: &[&[u64]],
+    xs: &S,
+    (s, t, j0): (usize, usize, usize),
+    fin: &Finish<'_>,
     out: &mut [[i32; LANES]],
 ) {
     let kw = cells.len() / LANES;
-    // Slicing every stream to `kw` up front checks the lengths once and
-    // lets the K loop index without bounds checks.
-    let xs: [&[u64]; R] = std::array::from_fn(|r| &xs[r][..kw]);
+    // Slicing every stream to `kw` — and every table to the pass's `R`
+    // entries — up front checks the lengths once and lets the loops index
+    // without bounds checks.
+    let words: [&[u64]; R] = std::array::from_fn(|i| xs.words(t, j0 + i, kw));
+    let side_at: &[u32; R] = fin.side_at[j0..][..R].try_into().expect("R entries");
+    let out: &mut [[i32; LANES]; R] = (&mut out[j0..][..R]).try_into().expect("R entries");
+    let x_sides: [i32; R] = if fin.x_sides.is_empty() {
+        [0; R]
+    } else {
+        fin.x_sides[t * fin.x_stride + j0..][..R]
+            .try_into()
+            .expect("R entries")
+    };
+
     let mut acc = [V::zero(); R];
     for (k, cell) in cells.chunks_exact(LANES).enumerate() {
         let cell = V::load(cell.try_into().expect("chunks_exact yields LANES words"));
-        for r in 0..R {
-            acc[r] = acc[r].accumulate::<XOR>(cell, xs[r][k]);
+        for i in 0..R {
+            acc[i] = acc[i].accumulate::<XOR>(cell, words[i][k]);
         }
     }
-    for (o, a) in out[..R].iter_mut().zip(acc) {
-        a.store(o);
+    let (first, how) = (s == 0 && t == 0, (fin.a, fin.halve, (s + t) as u32));
+    for i in 0..R {
+        let w_side = &fin.w_sides[side_at[i] as usize + s];
+        acc[i].finish(first, how, w_side, x_sides[i], &mut out[i]);
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{popcount_streams, Lanes, LANES};
+    use super::{finish_either_op, Finish, LanePanel, Lanes, Streams, LANES};
     use core::arch::x86_64::*;
 
     /// One cell in one zmm. Private to this module and only ever
@@ -342,33 +487,60 @@ mod x86 {
         }
 
         #[inline(always)]
-        fn store(self, out: &mut [i32; LANES]) {
-            // SAFETY: avx512f is present (see `Zmm`); `out` is 32 writable
-            // bytes and the store is unaligned.
-            unsafe { _mm256_storeu_si256(out.as_mut_ptr().cast(), _mm512_cvtepi64_epi32(self.0)) }
+        fn finish(
+            self,
+            first: bool,
+            (a, halve, shift): (i32, u32, u32),
+            w_side: &[i32; LANES],
+            x_side: i32,
+            out: &mut [i32; LANES],
+        ) {
+            // SAFETY: avx512f is present (see `Zmm`), and every CPU with
+            // avx512f has the 256-bit avx2 integer forms used on the
+            // narrowed counts; `w_side` is 32 readable and `out` 32
+            // readable and writable bytes, all accesses unaligned.
+            unsafe {
+                let counts = _mm512_cvtepi64_epi32(self.0);
+                let side = _mm256_add_epi32(
+                    _mm256_loadu_si256(w_side.as_ptr().cast()),
+                    _mm256_set1_epi32(x_side),
+                );
+                let v = _mm256_add_epi32(_mm256_mullo_epi32(counts, _mm256_set1_epi32(a)), side);
+                let v = _mm256_sra_epi32(v, _mm_cvtsi32_si128(halve as i32));
+                let mut v = _mm256_sll_epi32(v, _mm_cvtsi32_si128(shift as i32));
+                let out = out.as_mut_ptr().cast();
+                if !first {
+                    v = _mm256_add_epi32(v, _mm256_loadu_si256(out));
+                }
+                _mm256_storeu_si256(out, v);
+            }
         }
     }
 
     /// # Safety
     /// The CPU must support avx512f and avx512vpopcntdq.
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    pub unsafe fn streams_avx512<const XOR: bool>(
-        cells: &[u64],
-        xs: &[&[u64]],
+    pub unsafe fn streams_avx512<S: Streams>(
+        w: &LanePanel,
+        g: usize,
+        xs: &S,
+        fin: &Finish<'_>,
         out: &mut [[i32; LANES]],
     ) {
-        popcount_streams::<Zmm, XOR>(cells, xs, out)
+        finish_either_op::<Zmm, S>(w, g, xs, fin, out)
     }
 
     /// # Safety
     /// The CPU must support avx2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn streams_avx2<const XOR: bool>(
-        cells: &[u64],
-        xs: &[&[u64]],
+    pub unsafe fn streams_avx2<S: Streams>(
+        w: &LanePanel,
+        g: usize,
+        xs: &S,
+        fin: &Finish<'_>,
         out: &mut [[i32; LANES]],
     ) {
-        popcount_streams::<[u64; LANES], XOR>(cells, xs, out)
+        finish_either_op::<[u64; LANES], S>(w, g, xs, fin, out)
     }
 }
 
@@ -383,8 +555,50 @@ mod tests {
         *seed
     }
 
+    /// One plane of one full row group holding `cells` verbatim.
+    fn panel_of(cells: &[u64]) -> LanePanel {
+        LanePanel::from_fn(1, LANES, cells.len() / LANES, |_, row, k| {
+            cells[k * LANES + row]
+        })
+    }
+
+    /// The raw counts of every stream: the finish that is the identity
+    /// (`a = 1`, no offsets, one plane pair per output).
+    fn raw_counts(
+        arm: PopcntArm,
+        xor: bool,
+        w: &LanePanel,
+        streams: &[Vec<u64>],
+    ) -> Vec<[i32; LANES]> {
+        let n = streams.len();
+        let (mut flat, mut at) = (Vec::new(), Vec::new());
+        for x in streams {
+            at.push(flat.len() as u32);
+            flat.extend_from_slice(x);
+        }
+        let fin = Finish {
+            xor,
+            a: 1,
+            halve: 0,
+            q: 1,
+            w_sides: &[[0; LANES]],
+            side_at: &vec![0; n],
+            x_sides: &[],
+            x_stride: 0,
+        };
+        let xs = Offsets {
+            base: &flat,
+            at: &at,
+            stride: n,
+        };
+        // Stale contents must be overwritten, not accumulated into.
+        let mut out = vec![[-1i32; LANES]; n];
+        finish_lanes(arm, w, 0, &xs, &fin, &mut out);
+        out
+    }
+
     /// The per-output scalar reference.
-    fn reference(xor: bool, cells: &[u64], xs: &[&[u64]]) -> Vec<[i32; LANES]> {
+    fn reference(xor: bool, cells: &[u64], xs: &[Vec<u64>]) -> Vec<[i32; LANES]> {
         xs.iter()
             .map(|x| {
                 std::array::from_fn(|lane| {
@@ -401,14 +615,16 @@ mod tests {
     }
 
     fn check(cells: &[u64], streams: &[Vec<u64>], ctx: &str) {
-        let xs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
+        let w = panel_of(cells);
         for arm in PopcntArm::ALL {
-            // Stale contents must be overwritten, not accumulated into.
-            let mut out = vec![[-1i32; LANES]; xs.len()];
-            xor_popcount_lanes(arm, cells, &xs, &mut out);
-            assert_eq!(out, reference(true, cells, &xs), "{arm:?} xor {ctx}");
-            and_popcount_lanes(arm, cells, &xs, &mut out);
-            assert_eq!(out, reference(false, cells, &xs), "{arm:?} and {ctx}");
+            for xor in [true, false] {
+                let want = reference(xor, cells, streams);
+                assert_eq!(
+                    raw_counts(arm, xor, &w, streams),
+                    want,
+                    "{arm:?} {xor} {ctx}"
+                );
+            }
         }
     }
 
@@ -461,10 +677,8 @@ mod tests {
         let streams = vec![vec![u64::MAX; kw], vec![0u64; kw], vec![u64::MAX; kw]];
         check(&ones, &streams, "dense cells");
         check(&zeros, &streams, "zero cells");
-        let xs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
         for arm in PopcntArm::ALL {
-            let mut out = [[0i32; LANES]; 3];
-            and_popcount_lanes(arm, &ones, &xs, &mut out);
+            let out = raw_counts(arm, false, &panel_of(&ones), &streams);
             let full = [kw as i32 * 64; LANES];
             assert_eq!(out, [full, [0; LANES], full], "{arm:?}");
         }
@@ -480,9 +694,163 @@ mod tests {
     #[test]
     #[should_panic]
     fn short_streams_are_rejected() {
-        let cells = [0u64; 2 * LANES];
-        let short = [0u64; 1];
-        let mut out = [[0i32; LANES]; 1];
-        and_popcount_lanes(PopcntArm::Scalar, &cells, &[&short], &mut out);
+        raw_counts(
+            PopcntArm::Scalar,
+            false,
+            &panel_of(&[0u64; 2 * LANES]),
+            &[vec![0u64; 1]],
+        );
+    }
+
+    /// `(xor, a, k, r, c, halve)` of the seven §3.2 corrections — the rows
+    /// of `apnn_kernels::select::EmulationCase::correction`, which this
+    /// crate cannot name.
+    const CORRECTIONS: [(bool, i32, i32, i32, i32, u32); 7] = [
+        (false, 1, 0, 0, 0, 0),
+        (true, -2, 1, 0, 0, 0),
+        (false, 2, 0, 0, -1, 0),
+        (false, 2, 0, -1, 0, 0),
+        (true, -1, 0, 1, 1, 1),
+        (true, -1, 0, 1, 0, 0),
+        (true, -1, 0, 0, 1, 0),
+    ];
+
+    /// `apnn_kernels::select::adjust_partial`, spelled out: the scalar
+    /// spec of one plane pair's partial product.
+    fn adjust_partial(
+        (_, a, k, r, c, halve): (bool, i32, i32, i32, i32, u32),
+        popc: i32,
+        k_valid: i32,
+        w_sum: i32,
+        x_sum: i32,
+    ) -> i32 {
+        (a * popc + k * k_valid + r * w_sum + c * x_sum) >> halve
+    }
+
+    /// One finished call — `p × q` planes, `n_out` outputs, `kw` words,
+    /// correction sums as large as the shifted total leaves room for —
+    /// against the naive `Σ adjust_partial << (s + t)`, on every arm and
+    /// through both stream addressings, over garbage `out` contents.
+    fn check_finish(case: usize, (p, q): (usize, usize), n_out: usize, kw: usize, seed: u64) {
+        let corr = CORRECTIONS[case];
+        let (xor, a, k, r, c, halve) = corr;
+        let mut seed = seed | 1;
+        // |partial| ≤ bound keeps Σ partial << (s + t) inside an i32.
+        let bound = i32::MAX / (((1 << p) - 1) * ((1 << q) - 1));
+        let kw = kw.min(bound as usize / 4 / 128);
+        let mut words = |n: usize| -> Vec<u64> { (0..n).map(|_| xs64(&mut seed)).collect() };
+        let cells = words(p * kw * LANES);
+        let w = LanePanel::from_fn(p, LANES, kw, |s, row, k| cells[(s * kw + k) * LANES + row]);
+        // The streams as rows of a packed operand...
+        let codes: Vec<u32> = words(n_out * kw * 64)
+            .iter()
+            .map(|&v| v as u32 & ((1 << q) - 1))
+            .collect();
+        let x = BitPlanes::from_codes(&codes, n_out, kw * 64, q as u32, crate::Encoding::ZeroOne);
+        // ...and as offsets into one buffer holding the same words, the
+        // table wider than the call.
+        let (stride, x_stride) = (n_out + 1, n_out + 2);
+        let mut flat = words(3);
+        let mut at = vec![0u32; q * stride];
+        for (t, j) in (0..q).flat_map(|t| (0..n_out).map(move |j| (t, j))) {
+            at[t * stride + j] = flat.len() as u32;
+            flat.extend_from_slice(x.plane(t as u32).row_words(j));
+        }
+
+        let mut side = || (xs64(&mut seed) % (bound as u64 / 2)) as i32 - bound / 4;
+        let k_valid = side();
+        // Three classes of output, each with its own weight sums.
+        let w_sums: Vec<[i32; LANES]> = (0..3 * p)
+            .map(|_| std::array::from_fn(|_| side()))
+            .collect();
+        let side_at: Vec<u32> = (0..n_out).map(|j| (j % 3 * p) as u32).collect();
+        let x_sums: Vec<i32> = (0..q * x_stride).map(|_| side()).collect();
+        let w_sides: Vec<[i32; LANES]> = w_sums
+            .iter()
+            .map(|sums| sums.map(|ws| k * k_valid + r * ws))
+            .collect();
+        let x_sides: Vec<i32> = x_sums.iter().map(|xs| c * xs).collect();
+
+        let want: Vec<[i32; LANES]> = (0..n_out)
+            .map(|j| {
+                std::array::from_fn(|lane| {
+                    let mut sum = 0i32;
+                    for (s, t) in (0..p).flat_map(|s| (0..q).map(move |t| (s, t))) {
+                        let row = x.plane(t as u32).row_words(j);
+                        let popc: u32 = (0..kw)
+                            .map(|k| {
+                                let cell = w.row_word(s, lane, k);
+                                (if xor { cell ^ row[k] } else { cell & row[k] }).count_ones()
+                            })
+                            .sum();
+                        let adj = adjust_partial(
+                            corr,
+                            popc as i32,
+                            k_valid,
+                            w_sums[side_at[j] as usize + s][lane],
+                            x_sums[t * x_stride + j],
+                        );
+                        sum += adj << (s + t);
+                    }
+                    sum
+                })
+            })
+            .collect();
+
+        for arm in PopcntArm::ALL {
+            let fin = Finish {
+                xor,
+                a,
+                halve,
+                q,
+                w_sides: &w_sides,
+                side_at: &side_at,
+                // A case without an activation side may pass none.
+                x_sides: if c == 0 { &[] } else { &x_sides },
+                x_stride,
+            };
+            let ctx = format!("case {case} w{p}a{q} outs {n_out} kw {kw} {arm:?}");
+            let mut out = vec![[i32::MIN; LANES]; n_out];
+            finish_lanes(arm, &w, 0, &Rows { x: &x, row0: 0 }, &fin, &mut out);
+            assert_eq!(out, want, "rows, {ctx}");
+            let mut out = vec![[i32::MAX; LANES]; n_out];
+            let offsets = Offsets {
+                base: &flat,
+                at: &at,
+                stride,
+            };
+            finish_lanes(arm, &w, 0, &offsets, &fin, &mut out);
+            assert_eq!(out, want, "offsets, {ctx}");
+        }
+    }
+
+    #[test]
+    fn finish_matches_adjust_partial_on_every_arm() {
+        // All seven corrections; every shift `s + t` of 0..=14 as the top
+        // plane pair of a `p × q` call (so the first pair stores and the
+        // rest accumulate); output counts either side of the pass split.
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        for case in 0..CORRECTIONS.len() {
+            for shift in 0..=14usize {
+                let pq = (shift / 2 + 1, shift - shift / 2 + 1);
+                for (n_out, kw) in [(1usize, 3usize), (3, 40), (8, 9)] {
+                    check_finish(case, pq, n_out, kw, xs64(&mut seed));
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The grid above at random shapes (the nightly deep run drives
+        /// this at 2048 cases).
+        #[test]
+        fn finish_equals_adjust_partial_sum(
+            case in 0usize..7, p in 1usize..9, q in 1usize..9, n_out in 1usize..10,
+            kw in 0usize..70, seed in proptest::prelude::any::<u64>(),
+        ) {
+            check_finish(case, (p, q), n_out, kw, seed);
+        }
     }
 }

@@ -14,6 +14,14 @@
 //!   contribute *zero*, which is nontrivial when bit 0 encodes −1; see
 //!   [`padding`] for the three strategies (including the border-counter
 //!   correction for ±1 features).
+//!
+//! The fragment-aligned `K` above is what the simulator prices and
+//! [`im2row`] materializes. The functional CPU backend ([`cpu`]) reduces
+//! over a denser one — [`ConvDesc::k_words`]: per kernel column, the `KH`
+//! taps' channel bits packed contiguously — because its "fragment" is a
+//! 64-bit word, and §4.2's point is to lay operands out so the fragment is
+//! full. Both operands drop the same zero bits, so every count is
+//! unchanged.
 
 pub mod cpu;
 pub mod im2row;
@@ -113,19 +121,28 @@ impl ConvDesc {
         self.kh * self.kw * self.padded_c()
     }
 
-    /// Live packed words per window tap, `⌈cin/64⌉`: what the CPU kernel
-    /// reduces over. The fragment padding beyond them ([`Self::padded_c`])
-    /// is a BMMA operand constraint with no CPU counterpart — zero in both
-    /// operands, so dropping it changes no count.
+    /// Live packed words per input pixel, `⌈cin/64⌉`: what the CPU kernel
+    /// reads of a window tap. The fragment padding beyond them
+    /// ([`Self::padded_c`]) is a BMMA operand constraint with no CPU
+    /// counterpart — zero in both operands, so dropping it changes no count.
     pub fn live_words(&self) -> usize {
         self.cin.div_ceil(64)
     }
 
-    /// The CPU kernel's reduction length in packed words (`KH·KW` taps of
-    /// [`Self::live_words`]) — the one definition shared by the weight
+    /// Packed words per kernel *column*, `⌈kh·cin/64⌉`: the `kh` taps of
+    /// one `kx` laid bit-contiguously — tap `ky`'s `cin` channel bits at
+    /// bit `ky·cin` — and rounded up to whole words, so a 3×3×16 column is
+    /// one word where word-per-tap packing needs three. `kh·cin % 64 == 0`
+    /// is the case where this is the word-per-tap layout.
+    pub fn col_words(&self) -> usize {
+        (self.kh * self.cin).div_ceil(64)
+    }
+
+    /// The CPU kernel's reduction length in packed words (`kw` columns of
+    /// [`Self::col_words`]) — the one definition shared by the weight
     /// panel, the activation strip, tile selection and the cost oracle.
     pub fn k_words(&self) -> usize {
-        self.kh * self.kw * self.live_words()
+        self.kw * self.col_words()
     }
 
     /// Valid (logical) reduction length per fully-in-frame window.
@@ -204,18 +221,10 @@ impl ApConv {
     /// serving loops [`ApConv::prepare`] once instead.
     pub fn execute(&self, weights: &ConvWeights, input: &BitTensor4) -> Vec<i32> {
         assert_eq!(input.shape().0, self.desc.batch, "batch mismatch");
-        let state = cpu::ConvExecPlan::new(&self.desc);
+        let state = cpu::ConvExecPlan::new(&self.desc, weights.popc());
         let panel = weights.lane_panel(&self.desc);
         let (mut scratch, mut out) = (cpu::ConvScratch::default(), Vec::new());
-        cpu::conv_exec_store(
-            &self.desc,
-            &panel,
-            weights.popc(),
-            input,
-            &state,
-            &mut scratch,
-            &mut out,
-        );
+        cpu::conv_exec_store(&self.desc, &panel, input, &state, &mut scratch, &mut out);
         out
     }
 
@@ -228,16 +237,17 @@ impl ApConv {
         epi: &Epilogue,
     ) -> ConvOutput {
         assert_eq!(input.shape().0, self.desc.batch, "batch mismatch");
-        let state = cpu::ConvExecPlan::new(&self.desc);
+        let state = cpu::ConvExecPlan::new(&self.desc, weights.popc());
         let panel = weights.lane_panel(&self.desc);
-        fused_owned(&self.desc, &panel, weights.popc(), input, &state, pool, epi)
+        fused_owned(&self.desc, &panel, input, &state, pool, epi)
     }
 
     /// Hoist every per-call invariant out of the serving loop: re-lay the
     /// packed weights out as the microkernel's lane panel
-    /// ([`ConvWeights::lane_panel`] — the only copy kept, beside the
-    /// per-tap popcount tables) and materialize the
-    /// emulation plan + input-aware padding pattern (§4.2(b)). The result
+    /// ([`ConvWeights::lane_panel`] — the only copy kept) and materialize
+    /// the emulation plan, the input-aware padding pattern (§4.2(b)), the
+    /// strip offset of every window and the weight side of the correction
+    /// for every class of window ([`cpu::ConvExecPlan`]). The result
     /// executes repeatedly without re-packing or re-planning, and accepts
     /// partial batches.
     pub fn prepare(&self, weights: ConvWeights) -> PreparedConv {
@@ -250,8 +260,7 @@ impl ApConv {
             desc: self.desc,
             tile: self.tile,
             panel: weights.lane_panel(&self.desc),
-            popc: weights.into_popc(),
-            exec_plan: cpu::ConvExecPlan::new(&self.desc),
+            exec_plan: cpu::ConvExecPlan::new(&self.desc, weights.popc()),
         }
     }
 
@@ -286,8 +295,8 @@ impl ApConv {
 }
 
 /// An APConv kernel compiled for serving: lane-interleaved weight panel +
-/// per-tap popcount tables + emulation plan + padding pattern, all
-/// materialized once at compile time.
+/// emulation plan + padding pattern + window offsets + per-window-class
+/// correction offsets, all materialized once at compile time.
 #[derive(Debug, Clone)]
 pub struct PreparedConv {
     /// Layer description (`batch` is the *compiled* batch; calls may shard).
@@ -295,13 +304,14 @@ pub struct PreparedConv {
     /// Block tiling chosen at compile time.
     pub tile: TileConfig,
     panel: LanePanel,
-    popc: weights::TapPopc,
     exec_plan: cpu::ConvExecPlan,
 }
 
 impl PreparedConv {
-    /// The weight operand, in the microkernel's panel layout (K order
-    /// `(kx, ky, word)` over the live words — [`ConvWeights::lane_panel`]).
+    /// The weight operand, in the microkernel's panel layout: K runs over
+    /// the `kw` kernel columns, each [`ConvDesc::col_words`] words holding
+    /// tap `ky`'s channel `c` at bit `ky·cin + c`
+    /// ([`ConvWeights::lane_panel`]).
     pub fn weights(&self) -> &LanePanel {
         &self.panel
     }
@@ -349,15 +359,7 @@ impl PreparedConv {
         pool: Option<Pool2>,
         epi: &Epilogue,
     ) -> ConvOutput {
-        fused_owned(
-            &self.desc,
-            &self.panel,
-            &self.popc,
-            input,
-            &self.exec_plan,
-            pool,
-            epi,
-        )
+        fused_owned(&self.desc, &self.panel, input, &self.exec_plan, pool, epi)
     }
 
     /// Workspace form of [`PreparedConv::execute`]: NHWC i32 accumulators
@@ -373,7 +375,6 @@ impl PreparedConv {
         cpu::conv_exec_store(
             &self.desc,
             &self.panel,
-            &self.popc,
             input,
             &self.exec_plan,
             scratch,
@@ -399,7 +400,6 @@ impl PreparedConv {
         cpu::conv_exec_fused(
             &self.desc,
             &self.panel,
-            &self.popc,
             input,
             &self.exec_plan,
             None,
@@ -428,7 +428,6 @@ impl PreparedConv {
         cpu::conv_exec_fused(
             &self.desc,
             &self.panel,
-            &self.popc,
             input,
             &self.exec_plan,
             Some(residual),
@@ -448,7 +447,6 @@ impl PreparedConv {
 fn fused_owned(
     desc: &ConvDesc,
     w: &LanePanel,
-    popc: &weights::TapPopc,
     input: &BitTensor4,
     state: &cpu::ConvExecPlan,
     pool: Option<Pool2>,
@@ -457,22 +455,11 @@ fn fused_owned(
     let mut scratch = cpu::ConvScratch::default();
     if let Some(bits) = epi.output_bits() {
         let mut t = BitTensor4::zeros(0, 1, 1, desc.cout, bits, Encoding::ZeroOne);
-        cpu::conv_exec_fused(
-            desc,
-            w,
-            popc,
-            input,
-            state,
-            None,
-            pool,
-            epi,
-            &mut scratch,
-            &mut t,
-        );
+        cpu::conv_exec_fused(desc, w, input, state, None, pool, epi, &mut scratch, &mut t);
         return ConvOutput::Packed(t);
     }
     let mut v = Vec::new();
-    cpu::conv_exec_store(desc, w, popc, input, state, &mut scratch, &mut v);
+    cpu::conv_exec_store(desc, w, input, state, &mut scratch, &mut v);
     if let Some(kind) = pool {
         let (n, oh, ow) = (input.shape().0, desc.out_h(), desc.out_w());
         v = cpu::pool2_i32(&v, n, oh, ow, desc.cout, kind);
@@ -498,6 +485,8 @@ mod tests {
         assert_eq!(d.padded_c(), 128);
         assert_eq!(d.k_bits(), 9 * 128);
         assert_eq!(d.k_valid(), 9 * 128);
+        // Whole-word channels: column packing is the word-per-tap layout.
+        assert_eq!((d.col_words(), d.k_words()), (3 * 2, 9 * 2));
     }
 
     #[test]
@@ -507,6 +496,18 @@ mod tests {
         assert_eq!(d.k_bits(), 121 * 128);
         assert_eq!(d.k_valid(), 121 * 3);
         assert_eq!(d.out_h(), 55); // AlexNet conv1
+
+        // The CPU reduction packs a kernel column's 11 taps × 3 channels
+        // into one word: 11 words, not 121.
+        assert_eq!((d.live_words(), d.col_words(), d.k_words()), (1, 1, 11));
+        // The zoo's K drops: 3×3×16 and 3×3×3 9→3, 3×3×32 9→6, 5×5×3
+        // 25→5, 5×5×24 25→10.
+        for (cin, k, words) in [(16, 3, 3), (3, 3, 3), (32, 3, 6), (3, 5, 5), (24, 5, 10)] {
+            assert_eq!(
+                ConvDesc::unsigned(1, cin, 8, 8, k, 1, 0, 1, 1).k_words(),
+                words
+            );
+        }
     }
 
     #[test]

@@ -1,4 +1,9 @@
-//! Packed convolution weights in implicit-GEMM row layout.
+//! Packed convolution weights: the fragment-aligned implicit-GEMM row
+//! layout ([`ConvWeights::planes`] — the canonical packed form, what
+//! `im2row` and the simulator read), the per-tap popcount tables of the
+//! input-aware padding, and the column-dense lane panel the CPU kernel
+//! runs on ([`ConvWeights::lane_panel`]), built from the planes once per
+//! `prepare`.
 
 use apnn_bitpack::{BitPlanes, Encoding, LanePanel, LANES};
 
@@ -51,6 +56,11 @@ impl TapPopc {
     /// `(cout, taps, cin, padded_c)`.
     pub(crate) fn dims(&self) -> (usize, usize, usize, usize) {
         (self.cout, self.taps, self.cin, self.padded_c)
+    }
+
+    /// Row groups the tables cover: `cout` rounded up to whole groups.
+    pub(crate) fn groups(&self) -> usize {
+        self.lanes / LANES
     }
 }
 
@@ -124,10 +134,12 @@ impl ConvWeights {
         &self.planes
     }
 
-    /// The weights as the CPU kernel's lane panel: K runs `(kx, ky, word)`
-    /// over the [`ConvDesc::live_words`] live words of each tap — the order
-    /// the activation strip presents a window in — so the fragment padding
-    /// words of [`ConvWeights::planes`] (zero in both operands) are dropped.
+    /// The weights as the CPU kernel's lane panel. K runs over the `kw`
+    /// kernel columns, [`ConvDesc::col_words`] words each: a column is the
+    /// bit string holding tap `(ky, kx)`'s channel `c` at bit `ky·cin + c`
+    /// — the order the activation strip presents a window in — so neither
+    /// the fragment padding of [`ConvWeights::planes`] nor the unused high
+    /// bits of a short channel vector (zero in both operands) take up K.
     pub fn lane_panel(&self, desc: &ConvDesc) -> LanePanel {
         let (cout, taps, cin, _) = self.dims();
         assert_eq!(
@@ -135,10 +147,22 @@ impl ConvWeights {
             (desc.cout, desc.kh * desc.kw, desc.cin),
             "weights were packed for another layer"
         );
-        let (live, wpt) = (desc.live_words(), self.words_per_tap());
+        let (cw, wpt) = (desc.col_words(), self.words_per_tap());
         LanePanel::from_fn(desc.w_bits as usize, cout, desc.k_words(), |s, co, k| {
-            let (kx, ky, j) = (k / (desc.kh * live), k / live % desc.kh, k % live);
-            self.planes.plane(s as u32).row_words(co)[(ky * desc.kw + kx) * wpt + j]
+            // Word `k % cw` of column `kx = k / cw` holds column bits
+            // `lo..hi`, gathered a tap's run of channels at a time.
+            let (kx, lo) = (k / cw, k % cw * 64);
+            let hi = (lo + 64).min(desc.kh * cin);
+            let row = self.planes.plane(s as u32).row_words(co);
+            let (mut word, mut at) = (0u64, lo);
+            while at < hi {
+                let (ky, c) = (at / cin, at % cin);
+                let n = (cin - c).min(hi - at);
+                let tap = &row[(ky * desc.kw + kx) * wpt..][..wpt];
+                word |= bit_field(tap, c, n) << (at - lo);
+                at += n;
+            }
+            word
         })
     }
 
@@ -146,12 +170,6 @@ impl ConvWeights {
     #[inline]
     pub(crate) fn popc(&self) -> &TapPopc {
         &self.popc
-    }
-
-    /// Give up the planes, keeping only the popcount tables (a prepared
-    /// kernel owns the weights in panel form instead).
-    pub(crate) fn into_popc(self) -> TapPopc {
-        self.popc
     }
 
     /// Popcount of plane `s`, output row `cout`, window tap `tap`.
@@ -185,6 +203,16 @@ impl ConvWeights {
             .map(|p| p.rows() * p.words_per_row() * 8)
             .sum()
     }
+}
+
+/// Bits `at..at + n` (`n ≤ 64`) of the bit string packed in `words`.
+fn bit_field(words: &[u64], at: usize, n: usize) -> u64 {
+    let (wi, bi) = (at / 64, at % 64);
+    let mut field = words[wi] >> bi;
+    if bi + n > 64 {
+        field |= words[wi + 1] << (64 - bi);
+    }
+    field & apnn_bitpack::word::low_mask(n)
 }
 
 #[cfg(test)]
@@ -223,13 +251,17 @@ mod tests {
     fn lane_panel_is_the_planes_in_kx_ky_word_order_without_dead_words() {
         let mut seed = 0x9E37_79B9_7F4A_7C15u64;
         // Ragged cout (pad lanes), oblong kernels, channel counts either
-        // side of the word and fragment boundaries.
+        // side of the word and fragment boundaries — whole-word channels
+        // included, where a column is its taps' words back to back.
         for (cout, kh, kw, cin, p) in [
             (2usize, 3usize, 3usize, 3usize, 2u32),
+            (9, 3, 3, 16, 1),
+            (5, 5, 5, 24, 1),
             (9, 1, 1, 64, 1),
             (13, 3, 5, 65, 2),
             (17, 5, 3, 130, 3),
             (8, 3, 3, 200, 1),
+            (8, 3, 2, 128, 2),
         ] {
             let mut desc = ConvDesc::unsigned(1, cin, 8, cout, kh, 1, 1, p, 1);
             desc.kw = kw;
@@ -243,31 +275,45 @@ mod tests {
                 .collect();
             let w = ConvWeights::from_codes(&desc, &codes);
             let panel = w.lane_panel(&desc);
-            let (live, wpt) = (desc.live_words(), w.words_per_tap());
+            let cw = (kh * cin).div_ceil(64);
             assert_eq!(
                 (panel.n_planes(), panel.rows(), panel.words_per_row()),
-                (p as usize, cout, kh * kw * live)
+                (p as usize, cout, kw * cw)
             );
+            let wpt = w.words_per_tap();
             for s in 0..p as usize {
                 for row in 0..panel.groups() * LANES {
-                    let mut k = 0;
-                    for (kx, ky) in (0..kw).flat_map(|kx| (0..kh).map(move |ky| (kx, ky))) {
-                        let tap = if row < cout {
-                            &w.planes().plane(s as u32).row_words(row)[(ky * kw + kx) * wpt..]
-                                [..wpt]
-                        } else {
-                            &[0u64; 4][..wpt]
-                        };
-                        for (j, &word) in tap.iter().enumerate() {
-                            if j < live {
-                                assert_eq!(panel.row_word(s, row, k), word, "{desc:?} row {row}");
-                                k += 1;
-                            } else {
-                                assert_eq!(word, 0, "dropped words are fragment padding");
-                            }
+                    // Bit `ky·cin + c` of column `kx` is the code bit of
+                    // tap `(ky, kx)`, channel `c`; every other bit — a
+                    // column's pad bits, a pad lane — is zero.
+                    let mut live = 0;
+                    for (kx, ky, c) in (0..kw).flat_map(|kx| {
+                        (0..kh).flat_map(move |ky| (0..cin).map(move |c| (kx, ky, c)))
+                    }) {
+                        let at = ky * cin + c;
+                        let got = panel.row_word(s, row, kx * cw + at / 64) >> (at % 64) & 1;
+                        let want = row < cout
+                            && codes[((row * kh + ky) * kw + kx) * cin + c] >> s & 1 != 0;
+                        assert_eq!(got != 0, want, "{desc:?} row {row} tap ({ky},{kx}) ch {c}");
+                        live += got;
+                    }
+                    let total: u32 = (0..kw * cw)
+                        .map(|k| panel.row_word(s, row, k).count_ones())
+                        .sum();
+                    assert_eq!(u64::from(total), live, "{desc:?} row {row}: dead bits set");
+                    // Whole-word channels: the column is the taps' live
+                    // words in `ky` order, untouched.
+                    if cin % 64 == 0 && row < cout {
+                        let l = cin / 64;
+                        for (kx, ky, j) in (0..kw).flat_map(|kx| {
+                            (0..kh).flat_map(move |ky| (0..l).map(move |j| (kx, ky, j)))
+                        }) {
+                            assert_eq!(
+                                panel.row_word(s, row, kx * cw + ky * l + j),
+                                w.planes().plane(s as u32).row_words(row)[(ky * kw + kx) * wpt + j]
+                            );
                         }
                     }
-                    assert_eq!(k, panel.words_per_row());
                 }
             }
         }

@@ -6,59 +6,35 @@
 //! thread. Its results are validated against the naive i32 oracle and
 //! against the fragment-level [`crate::emulate::ap_bit_mm`].
 
+use apnn_bitpack::popcnt::{finish_lanes, Finish, Rows};
 use apnn_bitpack::{BitPlanes, LanePanel, PopcntArm, LANES};
 
 use super::ApmmDesc;
 use crate::autotune::{MicroTile, MAX_JB};
-use crate::micro::{popc_tile, row_streams, MAX_TILE};
-use crate::select::{Correction, EmulationPlan};
+use crate::select::EmulationPlan;
 
-/// Compute the per-plane weight-row sums a case's correction consumes (the
-/// `W·J` vectors of §3.2), one entry per panel lane (pad lanes zero).
-/// Returns an empty vec when the plan needs none — this is the weight-side
-/// precomputation hoisted into compiled plans. Every *actual* build bumps
-/// [`crate::stats::row_sum_builds`], so tests can prove prepared kernels
-/// compute these exactly once per plan and never on the inference hot path.
-pub fn weight_row_sums(w: &LanePanel, eplan: EmulationPlan) -> Vec<Vec<i32>> {
-    if eplan.case.correction().needs_row_sums() {
+/// The weight side of every output's correction offset (§3.2's `k·K +
+/// r·W·J`), `[group][plane]`-ordered, one entry per panel lane — the
+/// weight-side precomputation hoisted into compiled plans, in the form the
+/// kernel's finish consumes it. Building the `W·J` row sums a case needs
+/// bumps [`crate::stats::row_sum_builds`], so tests can prove prepared
+/// kernels compute these exactly once per plan and never on the inference
+/// hot path.
+pub fn weight_sides(w: &LanePanel, eplan: EmulationPlan, k_valid: usize) -> Vec<[i32; LANES]> {
+    let corr = eplan.case.correction();
+    let p = w.n_planes();
+    let mut sides = vec![[corr.offset(k_valid as i32, 0, 0); LANES]; w.groups() * p];
+    if corr.needs_row_sums() {
         crate::stats::count_row_sums_build();
-        (0..w.n_planes()).map(|s| w.row_sums(s)).collect()
-    } else {
-        Vec::new()
-    }
-}
-
-/// Consume one popcount tile — one row group × the `block.len()` batch
-/// columns of a block: apply the §3.2 correction and the shift-add
-/// combination lane-wise over the group's eight outputs, in the same
-/// s-outer / t-inner order as the per-output kernels (bit-identical
-/// results), leaving column `jj`'s eight sums in `block[jj]`. This is the
-/// **single** copy of the APMM combination arithmetic.
-fn combine_apmm_block(
-    corr: Correction,
-    tile: &[[i32; LANES]],
-    (p, q): (usize, usize),
-    k_valid: i32,
-    row_sums: impl Fn(usize) -> [i32; LANES],
-    col_sum: impl Fn(usize, usize) -> i32,
-    block: &mut [[i32; LANES]],
-) {
-    let jbc = block.len();
-    block.fill([0; LANES]);
-    for s in 0..p {
-        // The offset is linear, so its weight-side part is shared by the
-        // whole column block.
-        let w_side = row_sums(s).map(|rs| corr.offset(k_valid, rs, 0));
-        for (jj, acc) in block.iter_mut().enumerate() {
-            for t in 0..q {
-                let counts = &tile[(s * jbc + jj) * q + t];
-                let x_side = corr.offset(0, 0, col_sum(t, jj));
-                for l in 0..LANES {
-                    acc[l] += corr.apply(counts[l], w_side[l] + x_side) << (s + t);
+        for s in 0..p {
+            for (g, sums) in w.row_sums(s).chunks_exact(LANES).enumerate() {
+                for (side, &sum) in sides[g * p + s].iter_mut().zip(sums) {
+                    *side = corr.offset(k_valid as i32, sum, 0);
                 }
             }
         }
     }
+    sides
 }
 
 /// Reusable per-call scratch for the `execute_into` entry points:
@@ -67,8 +43,8 @@ fn combine_apmm_block(
 /// every later call — full or partial shard — is then allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct ApmmScratch {
-    /// Flat `q × n` activation column sums (input-dependent, rebuilt per
-    /// call in place).
+    /// Flat `q × n` activation sides of the correction offset (`c·J·X`,
+    /// input-dependent, rebuilt per call in place).
     pub(crate) col_sums: Vec<i32>,
     /// Raw `m × n` i32 accumulators for fused executions.
     pub(crate) acc: Vec<i32>,
@@ -89,23 +65,24 @@ impl ApmmScratch {
 /// `desc.n` when a compiled plan serves a partial shard — zero rows
 /// included) into the row-major `m × x.rows()` product `out`, on the
 /// **calling thread** with every buffer caller-owned (zero allocations once
-/// `col_sums` and `out` are at capacity). `w_row_sums` are
-/// [`weight_row_sums`] for `eplan`. Serving workers are the concurrency
-/// unit, not this loop.
+/// `x_sides` and `out` are at capacity). `w_sides` are [`weight_sides`]
+/// for `eplan`. Serving workers are the concurrency unit, not this loop.
 ///
 /// Batch-column blocks are the outer loop and row groups the inner one, so
 /// the activations stream through once while each block's rows stay hot
-/// across the whole panel.
+/// across the whole panel. A `(block, group)` is one kernel call, which
+/// leaves the block's finished sums — correction and shift-add applied in
+/// registers — eight outputs per batch column.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn apmm_exec(
     desc: &ApmmDesc,
     w: &LanePanel,
     x: &BitPlanes,
     eplan: EmulationPlan,
-    w_row_sums: &[Vec<i32>],
+    w_sides: &[[i32; LANES]],
     micro: MicroTile,
     arm: PopcntArm,
-    col_sums: &mut Vec<i32>,
+    x_sides: &mut Vec<i32>,
     out: &mut Vec<i32>,
 ) {
     let m = desc.m;
@@ -113,7 +90,6 @@ pub(crate) fn apmm_exec(
     assert!(n <= desc.n, "activation batch exceeds plan batch");
     assert_eq!(w.rows(), m, "weight panel rows");
     let (p, q) = (desc.w_bits as usize, desc.x_bits as usize);
-    let k_valid = desc.k as i32;
     assert_eq!(
         w.words_per_row(),
         x.plane(0).words_per_row(),
@@ -122,65 +98,45 @@ pub(crate) fn apmm_exec(
 
     // Every accumulator is stored by the loop below — no zeroing pass.
     apnn_bitpack::resize_for_overwrite(out, m * n);
+    x_sides.clear();
     if n == 0 {
-        col_sums.clear();
         return;
     }
 
     let corr = eplan.case.correction();
-    let (needs_row, needs_col) = (corr.needs_row_sums(), corr.needs_col_sums());
-    if needs_col {
-        // Every entry is stored below — reshape without the zeroing pass.
-        apnn_bitpack::resize_for_overwrite(col_sums, q * n);
-        for t in 0..q {
-            let plane = x.plane(t as u32);
-            for j in 0..n {
-                col_sums[t * n + j] = plane.row_popcount(j) as i32;
-            }
+    if corr.needs_col_sums() {
+        // Plane-major, like the kernel's streams.
+        for plane in x.planes() {
+            x_sides.extend((0..n).map(|j| corr.offset(0, 0, plane.row_popcount(j) as i32)));
         }
-    } else {
-        col_sums.clear();
     }
 
-    let jb = micro.rows_for(p, q);
+    let jb = micro.sanitized().jb;
     let arm = arm.sanitized();
-    let mut tile = [[0i32; LANES]; MAX_TILE];
+    let fin = Finish {
+        x_stride: n,
+        ..eplan.finish(q)
+    };
     let mut block = [[0i32; LANES]; MAX_JB];
-    let mut xs: [&[u64]; MAX_TILE] = [&[]; MAX_TILE];
-    let mut j0 = 0;
-    while j0 < n {
+    for j0 in (0..n).step_by(jb) {
         let jbc = jb.min(n - j0);
-        let n_xs = row_streams(x, j0, jbc, &mut xs);
-        let live = &mut tile[..p * n_xs];
         let block = &mut block[..jbc];
+        let xs = Rows { x, row0: j0 };
         for g in 0..w.groups() {
-            popc_tile(eplan.op, arm, w, g, &xs[..n_xs], live);
-            let i0 = g * LANES;
-            combine_apmm_block(
-                corr,
-                live,
-                (p, q),
-                k_valid,
-                |s| {
-                    if needs_row {
-                        w_row_sums[s][i0..i0 + LANES]
-                            .try_into()
-                            .expect("row sums cover whole groups")
-                    } else {
-                        [0; LANES]
-                    }
+            let fin = Finish {
+                w_sides: &w_sides[g * p..][..p],
+                side_at: &[0; MAX_JB][..jbc],
+                x_sides: if x_sides.is_empty() {
+                    &[]
+                } else {
+                    &x_sides[j0..]
                 },
-                |t, jj| {
-                    if needs_col {
-                        col_sums[t * n + j0 + jj]
-                    } else {
-                        0
-                    }
-                },
-                block,
-            );
+                ..fin
+            };
+            finish_lanes(arm, w, g, &xs, &fin, block);
             // Scatter the group's rows; a ragged last group's pad lanes
             // hold no output.
+            let i0 = g * LANES;
             for l in 0..LANES.min(m - i0) {
                 let row = &mut out[(i0 + l) * n + j0..][..jbc];
                 for (dst, acc) in row.iter_mut().zip(block.iter()) {
@@ -188,7 +144,6 @@ pub(crate) fn apmm_exec(
                 }
             }
         }
-        j0 += jbc;
     }
 }
 

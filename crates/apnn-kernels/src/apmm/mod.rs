@@ -164,7 +164,7 @@ impl Apmm {
         self.desc.check_operands(w, x);
         let eplan = self.desc.plan();
         let panel = LanePanel::from_bitplanes(w);
-        let sums = cpu::weight_row_sums(&panel, eplan);
+        let sides = cpu::weight_sides(&panel, eplan, self.desc.k);
         let (arm, micro) = (PopcntArm::detect(), select_micro(self.desc.n));
         let (mut col_sums, mut out) = (Vec::new(), Vec::new());
         cpu::apmm_exec(
@@ -172,7 +172,7 @@ impl Apmm {
             &panel,
             x,
             eplan,
-            &sums,
+            &sides,
             micro,
             arm,
             &mut col_sums,
@@ -203,7 +203,7 @@ impl Apmm {
         crate::stats::count_weight_prepare();
         let plan = self.desc.plan();
         let panel = LanePanel::from_bitplanes(&weights);
-        let w_row_sums = cpu::weight_row_sums(&panel, plan);
+        let w_sides = cpu::weight_sides(&panel, plan, self.desc.k);
         let (arm, micro) = (PopcntArm::detect(), select_micro(self.desc.n));
         PreparedApmm {
             desc: self.desc,
@@ -212,7 +212,7 @@ impl Apmm {
             micro,
             arm,
             panel,
-            w_row_sums,
+            w_sides,
         }
     }
 
@@ -240,7 +240,8 @@ pub struct PreparedApmm {
     micro: MicroTile,
     arm: PopcntArm,
     panel: LanePanel,
-    w_row_sums: Vec<Vec<i32>>,
+    /// [`cpu::weight_sides`] of `plan`.
+    w_sides: Vec<[i32; apnn_bitpack::LANES]>,
 }
 
 impl PreparedApmm {
@@ -257,10 +258,10 @@ impl PreparedApmm {
 
     /// Replace the emulation plan — e.g. [`crate::select::plan_xor_only`]
     /// for Turing-class (XOR-only) targets — rebuilding the weight-side
-    /// correction sums the new plan's case consumes. Every plan is
+    /// correction offsets the new plan's case consumes. Every plan is
     /// bit-identical.
     pub fn with_plan(mut self, plan: EmulationPlan) -> Self {
-        self.w_row_sums = cpu::weight_row_sums(&self.panel, plan);
+        self.w_sides = cpu::weight_sides(&self.panel, plan, self.desc.k);
         self.plan = plan;
         self
     }
@@ -329,7 +330,7 @@ impl PreparedApmm {
             &self.panel,
             x,
             self.plan,
-            &self.w_row_sums,
+            &self.w_sides,
             self.micro,
             self.arm,
             col_sums,
@@ -360,7 +361,7 @@ impl PreparedApmm {
             &self.panel,
             x,
             self.plan,
-            &self.w_row_sums,
+            &self.w_sides,
             self.micro,
             self.arm,
             col_sums,

@@ -107,14 +107,6 @@ impl MicroTile {
             jb: self.jb.clamp(1, MAX_JB),
         }
     }
-
-    /// The row block a `pa × pb`-plane kernel runs: [`Self::sanitized`],
-    /// narrowed so the `pa·jb·pb` cells fit the kernels' stack tile
-    /// ([`crate::micro::MAX_TILE`]).
-    pub fn rows_for(self, pa: usize, pb: usize) -> usize {
-        let fit = crate::micro::MAX_TILE / (pa * pb).max(1);
-        self.sanitized().jb.min(fit.max(1))
-    }
 }
 
 /// Pick the microkernel tile for a problem with `n_cols` dynamic rows (the
@@ -219,7 +211,7 @@ pub struct StageShape {
     /// `out_w` pixels of an output row for APConv).
     pub n_cols: usize,
     /// Packed 64-bit words per row of the reduction (for APConv,
-    /// [`crate::ConvDesc::k_words`]: live words only).
+    /// [`crate::ConvDesc::k_words`]: column-dense).
     pub k_words: usize,
     /// Static (weight) bit planes.
     pub pa: u32,
@@ -331,28 +323,41 @@ impl BenchOperands {
         }
     }
 
-    /// Time one `jb` candidate with `op` on `arm`; returns ns per
-    /// plane-pair word of one output (warm-up call excluded).
+    /// Time one `jb` candidate with `op` on `arm` through the kernels' own
+    /// finishing entry (a unit correction: the finish costs the same for
+    /// every case); returns ns per plane-pair word of one output (warm-up
+    /// call excluded).
     fn time_candidate(&self, op: BmmaOp, arm: PopcntArm, jb: usize) -> f64 {
-        use crate::micro::{popc_tile, row_streams, MAX_TILE};
+        use apnn_bitpack::popcnt::{finish_lanes, Finish, Rows};
         let (pa, pb) = (self.w.n_planes(), self.x.bits() as usize);
-        let jb = MicroTile { jb }.rows_for(pa, pb);
-        let mut xs: [&[u64]; MAX_TILE] = [&[]; MAX_TILE];
-        let n_xs = row_streams(&self.x, 0, jb, &mut xs);
-        let mut tile = [[0i32; LANES]; MAX_TILE];
-        let live = &mut tile[..pa * n_xs];
-        let words_per_call = LANES * live.len() * self.w.words_per_row();
+        let xs = Rows {
+            x: &self.x,
+            row0: 0,
+        };
+        let fin = Finish {
+            xor: op == BmmaOp::Xor,
+            a: 1,
+            halve: 0,
+            q: pb,
+            w_sides: &[[0; LANES]; crate::micro::MAX_PLANES][..pa],
+            side_at: &[0; MAX_JB][..jb],
+            x_sides: &[],
+            x_stride: 0,
+        };
+        let mut block = [[0i32; LANES]; MAX_JB];
+        let block = &mut block[..jb];
+        let words_per_call = LANES * pa * jb * pb * self.w.words_per_row();
         let reps = (MICRO_BENCH_WORDS / MICRO_BENCH_ROUNDS / words_per_call.max(1)).max(1);
         let mut sink = 0i64;
         // One warm-up call loads the operands and the instruction path.
-        popc_tile(op, arm, &self.w, 0, &xs[..n_xs], live);
+        finish_lanes(arm, &self.w, 0, &xs, &fin, block);
         // Interference only ever slows a round down: keep the fastest.
         let mut best_ns = f64::INFINITY;
         for _ in 0..MICRO_BENCH_ROUNDS {
             let t0 = std::time::Instant::now();
             for _ in 0..reps {
-                popc_tile(op, arm, &self.w, 0, &xs[..n_xs], live);
-                sink = sink.wrapping_add(live[0][0] as i64);
+                finish_lanes(arm, &self.w, 0, &xs, &fin, block);
+                sink = sink.wrapping_add(block[0][0] as i64);
             }
             best_ns = best_ns.min(t0.elapsed().as_nanos() as f64);
         }
@@ -417,12 +422,6 @@ mod tests {
             assert_eq!(a, b, "selection must be pure");
             assert!(JB_CANDIDATES.contains(&a.jb));
             assert_eq!(a, a.sanitized());
-            // Whatever the block, the live cells fit the stack tile.
-            for (pa, pb) in [(1usize, 1usize), (2, 2), (3, 5), (8, 8)] {
-                let jb = a.rows_for(pa, pb);
-                assert!((1..=a.jb).contains(&jb));
-                assert!(pa * jb * pb <= crate::micro::MAX_TILE);
-            }
         }
         assert_eq!(MicroTile { jb: 0 }.sanitized().jb, 1);
         assert_eq!(MicroTile { jb: 99 }.sanitized().jb, MAX_JB);

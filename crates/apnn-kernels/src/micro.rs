@@ -1,95 +1,51 @@
 //! The lane-per-output popcount microkernel — the **one** inner loop every
 //! functional kernel path runs on.
 //!
-//! The paper's AP-BMMA primitive never reduces across lanes in software:
-//! every element of the 8×8 accumulator fragment *is* one output, the K
-//! reduction happens inside the primitive, and operands are laid out in
-//! the fragment's shape (§4.2). [`popc_tile`] is the CPU form of that:
+//! The paper's AP-BMMA primitive never reduces across lanes in software and
+//! never writes a partial plane product out: every element of the 8×8
+//! accumulator fragment *is* one output, the K reduction happens inside the
+//! primitive, operands are laid out in the fragment's shape (§4.2), and the
+//! §3.2 correction and the shift-add bit combination run on the fragment
+//! before its one store (§4.1(b)). [`apnn_bitpack::popcnt::finish_lanes`]
+//! is the CPU form of that, and the single entry APMM, APConv and the
+//! [`crate::autotune::stage_cost`] probe call:
 //!
 //! * the **static** operand (the weights, in APMM and APConv alike) is an
 //!   [`apnn_bitpack::LanePanel`] — eight rows interleaved word by word, so
 //!   one 64-byte cell holds the `k`-th word of eight different outputs;
-//! * the **dynamic** operand (batch rows for APMM, the windows of a block
-//!   of output pixels for APConv — overlapping slices of its activation
-//!   strip) arrives as *streams*: one packed row of one bit plane each,
-//!   whose words are broadcast against the cells;
-//! * one K pass per `(row group, stream block)` accumulates
-//!   `popc(op(cell, word))` per lane, so it ends with eight finished counts
-//!   per plane pair — no horizontal sum, no per-output call, no tile
-//!   read-modify-write. The accumulators are registers; the pass itself is
-//!   [`apnn_bitpack::popcnt`]'s kernel, instantiated per popcount arm.
+//! * the **dynamic** operand arrives as *streams*
+//!   ([`apnn_bitpack::popcnt::Streams`]), one packed row of one bit plane
+//!   each, whose words are broadcast against the cells: the rows of a batch
+//!   block for APMM ([`apnn_bitpack::popcnt::Rows`]), offsets into the
+//!   activation strip for the windows of a block of output pixels for
+//!   APConv ([`apnn_bitpack::popcnt::Offsets`], a table built once per
+//!   plan);
+//! * one K pass per `(plane pair, ≤ 8 outputs)` accumulates
+//!   `popc(op(cell, word))` per lane and **ends in the finish**
+//!   ([`crate::select::EmulationPlan::finish`]): multiply by the case's
+//!   popcount coefficient, add the offset's weight side (per lane, fixed at
+//!   `prepare` for every class of output) and activation side (per stream), halve, shift by `s + t`,
+//!   and sum into the output's eight lanes. No raw count reaches memory, no
+//!   horizontal sum, no per-output call; the accumulators are registers and
+//!   the pass itself is [`apnn_bitpack::popcnt`]'s kernel, instantiated per
+//!   popcount arm.
 //!
-//! Every count is an exact integer, so **any** row-block width and any arm
-//! is bit-identical to any other: tiling moves throughput, never results.
-//! The differential proptests drive this across all emulation cases × block
-//! sizes × arms × partial shards.
-
-use apnn_bitpack::popcnt::{and_popcount_lanes, xor_popcount_lanes};
-use apnn_bitpack::{BitPlanes, LanePanel, PopcntArm, LANES};
-use apnn_sim::BmmaOp;
+//! Every finished lane is the exact integer the scalar spec
+//! ([`crate::select::adjust_partial`], summed s-major / t-minor) produces,
+//! so **any** row-block width and any arm is bit-identical to any other:
+//! tiling moves throughput, never results. The differential proptests drive
+//! this across all emulation cases × block sizes × arms × partial shards.
 
 /// Maximum plane count per operand (codes are 1..=8 bits wide).
 pub const MAX_PLANES: usize = 8;
 
-/// Stack tile capacity in cells (one `[i32; LANES]` per plane pair per
-/// dynamic row): a single dynamic row at maximal plane counts. Kernels
-/// declare `[[i32; LANES]; MAX_TILE]` locals, slice them to the live
-/// `pa·jb·pb` prefix, and narrow the row block when `pa·pb` is large
-/// ([`crate::autotune::MicroTile::rows_for`]).
-pub const MAX_TILE: usize = MAX_PLANES * MAX_PLANES;
-
-/// Fill `xs` with the streams of rows `row0..row0 + jb` of a packed
-/// operand, `[j][u]`-ordered (row-major over rows, then planes), and return
-/// the stream count `jb · x.bits()`.
-pub fn row_streams<'a>(x: &'a BitPlanes, row0: usize, jb: usize, xs: &mut [&'a [u64]]) -> usize {
-    let pb = x.bits() as usize;
-    for (r, slot) in xs[..jb * pb].iter_mut().enumerate() {
-        *slot = x.plane((r % pb) as u32).row_words(row0 + r / pb);
-    }
-    jb * pb
-}
-
-/// The raw plane-pair popcounts of row group `g` of the static operand
-/// against a block of dynamic streams, in one K pass per static plane:
-///
-/// `tile[s·n + r][lane] = Σ_k popc(op(W[s][LANES·g + lane][k], xs[r][k]))`
-///
-/// for every static plane `s` and stream `r < n = xs.len()` (streams are
-/// `[j][u]`-ordered: dynamic row, then dynamic plane; a stream may run past
-/// the panel's K extent — only its first `words_per_row` words are read).
-/// Every cell is
-/// stored, never accumulated into. Lanes past the operand's last row are
-/// zero rows of the panel: they count 0 under AND and `popc(xs[r])` under
-/// XOR, and the caller must not store them. The counts are exact, so the
-/// caller's correction/shift-add step sees the same integers a per-output
-/// reduction would produce.
-///
-/// `arm` names the kernel instantiation the pass runs on ([`PopcntArm`],
-/// bound once per plan); every arm is bit-identical.
-pub fn popc_tile(
-    op: BmmaOp,
-    arm: PopcntArm,
-    w: &LanePanel,
-    g: usize,
-    xs: &[&[u64]],
-    tile: &mut [[i32; LANES]],
-) {
-    assert_eq!(tile.len(), w.n_planes() * xs.len(), "tile mis-sized");
-    if xs.is_empty() {
-        return;
-    }
-    for (s, cells) in tile.chunks_exact_mut(xs.len()).enumerate() {
-        match op {
-            BmmaOp::And => and_popcount_lanes(arm, w.group(s, g), xs, cells),
-            BmmaOp::Xor => xor_popcount_lanes(arm, w.group(s, g), xs, cells),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use apnn_bitpack::Encoding;
+    use crate::autotune::MAX_JB;
+    use crate::select::{adjust_partial, plan, plan_xor_only, EmulationPlan};
+    use apnn_bitpack::popcnt::{finish_lanes, Finish, Offsets, Rows};
+    use apnn_bitpack::{BitPlanes, Encoding, LanePanel, PopcntArm, LANES};
+    use apnn_sim::BmmaOp;
 
     fn lcg(seed: &mut u64) -> u64 {
         *seed = seed
@@ -98,118 +54,182 @@ mod tests {
         *seed >> 33
     }
 
-    fn operand(rows: usize, k: usize, bits: u32, seed: &mut u64) -> BitPlanes {
+    fn operand(rows: usize, k: usize, bits: u32, enc: Encoding, seed: &mut u64) -> BitPlanes {
         let codes: Vec<u32> = (0..rows * k)
             .map(|_| (lcg(seed) as u32) % (1 << bits))
             .collect();
-        BitPlanes::from_codes(&codes, rows, k, bits, Encoding::ZeroOne)
+        BitPlanes::from_codes(&codes, rows, k, bits, enc)
     }
 
-    /// The naive per-pair reference the microkernel must reproduce, pad
-    /// lanes included (a zero weight row).
-    fn naive_tile(
-        op: BmmaOp,
+    /// The naive per-output reference the finished lanes must reproduce,
+    /// pad lanes included (a zero weight row): every plane pair's raw
+    /// count through [`adjust_partial`], shift-added s-major / t-minor.
+    fn naive_lanes(
+        eplan: EmulationPlan,
         w: &BitPlanes,
         g: usize,
         x: &BitPlanes,
-        j0: usize,
-        jb: usize,
+        (j0, jb): (usize, usize),
     ) -> Vec<[i32; LANES]> {
-        let (pa, pb) = (w.bits(), x.bits());
         let zero_row = vec![0u64; w.plane(0).words_per_row()];
-        let mut out = Vec::new();
-        for s in 0..pa {
-            for j in 0..jb {
-                for u in 0..pb {
-                    let b_row = x.plane(u).row_words(j0 + j);
-                    out.push(std::array::from_fn(|lane| {
-                        let i = g * LANES + lane;
+        (j0..j0 + jb)
+            .map(|j| {
+                std::array::from_fn(|lane| {
+                    let i = g * LANES + lane;
+                    let mut sum = 0;
+                    for (s, t) in (0..w.bits()).flat_map(|s| (0..x.bits()).map(move |t| (s, t))) {
                         let a_row = if i < w.rows() {
                             w.plane(s).row_words(i)
                         } else {
                             &zero_row
                         };
-                        a_row
+                        let b_row = x.plane(t).row_words(j);
+                        let popc: u32 = a_row
                             .iter()
                             .zip(b_row)
-                            .map(|(&aw, &bw)| match op {
+                            .map(|(&aw, &bw)| match eplan.op {
                                 BmmaOp::And => (aw & bw).count_ones(),
                                 BmmaOp::Xor => (aw ^ bw).count_ones(),
                             })
-                            .sum::<u32>() as i32
-                    }));
-                }
-            }
-        }
-        out
+                            .sum();
+                        let adj = adjust_partial(
+                            eplan.case,
+                            popc as i32,
+                            w.cols() as i32,
+                            apnn_bitpack::word::popcount(a_row) as i32,
+                            x.plane(t).row_popcount(j) as i32,
+                        );
+                        sum += adj << (s + t);
+                    }
+                    sum
+                })
+            })
+            .collect()
+    }
+
+    /// Both offset sides of row group `g` × rows `j0..j0 + jb`, the way the
+    /// drivers build them: `[s][lane]` and `[t][j]`.
+    fn sides(
+        eplan: EmulationPlan,
+        panel: &LanePanel,
+        g: usize,
+        x: &BitPlanes,
+        (j0, jb): (usize, usize),
+    ) -> (Vec<[i32; LANES]>, Vec<i32>) {
+        let corr = eplan.case.correction();
+        let k = x.cols() as i32;
+        let w_sides = (0..panel.n_planes())
+            .map(|s| {
+                let sums = panel.row_sums(s);
+                std::array::from_fn(|l| corr.offset(k, sums[g * LANES + l], 0))
+            })
+            .collect();
+        let x_sides = (0..x.bits())
+            .flat_map(|t| {
+                (j0..j0 + jb).map(move |j| corr.offset(0, 0, x.plane(t).row_popcount(j) as i32))
+            })
+            .collect();
+        (w_sides, x_sides)
     }
 
     #[test]
     fn tile_matches_naive_for_every_block_shape() {
+        use Encoding::{PlusMinusOne as Pm, ZeroOne as Zo};
         let mut seed = 5;
         let (n, k) = (9, 300);
-        for (p, q) in [(1u32, 1u32), (1, 2), (2, 2), (3, 5), (8, 8)] {
-            let x = operand(n, k, q, &mut seed);
+        let mut cases = Vec::new();
+        for (w_enc, x_enc, p, q) in [
+            (Zo, Zo, 1u32, 2u32),
+            (Zo, Zo, 3, 5),
+            (Zo, Zo, 8, 8),
+            (Pm, Pm, 1, 1),
+            (Pm, Zo, 1, 3),
+            (Zo, Pm, 2, 1),
+        ] {
+            let x = operand(n, k, q, x_enc, &mut seed);
             // Ragged row counts: a lone partial group, exact groups, and a
             // partial group after full ones.
             for m in [1usize, 7, 8, 9, 17] {
-                let w = operand(m, k, p, &mut seed);
+                let w = operand(m, k, p, w_enc, &mut seed);
                 let panel = LanePanel::from_bitplanes(&w);
-                for op in [BmmaOp::And, BmmaOp::Xor] {
-                    for arm in PopcntArm::ALL {
-                        for jb in [1usize, 2, 3, 8] {
-                            let g = panel.groups() - 1;
-                            let mut xs: [&[u64]; MAX_TILE] = [&[]; MAX_TILE];
-                            let n_xs = row_streams(&x, 1, jb, &mut xs);
-                            // Stale cells must be overwritten.
-                            let mut tile = vec![[-7i32; LANES]; p as usize * n_xs];
-                            popc_tile(op, arm, &panel, g, &xs[..n_xs], &mut tile);
-                            assert_eq!(
-                                tile,
-                                naive_tile(op, &w, g, &x, 1, jb),
-                                "w{p}a{q} m={m} {op:?} {arm:?} jb={jb}"
-                            );
-                        }
+                let g = panel.groups() - 1;
+                for eplan in [plan(w_enc, x_enc), plan_xor_only(w_enc, x_enc)] {
+                    if !cases.contains(&eplan.case) {
+                        cases.push(eplan.case);
+                    }
+                    for (arm, jb) in PopcntArm::ALL
+                        .into_iter()
+                        .flat_map(|a| [1usize, 2, 3, 8].map(|jb| (a, jb)))
+                    {
+                        let (w_sides, x_sides) = sides(eplan, &panel, g, &x, (1, jb));
+                        let fin = Finish {
+                            w_sides: &w_sides,
+                            side_at: &[0; MAX_JB][..jb],
+                            x_sides: &x_sides,
+                            x_stride: jb,
+                            ..eplan.finish(q as usize)
+                        };
+                        // Stale cells must be overwritten.
+                        let mut out = vec![[-7i32; LANES]; jb];
+                        finish_lanes(arm, &panel, g, &Rows { x: &x, row0: 1 }, &fin, &mut out);
+                        assert_eq!(
+                            out,
+                            naive_lanes(eplan, &w, g, &x, (1, jb)),
+                            "{:?} w{p}a{q} m={m} {arm:?} jb={jb}",
+                            eplan.case
+                        );
                     }
                 }
             }
         }
+        assert_eq!(cases.len(), 7, "all seven emulation cases");
     }
 
     #[test]
     fn flat_view_matches_bitplanes_view() {
-        // Overlapping slices of one flat buffer, each running on past the K
-        // extent (how the conv strip presents a pixel block's windows), must
-        // stream exactly like row views of the same words.
+        // Overlapping windows of one flat buffer addressed by offset (how
+        // the conv strip presents a pixel block) must finish exactly like
+        // row views of a BitPlanes operand holding the same bits.
         let mut seed = 11;
         let (kw, step, n_px) = (6usize, 2usize, 4usize);
         let flat: Vec<u64> = (0..kw + step * (n_px - 1) + 3)
             .map(|_| lcg(&mut seed) << 31 ^ lcg(&mut seed))
             .collect();
-        let panel = LanePanel::from_bitplanes(&operand(10, kw * 64, 2, &mut seed));
+        let eplan = plan(Encoding::PlusMinusOne, Encoding::ZeroOne);
+        let w = operand(10, kw * 64, 1, Encoding::PlusMinusOne, &mut seed);
+        let panel = LanePanel::from_bitplanes(&w);
 
-        let mut fs: [&[u64]; MAX_PLANES] = [&[]; MAX_PLANES];
-        let mut rs: [&[u64]; MAX_PLANES] = [&[]; MAX_PLANES];
-        for j in 0..n_px {
-            fs[j] = &flat[j * step..];
-            rs[j] = &flat[j * step..j * step + kw];
-        }
-        let mut t1 = vec![[0i32; LANES]; 2 * n_px];
-        let mut t2 = t1.clone();
-        for arm in PopcntArm::ALL {
-            popc_tile(BmmaOp::And, arm, &panel, 1, &fs[..n_px], &mut t1);
-            popc_tile(BmmaOp::And, arm, &panel, 1, &rs[..n_px], &mut t2);
-            assert_eq!(t1, t2, "{arm:?}");
-        }
-        // The exact views are the rows of a BitPlanes operand holding the
-        // same bits.
-        let codes: Vec<u32> = rs[..n_px]
+        let at: Vec<u32> = (0..n_px).map(|j| (j * step) as u32).collect();
+        let codes: Vec<u32> = at
             .iter()
-            .flat_map(|r| (0..kw * 64).map(|i| (r[i / 64] >> (i % 64)) as u32 & 1))
+            .flat_map(|&o| (0..kw * 64).map(move |i| (o as usize + i / 64, i % 64)))
+            .map(|(word, bit)| (flat[word] >> bit) as u32 & 1)
             .collect();
         let x = BitPlanes::from_codes(&codes, n_px, kw * 64, 1, Encoding::ZeroOne);
-        let mut bs: [&[u64]; MAX_PLANES] = [&[]; MAX_PLANES];
-        assert_eq!(row_streams(&x, 0, n_px, &mut bs), n_px);
-        assert_eq!(bs[..n_px], rs[..n_px]);
+        for (j, &o) in at.iter().enumerate() {
+            assert_eq!(x.plane(0).row_words(j)[..kw], flat[o as usize..][..kw]);
+        }
+
+        let (w_sides, x_sides) = sides(eplan, &panel, 1, &x, (0, n_px));
+        let fin = Finish {
+            w_sides: &w_sides,
+            side_at: &[0; MAX_JB][..n_px],
+            x_sides: &x_sides,
+            x_stride: n_px,
+            ..eplan.finish(1)
+        };
+        let want = naive_lanes(eplan, &w, 1, &x, (0, n_px));
+        for arm in PopcntArm::ALL {
+            let mut out = vec![[0i32; LANES]; n_px];
+            let offsets = Offsets {
+                base: &flat,
+                at: &at,
+                stride: n_px,
+            };
+            finish_lanes(arm, &panel, 1, &offsets, &fin, &mut out);
+            assert_eq!(out, want, "offsets {arm:?}");
+            finish_lanes(arm, &panel, 1, &Rows { x: &x, row0: 0 }, &fin, &mut out);
+            assert_eq!(out, want, "row views {arm:?}");
+        }
     }
 }

@@ -6,6 +6,7 @@
 //! of operand [`Encoding`]s to an [`EmulationPlan`] and provides the exact
 //! per-partial correction arithmetic each case requires.
 
+use apnn_bitpack::popcnt::Finish;
 use apnn_bitpack::Encoding;
 use apnn_sim::BmmaOp;
 
@@ -48,6 +49,25 @@ pub struct EmulationPlan {
     pub op: BmmaOp,
     /// Correction case.
     pub case: EmulationCase,
+}
+
+impl EmulationPlan {
+    /// The plan as the lane kernel runs it: the boolean op and the case's
+    /// popcount coefficients, for `q` dynamic planes per output. The
+    /// drivers fill in the offset sides ([`Correction::offset`]) per call.
+    pub fn finish(self, q: usize) -> Finish<'static> {
+        let corr = self.case.correction();
+        Finish {
+            xor: self.op == BmmaOp::Xor,
+            a: corr.a,
+            halve: corr.halve,
+            q,
+            w_sides: &[],
+            side_at: &[],
+            x_sides: &[],
+            x_stride: 0,
+        }
+    }
 }
 
 /// Select the emulation plan for operand encodings `(w, x)` on Ampere-class
@@ -105,9 +125,10 @@ pub fn plan_for_device(w: Encoding, x: Encoding, supports_and: bool) -> Emulatio
 ///
 /// `adj = (a·popc + k·K + r·(W⁽ˢ⁾·J) + c·(J·X⁽ᵗ⁾)) >> halve`,
 ///
-/// so the kernels split it into a per-plane-pair [`Correction::offset`] and
-/// a branch-free per-output [`Correction::apply`] that runs lane-wise over
-/// eight outputs at a time.
+/// so the kernels split it into a per-plane-pair [`Correction::offset`] —
+/// itself linear, hence a weight side fixed at `prepare` plus an activation
+/// side per input — and the multiply-add-shift the lane kernel runs on its
+/// accumulators ([`EmulationPlan::finish`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Correction {
     /// Multiplier of the raw popcount.
@@ -157,17 +178,12 @@ impl Correction {
     pub fn offset(self, k_valid: i32, w_row_sum: i32, x_col_sum: i32) -> i32 {
         self.k * k_valid + self.r * w_row_sum + self.c * x_col_sum
     }
-
-    /// The arithmetic partial product from a raw popcount and its
-    /// [`Correction::offset`].
-    #[inline(always)]
-    pub fn apply(self, popc: i32, offset: i32) -> i32 {
-        (self.a * popc + offset) >> self.halve
-    }
 }
 
 /// Turn a raw popcount partial into the arithmetic partial product for one
-/// `(s, t)` plane pair.
+/// `(s, t)` plane pair — the scalar spec of the correction, which the
+/// fragment-level emulators run and the lane kernel's in-register finish is
+/// tested against.
 ///
 /// * `popc` — the raw tensor-core popcount output.
 /// * `k_valid` — number of *logical* (unpadded) positions in the reduction.
@@ -184,12 +200,12 @@ pub fn adjust_partial(
     x_col_sum: i32,
 ) -> i32 {
     let corr = case.correction();
-    let offset = corr.offset(k_valid, w_row_sum, x_col_sum);
+    let numerator = corr.a * popc + corr.offset(k_valid, w_row_sum, x_col_sum);
     debug_assert!(
-        (corr.a * popc + offset) & corr.halve as i32 == 0,
+        numerator & corr.halve as i32 == 0,
         "halved corrections have even numerators"
     );
-    corr.apply(popc, offset)
+    numerator >> corr.halve
 }
 
 #[cfg(test)]

@@ -123,6 +123,7 @@ impl ExecWorkspace {
         conv.reserve(
             peaks.strip,
             peaks.strip_cols,
+            peaks.x_sides,
             peaks.conv_acc,
             peaks.conv_row,
             peaks.bn_den,
@@ -239,8 +240,11 @@ impl WorkspaceSpec {
 struct ScratchPeaks {
     /// Conv activation-strip words (one output row, all planes).
     strip: usize,
-    /// Conv strip-column popcount prefix sums (`i32` each).
+    /// Conv strip-column correction offsets (`i32` each, one plane's).
     strip_cols: usize,
+    /// Conv activation-side correction offsets (`i32` each: one per
+    /// plane per output pixel of a row).
+    x_sides: usize,
     /// Conv accumulator-row elements (`i32`): one output row, two under a
     /// fused pool.
     conv_acc: usize,
@@ -267,6 +271,7 @@ impl ScratchPeaks {
         for l in layouts {
             p.strip = p.strip.max(l.conv_strip_words);
             p.strip_cols = p.strip_cols.max(l.conv_strip_cols);
+            p.x_sides = p.x_sides.max(l.conv_x_sides);
             p.conv_acc = p.conv_acc.max(if l.is_conv { l.acc_elems } else { 0 });
             p.conv_row = p.conv_row.max(l.conv_row_elems);
             p.bn_den = p.bn_den.max(l.conv_bn_den);
@@ -283,6 +288,7 @@ impl ScratchPeaks {
     fn bytes(&self) -> usize {
         (self.strip + self.conv_row) * 8
             + (self.strip_cols
+                + self.x_sides
                 + self.conv_acc
                 + self.bn_den
                 + self.col_sums
@@ -323,6 +329,7 @@ struct StageLayout {
     res_elems: usize,
     conv_strip_words: usize,
     conv_strip_cols: usize,
+    conv_x_sides: usize,
     conv_row_elems: usize,
     conv_bn_den: usize,
     apmm_col_sums: usize,
@@ -352,8 +359,8 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                     // The kernel scratch is row-sized: one output row's
                     // strip and accumulators, whatever the batch.
                     let (q, cols) = (desc.x_bits as usize, desc.w + 2 * desc.pad);
-                    let conv_strip_words = q * cols * desc.kh * desc.live_words();
-                    let conv_strip_cols = q * (cols + 1);
+                    let conv_strip_words = q * cols * desc.col_words();
+                    let (conv_strip_cols, conv_x_sides) = (cols, q * ow);
                     let row_elems = ow * desc.cout;
                     if m.input == StageSrc::Branch {
                         // Skip projection: raw accumulators land straight in
@@ -368,6 +375,7 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                             res_elems: map_elems,
                             conv_strip_words,
                             conv_strip_cols,
+                            conv_x_sides,
                             conv_row_elems: 0,
                             conv_bn_den: 0,
                             apmm_col_sums: 0,
@@ -407,6 +415,7 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                             res_elems: if m.residual.is_some() { map_elems } else { 0 },
                             conv_strip_words,
                             conv_strip_cols,
+                            conv_x_sides,
                             conv_row_elems: pw * desc.cout,
                             conv_bn_den: m.epi.row_scratch_len(desc.cout),
                             apmm_col_sums: 0,
@@ -457,6 +466,7 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                         res_elems: 0,
                         conv_strip_words: 0,
                         conv_strip_cols: 0,
+                        conv_x_sides: 0,
                         conv_row_elems: 0,
                         conv_bn_den: 0,
                         apmm_col_sums: desc.x_bits as usize * desc.n,

@@ -915,6 +915,9 @@ mod tests {
             let plan = server.registry().get(key).unwrap();
             assert_eq!(t.wait().unwrap(), plan.infer(&image(*i)));
         }
+        // A worker resolves a batch's tickets before it re-takes the state
+        // lock to count them completed.
+        server.wait_idle();
         let stats = server.stats();
         assert_eq!(stats.plan_compiles, 2, "one compile per distinct key");
         assert_eq!(stats.completed, 8);

@@ -71,6 +71,7 @@ impl Criterion {
             sample_size: 10,
             measurement_time: Duration::from_secs(1),
             warm_up_time: Duration::from_millis(300),
+            elements: None,
         }
     }
 }
@@ -82,6 +83,8 @@ pub struct BenchmarkGroup {
     sample_size: usize,
     measurement_time: Duration,
     warm_up_time: Duration,
+    /// Elements per iteration of the cases that follow, when annotated.
+    elements: Option<u64>,
 }
 
 impl BenchmarkGroup {
@@ -103,8 +106,15 @@ impl BenchmarkGroup {
         self
     }
 
-    /// Set a throughput annotation (accepted and ignored).
-    pub fn throughput(&mut self, _t: Throughput) -> &mut Self {
+    /// Set a throughput annotation for the cases that follow: an element
+    /// count adds the time per element to each case's line (criterion
+    /// proper reports elements per second); a byte count is accepted and
+    /// ignored.
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        self.elements = match t {
+            Throughput::Elements(n) => Some(n),
+            Throughput::Bytes(_) => None,
+        };
         self
     }
 
@@ -121,8 +131,12 @@ impl BenchmarkGroup {
             median: Duration::ZERO,
         };
         f(&mut b);
+        let per_elem = self.elements.map_or(String::new(), |n| {
+            let ns = b.median.as_nanos() as f64 / n.max(1) as f64;
+            format!(" {ns:>12.1} ns/elem")
+        });
         println!(
-            "{}/{:<40} {:>12.3?} /iter",
+            "{}/{:<40} {:>12.3?} /iter{per_elem}",
             self.name,
             id.to_string(),
             b.median
@@ -147,7 +161,7 @@ impl BenchmarkGroup {
     pub fn finish(&mut self) {}
 }
 
-/// Throughput annotations (accepted, not reported).
+/// Throughput annotations.
 #[derive(Debug, Clone, Copy)]
 pub enum Throughput {
     /// Bytes processed per iteration.
