@@ -371,6 +371,20 @@ impl BitTensor4 {
         &self.data[base..base + self.w * self.words_per_pixel]
     }
 
+    /// Image row `(n, h)` of every plane, mutably, plane 0 first: each item
+    /// is the row's `w` pixels × [`BitTensor4::words_per_pixel`] words of
+    /// one plane — what a kernel tail that produces packed words itself
+    /// stores through. The writer owns the invariant that channel padding
+    /// bits stay zero.
+    pub fn row_planes_mut(&mut self, n: usize, h: usize) -> impl Iterator<Item = &mut [u64]> {
+        assert!(n < self.n && h < self.h, "row out of range");
+        let (row, stride) = (self.w * self.words_per_pixel, self.image_stride());
+        let plane = self.h * row;
+        self.data[n * stride..(n + 1) * stride]
+            .chunks_exact_mut(plane.max(1))
+            .map(move |p| &mut p[h * row..(h + 1) * row])
+    }
+
     /// Pack one image row of codes — `codes[x·c + ch]`, each `< 2^bits` —
     /// into every plane at `(n, h)`, a whole word at a time: 64 channels
     /// become one word per plane, and every word of every pixel is stored

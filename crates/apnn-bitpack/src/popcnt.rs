@@ -16,15 +16,21 @@
 //! K reduced inside the primitive).
 //!
 //! A pass never stores its counts. Like the paper's memory-efficient bit
-//! combination (§4.1(b)), the §3.2 correction and the shift-add run on the
-//! accumulators while they are registers ([`Finish`], `Lanes::finish`), and
-//! what reaches memory is the finished sum over all plane pairs:
-//! [`finish_lanes`] is the single entry point APMM, APConv and the cost
-//! probe share.
+//! combination (§4.1(b)), the shift-add runs on the accumulators while they
+//! are registers: a block of ≤ 8 outputs walks **every** plane pair
+//! `(s, t)` with one set of 64-bit accumulators, Horner-style — the pairs
+//! are taken by shift level `s + t`, highest first, the accumulators double
+//! between levels, and a level's K passes count straight into them, so they
+//! end as `Σ popc(s, t) << (s + t)` without a second register set — and the
+//! §3.2 correction is applied to that total **once per output**
+//! ([`Finish`], `Lanes::finish`): it is affine in the counts, so its
+//! offsets fold over the plane pairs ahead of time. What reaches memory is
+//! the finished sum, stored once: [`finish_lanes`] is the single entry
+//! point APMM, APConv and the cost probe share.
 //!
 //! The kernel is **one generic body** (`finish_streams`), instantiated once
-//! per [`PopcntArm`] under that arm's `#[target_feature]` so the whole K
-//! pass and its finish run inside the feature boundary:
+//! per [`PopcntArm`] under that arm's `#[target_feature]` so every K pass
+//! and the finish run inside the feature boundary:
 //!
 //! * [`PopcntArm::Scalar`] — the body over `[u64; 8]` lanes at the build's
 //!   baseline features. LLVM vectorizes the lane loops with whatever the
@@ -35,8 +41,9 @@
 //! * [`PopcntArm::Avx512`] — the body over one explicit `__m512i` per cell
 //!   (`avx512f` + `avx512vpopcntdq`): `vpandq`/`vpxorq` with a broadcast
 //!   memory operand, `vpopcntq`, `vpaddq` — three instructions per 512
-//!   bit-MACs — and a finish of `vpmovqd`, `vpmulld`, `vpaddd`, `vpsrad`,
-//!   `vpslld` on the narrowed counts. The lane type is explicit because
+//!   bit-MACs — one `vpaddq` per output and shift level, and one finish of
+//!   `vpmovqd`, `vpmulld`, `vpaddd`, `vpsrad` per output on the narrowed
+//!   total. The lane type is explicit because
 //!   Intel server tunings make LLVM prefer 256-bit vectors, which halves
 //!   `vpopcntq` throughput.
 //! * [`PopcntArm::Neon`] — aarch64, where NEON `cnt` is baseline: the
@@ -218,42 +225,45 @@ impl Streams for Offsets<'_> {
     }
 }
 
-/// What a K pass does with its counts while they are still in registers:
-/// the §3.2 correction and the §4.1(b) shift-add. The count of stream
-/// `(t, j)` against static plane `s` becomes, per lane,
+/// What a block of outputs does with its plane pairs' counts while they
+/// are still in registers: the §4.1(b) shift-add, then the §3.2 correction
+/// once. With `total = Σ_{s,t} popc(s, t) << (s + t)` per lane, output `j`
+/// becomes
 ///
-/// `((a·popc + w_sides[side_at[j] + s][lane] + x_sides[t·x_stride + j]) >> halve) << (s + t)`
+/// `(a·total + w_sides[side_at[j]][lane] + x_sides[j]) >> halve`
 ///
-/// and is summed into `out[j][lane]`.
+/// — the per-pair corrections `(a·popc + w_s + x_t) >> halve`, shift-added,
+/// with the offsets folded over the pairs they repeat in:
+/// `w_side = Σ_s w_s·2^s·(2^q − 1)` and `x_side = Σ_t x_t·2^t·(2^p − 1)`.
+/// Halving commutes with the sum because every halved partial is even (see
+/// `apnn_kernels::select::Correction`).
 #[derive(Debug, Clone, Copy)]
 pub struct Finish<'a> {
     /// Combine operands with XOR (else AND) before counting.
     pub xor: bool,
-    /// Multiplier of the raw popcount.
+    /// Multiplier of the shift-added popcount total.
     pub a: i32,
     /// 1 where the case leaves a factor 2 to divide out, else 0.
     pub halve: u32,
     /// Dynamic planes per output.
     pub q: usize,
-    /// The weight-side part of the correction offset of each lane, per
-    /// static plane, for every class of output the call spans (a conv
-    /// window's offset depends on which of its taps miss the frame).
+    /// The folded weight-side part of the correction offset of each lane,
+    /// for every class of output the call spans (a conv window's offset
+    /// depends on which of its taps miss the frame).
     pub w_sides: &'a [[i32; LANES]],
-    /// Per output, where its class's planes start in `w_sides`.
+    /// Per output, its class's entry of `w_sides`.
     pub side_at: &'a [u32],
-    /// The activation-side part of the offset of every stream,
-    /// plane-major; empty when the case has none.
+    /// The folded activation-side part of the offset of every output;
+    /// empty when the case has none.
     pub x_sides: &'a [i32],
-    /// Entries of `x_sides` per plane.
-    pub x_stride: usize,
 }
 
 /// The one kernel entry: row group `g` of `w` against `fin.q` planes of
-/// `out.len()` outputs' streams, every plane pair's K pass finished in
-/// registers ([`Finish`]) and summed into `out` — one `[i32; LANES]` per
-/// output, **stored** by its first plane pair (stale contents never
-/// matter). Lanes past the panel's last row are zero rows: their sums are
-/// meaningless and the caller must not keep them.
+/// `out.len()` outputs' streams, every plane pair's K pass shift-added and
+/// the total finished in registers ([`Finish`]) — one `[i32; LANES]` per
+/// output, **stored** once (stale contents never matter). Lanes past the
+/// panel's last row are zero rows: their sums are meaningless and the
+/// caller must not keep them.
 ///
 /// Exact for every arm and length; an arm the CPU cannot run executes the
 /// baseline body, so the call is always sound.
@@ -292,13 +302,15 @@ trait Lanes: Copy {
     fn load(cell: &[u64; LANES]) -> Self;
     /// `self + popc(op(cell, splat(x)))`, per lane.
     fn accumulate<const XOR: bool>(self, cell: Self, x: u64) -> Self;
-    /// `out (= | +=) ((a·self + w_side + x_side) >> halve) << shift`, per
-    /// lane (`=` when `first`) — the only copy of the §3.2 arithmetic the
-    /// kernels run.
+    /// `2·self`, per lane: the step between two shift levels.
+    fn double(self) -> Self;
+    /// `out = (a·self + w_side + x_side) >> halve`, per lane, on the total
+    /// narrowed to 32 bits (wrapping, like the vector forms: exact whenever
+    /// the result — doubled, where it is halved — fits an `i32`). The only
+    /// copy of the §3.2 arithmetic the kernels run.
     fn finish(
         self,
-        first: bool,
-        a_halve_shift: (i32, u32, u32),
+        a_halve: (i32, u32),
         w_side: &[i32; LANES],
         x_side: i32,
         out: &mut [i32; LANES],
@@ -328,24 +340,24 @@ impl Lanes for [u64; LANES] {
     }
 
     #[inline(always)]
+    fn double(mut self) -> Self {
+        for v in self.iter_mut() {
+            *v <<= 1;
+        }
+        self
+    }
+
+    #[inline(always)]
     fn finish(
         self,
-        first: bool,
-        (a, halve, shift): (i32, u32, u32),
+        (a, halve): (i32, u32),
         w_side: &[i32; LANES],
         x_side: i32,
         out: &mut [i32; LANES],
     ) {
-        let mut v = [0i32; LANES];
         for l in 0..LANES {
-            v[l] = ((a * self[l] as i32 + w_side[l] + x_side) >> halve) << shift;
-        }
-        if first {
-            *out = v;
-        } else {
-            for (o, v) in out.iter_mut().zip(v) {
-                *o += v;
-            }
+            let sum = a.wrapping_mul(self[l] as i32);
+            out[l] = sum.wrapping_add(w_side[l]).wrapping_add(x_side) >> halve;
         }
     }
 }
@@ -367,12 +379,8 @@ fn finish_either_op<V: Lanes, S: Streams>(
     }
 }
 
-/// The kernel body: per plane pair `(s, t)`, the K passes of the outputs'
-/// plane-`t` streams against the row group, the streams taken eight, four,
-/// two and one at a time so each pass's accumulators are a
-/// compile-time-sized register set. A pass spans consecutive outputs of
-/// one plane pair, so its shift and store-or-add are fixed and its table
-/// entries contiguous.
+/// The kernel body: the outputs taken eight, four, two and one at a time,
+/// so each block's accumulators are a compile-time-sized register set.
 #[inline(always)]
 fn finish_streams<V: Lanes, S: Streams, const XOR: bool>(
     w: &LanePanel,
@@ -382,65 +390,73 @@ fn finish_streams<V: Lanes, S: Streams, const XOR: bool>(
     out: &mut [[i32; LANES]],
 ) {
     let n = out.len();
-    for (s, t) in (0..w.n_planes()).flat_map(|s| (0..fin.q).map(move |t| (s, t))) {
-        let cells = w.group(s, g);
-        let mut j = 0;
-        while V::WIDE && n - j >= 8 {
-            k_pass::<V, S, XOR, 8>(cells, xs, (s, t, j), fin, out);
-            j += 8;
-        }
-        while n - j >= 4 {
-            k_pass::<V, S, XOR, 4>(cells, xs, (s, t, j), fin, out);
-            j += 4;
-        }
-        if n - j >= 2 {
-            k_pass::<V, S, XOR, 2>(cells, xs, (s, t, j), fin, out);
-            j += 2;
-        }
-        if n - j >= 1 {
-            k_pass::<V, S, XOR, 1>(cells, xs, (s, t, j), fin, out);
-        }
+    let mut j = 0;
+    while V::WIDE && n - j >= 8 {
+        block::<V, S, XOR, 8>(w, g, xs, j, fin, out);
+        j += 8;
+    }
+    while n - j >= 4 {
+        block::<V, S, XOR, 4>(w, g, xs, j, fin, out);
+        j += 4;
+    }
+    if n - j >= 2 {
+        block::<V, S, XOR, 2>(w, g, xs, j, fin, out);
+        j += 2;
+    }
+    if n - j >= 1 {
+        block::<V, S, XOR, 1>(w, g, xs, j, fin, out);
     }
 }
 
-/// One pass over K for plane pair `(s, t)` of outputs `j0..j0 + R`: `R`
-/// accumulators live in registers, each cell is loaded once and every
-/// stream's word is broadcast against it; the pass ends in
-/// [`Lanes::finish`], not a store of counts.
+/// Outputs `j0..j0 + R` against every plane pair: `R` accumulators live in
+/// registers through all of it. The pairs go by shift level `d = s + t`,
+/// highest first; between levels the accumulators double, and each pair of
+/// a level is one pass over K — every cell loaded once, every stream's word
+/// broadcast against it — counting straight into them (Horner's rule for
+/// `Σ popc(s, t)·2^(s + t)`). Then one [`Lanes::finish`] and one store per
+/// output.
 #[inline(always)]
-fn k_pass<V: Lanes, S: Streams, const XOR: bool, const R: usize>(
-    cells: &[u64],
+fn block<V: Lanes, S: Streams, const XOR: bool, const R: usize>(
+    w: &LanePanel,
+    g: usize,
     xs: &S,
-    (s, t, j0): (usize, usize, usize),
+    j0: usize,
     fin: &Finish<'_>,
     out: &mut [[i32; LANES]],
 ) {
-    let kw = cells.len() / LANES;
-    // Slicing every stream to `kw` — and every table to the pass's `R`
-    // entries — up front checks the lengths once and lets the loops index
-    // without bounds checks.
-    let words: [&[u64]; R] = std::array::from_fn(|i| xs.words(t, j0 + i, kw));
+    let (p, q, kw) = (w.n_planes(), fin.q, w.words_per_row());
+    assert!(p >= 1 && q >= 1, "both operands have a plane");
+    // Slicing every table to the block's `R` entries — and, per pair, every
+    // stream to `kw` words — up front checks the lengths once and lets the
+    // loops index without bounds checks.
     let side_at: &[u32; R] = fin.side_at[j0..][..R].try_into().expect("R entries");
     let out: &mut [[i32; LANES]; R] = (&mut out[j0..][..R]).try_into().expect("R entries");
     let x_sides: [i32; R] = if fin.x_sides.is_empty() {
         [0; R]
     } else {
-        fin.x_sides[t * fin.x_stride + j0..][..R]
-            .try_into()
-            .expect("R entries")
+        fin.x_sides[j0..][..R].try_into().expect("R entries")
     };
 
     let mut acc = [V::zero(); R];
-    for (k, cell) in cells.chunks_exact(LANES).enumerate() {
-        let cell = V::load(cell.try_into().expect("chunks_exact yields LANES words"));
-        for i in 0..R {
-            acc[i] = acc[i].accumulate::<XOR>(cell, words[i][k]);
+    for d in (0..p + q - 1).rev() {
+        if d + 2 < p + q {
+            for acc in acc.iter_mut() {
+                *acc = acc.double();
+            }
+        }
+        for s in d.saturating_sub(q - 1)..(d + 1).min(p) {
+            let words: [&[u64]; R] = std::array::from_fn(|i| xs.words(d - s, j0 + i, kw));
+            for (k, cell) in w.group(s, g).chunks_exact(LANES).enumerate() {
+                let cell = V::load(cell.try_into().expect("chunks_exact yields LANES words"));
+                for i in 0..R {
+                    acc[i] = acc[i].accumulate::<XOR>(cell, words[i][k]);
+                }
+            }
         }
     }
-    let (first, how) = (s == 0 && t == 0, (fin.a, fin.halve, (s + t) as u32));
     for i in 0..R {
-        let w_side = &fin.w_sides[side_at[i] as usize + s];
-        acc[i].finish(first, how, w_side, x_sides[i], &mut out[i]);
+        let w_side = &fin.w_sides[side_at[i] as usize];
+        acc[i].finish((fin.a, fin.halve), w_side, x_sides[i], &mut out[i]);
     }
 }
 
@@ -487,32 +503,32 @@ mod x86 {
         }
 
         #[inline(always)]
+        fn double(self) -> Self {
+            // SAFETY: avx512f is present (see `Zmm`).
+            Zmm(unsafe { _mm512_add_epi64(self.0, self.0) })
+        }
+
+        #[inline(always)]
         fn finish(
             self,
-            first: bool,
-            (a, halve, shift): (i32, u32, u32),
+            (a, halve): (i32, u32),
             w_side: &[i32; LANES],
             x_side: i32,
             out: &mut [i32; LANES],
         ) {
             // SAFETY: avx512f is present (see `Zmm`), and every CPU with
             // avx512f has the 256-bit avx2 integer forms used on the
-            // narrowed counts; `w_side` is 32 readable and `out` 32
-            // readable and writable bytes, all accesses unaligned.
+            // narrowed total; `w_side` is 32 readable and `out` 32 writable
+            // bytes, both accesses unaligned.
             unsafe {
-                let counts = _mm512_cvtepi64_epi32(self.0);
+                let total = _mm512_cvtepi64_epi32(self.0);
                 let side = _mm256_add_epi32(
                     _mm256_loadu_si256(w_side.as_ptr().cast()),
                     _mm256_set1_epi32(x_side),
                 );
-                let v = _mm256_add_epi32(_mm256_mullo_epi32(counts, _mm256_set1_epi32(a)), side);
+                let v = _mm256_add_epi32(_mm256_mullo_epi32(total, _mm256_set1_epi32(a)), side);
                 let v = _mm256_sra_epi32(v, _mm_cvtsi32_si128(halve as i32));
-                let mut v = _mm256_sll_epi32(v, _mm_cvtsi32_si128(shift as i32));
-                let out = out.as_mut_ptr().cast();
-                if !first {
-                    v = _mm256_add_epi32(v, _mm256_loadu_si256(out));
-                }
-                _mm256_storeu_si256(out, v);
+                _mm256_storeu_si256(out.as_mut_ptr().cast(), v);
             }
         }
     }
@@ -563,7 +579,7 @@ mod tests {
     }
 
     /// The raw counts of every stream: the finish that is the identity
-    /// (`a = 1`, no offsets, one plane pair per output).
+    /// (`a = 1`, zero offsets, one plane pair per output).
     fn raw_counts(
         arm: PopcntArm,
         xor: bool,
@@ -584,7 +600,6 @@ mod tests {
             w_sides: &[[0; LANES]],
             side_at: &vec![0; n],
             x_sides: &[],
-            x_stride: 0,
         };
         let xs = Offsets {
             base: &flat,
@@ -730,7 +745,10 @@ mod tests {
     /// One finished call — `p × q` planes, `n_out` outputs, `kw` words,
     /// correction sums as large as the shifted total leaves room for —
     /// against the naive `Σ adjust_partial << (s + t)`, on every arm and
-    /// through both stream addressings, over garbage `out` contents.
+    /// through both stream addressings, over garbage `out` contents. The
+    /// kernel sees the offsets folded over the plane pairs; the halving
+    /// case draws its sums as what they are in every real call, the
+    /// operands' own popcounts, which is what makes its partials even.
     fn check_finish(case: usize, (p, q): (usize, usize), n_out: usize, kw: usize, seed: u64) {
         let corr = CORRECTIONS[case];
         let (xor, a, k, r, c, halve) = corr;
@@ -749,7 +767,7 @@ mod tests {
         let x = BitPlanes::from_codes(&codes, n_out, kw * 64, q as u32, crate::Encoding::ZeroOne);
         // ...and as offsets into one buffer holding the same words, the
         // table wider than the call.
-        let (stride, x_stride) = (n_out + 1, n_out + 2);
+        let stride = n_out + 1;
         let mut flat = words(3);
         let mut at = vec![0u32; q * stride];
         for (t, j) in (0..q).flat_map(|t| (0..n_out).map(move |j| (t, j))) {
@@ -761,15 +779,36 @@ mod tests {
         let k_valid = side();
         // Three classes of output, each with its own weight sums.
         let w_sums: Vec<[i32; LANES]> = (0..3 * p)
-            .map(|_| std::array::from_fn(|_| side()))
+            .map(|i| {
+                std::array::from_fn(|lane| match halve {
+                    0 => side(),
+                    _ => w.row_sums(i % p)[lane],
+                })
+            })
             .collect();
-        let side_at: Vec<u32> = (0..n_out).map(|j| (j % 3 * p) as u32).collect();
-        let x_sums: Vec<i32> = (0..q * x_stride).map(|_| side()).collect();
-        let w_sides: Vec<[i32; LANES]> = w_sums
-            .iter()
-            .map(|sums| sums.map(|ws| k * k_valid + r * ws))
+        let side_at: Vec<u32> = (0..n_out).map(|j| (j % 3) as u32).collect();
+        let x_sums: Vec<i32> = (0..q * n_out)
+            .map(|i| match halve {
+                0 => side(),
+                _ => x.plane((i / n_out) as u32).row_popcount(i % n_out) as i32,
+            })
             .collect();
-        let x_sides: Vec<i32> = x_sums.iter().map(|xs| c * xs).collect();
+        // The folds, the way the drivers tabulate them (wrapping, like the
+        // kernel's own arithmetic).
+        let fold = |planes: usize, others: usize, term: &dyn Fn(usize) -> i32| -> i32 {
+            let sum: i64 = (0..planes).map(|i| i64::from(term(i)) << i).sum();
+            (sum * ((1i64 << others) - 1)) as i32
+        };
+        let w_sides: Vec<[i32; LANES]> = (0..3)
+            .map(|class| {
+                std::array::from_fn(|lane| {
+                    fold(p, q, &|s| k * k_valid + r * w_sums[class * p + s][lane])
+                })
+            })
+            .collect();
+        let x_sides: Vec<i32> = (0..n_out)
+            .map(|j| fold(q, p, &|t| c * x_sums[t * n_out + j]))
+            .collect();
 
         let want: Vec<[i32; LANES]> = (0..n_out)
             .map(|j| {
@@ -783,14 +822,18 @@ mod tests {
                                 (if xor { cell ^ row[k] } else { cell & row[k] }).count_ones()
                             })
                             .sum();
-                        let adj = adjust_partial(
-                            corr,
-                            popc as i32,
-                            k_valid,
-                            w_sums[side_at[j] as usize + s][lane],
-                            x_sums[t * x_stride + j],
+                        let (w_sum, x_sum) = (
+                            w_sums[side_at[j] as usize * p + s][lane],
+                            x_sums[t * n_out + j],
                         );
-                        sum += adj << (s + t);
+                        // What lets one halving serve the whole sum:
+                        // `popc(w) + popc(x) − popc(w ⊕ x) = 2·popc(w ∧ x)`.
+                        assert_eq!(
+                            (a * popc as i32 + k * k_valid + r * w_sum + c * x_sum) & halve as i32,
+                            0,
+                            "halved partials are even"
+                        );
+                        sum += adjust_partial(corr, popc as i32, k_valid, w_sum, x_sum) << (s + t);
                     }
                     sum
                 })
@@ -807,7 +850,6 @@ mod tests {
                 side_at: &side_at,
                 // A case without an activation side may pass none.
                 x_sides: if c == 0 { &[] } else { &x_sides },
-                x_stride,
             };
             let ctx = format!("case {case} w{p}a{q} outs {n_out} kw {kw} {arm:?}");
             let mut out = vec![[i32::MIN; LANES]; n_out];
@@ -827,8 +869,8 @@ mod tests {
     #[test]
     fn finish_matches_adjust_partial_on_every_arm() {
         // All seven corrections; every shift `s + t` of 0..=14 as the top
-        // plane pair of a `p × q` call (so the first pair stores and the
-        // rest accumulate); output counts either side of the pass split.
+        // plane pair of a `p × q` call; output counts either side of the
+        // block split.
         let mut seed = 0x2545_F491_4F6C_DD1Du64;
         for case in 0..CORRECTIONS.len() {
             for shift in 0..=14usize {

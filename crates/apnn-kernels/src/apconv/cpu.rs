@@ -25,30 +25,30 @@
 //!
 //! Everything a window needs besides the strip is fixed before the first
 //! row ([`ConvExecPlan`]): its streams' strip offsets, and the weight side
-//! of its correction offset — a function of which taps fall outside the
-//! frame, i.e. of the window's *class*, of which an axis has at most
-//! `2·pad + 1`, so a pixel block carries one small index per pixel. An output row is then: strip in → per `(row group, block of
-//! jb pixels)` kernel calls whose K passes are finished in registers
+//! of its correction offset, folded over the plane pairs — a function of
+//! which taps fall outside the frame, i.e. of the window's *class*, of
+//! which an axis has at most `2·pad + 1`, so a pixel block carries one
+//! small index per pixel. An output row is then: strip in → per `(row
+//! group, block of jb pixels)` kernel calls that walk every plane pair and
+//! finish once per output in registers
 //! ([`apnn_bitpack::popcnt::finish_lanes`]) → eight i32 channels stored per
 //! `(pixel, group)`.
 //!
 //! One loop nest — `conv_exec`, on the calling thread — drives it all and
 //! hands every finished accumulator row to a *row sink*: the unfused entry
-//! points store it, `conv_exec_fused` runs the §5.2 tail on it while it is
+//! points store it, [`super::tail`] runs the §5.2 tail on it while it is
 //! cache-hot.
 
 use std::ops::Range;
 
 use apnn_bitpack::popcnt::{finish_lanes, Finish, Offsets};
-use apnn_bitpack::{BitTensor4, Encoding, LanePanel, PopcntArm, LANES};
+use apnn_bitpack::{BitTensor4, LanePanel, PopcntArm, LANES};
 
 use super::padding::{correct_xor_window, fill_words, pad_fill, valid_row_popc};
 use super::weights::TapPopc;
 use super::{ConvDesc, Pool2};
 use crate::autotune::{select_micro, MicroTile, MAX_JB};
-use crate::fusion::Epilogue;
-use crate::micro::MAX_PLANES;
-use crate::select::{plan, Correction};
+use crate::select::{fold_planes, plan, Correction};
 
 /// The kernel offsets (of `0..k`) whose input coordinate
 /// `o·stride + offset − pad` lies inside `0..extent`, for output coordinate
@@ -106,13 +106,13 @@ pub struct ConvExecPlan {
     offsets: Vec<u32>,
     /// Window class of every output row.
     row_class: Vec<usize>,
-    /// Per output pixel of a row, where its column class's planes start
-    /// in a `(row class, group)`'s slice of `w_sides`: `class · p`.
+    /// Per output pixel of a row, its column class: its entry in a
+    /// `(row class, group)`'s slice of `w_sides`.
     col_side: Vec<u32>,
-    /// The weight side of the correction offset ([`weight_sides`]) of
-    /// every window class, `[row class][group][column class][plane]`.
+    /// The folded weight side of the correction offset ([`weight_sides`])
+    /// of every window class, `[row class][group][column class]`.
     w_sides: Vec<[i32; LANES]>,
-    /// Entries of `w_sides` per `(row class, group)`: column classes × `p`.
+    /// Entries of `w_sides` per `(row class, group)`: the column classes.
     group_sides: usize,
 }
 
@@ -125,7 +125,7 @@ impl ConvExecPlan {
     pub(crate) fn new(desc: &ConvDesc, popc: &TapPopc) -> Self {
         let eplan = plan(desc.w_enc, desc.x_enc);
         let fill = pad_fill(desc.w_enc, desc.x_enc);
-        let (p, q, cw) = (desc.w_bits as usize, desc.x_bits as usize, desc.col_words());
+        let (q, cw) = (desc.x_bits as usize, desc.col_words());
         let plane_words = (desc.w + 2 * desc.pad) * cw;
         assert!(
             q * plane_words <= u32::MAX as usize,
@@ -139,17 +139,16 @@ impl ConvExecPlan {
         let (rows, row_class) = axis_classes(desc.out_h(), desc.stride, desc.pad, desc.h, desc.kh);
         let (cols, col_class) = axis_classes(desc.out_w(), desc.stride, desc.pad, desc.w, desc.kw);
         let corr = eplan.case.correction();
-        let mut w_sides = Vec::with_capacity(rows.len() * popc.groups() * cols.len() * p);
+        let mut w_sides = Vec::with_capacity(rows.len() * popc.groups() * cols.len());
         for (rows_in, g) in rows
             .iter()
             .flat_map(|r| (0..popc.groups()).map(move |g| (r, g)))
         {
-            for cols_in in &cols {
-                let sides = weight_sides(desc, popc, corr, g, |ky, kx| {
+            w_sides.extend(cols.iter().map(|cols_in| {
+                weight_sides(desc, popc, corr, g, |ky, kx| {
                     !rows_in.contains(&ky) || !cols_in.contains(&kx)
-                });
-                w_sides.extend_from_slice(&sides[..p]);
-            }
+                })
+            }));
         }
         ConvExecPlan {
             eplan,
@@ -158,9 +157,9 @@ impl ConvExecPlan {
             arm: PopcntArm::detect(),
             offsets,
             row_class,
-            col_side: col_class.iter().map(|class| (class * p) as u32).collect(),
+            col_side: col_class.iter().map(|&class| class as u32).collect(),
             w_sides,
-            group_sides: cols.len() * p,
+            group_sides: cols.len(),
         }
     }
 
@@ -188,8 +187,8 @@ impl ConvExecPlan {
     }
 
     /// The weight sides of row group `g` (of `groups`) for the windows of
-    /// an output row of class `rc`: every column class's planes back to
-    /// back, indexed through `col_side`.
+    /// an output row of class `rc`: one entry per column class, indexed
+    /// through `col_side`.
     #[inline]
     fn class_sides(&self, rc: usize, g: usize, groups: usize) -> &[[i32; LANES]] {
         &self.w_sides[(rc * groups + g) * self.group_sides..][..self.group_sides]
@@ -198,30 +197,31 @@ impl ConvExecPlan {
 
 /// Reusable per-call scratch for the `execute_into` entry points — all of
 /// it **row-sized**: the activation strip of the output row in flight, its
-/// accumulator row (two under a fused 2×2 pool) and the fused tail's `f32`
-/// and code rows. Size it once with [`ConvScratch::reserve`]; every later
-/// call — full or partial shard — is then allocation-free.
+/// accumulator row (two under a fused 2×2 pool) and — for a fused tail
+/// without a step table only — the `f32` and code rows of the chain's row
+/// form. Size it once with [`ConvScratch::reserve`]; every later call —
+/// full or partial shard — is then allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct ConvScratch {
-    strip: Strip,
+    pub(super) strip: Strip,
     /// The accumulator rows handed to the row sink.
-    acc: Vec<i32>,
+    pub(super) acc: Vec<i32>,
     /// One (pooled) row as `f32` — what the row epilogue transforms.
-    vals: Vec<f32>,
+    pub(super) vals: Vec<f32>,
     /// One (pooled) row of quantized codes, ready to pack.
-    codes: Vec<u32>,
-    /// [`Epilogue::rows`]' BatchNorm denominators.
-    bn_den: Vec<f32>,
+    pub(super) codes: Vec<u32>,
+    /// [`crate::fusion::Epilogue::rows`]' BatchNorm denominators.
+    pub(super) bn_den: Vec<f32>,
 }
 
 impl ConvScratch {
     /// Pre-size the scratch: `strip_words` strip words
     /// (`x_bits × (w + 2·pad) × col_words`), `cols` strip columns
     /// (`w + 2·pad` per-column offsets), `x_sides` activation-side offsets
-    /// (`x_bits × out_w`), `acc` accumulator elements (`out_w × cout`,
-    /// twice under a fused pool), `row` elements of one fused output row
-    /// (`≤ out_w × cout`) and `bn_den` elements
-    /// ([`Epilogue::row_scratch_len`]).
+    /// (`out_w`), `acc` accumulator elements (`out_w × cout`, twice under a
+    /// fused pool) and — zero for a tail with a step table — `row` elements
+    /// of one fused output row (`≤ out_w × cout`) and `bn_den` elements
+    /// ([`crate::fusion::Epilogue::row_scratch_len`]).
     pub fn reserve(
         &mut self,
         strip_words: usize,
@@ -247,13 +247,13 @@ impl ConvScratch {
 /// The column-dense activation strip of one output row (see the module
 /// docs for the layout), all `q` planes back to back.
 #[derive(Debug, Clone, Default)]
-struct Strip {
+pub(super) struct Strip {
     words: Vec<u64>,
-    /// The activation side of every stream's correction offset (`c·J·X`
-    /// over its window), plane-major like the plan's offsets. Filled only
+    /// The activation side of every output pixel's correction offset
+    /// (`c·J·X` over its window, folded over the plane pairs). Filled only
     /// for the cases that consume it, else empty.
     x_sides: Vec<i32>,
-    /// One plane's per-column activation sides — scratch of the above.
+    /// The strip columns' folded activation sides — scratch of the above.
     col_sides: Vec<i32>,
 }
 
@@ -313,35 +313,46 @@ impl Strip {
     }
 
     /// The activation side of every window of the strip just laid out. The
-    /// offset is linear, so a window's is the sum of its columns'; both
-    /// steps are contiguous passes (one per `kx`) so the common shapes —
-    /// one-word columns, stride 1 — vectorize.
+    /// offset is linear, so a column's is the sum of its planes' — each at
+    /// its weight in the fold over the plane pairs ([`fold_planes`]) — and a
+    /// window's the sum of its columns'; both steps are contiguous passes
+    /// (one per plane, one per `kx`) so the common shapes — one-word
+    /// columns, stride 1 — vectorize.
     fn build_x_sides(&mut self, desc: &ConvDesc, corr: Correction) {
         let (cw, cols, ow) = (desc.col_words(), desc.w + 2 * desc.pad, desc.out_w());
-        self.x_sides.resize(desc.x_bits as usize * ow, 0);
-        apnn_bitpack::resize_for_overwrite(&mut self.col_sides, cols);
+        let (p, q) = (desc.w_bits as usize, desc.x_bits as usize);
+        // Every column's side starts at zero and gains each plane's term.
+        self.col_sides.clear();
+        self.col_sides.resize(cols, 0);
         let planes = self.words.chunks_exact((cols * cw).max(1));
-        for (plane, x_sides) in planes.zip(self.x_sides.chunks_exact_mut(ow.max(1))) {
+        for (t, plane) in planes.enumerate() {
+            // Plane `t`'s term of the fold, per set bit.
+            let per_bit = fold_planes(q, p, |i| corr.offset(0, 0, i32::from(i == t)));
             if cw == 1 {
                 for (side, col) in self.col_sides.iter_mut().zip(plane) {
-                    *side = corr.offset(0, 0, col.count_ones() as i32);
+                    *side = side.wrapping_add(per_bit.wrapping_mul(col.count_ones() as i32));
                 }
             } else {
                 for (side, col) in self.col_sides.iter_mut().zip(plane.chunks_exact(cw)) {
-                    *side = corr.offset(0, 0, apnn_bitpack::word::popcount(col) as i32);
+                    let popc = apnn_bitpack::word::popcount(col) as i32;
+                    *side = side.wrapping_add(per_bit.wrapping_mul(popc));
                 }
             }
-            for kx in 0..desc.kw {
-                let sides = &self.col_sides[kx..];
-                if desc.stride == 1 {
-                    for (x_side, side) in x_sides.iter_mut().zip(sides) {
-                        *x_side += side;
-                    }
-                } else {
-                    for (x_side, side) in x_sides.iter_mut().zip(sides.iter().step_by(desc.stride))
-                    {
-                        *x_side += side;
-                    }
+        }
+        self.x_sides.resize(ow, 0);
+        for kx in 0..desc.kw {
+            let sides = &self.col_sides[kx..];
+            if desc.stride == 1 {
+                for (x_side, side) in self.x_sides.iter_mut().zip(sides) {
+                    *x_side = x_side.wrapping_add(*side);
+                }
+            } else {
+                for (x_side, side) in self
+                    .x_sides
+                    .iter_mut()
+                    .zip(sides.iter().step_by(desc.stride))
+                {
+                    *x_side = x_side.wrapping_add(*side);
                 }
             }
         }
@@ -382,12 +393,12 @@ fn place(cols: &mut [u64], cw: usize, at: usize, n: usize, srcs: impl Iterator<I
     }
 }
 
-/// The weight-side part of the correction offset of row group `g`, per
-/// weight plane, over a window whose taps `out_of_frame(ky, kx)` reports
-/// missing: their weight popcounts leave the effective `K`
-/// ([`correct_xor_window`]) and row sum ([`valid_row_popc`]) the §3.2
-/// correction sees — the §4.2(b) amendment, summed per tap. Called only to
-/// build a plan's window-class table ([`ConvExecPlan::new`]); with
+/// The weight-side part of the correction offset of row group `g`, folded
+/// over the plane pairs ([`fold_planes`]), over a window whose taps
+/// `out_of_frame(ky, kx)` reports missing: their weight popcounts leave the
+/// effective `K` ([`correct_xor_window`]) and row sum ([`valid_row_popc`])
+/// the §3.2 correction sees — the §4.2(b) amendment, summed per tap. Called
+/// only to build a plan's window-class table ([`ConvExecPlan::new`]); with
 /// [`Strip::build`]'s activation side, the conv half of the offset the
 /// kernel's finish consumes.
 fn weight_sides(
@@ -396,32 +407,27 @@ fn weight_sides(
     corr: Correction,
     g: usize,
     out_of_frame: impl Fn(usize, usize) -> bool,
-) -> [[i32; LANES]; MAX_PLANES] {
+) -> [i32; LANES] {
     let cin = desc.cin as i32;
-    let mut sides = [[0i32; LANES]; MAX_PLANES];
-    for (s, side) in sides[..desc.w_bits as usize].iter_mut().enumerate() {
-        let mut oob_w = [0i32; LANES];
-        let mut oob_taps = 0i32;
-        for (ky, kx) in (0..desc.kh).flat_map(|ky| (0..desc.kw).map(move |kx| (ky, kx))) {
-            if out_of_frame(ky, kx) {
-                oob_taps += 1;
-                let seg = popc.seg_lanes(s, ky * desc.kw + kx, g);
-                for (sum, v) in oob_w.iter_mut().zip(seg) {
-                    *sum += v;
-                }
-            }
-        }
-        let valid_taps = (desc.kh * desc.kw) as i32 - oob_taps;
-        let row = popc.row_lanes(s, g);
-        *side = std::array::from_fn(|l| {
+    let oob: Vec<(usize, usize)> = (0..desc.kh)
+        .flat_map(|ky| (0..desc.kw).map(move |kx| (ky, kx)))
+        .filter(|&(ky, kx)| out_of_frame(ky, kx))
+        .collect();
+    let oob_taps = oob.len() as i32;
+    let valid_taps = (desc.kh * desc.kw) as i32 - oob_taps;
+    std::array::from_fn(|l| {
+        fold_planes(desc.w_bits as usize, desc.x_bits as usize, |s| {
+            let oob_w: i32 = oob
+                .iter()
+                .map(|&(ky, kx)| popc.seg_lanes(s, ky * desc.kw + kx, g)[l])
+                .sum();
             corr.offset(
-                correct_xor_window(0, cin, valid_taps, oob_w[l], oob_taps),
-                valid_row_popc(row[l], oob_w[l]),
+                correct_xor_window(0, cin, valid_taps, oob_w, oob_taps),
+                valid_row_popc(popc.row_lanes(s, g)[l], oob_w),
                 0,
             )
-        });
-    }
-    sides
+        })
+    })
 }
 
 /// The one APConv driver: convolve `input` (whose batch may be ≤
@@ -434,7 +440,7 @@ fn weight_sides(
 /// are at capacity. Serving workers are the concurrency unit, not this
 /// loop.
 #[allow(clippy::too_many_arguments)]
-fn conv_exec(
+pub(super) fn conv_exec(
     desc: &ConvDesc,
     w: &LanePanel,
     input: &BitTensor4,
@@ -475,9 +481,9 @@ fn conv_exec(
 
 /// Output row `oy` from its strip: for every weight row group — its cells
 /// stay cache-hot across the row — one kernel call per block of `jb` pixels
-/// × `q` planes, whose finished lanes are the group's eight channels of
-/// each pixel. The row's class picks the group's weight-side offsets once;
-/// each pixel's column class picks among them inside the kernel.
+/// × all plane pairs, whose finished lanes are the group's eight channels
+/// of each pixel. The row's class picks the group's weight-side offsets
+/// once; each pixel's column class picks among them inside the kernel.
 fn conv_row(
     desc: &ConvDesc,
     w: &LanePanel,
@@ -490,10 +496,7 @@ fn conv_row(
     let q = desc.x_bits as usize;
     let jb = state.micro.sanitized().jb;
     let (ow, cout) = (desc.out_w(), desc.cout);
-    let fin = Finish {
-        x_stride: ow,
-        ..state.eplan.finish(q)
-    };
+    let fin = state.eplan.finish(q);
     let rc = state.row_class[oy];
 
     let mut block = [[0i32; LANES]; MAX_JB];
@@ -553,109 +556,11 @@ pub(crate) fn conv_exec_store(
     });
 }
 
-/// Fused execution: [`conv_exec`] with the §5.2 tail as its row sink —
-/// residual add, 2×2 pool, the epilogue applied row-wise
-/// ([`Epilogue::rows`]) and word-level packing
-/// ([`BitTensor4::pack_row`]) of the next layer's channel-major
-/// activations into the caller-owned `out` tensor, each band while it is
-/// cache-hot. Allocation-free once `scratch` and `out` have reached the
-/// plan's capacity.
-///
-/// `residual` adds a same-shaped NHWC i32 buffer into the raw accumulators
-/// *before* the pool/epilogue run — the exact-i32 requantization point of a
-/// fused residual block: `quantize(epi(acc + residual))`, with no
-/// intermediate rounding between the two integer paths.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn conv_exec_fused(
-    desc: &ConvDesc,
-    w: &LanePanel,
-    input: &BitTensor4,
-    state: &ConvExecPlan,
-    residual: Option<&[i32]>,
-    pool: Option<Pool2>,
-    epi: &Epilogue,
-    scratch: &mut ConvScratch,
-    out: &mut BitTensor4,
-) {
-    let bits = epi
-        .output_bits()
-        .expect("fused conv stages must end in quantization");
-    let batch = input.shape().0;
-    let (oh, ow, cout) = (desc.out_h(), desc.out_w(), desc.cout);
-    if let Some(res) = residual {
-        assert_eq!(
-            res.len(),
-            batch * oh * ow * cout,
-            "residual buffer must match the accumulator shape"
-        );
-    }
-    let (band, ph, pw) = match pool {
-        None => (1, oh, ow),
-        Some(_) => (2, oh / 2, ow / 2),
-    };
-    // `pack_row` stores every word of every row of the `batch` images
-    // below, channel padding included, so the reshape skips the zeroing
-    // pass of `reset_zeros`.
-    out.reset_for_overwrite(batch, ph, pw, cout, bits, Encoding::ZeroOne);
-    let ConvScratch {
-        strip,
-        acc,
-        vals,
-        codes,
-        bn_den,
-    } = scratch;
-    let epi = epi.rows(cout, bn_den);
-    apnn_bitpack::resize_for_overwrite(vals, pw * cout);
-    apnn_bitpack::resize_for_overwrite(codes, pw * cout);
-    conv_exec(desc, w, input, state, band, strip, acc, |b, py, rows| {
-        if let Some(res) = residual {
-            let res = &res[(b * oh + py * band) * ow * cout..][..rows.len()];
-            for (a, r) in rows.iter_mut().zip(res) {
-                *a += r;
-            }
-        }
-        match pool {
-            None => {
-                for (v, &a) in vals.iter_mut().zip(rows.iter()) {
-                    *v = a as f32;
-                }
-            }
-            Some(kind) => {
-                let (r0, r1) = rows.split_at(ow * cout);
-                pool2_rows(kind, r0, r1, cout, vals, |a| a as f32);
-            }
-        }
-        epi.apply_to_codes(vals, codes);
-        out.pack_row(b, py, codes);
-    });
-}
-
-/// 2×2/stride-2 pooling of two NHWC accumulator rows into `out.len() /
-/// cout` pooled pixels (a trailing odd column is dropped) — the one copy
-/// of the pooling arithmetic.
-fn pool2_rows<T>(
-    kind: Pool2,
-    r0: &[i32],
-    r1: &[i32],
-    cout: usize,
-    out: &mut [T],
-    to: impl Fn(i32) -> T,
-) {
-    let quads = r0.chunks_exact(2 * cout).zip(r1.chunks_exact(2 * cout));
-    for (px, (top, bottom)) in out.chunks_exact_mut(cout).zip(quads) {
-        let ((a, b), (c, d)) = (top.split_at(cout), bottom.split_at(cout));
-        for co in 0..cout {
-            px[co] = to(match kind {
-                Pool2::Max => a[co].max(b[co]).max(c[co]).max(d[co]),
-                Pool2::Avg => (a[co] + b[co] + c[co] + d[co]).div_euclid(4),
-            });
-        }
-    }
-}
-
-/// Fused 2×2/stride-2 pooling over whole-batch NHWC i32 accumulators — for
-/// the allocating paths (compile-time calibration, non-quantizing fused
-/// outputs); the workspace path pools row pairs inside its sink.
+/// 2×2/stride-2 pooling over whole-batch NHWC i32 accumulators (a trailing
+/// odd row or column is dropped) — the scalar spec of the pooling
+/// arithmetic, for the allocating paths (compile-time calibration,
+/// non-quantizing fused outputs) and the reference the fused tail's lanes
+/// are tested against.
 pub fn pool2_i32(
     y: &[i32],
     batch: usize,
@@ -666,11 +571,16 @@ pub fn pool2_i32(
 ) -> Vec<i32> {
     let (ph, pw) = (oh / 2, ow / 2);
     let mut v = vec![0i32; batch * ph * pw * cout];
-    for (i, out) in v.chunks_exact_mut((pw * cout).max(1)).enumerate() {
-        let (b, py) = (i / ph, i % ph);
-        let rows = &y[(b * oh + 2 * py) * ow * cout..][..2 * ow * cout];
-        let (r0, r1) = rows.split_at(ow * cout);
-        pool2_rows(kind, r0, r1, cout, out, |a| a);
+    for (i, px) in v.chunks_exact_mut(cout.max(1)).enumerate() {
+        let (b, py, x) = (i / (ph * pw), i / pw % ph, i % pw);
+        let at = |dy: usize, dx: usize| &y[((b * oh + 2 * py + dy) * ow + 2 * x + dx) * cout..];
+        let (a, b, c, d) = (at(0, 0), at(0, 1), at(1, 0), at(1, 1));
+        for co in 0..cout {
+            px[co] = match kind {
+                Pool2::Max => a[co].max(b[co]).max(c[co]).max(d[co]),
+                Pool2::Avg => (a[co] + b[co] + c[co] + d[co]).div_euclid(4),
+            };
+        }
     }
     v
 }

@@ -1,9 +1,9 @@
 use super::*;
-use crate::apconv::padding::PadFill;
-use crate::apconv::{ApConv, ConvOutput, ConvWeights};
-use crate::fusion::EpilogueOp;
+use crate::apconv::padding::{fill_words, PadFill};
+use crate::apconv::{ApConv, ConvOutput, ConvWeights, Residual};
+use crate::fusion::{Epilogue, EpilogueOp, Steps, Tail};
 use crate::reference::conv2d_i32;
-use apnn_bitpack::{Layout, Tensor4};
+use apnn_bitpack::{Encoding, Layout, Tensor4};
 
 fn lcg(seed: &mut u64) -> u64 {
     *seed = seed
@@ -212,8 +212,22 @@ fn fused_pool_and_quantize() {
         let ConvOutput::Packed(packed) = out else {
             panic!("expected packed")
         };
-        prepared.execute_fused_into(&input, pool, &epi, &mut scratch, &mut slot);
-        assert_eq!(packed, slot, "pool {pool:?}");
+        // The workspace form with the chain's step table and without one
+        // (the f32 row form): the same packed map.
+        let steps = Steps::build(&epi, desc.cout, desc.acc_reach());
+        assert!(steps.is_some(), "a bare 2-bit quantization has a table");
+        for steps in [steps.as_ref(), None] {
+            let tail = Tail::new(&epi, steps);
+            prepared.execute_fused_into(
+                &input,
+                Residual::None,
+                pool,
+                tail,
+                &mut scratch,
+                &mut slot,
+            );
+            assert_eq!(packed, slot, "pool {pool:?} table {}", steps.is_some());
+        }
         assert_eq!(packed.shape(), (2, side, side, 3));
         for (idx, &acc) in want.iter().enumerate() {
             let (co, px) = (idx % 3, idx / 3);
@@ -260,8 +274,8 @@ fn ad_hoc_conv_entry_reuses_the_shape_keyed_memo() {
 /// gather of the same window — bit `ky·cin + c` of column `kx` is channel
 /// `c` of tap `(ky, kx)`, the fill where the tap misses the frame, and
 /// every other bit (a column's pad bits) is zero — plus the in-frame
-/// ranges against a per-tap coordinate test and the activation sides
-/// against a recount, for every output pixel.
+/// ranges against a per-tap coordinate test and the folded activation
+/// sides against a recount, plane by plane, for every output pixel.
 fn check_strip_against_tap_gather(desc: &ConvDesc, fill: &[u64], seed: u64) {
     let mut seed = seed;
     let (input, _) = make_input(desc, &mut seed);
@@ -274,7 +288,7 @@ fn check_strip_against_tap_gather(desc: &ConvDesc, fill: &[u64], seed: u64) {
         "the case must build activation sides"
     );
     let (kh, kw, cin, cw) = (desc.kh, desc.kw, desc.cin, desc.col_words());
-    let q = desc.x_bits as usize;
+    let (p, q) = (desc.w_bits as usize, desc.x_bits as usize);
     let mut strip = Strip::default();
     for b in 0..desc.batch {
         for oy in 0..desc.out_h() {
@@ -282,6 +296,7 @@ fn check_strip_against_tap_gather(desc: &ConvDesc, fill: &[u64], seed: u64) {
             let rows_in = in_frame(oy, desc.stride, desc.pad, desc.h, kh);
             for ox in 0..desc.out_w() {
                 let cols_in = in_frame(ox, desc.stride, desc.pad, desc.w, kw);
+                let mut plane_ones = Vec::new();
                 for t in 0..q {
                     let stream = t * desc.out_w() + ox;
                     let window = &strip.words[state.offsets[stream] as usize..][..kw * cw];
@@ -317,12 +332,13 @@ fn check_strip_against_tap_gather(desc: &ConvDesc, fill: &[u64], seed: u64) {
                         ones,
                         "pad bits of window ({oy},{ox}) plane {t} of {desc:?}"
                     );
-                    assert_eq!(
-                        strip.x_sides[stream],
-                        corr.offset(0, 0, ones as i32),
-                        "activation side ({oy},{ox}) plane {t} of {desc:?}"
-                    );
+                    plane_ones.push(ones as i32);
                 }
+                assert_eq!(
+                    strip.x_sides[ox],
+                    fold_planes(q, p, |t| corr.offset(0, 0, plane_ones[t])),
+                    "activation side ({oy},{ox}) of {desc:?}"
+                );
             }
         }
     }
@@ -390,9 +406,11 @@ proptest::proptest! {
 
 #[test]
 fn window_class_table_equals_per_pixel_weight_sides() {
-    // The plan's `[row class][group][column class][plane]` table, looked
-    // up the way `conv_row` and the kernel do, against `weight_sides` summed for every
-    // output pixel from its own coordinates: strides 1–3, pads up to
+    // The plan's `[row class][group][column class]` table of folded
+    // sides, looked up the way `conv_row` and the kernel do, against
+    // `weight_sides` summed for every output pixel from its own
+    // coordinates — and that against the fold of the per-plane §3.2
+    // offsets written out tap by tap: strides 1–3, pads up to
     // windows wholly outside the frame, oblong kernels, a ragged last
     // group, every encoding pair (the two with ±1 activations are the
     // ones whose weight side depends on the window).
@@ -421,12 +439,33 @@ fn window_class_table_equals_per_pixel_weight_sides() {
                     });
                     let sides = state.class_sides(state.row_class[oy], g, groups);
                     assert_eq!(
-                        &sides[state.col_side[ox] as usize..][..p as usize],
-                        &want[..p as usize],
+                        sides[state.col_side[ox] as usize], want,
                         "pixel ({oy},{ox}) group {g} of {desc:?}"
                     );
+                    let by_hand: [i32; LANES] = std::array::from_fn(|l| {
+                        fold_planes(p as usize, 1, |s| {
+                            let (mut oob_w, mut oob_taps) = (0, 0);
+                            for (ky, kx) in (0..kh).flat_map(|ky| (0..kw).map(move |kx| (ky, kx))) {
+                                let iy = (oy * stride + ky) as isize - pad as isize;
+                                let ix = (ox * stride + kx) as isize - pad as isize;
+                                if !(0..desc.h as isize).contains(&iy)
+                                    || !(0..desc.w as isize).contains(&ix)
+                                {
+                                    oob_taps += 1;
+                                    oob_w += weights.popc().seg_lanes(s, ky * kw + kx, g)[l];
+                                }
+                            }
+                            let valid_taps = (kh * kw) as i32 - oob_taps;
+                            corr.offset(
+                                correct_xor_window(0, desc.cin as i32, valid_taps, oob_w, oob_taps),
+                                valid_row_popc(weights.popc().row_lanes(s, g)[l], oob_w),
+                                0,
+                            )
+                        })
+                    });
+                    assert_eq!(want, by_hand, "fold at ({oy},{ox}) group {g} of {desc:?}");
                 }
-                let classes = state.w_sides.len() / (groups * p as usize);
+                let classes = state.w_sides.len() / groups;
                 assert!(
                     classes <= (2 * pad + 1).pow(2).min(desc.out_h() * desc.out_w()),
                     "{classes} window classes for {desc:?}"
@@ -445,9 +484,15 @@ fn residual_adds_into_raw_accumulators_before_the_epilogue() {
 
     let mut scratch = ConvScratch::default();
     let mut packed = BitTensor4::zeros(1, 1, 1, 1, 1, Encoding::ZeroOne);
-    ApConv::new(desc)
-        .prepare(weights)
-        .execute_fused_residual_into(&input, &res, None, &epi, &mut scratch, &mut packed);
+    let steps = Steps::build(&epi, desc.cout, desc.acc_reach() + 5);
+    ApConv::new(desc).prepare(weights).execute_fused_into(
+        &input,
+        Residual::Accs(&res),
+        None,
+        Tail::new(&epi, steps.as_ref()),
+        &mut scratch,
+        &mut packed,
+    );
 
     // Oracle: raw accumulators + residual, then the epilogue.
     for b in 0..desc.batch {
@@ -484,5 +529,149 @@ fn avg_pool_floors_toward_neg_infinity() {
             panic!("expected i32")
         };
         assert_eq!(&v, want, "epilogue {epi:?}");
+    }
+}
+
+/// One fused call against the scalar spec of its tail — raw accumulators
+/// (+ residual) → [`pool2_i32`] → [`Epilogue::apply_to_code`] →
+/// [`BitTensor4::pack_row`] — on every arm, through the chain's step table
+/// (when it has one) and through the f32 row form. `residual`: 0 none, 1 a
+/// projection's accumulators, 2 an identity branch of `rbits`-wide codes
+/// (checked against its decoded values added as integers).
+fn check_tail(
+    desc: &ConvDesc,
+    pool: Option<Pool2>,
+    (residual, rbits): (u32, u32),
+    bits: u32,
+    seed: u64,
+) {
+    let mut seed = seed;
+    let (input, _) = make_input(desc, &mut seed);
+    let (weights, _) = make_weights(desc, &mut seed);
+    let prepared = ApConv::new(*desc).prepare(weights);
+    let (n, oh, ow, cout) = (desc.batch, desc.out_h(), desc.out_w(), desc.cout);
+    let mut y = prepared.execute(&input);
+
+    let accs: Vec<i32> = (0..y.len())
+        .map(|_| (lcg(&mut seed) % 41) as i32 - 20)
+        .collect();
+    let codes = Tensor4::<u32>::from_fn(n, cout, oh, ow, Layout::Nhwc, |_, _, _, _| {
+        (lcg(&mut seed) as u32) % (1 << rbits)
+    });
+    let branch = BitTensor4::from_tensor(&codes, rbits, Encoding::ZeroOne);
+    let (residual, kind, added) = match residual {
+        0 => (Residual::None, "none", vec![0; y.len()]),
+        1 => (Residual::Accs(&accs), "projection", accs.clone()),
+        _ => {
+            let mut decoded = vec![0i32; y.len()];
+            branch.unpack(&mut decoded);
+            (Residual::Codes(&branch), "identity", decoded)
+        }
+    };
+    for (a, r) in y.iter_mut().zip(&added) {
+        *a += r;
+    }
+    let (ph, pw) = match pool {
+        None => (oh, ow),
+        Some(kind) => {
+            y = pool2_i32(&y, n, oh, ow, cout, kind);
+            (oh / 2, ow / 2)
+        }
+    };
+
+    // BatchNorm with `γ` of both signs (and an exact zero), an optional
+    // ReLU, and a quantization spread over the accumulators' range.
+    let (lo, hi) = y.iter().fold((0, 1), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    let mut unit = |scale: f32| (lcg(&mut seed) % 2001) as f32 / 1000.0 * scale - scale;
+    let gamma: Vec<f32> = (0..cout)
+        .map(|c| if c % 7 == 3 { 0.0 } else { unit(1.5) })
+        .collect();
+    let mut epi = Epilogue::none().then(EpilogueOp::BatchNorm {
+        gamma,
+        beta: (0..cout).map(|_| unit(2.0)).collect(),
+        mean: (0..cout)
+            .map(|_| (lo + hi) as f32 / 2.0 + unit(3.0))
+            .collect(),
+        var: (0..cout).map(|_| 2.5 + unit(2.0)).collect(),
+        eps: 1e-5,
+    });
+    if unit(1.0) < 0.0 {
+        epi = epi.then(EpilogueOp::Relu);
+    }
+    let epi = epi.then(EpilogueOp::Quantize {
+        scale: ((hi - lo) as f32 / (1u32 << bits) as f32 / 2.0).max(0.05),
+        zero_point: unit(1.0),
+        bits,
+    });
+
+    let mut want = BitTensor4::zeros(n, ph, pw, cout, bits, Encoding::ZeroOne);
+    for (i, row) in y.chunks_exact((pw * cout).max(1)).enumerate() {
+        let codes: Vec<u32> = row
+            .iter()
+            .enumerate()
+            .map(|(j, &acc)| epi.apply_to_code(acc, j % cout))
+            .collect();
+        want.pack_row(i / ph, i % ph, &codes);
+    }
+
+    let steps = Steps::build(&epi, cout, desc.acc_reach());
+    assert_eq!(
+        steps.is_some(),
+        bits <= 4,
+        "finite chains up to 4 bits have a table"
+    );
+    let mut scratch = ConvScratch::default();
+    // A slot whose stale contents must not survive.
+    let mut got = BitTensor4::from_tensor(&codes, rbits, Encoding::ZeroOne);
+    for arm in PopcntArm::ALL {
+        let prepared = prepared.clone().with_arm(arm);
+        for steps in [steps.as_ref(), None] {
+            let tail = Tail::new(&epi, steps);
+            prepared.execute_fused_into(&input, residual, pool, tail, &mut scratch, &mut got);
+            assert_eq!(
+                got,
+                want,
+                "{arm:?} table {} pool {pool:?} residual {kind} of {desc:?}",
+                steps.is_some()
+            );
+        }
+    }
+}
+
+#[test]
+fn fused_tail_matches_the_scalar_spec_on_the_zoo_corner_shapes() {
+    // Ragged and multi-word channel counts, every residual kind under
+    // every pool, every table width and the widths past it.
+    let mut seed = 5;
+    for cout in [1usize, 16, 24, 65, 130] {
+        for pool in [None, Some(Pool2::Max), Some(Pool2::Avg)] {
+            for residual in 0..3 {
+                for bits in [1u32, 2, 3, 4, 5, 8] {
+                    seed += 1;
+                    let desc = ConvDesc::unsigned(2, 5, 5, cout, 3, 1, 1, 1, 2);
+                    check_tail(&desc, pool, (residual, 1 + bits % 3), bits, seed);
+                }
+            }
+        }
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+    /// The grid above at random geometry (the nightly deep run drives this
+    /// at 2048 cases).
+    #[test]
+    fn tail_equals_pool_epilogue_pack(
+        h in 1usize..8, w in 1usize..8, k in 1usize..4, stride in 1usize..3, pad in 0usize..2,
+        cin in 1usize..20, cout in 1usize..80, p in 1u32..3, q in 1u32..3,
+        pool in 0u32..3, residual in 0u32..3, rbits in 1u32..4, bits in 1u32..7,
+        seed in proptest::prelude::any::<u64>(),
+    ) {
+        proptest::prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
+        let mut desc = ConvDesc::unsigned(2, cin, h, cout, k, stride, pad, p, q);
+        desc.w = w;
+        let pool = [None, Some(Pool2::Max), Some(Pool2::Avg)][pool as usize];
+        check_tail(&desc, pool, (residual, rbits), bits, seed);
     }
 }

@@ -22,11 +22,19 @@
 //! 64-bit word, and §4.2's point is to lay operands out so the fragment is
 //! full. Both operands drop the same zero bits, so every count is
 //! unchanged.
+//!
+//! A fused convolution ends in [`tail`]: the residual ([`Residual`] — a
+//! projection's accumulators, or an identity branch read packed), the 2×2
+//! pool and the quantizing chain — as its compiled integer steps
+//! ([`crate::fusion::Tail`]) — run on each band of finished rows in one
+//! pass of integer lanes whose compare masks are stored as the next layer's
+//! packed words (§5.2 + the §4.1(b) ballot).
 
 pub mod cpu;
 pub mod im2row;
 pub mod padding;
 pub mod simmap;
+pub mod tail;
 pub mod weights;
 
 use apnn_bitpack::word::pad_to_bmma_k;
@@ -35,7 +43,8 @@ use apnn_sim::{GpuSpec, KernelReport};
 
 use crate::apmm::{ApmmDesc, TileConfig};
 use crate::autotune::autotune;
-use crate::fusion::Epilogue;
+use crate::fusion::{Epilogue, Steps, Tail};
+pub use tail::Residual;
 pub use weights::ConvWeights;
 
 /// Shape + precision of one convolution layer.
@@ -148,6 +157,13 @@ impl ConvDesc {
     /// Valid (logical) reduction length per fully-in-frame window.
     pub fn k_valid(&self) -> usize {
         self.kh * self.kw * self.cin
+    }
+
+    /// A bound on the magnitude of every accumulator the layer can emit:
+    /// `k_valid` products of codes below `2^p` and `2^q` (±1 operands are
+    /// one bit wide). Saturating; see [`Steps::build`] for what it is for.
+    pub fn acc_reach(&self) -> i32 {
+        crate::apmm::acc_reach(self.k_valid(), self.w_bits, self.x_bits)
     }
 
     /// The implicit-GEMM description this convolution maps onto. `k` is the
@@ -382,57 +398,29 @@ impl PreparedConv {
         );
     }
 
-    /// Workspace form of [`PreparedConv::execute_fused`] for
-    /// quantizing epilogues: each accumulator row is pooled, transformed
-    /// and packed out of `scratch` as soon as it is finished, and the
-    /// packed channel-major activations are rebuilt in place in `out`
-    /// (see [`apnn_bitpack::BitTensor4::pack_row`]).
-    /// Panics if `epi` does not end in quantization — the compiled-plan
-    /// engine only runs quantizing conv stages.
+    /// Workspace form of [`PreparedConv::execute_fused`] for quantizing
+    /// chains: `residual` is added into the raw i32 accumulators, then each
+    /// band of rows is pooled, run through `tail` and packed as soon as it
+    /// is finished ([`tail`](mod@tail)), and the channel-major activations
+    /// are rebuilt in place in `out`. Exactness is integer end-to-end: no
+    /// rounding happens between the main-path and skip-path contributions.
     pub fn execute_fused_into(
         &self,
         input: &BitTensor4,
+        residual: Residual<'_>,
         pool: Option<Pool2>,
-        epi: &Epilogue,
+        tail: Tail<'_>,
         scratch: &mut cpu::ConvScratch,
         out: &mut BitTensor4,
     ) {
-        cpu::conv_exec_fused(
+        tail::conv_exec_fused(
             &self.desc,
             &self.panel,
             input,
             &self.exec_plan,
-            None,
+            residual,
             pool,
-            epi,
-            scratch,
-            out,
-        );
-    }
-
-    /// [`PreparedConv::execute_fused_into`] with a residual buffer added
-    /// into the raw i32 accumulators *before* pooling and the epilogue —
-    /// the fused lowering of a ResNet block tail. `residual` must hold
-    /// `batch·out_h·out_w·cout` NHWC values (the same shape the conv
-    /// accumulates); exactness is integer end-to-end: no rounding happens
-    /// between the main-path and skip-path contributions.
-    pub fn execute_fused_residual_into(
-        &self,
-        input: &BitTensor4,
-        residual: &[i32],
-        pool: Option<Pool2>,
-        epi: &Epilogue,
-        scratch: &mut cpu::ConvScratch,
-        out: &mut BitTensor4,
-    ) {
-        cpu::conv_exec_fused(
-            &self.desc,
-            &self.panel,
-            input,
-            &self.exec_plan,
-            Some(residual),
-            pool,
-            epi,
+            tail,
             scratch,
             out,
         );
@@ -440,10 +428,10 @@ impl PreparedConv {
 }
 
 /// The allocating fused tail behind both `execute_fused` spellings: a
-/// quantizing epilogue packs through [`cpu::conv_exec_fused`]; a
-/// non-quantizing one returns the (pooled, epilogue-transformed) i32
-/// accumulators — the one output form the workspace entry points never
-/// produce.
+/// quantizing epilogue packs through the fused sink, its [`Steps`] compiled
+/// for the call; a non-quantizing one returns the (pooled,
+/// epilogue-transformed) i32 accumulators — the one output form the
+/// workspace entry points never produce.
 fn fused_owned(
     desc: &ConvDesc,
     w: &LanePanel,
@@ -455,7 +443,20 @@ fn fused_owned(
     let mut scratch = cpu::ConvScratch::default();
     if let Some(bits) = epi.output_bits() {
         let mut t = BitTensor4::zeros(0, 1, 1, desc.cout, bits, Encoding::ZeroOne);
-        cpu::conv_exec_fused(desc, w, input, state, None, pool, epi, &mut scratch, &mut t);
+        let steps = Steps::build(epi, desc.cout, desc.acc_reach());
+        let tail = Tail::new(epi, steps.as_ref());
+        let none = Residual::None;
+        tail::conv_exec_fused(
+            desc,
+            w,
+            input,
+            state,
+            none,
+            pool,
+            tail,
+            &mut scratch,
+            &mut t,
+        );
         return ConvOutput::Packed(t);
     }
     let mut v = Vec::new();

@@ -5,10 +5,13 @@
 //! (solved by the in-block shift-add — see `simmap`), and converting 32-bit
 //! values into `q`-bit packed codes for the next layer (solved here by the
 //! ballot-style inter-thread packing, emulated via `apnn_bitpack::ballot`).
+//! The hot form quantizes through the stage's compiled [`Tail`] — the same
+//! thing the conv kernels are handed — so a hidden linear stage's codes are
+//! integer compares against its step table, not the f32 chain.
 
 use apnn_bitpack::{ballot, BitPlanes, Encoding};
 
-use crate::fusion::Epilogue;
+use crate::fusion::{Epilogue, Tail};
 
 /// Quantize the row-major `m×n` accumulator matrix through `epi` and pack
 /// the resulting codes **transposed** (rows = n, cols = m) so the packed
@@ -25,41 +28,41 @@ pub fn quantize_pack_transposed(
     epi: &Epilogue,
     bits: u32,
 ) -> BitPlanes {
-    let mut codes = Vec::new();
-    let mut out = BitPlanes::zeros(n, m, bits, Encoding::ZeroOne);
-    quantize_pack_transposed_into(y, m, n, epi, bits, &mut codes, &mut out);
-    out
-}
-
-/// [`quantize_pack_transposed`] writing into caller-owned buffers: `codes`
-/// is the transposed quantized-code scratch, `out` the packed result
-/// (rebuilt in place, see [`BitPlanes::from_codes_into`]). Allocation-free
-/// once both have reached their peak capacity — the workspace-reuse form
-/// used by steady-state serving.
-pub fn quantize_pack_transposed_into(
-    y: &[i32],
-    m: usize,
-    n: usize,
-    epi: &Epilogue,
-    bits: u32,
-    codes: &mut Vec<u32>,
-    out: &mut BitPlanes,
-) {
-    assert_eq!(y.len(), m * n);
     assert_eq!(
         epi.output_bits(),
         Some(bits),
         "epilogue must end in quantize"
     );
+    let mut codes = Vec::new();
+    let mut out = BitPlanes::zeros(n, m, bits, Encoding::ZeroOne);
+    quantize_pack_transposed_into(y, m, n, Tail::new(epi, None), &mut codes, &mut out);
+    out
+}
+
+/// [`quantize_pack_transposed`] through a compiled [`Tail`], writing into
+/// caller-owned buffers: `codes` is the transposed quantized-code scratch,
+/// `out` the packed result (rebuilt in place, see
+/// [`BitPlanes::from_codes_into`]). Allocation-free once both have reached
+/// their peak capacity — the workspace-reuse form used by steady-state
+/// serving.
+pub fn quantize_pack_transposed_into(
+    y: &[i32],
+    m: usize,
+    n: usize,
+    tail: Tail<'_>,
+    codes: &mut Vec<u32>,
+    out: &mut BitPlanes,
+) {
+    assert_eq!(y.len(), m * n);
     // Codes of the transposed output: row j (batch), col i (feature).
     // Every code is stored by the transpose loop — no zeroing pass.
     apnn_bitpack::resize_for_overwrite(codes, n * m);
     for i in 0..m {
         for j in 0..n {
-            codes[j * m + i] = epi.apply_to_code(y[i * n + j], i);
+            codes[j * m + i] = tail.code(y[i * n + j], i);
         }
     }
-    out.from_codes_into(codes, n, m, bits, Encoding::ZeroOne);
+    out.from_codes_into(codes, n, m, tail.bits(), Encoding::ZeroOne);
 }
 
 /// The warp-level packing route used on the GPU: quantize a stream of 32

@@ -11,27 +11,35 @@ use apnn_bitpack::{BitPlanes, LanePanel, PopcntArm, LANES};
 
 use super::ApmmDesc;
 use crate::autotune::{MicroTile, MAX_JB};
-use crate::select::EmulationPlan;
+use crate::select::{fold_planes, EmulationPlan};
 
 /// The weight side of every output's correction offset (§3.2's `k·K +
-/// r·W·J`), `[group][plane]`-ordered, one entry per panel lane — the
-/// weight-side precomputation hoisted into compiled plans, in the form the
-/// kernel's finish consumes it. Building the `W·J` row sums a case needs
-/// bumps [`crate::stats::row_sum_builds`], so tests can prove prepared
-/// kernels compute these exactly once per plan and never on the inference
-/// hot path.
-pub fn weight_sides(w: &LanePanel, eplan: EmulationPlan, k_valid: usize) -> Vec<[i32; LANES]> {
+/// r·W·J`), one entry per row group and panel lane, folded over the plane
+/// pairs of `q` activation planes ([`fold_planes`]) — the weight-side
+/// precomputation hoisted into compiled plans, in the form the kernel's
+/// finish consumes it. Building the `W·J` row sums a case needs bumps
+/// [`crate::stats::row_sum_builds`], so tests can prove prepared kernels
+/// compute these exactly once per plan and never on the inference hot
+/// path.
+pub fn weight_sides(
+    w: &LanePanel,
+    eplan: EmulationPlan,
+    k_valid: usize,
+    q: usize,
+) -> Vec<[i32; LANES]> {
     let corr = eplan.case.correction();
     let p = w.n_planes();
-    let mut sides = vec![[corr.offset(k_valid as i32, 0, 0); LANES]; w.groups() * p];
+    let flat = fold_planes(p, q, |_| corr.offset(k_valid as i32, 0, 0));
+    let mut sides = vec![[flat; LANES]; w.groups()];
     if corr.needs_row_sums() {
         crate::stats::count_row_sums_build();
-        for s in 0..p {
-            for (g, sums) in w.row_sums(s).chunks_exact(LANES).enumerate() {
-                for (side, &sum) in sides[g * p + s].iter_mut().zip(sums) {
-                    *side = corr.offset(k_valid as i32, sum, 0);
-                }
-            }
+        let sums: Vec<Vec<i32>> = (0..p).map(|s| w.row_sums(s)).collect();
+        for (g, side) in sides.iter_mut().enumerate() {
+            *side = std::array::from_fn(|l| {
+                fold_planes(p, q, |s| {
+                    corr.offset(k_valid as i32, sums[s][g * LANES + l], 0)
+                })
+            });
         }
     }
     sides
@@ -43,8 +51,8 @@ pub fn weight_sides(w: &LanePanel, eplan: EmulationPlan, k_valid: usize) -> Vec<
 /// every later call — full or partial shard — is then allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct ApmmScratch {
-    /// Flat `q × n` activation sides of the correction offset (`c·J·X`,
-    /// input-dependent, rebuilt per call in place).
+    /// The `n` activation sides of the correction offset (`c·J·X` folded
+    /// over the plane pairs; input-dependent, rebuilt per call in place).
     pub(crate) col_sums: Vec<i32>,
     /// Raw `m × n` i32 accumulators for fused executions.
     pub(crate) acc: Vec<i32>,
@@ -52,7 +60,7 @@ pub struct ApmmScratch {
 
 impl ApmmScratch {
     /// Pre-size the scratch: `col_sums` activation-correction entries
-    /// (`x_bits × batch`) and `acc` accumulator elements (`m × batch`).
+    /// (`batch`) and `acc` accumulator elements (`m × batch`).
     pub fn reserve(&mut self, col_sums: usize, acc: usize) {
         self.col_sums
             .reserve(col_sums.saturating_sub(self.col_sums.len()));
@@ -105,18 +113,16 @@ pub(crate) fn apmm_exec(
 
     let corr = eplan.case.correction();
     if corr.needs_col_sums() {
-        // Plane-major, like the kernel's streams.
-        for plane in x.planes() {
-            x_sides.extend((0..n).map(|j| corr.offset(0, 0, plane.row_popcount(j) as i32)));
-        }
+        x_sides.extend((0..n).map(|j| {
+            fold_planes(q, p, |t| {
+                corr.offset(0, 0, x.plane(t as u32).row_popcount(j) as i32)
+            })
+        }));
     }
 
     let jb = micro.sanitized().jb;
     let arm = arm.sanitized();
-    let fin = Finish {
-        x_stride: n,
-        ..eplan.finish(q)
-    };
+    let fin = eplan.finish(q);
     let mut block = [[0i32; LANES]; MAX_JB];
     for j0 in (0..n).step_by(jb) {
         let jbc = jb.min(n - j0);
@@ -124,7 +130,7 @@ pub(crate) fn apmm_exec(
         let xs = Rows { x, row0: j0 };
         for g in 0..w.groups() {
             let fin = Finish {
-                w_sides: &w_sides[g * p..][..p],
+                w_sides: &w_sides[g..=g],
                 side_at: &[0; MAX_JB][..jbc],
                 x_sides: if x_sides.is_empty() {
                     &[]

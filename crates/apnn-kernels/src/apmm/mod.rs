@@ -27,7 +27,7 @@ use apnn_bitpack::{BitPlanes, Encoding, LanePanel, PopcntArm};
 use apnn_sim::{GpuSpec, KernelReport};
 
 use crate::autotune::{autotune, select_micro, MicroTile};
-use crate::fusion::Epilogue;
+use crate::fusion::{Epilogue, Tail};
 use crate::select::{plan, EmulationPlan};
 
 /// Shape + precision description of one APMM problem.
@@ -95,6 +95,14 @@ impl ApmmDesc {
         plan(self.w_enc, self.x_enc)
     }
 
+    /// A bound on the magnitude of every accumulator the product can hold:
+    /// `k` products of codes below `2^p` and `2^q` (±1 operands are one bit
+    /// wide). Saturating; see [`crate::fusion::Steps::build`] for what it
+    /// is for.
+    pub fn acc_reach(&self) -> i32 {
+        acc_reach(self.k, self.w_bits, self.x_bits)
+    }
+
     /// K padded to the 128-bit fragment boundary.
     pub fn k_padded(&self) -> usize {
         apnn_bitpack::word::pad_to_bmma_k(self.k)
@@ -121,6 +129,13 @@ impl ApmmDesc {
         assert_eq!(x.bits(), self.x_bits, "activation bits");
         assert_eq!(x.encoding(), self.x_enc, "activation encoding");
     }
+}
+
+/// `k` products of a `p`-bit and a `q`-bit code, saturating — the bound
+/// behind [`ApmmDesc::acc_reach`] and `ConvDesc::acc_reach`.
+pub(crate) fn acc_reach(k: usize, p: u32, q: u32) -> i32 {
+    let per_mac = ((1u64 << p) - 1) * ((1u64 << q) - 1);
+    i32::try_from(k as u64 * per_mac).unwrap_or(i32::MAX)
 }
 
 /// Output of a fused APMM.
@@ -164,7 +179,7 @@ impl Apmm {
         self.desc.check_operands(w, x);
         let eplan = self.desc.plan();
         let panel = LanePanel::from_bitplanes(w);
-        let sides = cpu::weight_sides(&panel, eplan, self.desc.k);
+        let sides = cpu::weight_sides(&panel, eplan, self.desc.k, self.desc.x_bits as usize);
         let (arm, micro) = (PopcntArm::detect(), select_micro(self.desc.n));
         let (mut col_sums, mut out) = (Vec::new(), Vec::new());
         cpu::apmm_exec(
@@ -203,7 +218,7 @@ impl Apmm {
         crate::stats::count_weight_prepare();
         let plan = self.desc.plan();
         let panel = LanePanel::from_bitplanes(&weights);
-        let w_sides = cpu::weight_sides(&panel, plan, self.desc.k);
+        let w_sides = cpu::weight_sides(&panel, plan, self.desc.k, self.desc.x_bits as usize);
         let (arm, micro) = (PopcntArm::detect(), select_micro(self.desc.n));
         PreparedApmm {
             desc: self.desc,
@@ -261,7 +276,7 @@ impl PreparedApmm {
     /// correction offsets the new plan's case consumes. Every plan is
     /// bit-identical.
     pub fn with_plan(mut self, plan: EmulationPlan) -> Self {
-        self.w_sides = cpu::weight_sides(&self.panel, plan, self.desc.k);
+        self.w_sides = cpu::weight_sides(&self.panel, plan, self.desc.k, self.desc.x_bits as usize);
         self.plan = plan;
         self
     }
@@ -338,22 +353,19 @@ impl PreparedApmm {
         );
     }
 
-    /// Workspace form of [`PreparedApmm::execute_fused`] for
-    /// quantizing epilogues: accumulators go through `scratch`, quantized
-    /// transposed codes through `codes`, and the packed next-layer operand
-    /// is rebuilt in place in `out`. Panics if `epi` does not end in
-    /// quantization (the output layer uses [`PreparedApmm::execute_into`]).
+    /// Workspace form of [`PreparedApmm::execute_fused`] for quantizing
+    /// chains: accumulators go through `scratch`, the transposed codes
+    /// `tail` gives them through `codes`, and the packed next-layer operand
+    /// is rebuilt in place in `out` (the output layer, which does not
+    /// quantize, uses [`PreparedApmm::execute_into`]).
     pub fn execute_fused_into(
         &self,
         x: &BitPlanes,
-        epi: &Epilogue,
+        tail: Tail<'_>,
         scratch: &mut cpu::ApmmScratch,
         codes: &mut Vec<u32>,
         out: &mut BitPlanes,
     ) {
-        let bits = epi
-            .output_bits()
-            .expect("execute_fused_into requires a quantizing epilogue");
         self.check_acts(x);
         let cpu::ApmmScratch { col_sums, acc } = scratch;
         cpu::apmm_exec(
@@ -367,7 +379,7 @@ impl PreparedApmm {
             col_sums,
             acc,
         );
-        combine::quantize_pack_transposed_into(acc, self.desc.m, x.rows(), epi, bits, codes, out);
+        combine::quantize_pack_transposed_into(acc, self.desc.m, x.rows(), tail, codes, out);
     }
 }
 
@@ -508,16 +520,21 @@ mod tests {
         prepared.execute_into(&x, &mut scratch, &mut out);
         assert_eq!(out, prepared.execute(&x));
 
+        // With and without the chain's step table: the same codes.
         let epi = Epilogue::quantize(8.0, 0.0, 2);
         let mut codes = Vec::new();
         let mut packed = apnn_bitpack::BitPlanes::zeros(desc.n, desc.m, 2, Encoding::ZeroOne);
-        prepared.execute_fused_into(&x, &epi, &mut scratch, &mut codes, &mut packed);
-        let FusedOutput::Packed(want) = prepared.execute_fused(&x, &epi) else {
-            panic!("expected packed output")
-        };
-        assert_eq!(packed.reconstruct_codes(), want.reconstruct_codes());
-        assert_eq!(packed.rows(), want.rows());
-        assert_eq!(packed.cols(), want.cols());
+        let steps = crate::fusion::Steps::build(&epi, desc.m, desc.acc_reach());
+        for steps in [None, steps.as_ref()] {
+            let tail = Tail::new(&epi, steps);
+            prepared.execute_fused_into(&x, tail, &mut scratch, &mut codes, &mut packed);
+            let FusedOutput::Packed(want) = prepared.execute_fused(&x, &epi) else {
+                panic!("expected packed output")
+            };
+            assert_eq!(packed.reconstruct_codes(), want.reconstruct_codes());
+            assert_eq!(packed.rows(), want.rows());
+            assert_eq!(packed.cols(), want.cols());
+        }
     }
 
     #[test]

@@ -324,9 +324,10 @@ impl BenchOperands {
     }
 
     /// Time one `jb` candidate with `op` on `arm` through the kernels' own
-    /// finishing entry (a unit correction: the finish costs the same for
-    /// every case); returns ns per plane-pair word of one output (warm-up
-    /// call excluded).
+    /// entry — the block-of-all-plane-pairs loop with its one finish per
+    /// output (a unit correction with zero folded offsets: the finish costs
+    /// the same for every case); returns ns per plane-pair word of one
+    /// output (warm-up call excluded).
     fn time_candidate(&self, op: BmmaOp, arm: PopcntArm, jb: usize) -> f64 {
         use apnn_bitpack::popcnt::{finish_lanes, Finish, Rows};
         let (pa, pb) = (self.w.n_planes(), self.x.bits() as usize);
@@ -339,10 +340,9 @@ impl BenchOperands {
             a: 1,
             halve: 0,
             q: pb,
-            w_sides: &[[0; LANES]; crate::micro::MAX_PLANES][..pa],
+            w_sides: &[[0; LANES]],
             side_at: &[0; MAX_JB][..jb],
             x_sides: &[],
-            x_stride: 0,
         };
         let mut block = [[0i32; LANES]; MAX_JB];
         let block = &mut block[..jb];

@@ -20,18 +20,20 @@
 //!   activation strip for the windows of a block of output pixels for
 //!   APConv ([`apnn_bitpack::popcnt::Offsets`], a table built once per
 //!   plan);
-//! * one K pass per `(plane pair, ≤ 8 outputs)` accumulates
-//!   `popc(op(cell, word))` per lane and **ends in the finish**
-//!   ([`crate::select::EmulationPlan::finish`]): multiply by the case's
-//!   popcount coefficient, add the offset's weight side (per lane, fixed at
-//!   `prepare` for every class of output) and activation side (per stream), halve, shift by `s + t`,
-//!   and sum into the output's eight lanes. No raw count reaches memory, no
-//!   horizontal sum, no per-output call; the accumulators are registers and
-//!   the pass itself is [`apnn_bitpack::popcnt`]'s kernel, instantiated per
-//!   popcount arm.
+//! * a block of ≤ 8 outputs walks **every** plane pair: one K pass per
+//!   pair accumulates `popc(op(cell, word))` per lane and joins the
+//!   outputs' 64-bit totals shifted by `s + t`, and the block **ends in one
+//!   finish per output** ([`crate::select::EmulationPlan::finish`]):
+//!   multiply the total by the case's popcount coefficient, add the
+//!   offset's weight side (per lane, fixed at `prepare` for every class of
+//!   output) and activation side (per output) — both folded over the plane
+//!   pairs ([`crate::select::fold_planes`]) — halve, and store the output's
+//!   eight lanes. No raw count reaches memory, no horizontal sum, no
+//!   per-output call; the accumulators are registers and the body itself is
+//!   [`apnn_bitpack::popcnt`]'s kernel, instantiated per popcount arm.
 //!
 //! Every finished lane is the exact integer the scalar spec
-//! ([`crate::select::adjust_partial`], summed s-major / t-minor) produces,
+//! ([`crate::select::adjust_partial`], shift-added over the plane pairs) produces,
 //! so **any** row-block width and any arm is bit-identical to any other:
 //! tiling moves throughput, never results. The differential proptests drive
 //! this across all emulation cases × block sizes × arms × partial shards.
@@ -42,7 +44,7 @@ pub const MAX_PLANES: usize = 8;
 #[cfg(test)]
 mod tests {
     use crate::autotune::MAX_JB;
-    use crate::select::{adjust_partial, plan, plan_xor_only, EmulationPlan};
+    use crate::select::{adjust_partial, fold_planes, plan, plan_xor_only, EmulationPlan};
     use apnn_bitpack::popcnt::{finish_lanes, Finish, Offsets, Rows};
     use apnn_bitpack::{BitPlanes, Encoding, LanePanel, PopcntArm, LANES};
     use apnn_sim::BmmaOp;
@@ -108,28 +110,31 @@ mod tests {
     }
 
     /// Both offset sides of row group `g` × rows `j0..j0 + jb`, the way the
-    /// drivers build them: `[s][lane]` and `[t][j]`.
+    /// drivers build them: per lane and per row, folded over the plane
+    /// pairs.
     fn sides(
         eplan: EmulationPlan,
         panel: &LanePanel,
         g: usize,
         x: &BitPlanes,
         (j0, jb): (usize, usize),
-    ) -> (Vec<[i32; LANES]>, Vec<i32>) {
+    ) -> ([i32; LANES], Vec<i32>) {
         let corr = eplan.case.correction();
         let k = x.cols() as i32;
-        let w_sides = (0..panel.n_planes())
-            .map(|s| {
-                let sums = panel.row_sums(s);
-                std::array::from_fn(|l| corr.offset(k, sums[g * LANES + l], 0))
+        let (p, q) = (panel.n_planes(), x.bits() as usize);
+        let w_side = std::array::from_fn(|l| {
+            fold_planes(p, q, |s| {
+                corr.offset(k, panel.row_sums(s)[g * LANES + l], 0)
+            })
+        });
+        let x_sides = (j0..j0 + jb)
+            .map(|j| {
+                fold_planes(q, p, |t| {
+                    corr.offset(0, 0, x.plane(t as u32).row_popcount(j) as i32)
+                })
             })
             .collect();
-        let x_sides = (0..x.bits())
-            .flat_map(|t| {
-                (j0..j0 + jb).map(move |j| corr.offset(0, 0, x.plane(t).row_popcount(j) as i32))
-            })
-            .collect();
-        (w_sides, x_sides)
+        (w_side, x_sides)
     }
 
     #[test]
@@ -161,12 +166,11 @@ mod tests {
                         .into_iter()
                         .flat_map(|a| [1usize, 2, 3, 8].map(|jb| (a, jb)))
                     {
-                        let (w_sides, x_sides) = sides(eplan, &panel, g, &x, (1, jb));
+                        let (w_side, x_sides) = sides(eplan, &panel, g, &x, (1, jb));
                         let fin = Finish {
-                            w_sides: &w_sides,
+                            w_sides: &[w_side],
                             side_at: &[0; MAX_JB][..jb],
                             x_sides: &x_sides,
-                            x_stride: jb,
                             ..eplan.finish(q as usize)
                         };
                         // Stale cells must be overwritten.
@@ -210,12 +214,11 @@ mod tests {
             assert_eq!(x.plane(0).row_words(j)[..kw], flat[o as usize..][..kw]);
         }
 
-        let (w_sides, x_sides) = sides(eplan, &panel, 1, &x, (0, n_px));
+        let (w_side, x_sides) = sides(eplan, &panel, 1, &x, (0, n_px));
         let fin = Finish {
-            w_sides: &w_sides,
+            w_sides: &[w_side],
             side_at: &[0; MAX_JB][..n_px],
             x_sides: &x_sides,
-            x_stride: n_px,
             ..eplan.finish(1)
         };
         let want = naive_lanes(eplan, &w, 1, &x, (0, n_px));

@@ -54,7 +54,8 @@ pub struct EmulationPlan {
 impl EmulationPlan {
     /// The plan as the lane kernel runs it: the boolean op and the case's
     /// popcount coefficients, for `q` dynamic planes per output. The
-    /// drivers fill in the offset sides ([`Correction::offset`]) per call.
+    /// drivers fill in the offset sides ([`Correction::offset`], folded
+    /// over the plane pairs by [`fold_planes`]) per call.
     pub fn finish(self, q: usize) -> Finish<'static> {
         let corr = self.case.correction();
         Finish {
@@ -65,7 +66,6 @@ impl EmulationPlan {
             w_sides: &[],
             side_at: &[],
             x_sides: &[],
-            x_stride: 0,
         }
     }
 }
@@ -129,6 +129,14 @@ pub fn plan_for_device(w: Encoding, x: Encoding, supports_and: bool) -> Emulatio
 /// itself linear, hence a weight side fixed at `prepare` plus an activation
 /// side per input — and the multiply-add-shift the lane kernel runs on its
 /// accumulators ([`EmulationPlan::finish`]).
+///
+/// The kernel applies it **once per output**, to the shift-added total
+/// `Σ popc(s, t) << (s + t)`, with each side folded over the plane pairs it
+/// repeats in ([`fold_planes`]). Without a halving that is the distributive
+/// law. With one (`XorDerivedUnsigned`, the only case that halves) it rests
+/// on every partial's numerator being even: the sides are the operands' own
+/// popcounts, and `popc(w) + popc(x) − popc(w ⊕ x) = 2·popc(w ∧ x)`, so
+/// `Σ (n_st >> 1) << (s + t) = (Σ n_st << (s + t)) >> 1` exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Correction {
     /// Multiplier of the raw popcount.
@@ -178,6 +186,19 @@ impl Correction {
     pub fn offset(self, k_valid: i32, w_row_sum: i32, x_col_sum: i32) -> i32 {
         self.k * k_valid + self.r * w_row_sum + self.c * x_col_sum
     }
+}
+
+/// One side of a correction offset folded over the plane pairs: `plane(i)`
+/// is the side's per-plane value for `i ∈ 0..planes` of its own operand, and
+/// every pair `(i, j)`, `j ∈ 0..others` planes of the other operand, repeats
+/// it at shift `i + j` — `Σ_i plane(i)·2^i·(2^others − 1)`. Wrapping, like
+/// the kernel's finish: exact whenever the finished output fits an `i32`.
+#[inline]
+pub fn fold_planes(planes: usize, others: usize, plane: impl Fn(usize) -> i32) -> i32 {
+    let spread = ((1i64 << others) - 1) as i32;
+    (0..planes).fold(0i32, |sum, i| {
+        sum.wrapping_add(plane(i).wrapping_mul(spread << i))
+    })
 }
 
 /// Turn a raw popcount partial into the arithmetic partial product for one

@@ -1,19 +1,20 @@
 //! Lowering: [`Network`] + precision (+ seed) → [`CompiledNet`]. The §5.2
 //! fusion pass, per-stage emulation/tile selection, seeded weight
-//! synthesis and compile-time range calibration all live here; nothing in
-//! this file runs after `compile` returns.
+//! synthesis, compile-time range calibration and the compilation of each
+//! calibrated chain into its integer step table ([`compile_steps`]) all
+//! live here; nothing in this file runs after `compile` returns.
 
 use apnn_bitpack::{BitPlanes, BitTensor4, Encoding};
 use apnn_kernels::apconv::cpu::pool2_i32;
 use apnn_kernels::apconv::{ApConv, ConvDesc, ConvWeights, Pool2};
 use apnn_kernels::apmm::{Apmm, ApmmDesc, TileConfig};
 use apnn_kernels::autotune::autotune;
-use apnn_kernels::fusion::{Epilogue, EpilogueOp};
+use apnn_kernels::fusion::{Epilogue, EpilogueOp, Steps};
 
 use super::plan::{
     CompileOptions, CompiledNet, MainInit, MainKernel, MainStage, Materialize, PlanStage,
 };
-use super::run::{decode_codes_into, flatten_map};
+use super::run::flatten_map;
 use crate::fuse::{fuse_network, FusedTail, MainOp, ResidualSrc, Stage, StageSrc};
 use crate::net::Network;
 use crate::precision::{NetPrecision, PrecisionSchedule};
@@ -93,6 +94,7 @@ impl CompiledNet {
                     chain: Act::Map(t),
                     branch: None,
                     res: None,
+                    res_reach: 0,
                 })
             }
             _ => None,
@@ -216,6 +218,8 @@ struct CalibState {
     chain: Act,
     branch: Option<Act>,
     res: Option<Vec<i32>>,
+    /// [`ConvDesc::acc_reach`] of the skip projection that parked `res`.
+    res_reach: i32,
 }
 
 /// The resolved per-stage bit parameters of one main stage — computed by
@@ -318,6 +322,7 @@ fn compile_main(
             op: op.clone(),
             pool: None,
             epi: Epilogue::none(),
+            steps: None,
             kernel: MainKernel::Baseline,
             init: None,
             input: src,
@@ -447,9 +452,10 @@ fn compile_main(
     };
 
     // Only calibrated lowerings (functional, fully fused, emulated) fix
-    // real quantize constants; every other plan is priced, never run, and
-    // keeps the cost-shaped tail.
-    let epi = match calib.take() {
+    // real quantize constants — and compile them into the step table the
+    // kernels run; every other plan is priced, never run, and keeps the
+    // cost-shaped tail.
+    let (epi, steps) = match calib.take() {
         Some(mut st) => {
             if src == StageSrc::Branch {
                 // Skip projection: run the prepared conv over the saved
@@ -457,7 +463,9 @@ fn compile_main(
                 // the consuming conv. The chain activation is untouched
                 // and the stage carries no epilogue.
                 let MainKernel::Conv {
-                    prepared: Some(p), ..
+                    desc,
+                    prepared: Some(p),
+                    ..
                 } = &kernel
                 else {
                     unreachable!("skip stages are materialized convs")
@@ -466,15 +474,21 @@ fn compile_main(
                     unreachable!("skip stage before any saved branch activation")
                 };
                 st.res = Some(p.execute(bmap));
+                st.res_reach = desc.acc_reach();
                 *calib = Some(st);
-                Epilogue::none()
+                (Epilogue::none(), None)
             } else {
-                let residual_accs: Option<Vec<i32>> = match residual {
-                    None => None,
-                    Some(ResidualSrc::Projection) => Some(
-                        st.res
-                            .take()
-                            .expect("projection residual needs a preceding skip stage"),
+                // The residual as accumulators, and how far it can push
+                // them past the kernel's own reach.
+                let (residual_accs, res_reach): (Option<Vec<i32>>, i32) = match residual {
+                    None => (None, 0),
+                    Some(ResidualSrc::Projection) => (
+                        Some(
+                            st.res
+                                .take()
+                                .expect("projection residual needs a preceding skip stage"),
+                        ),
+                        st.res_reach,
                     ),
                     Some(ResidualSrc::Identity) => {
                         let Some(Act::Map(bmap)) = &st.branch else {
@@ -482,7 +496,7 @@ fn compile_main(
                         };
                         let mut v = Vec::new();
                         decode_codes_into(bmap, &mut v);
-                        Some(v)
+                        (Some(v), (1 << bmap.bits()) - 1)
                     }
                 };
                 let (epi, next) = calibrate_stage(
@@ -503,10 +517,11 @@ fn compile_main(
                     st.chain = next;
                     *calib = Some(st);
                 }
-                epi
+                let steps = compile_steps(&kernel, &epi, res_reach);
+                (epi, steps)
             }
         }
-        None => tail_epilogue(tail, channels, out_bits),
+        None => (tail_epilogue(tail, channels, out_bits), None),
     };
 
     MainStage {
@@ -514,12 +529,43 @@ fn compile_main(
         op: op.clone(),
         pool,
         epi,
+        steps,
         kernel,
         init,
         input: src,
         save_branch,
         residual,
     }
+}
+
+/// Compile a stage's chain into the integer steps its kernel runs in place
+/// of the f32 arithmetic — `None` for a chain that does not quantize (the
+/// output layer) or admits no table ([`Steps::build`]), which then runs its
+/// row form. Bisection starts inside the stage's reachable accumulator
+/// interval: the kernel's own reach plus `res_reach`, its residual's.
+pub(super) fn compile_steps(kernel: &MainKernel, epi: &Epilogue, res_reach: i32) -> Option<Steps> {
+    let (channels, reach) = match kernel {
+        MainKernel::Conv { desc, .. } => (desc.cout, desc.acc_reach()),
+        MainKernel::Linear { desc, .. } => (desc.m, desc.acc_reach()),
+        MainKernel::Baseline => return None,
+    };
+    Steps::build(epi, channels, reach.saturating_add(res_reach))
+}
+
+/// Decode a packed map's activation codes as NHWC i32 — the identity-skip
+/// form of the exact-i32 residual contract (quantized codes *are* the
+/// integer activations the block adds back), in the accumulator layout
+/// calibration adds residuals in. The runner never decodes: its fused tail
+/// reads the packed branch in place.
+fn decode_codes_into(map: &BitTensor4, res: &mut Vec<i32>) {
+    debug_assert_eq!(
+        map.encoding(),
+        Encoding::ZeroOne,
+        "identity residuals read unsigned activation codes"
+    );
+    let (n, h, w, c) = map.shape();
+    apnn_bitpack::resize_for_overwrite(res, n * h * w * c);
+    map.unpack(res);
 }
 
 /// Flow the calibration batch through a freshly-prepared stage: observe the

@@ -5,7 +5,7 @@
 use apnn_bitpack::Encoding;
 use apnn_kernels::apconv::{ConvDesc, Pool2, PreparedConv};
 use apnn_kernels::apmm::{ApmmDesc, PreparedApmm, TileConfig};
-use apnn_kernels::fusion::Epilogue;
+use apnn_kernels::fusion::{Epilogue, Steps, Tail};
 
 use crate::fuse::{EwKind, MainOp, ResidualSrc, StageSrc};
 use crate::precision::{NetPrecision, PrecisionSchedule};
@@ -109,8 +109,13 @@ pub struct MainStage {
     pub op: MainOp,
     /// Fused 2×2 pooling.
     pub pool: Option<Pool2>,
-    /// Fused element-wise epilogue (parameterized when functional).
+    /// Fused element-wise epilogue (parameterized when functional) — the
+    /// scalar spec of the stage's codes, and what the simulator prices.
     pub epi: Epilogue,
+    /// `epi` compiled into per-channel integer steps — what the kernels
+    /// run in its place ([`MainStage::tail`]). Present on executable plans
+    /// whenever the chain admits a table ([`Steps::build`]).
+    pub steps: Option<Steps>,
     /// The compiled kernel.
     pub kernel: MainKernel,
     /// Synthetic init for oracle cross-checks (functional plans only).
@@ -124,6 +129,15 @@ pub struct MainStage {
     /// epilogue — the exact-i32 requantization contract
     /// (`quantize(bn_relu(acc + residual))`, no intermediate rounding).
     pub residual: Option<ResidualSrc>,
+}
+
+impl MainStage {
+    /// What the runner hands this stage's kernel to finish its
+    /// accumulators with: the chain and, when it has one, its step table.
+    /// Panics on a stage that does not quantize (the output layer).
+    pub fn tail(&self) -> Tail<'_> {
+        Tail::new(&self.epi, self.steps.as_ref())
+    }
 }
 
 /// Why a compiled plan cannot run functionally — the typed form of
@@ -295,11 +309,13 @@ impl CompiledNet {
         epi: Epilogue,
         kernel: MainKernel,
     ) {
+        let steps = super::lower::compile_steps(&kernel, &epi, 0);
         self.stages.push(PlanStage::Main(MainStage {
             name: format!("stage{}", self.stages.len()),
             op,
             pool,
             epi,
+            steps,
             kernel,
             init: None,
             input: StageSrc::Chain,

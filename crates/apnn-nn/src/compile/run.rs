@@ -1,10 +1,14 @@
 //! Running a plan: functional inference over bit-packed activations (the
-//! §5.1 minimal-traffic dataflow). One sequential core
+//! §5.1 minimal-traffic dataflow) — every hidden stage hands its kernel the
+//! stage's compiled tail ([`super::plan::MainStage::tail`]) and gets packed
+//! words back; codes never exist as a buffer between two conv stages, and an
+//! identity residual is read from the packed branch slot. One sequential core
 //! (`cpu_execute_stages`) on the calling thread, all mutable state in an
 //! [`ExecWorkspace`]; [`CompiledNet::infer_batched_into`] is the only place
 //! that fans out, one workspace per shard.
 
 use apnn_bitpack::{BitPlanes, BitTensor4, Encoding};
+use apnn_kernels::apconv::Residual;
 use rayon::prelude::*;
 
 use super::plan::{CompiledNet, MainKernel};
@@ -225,7 +229,8 @@ fn cpu_execute_stages(
 
     // Chain/branch cursors: skip-projection stages read the saved branch
     // slot and park raw accumulators in `res` without advancing the chain,
-    // so the consuming conv still sees the main path as its input.
+    // so the consuming conv still sees the main path as its input (an
+    // identity join reads the branch slot itself).
     let mut chain_idx: Option<usize> = None;
     let mut branch_idx: Option<usize> = None;
 
@@ -270,24 +275,27 @@ fn cpu_execute_stages(
                     let SlotOut::Map(out_map) = &mut slot.out else {
                         unreachable!("conv slots hold packed maps")
                     };
-                    match stage.residual {
-                        None => {
-                            prepared.execute_fused_into(map, stage.pool, &stage.epi, conv, out_map)
-                        }
-                        Some(ResidualSrc::Projection) => prepared.execute_fused_residual_into(
-                            map, res, stage.pool, &stage.epi, conv, out_map,
-                        ),
+                    let residual = match stage.residual {
+                        None => Residual::None,
+                        Some(ResidualSrc::Projection) => Residual::Accs(res),
+                        // The saved branch's codes are the integers to
+                        // add: the tail reads them packed, in place.
                         Some(ResidualSrc::Identity) => {
                             let bi = branch_idx.expect("identity residual before any saved branch");
                             let SlotOut::Map(bmap) = &done[bi].out else {
                                 unreachable!("residual branches are packed maps")
                             };
-                            decode_codes_into(bmap, res);
-                            prepared.execute_fused_residual_into(
-                                map, res, stage.pool, &stage.epi, conv, out_map,
-                            )
+                            Residual::Codes(bmap)
                         }
-                    }
+                    };
+                    prepared.execute_fused_into(
+                        map,
+                        residual,
+                        stage.pool,
+                        stage.tail(),
+                        conv,
+                        out_map,
+                    );
                 }
             }
             (MainKernel::Conv { .. }, In::Vector(_)) => {
@@ -322,7 +330,7 @@ fn cpu_execute_stages(
                     let SlotOut::Vector(out_vec) = &mut slot.out else {
                         unreachable!("hidden linear slots hold packed vectors")
                     };
-                    prepared.execute_fused_into(v, &stage.epi, apmm, codes, out_vec);
+                    prepared.execute_fused_into(v, stage.tail(), apmm, codes, out_vec);
                 }
             }
             (MainKernel::Baseline, _) => {
@@ -337,22 +345,6 @@ fn cpu_execute_stages(
         }
     }
     (shard_n, classes)
-}
-
-/// Decode a packed map's activation codes into the shared residual buffer,
-/// in the kernels' NHWC accumulator order, a word at a time
-/// ([`BitTensor4::unpack`]) — the identity-skip form of the
-/// exact-i32 residual contract (quantized codes *are* the integer
-/// activations the block adds back).
-pub(super) fn decode_codes_into(map: &BitTensor4, res: &mut Vec<i32>) {
-    debug_assert_eq!(
-        map.encoding(),
-        Encoding::ZeroOne,
-        "identity residuals read unsigned activation codes"
-    );
-    let (n, h, w, c) = map.shape();
-    apnn_bitpack::resize_for_overwrite(res, n * h * w * c);
-    map.unpack(res);
 }
 
 /// Flatten a packed NHWC map into per-image feature rows, ordered `(h,w,c)`

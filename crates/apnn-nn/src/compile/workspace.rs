@@ -10,7 +10,7 @@ use apnn_kernels::apmm::cpu::ApmmScratch;
 use apnn_kernels::stats as kstats;
 
 use super::plan::{CompiledNet, MainKernel};
-use crate::fuse::StageSrc;
+use crate::fuse::{ResidualSrc, StageSrc};
 use crate::pool::WorkspacePool;
 
 impl CompiledNet {
@@ -51,7 +51,8 @@ impl CompiledNet {
 ///   [`BitPlanes`] vector), plus a flatten slot where a linear stage
 ///   consumes a map;
 /// * the kernel scratch ([`ConvScratch`] — one output row's activation
-///   strip, accumulator rows and fused-tail rows — / [`ApmmScratch`]
+///   strip and accumulator rows, plus the `f32`/code rows of the row-form
+///   tail where some stage's chain has no step table — / [`ApmmScratch`]
 ///   correction table), sized at the per-stage peaks;
 /// * the shared dense-code scratch and the raw logits buffer.
 ///
@@ -73,10 +74,10 @@ pub struct ExecWorkspace {
     /// Raw output-stage accumulators (features × batch).
     pub(super) y: Vec<i32>,
     /// Shared residual buffer: skip-projection stages park raw i32
-    /// accumulators here (identity skips decode branch codes into it) for
-    /// the consuming conv to add before its fused tail. One buffer
-    /// suffices — every block's residual is consumed before the next
-    /// block's skip runs.
+    /// accumulators here for the consuming conv to add before its fused
+    /// tail (identity skips need none: the tail reads the packed branch
+    /// slot). One buffer suffices — every block's residual is consumed
+    /// before the next block's skip runs.
     pub(super) res: Vec<i32>,
 }
 
@@ -188,7 +189,8 @@ pub struct StageWorkspace {
     pub flat_bytes: usize,
     /// Peak i32 accumulator bytes this stage demands of the shared scratch
     /// (the accumulator rows in flight for conv — one, or two under a
-    /// fused pool — plus its residual buffer; the raw product for linear).
+    /// fused pool — plus a skip projection's residual buffer; the raw
+    /// product for linear).
     pub acc_bytes: usize,
 }
 
@@ -243,14 +245,15 @@ struct ScratchPeaks {
     /// Conv strip-column correction offsets (`i32` each, one plane's).
     strip_cols: usize,
     /// Conv activation-side correction offsets (`i32` each: one per
-    /// plane per output pixel of a row).
+    /// output pixel of a row).
     x_sides: usize,
     /// Conv accumulator-row elements (`i32`): one output row, two under a
     /// fused pool.
     conv_acc: usize,
-    /// Elements of one fused conv output row (an `f32` and a `u32` each).
+    /// Elements of one fused conv output row (an `f32` and a `u32` each)
+    /// — stages whose chain has no step table only.
     conv_row: usize,
-    /// Row-epilogue BatchNorm denominators (`f32` each).
+    /// Row-epilogue BatchNorm denominators (`f32` each) — likewise.
     bn_den: usize,
     /// APMM activation column-sum elements (`i32`).
     col_sums: usize,
@@ -260,8 +263,7 @@ struct ScratchPeaks {
     codes: usize,
     /// Raw logits elements (`i32`).
     y: usize,
-    /// Residual buffer elements (`i32`) — skip-projection accumulators /
-    /// decoded identity branches.
+    /// Residual buffer elements (`i32`) — skip-projection accumulators.
     res: usize,
 }
 
@@ -360,7 +362,7 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                     // strip and accumulators, whatever the batch.
                     let (q, cols) = (desc.x_bits as usize, desc.w + 2 * desc.pad);
                     let conv_strip_words = q * cols * desc.col_words();
-                    let (conv_strip_cols, conv_x_sides) = (cols, q * ow);
+                    let (conv_strip_cols, conv_x_sides) = (cols, ow);
                     let row_elems = ow * desc.cout;
                     if m.input == StageSrc::Branch {
                         // Skip projection: raw accumulators land straight in
@@ -409,15 +411,21 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                                 row_elems
                             },
                             y_elems: 0,
-                            // Residual consumers read a whole-map i32
-                            // buffer (decoded identity branch or the skip
-                            // stage's parked accumulators).
-                            res_elems: if m.residual.is_some() { map_elems } else { 0 },
+                            // A projection's consumer reads the skip
+                            // stage's parked whole-map accumulators; an
+                            // identity join reads the packed branch slot.
+                            res_elems: match m.residual {
+                                Some(ResidualSrc::Projection) => map_elems,
+                                Some(ResidualSrc::Identity) | None => 0,
+                            },
                             conv_strip_words,
                             conv_strip_cols,
                             conv_x_sides,
-                            conv_row_elems: pw * desc.cout,
-                            conv_bn_den: m.epi.row_scratch_len(desc.cout),
+                            // The `f32` and code rows exist for the row
+                            // form of a chain without a step table only.
+                            conv_row_elems: usize::from(m.steps.is_none()) * pw * desc.cout,
+                            conv_bn_den: usize::from(m.steps.is_none())
+                                * m.epi.row_scratch_len(desc.cout),
                             apmm_col_sums: 0,
                             codes_elems: 0,
                             is_conv: true,
@@ -469,7 +477,7 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                         conv_x_sides: 0,
                         conv_row_elems: 0,
                         conv_bn_den: 0,
-                        apmm_col_sums: desc.x_bits as usize * desc.n,
+                        apmm_col_sums: desc.n,
                         codes_elems: flat_codes.max(pack_codes),
                         is_conv: false,
                     }

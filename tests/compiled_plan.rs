@@ -358,6 +358,85 @@ fn random_mixed_schedules_match_naive_reference() {
     }
 }
 
+/// ROADMAP aim 3, where the space is finite: the integer step table every
+/// quantizing stage runs ([`MainStage::steps`]) against the scalar chain it
+/// was compiled from (`Epilogue::apply_to_code` — the only definition of a
+/// code), for **every** accumulator the stage can produce: `±k·(2^p − 1)(2^q
+/// − 1)` from its kernel plus its residual's range, on every channel of
+/// every stage of every plan the benchmark serves.
+#[test]
+fn steps_equal_the_scalar_chain_on_every_reachable_accumulator() {
+    let opts = CompileOptions::functional(2, 2021);
+    let mut evaluated = 0u64;
+    for net in servable_zoo() {
+        let mut mixed = vec![LayerPrecision::new(1, 3); net.num_main_layers() - 1];
+        mixed.push(LayerPrecision::new(1, 2));
+        let plans = [
+            net.compile(NetPrecision::w1a2(), &opts),
+            net.compile(NetPrecision::Apnn { w: 2, a: 2 }, &opts),
+            net.compile_scheduled(&PrecisionSchedule::new(mixed), &opts),
+        ];
+        for plan in &plans {
+            // What the open residual block can add: the parked projection's
+            // own reach, or the saved branch's largest code.
+            let (mut skip_reach, mut branch_top) = (0i32, 0i32);
+            for m in plan.main_stages() {
+                let per_mac = |w: u32, x: u32| ((1i32 << w) - 1) * ((1i32 << x) - 1);
+                let (channels, reach) = match &m.kernel {
+                    MainKernel::Conv { desc, .. } => (
+                        desc.cout,
+                        desc.k_valid() as i32 * per_mac(desc.w_bits, desc.x_bits),
+                    ),
+                    MainKernel::Linear { desc, .. } => {
+                        (desc.m, desc.k as i32 * per_mac(desc.w_bits, desc.x_bits))
+                    }
+                    MainKernel::Baseline => unreachable!("functional zoo plans are emulated"),
+                };
+                if m.input == StageSrc::Branch {
+                    skip_reach = reach;
+                    continue;
+                }
+                let Some(bits) = m.epi.output_bits() else {
+                    assert!(m.steps.is_none(), "the output layer has no codes");
+                    continue;
+                };
+                let reach = reach
+                    + match m.residual {
+                        Some(ResidualSrc::Projection) => skip_reach,
+                        Some(ResidualSrc::Identity) => branch_top,
+                        None => 0,
+                    };
+                if m.save_branch {
+                    branch_top = (1 << bits) - 1;
+                }
+                let steps = m.steps.as_ref().unwrap_or_else(|| {
+                    panic!("{} {} {}: no step table", net.name, plan.scheme, m.name)
+                });
+                assert_eq!((steps.bits(), steps.channels()), (bits, channels));
+                for ch in 0..channels {
+                    for acc in -reach..=reach {
+                        if steps.code(acc, ch) != m.epi.apply_to_code(acc, ch) {
+                            panic!(
+                                "{} {} {} channel {ch} accumulator {acc}: table {} vs chain {}",
+                                net.name,
+                                plan.scheme,
+                                m.name,
+                                steps.code(acc, ch),
+                                m.epi.apply_to_code(acc, ch)
+                            );
+                        }
+                    }
+                    evaluated += 2 * reach as u64 + 1;
+                }
+            }
+        }
+    }
+    assert!(
+        evaluated > 10_000_000,
+        "only {evaluated} accumulators checked"
+    );
+}
+
 /// Golden snapshot of the simulator's prices: model × scheme × stage →
 /// `time_s` bits, traffic and MACs at batch 8, plus the Fig. 10 fusion
 /// ablation totals. The file was generated at the commit that still carried
