@@ -569,14 +569,15 @@ mod tests {
                 .collect()
         };
         let (w1a2, w1a3, w2a2) = (words(1, 2), words(1, 3), words(2, 2));
-        // Column-dense packing shortens K per layer (3×3×3 and 3×3×16: 3
-        // words, 3×3×32: 6, not 9) — the same for every precision, so the
-        // 2 : 3 : 4 ratios below hold on the packed counts.
+        // Dense packing shortens K per layer (the 3×3×3 stem's whole
+        // window: 1 word; 3×3×16 columns: 3 words, 3×3×32: 6, not 9) — the
+        // same for every precision, so the 2 : 3 : 4 ratios below hold on
+        // the packed counts.
         let ks: Vec<usize> = geoms.iter().filter(|g| g.conv).map(|g| g.k_words).collect();
         assert_eq!(
             ks[..2],
-            [3, 3],
-            "stem and layer1 pack to one word per column"
+            [1, 3],
+            "the stem packs its window into one word, layer1 a word per column"
         );
         assert!(
             ks.contains(&6) && ks.contains(&9) && ks.contains(&18),
@@ -604,7 +605,12 @@ mod tests {
         // the K and block width the compiled plan runs.
         use apnn_nn::compile::MainKernel;
         use apnn_nn::models::{alexnet_tiny, vgg_variant_tiny};
-        for net in [alexnet_tiny(), vgg_variant_tiny(), resnet18_tiny()] {
+        // Each stem's window-dense K: 5×5×3 in two words, 3×3×3 in one.
+        for (net, stem_words) in [
+            (alexnet_tiny(), 2),
+            (vgg_variant_tiny(), 1),
+            (resnet18_tiny(), 1),
+        ] {
             let geoms = main_geometry(&net);
             let plan = net.compile(
                 apnn_nn::NetPrecision::w1a2(),
@@ -630,6 +636,10 @@ mod tests {
                     .as_ref()
                     .expect("functional plans are materialized");
                 assert!(g.conv, "{at}");
+                if convs == 0 {
+                    assert!(desc.window_dense(), "{at}");
+                    assert_eq!(g.k_words, stem_words, "{at}");
+                }
                 assert_eq!(
                     (g.k_words, g.out_w, g.rows, g.cols),
                     (

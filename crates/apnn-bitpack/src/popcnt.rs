@@ -6,14 +6,17 @@
 //!
 //! over a [`crate::panel::LanePanel`] row group (per static plane `s`, eight
 //! interleaved weight rows, 64 bytes per K word) and a few *streams*
-//! `xs[t][j]` — plane `t` of one activation row `j` each ([`Streams`]: rows
-//! of a packed operand, or offsets into one buffer). Per K word the kernel
-//! loads the cell once and, for every stream, broadcasts the stream's word
-//! against it: AND/XOR, per-lane popcount, per-lane add. Each lane of an
-//! accumulator is a different output, so the K pass ends with the counts
-//! where they are needed — no horizontal sum, no per-output call. This is
-//! the CPU form of the `bmma` accumulator fragment (one output per element,
-//! K reduced inside the primitive).
+//! `xs[t][j]` — plane `t` of one activation row `j` each, addressed
+//! affinely ([`Affine`]: stream `(t, j)` starts `j·step` words past `first`
+//! in plane `t`, whether the streams are rows of a packed operand or
+//! overlapping conv windows of one strip). A K pass bounds-checks its whole
+//! extent once, then reads word `k` of stream `i` at `i·step + k`. Per K
+//! word the kernel loads the cell once and, for every stream, broadcasts the
+//! stream's word against it: AND/XOR, per-lane popcount, per-lane add. Each
+//! lane of an accumulator is a different output, so the K pass ends with the
+//! counts where they are needed — no horizontal sum, no per-output call.
+//! This is the CPU form of the `bmma` accumulator fragment (one output per
+//! element, K reduced inside the primitive).
 //!
 //! A pass never stores its counts. Like the paper's memory-efficient bit
 //! combination (§4.1(b)), the shift-add runs on the accumulators while they
@@ -28,9 +31,10 @@
 //! the finished sum, stored once: [`finish_lanes`] is the single entry
 //! point APMM, APConv and the cost probe share.
 //!
-//! The kernel is **one generic body** (`finish_streams`), instantiated once
-//! per [`PopcntArm`] under that arm's `#[target_feature]` so every K pass
-//! and the finish run inside the feature boundary:
+//! The kernel is **one generic body** (`finish_streams`) over one stream
+//! addressing, instantiated once per [`PopcntArm`] under that arm's
+//! `#[target_feature]` so every K pass and the finish run inside the
+//! feature boundary:
 //!
 //! * [`PopcntArm::Scalar`] — the body over `[u64; 8]` lanes at the build's
 //!   baseline features. LLVM vectorizes the lane loops with whatever the
@@ -58,7 +62,6 @@
 //! CPU lacks.
 
 use crate::panel::{LanePanel, LANES};
-use crate::planes::BitPlanes;
 
 /// One instantiation of the lane-per-output popcount kernel. See the
 /// module docs for what each arm runs; all arms are exact.
@@ -181,48 +184,22 @@ impl PopcntArm {
     }
 }
 
-/// The dynamic operand of one kernel call: stream `(t, j)` is plane `t` of
-/// the `j`-th output's packed row — (at least) one word per panel cell. The
-/// two addressings instantiate the one K-loop body; neither copies it.
-pub trait Streams {
-    /// The first `kw` words of stream `(t, j)`.
-    fn words(&self, t: usize, j: usize, kw: usize) -> &[u64];
-}
-
-/// Streams as row slices (APMM: the packed rows `row0..` of a batch block).
+/// The dynamic operand of one kernel call, addressed affinely: stream
+/// `(t, j)` — plane `t` of output `j` — is the `k_words`-word slice
+/// `planes[t][first + j·step ..]`. One form covers both drivers: the rows of
+/// a packed operand (APMM: `first = row0·wpr`, `step = wpr`) and the windows
+/// of a block of conv pixels in one activation strip (`step < k_words`
+/// where consecutive windows overlap in place, `step > k_words` under a
+/// stride). A K pass checks its whole extent once and then reads word `k` of
+/// stream `i` at `i·step + k` — no per-stream table, no per-stream slice.
 #[derive(Debug, Clone, Copy)]
-pub struct Rows<'a> {
-    /// The packed operand.
-    pub x: &'a BitPlanes,
-    /// The block's first row.
-    pub row0: usize,
-}
-
-impl Streams for Rows<'_> {
-    #[inline(always)]
-    fn words(&self, t: usize, j: usize, kw: usize) -> &[u64] {
-        &self.x.plane(t as u32).row_words(self.row0 + j)[..kw]
-    }
-}
-
-/// Streams as word offsets into one buffer (APConv: the windows of a pixel
-/// block, overlapping slices of the activation strip, addressed through a
-/// plane-major table built once per plan).
-#[derive(Debug, Clone, Copy)]
-pub struct Offsets<'a> {
-    /// The buffer every stream lies in.
-    pub base: &'a [u64],
-    /// Stream `(t, j)` starts at `base[at[t·stride + j]]`.
-    pub at: &'a [u32],
-    /// Entries of `at` per plane.
-    pub stride: usize,
-}
-
-impl Streams for Offsets<'_> {
-    #[inline(always)]
-    fn words(&self, t: usize, j: usize, kw: usize) -> &[u64] {
-        &self.base[self.at[t * self.stride + j] as usize..][..kw]
-    }
+pub struct Affine<'a> {
+    /// Plane `t` of the dynamic operand, for every `t < q`.
+    pub planes: &'a [&'a [u64]],
+    /// The word stream `(t, 0)` starts at, in every plane.
+    pub first: usize,
+    /// Words from one output's stream to the next one's.
+    pub step: usize,
 }
 
 /// What a block of outputs does with its plane pairs' counts while they
@@ -268,11 +245,11 @@ pub struct Finish<'a> {
 /// Exact for every arm and length; an arm the CPU cannot run executes the
 /// baseline body, so the call is always sound.
 #[inline]
-pub fn finish_lanes<S: Streams>(
+pub fn finish_lanes(
     arm: PopcntArm,
     w: &LanePanel,
     g: usize,
-    xs: &S,
+    xs: &Affine<'_>,
     fin: &Finish<'_>,
     out: &mut [[i32; LANES]],
 ) {
@@ -289,7 +266,7 @@ pub fn finish_lanes<S: Streams>(
             // SAFETY: `is_available` just CPUID-verified avx2.
             unsafe { x86::streams_avx2(w, g, xs, fin, out) }
         }
-        _ => finish_either_op::<[u64; LANES], S>(w, g, xs, fin, out),
+        _ => finish_either_op::<[u64; LANES]>(w, g, xs, fin, out),
     }
 }
 
@@ -365,46 +342,46 @@ impl Lanes for [u64; LANES] {
 /// [`finish_streams`] for the call's boolean op, a compile-time constant of
 /// the K loop.
 #[inline(always)]
-fn finish_either_op<V: Lanes, S: Streams>(
+fn finish_either_op<V: Lanes>(
     w: &LanePanel,
     g: usize,
-    xs: &S,
+    xs: &Affine<'_>,
     fin: &Finish<'_>,
     out: &mut [[i32; LANES]],
 ) {
     if fin.xor {
-        finish_streams::<V, S, true>(w, g, xs, fin, out)
+        finish_streams::<V, true>(w, g, xs, fin, out)
     } else {
-        finish_streams::<V, S, false>(w, g, xs, fin, out)
+        finish_streams::<V, false>(w, g, xs, fin, out)
     }
 }
 
 /// The kernel body: the outputs taken eight, four, two and one at a time,
 /// so each block's accumulators are a compile-time-sized register set.
 #[inline(always)]
-fn finish_streams<V: Lanes, S: Streams, const XOR: bool>(
+fn finish_streams<V: Lanes, const XOR: bool>(
     w: &LanePanel,
     g: usize,
-    xs: &S,
+    xs: &Affine<'_>,
     fin: &Finish<'_>,
     out: &mut [[i32; LANES]],
 ) {
     let n = out.len();
     let mut j = 0;
     while V::WIDE && n - j >= 8 {
-        block::<V, S, XOR, 8>(w, g, xs, j, fin, out);
+        block::<V, XOR, 8>(w, g, xs, j, fin, out);
         j += 8;
     }
     while n - j >= 4 {
-        block::<V, S, XOR, 4>(w, g, xs, j, fin, out);
+        block::<V, XOR, 4>(w, g, xs, j, fin, out);
         j += 4;
     }
     if n - j >= 2 {
-        block::<V, S, XOR, 2>(w, g, xs, j, fin, out);
+        block::<V, XOR, 2>(w, g, xs, j, fin, out);
         j += 2;
     }
     if n - j >= 1 {
-        block::<V, S, XOR, 1>(w, g, xs, j, fin, out);
+        block::<V, XOR, 1>(w, g, xs, j, fin, out);
     }
 }
 
@@ -416,19 +393,18 @@ fn finish_streams<V: Lanes, S: Streams, const XOR: bool>(
 /// `Σ popc(s, t)·2^(s + t)`). Then one [`Lanes::finish`] and one store per
 /// output.
 #[inline(always)]
-fn block<V: Lanes, S: Streams, const XOR: bool, const R: usize>(
+fn block<V: Lanes, const XOR: bool, const R: usize>(
     w: &LanePanel,
     g: usize,
-    xs: &S,
+    xs: &Affine<'_>,
     j0: usize,
     fin: &Finish<'_>,
     out: &mut [[i32; LANES]],
 ) {
     let (p, q, kw) = (w.n_planes(), fin.q, w.words_per_row());
     assert!(p >= 1 && q >= 1, "both operands have a plane");
-    // Slicing every table to the block's `R` entries — and, per pair, every
-    // stream to `kw` words — up front checks the lengths once and lets the
-    // loops index without bounds checks.
+    // Slicing every table to the block's `R` entries up front checks the
+    // lengths once and lets the loops index without bounds checks.
     let side_at: &[u32; R] = fin.side_at[j0..][..R].try_into().expect("R entries");
     let out: &mut [[i32; LANES]; R] = (&mut out[j0..][..R]).try_into().expect("R entries");
     let x_sides: [i32; R] = if fin.x_sides.is_empty() {
@@ -436,6 +412,14 @@ fn block<V: Lanes, S: Streams, const XOR: bool, const R: usize>(
     } else {
         fin.x_sides[j0..][..R].try_into().expect("R entries")
     };
+    // The block's streams start at `first + i·step`; one past the last word
+    // any of them reads is `extent` — saturating, so an extent that does
+    // not fit a `usize` fails the per-plane check below instead of wrapping.
+    let (step, planes) = (xs.step, &xs.planes[..q]);
+    let first = xs.first.saturating_add(j0.saturating_mul(step));
+    let extent = first
+        .saturating_add((R - 1).saturating_mul(step))
+        .saturating_add(kw);
 
     let mut acc = [V::zero(); R];
     for d in (0..p + q - 1).rev() {
@@ -445,11 +429,17 @@ fn block<V: Lanes, S: Streams, const XOR: bool, const R: usize>(
             }
         }
         for s in d.saturating_sub(q - 1)..(d + 1).min(p) {
-            let words: [&[u64]; R] = std::array::from_fn(|i| xs.words(d - s, j0 + i, kw));
+            let plane = planes[d - s];
+            assert!(extent <= plane.len(), "streams run past their plane");
             for (k, cell) in w.group(s, g).chunks_exact(LANES).enumerate() {
                 let cell = V::load(cell.try_into().expect("chunks_exact yields LANES words"));
-                for i in 0..R {
-                    acc[i] = acc[i].accumulate::<XOR>(cell, words[i][k]);
+                for (i, acc) in acc.iter_mut().enumerate() {
+                    // SAFETY: `i < R` and `k < kw` (the group holds `kw`
+                    // cells), so `first + i·step + k < extent ≤ plane.len()`
+                    // by the assert above — which could not pass had the
+                    // extent saturated, so no term of the index wrapped.
+                    let x = unsafe { *plane.get_unchecked(first + i * step + k) };
+                    *acc = acc.accumulate::<XOR>(cell, x);
                 }
             }
         }
@@ -462,7 +452,7 @@ fn block<V: Lanes, S: Streams, const XOR: bool, const R: usize>(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{finish_either_op, Finish, LanePanel, Lanes, Streams, LANES};
+    use super::{finish_either_op, Affine, Finish, LanePanel, Lanes, LANES};
     use core::arch::x86_64::*;
 
     /// One cell in one zmm. Private to this module and only ever
@@ -536,27 +526,27 @@ mod x86 {
     /// # Safety
     /// The CPU must support avx512f and avx512vpopcntdq.
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    pub unsafe fn streams_avx512<S: Streams>(
+    pub unsafe fn streams_avx512(
         w: &LanePanel,
         g: usize,
-        xs: &S,
+        xs: &Affine<'_>,
         fin: &Finish<'_>,
         out: &mut [[i32; LANES]],
     ) {
-        finish_either_op::<Zmm, S>(w, g, xs, fin, out)
+        finish_either_op::<Zmm>(w, g, xs, fin, out)
     }
 
     /// # Safety
     /// The CPU must support avx2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn streams_avx2<S: Streams>(
+    pub unsafe fn streams_avx2(
         w: &LanePanel,
         g: usize,
-        xs: &S,
+        xs: &Affine<'_>,
         fin: &Finish<'_>,
         out: &mut [[i32; LANES]],
     ) {
-        finish_either_op::<[u64; LANES], S>(w, g, xs, fin, out)
+        finish_either_op::<[u64; LANES]>(w, g, xs, fin, out)
     }
 }
 
@@ -579,7 +569,10 @@ mod tests {
     }
 
     /// The raw counts of every stream: the finish that is the identity
-    /// (`a = 1`, zero offsets, one plane pair per output).
+    /// (`a = 1`, zero offsets, one plane pair per output). The streams (all
+    /// one length) lie strided in one plane, a junk word between
+    /// neighbours and none after the last, so a stream shorter than the
+    /// panel's K runs off the plane.
     fn raw_counts(
         arm: PopcntArm,
         xor: bool,
@@ -587,9 +580,13 @@ mod tests {
         streams: &[Vec<u64>],
     ) -> Vec<[i32; LANES]> {
         let n = streams.len();
-        let (mut flat, mut at) = (Vec::new(), Vec::new());
-        for x in streams {
-            at.push(flat.len() as u32);
+        let step = streams.first().map_or(0, Vec::len) + 1;
+        let mut flat = Vec::new();
+        for (j, x) in streams.iter().enumerate() {
+            assert_eq!(x.len() + 1, step, "streams of one length");
+            if j > 0 {
+                flat.push(0x5A5A_5A5A_5A5A_5A5A);
+            }
             flat.extend_from_slice(x);
         }
         let fin = Finish {
@@ -601,10 +598,10 @@ mod tests {
             side_at: &vec![0; n],
             x_sides: &[],
         };
-        let xs = Offsets {
-            base: &flat,
-            at: &at,
-            stride: n,
+        let xs = Affine {
+            planes: &[&flat],
+            first: 0,
+            step,
         };
         // Stale contents must be overwritten, not accumulated into.
         let mut out = vec![[-1i32; LANES]; n];
@@ -744,12 +741,22 @@ mod tests {
 
     /// One finished call — `p × q` planes, `n_out` outputs, `kw` words,
     /// correction sums as large as the shifted total leaves room for —
-    /// against the naive `Σ adjust_partial << (s + t)`, on every arm and
-    /// through both stream addressings, over garbage `out` contents. The
-    /// kernel sees the offsets folded over the plane pairs; the halving
-    /// case draws its sums as what they are in every real call, the
-    /// operands' own popcounts, which is what makes its partials even.
-    fn check_finish(case: usize, (p, q): (usize, usize), n_out: usize, kw: usize, seed: u64) {
+    /// against the naive `Σ adjust_partial << (s + t)`, on every arm, over
+    /// garbage `out` contents. The streams lie `step` words apart from word
+    /// `first` of their plane, so `step < kw` overlaps neighbours (conv
+    /// windows) and `step > kw` skips words (a stride, a row pitch); each
+    /// plane ends exactly where its last stream does. The kernel sees the
+    /// offsets folded over the plane pairs; the halving case draws its sums
+    /// as what they are in every real call, the operands' own popcounts,
+    /// which is what makes its partials even.
+    fn check_finish(
+        case: usize,
+        (p, q): (usize, usize),
+        n_out: usize,
+        kw: usize,
+        (first, step): (usize, usize),
+        seed: u64,
+    ) {
         let corr = CORRECTIONS[case];
         let (xor, a, k, r, c, halve) = corr;
         let mut seed = seed | 1;
@@ -759,21 +766,10 @@ mod tests {
         let mut words = |n: usize| -> Vec<u64> { (0..n).map(|_| xs64(&mut seed)).collect() };
         let cells = words(p * kw * LANES);
         let w = LanePanel::from_fn(p, LANES, kw, |s, row, k| cells[(s * kw + k) * LANES + row]);
-        // The streams as rows of a packed operand...
-        let codes: Vec<u32> = words(n_out * kw * 64)
-            .iter()
-            .map(|&v| v as u32 & ((1 << q) - 1))
+        let planes: Vec<Vec<u64>> = (0..q)
+            .map(|_| words(first + (n_out - 1) * step + kw))
             .collect();
-        let x = BitPlanes::from_codes(&codes, n_out, kw * 64, q as u32, crate::Encoding::ZeroOne);
-        // ...and as offsets into one buffer holding the same words, the
-        // table wider than the call.
-        let stride = n_out + 1;
-        let mut flat = words(3);
-        let mut at = vec![0u32; q * stride];
-        for (t, j) in (0..q).flat_map(|t| (0..n_out).map(move |j| (t, j))) {
-            at[t * stride + j] = flat.len() as u32;
-            flat.extend_from_slice(x.plane(t as u32).row_words(j));
-        }
+        let stream = |t: usize, j: usize| &planes[t][first + j * step..][..kw];
 
         let mut side = || (xs64(&mut seed) % (bound as u64 / 2)) as i32 - bound / 4;
         let k_valid = side();
@@ -790,7 +786,10 @@ mod tests {
         let x_sums: Vec<i32> = (0..q * n_out)
             .map(|i| match halve {
                 0 => side(),
-                _ => x.plane((i / n_out) as u32).row_popcount(i % n_out) as i32,
+                _ => stream(i / n_out, i % n_out)
+                    .iter()
+                    .map(|x| x.count_ones() as i32)
+                    .sum(),
             })
             .collect();
         // The folds, the way the drivers tabulate them (wrapping, like the
@@ -815,7 +814,7 @@ mod tests {
                 std::array::from_fn(|lane| {
                     let mut sum = 0i32;
                     for (s, t) in (0..p).flat_map(|s| (0..q).map(move |t| (s, t))) {
-                        let row = x.plane(t as u32).row_words(j);
+                        let row = stream(t, j);
                         let popc: u32 = (0..kw)
                             .map(|k| {
                                 let cell = w.row_word(s, lane, k);
@@ -840,6 +839,12 @@ mod tests {
             })
             .collect();
 
+        let planes: Vec<&[u64]> = planes.iter().map(Vec::as_slice).collect();
+        let xs = Affine {
+            planes: &planes,
+            first,
+            step,
+        };
         for arm in PopcntArm::ALL {
             let fin = Finish {
                 xor,
@@ -851,18 +856,12 @@ mod tests {
                 // A case without an activation side may pass none.
                 x_sides: if c == 0 { &[] } else { &x_sides },
             };
-            let ctx = format!("case {case} w{p}a{q} outs {n_out} kw {kw} {arm:?}");
             let mut out = vec![[i32::MIN; LANES]; n_out];
-            finish_lanes(arm, &w, 0, &Rows { x: &x, row0: 0 }, &fin, &mut out);
-            assert_eq!(out, want, "rows, {ctx}");
-            let mut out = vec![[i32::MAX; LANES]; n_out];
-            let offsets = Offsets {
-                base: &flat,
-                at: &at,
-                stride,
-            };
-            finish_lanes(arm, &w, 0, &offsets, &fin, &mut out);
-            assert_eq!(out, want, "offsets, {ctx}");
+            finish_lanes(arm, &w, 0, &xs, &fin, &mut out);
+            assert_eq!(
+                out, want,
+                "case {case} w{p}a{q} outs {n_out} kw {kw} first {first} step {step} {arm:?}"
+            );
         }
     }
 
@@ -870,13 +869,15 @@ mod tests {
     fn finish_matches_adjust_partial_on_every_arm() {
         // All seven corrections; every shift `s + t` of 0..=14 as the top
         // plane pair of a `p × q` call; output counts either side of the
-        // block split.
+        // block split; streams overlapping, back to back and strided.
         let mut seed = 0x2545_F491_4F6C_DD1Du64;
         for case in 0..CORRECTIONS.len() {
             for shift in 0..=14usize {
                 let pq = (shift / 2 + 1, shift - shift / 2 + 1);
                 for (n_out, kw) in [(1usize, 3usize), (3, 40), (8, 9)] {
-                    check_finish(case, pq, n_out, kw, xs64(&mut seed));
+                    for (first, step) in [(2, kw / 3), (0, kw), (1, kw + 3)] {
+                        check_finish(case, pq, n_out, kw, (first, step), xs64(&mut seed));
+                    }
                 }
             }
         }
@@ -890,9 +891,10 @@ mod tests {
         #[test]
         fn finish_equals_adjust_partial_sum(
             case in 0usize..7, p in 1usize..9, q in 1usize..9, n_out in 1usize..10,
-            kw in 0usize..70, seed in proptest::prelude::any::<u64>(),
+            kw in 0usize..70, first in 0usize..4, step in 0usize..80,
+            seed in proptest::prelude::any::<u64>(),
         ) {
-            check_finish(case, (p, q), n_out, kw, seed);
+            check_finish(case, (p, q), n_out, kw, (first, step), seed);
         }
     }
 }

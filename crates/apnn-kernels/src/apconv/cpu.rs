@@ -14,23 +14,29 @@
 //! lay the operand out so the primitive's fragment is full (a 3×3×16 column
 //! is one word, not three quarter-full ones). The weight panel's K order is
 //! the same ([`super::ConvWeights::lane_panel`]), so every output pixel's
-//! window is still the **contiguous word slice**
+//! window is the **contiguous word slice**
 //! `strip[ox·stride·col_words ..][.. KW·col_words]`: nothing is gathered per
 //! pixel, and because consecutive pixels' slices overlap in place, one K
 //! pass streams a block of [`MicroTile::jb`] pixels × `q` planes against
-//! each loaded weight cell with no further scratch. (Packing whole
-//! *windows* bit-contiguously would save the columns' pad bits too, but
-//! un-align the windows from word boundaries and bring a per-pixel gather
-//! back.)
+//! each loaded weight cell with no further scratch — the streams are affine
+//! ([`Affine`]: `first = ox0·stride·col_words`, `step = stride·col_words`).
+//!
+//! Where a column is under a word and a window fits in fewer words than it
+//! has columns ([`ConvDesc::window_dense`] — the 3-channel stems: 3×3×3 is
+//! 27 bits, 5×5×3 75), the *window* becomes the unit instead: after the
+//! strip, one contiguous pass per `(kx, word)` lays every pixel's `kw`
+//! columns back to back, bit `kx·kh·C_in + ky·C_in + c`, into
+//! [`ConvDesc::k_words`] words per pixel and plane, and the kernel reads
+//! those at `step = k_words`. The strip stays the source of both the
+//! windows and the activation sides.
 //!
 //! Everything a window needs besides the strip is fixed before the first
-//! row ([`ConvExecPlan`]): its streams' strip offsets, and the weight side
-//! of its correction offset, folded over the plane pairs — a function of
-//! which taps fall outside the frame, i.e. of the window's *class*, of
-//! which an axis has at most `2·pad + 1`, so a pixel block carries one
-//! small index per pixel. An output row is then: strip in → per `(row
-//! group, block of jb pixels)` kernel calls that walk every plane pair and
-//! finish once per output in registers
+//! row ([`ConvExecPlan`]): the weight side of its correction offset, folded
+//! over the plane pairs — a function of which taps fall outside the frame,
+//! i.e. of the window's *class*, of which an axis has at most `2·pad + 1`,
+//! so a pixel block carries one small index per pixel. An output row is
+//! then: strip in → per `(row group, block of jb pixels)` kernel calls that
+//! walk every plane pair and finish once per output in registers
 //! ([`apnn_bitpack::popcnt::finish_lanes`]) → eight i32 channels stored per
 //! `(pixel, group)`.
 //!
@@ -41,14 +47,16 @@
 
 use std::ops::Range;
 
-use apnn_bitpack::popcnt::{finish_lanes, Finish, Offsets};
+use apnn_bitpack::popcnt::{finish_lanes, Affine, Finish};
 use apnn_bitpack::{BitTensor4, LanePanel, PopcntArm, LANES};
+use apnn_sim::BmmaOp;
 
-use super::padding::{correct_xor_window, fill_words, pad_fill, valid_row_popc};
+use super::padding::{fill_ones, fill_words, oob_popc, pad_fill, valid_row_popc, PadFill};
 use super::weights::TapPopc;
 use super::{ConvDesc, Pool2};
 use crate::autotune::{select_micro, MicroTile, MAX_JB};
-use crate::select::{fold_planes, plan, Correction};
+use crate::micro::MAX_PLANES;
+use crate::select::{fold_planes, plan, Correction, EmulationPlan};
 
 /// The kernel offsets (of `0..k`) whose input coordinate
 /// `o·stride + offset − pad` lies inside `0..extent`, for output coordinate
@@ -90,7 +98,7 @@ fn axis_classes(
 /// ad-hoc [`super::ApConv::execute`] entry point rebuilds it per call.
 #[derive(Debug, Clone)]
 pub struct ConvExecPlan {
-    pub(crate) eplan: crate::select::EmulationPlan,
+    pub(crate) eplan: EmulationPlan,
     /// The §4.2(b) fill of one out-of-frame pixel ([`ConvDesc::live_words`]
     /// words).
     pub(crate) fill_pattern: Vec<u64>,
@@ -100,10 +108,6 @@ pub struct ConvExecPlan {
     /// Popcount arm the microkernel runs on, bound once at plan time by
     /// [`PopcntArm::detect`] (exact for any value).
     pub(crate) arm: PopcntArm,
-    /// The strip word every stream of an output row starts at,
-    /// plane-major: plane `t` of pixel `ox`'s window is
-    /// `strip[offsets[t·out_w + ox]..][..k_words]`.
-    offsets: Vec<u32>,
     /// Window class of every output row.
     row_class: Vec<usize>,
     /// Per output pixel of a row, its column class: its entry in a
@@ -119,33 +123,32 @@ pub struct ConvExecPlan {
 impl ConvExecPlan {
     /// Resolve the plan + padding strategy + popcount arm + microkernel
     /// tile for a layer (an output row is the dynamic extent one K pass can
-    /// block over, so [`select_micro`] sees `out_w`), lay out its windows
-    /// and sum the out-of-frame taps of every window class from the
-    /// weights' per-tap popcounts.
+    /// block over, so [`select_micro`] sees `out_w`) and sum the
+    /// out-of-frame taps of every window class from the weights' per-tap
+    /// popcounts.
     pub(crate) fn new(desc: &ConvDesc, popc: &TapPopc) -> Self {
         let eplan = plan(desc.w_enc, desc.x_enc);
-        let fill = pad_fill(desc.w_enc, desc.x_enc);
-        let (q, cw) = (desc.x_bits as usize, desc.col_words());
-        let plane_words = (desc.w + 2 * desc.pad) * cw;
-        assert!(
-            q * plane_words <= u32::MAX as usize,
-            "strip offsets are u32"
-        );
-        let ow = desc.out_w();
-        let offsets = (0..q * ow)
-            .map(|r| (r / ow * plane_words + r % ow * desc.stride * cw) as u32)
-            .collect();
+        Self::for_plan(desc, popc, eplan, pad_fill(desc.w_enc, desc.x_enc))
+    }
 
+    /// [`Self::new`] under any emulation plan and fill — every pair is
+    /// exact ([`weight_sides`]); the encodings pick one of each, and tests
+    /// drive the rest (the XOR-only plans, the other fill).
+    pub(crate) fn for_plan(
+        desc: &ConvDesc,
+        popc: &TapPopc,
+        eplan: EmulationPlan,
+        fill: PadFill,
+    ) -> Self {
         let (rows, row_class) = axis_classes(desc.out_h(), desc.stride, desc.pad, desc.h, desc.kh);
         let (cols, col_class) = axis_classes(desc.out_w(), desc.stride, desc.pad, desc.w, desc.kw);
-        let corr = eplan.case.correction();
         let mut w_sides = Vec::with_capacity(rows.len() * popc.groups() * cols.len());
         for (rows_in, g) in rows
             .iter()
             .flat_map(|r| (0..popc.groups()).map(move |g| (r, g)))
         {
             w_sides.extend(cols.iter().map(|cols_in| {
-                weight_sides(desc, popc, corr, g, |ky, kx| {
+                weight_sides(desc, popc, eplan, fill, g, |ky, kx| {
                     !rows_in.contains(&ky) || !cols_in.contains(&kx)
                 })
             }));
@@ -155,7 +158,6 @@ impl ConvExecPlan {
             fill_pattern: fill_words(fill, desc.cin, desc.live_words()),
             micro: select_micro(desc.out_w()),
             arm: PopcntArm::detect(),
-            offsets,
             row_class,
             col_side: col_class.iter().map(|&class| class as u32).collect(),
             w_sides,
@@ -196,11 +198,12 @@ impl ConvExecPlan {
 }
 
 /// Reusable per-call scratch for the `execute_into` entry points — all of
-/// it **row-sized**: the activation strip of the output row in flight, its
-/// accumulator row (two under a fused 2×2 pool) and — for a fused tail
-/// without a step table only — the `f32` and code rows of the chain's row
-/// form. Size it once with [`ConvScratch::reserve`]; every later call —
-/// full or partial shard — is then allocation-free.
+/// it **row-sized**: the activation strip of the output row in flight (and,
+/// for a window-dense layer, its windows), its accumulator row (two under a
+/// fused 2×2 pool) and — for a fused tail without a step table only — the
+/// `f32` and code rows of the chain's row form. Size it once with
+/// [`ConvScratch::reserve`]; every later call — full or partial shard — is
+/// then allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct ConvScratch {
     pub(super) strip: Strip,
@@ -216,15 +219,18 @@ pub struct ConvScratch {
 
 impl ConvScratch {
     /// Pre-size the scratch: `strip_words` strip words
-    /// (`x_bits × (w + 2·pad) × col_words`), `cols` strip columns
-    /// (`w + 2·pad` per-column offsets), `x_sides` activation-side offsets
-    /// (`out_w`), `acc` accumulator elements (`out_w × cout`, twice under a
-    /// fused pool) and — zero for a tail with a step table — `row` elements
-    /// of one fused output row (`≤ out_w × cout`) and `bn_den` elements
+    /// (`x_bits × (w + 2·pad) × col_words`), `windows` window words
+    /// ([`window_words`]), `cols` strip columns (`w + 2·pad` per-column
+    /// offsets), `x_sides` activation-side offsets (`out_w`), `acc`
+    /// accumulator elements (`out_w × cout`, twice under a fused pool) and —
+    /// zero for a tail with a step table — `row` elements of one fused
+    /// output row (`≤ out_w × cout`) and `bn_den` elements
     /// ([`crate::fusion::Epilogue::row_scratch_len`]).
+    #[allow(clippy::too_many_arguments)]
     pub fn reserve(
         &mut self,
         strip_words: usize,
+        windows: usize,
         cols: usize,
         x_sides: usize,
         acc: usize,
@@ -235,6 +241,7 @@ impl ConvScratch {
             v.reserve(len.saturating_sub(v.len()));
         }
         grow(&mut self.strip.words, strip_words);
+        grow(&mut self.strip.windows, windows);
         grow(&mut self.strip.col_sides, cols);
         grow(&mut self.strip.x_sides, x_sides);
         grow(&mut self.acc, acc);
@@ -244,11 +251,26 @@ impl ConvScratch {
     }
 }
 
+/// The window buffer a layer's output row needs: `q` planes of `out_w`
+/// windows of [`ConvDesc::k_words`] words for a [`ConvDesc::window_dense`]
+/// layer — plus one plane-sized staging region when a window spans more
+/// than one word — and nothing otherwise.
+pub fn window_words(desc: &ConvDesc) -> usize {
+    if !desc.window_dense() {
+        return 0;
+    }
+    let k_words = desc.k_words();
+    (desc.x_bits as usize + usize::from(k_words > 1)) * desc.out_w() * k_words
+}
+
 /// The column-dense activation strip of one output row (see the module
 /// docs for the layout), all `q` planes back to back.
 #[derive(Debug, Clone, Default)]
 pub(super) struct Strip {
     words: Vec<u64>,
+    /// A window-dense layer's windows, built from `words`: plane `t` of
+    /// pixel `ox` at `(t·out_w + ox)·k_words`. Empty otherwise.
+    windows: Vec<u64>,
     /// The activation side of every output pixel's correction offset
     /// (`c·J·X` over its window, folded over the plane pairs). Filled only
     /// for the cases that consume it, else empty.
@@ -305,11 +327,84 @@ impl Strip {
             }
         }
 
+        if desc.window_dense() {
+            self.build_windows(desc);
+        }
         self.x_sides.clear();
         let corr = state.eplan.case.correction();
         if corr.needs_col_sums() {
             self.build_x_sides(desc, corr);
         }
+    }
+
+    /// Lay every pixel's window out from the one-word columns just built:
+    /// column `kx` of pixel `ox` — strip column `ox·stride + kx` — lands at
+    /// window bit `kx·kh·cin`. The words are built *word-major* (word `k` of
+    /// every pixel contiguous), so each `(kx, word)` is one contiguous pass
+    /// over the pixels ([`window_pass`]); a one-word window is then already
+    /// in place, a longer one is staged in a plane-sized region past the
+    /// last plane and interleaved into its pixel-major slot.
+    fn build_windows(&mut self, desc: &ConvDesc) {
+        let (k_words, pitch) = (desc.k_words(), desc.col_pitch());
+        let (cols, ow) = (desc.w + 2 * desc.pad, desc.out_w());
+        let (region, staged) = (ow * k_words, k_words > 1);
+        apnn_bitpack::resize_for_overwrite(&mut self.windows, window_words(desc));
+        for (t, plane) in self.words.chunks_exact(cols).enumerate() {
+            let (built, stage) = self.windows.split_at_mut((t + 1) * region);
+            let windows = &mut built[t * region..];
+            let rows = if staged {
+                &mut stage[..region]
+            } else {
+                &mut *windows
+            };
+            for kx in 0..desc.kw {
+                let at = kx * pitch;
+                let (row, next) = rows[at / 64 * ow..].split_at_mut(ow);
+                let (bi, cols) = (at % 64, &plane[kx..]);
+                if desc.stride == 1 {
+                    window_pass(row, next, bi, pitch, cols.iter().copied());
+                } else {
+                    let cols = cols.iter().step_by(desc.stride).copied();
+                    window_pass(row, next, bi, pitch, cols);
+                }
+            }
+            if !staged {
+                continue;
+            }
+            let rows = &stage[..region];
+            if k_words == 2 {
+                // The stems' case: one pass of pairs.
+                let (lo, hi) = rows.split_at(ow);
+                for (win, (&lo, &hi)) in windows.chunks_exact_mut(2).zip(lo.iter().zip(hi)) {
+                    win.copy_from_slice(&[lo, hi]);
+                }
+            } else {
+                for (k, row) in rows.chunks_exact(ow).enumerate() {
+                    for (win, &word) in windows.chunks_exact_mut(k_words).zip(row) {
+                        win[k] = word;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The kernel's streams over the strip just laid out: per plane, the
+    /// buffer the windows lie in, and the words from one pixel's window to
+    /// the next — pixel `ox`'s plane-`t` window is `planes[t][ox·step ..]
+    /// [.. k_words]`, overlapping columns of the strip or, window-dense,
+    /// back-to-back windows.
+    fn streams<'a>(&'a self, desc: &ConvDesc, planes: &mut [&'a [u64]; MAX_PLANES]) -> usize {
+        let (buf, plane_words, step) = if desc.window_dense() {
+            let k_words = desc.k_words();
+            (&self.windows, desc.out_w() * k_words, k_words)
+        } else {
+            let cw = desc.col_words();
+            (&self.words, (desc.w + 2 * desc.pad) * cw, desc.stride * cw)
+        };
+        for (t, plane) in planes[..desc.x_bits as usize].iter_mut().enumerate() {
+            *plane = &buf[t * plane_words..][..plane_words];
+        }
+        step
     }
 
     /// The activation side of every window of the strip just laid out. The
@@ -365,19 +460,18 @@ impl Strip {
 /// it), and the part spilling past the word boundary is stored into the
 /// next word, which it is the first to reach.
 #[inline(always)]
-fn place(cols: &mut [u64], cw: usize, at: usize, n: usize, srcs: impl Iterator<Item = u64>) {
+fn place(
+    cols: &mut [u64],
+    cw: usize,
+    at: usize,
+    n: usize,
+    srcs: impl Iterator<Item = u64> + Clone,
+) {
     let (wi, bi) = (at / 64, at % 64);
     if cw == 1 {
-        // One word per column (`kh·cin ≤ 64`): a contiguous pass.
-        if bi == 0 {
-            for (col, src) in cols.iter_mut().zip(srcs) {
-                *col = src;
-            }
-        } else {
-            for (col, src) in cols.iter_mut().zip(srcs) {
-                *col |= src << bi;
-            }
-        }
+        // One word per column (`kh·cin ≤ 64`, so nothing spills): a
+        // contiguous pass.
+        window_pass(cols, &mut [], bi, n, srcs);
     } else if bi == 0 {
         for (col, src) in cols.chunks_exact_mut(cw).zip(srcs) {
             col[wi] = src;
@@ -393,21 +487,58 @@ fn place(cols: &mut [u64], cw: usize, at: usize, n: usize, srcs: impl Iterator<I
     }
 }
 
+/// One contiguous placement pass — a one-word-column tap of [`place`], a
+/// `(kx, word)` of [`Strip::build_windows`]: one `n`-bit source word per
+/// destination word placed at bit `bi` of `row` — **stored** when it starts
+/// the word and OR-ed otherwise (an earlier pass stored it) — and the part
+/// spilling past the word stored into `next`, which it is the first to
+/// reach. Contiguous in both buffers, so it vectorizes.
+#[inline(always)]
+fn window_pass(
+    row: &mut [u64],
+    next: &mut [u64],
+    bi: usize,
+    n: usize,
+    cols: impl Iterator<Item = u64> + Clone,
+) {
+    if bi == 0 {
+        for (word, col) in row.iter_mut().zip(cols) {
+            *word = col;
+        }
+        return;
+    }
+    for (word, col) in row.iter_mut().zip(cols.clone()) {
+        *word |= col << bi;
+    }
+    if bi + n > 64 {
+        for (word, col) in next.iter_mut().zip(cols) {
+            *word = col >> (64 - bi);
+        }
+    }
+}
+
 /// The weight-side part of the correction offset of row group `g`, folded
 /// over the plane pairs ([`fold_planes`]), over a window whose taps
-/// `out_of_frame(ky, kx)` reports missing: their weight popcounts leave the
-/// effective `K` ([`correct_xor_window`]) and row sum ([`valid_row_popc`])
-/// the §3.2 correction sees — the §4.2(b) amendment, summed per tap. Called
-/// only to build a plan's window-class table ([`ConvExecPlan::new`]); with
-/// [`Strip::build`]'s activation side, the conv half of the offset the
-/// kernel's finish consumes.
+/// `out_of_frame(ky, kx)` reports missing. The kernel counts those taps'
+/// fill against their weights, so the numerator it needs is
+/// [`Correction::numerator`] with that count taken back out
+/// ([`oob_popc`]), the effective `K` and row sum ([`valid_row_popc`]) of the
+/// in-frame taps, and the fill's ones taken out of the activation sum the
+/// strip's `J·X` includes ([`fill_ones`] per plane, the same for every
+/// plane, so it folds like a weight term) — the §4.2(b) amendment, summed
+/// per tap, for any plan under any fill. Called only to build a plan's
+/// window-class table ([`ConvExecPlan::for_plan`]); with [`Strip::build`]'s
+/// activation side, the conv half of the offset the kernel's finish
+/// consumes.
 fn weight_sides(
     desc: &ConvDesc,
     popc: &TapPopc,
-    corr: Correction,
+    eplan: EmulationPlan,
+    fill: PadFill,
     g: usize,
     out_of_frame: impl Fn(usize, usize) -> bool,
 ) -> [i32; LANES] {
+    let (corr, xor) = (eplan.case.correction(), eplan.op == BmmaOp::Xor);
     let cin = desc.cin as i32;
     let oob: Vec<(usize, usize)> = (0..desc.kh)
         .flat_map(|ky| (0..desc.kw).map(move |kx| (ky, kx)))
@@ -421,10 +552,11 @@ fn weight_sides(
                 .iter()
                 .map(|&(ky, kx)| popc.seg_lanes(s, ky * desc.kw + kx, g)[l])
                 .sum();
-            corr.offset(
-                correct_xor_window(0, cin, valid_taps, oob_w, oob_taps),
+            corr.numerator(
+                -oob_popc(xor, fill, cin, oob_taps, oob_w),
+                valid_taps * cin,
                 valid_row_popc(popc.row_lanes(s, g)[l], oob_w),
-                0,
+                -oob_taps * fill_ones(fill, cin),
             )
         })
     })
@@ -459,8 +591,8 @@ pub(super) fn conv_exec(
     assert_eq!(w.n_planes(), desc.w_bits as usize, "weight panel planes");
     assert_eq!(w.words_per_row(), desc.k_words(), "weight panel K order");
     assert_eq!(
-        (state.offsets.len(), state.row_class.len()),
-        (desc.out_w() * desc.x_bits as usize, desc.out_h()),
+        (state.col_side.len(), state.row_class.len()),
+        (desc.out_w(), desc.out_h()),
         "plan was built for another layer"
     );
 
@@ -498,6 +630,8 @@ fn conv_row(
     let (ow, cout) = (desc.out_w(), desc.cout);
     let fin = state.eplan.finish(q);
     let rc = state.row_class[oy];
+    let mut planes: [&[u64]; MAX_PLANES] = [&[]; MAX_PLANES];
+    let step = strip.streams(desc, &mut planes);
 
     let mut block = [[0i32; LANES]; MAX_JB];
     for g in 0..w.groups() {
@@ -515,10 +649,10 @@ fn conv_row(
                 },
                 ..fin
             };
-            let xs = Offsets {
-                base: &strip.words,
-                at: &state.offsets[ox0..],
-                stride: ow,
+            let xs = Affine {
+                planes: &planes[..q],
+                first: ox0 * step,
+                step,
             };
             finish_lanes(arm, w, g, &xs, &fin, &mut block[..n_px]);
             for (lanes, px) in block[..n_px].iter().zip(row[ox0 * cout..].chunks_mut(cout)) {

@@ -1,8 +1,9 @@
 use super::*;
-use crate::apconv::padding::{fill_words, PadFill};
+use crate::apconv::padding::{correct_xor_window, fill_words, PadFill};
 use crate::apconv::{ApConv, ConvOutput, ConvWeights, Residual};
 use crate::fusion::{Epilogue, EpilogueOp, Steps, Tail};
 use crate::reference::conv2d_i32;
+use crate::select::plan_xor_only;
 use apnn_bitpack::{Encoding, Layout, Tensor4};
 
 fn lcg(seed: &mut u64) -> u64 {
@@ -270,36 +271,40 @@ fn ad_hoc_conv_entry_reuses_the_shape_keyed_memo() {
     assert!(prepared.micro().jb <= desc.out_w().next_power_of_two());
 }
 
-/// Every window of every strip against a tap-by-tap, channel-by-channel
-/// gather of the same window — bit `ky·cin + c` of column `kx` is channel
+/// Every window of every strip, read the way the kernel reads it (the
+/// strip's [`Affine`] streams), against a tap-by-tap, channel-by-channel
+/// gather of the same window — K bit `kx·col_pitch + ky·cin + c` is channel
 /// `c` of tap `(ky, kx)`, the fill where the tap misses the frame, and
-/// every other bit (a column's pad bits) is zero — plus the in-frame
-/// ranges against a per-tap coordinate test and the folded activation
-/// sides against a recount, plane by plane, for every output pixel.
-fn check_strip_against_tap_gather(desc: &ConvDesc, fill: &[u64], seed: u64) {
+/// every other bit (a column's pad bits) is zero, whether the layer is
+/// column- or window-dense — plus the in-frame ranges against a per-tap
+/// coordinate test and the folded activation sides against a recount,
+/// plane by plane, for every output pixel.
+fn check_strip_against_tap_gather(desc: &ConvDesc, fill: PadFill, seed: u64) {
     let mut seed = seed;
     let (input, _) = make_input(desc, &mut seed);
     let (weights, _) = make_weights(desc, &mut seed);
-    let mut state = ConvExecPlan::new(desc, weights.popc());
-    state.fill_pattern = fill.to_vec();
+    let eplan = plan(desc.w_enc, desc.x_enc);
+    let state = ConvExecPlan::for_plan(desc, weights.popc(), eplan, fill);
     let corr = state.eplan.case.correction();
     assert!(
         corr.needs_col_sums(),
         "the case must build activation sides"
     );
-    let (kh, kw, cin, cw) = (desc.kh, desc.kw, desc.cin, desc.col_words());
-    let (p, q) = (desc.w_bits as usize, desc.x_bits as usize);
+    let fill = fill_words(fill, desc.cin, desc.live_words());
+    let (kh, kw, cin, pitch) = (desc.kh, desc.kw, desc.cin, desc.col_pitch());
+    let (p, q, k_words) = (desc.w_bits as usize, desc.x_bits as usize, desc.k_words());
     let mut strip = Strip::default();
     for b in 0..desc.batch {
         for oy in 0..desc.out_h() {
             strip.build(desc, &input, &state, b, oy);
+            let mut planes = [&[][..]; MAX_PLANES];
+            let step = strip.streams(desc, &mut planes);
             let rows_in = in_frame(oy, desc.stride, desc.pad, desc.h, kh);
             for ox in 0..desc.out_w() {
                 let cols_in = in_frame(ox, desc.stride, desc.pad, desc.w, kw);
                 let mut plane_ones = Vec::new();
-                for t in 0..q {
-                    let stream = t * desc.out_w() + ox;
-                    let window = &strip.words[state.offsets[stream] as usize..][..kw * cw];
+                for (t, plane) in planes[..q].iter().enumerate() {
+                    let window = &plane[ox * step..][..k_words];
                     let mut ones = 0;
                     for (kx, ky) in (0..kw).flat_map(|kx| (0..kh).map(move |ky| (kx, ky))) {
                         let iy = (oy * desc.stride + ky) as isize - desc.pad as isize;
@@ -314,13 +319,13 @@ fn check_strip_against_tap_gather(desc: &ConvDesc, fill: &[u64], seed: u64) {
                         let tap = if inside {
                             input.pixel_words(b, t as u32, iy as usize, ix as usize)
                         } else {
-                            fill
+                            &fill
                         };
                         for c in 0..cin {
-                            let at = ky * cin + c;
+                            let at = kx * pitch + ky * cin + c;
                             let want = tap[c / 64] >> (c % 64) & 1;
                             assert_eq!(
-                                window[kx * cw + at / 64] >> (at % 64) & 1,
+                                window[at / 64] >> (at % 64) & 1,
                                 want,
                                 "window ({oy},{ox}) plane {t} tap ({ky},{kx}) channel {c} of {desc:?}"
                             );
@@ -363,27 +368,30 @@ fn strip_desc(
 fn shifted_window_gather_matches_full_gather() {
     // Every window equals a tap-by-tap gather: both strides, pads up to
     // windows wholly outside the frame (pad 2 under a 3×3 kernel), square
-    // and oblong kernels, channel counts that fill a fraction of a word,
-    // straddle word boundaries mid-column (21, 65, 130) and fill whole
-    // words (64), both fill patterns, 1–3 planes.
+    // and oblong kernels, channel counts that fill a fraction of a word —
+    // window-dense where a window needs fewer words than columns (1, 3, 7
+    // channels) — straddle word boundaries mid-column (21, 65, 130) and
+    // fill whole words (64), both fill patterns, 1–3 planes.
     let mut seed = 23;
+    let mut dense = 0;
     for (stride, pad) in [1usize, 2]
         .into_iter()
         .flat_map(|s| [0, 1, 2].map(|p| (s, p)))
     {
-        for k in [(1usize, 1usize), (3, 3), (5, 5), (3, 5)] {
-            for cin in [3usize, 16, 21, 64, 65, 130] {
+        for k in [(1usize, 1usize), (3, 3), (5, 5), (3, 5), (2, 4)] {
+            for cin in [1usize, 3, 7, 16, 21, 64, 65, 130] {
                 for q in 1u32..=3 {
                     let desc = strip_desc(2, (6, 7), cin, k, (stride, pad), q);
+                    dense += usize::from(desc.window_dense());
                     for fill in [PadFill::Zeros, PadFill::OnesValidChannels] {
-                        let fill = fill_words(fill, cin, desc.live_words());
                         seed += 1;
-                        check_strip_against_tap_gather(&desc, &fill, seed);
+                        check_strip_against_tap_gather(&desc, fill, seed);
                     }
                 }
             }
         }
     }
+    assert!(dense > 0, "the grid has window-dense layers");
 }
 
 proptest::proptest! {
@@ -400,7 +408,7 @@ proptest::proptest! {
         proptest::prop_assume!(h + 2 * pad >= kh && w + 2 * pad >= kw);
         let desc = strip_desc(1, (h, w), cin, (kh, kw), (stride, pad), q);
         let fill = if ones { PadFill::OnesValidChannels } else { PadFill::Zeros };
-        check_strip_against_tap_gather(&desc, &fill_words(fill, cin, desc.live_words()), seed);
+        check_strip_against_tap_gather(&desc, fill, seed);
     }
 }
 
@@ -427,12 +435,13 @@ fn window_class_table_equals_per_pixel_weight_sides() {
                 let desc = with_encodings(desc, w_enc, x_enc);
                 let (weights, _) = make_weights(&desc, &mut seed);
                 let state = ConvExecPlan::new(&desc, weights.popc());
-                let corr = state.eplan.case.correction();
+                let (eplan, fill) = (state.eplan, pad_fill(w_enc, x_enc));
+                let corr = eplan.case.correction();
                 let groups = cout.div_ceil(LANES);
                 for (oy, ox, g) in (0..desc.out_h()).flat_map(|oy| {
                     (0..desc.out_w()).flat_map(move |ox| (0..groups).map(move |g| (oy, ox, g)))
                 }) {
-                    let want = weight_sides(&desc, weights.popc(), corr, g, |ky, kx| {
+                    let want = weight_sides(&desc, weights.popc(), eplan, fill, g, |ky, kx| {
                         let iy = (oy * stride + ky) as isize - pad as isize;
                         let ix = (ox * stride + kx) as isize - pad as isize;
                         !(0..desc.h as isize).contains(&iy) || !(0..desc.w as isize).contains(&ix)
@@ -673,5 +682,105 @@ proptest::proptest! {
         desc.w = w;
         let pool = [None, Some(Pool2::Max), Some(Pool2::Avg)][pool as usize];
         check_tail(&desc, pool, (residual, rbits), bits, seed);
+    }
+}
+
+/// One layer through the driver under every emulation plan its encodings
+/// have (the Ampere plan and the XOR-only one) × both fills × every arm ×
+/// a full and a partial shard, against the naive i32 oracle; returns the
+/// cases it ran.
+fn check_every_plan_and_fill(desc: &ConvDesc, seed: u64) -> Vec<crate::select::EmulationCase> {
+    let (input, weights, want) = operands_and_oracle(desc, seed);
+    let panel = weights.lane_panel(desc);
+    let per_image = desc.out_h() * desc.out_w() * desc.cout;
+    let (mut scratch, mut out, mut cases) = (ConvScratch::default(), Vec::new(), Vec::new());
+    let plans = [
+        plan(desc.w_enc, desc.x_enc),
+        plan_xor_only(desc.w_enc, desc.x_enc),
+    ];
+    for eplan in plans {
+        cases.push(eplan.case);
+        for fill in [PadFill::Zeros, PadFill::OnesValidChannels] {
+            let state = ConvExecPlan::for_plan(desc, weights.popc(), eplan, fill);
+            for arm in PopcntArm::ALL {
+                let state = state.clone().with_arm(arm);
+                for images in [desc.batch, desc.batch - 1] {
+                    let input = input.batch_slice(0, images);
+                    conv_exec_store(desc, &panel, &input, &state, &mut scratch, &mut out);
+                    assert_eq!(
+                        out,
+                        want[..images * per_image],
+                        "{:?} {fill:?} {arm:?} shard {images} of {desc:?}",
+                        eplan.case
+                    );
+                }
+            }
+        }
+    }
+    cases
+}
+
+/// A 2-image layer of the window-dense differential grid: `(w_enc, x_enc)`
+/// pair `enc` of the four, at `p` weight and `q` activation bits where the
+/// encoding allows more than one.
+fn grid_desc(
+    (h, w): (usize, usize),
+    cin: usize,
+    (kh, kw): (usize, usize),
+    (stride, pad): (usize, usize),
+    enc: usize,
+    (p, q): (u32, u32),
+    cout: usize,
+) -> ConvDesc {
+    use Encoding::{PlusMinusOne as Pm, ZeroOne as Zo};
+    let (w_enc, x_enc) = [(Zo, Zo), (Pm, Pm), (Pm, Zo), (Zo, Pm)][enc];
+    let p = if w_enc == Pm { 1 } else { p };
+    let q = if x_enc == Pm { 1 } else { q };
+    let mut desc = ConvDesc::unsigned(2, cin, h, cout, kh, stride, pad, p, q);
+    (desc.w, desc.kw) = (w, kw);
+    with_encodings(desc, w_enc, x_enc)
+}
+
+#[test]
+fn every_plan_and_fill_is_exact_on_the_stems() {
+    // The zoo's window-dense shapes (3×3×3, 5×5×3, 4×4×3 on 8 planes) and
+    // a column-dense neighbour, under all seven cases.
+    let mut cases = Vec::new();
+    for (k, cin, stride, pad) in [(3, 3, 1, 1), (5, 3, 1, 2), (4, 3, 2, 1), (3, 16, 1, 1)] {
+        for enc in 0..4 {
+            let desc = grid_desc((6, 9), cin, (k, k), (stride, pad), enc, (2, 8), 9);
+            assert_eq!(desc.window_dense(), cin == 3, "{desc:?}");
+            for case in check_every_plan_and_fill(&desc, 97 + enc as u64) {
+                if !cases.contains(&case) {
+                    cases.push(case);
+                }
+            }
+        }
+    }
+    assert_eq!(cases.len(), 7, "all seven emulation cases");
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+    /// Window-dense K against the naive oracle over the grid the rule
+    /// matters on — `kh, kw ∈ 1..=5`, short channel vectors, strides up to
+    /// 4, pads up to 2, 1, 2 and 8 planes — for all four encoding pairs
+    /// under both plans (all seven cases), both fills, every arm and a
+    /// partial shard; column-dense draws fall out of the same grid (the
+    /// nightly deep run drives this at 2048 cases).
+    #[test]
+    fn window_dense_conv_equals_oracle(
+        kh in 1usize..6, kw in 1usize..6, cin in 0usize..6, stride in 0usize..3,
+        pad in 0usize..3, q in 0usize..3, p in 1u32..3, h in 1usize..8, w in 1usize..12,
+        cout in 1usize..12, seed in proptest::prelude::any::<u64>(),
+    ) {
+        proptest::prop_assume!(h + 2 * pad >= kh && w + 2 * pad >= kw);
+        let (cin, stride) = ([1, 2, 3, 5, 7, 21][cin], [1, 2, 4][stride]);
+        let q = [1, 2, 8][q];
+        for enc in 0..4 {
+            let desc = grid_desc((h, w), cin, (kh, kw), (stride, pad), enc, (p, q), cout);
+            check_every_plan_and_fill(&desc, seed ^ enc as u64);
+        }
     }
 }

@@ -18,10 +18,11 @@
 //! The fragment-aligned `K` above is what the simulator prices and
 //! [`im2row`] materializes. The functional CPU backend ([`cpu`]) reduces
 //! over a denser one — [`ConvDesc::k_words`]: per kernel column, the `KH`
-//! taps' channel bits packed contiguously — because its "fragment" is a
-//! 64-bit word, and §4.2's point is to lay operands out so the fragment is
-//! full. Both operands drop the same zero bits, so every count is
-//! unchanged.
+//! taps' channel bits packed contiguously, and, where a column is under a
+//! word, the whole window's ([`ConvDesc::window_dense`]) — because its
+//! "fragment" is a 64-bit word, and §4.2's point is to lay operands out so
+//! the fragment is full. Both operands drop the same zero bits, so every
+//! count is unchanged.
 //!
 //! A fused convolution ends in [`tail`]: the residual ([`Residual`] — a
 //! projection's accumulators, or an identity branch read packed), the 2×2
@@ -147,11 +148,34 @@ impl ConvDesc {
         (self.kh * self.cin).div_ceil(64)
     }
 
-    /// The CPU kernel's reduction length in packed words (`kw` columns of
-    /// [`Self::col_words`]) — the one definition shared by the weight
-    /// panel, the activation strip, tile selection and the cost oracle.
+    /// Whether the CPU kernel's unit of K is the whole *window* rather than
+    /// the column: when a column is under a word (`col_words() == 1`) and
+    /// a window needs fewer words than it has columns
+    /// (`⌈kh·kw·cin/64⌉ < kw`), the `kw` columns' `kh·cin` live bits are
+    /// laid back to back with no per-column rounding (a 3×3×3 window is one
+    /// word, not three; 5×5×3 two, not five). A shape rule, not an option.
+    pub fn window_dense(&self) -> bool {
+        self.col_words() == 1 && self.k_valid().div_ceil(64) < self.kw
+    }
+
+    /// Bits from one kernel column to the next in the CPU kernel's K order:
+    /// a column's `kh·cin` live bits when [`Self::window_dense`], else its
+    /// [`Self::col_words`] whole words. Tap `(ky, kx)`'s channel `c` is K
+    /// bit `kx·col_pitch() + ky·cin + c`.
+    pub fn col_pitch(&self) -> usize {
+        if self.window_dense() {
+            self.kh * self.cin
+        } else {
+            64 * self.col_words()
+        }
+    }
+
+    /// The CPU kernel's reduction length in packed words (`kw` columns at
+    /// [`Self::col_pitch`], rounded up to a word) — the one definition
+    /// shared by the weight panel, the activation strip, tile selection,
+    /// workspace sizing and the cost oracle.
     pub fn k_words(&self) -> usize {
-        self.kw * self.col_words()
+        (self.kw * self.col_pitch()).div_ceil(64)
     }
 
     /// Valid (logical) reduction length per fully-in-frame window.
@@ -261,9 +285,9 @@ impl ApConv {
     /// Hoist every per-call invariant out of the serving loop: re-lay the
     /// packed weights out as the microkernel's lane panel
     /// ([`ConvWeights::lane_panel`] — the only copy kept) and materialize
-    /// the emulation plan, the input-aware padding pattern (§4.2(b)), the
-    /// strip offset of every window and the weight side of the correction
-    /// for every class of window ([`cpu::ConvExecPlan`]). The result
+    /// the emulation plan, the input-aware padding pattern (§4.2(b)) and
+    /// the weight side of the correction for every class of window
+    /// ([`cpu::ConvExecPlan`]). The result
     /// executes repeatedly without re-packing or re-planning, and accepts
     /// partial batches.
     pub fn prepare(&self, weights: ConvWeights) -> PreparedConv {
@@ -311,8 +335,8 @@ impl ApConv {
 }
 
 /// An APConv kernel compiled for serving: lane-interleaved weight panel +
-/// emulation plan + padding pattern + window offsets + per-window-class
-/// correction offsets, all materialized once at compile time.
+/// emulation plan + padding pattern + per-window-class correction offsets,
+/// all materialized once at compile time.
 #[derive(Debug, Clone)]
 pub struct PreparedConv {
     /// Layer description (`batch` is the *compiled* batch; calls may shard).
@@ -324,10 +348,9 @@ pub struct PreparedConv {
 }
 
 impl PreparedConv {
-    /// The weight operand, in the microkernel's panel layout: K runs over
-    /// the `kw` kernel columns, each [`ConvDesc::col_words`] words holding
-    /// tap `ky`'s channel `c` at bit `ky·cin + c`
-    /// ([`ConvWeights::lane_panel`]).
+    /// The weight operand, in the microkernel's panel layout: tap
+    /// `(ky, kx)`'s channel `c` at K bit `kx·col_pitch + ky·cin + c`
+    /// ([`ConvDesc::col_pitch`], [`ConvWeights::lane_panel`]).
     pub fn weights(&self) -> &LanePanel {
         &self.panel
     }
@@ -499,16 +522,28 @@ mod tests {
         assert_eq!(d.out_h(), 55); // AlexNet conv1
 
         // The CPU reduction packs a kernel column's 11 taps × 3 channels
-        // into one word: 11 words, not 121.
-        assert_eq!((d.live_words(), d.col_words(), d.k_words()), (1, 1, 11));
-        // The zoo's K drops: 3×3×16 and 3×3×3 9→3, 3×3×32 9→6, 5×5×3
-        // 25→5, 5×5×24 25→10.
-        for (cin, k, words) in [(16, 3, 3), (3, 3, 3), (32, 3, 6), (3, 5, 5), (24, 5, 10)] {
-            assert_eq!(
-                ConvDesc::unsigned(1, cin, 8, 8, k, 1, 0, 1, 1).k_words(),
-                words
-            );
+        // into one word's 33 bits, and — the columns being under a word —
+        // the whole window's 363 bits into 6 words: not 121, not 11.
+        assert_eq!((d.live_words(), d.col_words(), d.col_pitch()), (1, 1, 33));
+        assert_eq!(d.k_words(), 6);
+        // The zoo's K drops: 3×3×16 9→3 (whole columns: 144 bits need
+        // three words either way), 3×3×32 9→6, 5×5×24 25→10 (two-word
+        // columns), and under a word the windows: 3×3×3 9→1, 5×5×3 25→2,
+        // 4×4×3 16→1.
+        for (cin, k, words, dense) in [
+            (16, 3, 3, false),
+            (32, 3, 6, false),
+            (24, 5, 10, false),
+            (3, 3, 1, true),
+            (3, 5, 2, true),
+            (3, 4, 1, true),
+        ] {
+            let d = ConvDesc::unsigned(1, cin, 8, 8, k, 1, 0, 1, 1);
+            assert_eq!((d.k_words(), d.window_dense()), (words, dense), "{d:?}");
         }
+        // One-wide kernels and whole-word channels keep their columns.
+        assert!(!ConvDesc::unsigned(1, 3, 8, 8, 1, 1, 0, 1, 1).window_dense());
+        assert!(!ConvDesc::unsigned(1, 64, 8, 8, 3, 1, 1, 1, 1).window_dense());
     }
 
     #[test]

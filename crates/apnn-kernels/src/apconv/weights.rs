@@ -1,9 +1,9 @@
 //! Packed convolution weights: the fragment-aligned implicit-GEMM row
 //! layout ([`ConvWeights::planes`] — the canonical packed form, what
 //! `im2row` and the simulator read), the per-tap popcount tables of the
-//! input-aware padding, and the column-dense lane panel the CPU kernel
-//! runs on ([`ConvWeights::lane_panel`]), built from the planes once per
-//! `prepare`.
+//! input-aware padding, and the column- or window-dense lane panel the CPU
+//! kernel runs on ([`ConvWeights::lane_panel`]), built from the planes once
+//! per `prepare`.
 
 use apnn_bitpack::{BitPlanes, Encoding, LanePanel, LANES};
 
@@ -135,11 +135,13 @@ impl ConvWeights {
     }
 
     /// The weights as the CPU kernel's lane panel. K runs over the `kw`
-    /// kernel columns, [`ConvDesc::col_words`] words each: a column is the
-    /// bit string holding tap `(ky, kx)`'s channel `c` at bit `ky·cin + c`
-    /// — the order the activation strip presents a window in — so neither
-    /// the fragment padding of [`ConvWeights::planes`] nor the unused high
-    /// bits of a short channel vector (zero in both operands) take up K.
+    /// kernel columns, [`ConvDesc::col_pitch`] bits apart: K bit
+    /// `kx·col_pitch + ky·cin + c` holds tap `(ky, kx)`'s channel `c` — the
+    /// order the activation strip presents a window in — so neither the
+    /// fragment padding of [`ConvWeights::planes`] nor the unused high bits
+    /// of a short channel vector (zero in both operands) take up K, and
+    /// under a window-dense layout ([`ConvDesc::window_dense`]) neither do a
+    /// column's rounding bits.
     pub fn lane_panel(&self, desc: &ConvDesc) -> LanePanel {
         let (cout, taps, cin, _) = self.dims();
         assert_eq!(
@@ -147,16 +149,21 @@ impl ConvWeights {
             (desc.cout, desc.kh * desc.kw, desc.cin),
             "weights were packed for another layer"
         );
-        let (cw, wpt) = (desc.col_words(), self.words_per_tap());
+        let (pitch, col_bits, wpt) = (desc.col_pitch(), desc.kh * cin, self.words_per_tap());
+        let k_bits = desc.kw * pitch;
         LanePanel::from_fn(desc.w_bits as usize, cout, desc.k_words(), |s, co, k| {
-            // Word `k % cw` of column `kx = k / cw` holds column bits
-            // `lo..hi`, gathered a tap's run of channels at a time.
-            let (kx, lo) = (k / cw, k % cw * 64);
-            let hi = (lo + 64).min(desc.kh * cin);
+            // Word `k` holds K bits `lo..hi`, gathered a tap's run of
+            // channels at a time; a column's rounding bits stay zero.
+            let (lo, hi) = (64 * k, (64 * k + 64).min(k_bits));
             let row = self.planes.plane(s as u32).row_words(co);
             let (mut word, mut at) = (0u64, lo);
             while at < hi {
-                let (ky, c) = (at / cin, at % cin);
+                let (kx, in_col) = (at / pitch, at % pitch);
+                if in_col >= col_bits {
+                    at = (kx + 1) * pitch;
+                    continue;
+                }
+                let (ky, c) = (in_col / cin, in_col % cin);
                 let n = (cin - c).min(hi - at);
                 let tap = &row[(ky * desc.kw + kx) * wpt..][..wpt];
                 word |= bit_field(tap, c, n) << (at - lo);
@@ -252,9 +259,15 @@ mod tests {
         let mut seed = 0x9E37_79B9_7F4A_7C15u64;
         // Ragged cout (pad lanes), oblong kernels, channel counts either
         // side of the word and fragment boundaries — whole-word channels
-        // included, where a column is its taps' words back to back.
+        // included, where a column is its taps' words back to back — and
+        // windows under a word's worth of columns, packed window-dense.
         for (cout, kh, kw, cin, p) in [
             (2usize, 3usize, 3usize, 3usize, 2u32),
+            (5, 5, 5, 3, 1),
+            (9, 4, 4, 3, 2),
+            (3, 2, 5, 7, 1),
+            (4, 1, 5, 1, 1),
+            (6, 3, 1, 3, 1),
             (9, 3, 3, 16, 1),
             (5, 5, 5, 24, 1),
             (9, 1, 1, 64, 1),
@@ -275,29 +288,35 @@ mod tests {
                 .collect();
             let w = ConvWeights::from_codes(&desc, &codes);
             let panel = w.lane_panel(&desc);
+            // Whole columns of `cw` words, or — under a word, when that
+            // saves words — columns `kh·cin` bits apart.
             let cw = (kh * cin).div_ceil(64);
+            let dense = cw == 1 && (kh * kw * cin).div_ceil(64) < kw;
+            let pitch = if dense { kh * cin } else { 64 * cw };
+            let k_words = (kw * pitch).div_ceil(64);
+            assert_eq!(desc.window_dense(), dense, "{desc:?}");
             assert_eq!(
                 (panel.n_planes(), panel.rows(), panel.words_per_row()),
-                (p as usize, cout, kw * cw)
+                (p as usize, cout, k_words)
             );
             let wpt = w.words_per_tap();
             for s in 0..p as usize {
                 for row in 0..panel.groups() * LANES {
-                    // Bit `ky·cin + c` of column `kx` is the code bit of
-                    // tap `(ky, kx)`, channel `c`; every other bit — a
-                    // column's pad bits, a pad lane — is zero.
+                    // K bit `kx·pitch + ky·cin + c` is the code bit of tap
+                    // `(ky, kx)`, channel `c`; every other bit — a column's
+                    // pad bits, a pad lane — is zero.
                     let mut live = 0;
                     for (kx, ky, c) in (0..kw).flat_map(|kx| {
                         (0..kh).flat_map(move |ky| (0..cin).map(move |c| (kx, ky, c)))
                     }) {
-                        let at = ky * cin + c;
-                        let got = panel.row_word(s, row, kx * cw + at / 64) >> (at % 64) & 1;
+                        let at = kx * pitch + ky * cin + c;
+                        let got = panel.row_word(s, row, at / 64) >> (at % 64) & 1;
                         let want = row < cout
                             && codes[((row * kh + ky) * kw + kx) * cin + c] >> s & 1 != 0;
                         assert_eq!(got != 0, want, "{desc:?} row {row} tap ({ky},{kx}) ch {c}");
                         live += got;
                     }
-                    let total: u32 = (0..kw * cw)
+                    let total: u32 = (0..k_words)
                         .map(|k| panel.row_word(s, row, k).count_ones())
                         .sum();
                     assert_eq!(u64::from(total), live, "{desc:?} row {row}: dead bits set");

@@ -6,11 +6,12 @@
 //! thread. Its results are validated against the naive i32 oracle and
 //! against the fragment-level [`crate::emulate::ap_bit_mm`].
 
-use apnn_bitpack::popcnt::{finish_lanes, Finish, Rows};
+use apnn_bitpack::popcnt::{finish_lanes, Affine, Finish};
 use apnn_bitpack::{BitPlanes, LanePanel, PopcntArm, LANES};
 
 use super::ApmmDesc;
 use crate::autotune::{MicroTile, MAX_JB};
+use crate::micro::MAX_PLANES;
 use crate::select::{fold_planes, EmulationPlan};
 
 /// The weight side of every output's correction offset (§3.2's `k·K +
@@ -123,11 +124,21 @@ pub(crate) fn apmm_exec(
     let jb = micro.sanitized().jb;
     let arm = arm.sanitized();
     let fin = eplan.finish(q);
+    // Row `j` of plane `t` is `wpr` words at `j·wpr` of the plane's words.
+    let wpr = w.words_per_row();
+    let mut planes: [&[u64]; MAX_PLANES] = [&[]; MAX_PLANES];
+    for (t, plane) in planes[..q].iter_mut().enumerate() {
+        *plane = x.plane(t as u32).words();
+    }
     let mut block = [[0i32; LANES]; MAX_JB];
     for j0 in (0..n).step_by(jb) {
         let jbc = jb.min(n - j0);
         let block = &mut block[..jbc];
-        let xs = Rows { x, row0: j0 };
+        let xs = Affine {
+            planes: &planes[..q],
+            first: j0 * wpr,
+            step: wpr,
+        };
         for g in 0..w.groups() {
             let fin = Finish {
                 w_sides: &w_sides[g..=g],

@@ -329,11 +329,16 @@ impl BenchOperands {
     /// the same for every case); returns ns per plane-pair word of one
     /// output (warm-up call excluded).
     fn time_candidate(&self, op: BmmaOp, arm: PopcntArm, jb: usize) -> f64 {
-        use apnn_bitpack::popcnt::{finish_lanes, Finish, Rows};
+        use apnn_bitpack::popcnt::{finish_lanes, Affine, Finish};
         let (pa, pb) = (self.w.n_planes(), self.x.bits() as usize);
-        let xs = Rows {
-            x: &self.x,
-            row0: 0,
+        let mut planes: [&[u64]; crate::micro::MAX_PLANES] = [&[]; crate::micro::MAX_PLANES];
+        for (plane, x) in planes.iter_mut().zip(self.x.planes()) {
+            *plane = x.words();
+        }
+        let xs = Affine {
+            planes: &planes[..pb],
+            first: 0,
+            step: self.w.words_per_row(),
         };
         let fin = Finish {
             xor: op == BmmaOp::Xor,

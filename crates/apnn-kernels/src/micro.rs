@@ -13,13 +13,15 @@
 //! * the **static** operand (the weights, in APMM and APConv alike) is an
 //!   [`apnn_bitpack::LanePanel`] — eight rows interleaved word by word, so
 //!   one 64-byte cell holds the `k`-th word of eight different outputs;
-//! * the **dynamic** operand arrives as *streams*
-//!   ([`apnn_bitpack::popcnt::Streams`]), one packed row of one bit plane
-//!   each, whose words are broadcast against the cells: the rows of a batch
-//!   block for APMM ([`apnn_bitpack::popcnt::Rows`]), offsets into the
-//!   activation strip for the windows of a block of output pixels for
-//!   APConv ([`apnn_bitpack::popcnt::Offsets`], a table built once per
-//!   plan);
+//! * the **dynamic** operand arrives as *streams*, one packed row of one
+//!   bit plane each, whose words are broadcast against the cells — all
+//!   addressed one way ([`apnn_bitpack::popcnt::Affine`]): stream `(t, j)`
+//!   starts `j·step` words past `first` in plane `t`, so a pass checks its
+//!   extent once and reads stream `i`'s word `k` at `i·step + k`. For APMM
+//!   the rows of a batch block (`step` = the row pitch); for APConv the
+//!   windows of a block of output pixels — overlapping column slices of the
+//!   activation strip (`step = stride·col_words`), or, for a window-dense
+//!   stem, back-to-back windows (`step = k_words`);
 //! * a block of ≤ 8 outputs walks **every** plane pair: one K pass per
 //!   pair accumulates `popc(op(cell, word))` per lane and joins the
 //!   outputs' 64-bit totals shifted by `s + t`, and the block **ends in one
@@ -45,7 +47,7 @@ pub const MAX_PLANES: usize = 8;
 mod tests {
     use crate::autotune::MAX_JB;
     use crate::select::{adjust_partial, fold_planes, plan, plan_xor_only, EmulationPlan};
-    use apnn_bitpack::popcnt::{finish_lanes, Finish, Offsets, Rows};
+    use apnn_bitpack::popcnt::{finish_lanes, Affine, Finish};
     use apnn_bitpack::{BitPlanes, Encoding, LanePanel, PopcntArm, LANES};
     use apnn_sim::BmmaOp;
 
@@ -107,6 +109,18 @@ mod tests {
                 })
             })
             .collect()
+    }
+
+    /// Rows `row0..` of every plane of `x`, the way APMM streams them: one
+    /// plane's words each, a row pitch apart.
+    fn rows(x: &BitPlanes, row0: usize, eval: impl FnOnce(Affine<'_>)) {
+        let planes: Vec<&[u64]> = x.planes().iter().map(|p| p.words()).collect();
+        let wpr = x.plane(0).words_per_row();
+        eval(Affine {
+            planes: &planes,
+            first: row0 * wpr,
+            step: wpr,
+        });
     }
 
     /// Both offset sides of row group `g` × rows `j0..j0 + jb`, the way the
@@ -175,7 +189,9 @@ mod tests {
                         };
                         // Stale cells must be overwritten.
                         let mut out = vec![[-7i32; LANES]; jb];
-                        finish_lanes(arm, &panel, g, &Rows { x: &x, row0: 1 }, &fin, &mut out);
+                        rows(&x, 1, |xs| {
+                            finish_lanes(arm, &panel, g, &xs, &fin, &mut out)
+                        });
                         assert_eq!(
                             out,
                             naive_lanes(eplan, &w, g, &x, (1, jb)),
@@ -191,48 +207,54 @@ mod tests {
 
     #[test]
     fn flat_view_matches_bitplanes_view() {
-        // Overlapping windows of one flat buffer addressed by offset (how
-        // the conv strip presents a pixel block) must finish exactly like
-        // row views of a BitPlanes operand holding the same bits.
+        // Windows of one flat buffer, `step` words apart from word `first`
+        // — overlapping (`step < kw`: how the conv strip presents a pixel
+        // block), back to back (a window-dense block) and strided (`step >
+        // kw`) — must finish exactly like row views of a BitPlanes operand
+        // holding the same bits.
         let mut seed = 11;
-        let (kw, step, n_px) = (6usize, 2usize, 4usize);
-        let flat: Vec<u64> = (0..kw + step * (n_px - 1) + 3)
-            .map(|_| lcg(&mut seed) << 31 ^ lcg(&mut seed))
-            .collect();
+        let (kw, n_px) = (6usize, 4usize);
         let eplan = plan(Encoding::PlusMinusOne, Encoding::ZeroOne);
         let w = operand(10, kw * 64, 1, Encoding::PlusMinusOne, &mut seed);
         let panel = LanePanel::from_bitplanes(&w);
+        for (first, step) in [(0usize, 2usize), (3, 1), (1, kw), (2, kw + 5)] {
+            let flat: Vec<u64> = (0..first + step * (n_px - 1) + kw)
+                .map(|_| lcg(&mut seed) << 31 ^ lcg(&mut seed))
+                .collect();
+            let at: Vec<usize> = (0..n_px).map(|j| first + j * step).collect();
+            let codes: Vec<u32> = at
+                .iter()
+                .flat_map(|&o| (0..kw * 64).map(move |i| (o + i / 64, i % 64)))
+                .map(|(word, bit)| (flat[word] >> bit) as u32 & 1)
+                .collect();
+            let x = BitPlanes::from_codes(&codes, n_px, kw * 64, 1, Encoding::ZeroOne);
+            for (j, &o) in at.iter().enumerate() {
+                assert_eq!(x.plane(0).row_words(j)[..kw], flat[o..][..kw]);
+            }
 
-        let at: Vec<u32> = (0..n_px).map(|j| (j * step) as u32).collect();
-        let codes: Vec<u32> = at
-            .iter()
-            .flat_map(|&o| (0..kw * 64).map(move |i| (o as usize + i / 64, i % 64)))
-            .map(|(word, bit)| (flat[word] >> bit) as u32 & 1)
-            .collect();
-        let x = BitPlanes::from_codes(&codes, n_px, kw * 64, 1, Encoding::ZeroOne);
-        for (j, &o) in at.iter().enumerate() {
-            assert_eq!(x.plane(0).row_words(j)[..kw], flat[o as usize..][..kw]);
-        }
-
-        let (w_side, x_sides) = sides(eplan, &panel, 1, &x, (0, n_px));
-        let fin = Finish {
-            w_sides: &[w_side],
-            side_at: &[0; MAX_JB][..n_px],
-            x_sides: &x_sides,
-            ..eplan.finish(1)
-        };
-        let want = naive_lanes(eplan, &w, 1, &x, (0, n_px));
-        for arm in PopcntArm::ALL {
-            let mut out = vec![[0i32; LANES]; n_px];
-            let offsets = Offsets {
-                base: &flat,
-                at: &at,
-                stride: n_px,
+            let (w_side, x_sides) = sides(eplan, &panel, 1, &x, (0, n_px));
+            let fin = Finish {
+                w_sides: &[w_side],
+                side_at: &[0; MAX_JB][..n_px],
+                x_sides: &x_sides,
+                ..eplan.finish(1)
             };
-            finish_lanes(arm, &panel, 1, &offsets, &fin, &mut out);
-            assert_eq!(out, want, "offsets {arm:?}");
-            finish_lanes(arm, &panel, 1, &Rows { x: &x, row0: 0 }, &fin, &mut out);
-            assert_eq!(out, want, "row views {arm:?}");
+            let want = naive_lanes(eplan, &w, 1, &x, (0, n_px));
+            let windows = Affine {
+                planes: &[&flat],
+                first,
+                step,
+            };
+            for arm in PopcntArm::ALL {
+                let mut out = vec![[0i32; LANES]; n_px];
+                finish_lanes(arm, &panel, 1, &windows, &fin, &mut out);
+                assert_eq!(out, want, "windows at {first} + j·{step}, {arm:?}");
+                let mut out = vec![[0i32; LANES]; n_px];
+                rows(&x, 0, |xs| {
+                    finish_lanes(arm, &panel, 1, &xs, &fin, &mut out)
+                });
+                assert_eq!(out, want, "row views {arm:?}");
+            }
         }
     }
 }

@@ -186,6 +186,14 @@ impl Correction {
     pub fn offset(self, k_valid: i32, w_row_sum: i32, x_col_sum: i32) -> i32 {
         self.k * k_valid + self.r * w_row_sum + self.c * x_col_sum
     }
+
+    /// The whole numerator `a·popc + offset` — linear in all four inputs,
+    /// so a count the kernel over-counts can be taken back out of an offset
+    /// as `numerator(−extra, ..)`.
+    #[inline(always)]
+    pub fn numerator(self, popc: i32, k_valid: i32, w_row_sum: i32, x_col_sum: i32) -> i32 {
+        self.a * popc + self.offset(k_valid, w_row_sum, x_col_sum)
+    }
 }
 
 /// One side of a correction offset folded over the plane pairs: `plane(i)`
@@ -221,7 +229,7 @@ pub fn adjust_partial(
     x_col_sum: i32,
 ) -> i32 {
     let corr = case.correction();
-    let numerator = corr.a * popc + corr.offset(k_valid, w_row_sum, x_col_sum);
+    let numerator = corr.numerator(popc, k_valid, w_row_sum, x_col_sum);
     debug_assert!(
         numerator & corr.halve as i32 == 0,
         "halved corrections have even numerators"

@@ -5,7 +5,7 @@
 
 use apnn_bitpack::word::pad_to_bmma_k;
 use apnn_bitpack::{BitPlanes, BitTensor4, Encoding};
-use apnn_kernels::apconv::cpu::ConvScratch;
+use apnn_kernels::apconv::cpu::{window_words, ConvScratch};
 use apnn_kernels::apmm::cpu::ApmmScratch;
 use apnn_kernels::stats as kstats;
 
@@ -123,6 +123,7 @@ impl ExecWorkspace {
         let mut conv = ConvScratch::default();
         conv.reserve(
             peaks.strip,
+            peaks.windows,
             peaks.strip_cols,
             peaks.x_sides,
             peaks.conv_acc,
@@ -242,6 +243,8 @@ impl WorkspaceSpec {
 struct ScratchPeaks {
     /// Conv activation-strip words (one output row, all planes).
     strip: usize,
+    /// Window words of a window-dense conv (one output row, all planes).
+    windows: usize,
     /// Conv strip-column correction offsets (`i32` each, one plane's).
     strip_cols: usize,
     /// Conv activation-side correction offsets (`i32` each: one per
@@ -272,6 +275,7 @@ impl ScratchPeaks {
         let mut p = ScratchPeaks::default();
         for l in layouts {
             p.strip = p.strip.max(l.conv_strip_words);
+            p.windows = p.windows.max(l.conv_window_words);
             p.strip_cols = p.strip_cols.max(l.conv_strip_cols);
             p.x_sides = p.x_sides.max(l.conv_x_sides);
             p.conv_acc = p.conv_acc.max(if l.is_conv { l.acc_elems } else { 0 });
@@ -288,7 +292,7 @@ impl ScratchPeaks {
 
     /// Total bytes of every shared buffer listed above.
     fn bytes(&self) -> usize {
-        (self.strip + self.conv_row) * 8
+        (self.strip + self.windows + self.conv_row) * 8
             + (self.strip_cols
                 + self.x_sides
                 + self.conv_acc
@@ -330,6 +334,7 @@ struct StageLayout {
     y_elems: usize,
     res_elems: usize,
     conv_strip_words: usize,
+    conv_window_words: usize,
     conv_strip_cols: usize,
     conv_x_sides: usize,
     conv_row_elems: usize,
@@ -359,9 +364,11 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                     let (oh, ow) = (desc.out_h(), desc.out_w());
                     let map_elems = desc.batch * oh * ow * desc.cout;
                     // The kernel scratch is row-sized: one output row's
-                    // strip and accumulators, whatever the batch.
+                    // strip (and windows) and accumulators, whatever the
+                    // batch.
                     let (q, cols) = (desc.x_bits as usize, desc.w + 2 * desc.pad);
                     let conv_strip_words = q * cols * desc.col_words();
+                    let conv_window_words = window_words(desc);
                     let (conv_strip_cols, conv_x_sides) = (cols, ow);
                     let row_elems = ow * desc.cout;
                     if m.input == StageSrc::Branch {
@@ -376,6 +383,7 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                             y_elems: 0,
                             res_elems: map_elems,
                             conv_strip_words,
+                            conv_window_words,
                             conv_strip_cols,
                             conv_x_sides,
                             conv_row_elems: 0,
@@ -419,6 +427,7 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                                 Some(ResidualSrc::Identity) | None => 0,
                             },
                             conv_strip_words,
+                            conv_window_words,
                             conv_strip_cols,
                             conv_x_sides,
                             // The `f32` and code rows exist for the row
@@ -473,6 +482,7 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                         y_elems: if last { desc.m * desc.n } else { 0 },
                         res_elems: 0,
                         conv_strip_words: 0,
+                        conv_window_words: 0,
                         conv_strip_cols: 0,
                         conv_x_sides: 0,
                         conv_row_elems: 0,

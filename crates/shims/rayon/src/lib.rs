@@ -21,6 +21,8 @@
 //! its index; a panic in any chunk propagates to the caller after the
 //! dispatch drains.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
 
@@ -83,7 +85,14 @@ impl<'a, T> ParChunksMut<'a, T> {
 /// construction (each index is handed out exactly once by the atomic
 /// counter), so concurrent `&mut [T]` reconstruction is sound.
 struct SendPtr<T>(*mut T);
+// SAFETY: the pointer is only ever turned back into `&mut [T]` chunks, each
+// on exactly one thread (the atomic counter hands every chunk index out
+// once), so moving it to another thread moves at most `&mut [T]` access —
+// sound exactly when `T: Send`, which the bound requires.
 unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: sharing `&SendPtr` only shares the address; no participant reads
+// or writes through it except via its own disjoint claimed chunk (see the
+// `Send` impl), so shared access never aliases a `&mut [T]`.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
@@ -179,6 +188,10 @@ mod pool {
     /// acknowledgement, during which the caller keeps the referent alive.
     #[derive(Clone, Copy)]
     struct Job(*const (dyn Fn() + Sync + 'static));
+    // SAFETY: a `Job` is only dereferenced as `&(dyn Fn() + Sync)`, and
+    // `Sync` makes calling the closure from any thread sound; the pointee
+    // outlives every such call because `run` waits for `running == 0`
+    // before returning (see the struct docs).
     unsafe impl Send for Job {}
 
     struct Ctrl {
