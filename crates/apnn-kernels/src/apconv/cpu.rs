@@ -51,7 +51,7 @@ use apnn_bitpack::popcnt::{finish_lanes, Affine, Finish};
 use apnn_bitpack::{BitTensor4, LanePanel, PopcntArm, LANES};
 use apnn_sim::BmmaOp;
 
-use super::padding::{fill_ones, fill_words, oob_popc, pad_fill, valid_row_popc, PadFill};
+use super::padding::{fill_words, oob_popc, pad_fill, valid_row_popc, PadFill};
 use super::weights::TapPopc;
 use super::{ConvDesc, Pool2};
 use crate::autotune::{select_micro, MicroTile, MAX_JB};
@@ -127,19 +127,13 @@ impl ConvExecPlan {
     /// out-of-frame taps of every window class from the weights' per-tap
     /// popcounts.
     pub(crate) fn new(desc: &ConvDesc, popc: &TapPopc) -> Self {
-        let eplan = plan(desc.w_enc, desc.x_enc);
-        Self::for_plan(desc, popc, eplan, pad_fill(desc.w_enc, desc.x_enc))
+        Self::for_plan(desc, popc, plan(desc.w_enc, desc.x_enc))
     }
 
-    /// [`Self::new`] under any emulation plan and fill — every pair is
-    /// exact ([`weight_sides`]); the encodings pick one of each, and tests
-    /// drive the rest (the XOR-only plans, the other fill).
-    pub(crate) fn for_plan(
-        desc: &ConvDesc,
-        popc: &TapPopc,
-        eplan: EmulationPlan,
-        fill: PadFill,
-    ) -> Self {
+    /// [`Self::new`] under another emulation plan for the same encodings
+    /// (tests run the XOR-only ones); the fill is still the encodings'.
+    pub(crate) fn for_plan(desc: &ConvDesc, popc: &TapPopc, eplan: EmulationPlan) -> Self {
+        let fill = pad_fill(desc.w_enc, desc.x_enc);
         let (rows, row_class) = axis_classes(desc.out_h(), desc.stride, desc.pad, desc.h, desc.kh);
         let (cols, col_class) = axis_classes(desc.out_w(), desc.stride, desc.pad, desc.w, desc.kw);
         let mut w_sides = Vec::with_capacity(rows.len() * popc.groups() * cols.len());
@@ -342,21 +336,17 @@ impl Strip {
     /// window bit `kx·kh·cin`. The words are built *word-major* (word `k` of
     /// every pixel contiguous), so each `(kx, word)` is one contiguous pass
     /// over the pixels ([`window_pass`]); a one-word window is then already
-    /// in place, a longer one is staged in a plane-sized region past the
+    /// in place, a longer one is staged in the plane-sized region past the
     /// last plane and interleaved into its pixel-major slot.
     fn build_windows(&mut self, desc: &ConvDesc) {
         let (k_words, pitch) = (desc.k_words(), desc.col_pitch());
         let (cols, ow) = (desc.w + 2 * desc.pad, desc.out_w());
         let (region, staged) = (ow * k_words, k_words > 1);
         apnn_bitpack::resize_for_overwrite(&mut self.windows, window_words(desc));
-        for (t, plane) in self.words.chunks_exact(cols).enumerate() {
-            let (built, stage) = self.windows.split_at_mut((t + 1) * region);
-            let windows = &mut built[t * region..];
-            let rows = if staged {
-                &mut stage[..region]
-            } else {
-                &mut *windows
-            };
+        let (built, stage) = self.windows.split_at_mut(desc.x_bits as usize * region);
+        let planes = self.words.chunks_exact(cols);
+        for (plane, windows) in planes.zip(built.chunks_exact_mut(region.max(1))) {
+            let rows = if staged { &mut *stage } else { &mut *windows };
             for kx in 0..desc.kw {
                 let at = kx * pitch;
                 let (row, next) = rows[at / 64 * ow..].split_at_mut(ow);
@@ -371,18 +361,9 @@ impl Strip {
             if !staged {
                 continue;
             }
-            let rows = &stage[..region];
-            if k_words == 2 {
-                // The stems' case: one pass of pairs.
-                let (lo, hi) = rows.split_at(ow);
-                for (win, (&lo, &hi)) in windows.chunks_exact_mut(2).zip(lo.iter().zip(hi)) {
-                    win.copy_from_slice(&[lo, hi]);
-                }
-            } else {
-                for (k, row) in rows.chunks_exact(ow).enumerate() {
-                    for (win, &word) in windows.chunks_exact_mut(k_words).zip(row) {
-                        win[k] = word;
-                    }
+            for (k, row) in stage.chunks_exact(ow.max(1)).enumerate() {
+                for (win, &word) in windows.chunks_exact_mut(k_words).zip(row) {
+                    win[k] = word;
                 }
             }
         }
@@ -520,16 +501,15 @@ fn window_pass(
 /// The weight-side part of the correction offset of row group `g`, folded
 /// over the plane pairs ([`fold_planes`]), over a window whose taps
 /// `out_of_frame(ky, kx)` reports missing. The kernel counts those taps'
-/// fill against their weights, so the numerator it needs is
+/// `fill` against their weights, so the numerator it needs is
 /// [`Correction::numerator`] with that count taken back out
-/// ([`oob_popc`]), the effective `K` and row sum ([`valid_row_popc`]) of the
-/// in-frame taps, and the fill's ones taken out of the activation sum the
-/// strip's `J·X` includes ([`fill_ones`] per plane, the same for every
-/// plane, so it folds like a weight term) — the §4.2(b) amendment, summed
-/// per tap, for any plan under any fill. Called only to build a plan's
-/// window-class table ([`ConvExecPlan::for_plan`]); with [`Strip::build`]'s
-/// activation side, the conv half of the offset the kernel's finish
-/// consumes.
+/// ([`oob_popc`]) and the effective `K` and row sum ([`valid_row_popc`]) of
+/// the in-frame taps — the §4.2(b) amendment, summed per tap, for either
+/// plan of the encodings. The activation sum the strip's `J·X` includes
+/// needs no amendment: a fill with ones is strategy 2's, whose case reads
+/// no `J·X`. Called only to build a plan's window-class table
+/// ([`ConvExecPlan::for_plan`]); with [`Strip::build`]'s activation side,
+/// the conv half of the offset the kernel's finish consumes.
 fn weight_sides(
     desc: &ConvDesc,
     popc: &TapPopc,
@@ -556,7 +536,7 @@ fn weight_sides(
                 -oob_popc(xor, fill, cin, oob_taps, oob_w),
                 valid_taps * cin,
                 valid_row_popc(popc.row_lanes(s, g)[l], oob_w),
-                -oob_taps * fill_ones(fill, cin),
+                0,
             )
         })
     })

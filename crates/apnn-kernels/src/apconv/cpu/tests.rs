@@ -283,14 +283,14 @@ fn check_strip_against_tap_gather(desc: &ConvDesc, fill: PadFill, seed: u64) {
     let mut seed = seed;
     let (input, _) = make_input(desc, &mut seed);
     let (weights, _) = make_weights(desc, &mut seed);
-    let eplan = plan(desc.w_enc, desc.x_enc);
-    let state = ConvExecPlan::for_plan(desc, weights.popc(), eplan, fill);
+    let mut state = ConvExecPlan::new(desc, weights.popc());
+    let fill = fill_words(fill, desc.cin, desc.live_words());
+    state.fill_pattern = fill.clone();
     let corr = state.eplan.case.correction();
     assert!(
         corr.needs_col_sums(),
         "the case must build activation sides"
     );
-    let fill = fill_words(fill, desc.cin, desc.live_words());
     let (kh, kw, cin, pitch) = (desc.kh, desc.kw, desc.cin, desc.col_pitch());
     let (p, q, k_words) = (desc.w_bits as usize, desc.x_bits as usize, desc.k_words());
     let mut strip = Strip::default();
@@ -686,10 +686,10 @@ proptest::proptest! {
 }
 
 /// One layer through the driver under every emulation plan its encodings
-/// have (the Ampere plan and the XOR-only one) × both fills × every arm ×
-/// a full and a partial shard, against the naive i32 oracle; returns the
-/// cases it ran.
-fn check_every_plan_and_fill(desc: &ConvDesc, seed: u64) -> Vec<crate::select::EmulationCase> {
+/// have (the Ampere plan and the XOR-only one), each with the encodings'
+/// fill, × every arm × a full and a partial shard, against the naive i32
+/// oracle; returns the cases it ran.
+fn check_every_plan(desc: &ConvDesc, seed: u64) -> Vec<crate::select::EmulationCase> {
     let (input, weights, want) = operands_and_oracle(desc, seed);
     let panel = weights.lane_panel(desc);
     let per_image = desc.out_h() * desc.out_w() * desc.cout;
@@ -700,20 +700,18 @@ fn check_every_plan_and_fill(desc: &ConvDesc, seed: u64) -> Vec<crate::select::E
     ];
     for eplan in plans {
         cases.push(eplan.case);
-        for fill in [PadFill::Zeros, PadFill::OnesValidChannels] {
-            let state = ConvExecPlan::for_plan(desc, weights.popc(), eplan, fill);
-            for arm in PopcntArm::ALL {
-                let state = state.clone().with_arm(arm);
-                for images in [desc.batch, desc.batch - 1] {
-                    let input = input.batch_slice(0, images);
-                    conv_exec_store(desc, &panel, &input, &state, &mut scratch, &mut out);
-                    assert_eq!(
-                        out,
-                        want[..images * per_image],
-                        "{:?} {fill:?} {arm:?} shard {images} of {desc:?}",
-                        eplan.case
-                    );
-                }
+        let state = ConvExecPlan::for_plan(desc, weights.popc(), eplan);
+        for arm in PopcntArm::ALL {
+            let state = state.clone().with_arm(arm);
+            for images in [desc.batch, desc.batch - 1] {
+                let input = input.batch_slice(0, images);
+                conv_exec_store(desc, &panel, &input, &state, &mut scratch, &mut out);
+                assert_eq!(
+                    out,
+                    want[..images * per_image],
+                    "{:?} {arm:?} shard {images} of {desc:?}",
+                    eplan.case
+                );
             }
         }
     }
@@ -744,13 +742,14 @@ fn grid_desc(
 #[test]
 fn every_plan_and_fill_is_exact_on_the_stems() {
     // The zoo's window-dense shapes (3×3×3, 5×5×3, 4×4×3 on 8 planes) and
-    // a column-dense neighbour, under all seven cases.
+    // a column-dense neighbour, under all seven cases and both fills (the
+    // ones fill is the ±1/±1 pair's).
     let mut cases = Vec::new();
     for (k, cin, stride, pad) in [(3, 3, 1, 1), (5, 3, 1, 2), (4, 3, 2, 1), (3, 16, 1, 1)] {
         for enc in 0..4 {
             let desc = grid_desc((6, 9), cin, (k, k), (stride, pad), enc, (2, 8), 9);
             assert_eq!(desc.window_dense(), cin == 3, "{desc:?}");
-            for case in check_every_plan_and_fill(&desc, 97 + enc as u64) {
+            for case in check_every_plan(&desc, 97 + enc as u64) {
                 if !cases.contains(&case) {
                     cases.push(case);
                 }
@@ -766,9 +765,10 @@ proptest::proptest! {
     /// Window-dense K against the naive oracle over the grid the rule
     /// matters on — `kh, kw ∈ 1..=5`, short channel vectors, strides up to
     /// 4, pads up to 2, 1, 2 and 8 planes — for all four encoding pairs
-    /// under both plans (all seven cases), both fills, every arm and a
-    /// partial shard; column-dense draws fall out of the same grid (the
-    /// nightly deep run drives this at 2048 cases).
+    /// under both plans (all seven cases), each with its encodings' fill
+    /// (so both fills), every arm and a partial shard; column-dense draws
+    /// fall out of the same grid (the nightly deep run drives this at 2048
+    /// cases).
     #[test]
     fn window_dense_conv_equals_oracle(
         kh in 1usize..6, kw in 1usize..6, cin in 0usize..6, stride in 0usize..3,
@@ -780,7 +780,7 @@ proptest::proptest! {
         let q = [1, 2, 8][q];
         for enc in 0..4 {
             let desc = grid_desc((h, w), cin, (kh, kw), (stride, pad), enc, (p, q), cout);
-            check_every_plan_and_fill(&desc, seed ^ enc as u64);
+            check_every_plan(&desc, seed ^ enc as u64);
         }
     }
 }

@@ -58,27 +58,20 @@ pub fn fill_words(fill: PadFill, cin: usize, words: usize) -> Vec<u64> {
     }
 }
 
-/// Ones one out-of-frame tap's `fill` puts in an activation plane.
-pub(crate) fn fill_ones(fill: PadFill, cin: i32) -> i32 {
-    match fill {
-        PadFill::Zeros => 0,
-        PadFill::OnesValidChannels => cin,
-    }
-}
-
 /// The raw count `oob_taps` out-of-frame taps add to a window's popcount
 /// under the boolean op (`xor`, else AND) when their activations hold
 /// `fill` and their weights `oob_w` ones in all: what the kernel counted
 /// that a zero-padded convolution does not contain. Strategy 2 is the
 /// `(XOR, ones)` row, `oob_taps·cin − oob_w` ([`correct_xor_window`]'s
-/// `popc_oob`); every other fill and op is covered too, so any emulation
-/// plan — the XOR-only ones included — is exact under either fill.
+/// `popc_oob`); the zero fill adds nothing under AND and the weights' ones
+/// under the XOR-only plans. The ones fill is strategy 2's alone, so it
+/// never meets AND.
 pub(crate) fn oob_popc(xor: bool, fill: PadFill, cin: i32, oob_taps: i32, oob_w: i32) -> i32 {
     match (xor, fill) {
         (false, PadFill::Zeros) => 0,
-        (false, PadFill::OnesValidChannels) => oob_w,
         (true, PadFill::Zeros) => oob_w,
         (true, PadFill::OnesValidChannels) => oob_taps * cin - oob_w,
+        (false, PadFill::OnesValidChannels) => unreachable!("the ones fill is strategy 2's (XOR)"),
     }
 }
 
@@ -166,26 +159,27 @@ mod tests {
 
     #[test]
     fn oob_popc_counts_what_the_fill_adds() {
-        // Every 3-channel weight tap pattern against both fills under both
-        // ops, counted bit by bit — and strategy 2's row against
+        // Every 3-channel weight tap pattern against every (op, fill) a
+        // plan meets, counted bit by bit — and strategy 2's row against
         // `correct_xor_window`'s `popc_oob`.
         let cin = 3;
-        for fill in [PadFill::Zeros, PadFill::OnesValidChannels] {
+        for (xor, fill) in [
+            (false, PadFill::Zeros),
+            (true, PadFill::Zeros),
+            (true, PadFill::OnesValidChannels),
+        ] {
             let f = fill_words(fill, cin, 1)[0];
-            assert_eq!(fill_ones(fill, cin as i32), f.count_ones() as i32);
-            for xor in [false, true] {
-                for taps in [[0b000u64, 0b101], [0b111, 0b010], [0b011, 0b110]] {
-                    let direct: u32 = taps
-                        .iter()
-                        .map(|&w| (if xor { w ^ f } else { w & f }).count_ones())
-                        .sum();
-                    let oob_w = taps.iter().map(|w| w.count_ones() as i32).sum();
-                    assert_eq!(
-                        oob_popc(xor, fill, cin as i32, 2, oob_w),
-                        direct as i32,
-                        "{fill:?} xor {xor} taps {taps:?}"
-                    );
-                }
+            for taps in [[0b000u64, 0b101], [0b111, 0b010], [0b011, 0b110]] {
+                let direct: u32 = taps
+                    .iter()
+                    .map(|&w| (if xor { w ^ f } else { w & f }).count_ones())
+                    .sum();
+                let oob_w = taps.iter().map(|w| w.count_ones() as i32).sum();
+                assert_eq!(
+                    oob_popc(xor, fill, cin as i32, 2, oob_w),
+                    direct as i32,
+                    "{fill:?} xor {xor} taps {taps:?}"
+                );
             }
         }
         // `correct_xor_window(0, ..)` is `K_valid + 2·popc_oob`.
