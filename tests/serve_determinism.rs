@@ -87,15 +87,21 @@ fn independently_compiled_registries_host_bit_identical_plans() {
 }
 
 /// Golden snapshots: every servable zoo model (`vgg_variant_tiny`,
-/// `alexnet_tiny`, `resnet18_tiny`) × {w1a2, w2a2} logits, pinned to
-/// files. A mismatch means serving changed numerics — bump the files
-/// deliberately (run with `REGEN_GOLDEN=1`) only when the change is
-/// intended and understood.
+/// `alexnet_tiny`, `resnet18_tiny`) × {w1a2, w2a2, w2a5, w2a8} logits,
+/// pinned to files — the a5/a8 rows pin the 5–8-bit fused tails. A
+/// mismatch means serving changed numerics — bump the files deliberately
+/// (run with `REGEN_GOLDEN=1`) only when the change is intended and
+/// understood.
 #[test]
 fn golden_logits_match_snapshots() {
     let input = fixed_input();
     for model in ["VGG-Variant-Tiny", "AlexNet-Tiny", "ResNet18-Tiny"] {
-        for precision in [NetPrecision::w1a2(), NetPrecision::Apnn { w: 2, a: 2 }] {
+        for precision in [
+            NetPrecision::w1a2(),
+            NetPrecision::Apnn { w: 2, a: 2 },
+            NetPrecision::Apnn { w: 2, a: 5 },
+            NetPrecision::Apnn { w: 2, a: 8 },
+        ] {
             let key = ModelKey::new(model, precision);
             golden_check(&key, &input);
         }
