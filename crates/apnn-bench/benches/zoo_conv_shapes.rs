@@ -3,7 +3,7 @@
 //! activation strip in, one accumulator row out):
 //!
 //! * `zoo_conv_shapes` — `PreparedConv::execute_into` on one image at every
-//!   distinct conv shape of `servable_zoo()` × {w1a2, w2a2}: the strip and
+//!   distinct conv shape of `servable_zoo()` × {w1a2, w2a2, w2a8}: the strip and
 //!   the kernel, accumulators stored;
 //! * `zoo_conv_fused` — `PreparedConv::execute_fused_into` at every
 //!   distinct (shape, pool, residual kind) of the same plans, with the
@@ -26,7 +26,7 @@ use apnn_nn::{NetPrecision, ResidualSrc, StageSrc};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::time::Duration;
 
-const SCHEMES: [(&str, u32, u32); 2] = [("w1a2", 1, 2), ("w2a2", 2, 2)];
+const SCHEMES: [(&str, u32, u32); 3] = [("w1a2", 1, 2), ("w2a2", 2, 2), ("w2a8", 2, 8)];
 
 fn shape_id(scheme: &str, desc: &ConvDesc) -> String {
     format!(
@@ -118,26 +118,22 @@ fn fused(c: &mut Criterion) {
                     Some(ResidualSrc::Identity) => (Residual::Codes(&branch), " +id"),
                 };
                 let pool = if stage.pool.is_some() { " pool" } else { "" };
-                let table = if stage.steps.is_some() { "" } else { " f32" };
                 let mut scratch = ConvScratch::default();
                 let mut out = BitTensor4::zeros(1, 1, 1, cout, bits, Encoding::ZeroOne);
                 group
                     .throughput(Throughput::Elements(oh as u64))
-                    .bench_function(
-                        format!("{}{pool}{kind}{table}", shape_id(scheme, desc)),
-                        |b| {
-                            b.iter(|| {
-                                conv.execute_fused_into(
-                                    &x,
-                                    residual,
-                                    stage.pool,
-                                    stage.tail(),
-                                    &mut scratch,
-                                    &mut out,
-                                )
-                            })
-                        },
-                    );
+                    .bench_function(format!("{}{pool}{kind}", shape_id(scheme, desc)), |b| {
+                        b.iter(|| {
+                            conv.execute_fused_into(
+                                &x,
+                                residual,
+                                stage.pool,
+                                stage.tail(),
+                                &mut scratch,
+                                &mut out,
+                            )
+                        })
+                    });
             }
         }
     }

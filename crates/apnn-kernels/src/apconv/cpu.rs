@@ -193,34 +193,22 @@ impl ConvExecPlan {
 
 /// Reusable per-call scratch for the `execute_into` entry points — all of
 /// it **row-sized**: the activation strip of the output row in flight (and,
-/// for a window-dense layer, its windows), its accumulator row (two under a
-/// fused 2×2 pool) and — for a fused tail without a step table only — the
-/// `f32` and code rows of the chain's row form. Size it once with
-/// [`ConvScratch::reserve`]; every later call — full or partial shard — is
-/// then allocation-free.
+/// for a window-dense layer, its windows) and its accumulator row (two
+/// under a fused 2×2 pool). Size it once with [`ConvScratch::reserve`];
+/// every later call — full or partial shard — is then allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct ConvScratch {
     pub(super) strip: Strip,
     /// The accumulator rows handed to the row sink.
     pub(super) acc: Vec<i32>,
-    /// One (pooled) row as `f32` — what the row epilogue transforms.
-    pub(super) vals: Vec<f32>,
-    /// One (pooled) row of quantized codes, ready to pack.
-    pub(super) codes: Vec<u32>,
-    /// [`crate::fusion::Epilogue::rows`]' BatchNorm denominators.
-    pub(super) bn_den: Vec<f32>,
 }
 
 impl ConvScratch {
     /// Pre-size the scratch: `strip_words` strip words
     /// (`x_bits × (w + 2·pad) × col_words`), `windows` window words
     /// ([`window_words`]), `cols` strip columns (`w + 2·pad` per-column
-    /// offsets), `x_sides` activation-side offsets (`out_w`), `acc`
-    /// accumulator elements (`out_w × cout`, twice under a fused pool) and —
-    /// zero for a tail with a step table — `row` elements of one fused
-    /// output row (`≤ out_w × cout`) and `bn_den` elements
-    /// ([`crate::fusion::Epilogue::row_scratch_len`]).
-    #[allow(clippy::too_many_arguments)]
+    /// offsets), `x_sides` activation-side offsets (`out_w`) and `acc`
+    /// accumulator elements (`out_w × cout`, twice under a fused pool).
     pub fn reserve(
         &mut self,
         strip_words: usize,
@@ -228,8 +216,6 @@ impl ConvScratch {
         cols: usize,
         x_sides: usize,
         acc: usize,
-        row: usize,
-        bn_den: usize,
     ) {
         fn grow<T>(v: &mut Vec<T>, len: usize) {
             v.reserve(len.saturating_sub(v.len()));
@@ -239,9 +225,6 @@ impl ConvScratch {
         grow(&mut self.strip.col_sides, cols);
         grow(&mut self.strip.x_sides, x_sides);
         grow(&mut self.acc, acc);
-        grow(&mut self.vals, row);
-        grow(&mut self.codes, row);
-        grow(&mut self.bn_den, bn_den);
     }
 }
 
@@ -664,7 +647,7 @@ pub(crate) fn conv_exec_store(
     let (oh, row_len) = (desc.out_h(), desc.out_w() * desc.cout);
     // Every row of every image is stored by the sink — no zeroing pass.
     apnn_bitpack::resize_for_overwrite(out, input.shape().0 * oh * row_len);
-    let ConvScratch { strip, acc, .. } = scratch;
+    let ConvScratch { strip, acc } = scratch;
     conv_exec(desc, w, input, state, 1, strip, acc, |b, oy, row| {
         out[(b * oh + oy) * row_len..][..row_len].copy_from_slice(row)
     });

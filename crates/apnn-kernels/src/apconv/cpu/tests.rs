@@ -1,7 +1,7 @@
 use super::*;
 use crate::apconv::padding::{correct_xor_window, fill_words, PadFill};
 use crate::apconv::{ApConv, ConvOutput, ConvWeights, Residual};
-use crate::fusion::{Epilogue, EpilogueOp, Steps, Tail};
+use crate::fusion::{Epilogue, EpilogueOp, Steps};
 use crate::reference::conv2d_i32;
 use crate::select::plan_xor_only;
 use apnn_bitpack::{Encoding, Layout, Tensor4};
@@ -201,6 +201,7 @@ fn fused_pool_and_quantize() {
     let desc = ConvDesc::unsigned(2, 4, 8, 3, 3, 1, 1, 1, 2);
     let (input, weights, y) = operands_and_oracle(&desc, 13);
     let epi = Epilogue::quantize(4.0, 0.0, 2);
+    let steps = Steps::build(&epi, desc.cout).unwrap();
     let prepared = ApConv::new(desc).prepare(weights.clone());
     let mut scratch = ConvScratch::default();
     let mut slot = BitTensor4::zeros(1, 1, 1, 1, 1, Encoding::ZeroOne);
@@ -213,22 +214,15 @@ fn fused_pool_and_quantize() {
         let ConvOutput::Packed(packed) = out else {
             panic!("expected packed")
         };
-        // The workspace form with the chain's step table and without one
-        // (the f32 row form): the same packed map.
-        let steps = Steps::build(&epi, desc.cout, desc.acc_reach());
-        assert!(steps.is_some(), "a bare 2-bit quantization has a table");
-        for steps in [steps.as_ref(), None] {
-            let tail = Tail::new(&epi, steps);
-            prepared.execute_fused_into(
-                &input,
-                Residual::None,
-                pool,
-                tail,
-                &mut scratch,
-                &mut slot,
-            );
-            assert_eq!(packed, slot, "pool {pool:?} table {}", steps.is_some());
-        }
+        prepared.execute_fused_into(
+            &input,
+            Residual::None,
+            pool,
+            &steps,
+            &mut scratch,
+            &mut slot,
+        );
+        assert_eq!(packed, slot, "pool {pool:?}");
         assert_eq!(packed.shape(), (2, side, side, 3));
         for (idx, &acc) in want.iter().enumerate() {
             let (co, px) = (idx % 3, idx / 3);
@@ -493,12 +487,12 @@ fn residual_adds_into_raw_accumulators_before_the_epilogue() {
 
     let mut scratch = ConvScratch::default();
     let mut packed = BitTensor4::zeros(1, 1, 1, 1, 1, Encoding::ZeroOne);
-    let steps = Steps::build(&epi, desc.cout, desc.acc_reach() + 5);
+    let steps = Steps::build(&epi, desc.cout).unwrap();
     ApConv::new(desc).prepare(weights).execute_fused_into(
         &input,
         Residual::Accs(&res),
         None,
-        Tail::new(&epi, steps.as_ref()),
+        &steps,
         &mut scratch,
         &mut packed,
     );
@@ -543,10 +537,10 @@ fn avg_pool_floors_toward_neg_infinity() {
 
 /// One fused call against the scalar spec of its tail — raw accumulators
 /// (+ residual) → [`pool2_i32`] → [`Epilogue::apply_to_code`] →
-/// [`BitTensor4::pack_row`] — on every arm, through the chain's step table
-/// (when it has one) and through the f32 row form. `residual`: 0 none, 1 a
-/// projection's accumulators, 2 an identity branch of `rbits`-wide codes
-/// (checked against its decoded values added as integers).
+/// [`BitTensor4::pack_row`] — on every arm, through the chain's step table.
+/// `residual`: 0 none, 1 a projection's accumulators, 2 an identity branch
+/// of `rbits`-wide codes (checked against its decoded values added as
+/// integers).
 fn check_tail(
     desc: &ConvDesc,
     pool: Option<Pool2>,
@@ -623,39 +617,29 @@ fn check_tail(
         want.pack_row(i / ph, i % ph, &codes);
     }
 
-    let steps = Steps::build(&epi, cout, desc.acc_reach());
-    assert_eq!(
-        steps.is_some(),
-        bits <= 4,
-        "finite chains up to 4 bits have a table"
-    );
+    let steps = Steps::build(&epi, cout).expect("finite chains have a table");
     let mut scratch = ConvScratch::default();
     // A slot whose stale contents must not survive.
     let mut got = BitTensor4::from_tensor(&codes, rbits, Encoding::ZeroOne);
     for arm in PopcntArm::ALL {
         let prepared = prepared.clone().with_arm(arm);
-        for steps in [steps.as_ref(), None] {
-            let tail = Tail::new(&epi, steps);
-            prepared.execute_fused_into(&input, residual, pool, tail, &mut scratch, &mut got);
-            assert_eq!(
-                got,
-                want,
-                "{arm:?} table {} pool {pool:?} residual {kind} of {desc:?}",
-                steps.is_some()
-            );
-        }
+        prepared.execute_fused_into(&input, residual, pool, &steps, &mut scratch, &mut got);
+        assert_eq!(
+            got, want,
+            "{arm:?} pool {pool:?} residual {kind} of {desc:?}"
+        );
     }
 }
 
 #[test]
 fn fused_tail_matches_the_scalar_spec_on_the_zoo_corner_shapes() {
     // Ragged and multi-word channel counts, every residual kind under
-    // every pool, every table width and the widths past it.
+    // every pool, every code width.
     let mut seed = 5;
     for cout in [1usize, 16, 24, 65, 130] {
         for pool in [None, Some(Pool2::Max), Some(Pool2::Avg)] {
             for residual in 0..3 {
-                for bits in [1u32, 2, 3, 4, 5, 8] {
+                for bits in 1u32..=8 {
                     seed += 1;
                     let desc = ConvDesc::unsigned(2, 5, 5, cout, 3, 1, 1, 1, 2);
                     check_tail(&desc, pool, (residual, 1 + bits % 3), bits, seed);
@@ -674,7 +658,7 @@ proptest::proptest! {
     fn tail_equals_pool_epilogue_pack(
         h in 1usize..8, w in 1usize..8, k in 1usize..4, stride in 1usize..3, pad in 0usize..2,
         cin in 1usize..20, cout in 1usize..80, p in 1u32..3, q in 1u32..3,
-        pool in 0u32..3, residual in 0u32..3, rbits in 1u32..4, bits in 1u32..7,
+        pool in 0u32..3, residual in 0u32..3, rbits in 1u32..4, bits in 1u32..9,
         seed in proptest::prelude::any::<u64>(),
     ) {
         proptest::prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);

@@ -27,7 +27,7 @@
 //! A fused convolution ends in [`tail`]: the residual ([`Residual`] — a
 //! projection's accumulators, or an identity branch read packed), the 2×2
 //! pool and the quantizing chain — as its compiled integer steps
-//! ([`crate::fusion::Tail`]) — run on each band of finished rows in one
+//! ([`crate::fusion::Steps`]) — run on each band of finished rows in one
 //! pass of integer lanes whose compare masks are stored as the next layer's
 //! packed words (§5.2 + the §4.1(b) ballot).
 
@@ -44,7 +44,7 @@ use apnn_sim::{GpuSpec, KernelReport};
 
 use crate::apmm::{ApmmDesc, TileConfig};
 use crate::autotune::autotune;
-use crate::fusion::{Epilogue, Steps, Tail};
+use crate::fusion::{Epilogue, Steps};
 pub use tail::Residual;
 pub use weights::ConvWeights;
 
@@ -181,13 +181,6 @@ impl ConvDesc {
     /// Valid (logical) reduction length per fully-in-frame window.
     pub fn k_valid(&self) -> usize {
         self.kh * self.kw * self.cin
-    }
-
-    /// A bound on the magnitude of every accumulator the layer can emit:
-    /// `k_valid` products of codes below `2^p` and `2^q` (±1 operands are
-    /// one bit wide). Saturating; see [`Steps::build`] for what it is for.
-    pub fn acc_reach(&self) -> i32 {
-        crate::apmm::acc_reach(self.k_valid(), self.w_bits, self.x_bits)
     }
 
     /// The implicit-GEMM description this convolution maps onto. `k` is the
@@ -422,17 +415,18 @@ impl PreparedConv {
     }
 
     /// Workspace form of [`PreparedConv::execute_fused`] for quantizing
-    /// chains: `residual` is added into the raw i32 accumulators, then each
-    /// band of rows is pooled, run through `tail` and packed as soon as it
-    /// is finished ([`tail`](mod@tail)), and the channel-major activations
-    /// are rebuilt in place in `out`. Exactness is integer end-to-end: no
-    /// rounding happens between the main-path and skip-path contributions.
+    /// chains, compiled into their step table `steps`: `residual` is added
+    /// into the raw i32 accumulators, then each band of rows is pooled,
+    /// looked up in `steps` and packed as soon as it is finished
+    /// ([`tail`](mod@tail)), and the channel-major activations are rebuilt
+    /// in place in `out`. Exactness is integer end-to-end: no rounding
+    /// happens between the main-path and skip-path contributions.
     pub fn execute_fused_into(
         &self,
         input: &BitTensor4,
         residual: Residual<'_>,
         pool: Option<Pool2>,
-        tail: Tail<'_>,
+        steps: &Steps,
         scratch: &mut cpu::ConvScratch,
         out: &mut BitTensor4,
     ) {
@@ -443,7 +437,7 @@ impl PreparedConv {
             &self.exec_plan,
             residual,
             pool,
-            tail,
+            steps,
             scratch,
             out,
         );
@@ -452,9 +446,10 @@ impl PreparedConv {
 
 /// The allocating fused tail behind both `execute_fused` spellings: a
 /// quantizing epilogue packs through the fused sink, its [`Steps`] compiled
-/// for the call; a non-quantizing one returns the (pooled,
-/// epilogue-transformed) i32 accumulators — the one output form the
-/// workspace entry points never produce.
+/// for the call (panics if the chain is not provably monotone and so has
+/// none); a non-quantizing one returns the (pooled, epilogue-transformed)
+/// i32 accumulators — the one output form the workspace entry points never
+/// produce.
 fn fused_owned(
     desc: &ConvDesc,
     w: &LanePanel,
@@ -466,8 +461,8 @@ fn fused_owned(
     let mut scratch = cpu::ConvScratch::default();
     if let Some(bits) = epi.output_bits() {
         let mut t = BitTensor4::zeros(0, 1, 1, desc.cout, bits, Encoding::ZeroOne);
-        let steps = Steps::build(epi, desc.cout, desc.acc_reach());
-        let tail = Tail::new(epi, steps.as_ref());
+        let steps =
+            Steps::build(epi, desc.cout).expect("the quantizing chain is not provably monotone");
         let none = Residual::None;
         tail::conv_exec_fused(
             desc,
@@ -476,7 +471,7 @@ fn fused_owned(
             state,
             none,
             pool,
-            tail,
+            &steps,
             &mut scratch,
             &mut t,
         );

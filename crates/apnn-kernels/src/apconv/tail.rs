@@ -8,19 +8,19 @@
 //! identity skip's codes straight from the packed branch row, one masked add
 //! of `1 << t` per plane with the sixteen branch bits as the mask — the 2×2
 //! max / average over the four taps, then the chain as its compiled
-//! [`Steps`]: XOR the chunk's `flip` row, compare against its `2^bits − 1`
-//! threshold rows. The compare masks nest (`t_1 ≤ t_2 ≤ …`), so the number
-//! set is the code and plane `t` of the code is the XOR of the masks at
-//! multiples of `2^t`; each plane's sixteen bits are shifted to bit `c mod
-//! 64` of the pixel's word and every word of the row is stored, channel
-//! padding included — the CPU's `__ballot_sync`: comparison
-//! results become the packed words of the next layer's NPHWC map without
-//! ever being a code in memory.
-//!
-//! A chain without a table ([`Steps::build`] says when) keeps the row form:
-//! the same lanes pool the band into an `f32` row,
-//! [`crate::fusion::RowEpilogue::apply_to_codes`] runs the chain, and the
-//! code row feeds the **same packer**, its plane masks a bit test per lane.
+//! [`Steps`]: XOR the chunk's `flip` row, compare against its threshold
+//! rows. Up to four bits that is all `2^bits − 1` rows: the compare masks
+//! nest (`t_1 ≤ t_2 ≤ …`), so the number set is the code and plane `t` of
+//! the code is the XOR of the masks at multiples of `2^t`. At five to eight
+//! bits the compares would outnumber the chain, so the code is found in the
+//! lanes instead: fifteen compares against the rows at multiples of
+//! `2^(bits − 4)` give its top four bits, one round of bisection per lower
+//! bit — a gather of the row half a step above the code so far — gives the
+//! rest, and plane `t` is bit `t` of the code. Either way each plane's
+//! sixteen bits are shifted to bit `c mod 64` of the pixel's word and every
+//! word of the row is stored, channel padding included — the CPU's
+//! `__ballot_sync`: comparison results become the packed words of the next
+//! layer's NPHWC map without ever being a code in memory.
 //!
 //! Like [`apnn_bitpack::popcnt`]'s kernel the tail is one generic body over
 //! a lane type (`Lanes16`, sixteen i32) with a plain-array impl and an
@@ -29,14 +29,14 @@
 //! auto-vectorized array form of this loop goes through 256-bit halves and
 //! the stack on AVX-512 hosts and measured slower than the f32 row passes
 //! it replaces. Every instruction of the vector impl (`vpcmpgtd → k`,
-//! masked `vpaddd`, `vpmaxsd`, `vpsrad`) is avx512f, which the arm's
-//! availability check already covers.
+//! masked `vpaddd`, `vpmaxsd`, `vpsrad`, `vpgatherdd`) is avx512f, which
+//! the arm's availability check already covers.
 
 use apnn_bitpack::{BitTensor4, Encoding, LanePanel, PopcntArm};
 
 use super::cpu::{conv_exec, ConvExecPlan, ConvScratch};
 use super::{ConvDesc, Pool2};
-use crate::fusion::{Steps, Tail, STEP_LANES};
+use crate::fusion::{Steps, STEP_LANES};
 use crate::micro::MAX_PLANES;
 
 /// What a fused convolution adds into its raw accumulators *before* the
@@ -142,29 +142,20 @@ impl Band {
 /// One pooled row's packed words, per plane of the output map.
 type RowPlanes<'o> = [&'o mut [u64]; MAX_PLANES];
 
-/// What one call of the lane body does with a band.
-enum Pass<'a, 'o> {
-    /// The band's accumulators and residual, pooled, into `AccsTo`.
-    Accs(&'a [i32], &'a BandResidual<'a>, AccsTo<'a, 'o>),
-    /// A row of `bits`-wide codes → packed words: the second half of a
-    /// table-less tail.
-    Codes(&'a [u32], usize, &'a mut RowPlanes<'o>),
-}
+/// Where a band's pooled accumulators go: through the step table into the
+/// packed words of one output row.
+type To<'a, 'o> = (&'a Steps, &'a mut RowPlanes<'o>);
 
-/// Where a band's pooled accumulators go.
-enum AccsTo<'a, 'o> {
-    /// Step-table compares → packed words: the whole tail of a chain with
-    /// a table.
-    Words(&'a Steps, &'a mut RowPlanes<'o>),
-    /// An `f32` row: the first half of a table-less tail.
-    Row(&'a mut [f32]),
-}
+/// What one call of the lane body does with a band: its accumulators and
+/// residual, pooled, [`To`] the output row.
+struct Pass<'a, 'o>(&'a [i32], &'a BandResidual<'a>, To<'a, 'o>);
 
 /// Fused execution: [`conv_exec`] with the §5.2 tail as its row sink —
-/// residual add, 2×2 pool, the chain and the packing of the next layer's
-/// channel-major activations into the caller-owned `out` tensor (see the
-/// module docs), each band while it is cache-hot. Allocation-free once
-/// `scratch` and `out` have reached the plan's capacity.
+/// residual add, 2×2 pool, the chain's step table and the packing of the
+/// next layer's channel-major activations into the caller-owned `out`
+/// tensor (see the module docs), each band while it is cache-hot.
+/// Allocation-free once `scratch` and `out` have reached the plan's
+/// capacity.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv_exec_fused(
     desc: &ConvDesc,
@@ -173,55 +164,31 @@ pub(crate) fn conv_exec_fused(
     state: &ConvExecPlan,
     residual: Residual<'_>,
     pool: Option<Pool2>,
-    tail: Tail<'_>,
+    steps: &Steps,
     scratch: &mut ConvScratch,
     out: &mut BitTensor4,
 ) {
-    let bits = tail.bits();
     let batch = input.shape().0;
     let (oh, ow, cout) = (desc.out_h(), desc.out_w(), desc.cout);
+    assert_eq!(
+        steps.channels(),
+        cout,
+        "steps were compiled for another layer"
+    );
     residual.check((batch, oh, ow, cout));
     let band = Band { ow, cout, pool };
     let (rows, pw) = (band.rows(), band.out_w());
     // Every word of every row of the `batch` images is stored below,
     // channel padding included, so the reshape skips the zeroing pass of
     // `reset_zeros`.
-    out.reset_for_overwrite(batch, oh / rows, pw, cout, bits, Encoding::ZeroOne);
+    out.reset_for_overwrite(batch, oh / rows, pw, cout, steps.bits(), Encoding::ZeroOne);
     let arm = state.arm.sanitized();
-    let ConvScratch {
-        strip,
-        acc,
-        vals,
-        codes,
-        bn_den,
-    } = scratch;
-    match tail.steps() {
-        Some(steps) => {
-            assert_eq!(
-                steps.channels(),
-                cout,
-                "steps were compiled for another layer"
-            );
-            conv_exec(desc, w, input, state, rows, strip, acc, |b, py, accs| {
-                let res = residual.band(b, py * rows, rows, oh, ow * cout);
-                let mut planes = row_planes(out, b, py);
-                let to = AccsTo::Words(steps, &mut planes);
-                run(arm, band, Pass::Accs(accs, &res, to));
-            });
-        }
-        None => {
-            let epi = tail.epi().rows(cout, bn_den);
-            apnn_bitpack::resize_for_overwrite(vals, pw * cout);
-            apnn_bitpack::resize_for_overwrite(codes, pw * cout);
-            conv_exec(desc, w, input, state, rows, strip, acc, |b, py, accs| {
-                let res = residual.band(b, py * rows, rows, oh, ow * cout);
-                run(arm, band, Pass::Accs(accs, &res, AccsTo::Row(vals)));
-                epi.apply_to_codes(vals, codes);
-                let mut planes = row_planes(out, b, py);
-                run(arm, band, Pass::Codes(codes, bits as usize, &mut planes));
-            });
-        }
-    }
+    let ConvScratch { strip, acc } = scratch;
+    conv_exec(desc, w, input, state, rows, strip, acc, |b, py, accs| {
+        let res = residual.band(b, py * rows, rows, oh, ow * cout);
+        let mut planes = row_planes(out, b, py);
+        run(arm, band, Pass(accs, &res, (steps, &mut planes)));
+    });
 }
 
 /// Pooled row `py` of image `b` of `out`, per plane (empty past its last).
@@ -258,7 +225,11 @@ trait Lanes16: Copy {
     /// The `n ≤ 16` values of `src`, zero in the lanes beyond.
     fn load(src: &[i32]) -> Self;
     fn from_array(v: [i32; STEP_LANES]) -> Self;
-    fn to_array(self) -> [i32; STEP_LANES];
+    /// Lane `i` of row `idx[i]` of `rows`.
+    ///
+    /// # Safety
+    /// Every lane of `idx` is a row of `rows`: `0 ≤ idx[i] < rows.len()`.
+    unsafe fn gather(rows: &[[i32; STEP_LANES]], idx: Self) -> Self;
     fn add(self, o: Self) -> Self;
     /// `self + o` in the lanes of `k`, `self` elsewhere.
     fn add_where(self, k: Self::Mask, o: Self) -> Self;
@@ -307,8 +278,8 @@ impl Lanes16 for [i32; STEP_LANES] {
     }
 
     #[inline(always)]
-    fn to_array(self) -> [i32; STEP_LANES] {
-        self
+    unsafe fn gather(rows: &[[i32; STEP_LANES]], idx: Self) -> Self {
+        std::array::from_fn(|i| rows[idx[i] as usize][i])
     }
 
     #[inline(always)]
@@ -373,56 +344,38 @@ impl Lanes16 for [i32; STEP_LANES] {
 /// band: a loop that carried every variant's address streams at once ran
 /// out of registers for its induction variables and kept them on the stack.
 #[inline(always)]
-fn lane_pass<V: Lanes16>(band: Band, pass: Pass<'_, '_>) {
-    match pass {
-        Pass::Codes(codes, bits, out) => {
-            pack_band::<V, _>(band, bits, out, &CodePlanes(codes, band.cout, bits))
-        }
-        Pass::Accs(accs, BandResidual::None, to) => {
-            pooled_pass::<V, _>(band, accs, &NoResidual, to)
-        }
-        Pass::Accs(accs, BandResidual::Accs(res), to) => pooled_pass::<V, _>(band, accs, res, to),
-        Pass::Accs(accs, BandResidual::Codes(res), to) => pooled_pass::<V, _>(band, accs, res, to),
+fn lane_pass<V: Lanes16>(band: Band, Pass(accs, res, to): Pass<'_, '_>) {
+    match res {
+        BandResidual::None => pooled_pass::<V, _>(band, accs, &NoResidual, to),
+        BandResidual::Accs(res) => pooled_pass::<V, _>(band, accs, res, to),
+        BandResidual::Codes(res) => pooled_pass::<V, _>(band, accs, res, to),
     }
 }
 
 /// [`lane_pass`] over a band's accumulators, the residual kind resolved.
 #[inline(always)]
-fn pooled_pass<V: Lanes16, R: TapResidual>(band: Band, accs: &[i32], res: &R, to: AccsTo<'_, '_>) {
+fn pooled_pass<V: Lanes16, R: TapResidual>(band: Band, accs: &[i32], res: &R, to: To<'_, '_>) {
     match band.pool {
-        None => accs_pass::<V, _>(band, OneTap(band, accs, res), to),
-        Some(kind) => accs_pass::<V, _>(band, FourTaps(band, accs, res, kind), to),
+        None => accs_pass::<V, _>(band, &OneTap(band, accs, res), to),
+        Some(kind) => accs_pass::<V, _>(band, &FourTaps(band, accs, res, kind), to),
     }
 }
 
-/// [`lane_pass`] over the pooled accumulator chunks of `from`.
+/// [`lane_pass`] over the pooled accumulator chunks of `from`, the code
+/// width resolved.
 #[inline(always)]
-fn accs_pass<V: Lanes16, A: PooledAccs>(band: Band, from: A, to: AccsTo<'_, '_>) {
-    match to {
-        AccsTo::Words(steps, out) => {
-            let (from, rows) = (&from, steps.rows());
-            match steps.bits() {
-                1 => pack_band::<V, _>(band, 1, out, &StepPlanes::<A, 1>(from, rows)),
-                2 => pack_band::<V, _>(band, 2, out, &StepPlanes::<A, 2>(from, rows)),
-                3 => pack_band::<V, _>(band, 3, out, &StepPlanes::<A, 3>(from, rows)),
-                4 => pack_band::<V, _>(band, 4, out, &StepPlanes::<A, 4>(from, rows)),
-                bits => unreachable!("no step table is built at {bits} bits"),
-            }
-        }
-        AccsTo::Row(vals) => {
-            let cout = band.cout;
-            for (px, vals) in vals.chunks_exact_mut(cout.max(1)).enumerate() {
-                for (c0, vals) in (0..cout)
-                    .step_by(STEP_LANES)
-                    .zip(vals.chunks_mut(STEP_LANES))
-                {
-                    let v: V = from.chunk(px, c0, vals.len());
-                    for (val, acc) in vals.iter_mut().zip(v.to_array()) {
-                        *val = acc as f32;
-                    }
-                }
-            }
-        }
+fn accs_pass<V: Lanes16, A: PooledAccs>(band: Band, from: &A, (steps, out): To<'_, '_>) {
+    let rows = steps.rows();
+    match steps.bits() {
+        1 => pack_band::<V, _>(band, 1, out, &StepPlanes::<A, 1>(from, rows)),
+        2 => pack_band::<V, _>(band, 2, out, &StepPlanes::<A, 2>(from, rows)),
+        3 => pack_band::<V, _>(band, 3, out, &StepPlanes::<A, 3>(from, rows)),
+        4 => pack_band::<V, _>(band, 4, out, &StepPlanes::<A, 4>(from, rows)),
+        5 => pack_band::<V, _>(band, 5, out, &WidePlanes::<A, 5>(from, rows)),
+        6 => pack_band::<V, _>(band, 6, out, &WidePlanes::<A, 6>(from, rows)),
+        7 => pack_band::<V, _>(band, 7, out, &WidePlanes::<A, 7>(from, rows)),
+        8 => pack_band::<V, _>(band, 8, out, &WidePlanes::<A, 8>(from, rows)),
+        bits => unreachable!("no step table is built at {bits} bits"),
     }
 }
 
@@ -537,10 +490,24 @@ impl<R: TapResidual> PooledAccs for FourTaps<'_, R> {
 /// instantiation (a closure body is a function of its own, compiled at the
 /// build's baseline features).
 trait ChunkPlanes {
+    /// Whether the packer asks for [`GROUP`] pixels at a time
+    /// ([`ChunkPlanes::group`]).
+    const GROUPED: bool = false;
+
     /// Bit `i` of plane `t` is bit `t` of the code of channel `c0 + i` of
     /// pooled pixel `px`, for `i < n ≤ 16`; zero beyond.
     fn planes<V: Lanes16>(&self, px: usize, c0: usize, n: usize) -> [u16; MAX_PLANES];
+
+    /// [`ChunkPlanes::planes`] of pixels `px..px + GROUP`.
+    fn group<V: Lanes16>(&self, px: usize, c0: usize, n: usize) -> [[u16; MAX_PLANES]; GROUP] {
+        std::array::from_fn(|p| self.planes::<V>(px + p, c0, n))
+    }
 }
+
+/// Pixels a [`ChunkPlanes::GROUPED`] source is asked for at a time: their
+/// lookups run interleaved, so one pixel's gathers are in flight while
+/// another's wait.
+const GROUP: usize = 4;
 
 /// The whole tail of a chain with a table, at its code width `BITS`: a
 /// pooled chunk's plane masks from its step rows.
@@ -564,34 +531,78 @@ impl<A: PooledAccs, const BITS: usize> ChunkPlanes for StepPlanes<'_, A, BITS> {
     }
 }
 
-/// The second half of a table-less tail: plane masks from a row of
-/// `cout`-channel pixels' codes, a bit test per lane.
-struct CodePlanes<'a>(&'a [u32], usize, usize);
+/// The tail at five to eight bits (`BITS`), where `2^BITS − 1` compares
+/// would outnumber the chain: the code is found in the lanes, then
+/// bit-tested into planes. One pixel's lookup is a chain of dependent
+/// gathers, so the packer asks for [`GROUP`]s and their chains interleave.
+struct WidePlanes<'a, A, const BITS: usize>(&'a A, &'a [[i32; STEP_LANES]]);
 
-impl ChunkPlanes for CodePlanes<'_> {
+impl<A: PooledAccs, const BITS: usize> WidePlanes<'_, A, BITS> {
+    /// The planes of channels `c0..c0 + n` of pooled pixels `px..px + N`.
+    #[inline(always)]
+    fn lookup<V: Lanes16, const N: usize>(
+        &self,
+        px: usize,
+        c0: usize,
+        n: usize,
+    ) -> [[u16; MAX_PLANES]; N] {
+        let rows = &self.1[(c0 / STEP_LANES) << BITS..][..1 << BITS];
+        let flip = V::from_array(rows[0]);
+        let x: [V; N] = std::array::from_fn(|p| self.0.chunk::<V>(px + p, c0, n).xor(flip));
+        // The top four bits: how many of the fifteen rows at multiples of
+        // `coarse` the accumulator passes — a count of compares, as at four
+        // bits, in steps of `coarse`.
+        let coarse = 1 << (BITS - 4);
+        let mut code = [V::splat(0); N];
+        for k in (coarse..1 << BITS).step_by(coarse) {
+            let t = V::from_array(rows[k]);
+            for (code, x) in code.iter_mut().zip(&x) {
+                *code = code.add_where(x.gt(t), V::splat(coarse as i32));
+            }
+        }
+        // Each lower bit: one round of bisection against the row half a
+        // step above the code so far.
+        let mut step = coarse / 2;
+        while step > 0 {
+            for (code, x) in code.iter_mut().zip(&x) {
+                let at = code.add(V::splat(step as i32));
+                // SAFETY: the compares leave `code ≤ 15·coarse` and a round
+                // adds at most its `step`, so the row read is at most
+                // `15·coarse + coarse/2 + … + 1 = 2^BITS − 1 < rows.len()`.
+                let t = unsafe { V::gather(rows, at) };
+                *code = code.add_where(x.gt(t), V::splat(step as i32));
+            }
+            step /= 2;
+        }
+        // A code is below `2^BITS`, so the planes past its width are zero.
+        code.map(|code| std::array::from_fn(|t| V::mask_bits(code.test_bit(t))))
+    }
+}
+
+impl<A: PooledAccs, const BITS: usize> ChunkPlanes for WidePlanes<'_, A, BITS> {
+    const GROUPED: bool = true;
+
     #[inline(always)]
     fn planes<V: Lanes16>(&self, px: usize, c0: usize, n: usize) -> [u16; MAX_PLANES] {
-        let &CodePlanes(codes, cout, bits) = self;
-        let px = &codes[px * cout + c0..][..n];
-        let v = V::from_array(std::array::from_fn(
-            |i| if i < n { px[i] as i32 } else { 0 },
-        ));
-        let mut planes = [0u16; MAX_PLANES];
-        for (t, plane) in planes[..bits].iter_mut().enumerate() {
-            *plane = V::mask_bits(v.test_bit(t));
-        }
+        let [planes] = self.lookup::<V, 1>(px, c0, n);
         planes
+    }
+
+    #[inline(always)]
+    fn group<V: Lanes16>(&self, px: usize, c0: usize, n: usize) -> [[u16; MAX_PLANES]; GROUP] {
+        self.lookup::<V, GROUP>(px, c0, n)
     }
 }
 
 /// The packer: the plane masks of every chunk shifted into place in the
 /// pixel's words. The chunk position is the outer loop and the pixels the
-/// inner one, so everything a position fixes — its step rows, lane mask,
-/// word and shift — is hoisted out of the loop that runs `out_w` times and
-/// what remains strides by constants. Every word of the row is **stored**
-/// by the first chunk that reaches it and OR-ed into by the rest, and the
-/// all-padding words of the 128-bit fragment are stored as zeros, so
-/// nothing survives from the row's previous contents.
+/// inner one (in groups first, for a [`ChunkPlanes::GROUPED`] source), so
+/// everything a position fixes — its step rows, lane mask, word and shift
+/// — is hoisted out of the loop that runs `out_w` times and what remains
+/// strides by constants. Every word of the row is **stored** by the first
+/// chunk that reaches it and OR-ed into by the rest, and the all-padding
+/// words of the 128-bit fragment are stored as zeros, so nothing survives
+/// from the row's previous contents.
 #[inline(always)]
 fn pack_band<V: Lanes16, S: ChunkPlanes>(
     band: Band,
@@ -603,12 +614,16 @@ fn pack_band<V: Lanes16, S: ChunkPlanes>(
     let wpp = out[0].len() / pw.max(1);
     for c0 in (0..cout).step_by(STEP_LANES) {
         let (j, shift, n) = (c0 / 64, c0 % 64, STEP_LANES.min(cout - c0));
-        for px in 0..pw {
-            let planes = source.planes::<V>(px, c0, n);
-            for (plane, &mask) in out[..bits].iter_mut().zip(&planes) {
-                let (word, field) = (&mut plane[px * wpp + j], u64::from(mask) << shift);
-                *word = if shift == 0 { field } else { *word | field };
+        let mut px = 0;
+        while S::GROUPED && px + GROUP <= pw {
+            for (p, planes) in source.group::<V>(px, c0, n).iter().enumerate() {
+                store(out, bits, ((px + p) * wpp + j, shift), planes);
             }
+            px += GROUP;
+        }
+        for px in px..pw {
+            let planes = source.planes::<V>(px, c0, n);
+            store(out, bits, (px * wpp + j, shift), &planes);
         }
     }
     for j in cout.div_ceil(64)..wpp {
@@ -617,6 +632,21 @@ fn pack_band<V: Lanes16, S: ChunkPlanes>(
                 plane[px * wpp + j] = 0;
             }
         }
+    }
+}
+
+/// One chunk's plane masks into word `at` of every plane, at bit `shift`:
+/// stored by the chunk at bit 0, OR-ed into by the rest.
+#[inline(always)]
+fn store(
+    out: &mut RowPlanes<'_>,
+    bits: usize,
+    (at, shift): (usize, usize),
+    planes: &[u16; MAX_PLANES],
+) {
+    for (plane, &mask) in out[..bits].iter_mut().zip(planes) {
+        let (word, field) = (&mut plane[at], u64::from(mask) << shift);
+        *word = if shift == 0 { field } else { *word | field };
     }
 }
 
@@ -657,12 +687,15 @@ mod x86 {
         }
 
         #[inline(always)]
-        fn to_array(self) -> [i32; STEP_LANES] {
-            let mut v = [0; STEP_LANES];
-            // SAFETY: avx512f is present (see `Zmm`); `v` is 64 writable
-            // bytes and the store is unaligned.
-            unsafe { _mm512_storeu_si512(v.as_mut_ptr().cast(), self.0) };
-            v
+        unsafe fn gather(rows: &[[i32; STEP_LANES]], idx: Self) -> Self {
+            // SAFETY: avx512f is present (see `Zmm`); the caller keeps
+            // every `idx[i]` a row of `rows`, so lane `i` reads element
+            // `16·idx[i] + i` of the slice, which is in bounds.
+            unsafe {
+                let lane = _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
+                let at = _mm512_add_epi32(_mm512_slli_epi32::<4>(idx.0), lane);
+                Zmm(_mm512_i32gather_epi32::<4>(at, rows.as_ptr().cast()))
+            }
         }
 
         #[inline(always)]

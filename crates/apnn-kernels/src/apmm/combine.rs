@@ -5,13 +5,13 @@
 //! (solved by the in-block shift-add — see `simmap`), and converting 32-bit
 //! values into `q`-bit packed codes for the next layer (solved here by the
 //! ballot-style inter-thread packing, emulated via `apnn_bitpack::ballot`).
-//! The hot form quantizes through the stage's compiled [`Tail`] — the same
+//! Both forms quantize through the chain's compiled [`Steps`] — the same
 //! thing the conv kernels are handed — so a hidden linear stage's codes are
-//! integer compares against its step table, not the f32 chain.
+//! a bisection of its step table, not the f32 chain.
 
 use apnn_bitpack::{ballot, BitPlanes, Encoding};
 
-use crate::fusion::{Epilogue, Tail};
+use crate::fusion::{Epilogue, Steps};
 
 /// Quantize the row-major `m×n` accumulator matrix through `epi` and pack
 /// the resulting codes **transposed** (rows = n, cols = m) so the packed
@@ -20,7 +20,8 @@ use crate::fusion::{Epilogue, Tail};
 /// The per-element quantization + per-warp ballot packing mirrors the GPU
 /// routine: each output element is quantized in a register, then 32 "lanes"
 /// at a time are packed into aligned words. The channel index passed to the
-/// epilogue is the output-feature index `i` (the row of `Y`).
+/// epilogue is the output-feature index `i` (the row of `Y`). Panics if the
+/// chain is not provably monotone (it then has no [`Steps`]).
 pub fn quantize_pack_transposed(
     y: &[i32],
     m: usize,
@@ -33,13 +34,14 @@ pub fn quantize_pack_transposed(
         Some(bits),
         "epilogue must end in quantize"
     );
+    let steps = Steps::build(epi, m).expect("the quantizing chain is not provably monotone");
     let mut codes = Vec::new();
     let mut out = BitPlanes::zeros(n, m, bits, Encoding::ZeroOne);
-    quantize_pack_transposed_into(y, m, n, Tail::new(epi, None), &mut codes, &mut out);
+    quantize_pack_transposed_into(y, m, n, &steps, &mut codes, &mut out);
     out
 }
 
-/// [`quantize_pack_transposed`] through a compiled [`Tail`], writing into
+/// [`quantize_pack_transposed`] through a compiled [`Steps`], writing into
 /// caller-owned buffers: `codes` is the transposed quantized-code scratch,
 /// `out` the packed result (rebuilt in place, see
 /// [`BitPlanes::from_codes_into`]). Allocation-free once both have reached
@@ -49,7 +51,7 @@ pub fn quantize_pack_transposed_into(
     y: &[i32],
     m: usize,
     n: usize,
-    tail: Tail<'_>,
+    steps: &Steps,
     codes: &mut Vec<u32>,
     out: &mut BitPlanes,
 ) {
@@ -59,10 +61,10 @@ pub fn quantize_pack_transposed_into(
     apnn_bitpack::resize_for_overwrite(codes, n * m);
     for i in 0..m {
         for j in 0..n {
-            codes[j * m + i] = tail.code(y[i * n + j], i);
+            codes[j * m + i] = steps.code(y[i * n + j], i);
         }
     }
-    out.from_codes_into(codes, n, m, tail.bits(), Encoding::ZeroOne);
+    out.from_codes_into(codes, n, m, steps.bits(), Encoding::ZeroOne);
 }
 
 /// The warp-level packing route used on the GPU: quantize a stream of 32

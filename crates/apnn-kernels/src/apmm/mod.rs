@@ -27,7 +27,7 @@ use apnn_bitpack::{BitPlanes, Encoding, LanePanel, PopcntArm};
 use apnn_sim::{GpuSpec, KernelReport};
 
 use crate::autotune::{autotune, select_micro, MicroTile};
-use crate::fusion::{Epilogue, Tail};
+use crate::fusion::{Epilogue, Steps};
 use crate::select::{plan, EmulationPlan};
 
 /// Shape + precision description of one APMM problem.
@@ -95,14 +95,6 @@ impl ApmmDesc {
         plan(self.w_enc, self.x_enc)
     }
 
-    /// A bound on the magnitude of every accumulator the product can hold:
-    /// `k` products of codes below `2^p` and `2^q` (±1 operands are one bit
-    /// wide). Saturating; see [`crate::fusion::Steps::build`] for what it
-    /// is for.
-    pub fn acc_reach(&self) -> i32 {
-        acc_reach(self.k, self.w_bits, self.x_bits)
-    }
-
     /// K padded to the 128-bit fragment boundary.
     pub fn k_padded(&self) -> usize {
         apnn_bitpack::word::pad_to_bmma_k(self.k)
@@ -129,13 +121,6 @@ impl ApmmDesc {
         assert_eq!(x.bits(), self.x_bits, "activation bits");
         assert_eq!(x.encoding(), self.x_enc, "activation encoding");
     }
-}
-
-/// `k` products of a `p`-bit and a `q`-bit code, saturating — the bound
-/// behind [`ApmmDesc::acc_reach`] and `ConvDesc::acc_reach`.
-pub(crate) fn acc_reach(k: usize, p: u32, q: u32) -> i32 {
-    let per_mac = ((1u64 << p) - 1) * ((1u64 << q) - 1);
-    i32::try_from(k as u64 * per_mac).unwrap_or(i32::MAX)
 }
 
 /// Output of a fused APMM.
@@ -354,14 +339,15 @@ impl PreparedApmm {
     }
 
     /// Workspace form of [`PreparedApmm::execute_fused`] for quantizing
-    /// chains: accumulators go through `scratch`, the transposed codes
-    /// `tail` gives them through `codes`, and the packed next-layer operand
-    /// is rebuilt in place in `out` (the output layer, which does not
-    /// quantize, uses [`PreparedApmm::execute_into`]).
+    /// chains, compiled into their step table `steps`: accumulators go
+    /// through `scratch`, the transposed codes `steps` gives them through
+    /// `codes`, and the packed next-layer operand is rebuilt in place in
+    /// `out` (the output layer, which does not quantize, uses
+    /// [`PreparedApmm::execute_into`]).
     pub fn execute_fused_into(
         &self,
         x: &BitPlanes,
-        tail: Tail<'_>,
+        steps: &Steps,
         scratch: &mut cpu::ApmmScratch,
         codes: &mut Vec<u32>,
         out: &mut BitPlanes,
@@ -379,7 +365,7 @@ impl PreparedApmm {
             col_sums,
             acc,
         );
-        combine::quantize_pack_transposed_into(acc, self.desc.m, x.rows(), tail, codes, out);
+        combine::quantize_pack_transposed_into(acc, self.desc.m, x.rows(), steps, codes, out);
     }
 }
 
@@ -520,21 +506,17 @@ mod tests {
         prepared.execute_into(&x, &mut scratch, &mut out);
         assert_eq!(out, prepared.execute(&x));
 
-        // With and without the chain's step table: the same codes.
         let epi = Epilogue::quantize(8.0, 0.0, 2);
         let mut codes = Vec::new();
         let mut packed = apnn_bitpack::BitPlanes::zeros(desc.n, desc.m, 2, Encoding::ZeroOne);
-        let steps = crate::fusion::Steps::build(&epi, desc.m, desc.acc_reach());
-        for steps in [None, steps.as_ref()] {
-            let tail = Tail::new(&epi, steps);
-            prepared.execute_fused_into(&x, tail, &mut scratch, &mut codes, &mut packed);
-            let FusedOutput::Packed(want) = prepared.execute_fused(&x, &epi) else {
-                panic!("expected packed output")
-            };
-            assert_eq!(packed.reconstruct_codes(), want.reconstruct_codes());
-            assert_eq!(packed.rows(), want.rows());
-            assert_eq!(packed.cols(), want.cols());
-        }
+        let steps = Steps::build(&epi, desc.m).unwrap();
+        prepared.execute_fused_into(&x, &steps, &mut scratch, &mut codes, &mut packed);
+        let FusedOutput::Packed(want) = prepared.execute_fused(&x, &epi) else {
+            panic!("expected packed output")
+        };
+        assert_eq!(packed.reconstruct_codes(), want.reconstruct_codes());
+        assert_eq!(packed.rows(), want.rows());
+        assert_eq!(packed.cols(), want.cols());
     }
 
     #[test]

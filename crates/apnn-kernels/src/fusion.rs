@@ -15,23 +15,24 @@
 //! `clamp` are each monotone under IEEE round-to-nearest, and a composition
 //! of monotone maps is monotone. So lowering compiles the chain once into
 //! [`Steps`] — per channel, the `2^bits − 1` accumulator values at which
-//! the code steps, found by bisection against the spec — and a kernel's
+//! the code steps, found by search against the spec — and a kernel's
 //! tail is integer compares on the accumulator while it is a register,
 //! ending in the packed bits (the CPU form of §5.2's register-resident
-//! epilogue feeding `__ballot_sync`). The table exists when the chain is
-//! *provably* monotone (every parameter finite, every denominator positive,
-//! every op's result finite at both ends of the i32 domain — which rules
-//! out the `∞ − ∞` and `0 · ∞` NaNs everywhere in between) and quantizes to
-//! at most [`MAX_STEP_BITS`] bits; past that the compares (255 per chunk at
-//! 8 bits, 130 KB of table per stage) cost more than the chain.
+//! epilogue feeding `__ballot_sync`). Every packable width has its table
+//! (1 to [`MAX_PLANES`] bits), and a kernel is handed nothing else. A chain
+//! gets one exactly when it is *provably* monotone (every parameter finite,
+//! every denominator positive, every op's result finite at both ends of the
+//! i32 domain — which rules out the `∞ − ∞` and `0 · ∞` NaNs everywhere in
+//! between); a chain that is not has no form a kernel runs, so plan
+//! compilation rejects it and the allocating wrappers panic.
 //!
-//! A chain without a table runs over a whole accumulator row at a time
-//! ([`Epilogue::rows`]): one pass per op with the channel innermost, so each
-//! pass is a straight-line loop over per-channel parameter slices that
-//! vectorizes, instead of an op-list interpretation per element. Every
-//! element still sees the same f32 operations in the same order, so all
-//! three forms produce the same codes. [`Tail`] is what a kernel is handed:
-//! the chain plus its table when it has one.
+//! [`Epilogue::rows`] applies a chain to a whole accumulator row at a time:
+//! one pass per op with the channel innermost, so each pass is a
+//! straight-line loop over per-channel parameter slices, and every element
+//! sees the same f32 operations in the same order as the scalar chain. It
+//! is how compile-time calibration observes value ranges, not a tail.
+
+use crate::micro::MAX_PLANES;
 
 /// One element-wise operation applied to a kernel's i32 accumulator.
 #[derive(Debug, Clone)]
@@ -100,17 +101,6 @@ fn quantize(v: f32, scale: f32, zero_point: f32, bits: u32) -> f32 {
     ((v - zero_point) / scale)
         .floor()
         .clamp(0.0, ((1u32 << bits) - 1) as f32)
-}
-
-/// `v as u32` for what a quantizing chain leaves in a row — an
-/// integer-valued code in `0.0..=255.0`, or NaN — in a form that vectorizes
-/// (the saturating float→int `as` casts compile to scalar code). NaN fails
-/// the first comparison and becomes 0, as the cast makes it; adding 2²³
-/// leaves an integer below 2²³ in the low mantissa bits.
-#[inline(always)]
-fn code_bits(v: f32) -> u32 {
-    let code = if v >= 0.0 { v.min(255.0) } else { 0.0 };
-    (code + 8_388_608.0).to_bits() & 0xFF
 }
 
 /// An ordered chain of epilogue ops fused into a kernel.
@@ -230,28 +220,19 @@ impl Epilogue {
         self.apply(acc, channel) as u32
     }
 
-    /// `f32` scratch elements [`Epilogue::rows`] fills for `channels`
-    /// output channels (one BatchNorm denominator per op and channel).
-    pub fn row_scratch_len(&self, channels: usize) -> usize {
-        let bn = |op: &&EpilogueOp| matches!(op, EpilogueOp::BatchNorm { .. });
-        self.ops.iter().filter(bn).count() * channels
-    }
-
     /// Bind the chain to `channels` output channels for row-wise
-    /// application, taking every BatchNorm's `√(var + ε)` once, into
-    /// `scratch` (cleared; allocation-free at
-    /// [`Epilogue::row_scratch_len`] capacity).
-    pub fn rows<'a>(&'a self, channels: usize, scratch: &'a mut Vec<f32>) -> RowEpilogue<'a> {
-        scratch.clear();
+    /// application, taking every BatchNorm's `√(var + ε)` once.
+    pub fn rows(&self, channels: usize) -> RowEpilogue<'_> {
+        let mut bn_den = Vec::new();
         for op in &self.ops {
             if let EpilogueOp::BatchNorm { var, eps, .. } = op {
-                scratch.extend(var[..channels].iter().map(|v| (v + eps).sqrt()));
+                bn_den.extend(var[..channels].iter().map(|v| (v + eps).sqrt()));
             }
         }
         RowEpilogue {
             ops: &self.ops,
             channels,
-            bn_den: scratch,
+            bn_den,
         }
     }
 
@@ -306,10 +287,6 @@ impl Epilogue {
 /// vector.
 pub const STEP_LANES: usize = 16;
 
-/// Widest quantization a [`Steps`] table is built for: 1 / 3 / 7 / 15
-/// compares per sixteen channels at 1–4 bits.
-pub const MAX_STEP_BITS: u32 = 4;
-
 /// A quantizing [`Epilogue`] compiled into per-channel integer steps (see
 /// the module docs): with `L = 2^bits − 1`,
 ///
@@ -321,11 +298,13 @@ pub const MAX_STEP_BITS: u32 = 4;
 /// serves both. The thresholds of a channel nest (`t_1 ≤ … ≤ t_L`), a level
 /// the chain never reaches has `t = i32::MAX`, and so do the pad channels
 /// that round the count up to whole [`STEP_LANES`] chunks — their codes are
-/// 0 for any input, which keeps a packed map's padding bits zero.
+/// 0 for any input, which keeps a packed map's padding bits zero. Because
+/// the thresholds nest, the code is also the last level `acc ^ flip`
+/// passes, which `bits` rounds of bisection find ([`Steps::code`]).
 ///
 /// The table is laid out per chunk of sixteen channels as `L + 1` rows of
 /// sixteen i32 — `flip`, then `t_1 … t_L` — so a vector tail loads each row
-/// once ([`Steps::rows`]). Every threshold is found by bisection against
+/// once ([`Steps::rows`]). Every threshold is found by search against
 /// [`Epilogue::apply_to_code`], so codes are bit-identical to the spec by
 /// construction for every accumulator but one: where a level is reached by
 /// *every* i32, `t = i32::MIN` still excludes `i32::MIN` itself
@@ -339,15 +318,13 @@ pub struct Steps {
 
 impl Steps {
     /// Compile `epi` for `channels` output channels, or `None` when the
-    /// chain does not end in a quantization of at most [`MAX_STEP_BITS`]
-    /// bits or some channel is not provably monotone — such a chain keeps
-    /// the f32 row form. `reach` is a bound on the accumulators' magnitude
-    /// (`|acc| ≤ reach` for every sum the producing kernel can emit): it
-    /// only places the first bracket of each bisection (~log₂ `reach`
-    /// probes per threshold instead of 32); the table is exact over the
-    /// whole domain whatever its value.
-    pub fn build(epi: &Epilogue, channels: usize, reach: i32) -> Option<Steps> {
-        let bits = epi.output_bits().filter(|&bits| bits <= MAX_STEP_BITS)?;
+    /// chain does not end in a quantization to at most [`MAX_PLANES`] bits
+    /// (what a packed activation holds) or some channel is not provably
+    /// monotone — a chain no kernel runs.
+    pub fn build(epi: &Epilogue, channels: usize) -> Option<Steps> {
+        let bits = epi
+            .output_bits()
+            .filter(|&bits| bits as usize <= MAX_PLANES)?;
         if !(0..channels).all(|ch| epi.is_monotone(ch)) {
             return None;
         }
@@ -356,7 +333,11 @@ impl Steps {
         for chunk in table.chunks_exact_mut(rows) {
             chunk[0] = [0; STEP_LANES];
         }
-        let reach = i64::from(reach.max(0));
+        // `t[k]`: the largest `x` below level `k`, with the two ends of the
+        // domain as sentinels — nothing is known below level 0 (one under
+        // the domain) and everything is below level `L + 1` (`i32::MAX`).
+        let mut t = vec![i64::from(i32::MIN) - 1; rows + 1];
+        t[rows] = i64::from(i32::MAX);
         for ch in 0..channels {
             let (chunk, lane) = (ch / STEP_LANES * rows, ch % STEP_LANES);
             let falls = epi.apply_to_code(i32::MIN, ch) > epi.apply_to_code(i32::MAX, ch);
@@ -365,31 +346,37 @@ impl Steps {
             // `below(x, k)`: the code at `x` — rising in `x` — has not
             // reached level `k`.
             let below = |x: i64, k: usize| (epi.apply_to_code(x as i32 ^ flip, ch) as usize) < k;
-            // `t_k` is the largest `x` below level `k`. The bracket is
-            // `lo` (below; one under the domain when no `x` is known to be)
-            // and `hi` (not below; one over the domain likewise), and a
-            // level starts from the previous one's threshold.
-            let mut lo = i64::from(i32::MIN) - 1;
+            // Middle levels first, each bracketed by the two levels already
+            // found around it: `t[k − step]` is below level `k` and
+            // `t[k + step] + 1` is not. The chain is close to affine, so a
+            // threshold sits near the line through two found ones (through
+            // the boundaries `t + ½`): the pair around it, or — next to an
+            // end of the domain — the next pair on the inner side. A level
+            // with no line yet starts from zero.
+            let found = |i: usize| (1..rows).contains(&i);
+            let mut step = rows / 2;
+            while step > 0 {
+                for k in (step..rows).step_by(2 * step) {
+                    let line = [
+                        (k - step, k + step),
+                        (k + step, k + 3 * step),
+                        (k.wrapping_sub(3 * step), k - step),
+                    ];
+                    let guess =
+                        line.into_iter()
+                            .find(|&(i, j)| found(i) && found(j))
+                            .map(|(i, j)| {
+                                let (ti, tj) = (t[i], t[j]);
+                                let (di, dj) = (k as i64 - i as i64, (j - i) as i64);
+                                ti + ((tj - ti) * 2 * di + dj).div_euclid(2 * dj)
+                            });
+                    let bracket = (t[k - step], t[k + step] + 1);
+                    t[k] = last_below(|x| below(x, k), bracket, guess.unwrap_or(0));
+                }
+                step /= 2;
+            }
             for k in 1..rows {
-                let mut hi = i64::from(i32::MAX) + 1;
-                for probe in [-reach - 1, reach] {
-                    if lo < probe && probe < hi {
-                        if below(probe, k) {
-                            lo = probe;
-                        } else {
-                            hi = probe;
-                        }
-                    }
-                }
-                while hi - lo > 1 {
-                    let mid = (lo + hi).div_euclid(2);
-                    if below(mid, k) {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                table[chunk + k][lane] = lo.max(i64::from(i32::MIN)) as i32;
+                table[chunk + k][lane] = t[k].max(i64::from(i32::MIN)) as i32;
             }
         }
         Some(Steps {
@@ -417,101 +404,75 @@ impl Steps {
     }
 
     /// The code of accumulator `acc` on output channel `channel` — the
-    /// scalar lookup (hidden linear stages; the reference the vector tail
-    /// is tested against).
+    /// scalar lookup (hidden linear stages): the last level passed, by
+    /// bisection. A round looks `2^r` levels past the code so far, so the
+    /// row it reads is at most `L`.
     #[inline]
     pub fn code(&self, acc: i32, channel: usize) -> u32 {
         assert!(channel < self.channels, "channel out of range");
         let lane = channel % STEP_LANES;
         let rows = &self.table[(channel / STEP_LANES) << self.bits..][..1 << self.bits];
         let x = acc ^ rows[0][lane];
-        rows[1..].iter().filter(|t| x > t[lane]).count() as u32
+        let mut code = 0;
+        for r in (0..self.bits).rev() {
+            let step = 1 << r;
+            if x > rows[code + step][lane] {
+                code += step;
+            }
+        }
+        code as u32
     }
 }
 
-/// What a fused kernel is handed to finish its accumulators with: a
-/// quantizing chain and, when it has one, its compiled [`Steps`]. Which
-/// form runs is decided by the chain itself ([`Steps::build`]), never by an
-/// option.
-#[derive(Debug, Clone, Copy)]
-pub struct Tail<'a> {
-    epi: &'a Epilogue,
-    steps: Option<&'a Steps>,
-}
-
-impl<'a> Tail<'a> {
-    /// Pair `epi` with the table compiled from it. Panics if `epi` does
-    /// not end in quantization, or `steps` was built at another width.
-    pub fn new(epi: &'a Epilogue, steps: Option<&'a Steps>) -> Self {
-        let bits = epi
-            .output_bits()
-            .expect("a fused tail must end in quantization");
-        if let Some(steps) = steps {
-            assert_eq!(steps.bits(), bits, "steps were compiled from another chain");
+/// The largest `x` in `lo..hi` that is `below` (`lo` when none is), for a
+/// `below` that holds at `lo` (or `lo` is one under the domain), fails at
+/// `hi` and is monotone between: probe `guess`, gallop away from it until
+/// the answer is bracketed — two probes when the guess is exact — then
+/// bisect.
+fn last_below(below: impl Fn(i64) -> bool, (mut lo, mut hi): (i64, i64), guess: i64) -> i64 {
+    let (mut p, mut width, mut first) = (guess.max(lo + 1).min(hi - 1), 0, None);
+    while lo < p && p < hi {
+        let b = below(p);
+        if b {
+            lo = p;
+        } else {
+            hi = p;
         }
-        Tail { epi, steps }
+        if *first.get_or_insert(b) != b {
+            break;
+        }
+        width = (2 * width).max(1);
+        p = if b { lo + width } else { hi - width };
     }
-
-    /// Width of the codes the tail emits.
-    pub fn bits(&self) -> u32 {
-        self.epi.output_bits().expect("checked by `Tail::new`")
-    }
-
-    /// The chain — the scalar spec, and the row form of a table-less tail.
-    pub fn epi(&self) -> &'a Epilogue {
-        self.epi
-    }
-
-    /// The chain's step table, when it has one.
-    pub fn steps(&self) -> Option<&'a Steps> {
-        self.steps
-    }
-
-    /// The code of one accumulator: the table's lookup, else the chain.
-    #[inline]
-    pub fn code(&self, acc: i32, channel: usize) -> u32 {
-        match self.steps {
-            Some(steps) => steps.code(acc, channel),
-            None => self.epi.apply_to_code(acc, channel),
+    while hi - lo > 1 {
+        let mid = (lo + hi).div_euclid(2);
+        if below(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
         }
     }
+    lo
 }
 
 /// An [`Epilogue`] bound to a channel count ([`Epilogue::rows`]): the
-/// row-at-a-time form calibration observes ranges through and a fused
-/// kernel runs when the chain has no [`Steps`].
-#[derive(Debug, Clone, Copy)]
+/// row-at-a-time form calibration observes ranges through.
+#[derive(Debug, Clone)]
 pub struct RowEpilogue<'a> {
     ops: &'a [EpilogueOp],
     channels: usize,
     /// `√(var + ε)` per BatchNorm op (in chain order) and channel.
-    bn_den: &'a [f32],
+    bn_den: Vec<f32>,
 }
 
 impl RowEpilogue<'_> {
-    /// [`RowEpilogue::apply`], then each value as its quantized code —
-    /// `codes[i]` is exactly [`Epilogue::apply_to_code`]'s result. Panics
-    /// if the chain does not end in an [`EpilogueOp::Quantize`] of at most
-    /// 8 bits (what a packed activation holds).
-    pub fn apply_to_codes(&self, vals: &mut [f32], codes: &mut [u32]) {
-        assert!(
-            matches!(self.ops.last(), Some(EpilogueOp::Quantize { bits, .. }) if *bits <= 8),
-            "epilogue does not end in a packable quantization"
-        );
-        assert_eq!(vals.len(), codes.len());
-        self.apply(vals);
-        for (code, &v) in codes.iter_mut().zip(vals.iter()) {
-            *code = code_bits(v);
-        }
-    }
-
     /// Apply the chain in place to NHWC values (`vals[x·channels + ch]`,
     /// accumulators converted to `f32`): afterwards `vals[i]` holds exactly
     /// [`Epilogue::apply`]'s result for that accumulator and channel.
     pub fn apply(&self, vals: &mut [f32]) {
         let c = self.channels;
         assert_eq!(vals.len() % c.max(1), 0, "whole pixels only");
-        let mut bn_den = self.bn_den;
+        let mut bn_den = &self.bn_den[..];
         for op in self.ops {
             match op {
                 EpilogueOp::BatchNorm {
@@ -681,16 +642,8 @@ mod tests {
         accs.truncate(accs.len() / channels * channels);
         for bits in [1u32, 2, 3, 8] {
             for epi in chains(channels, bits) {
-                let mut scratch = Vec::new();
-                assert_eq!(epi.row_scratch_len(channels) % channels, 0);
                 let mut vals: Vec<f32> = accs.iter().map(|&a| a as f32).collect();
-                let mut codes = vec![u32::MAX; vals.len()];
-                let rows = epi.rows(channels, &mut scratch);
-                if epi.output_bits().is_some() {
-                    rows.apply_to_codes(&mut vals, &mut codes);
-                } else {
-                    rows.apply(&mut vals);
-                }
+                epi.rows(channels).apply(&mut vals);
                 for (i, (&a, &v)) in accs.iter().zip(&vals).enumerate() {
                     let want = epi.apply(a, i % channels);
                     assert!(
@@ -698,15 +651,7 @@ mod tests {
                         "{epi:?} acc {a} ch {}: {v} vs {want}",
                         i % channels
                     );
-                    if epi.output_bits().is_some() {
-                        assert_eq!(
-                            codes[i],
-                            epi.apply_to_code(a, i % channels),
-                            "{epi:?} acc {a}"
-                        );
-                    }
                 }
-                assert_eq!(scratch.len(), epi.row_scratch_len(channels));
             }
         }
     }
@@ -742,12 +687,12 @@ mod tests {
 
     #[test]
     fn steps_match_every_chain_shape() {
-        for bits in 1..=MAX_STEP_BITS {
+        for bits in 1..=MAX_PLANES as u32 {
             for channels in [1usize, 11, 16, 24, 65, 130] {
                 let chains = chains(channels, bits);
                 let (nan, monotone) = chains.split_last().unwrap();
                 for epi in monotone {
-                    let steps = Steps::build(epi, channels, 3000);
+                    let steps = Steps::build(epi, channels);
                     if epi.output_bits().is_none() {
                         assert!(steps.is_none(), "no quantization, no table: {epi:?}");
                         continue;
@@ -767,15 +712,9 @@ mod tests {
                     for ch in 0..channels {
                         check_steps_channel(epi, &steps, ch);
                     }
-                    // The starting bracket moves probes, never thresholds.
-                    for reach in [0, 7, i32::MAX] {
-                        assert_eq!(Steps::build(epi, channels, reach).as_ref(), Some(&steps));
-                    }
                 }
-                // A chain that is NaN everywhere keeps the f32 row form,
-                // which `row_form_is_bit_identical_to_the_scalar_chain`
-                // covers.
-                assert_eq!(Steps::build(nan, channels, 3000), None);
+                // A chain that is NaN everywhere has no table.
+                assert_eq!(Steps::build(nan, channels), None);
             }
         }
     }
@@ -793,7 +732,7 @@ mod tests {
             mul,
             add: vec![1.0, -1.0, 0.0],
         };
-        for bits in 1..=MAX_STEP_BITS {
+        for bits in 1..=MAX_PLANES as u32 {
             let top = ((1u32 << bits) - 1) as f32;
             let cases = [
                 // Rising, falling and constant channels side by side, with
@@ -825,13 +764,13 @@ mod tests {
                 chain(vec![quant(1e-3, 3e9, bits)]),
             ];
             for epi in &cases {
-                let steps = Steps::build(epi, 3, 100).unwrap_or_else(|| panic!("{epi:?}"));
+                let steps = Steps::build(epi, 3).unwrap_or_else(|| panic!("{epi:?}"));
                 for ch in 0..3 {
                     check_steps_channel(epi, &steps, ch);
                 }
             }
             // The first case really does hold one channel of each kind.
-            let rows = Steps::build(&cases[0], 3, 100).unwrap();
+            let rows = Steps::build(&cases[0], 3).unwrap();
             assert_eq!(rows.rows()[0][..3], [0, -1, 0]);
         }
     }
@@ -868,25 +807,15 @@ mod tests {
                 affine(0.0, 0.0),
                 quant(1.0, 0.0, 2),
             ]),
-            // Wider than the table form pays for.
-            chain(vec![quant(1.0, 0.0, MAX_STEP_BITS + 1)]),
-            chain(vec![quant(1.0, 0.0, 8)]),
-            // Nothing to tabulate.
-            chain(vec![EpilogueOp::Relu]),
-            Epilogue::none(),
+            // Wider than a packed activation.
+            chain(vec![quant(1.0, 0.0, MAX_PLANES as u32 + 1)]),
         ];
         for epi in &no_table {
-            assert_eq!(Steps::build(epi, 2, 1000), None, "{epi:?}");
+            assert_eq!(Steps::build(epi, 2), None, "{epi:?}");
         }
         // The same chains over their first channel alone are fine.
-        let steps = Steps::build(&no_table[0], 1, 1000).expect("channel 0 is finite");
+        let steps = Steps::build(&no_table[0], 1).expect("channel 0 is finite");
         check_steps_channel(&no_table[0], &steps, 0);
-        // And a tail pairs a chain only with its own width of table.
-        let two = Epilogue::quantize(1.0, 0.0, 2);
-        let table = Steps::build(&two, 4, 10);
-        let tail = Tail::new(&two, table.as_ref());
-        assert_eq!((tail.bits(), tail.code(2, 3)), (2, 2));
-        assert_eq!(Tail::new(&two, None).code(2, 3), 2);
     }
 
     #[test]

@@ -94,7 +94,6 @@ impl CompiledNet {
                     chain: Act::Map(t),
                     branch: None,
                     res: None,
-                    res_reach: 0,
                 })
             }
             _ => None,
@@ -218,8 +217,6 @@ struct CalibState {
     chain: Act,
     branch: Option<Act>,
     res: Option<Vec<i32>>,
-    /// [`ConvDesc::acc_reach`] of the skip projection that parked `res`.
-    res_reach: i32,
 }
 
 /// The resolved per-stage bit parameters of one main stage — computed by
@@ -463,9 +460,7 @@ fn compile_main(
                 // the consuming conv. The chain activation is untouched
                 // and the stage carries no epilogue.
                 let MainKernel::Conv {
-                    desc,
-                    prepared: Some(p),
-                    ..
+                    prepared: Some(p), ..
                 } = &kernel
                 else {
                     unreachable!("skip stages are materialized convs")
@@ -474,21 +469,16 @@ fn compile_main(
                     unreachable!("skip stage before any saved branch activation")
                 };
                 st.res = Some(p.execute(bmap));
-                st.res_reach = desc.acc_reach();
                 *calib = Some(st);
                 (Epilogue::none(), None)
             } else {
-                // The residual as accumulators, and how far it can push
-                // them past the kernel's own reach.
-                let (residual_accs, res_reach): (Option<Vec<i32>>, i32) = match residual {
-                    None => (None, 0),
-                    Some(ResidualSrc::Projection) => (
-                        Some(
-                            st.res
-                                .take()
-                                .expect("projection residual needs a preceding skip stage"),
-                        ),
-                        st.res_reach,
+                // The residual as accumulators.
+                let residual_accs: Option<Vec<i32>> = match residual {
+                    None => None,
+                    Some(ResidualSrc::Projection) => Some(
+                        st.res
+                            .take()
+                            .expect("projection residual needs a preceding skip stage"),
                     ),
                     Some(ResidualSrc::Identity) => {
                         let Some(Act::Map(bmap)) = &st.branch else {
@@ -496,7 +486,7 @@ fn compile_main(
                         };
                         let mut v = Vec::new();
                         decode_codes_into(bmap, &mut v);
-                        (Some(v), (1 << bmap.bits()) - 1)
+                        Some(v)
                     }
                 };
                 let (epi, next) = calibrate_stage(
@@ -517,7 +507,7 @@ fn compile_main(
                     st.chain = next;
                     *calib = Some(st);
                 }
-                let steps = compile_steps(&kernel, &epi, res_reach);
+                let steps = compile_steps(&kernel, &epi);
                 (epi, steps)
             }
         }
@@ -540,16 +530,15 @@ fn compile_main(
 
 /// Compile a stage's chain into the integer steps its kernel runs in place
 /// of the f32 arithmetic — `None` for a chain that does not quantize (the
-/// output layer) or admits no table ([`Steps::build`]), which then runs its
-/// row form. Bisection starts inside the stage's reachable accumulator
-/// interval: the kernel's own reach plus `res_reach`, its residual's.
-pub(super) fn compile_steps(kernel: &MainKernel, epi: &Epilogue, res_reach: i32) -> Option<Steps> {
-    let (channels, reach) = match kernel {
-        MainKernel::Conv { desc, .. } => (desc.cout, desc.acc_reach()),
-        MainKernel::Linear { desc, .. } => (desc.m, desc.acc_reach()),
+/// output layer) or admits no table ([`Steps::build`]), which
+/// [`CompiledNet::executable_error`] then reports.
+pub(super) fn compile_steps(kernel: &MainKernel, epi: &Epilogue) -> Option<Steps> {
+    let channels = match kernel {
+        MainKernel::Conv { desc, .. } => desc.cout,
+        MainKernel::Linear { desc, .. } => desc.m,
         MainKernel::Baseline => return None,
     };
-    Steps::build(epi, channels, reach.saturating_add(res_reach))
+    Steps::build(epi, channels)
 }
 
 /// Decode a packed map's activation codes as NHWC i32 — the identity-skip
@@ -642,7 +631,7 @@ fn calibrate_stage(
         match shape {
             OutShape::Map { .. } => {
                 let mut vals: Vec<f32> = accs.iter().map(|&a| a as f32).collect();
-                epi.rows(channels, &mut Vec::new()).apply(&mut vals);
+                epi.rows(channels).apply(&mut vals);
                 vals
             }
             OutShape::Vector { n } => {

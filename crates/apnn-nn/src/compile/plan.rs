@@ -5,7 +5,7 @@
 use apnn_bitpack::Encoding;
 use apnn_kernels::apconv::{ConvDesc, Pool2, PreparedConv};
 use apnn_kernels::apmm::{ApmmDesc, PreparedApmm, TileConfig};
-use apnn_kernels::fusion::{Epilogue, Steps, Tail};
+use apnn_kernels::fusion::{Epilogue, Steps};
 
 use crate::fuse::{EwKind, MainOp, ResidualSrc, StageSrc};
 use crate::precision::{NetPrecision, PrecisionSchedule};
@@ -113,8 +113,9 @@ pub struct MainStage {
     /// scalar spec of the stage's codes, and what the simulator prices.
     pub epi: Epilogue,
     /// `epi` compiled into per-channel integer steps — what the kernels
-    /// run in its place ([`MainStage::tail`]). Present on executable plans
-    /// whenever the chain admits a table ([`Steps::build`]).
+    /// run in its place ([`MainStage::tail`]). Present on every quantizing
+    /// stage of an executable plan: a chain that admits no table
+    /// ([`Steps::build`]) makes the plan [`CompileError::UnmonotoneTail`].
     pub steps: Option<Steps>,
     /// The compiled kernel.
     pub kernel: MainKernel,
@@ -133,10 +134,13 @@ pub struct MainStage {
 
 impl MainStage {
     /// What the runner hands this stage's kernel to finish its
-    /// accumulators with: the chain and, when it has one, its step table.
-    /// Panics on a stage that does not quantize (the output layer).
-    pub fn tail(&self) -> Tail<'_> {
-        Tail::new(&self.epi, self.steps.as_ref())
+    /// accumulators with: the chain's step table. Panics on a stage that
+    /// has none (the output layer, a skip projection, or a chain
+    /// [`CompiledNet::executable_error`] rejects).
+    pub fn tail(&self) -> &Steps {
+        self.steps
+            .as_ref()
+            .unwrap_or_else(|| panic!("stage `{}` has no step table", self.name))
     }
 }
 
@@ -163,6 +167,13 @@ pub enum CompileError {
         /// Offending stage name.
         name: String,
     },
+    /// The stage's quantizing chain is not provably monotone (non-finite
+    /// parameters, a denominator ≤ 0), so it has no step table and no
+    /// kernel can run it.
+    UnmonotoneTail {
+        /// Offending stage name.
+        name: String,
+    },
     /// The plan has no main stage at all.
     NoMainStage,
 }
@@ -181,6 +192,10 @@ impl std::fmt::Display for CompileError {
             CompileError::MissingWeights { name } => write!(
                 f,
                 "stage `{name}` has no materialized weights (sim-only plan)"
+            ),
+            CompileError::UnmonotoneTail { name } => write!(
+                f,
+                "stage `{name}`: the quantizing chain is not provably monotone (no step table)"
             ),
             CompileError::NoMainStage => write!(f, "the plan has no main stage"),
         }
@@ -309,7 +324,7 @@ impl CompiledNet {
         epi: Epilogue,
         kernel: MainKernel,
     ) {
-        let steps = super::lower::compile_steps(&kernel, &epi, 0);
+        let steps = super::lower::compile_steps(&kernel, &epi);
         self.stages.push(PlanStage::Main(MainStage {
             name: format!("stage{}", self.stages.len()),
             op,
@@ -401,9 +416,11 @@ impl CompiledNet {
     }
 
     /// [`CompiledNet::is_executable`] with the reason: `Err` names the
-    /// first stage that blocks functional execution.
+    /// first stage that blocks functional execution — a structural reason
+    /// (unfused, baseline, unmaterialized) before a chain without a table.
     pub fn executable_error(&self) -> Result<(), CompileError> {
         let mut any_main = false;
+        let mut unmonotone = None;
         for s in &self.stages {
             match s {
                 PlanStage::InputPack { .. } => {}
@@ -429,14 +446,16 @@ impl CompiledNet {
                             name: m.name.clone(),
                         });
                     }
+                    if m.epi.output_bits().is_some() && m.steps.is_none() {
+                        unmonotone.get_or_insert_with(|| m.name.clone());
+                    }
                 }
             }
         }
-        if any_main {
-            Ok(())
-        } else {
-            Err(CompileError::NoMainStage)
+        if !any_main {
+            return Err(CompileError::NoMainStage);
         }
+        unmonotone.map_or(Ok(()), |name| Err(CompileError::UnmonotoneTail { name }))
     }
 }
 

@@ -340,3 +340,23 @@ fn pushing_a_stage_prepared_for_another_batch_panics() {
     let mut plan = CompiledNet::hand_built("fc", "hand-built", 2);
     plan.push_linear(Apmm::new(desc).prepare(w), Epilogue::none());
 }
+
+/// A chain that is not provably monotone has no step table, so no kernel
+/// can run it: the plan reports the stage instead of running a second tail.
+#[test]
+fn a_nan_batch_norm_stage_is_an_unmonotone_tail() {
+    let cdesc = ConvDesc::unsigned(2, 4, 6, 5, 3, 1, 1, 1, 2);
+    let cweights = ConvWeights::from_codes(&cdesc, &[1; 5 * 9 * 4]);
+    // A negative variance: `√(var + ε)` is NaN.
+    let (ones, zeros) = (vec![1.0; 5], vec![0.0; 5]);
+    let epi = Epilogue::bn_relu_quant(ones, zeros.clone(), zeros, vec![-4.0; 5], 0.0, 3.0, 0.0, 8);
+    let lweights = BitPlanes::from_codes(&[1; 3 * 180], 3, 180, 1, Encoding::ZeroOne);
+    let mut plan = CompiledNet::hand_built("nan", "hand-built", 2);
+    plan.push_conv(ApConv::new(cdesc).prepare(cweights), None, epi);
+    let ldesc = ApmmDesc::unsigned(3, 2, 180, 1, 8);
+    plan.push_linear(Apmm::new(ldesc).prepare(lweights), Epilogue::none());
+    let err = plan.executable_error().unwrap_err();
+    let name = "stage0".to_string();
+    assert_eq!(err, CompileError::UnmonotoneTail { name });
+    assert!(err.to_string().contains("not provably monotone"), "{err}");
+}

@@ -51,9 +51,8 @@ impl CompiledNet {
 ///   [`BitPlanes`] vector), plus a flatten slot where a linear stage
 ///   consumes a map;
 /// * the kernel scratch ([`ConvScratch`] — one output row's activation
-///   strip and accumulator rows, plus the `f32`/code rows of the row-form
-///   tail where some stage's chain has no step table — / [`ApmmScratch`]
-///   correction table), sized at the per-stage peaks;
+///   strip and accumulator rows — / [`ApmmScratch`] correction table),
+///   sized at the per-stage peaks;
 /// * the shared dense-code scratch and the raw logits buffer.
 ///
 /// Keep one workspace per serving thread and pass it to
@@ -127,8 +126,6 @@ impl ExecWorkspace {
             peaks.strip_cols,
             peaks.x_sides,
             peaks.conv_acc,
-            peaks.conv_row,
-            peaks.bn_den,
         );
         let mut apmm = ApmmScratch::default();
         apmm.reserve(peaks.col_sums, peaks.apmm_acc);
@@ -253,11 +250,6 @@ struct ScratchPeaks {
     /// Conv accumulator-row elements (`i32`): one output row, two under a
     /// fused pool.
     conv_acc: usize,
-    /// Elements of one fused conv output row (an `f32` and a `u32` each)
-    /// — stages whose chain has no step table only.
-    conv_row: usize,
-    /// Row-epilogue BatchNorm denominators (`f32` each) — likewise.
-    bn_den: usize,
     /// APMM activation column-sum elements (`i32`).
     col_sums: usize,
     /// APMM accumulator elements (`i32`).
@@ -279,8 +271,6 @@ impl ScratchPeaks {
             p.strip_cols = p.strip_cols.max(l.conv_strip_cols);
             p.x_sides = p.x_sides.max(l.conv_x_sides);
             p.conv_acc = p.conv_acc.max(if l.is_conv { l.acc_elems } else { 0 });
-            p.conv_row = p.conv_row.max(l.conv_row_elems);
-            p.bn_den = p.bn_den.max(l.conv_bn_den);
             p.col_sums = p.col_sums.max(l.apmm_col_sums);
             p.apmm_acc = p.apmm_acc.max(if l.is_conv { 0 } else { l.acc_elems });
             p.codes = p.codes.max(l.codes_elems);
@@ -292,11 +282,10 @@ impl ScratchPeaks {
 
     /// Total bytes of every shared buffer listed above.
     fn bytes(&self) -> usize {
-        (self.strip + self.windows + self.conv_row) * 8
+        (self.strip + self.windows) * 8
             + (self.strip_cols
                 + self.x_sides
                 + self.conv_acc
-                + self.bn_den
                 + self.col_sums
                 + self.apmm_acc
                 + self.y
@@ -337,8 +326,6 @@ struct StageLayout {
     conv_window_words: usize,
     conv_strip_cols: usize,
     conv_x_sides: usize,
-    conv_row_elems: usize,
-    conv_bn_den: usize,
     apmm_col_sums: usize,
     codes_elems: usize,
     is_conv: bool,
@@ -386,8 +373,6 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                             conv_window_words,
                             conv_strip_cols,
                             conv_x_sides,
-                            conv_row_elems: 0,
-                            conv_bn_den: 0,
                             apmm_col_sums: 0,
                             codes_elems: 0,
                             is_conv: true,
@@ -430,11 +415,6 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                             conv_window_words,
                             conv_strip_cols,
                             conv_x_sides,
-                            // The `f32` and code rows exist for the row
-                            // form of a chain without a step table only.
-                            conv_row_elems: usize::from(m.steps.is_none()) * pw * desc.cout,
-                            conv_bn_den: usize::from(m.steps.is_none())
-                                * m.epi.row_scratch_len(desc.cout),
                             apmm_col_sums: 0,
                             codes_elems: 0,
                             is_conv: true,
@@ -485,8 +465,6 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                         conv_window_words: 0,
                         conv_strip_cols: 0,
                         conv_x_sides: 0,
-                        conv_row_elems: 0,
-                        conv_bn_den: 0,
                         apmm_col_sums: desc.n,
                         codes_elems: flat_codes.max(pack_codes),
                         is_conv: false,

@@ -363,11 +363,14 @@ fn random_mixed_schedules_match_naive_reference() {
 /// was compiled from (`Epilogue::apply_to_code` — the only definition of a
 /// code), for **every** accumulator the stage can produce: `±k·(2^p − 1)(2^q
 /// − 1)` from its kernel plus its residual's range, on every channel of
-/// every stage of every plan the benchmark serves.
+/// every stage of every plan the benchmark serves. The w2a8 plans — 255
+/// thresholds per channel over a reach of up to ~10⁶ — are checked on every
+/// channel at each threshold ±2, at both ends of the reach and on a strided
+/// sweep between.
 #[test]
 fn steps_equal_the_scalar_chain_on_every_reachable_accumulator() {
     let opts = CompileOptions::functional(2, 2021);
-    let mut evaluated = 0u64;
+    let (mut evaluated, mut sampled) = (0u64, 0u64);
     for net in servable_zoo() {
         let mut mixed = vec![LayerPrecision::new(1, 3); net.num_main_layers() - 1];
         mixed.push(LayerPrecision::new(1, 2));
@@ -375,6 +378,7 @@ fn steps_equal_the_scalar_chain_on_every_reachable_accumulator() {
             net.compile(NetPrecision::w1a2(), &opts),
             net.compile(NetPrecision::Apnn { w: 2, a: 2 }, &opts),
             net.compile_scheduled(&PrecisionSchedule::new(mixed), &opts),
+            net.compile(NetPrecision::Apnn { w: 2, a: 8 }, &opts),
         ];
         for plan in &plans {
             // What the open residual block can add: the parked projection's
@@ -414,19 +418,30 @@ fn steps_equal_the_scalar_chain_on_every_reachable_accumulator() {
                 });
                 assert_eq!((steps.bits(), steps.channels()), (bits, channels));
                 for ch in 0..channels {
-                    for acc in -reach..=reach {
-                        if steps.code(acc, ch) != m.epi.apply_to_code(acc, ch) {
-                            panic!(
-                                "{} {} {} channel {ch} accumulator {acc}: table {} vs chain {}",
-                                net.name,
-                                plan.scheme,
-                                m.name,
-                                steps.code(acc, ch),
-                                m.epi.apply_to_code(acc, ch)
-                            );
-                        }
+                    let check = |acc: i32| {
+                        let (got, want) = (steps.code(acc, ch), m.epi.apply_to_code(acc, ch));
+                        assert_eq!(
+                            got, want,
+                            "{} {} {} channel {ch} accumulator {acc}: table vs chain",
+                            net.name, plan.scheme, m.name
+                        );
+                    };
+                    if bits <= 4 {
+                        (-reach..=reach).for_each(check);
+                        evaluated += 2 * reach as u64 + 1;
+                        continue;
                     }
-                    evaluated += 2 * reach as u64 + 1;
+                    let (lane, rows) = (ch % 16, &steps.rows()[(ch / 16) << bits..][..1 << bits]);
+                    let flip = rows[0][lane];
+                    let mut accs: Vec<i32> = rows[1..]
+                        .iter()
+                        .flat_map(|t| (-2..=2).map(move |d| t[lane].saturating_add(d) ^ flip))
+                        .filter(|acc| acc.abs() <= reach)
+                        .collect();
+                    accs.extend([-reach, reach]);
+                    accs.extend((-reach..=reach).step_by((reach as usize / 256).max(1)));
+                    sampled += accs.len() as u64;
+                    accs.into_iter().for_each(check);
                 }
             }
         }
@@ -435,6 +450,7 @@ fn steps_equal_the_scalar_chain_on_every_reachable_accumulator() {
         evaluated > 10_000_000,
         "only {evaluated} accumulators checked"
     );
+    assert!(sampled > 500_000, "only {sampled} sampled");
 }
 
 /// Golden snapshot of the simulator's prices: model × scheme × stage →

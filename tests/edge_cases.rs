@@ -4,7 +4,7 @@
 use apnn_tc::bitpack::{BitMatrix, BitPlanes, BitTensor4, Encoding};
 use apnn_tc::kernels::apconv::{ApConv, ConvDesc, ConvWeights};
 use apnn_tc::kernels::apmm::{Apmm, ApmmDesc};
-use apnn_tc::kernels::fusion::Epilogue;
+use apnn_tc::kernels::fusion::{Epilogue, Steps};
 use apnn_tc::kernels::reference::gemm_i32;
 use apnn_tc::sim::GpuSpec;
 
@@ -49,6 +49,19 @@ fn epilogue_survives_extreme_accumulators() {
     assert_eq!(epi.apply_to_code(i32::MIN, 0), 0);
     let tiny_scale = Epilogue::quantize(f32::MIN_POSITIVE, 0.0, 1);
     assert!(tiny_scale.apply_to_code(i32::MAX, 0) <= 1);
+    // The 8-bit step tables the kernels run agree with the chain at both
+    // ends of the domain — for a chain that spans it and for one whose
+    // every level is reached by all but a few accumulators, where the one
+    // documented exclusion applies: `i32::MIN` itself (see `Steps`).
+    let saturated = Epilogue::quantize(1.0, -3e9, 8);
+    for (epi, excluded) in [(&epi, None), (&saturated, Some(i32::MIN))] {
+        let steps = Steps::build(epi, 1).unwrap();
+        let ends = [i32::MIN, i32::MIN + 1, -1, 0, 1, i32::MAX - 1, i32::MAX];
+        for acc in ends.into_iter().filter(|&acc| Some(acc) != excluded) {
+            assert_eq!(steps.code(acc, 0), epi.apply_to_code(acc, 0));
+        }
+    }
+    assert_eq!(saturated.apply_to_code(i32::MIN + 1, 0), 255);
 }
 
 #[test]
