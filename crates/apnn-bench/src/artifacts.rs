@@ -1,17 +1,14 @@
-//! Machine-readable benchmark artifacts: `BENCH_exec.json` and
-//! `BENCH_serve.json`.
+//! The exec benchmark (`BENCH_exec.json`) and the file writer every
+//! committed artifact goes through.
 //!
-//! The printed `repro` tables are for humans; these JSON files are for the
-//! *trajectory* — each PR regenerates them (`repro exec` / `repro serve`)
-//! and commits the result, so throughput, batch fill and tail latency can
-//! be compared across the repository's history instead of living only in
-//! terminal scrollback. The JSON is hand-formatted (the offline `serde`
-//! shim has no serializer) and deliberately flat: one object per measured
-//! point, scalar fields only. The `bench-trajectory` CI job regenerates
-//! both artifacts and validates them against the committed copies with
-//! [`crate::schema`] — same identity keys present, sane value ranges —
-//! schema-gated rather than threshold-gated so shared runners cannot
-//! flake it.
+//! The printed `repro` tables are for humans; the `BENCH_*.json` files are
+//! for the *trajectory* — each is regenerated by its `repro` subcommand
+//! and committed, so the numbers can be compared across the repository's
+//! history instead of living only in terminal scrollback. Each file's
+//! format is its [`crate::schema`] spec: [`write_artifact`] renders rows
+//! through it, and the `bench-trajectory` CI job validates fresh and
+//! committed copies against the same spec — schema-gated rather than
+//! threshold-gated so shared runners cannot flake it.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -21,7 +18,7 @@ use apnn_bitpack::{BitTensor4, Encoding, Layout, Tensor4};
 use apnn_nn::models::servable_zoo;
 use apnn_nn::{CompileOptions, NetPrecision};
 
-use crate::serve_load::LoadPoint;
+use crate::schema::{self, Row, Spec};
 
 /// One steady-state execution measurement: a servable zoo model × scheme ×
 /// intra-batch thread count, timed through a warmed
@@ -56,6 +53,23 @@ pub struct ExecPoint {
     /// Total per-workspace footprint in bytes
     /// ([`apnn_nn::CompiledNet::workspace_spec`]).
     pub workspace_bytes: usize,
+}
+
+impl ExecPoint {
+    /// This point as a [`schema::EXEC`] row.
+    pub fn row(&self) -> Row {
+        schema::EXEC.row([
+            self.model.as_str().into(),
+            self.scheme.as_str().into(),
+            self.batch.into(),
+            self.requests.into(),
+            self.threads.into(),
+            self.pool.into(),
+            self.reused_ws_rps.into(),
+            self.fresh_ws_rps.into(),
+            self.workspace_bytes.into(),
+        ])
+    }
 }
 
 /// Measure steady-state batched inference throughput for every servable
@@ -148,67 +162,6 @@ pub fn exec_bench(
     points
 }
 
-/// Render the exec benchmark as `BENCH_exec.json` content.
-pub fn exec_json(points: &[ExecPoint]) -> String {
-    let mut body = String::new();
-    for (i, p) in points.iter().enumerate() {
-        let _ = write!(
-            body,
-            "  {{\"model\": \"{}\", \"scheme\": \"{}\", \"batch\": {}, \"requests\": {}, \
-             \"threads\": {}, \"pool\": {}, \"reused_ws_rps\": {:.1}, \"fresh_ws_rps\": {:.1}, \
-             \"workspace_bytes\": {}}}{}",
-            p.model,
-            p.scheme,
-            p.batch,
-            p.requests,
-            p.threads,
-            p.pool,
-            p.reused_ws_rps,
-            p.fresh_ws_rps,
-            p.workspace_bytes,
-            if i + 1 == points.len() { "\n" } else { ",\n" }
-        );
-    }
-    format!("{{\n\"exec\": [\n{body}]\n}}\n")
-}
-
-/// Render a serve-load sweep as `BENCH_serve.json` content.
-pub fn serve_json(points: &[LoadPoint]) -> String {
-    let mut body = String::new();
-    for (i, p) in points.iter().enumerate() {
-        let _ = write!(
-            body,
-            "  {{\"model\": \"{}\", \"scheme\": \"{}\", \"mode\": \"{}\", \"tenant\": \"{}\", \
-             \"burst\": {}, \"threads\": {}, \"pool\": {}, \"mean_fill\": {:.3}, \
-             \"p50_ticks\": {}, \"p99_ticks\": {}, \"offered_rps\": {:.1}, \
-             \"throughput_rps\": {:.1}, \"shed_rate\": {:.4}, \"expired\": {}, \
-             \"poisoned\": {}, \"worker_restarts\": {}, \"rollbacks\": {}, \
-             \"client_retries\": {}, \"version\": {}}}{}",
-            p.model,
-            p.scheme,
-            p.mode,
-            p.tenant,
-            p.burst,
-            p.threads,
-            p.pool,
-            p.mean_fill,
-            p.p50_ticks,
-            p.p99_ticks,
-            p.offered_rps,
-            p.throughput_rps,
-            p.shed_rate,
-            p.expired,
-            p.poisoned,
-            p.worker_restarts,
-            p.rollbacks,
-            p.client_retries,
-            p.version,
-            if i + 1 == points.len() { "\n" } else { ",\n" }
-        );
-    }
-    format!("{{\n\"serve\": [\n{body}]\n}}\n")
-}
-
 /// Render the exec benchmark as a human table (printed by `repro exec`).
 pub fn exec_report(points: &[ExecPoint]) -> String {
     let mut out = String::from(
@@ -245,20 +198,19 @@ pub fn exec_report(points: &[ExecPoint]) -> String {
     out
 }
 
-/// Write an artifact file next to the working directory (or under
-/// `BENCH_DIR` when set). Returns the path written.
-pub fn write_artifact(name: &str, content: &str) -> std::io::Result<PathBuf> {
+/// Render `rows` through `spec` into its artifact file, in the working
+/// directory (or under `BENCH_DIR` when set). Returns the path written.
+pub fn write_artifact(spec: &Spec, rows: &[Row]) -> std::io::Result<PathBuf> {
     let dir = std::env::var_os("BENCH_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("."));
-    let path = dir.join(name);
-    std::fs::write(&path, content)?;
+    let path = dir.join(spec.file());
+    std::fs::write(&path, schema::render(spec, rows))?;
     Ok(path)
 }
 
-/// Deterministic 8-bit bench input (shared by `repro exec` and the
-/// precision autotuner's execution measurement).
-pub(crate) fn bench_input(tag: &str, batch: usize, h: usize, w: usize) -> BitTensor4 {
+/// Deterministic 8-bit bench input.
+fn bench_input(tag: &str, batch: usize, h: usize, w: usize) -> BitTensor4 {
     let salt = tag.len();
     let codes = Tensor4::<u32>::from_fn(batch, 3, h, w, Layout::Nhwc, |b, c, y, x| {
         ((salt + 7 * b + 3 * c + 5 * y + 11 * x) % 256) as u32
@@ -272,84 +224,71 @@ mod tests {
 
     #[test]
     fn exec_json_is_flat_and_complete() {
-        let points = vec![
-            ExecPoint {
-                model: "A".into(),
-                scheme: "APNN-w1a2".into(),
-                batch: 4,
-                requests: 16,
-                threads: 1,
-                pool: 1,
-                reused_ws_rps: 123.456,
-                fresh_ws_rps: 100.0,
-                workspace_bytes: 4096,
-            },
-            ExecPoint {
-                model: "B".into(),
-                scheme: "APNN-w2a2".into(),
-                batch: 4,
-                requests: 16,
-                threads: 4,
-                pool: 4,
-                reused_ws_rps: 50.0,
-                fresh_ws_rps: 40.0,
-                workspace_bytes: 8192,
-            },
-        ];
-        let json = exec_json(&points);
-        assert!(json.contains("\"model\": \"A\""));
+        let point = |model: &str, threads, reused_ws_rps| ExecPoint {
+            model: model.into(),
+            scheme: "APNN-w1a2".into(),
+            batch: 4,
+            requests: 16,
+            threads,
+            pool: threads,
+            reused_ws_rps,
+            fresh_ws_rps: 100.0,
+            workspace_bytes: 4096,
+        };
+        let points = [point("A", 1, 123.456), point("B", 4, 50.0)];
+        let rows: Vec<Row> = points.iter().map(ExecPoint::row).collect();
+        let json = schema::render(&schema::EXEC, &rows);
+        assert!(json.starts_with("{\n\"exec\": [\n  {\"model\": \"A\", \"scheme\""));
         assert!(json.contains("\"reused_ws_rps\": 123.5"));
         assert!(json.contains("\"threads\": 4"));
-        assert!(json.contains("\"pool\": 1"));
-        assert!(json.contains("\"workspace_bytes\": 8192"));
+        assert!(json.contains("\"workspace_bytes\": 4096}"));
         // Two objects, one trailing-comma-free array.
         assert_eq!(json.matches("{\"model\"").count(), 2);
         assert!(!json.contains(",\n]"));
+        assert_eq!(schema::parse_rows(&json).unwrap()[1], rows[1]);
         let table = exec_report(&points);
         assert!(table.contains("gain"));
     }
 
     #[test]
     fn serve_json_round_trips_points() {
-        let points = vec![LoadPoint {
-            model: "VGG-Variant-Tiny".into(),
+        use crate::serve_load::LoadPoint;
+        let point = |tenant: &str, throughput_rps, worker_restarts| LoadPoint {
+            model: "AlexNet-Tiny".into(),
             scheme: "APNN-w1a2".into(),
-            mode: "overload".into(),
-            tenant: "gold".into(),
-            burst: 200,
-            threads: 4,
-            pool: 16,
+            tenant: tenant.into(),
+            burst: 25,
+            pool: 4,
             mean_fill: 3.25,
             p50_ticks: 2,
             p99_ticks: 9,
             offered_rps: 910.0,
-            throughput_rps: 456.78,
+            throughput_rps,
             shed_rate: 0.4375,
             expired: 12,
             poisoned: 2,
-            worker_restarts: 1,
+            worker_restarts,
             rollbacks: 1,
             client_retries: 3,
             version: 1,
-        }];
-        let json = serve_json(&points);
-        assert!(json.contains("\"model\": \"VGG-Variant-Tiny\""));
-        assert!(json.contains("\"scheme\": \"APNN-w1a2\""));
-        assert!(json.contains("\"mode\": \"overload\""));
-        assert!(json.contains("\"tenant\": \"gold\""));
-        assert!(json.contains("\"burst\": 200"));
-        assert!(json.contains("\"threads\": 4"));
+        };
+        let rows = [
+            point("baseline", 456.78, 0).row(),
+            point("faulted", 400.0, 1).row(),
+        ];
+        let json = schema::render(&schema::SERVE, &rows);
+        assert!(json.contains("\"tenant\": \"faulted\", \"burst\": 25, \"pool\": 4"));
         assert!(json.contains("\"mean_fill\": 3.250"));
         assert!(json.contains("\"offered_rps\": 910.0"));
         assert!(json.contains("\"throughput_rps\": 456.8"));
         assert!(json.contains("\"shed_rate\": 0.4375"));
-        assert!(json.contains("\"expired\": 12"));
-        assert!(json.contains("\"poisoned\": 2"));
         assert!(json.contains("\"worker_restarts\": 1"));
-        assert!(json.contains("\"rollbacks\": 1"));
-        assert!(json.contains("\"client_retries\": 3"));
-        assert!(json.contains("\"version\": 1"));
-        assert!(!json.contains(",\n]"));
+        assert!(json.contains("\"client_retries\": 3, \"version\": 1}"));
+        assert!(!json.contains("\"mode\"") && !json.contains("\"threads\""));
+        let parsed = schema::parse_rows(&json).unwrap();
+        assert_eq!(parsed[1], rows[1]);
+        let keys = schema::validate(&schema::SERVE, &parsed).unwrap();
+        assert_eq!(keys[0], ["AlexNet-Tiny", "APNN-w1a2", "baseline", "25"]);
     }
 
     #[test]

@@ -11,48 +11,53 @@
 //! `BENCH_kernels.json` / `BENCH_precision.json` artifacts (working
 //! directory, or `BENCH_DIR`) so the bench trajectory is tracked across
 //! PRs; `check-bench` schema-validates freshly generated artifacts against
-//! the committed copies (the `bench-trajectory` CI gate).
+//! the committed copies (the `bench-trajectory` CI gate). `serve` needs a
+//! `--features fault-inject` build, and `all` skips it without one.
 //!
 //! Figures 5/7 run on the RTX 3090 preset, 6/8 on the A100 preset, matching
 //! the paper's panels; everything else defaults to the RTX 3090 (the paper
 //! reports "similar trends" on both GPUs and focuses on the 3090, §6.1.2).
 
-use apnn_bench::{artifacts, experiments as exp, kernels, precision, serve_load};
+use apnn_bench::schema::{self, Row, Spec};
+use apnn_bench::{artifacts, experiments as exp, kernels, precision};
 use apnn_sim::GpuSpec;
 
-/// Run the serving load sweeps — the closed-loop burst × intra-batch
-/// threads sweep, the open-loop overload sweep (0.5×/1×/2× saturation
-/// from two weighted tenants under shedding admission) and, on
-/// `fault-inject` builds, the chaos A/B goodput-retention pair — write
-/// `BENCH_serve.json`, return the table.
-fn serve() -> String {
-    let mut points = serve_load::sweep(&[1, 2, 4, 8, 16, 32], &[1, 4], 96);
-    points.extend(serve_load::overload_sweep(&[50, 100, 200], 192));
-    #[cfg(feature = "fault-inject")]
-    points.extend(serve_load::chaos_sweep(192));
-    let mut out = serve_load::report(&points);
-    #[cfg(not(feature = "fault-inject"))]
-    out.push_str(
-        "note: built without `fault-inject` — no chaos rows; this artifact \
-         will not pass `repro check-bench`\n",
-    );
-    match artifacts::write_artifact("BENCH_serve.json", &artifacts::serve_json(&points)) {
-        Ok(path) => out.push_str(&format!("wrote {}\n", path.display())),
-        Err(e) => out.push_str(&format!("could not write BENCH_serve.json: {e}\n")),
+/// Write `rows` as `spec`'s artifact; the line reporting where they went.
+fn write(spec: &Spec, rows: &[Row]) -> String {
+    match artifacts::write_artifact(spec, rows) {
+        Ok(path) => format!("wrote {}\n", path.display()),
+        Err(e) => format!("could not write {}: {e}\n", spec.file()),
     }
-    out
+}
+
+/// Run the chaos A/B pair — one closed-loop workload on a fault-free twin
+/// and under injected faults — write `BENCH_serve.json`, return the table.
+/// The artifact *is* that pair, so a build without `fault-inject` writes
+/// nothing and exits non-zero.
+fn serve() -> String {
+    #[cfg(feature = "fault-inject")]
+    {
+        use apnn_bench::serve_load;
+        let points = serve_load::chaos_sweep(960);
+        let rows: Vec<Row> = points.iter().map(serve_load::LoadPoint::row).collect();
+        serve_load::report(&points) + &write(&schema::SERVE, &rows)
+    }
+    #[cfg(not(feature = "fault-inject"))]
+    {
+        eprintln!(
+            "repro serve: BENCH_serve.json is the chaos A/B pair, which needs a \
+             `--features fault-inject` build; nothing written"
+        );
+        std::process::exit(1)
+    }
 }
 
 /// Run the steady-state exec benchmark (thread/pool sweep), write
 /// `BENCH_exec.json`, return the table.
 fn exec() -> String {
     let points = artifacts::exec_bench(8, 16, &[1, 2, 4], 8);
-    let mut out = artifacts::exec_report(&points);
-    match artifacts::write_artifact("BENCH_exec.json", &artifacts::exec_json(&points)) {
-        Ok(path) => out.push_str(&format!("wrote {}\n", path.display())),
-        Err(e) => out.push_str(&format!("could not write BENCH_exec.json: {e}\n")),
-    }
-    out
+    let rows: Vec<Row> = points.iter().map(artifacts::ExecPoint::row).collect();
+    artifacts::exec_report(&points) + &write(&schema::EXEC, &rows)
 }
 
 /// Run the kernel-level microkernel sweep (word GB/s + plane-pair
@@ -60,12 +65,8 @@ fn exec() -> String {
 /// table.
 fn kernels() -> String {
     let points = kernels::kernel_bench(96, 96, 4096, 20);
-    let mut out = kernels::kernels_report(&points);
-    match artifacts::write_artifact("BENCH_kernels.json", &kernels::kernels_json(&points)) {
-        Ok(path) => out.push_str(&format!("wrote {}\n", path.display())),
-        Err(e) => out.push_str(&format!("could not write BENCH_kernels.json: {e}\n")),
-    }
-    out
+    let rows: Vec<Row> = points.iter().map(kernels::KernelPoint::row).collect();
+    kernels::kernels_report(&points) + &write(&schema::KERNELS, &rows)
 }
 
 /// Run the precision autotuner for ResNet18-Tiny (per-segment `(w, a)`
@@ -73,13 +74,9 @@ fn kernels() -> String {
 /// accuracy harness), write `BENCH_precision.json`, return the Pareto
 /// table.
 fn precision() -> String {
-    let points = precision::precision_bench(8, 16, 4, 6);
-    let mut out = precision::precision_report(&points);
-    match artifacts::write_artifact("BENCH_precision.json", &precision::precision_json(&points)) {
-        Ok(path) => out.push_str(&format!("wrote {}\n", path.display())),
-        Err(e) => out.push_str(&format!("could not write BENCH_precision.json: {e}\n")),
-    }
-    out
+    let points = precision::precision_bench(8);
+    let rows: Vec<Row> = points.iter().map(precision::PrecisionPoint::row).collect();
+    precision::precision_report(&points) + &write(&schema::PRECISION, &rows)
 }
 
 /// Run the kernel sweep once per available popcount arm and print the
@@ -92,52 +89,30 @@ fn arms() -> String {
 }
 
 /// Validate freshly generated bench artifacts against the committed ones
-/// (the `bench-trajectory` CI gate): both parse, both pass the range
-/// checks, and both cover the same sweep points. Exits non-zero with a
-/// diagnostic on the first violation.
+/// (the `bench-trajectory` CI gate): for every [`schema::SPECS`] entry both
+/// copies parse and validate, and a keyed artifact's copies cover the same
+/// identity keys. Exits non-zero with a diagnostic on the first violation.
 fn check_bench(fresh_dir: &str, committed_dir: &str) -> Result<String, String> {
-    use apnn_bench::schema;
-    let read = |dir: &str, name: &str| -> Result<String, String> {
-        let path = std::path::Path::new(dir).join(name);
-        std::fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))
-    };
-    let exec_keys = |dir: &str| -> Result<Vec<(String, String, u64)>, String> {
-        schema::validate_exec(&schema::parse_rows(&read(dir, "BENCH_exec.json")?)?)
-            .map_err(|e| format!("{dir}/BENCH_exec.json: {e}"))
-    };
-    let serve_keys = |dir: &str| -> Result<Vec<schema::ServeKey>, String> {
-        schema::validate_serve(&schema::parse_rows(&read(dir, "BENCH_serve.json")?)?)
-            .map_err(|e| format!("{dir}/BENCH_serve.json: {e}"))
-    };
-    let kernel_keys = |dir: &str| -> Result<Vec<schema::KernelKey>, String> {
-        schema::validate_kernels(&schema::parse_rows(&read(dir, "BENCH_kernels.json")?)?)
-            .map_err(|e| format!("{dir}/BENCH_kernels.json: {e}"))
-    };
-    let (fe, ce) = (exec_keys(fresh_dir)?, exec_keys(committed_dir)?);
-    schema::same_keys(&fe, &ce, "BENCH_exec.json")?;
-    let (fs, cs) = (serve_keys(fresh_dir)?, serve_keys(committed_dir)?);
-    schema::same_keys(&fs, &cs, "BENCH_serve.json")?;
-    let (fk, ck) = (kernel_keys(fresh_dir)?, kernel_keys(committed_dir)?);
-    schema::same_keys(&fk, &ck, "BENCH_kernels.json")?;
-    // The precision artifact is validated per copy but NOT key-matched:
-    // Pareto survival depends on measured microkernel rates, so the mixed
-    // schedules on the front legitimately differ between the CI runner and
-    // the machine that committed the artifact. Shape + coverage (uniform
-    // references, >= 3 points, a mixed row) is the trajectory gate.
-    let precision_keys = |dir: &str| -> Result<Vec<(String, String)>, String> {
-        schema::validate_precision(&schema::parse_rows(&read(dir, "BENCH_precision.json")?)?)
-            .map_err(|e| format!("{dir}/BENCH_precision.json: {e}"))
-    };
-    let (fp, cp) = (precision_keys(fresh_dir)?, precision_keys(committed_dir)?);
+    let mut counts = Vec::new();
+    for spec in schema::SPECS {
+        let keys = |dir: &str| -> Result<Vec<schema::Key>, String> {
+            let path = std::path::Path::new(dir).join(spec.file());
+            let text = std::fs::read_to_string(&path)
+                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+            schema::parse_rows(&text)
+                .and_then(|rows| schema::validate(spec, &rows))
+                .map_err(|e| format!("{}: {e}", path.display()))
+        };
+        let (fresh, committed) = (keys(fresh_dir)?, keys(committed_dir)?);
+        if spec.keyed {
+            schema::same_keys(&fresh, &committed, &spec.file())?;
+        }
+        counts.push(format!("{}/{} {}", fresh.len(), committed.len(), spec.name));
+    }
     Ok(format!(
-        "bench artifacts OK: {} exec rows, {} serve rows, {} kernel rows, \
-         {}/{} fresh/committed precision rows, sweep points match the \
+        "bench artifacts OK: fresh/committed rows {}; keyed sweep points match the \
          committed trajectory\n",
-        fe.len(),
-        fs.len(),
-        fk.len(),
-        fp.len(),
-        cp.len()
+        counts.join(", ")
     ))
 }
 
@@ -239,6 +214,7 @@ fn main() {
             "ablation-layout",
             "ablation-batching",
             "turing",
+            #[cfg(feature = "fault-inject")]
             "serve",
             "exec",
             "kernels",

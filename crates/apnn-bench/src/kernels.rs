@@ -19,7 +19,7 @@
 //! Each case runs at the compile-time-autotuned row block `jb` (recorded
 //! in the row), over a reduction long enough that the row-block reuse
 //! matters. Like the other artifacts the committed copy is schema-gated,
-//! not threshold-gated (`apnn_bench::schema::validate_kernels`).
+//! not threshold-gated ([`crate::schema::KERNELS`]).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -30,6 +30,8 @@ use apnn_kernels::apmm::{Apmm, ApmmDesc};
 use apnn_kernels::autotune::select_micro;
 use apnn_kernels::select::plan_for_device;
 use apnn_sim::BmmaOp;
+
+use crate::schema::{self, Row};
 
 /// One microkernel measurement.
 #[derive(Debug, Clone)]
@@ -56,6 +58,25 @@ pub struct KernelPoint {
     pub word_gbps: f64,
     /// Plane-pair partial products per second, in millions.
     pub pair_mops: f64,
+}
+
+impl KernelPoint {
+    /// This point as a [`schema::KERNELS`] row.
+    pub fn row(&self) -> Row {
+        schema::KERNELS.row([
+            self.case.as_str().into(),
+            self.op.as_str().into(),
+            self.arm.as_str().into(),
+            self.p.into(),
+            self.q.into(),
+            self.m.into(),
+            self.n.into(),
+            self.k.into(),
+            self.jb.into(),
+            self.word_gbps.into(),
+            self.pair_mops.into(),
+        ])
+    }
 }
 
 /// The sweep: one configuration per emulation case — the four Ampere
@@ -216,33 +237,6 @@ pub fn arms_report(m: usize, n: usize, k: usize, iters: usize) -> String {
     out
 }
 
-/// Render the sweep as `BENCH_kernels.json` content (flat scalar rows,
-/// like the other artifacts — the offline `serde` shim has no serializer).
-pub fn kernels_json(points: &[KernelPoint]) -> String {
-    let mut body = String::new();
-    for (i, pt) in points.iter().enumerate() {
-        let _ = write!(
-            body,
-            "  {{\"case\": \"{}\", \"op\": \"{}\", \"arm\": \"{}\", \"p\": {}, \"q\": {}, \
-             \"m\": {}, \"n\": {}, \"k\": {}, \"jb\": {}, \"word_gbps\": {:.2}, \
-             \"pair_mops\": {:.2}}}{}",
-            pt.case,
-            pt.op,
-            pt.arm,
-            pt.p,
-            pt.q,
-            pt.m,
-            pt.n,
-            pt.k,
-            pt.jb,
-            pt.word_gbps,
-            pt.pair_mops,
-            if i + 1 == points.len() { "\n" } else { ",\n" }
-        );
-    }
-    format!("{{\n\"kernels\": [\n{body}]\n}}\n")
-}
-
 /// Render the sweep as a human table (printed by `repro kernels`).
 pub fn kernels_report(points: &[KernelPoint]) -> String {
     let mut out =
@@ -305,44 +299,39 @@ mod tests {
 
     #[test]
     fn kernels_json_is_flat_and_complete() {
-        let points: Vec<KernelPoint> = [
-            "AndUnsigned",
-            "XorSignedBinary",
-            "AndWeightTransformed",
-            "AndActivationTransformed",
-            "XorDerivedUnsigned",
-            "XorDerivedWeightTransformed",
-            "XorDerivedActivationTransformed",
-        ]
-        .iter()
-        .map(|case| KernelPoint {
-            case: (*case).into(),
-            op: if case.starts_with("Xor") {
-                "xor"
-            } else {
-                "and"
-            }
-            .into(),
-            arm: "avx2".into(),
-            p: 2,
-            q: 2,
-            m: 64,
-            n: 96,
-            k: 4096,
-            jb: 8,
-            word_gbps: 12.345,
-            pair_mops: 678.9,
-        })
-        .collect();
-        let json = kernels_json(&points);
+        let rows: Vec<Row> = schema::KERNEL_CASES
+            .iter()
+            .map(|case| {
+                KernelPoint {
+                    case: (*case).into(),
+                    op: if case.starts_with("Xor") {
+                        "xor"
+                    } else {
+                        "and"
+                    }
+                    .into(),
+                    arm: "avx2".into(),
+                    p: 2,
+                    q: 2,
+                    m: 64,
+                    n: 96,
+                    k: 4096,
+                    jb: 8,
+                    word_gbps: 12.345,
+                    pair_mops: 678.9,
+                }
+                .row()
+            })
+            .collect();
+        let json = schema::render(&schema::KERNELS, &rows);
         assert!(json.contains("\"case\": \"AndUnsigned\""));
         assert!(json.contains("\"arm\": \"avx2\""));
         assert!(json.contains("\"word_gbps\": 12.35"));
+        assert!(json.contains("\"pair_mops\": 678.90}"));
         assert!(json.contains("\"jb\": 8"));
         assert!(!json.contains(",\n]"));
-        let rows = crate::schema::parse_rows(&json).unwrap();
-        let keys = crate::schema::validate_kernels(&rows).unwrap();
+        let keys = schema::validate(&schema::KERNELS, &schema::parse_rows(&json).unwrap()).unwrap();
         assert_eq!(keys.len(), 7);
-        assert_eq!(keys[0], ("AndUnsigned".into(), 2, 2, 64, 96, 4096));
+        assert_eq!(keys[0], ["AndUnsigned", "2", "2", "64", "96", "4096"]);
     }
 }

@@ -20,9 +20,9 @@ use std::fmt::Write as _;
 
 /// Serializes the tests that either *measure* time (the precision cost
 /// oracle's per-word probes, which are memoized process-wide) or *saturate*
-/// the CPU (the serve load sweeps, which spin up multi-worker servers).
+/// the CPU (the chaos A/B pair, which spins up multi-worker servers).
 /// Cargo runs unit tests of one binary in parallel, so without this lock a
-/// load sweep can starve a timing probe on a small runner and poison its
+/// chaos run can starve a timing probe on a small runner and poison its
 /// memoized rate. Lock-poisoning is ignored: a panicked holder only means a
 /// failed test, not corrupt data.
 #[cfg(test)]

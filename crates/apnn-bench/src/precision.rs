@@ -15,27 +15,24 @@
 //! (`apnn_nn::identity_join_groups`), and every join group of the zoo
 //! models falls inside a single segment (asserted, not assumed).
 //!
-//! Candidates are ranked on the *estimated* cost (the oracle), then the
-//! Pareto survivors — plus the uniform w1a2/w2a2 reference schedules — are
-//! compiled with [`apnn_nn::Network::compile_scheduled`] and **measured**
-//! end-to-end through a warmed [`apnn_nn::WorkspacePool`], so the committed
-//! artifact reports real executed requests/s next to the oracle's estimate
-//! and the harness accuracy for every operating point.
+//! Candidates are ranked on the *estimated* cost (the oracle); the Pareto
+//! survivors plus the uniform w1a2/w2a2 reference schedules are emitted
+//! with that estimate and the harness accuracy. The artifact carries no
+//! timed column: end-to-end throughput for these schedules is measured at
+//! a stated operating point by `bench/`'s `nn.images_per_s.resnet18_tiny.*`.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use apnn_bitpack::PopcntArm;
 use apnn_kernels::autotune::select_micro;
 use apnn_kernels::{stage_cost, ConvDesc, EmulationCase, StageShape};
 use apnn_nn::models::resnet18_tiny;
 use apnn_nn::{
-    identity_join_groups, CompileOptions, LayerPrecision, LayerSpec, Network, PrecisionSchedule,
-    ShapeCursor,
+    identity_join_groups, LayerPrecision, LayerSpec, Network, PrecisionSchedule, ShapeCursor,
 };
 use apnn_quant::{schedule_accuracy, SyntheticDataset};
 
-use crate::artifacts::bench_input;
+use crate::schema::{self, Row};
 
 /// Per-main-layer GEMM geometry in the packed domain, extracted once from
 /// the network description — everything the cost oracle needs to turn a
@@ -294,12 +291,23 @@ pub struct PrecisionPoint {
     pub est_cost_ms: f64,
     /// QAT proxy-harness accuracy ([`apnn_quant::schedule_accuracy`]).
     pub accuracy: f32,
-    /// Measured end-to-end throughput (requests/s) through a warmed
-    /// workspace pool.
-    pub exec_rps: f64,
     /// 1 when the point is on the estimated latency/accuracy Pareto front
     /// of the emitted set, 0 for dominated reference rows.
     pub pareto: bool,
+}
+
+impl PrecisionPoint {
+    /// This point as a [`schema::PRECISION`] row.
+    pub fn row(&self) -> Row {
+        schema::PRECISION.row([
+            self.model.as_str().into(),
+            self.scheme.as_str().into(),
+            self.segments.as_str().into(),
+            self.est_cost_ms.into(),
+            self.accuracy.into(),
+            u32::from(self.pareto).into(),
+        ])
+    }
 }
 
 /// The reference accuracy-harness configuration: a 5-dense-layer proxy MLP
@@ -309,35 +317,6 @@ pub struct PrecisionPoint {
 fn segment_accuracy(seg_bits: &[(u32, u32)]) -> f32 {
     let data = SyntheticDataset::generate(6, 48, 120, 60, 0.6, 11);
     schedule_accuracy(&data, &[48, 32, 24, 16], seg_bits, 25, 3, 11)
-}
-
-/// Measure executed requests/s for `schedule` on `net`: compile at
-/// `batch`, warm a thread-matched workspace pool, then take the best of a
-/// few back-to-back timed windows (the same ceiling-estimate reading as
-/// `repro exec`).
-fn measure_exec_rps(
-    net: &Network,
-    schedule: &PrecisionSchedule,
-    batch: usize,
-    requests: usize,
-    threads: usize,
-    iters: usize,
-) -> f64 {
-    let plan = net.compile_scheduled(schedule, &CompileOptions::functional(batch, 2021));
-    let input = bench_input(&net.name, requests, net.input_h, net.input_w);
-    let pool = plan.workspace_pool(threads.max(1));
-    let mut out = Vec::new();
-    plan.infer_batched_into(&input, &pool, threads, &mut out); // warm
-    let mut best = 0.0f64;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            plan.infer_batched_into(&input, &pool, threads, &mut out);
-        }
-        let rps = (iters * requests) as f64 / t0.elapsed().as_secs_f64().max(1e-9);
-        best = best.max(rps);
-    }
-    best
 }
 
 fn seg_label(seg_bits: &[(u32, u32)]) -> String {
@@ -381,19 +360,11 @@ pub fn candidate_space() -> Vec<Vec<(u32, u32)>> {
 /// accuracy.
 type ScoredCandidate = (Vec<(u32, u32)>, f64, f32);
 
-/// Run the precision autotuner for ResNet18-Tiny and return the emitted
-/// operating points: both uniform references (w1a2, w2a2) plus every
-/// estimated-Pareto candidate, all with measured exec throughput.
-///
-/// `batch`/`requests`/`threads`/`iters` shape the execution measurement
-/// only; the candidate *ranking* comes from the deterministic accuracy
-/// harness and the memoized microkernel cost oracle.
-pub fn precision_bench(
-    batch: usize,
-    requests: usize,
-    threads: usize,
-    iters: usize,
-) -> Vec<PrecisionPoint> {
+/// Run the precision autotuner for ResNet18-Tiny, pricing each candidate
+/// for one `batch`-image batch, and return the emitted operating points:
+/// both uniform references (w1a2, w2a2) plus every estimated-Pareto
+/// candidate.
+pub fn precision_bench(batch: usize) -> Vec<PrecisionPoint> {
     let net = resnet18_tiny();
     let geoms = main_geometry(&net);
     let n = geoms.len();
@@ -437,47 +408,20 @@ pub fn precision_bench(
         }
     }
 
-    // Pareto flags over the emitted set, then measure each survivor.
+    // Pareto flags over the emitted set.
     let flags = pareto_front(&chosen.iter().map(|&(_, c, a)| (c, a)).collect::<Vec<_>>());
     chosen
         .iter()
         .enumerate()
-        .map(|(i, (seg_bits, cost, acc))| {
-            let schedule = schedule_from_segments(&ranges, seg_bits, n);
-            let rps = measure_exec_rps(&net, &schedule, batch, requests, threads, iters);
-            PrecisionPoint {
-                model: net.name.clone(),
-                scheme: schedule.label(),
-                segments: seg_label(seg_bits),
-                est_cost_ms: *cost,
-                accuracy: *acc,
-                exec_rps: rps,
-                pareto: flags.contains(&i),
-            }
+        .map(|(i, (seg_bits, cost, acc))| PrecisionPoint {
+            model: net.name.clone(),
+            scheme: schedule_from_segments(&ranges, seg_bits, n).label(),
+            segments: seg_label(seg_bits),
+            est_cost_ms: *cost,
+            accuracy: *acc,
+            pareto: flags.contains(&i),
         })
         .collect()
-}
-
-/// Render the autotuner output as `BENCH_precision.json` content.
-pub fn precision_json(points: &[PrecisionPoint]) -> String {
-    let mut body = String::new();
-    for (i, p) in points.iter().enumerate() {
-        let _ = write!(
-            body,
-            "  {{\"model\": \"{}\", \"scheme\": \"{}\", \"segments\": \"{}\", \
-             \"est_cost_ms\": {:.3}, \"accuracy\": {:.4}, \"exec_rps\": {:.1}, \
-             \"pareto\": {}}}{}",
-            p.model,
-            p.scheme,
-            p.segments,
-            p.est_cost_ms,
-            p.accuracy,
-            p.exec_rps,
-            p.pareto as u32,
-            if i + 1 == points.len() { "\n" } else { ",\n" }
-        );
-    }
-    format!("{{\n\"precision\": [\n{body}]\n}}\n")
 }
 
 /// Render the autotuner output as a human table (printed by
@@ -487,18 +431,17 @@ pub fn precision_report(points: &[PrecisionPoint]) -> String {
         String::from("## Precision autotuner: estimated-Pareto schedules vs. uniform references\n");
     let _ = writeln!(
         out,
-        "{:<16}{:<34}{:>12}{:>10}{:>12}{:>8}",
-        "model", "segments", "est ms", "acc", "exec req/s", "pareto"
+        "{:<16}{:<34}{:>12}{:>10}{:>8}",
+        "model", "segments", "est ms", "acc", "pareto"
     );
     for p in points {
         let _ = writeln!(
             out,
-            "{:<16}{:<34}{:>12.3}{:>10.4}{:>12.1}{:>8}",
+            "{:<16}{:<34}{:>12.3}{:>10.4}{:>8}",
             p.model,
             p.segments,
             p.est_cost_ms,
             p.accuracy,
-            p.exec_rps,
             if p.pareto { "yes" } else { "" }
         );
     }
@@ -605,6 +548,7 @@ mod tests {
         // the K and block width the compiled plan runs.
         use apnn_nn::compile::MainKernel;
         use apnn_nn::models::{alexnet_tiny, vgg_variant_tiny};
+        use apnn_nn::CompileOptions;
         // Each stem's window-dense K: 5×5×3 in two words, 3×3×3 in one.
         for (net, stem_words) in [
             (alexnet_tiny(), 2),
@@ -665,7 +609,6 @@ mod tests {
                 segments: "w1a2,w1a2,w1a2,w1a2,w1a2".into(),
                 est_cost_ms: 1.234,
                 accuracy: 0.661,
-                exec_rps: 400.0,
                 pareto: true,
             },
             PrecisionPoint {
@@ -674,19 +617,18 @@ mod tests {
                 segments: "w1a2,w1a2,w1a2,w1a3,w1a2".into(),
                 est_cost_ms: 1.5,
                 accuracy: 0.678,
-                exec_rps: 350.5,
                 pareto: false,
             },
         ];
-        let json = precision_json(&points);
+        let rows: Vec<Row> = points.iter().map(PrecisionPoint::row).collect();
+        let json = schema::render(&schema::PRECISION, &rows);
         assert!(json.contains("\"precision\": ["));
         assert!(json.contains("\"scheme\": \"APNN-w1a2\""));
         assert!(json.contains("\"segments\": \"w1a2,w1a2,w1a2,w1a3,w1a2\""));
         assert!(json.contains("\"est_cost_ms\": 1.234"));
         assert!(json.contains("\"accuracy\": 0.6610"));
-        assert!(json.contains("\"exec_rps\": 350.5"));
-        assert!(json.contains("\"pareto\": 1"));
-        assert!(json.contains("\"pareto\": 0"));
+        assert!(json.contains("\"pareto\": 1}"));
+        assert!(json.contains("\"pareto\": 0}"));
         assert_eq!(json.matches("{\"model\"").count(), 2);
         assert!(!json.contains(",\n]"));
         let table = precision_report(&points);

@@ -1,18 +1,24 @@
-//! Schema validation for the committed benchmark artifacts.
+//! The committed benchmark artifacts' format: one row spec per artifact.
 //!
-//! The `bench-trajectory` CI job regenerates `BENCH_exec.json` /
-//! `BENCH_serve.json` on the runner and validates both the fresh and the
-//! committed copies here: every row must carry the expected fields with
-//! values in sane ranges, and the fresh artifact must cover exactly the
-//! same identity keys (model × scheme × threads, burst × threads) as the
-//! committed one. The gate is **schema-shaped, not threshold-shaped** —
-//! absolute throughput on a shared runner is noise, but a silently dropped
-//! model, scheme or sweep point is a broken trajectory.
+//! Each `BENCH_<name>.json` file is one flat array of scalar rows, and its
+//! [`Spec`] is the only place that format is written down: the field names
+//! in order, each field's [`Kind`] (which values it accepts and how many
+//! decimals it is written with), which fields form a row's identity key,
+//! and a coverage rule over the whole row set. [`render`] writes rows by
+//! walking the spec and [`validate`] checks them by walking it again, so
+//! the writer and the `repro check-bench` gate cannot drift apart.
 //!
-//! The parser below handles exactly the flat JSON this crate emits (see
-//! [`crate::artifacts`]): one top-level array of objects whose values are
-//! numbers or strings. The offline `serde` shim has no deserializer, so
-//! this is hand-rolled — and deliberately strict about that shape.
+//! The `bench-trajectory` CI job regenerates every artifact on the runner
+//! and validates both the fresh and the committed copies here; for a keyed
+//! artifact the two copies must also cover the same identity keys. The
+//! gate is **schema-shaped, not threshold-shaped** — absolute throughput
+//! on a shared runner is noise, but a silently dropped model, case or
+//! sweep point is a broken trajectory.
+//!
+//! The parser below handles exactly the flat JSON [`render`] emits: one
+//! top-level array of objects whose values are numbers or strings. The
+//! offline `serde` shim has no deserializer, so this is hand-rolled — and
+//! deliberately strict about that shape.
 
 use std::collections::BTreeMap;
 
@@ -42,6 +48,23 @@ impl JsonVal {
         }
     }
 }
+
+impl From<&str> for JsonVal {
+    fn from(s: &str) -> Self {
+        JsonVal::Str(s.to_string())
+    }
+}
+
+macro_rules! num_from {
+    ($($t:ty),*) => {$(
+        impl From<$t> for JsonVal {
+            fn from(v: $t) -> Self {
+                JsonVal::Num(v as f64)
+            }
+        }
+    )*};
+}
+num_from!(f64, f32, usize, u64, u32);
 
 /// One artifact row: field name → scalar value.
 pub type Row = BTreeMap<String, JsonVal>;
@@ -130,80 +153,253 @@ fn split_fields(body: &str) -> Vec<String> {
     out
 }
 
-/// Pull field `key` as a finite number, or explain what is missing.
-fn num(row: &Row, key: &str) -> Result<f64, String> {
-    let v = row
-        .get(key)
-        .ok_or_else(|| format!("missing field `{key}`"))?
-        .as_num()
-        .ok_or_else(|| format!("field `{key}` is not a number"))?;
-    if !v.is_finite() {
-        return Err(format!("field `{key}` is not finite"));
+/// A row's identity key: its key fields' values, as written.
+pub type Key = Vec<String>;
+
+/// What a field holds: the values [`validate`] accepts and how [`render`]
+/// writes them.
+#[derive(Debug, Clone, Copy)]
+pub enum Kind {
+    /// A non-empty string whose comma-separated items all start with this
+    /// prefix.
+    Label(&'static str),
+    /// A string from a fixed set.
+    OneOf(&'static [&'static str]),
+    /// A popcount arm label ([`apnn_bitpack::PopcntArm::parse`]).
+    Arm,
+    /// Operand bits (planes) per value: an integer in `1..=8`.
+    Bits,
+    /// A 0/1 flag.
+    Flag,
+    /// An integer `>= min`.
+    Int {
+        /// Smallest accepted value.
+        min: u64,
+    },
+    /// A real in `[min, max]`, written with `decimals` decimals.
+    Real {
+        /// Smallest accepted value.
+        min: f64,
+        /// Largest accepted value.
+        max: f64,
+        /// Decimals the value is written with.
+        decimals: usize,
+    },
+}
+
+impl Kind {
+    /// The value as written, without string quotes.
+    fn text(self, v: &JsonVal) -> String {
+        match (self, v) {
+            (_, JsonVal::Str(s)) => s.clone(),
+            (Kind::Real { decimals, .. }, JsonVal::Num(v)) => format!("{v:.decimals$}"),
+            (_, JsonVal::Num(v)) => format!("{v:.0}"),
+        }
     }
-    Ok(v)
 }
 
-fn string(row: &Row, key: &str) -> Result<String, String> {
-    Ok(row
-        .get(key)
-        .ok_or_else(|| format!("missing field `{key}`"))?
-        .as_str()
-        .ok_or_else(|| format!("field `{key}` is not a string"))?
-        .to_string())
+/// A measurement that must be positive, written with `decimals` decimals.
+const fn positive(decimals: usize) -> Kind {
+    Kind::Real {
+        min: f64::MIN_POSITIVE,
+        max: f64::INFINITY,
+        decimals,
+    }
 }
 
-/// The servable-zoo model set both execution artifacts must cover. A sweep
-/// that silently drops a model (say, the residual network) is a broken
-/// trajectory even when every surviving row is well-formed.
-pub const SERVABLE_MODELS: [&str; 3] = ["AlexNet-Tiny", "VGG-Variant-Tiny", "ResNet18-Tiny"];
+/// An integer count that may be zero.
+const COUNT: Kind = Kind::Int { min: 0 };
 
-/// Validate one `BENCH_exec.json` row set: required fields present, values
-/// in sane ranges, and every [`SERVABLE_MODELS`] entry covered. Returns
-/// the identity keys `(model, scheme, threads)`.
-pub fn validate_exec(rows: &[Row]) -> Result<Vec<(String, String, u64)>, String> {
+/// An integer dimension or population of at least one.
+const DIM: Kind = Kind::Int { min: 1 };
+
+/// One named field of an artifact row.
+#[derive(Debug, Clone, Copy)]
+pub struct Field {
+    /// JSON key.
+    pub name: &'static str,
+    /// Accepted values and written form.
+    pub kind: Kind,
+    /// Whether the field is part of the row's identity key.
+    pub key: bool,
+}
+
+const fn key(name: &'static str, kind: Kind) -> Field {
+    Field {
+        name,
+        kind,
+        key: true,
+    }
+}
+
+const fn field(name: &'static str, kind: Kind) -> Field {
+    Field {
+        name,
+        kind,
+        key: false,
+    }
+}
+
+impl Field {
+    /// Why `v` is not a value of this field, if it is not.
+    fn check(&self, v: &JsonVal) -> Result<(), String> {
+        let name = self.name;
+        let whole = |v: f64| v.fract() == 0.0;
+        let bad = match (self.kind, v) {
+            (Kind::Label(prefix), JsonVal::Str(s)) => {
+                let ok = !s.is_empty() && s.split(',').all(|item| item.starts_with(prefix));
+                (!ok).then(|| format!("malformed {name} `{s}`"))
+            }
+            (Kind::OneOf(set), JsonVal::Str(s)) => {
+                (!set.contains(&s.as_str())).then(|| format!("unexpected {name} `{s}`"))
+            }
+            (Kind::Arm, JsonVal::Str(s)) => apnn_bitpack::PopcntArm::parse(s)
+                .is_none()
+                .then(|| format!("unknown popcount arm `{s}`")),
+            (Kind::Label(_) | Kind::OneOf(_) | Kind::Arm, JsonVal::Num(_)) => {
+                Some(format!("field `{name}` is not a string"))
+            }
+            (_, JsonVal::Str(_)) => Some(format!("field `{name}` is not a number")),
+            (_, JsonVal::Num(v)) if !v.is_finite() => Some(format!("field `{name}` is not finite")),
+            (Kind::Bits, &JsonVal::Num(v)) => (!(1.0..=8.0).contains(&v) || !whole(v))
+                .then(|| format!("plane counts out of range: `{name}` = {v}")),
+            (Kind::Flag, &JsonVal::Num(v)) => {
+                (v != 0.0 && v != 1.0).then(|| format!("{name} flag must be 0 or 1"))
+            }
+            (Kind::Int { min }, &JsonVal::Num(v)) => (v < min as f64 || !whole(v))
+                .then(|| format!("`{name}` must be an integer >= {min}, got {v}")),
+            (Kind::Real { min, max, .. }, &JsonVal::Num(v)) => (!(min..=max).contains(&v))
+                .then(|| format!("{} {v} out of range", name.replace('_', " "))),
+        };
+        bad.map_or(Ok(()), Err)
+    }
+}
+
+/// One artifact's format: its fields and its coverage rule.
+#[derive(Debug)]
+pub struct Spec {
+    /// The file's top-level key; the file is `BENCH_<name>.json`.
+    pub name: &'static str,
+    /// The row fields, in written order.
+    pub fields: &'static [Field],
+    /// Whether `repro check-bench` requires the fresh and committed copies
+    /// to cover the same identity keys. When false, each copy is checked
+    /// on its own.
+    pub keyed: bool,
+    /// The whole-artifact rule, run once every row is valid.
+    pub cover: fn(&[Row]) -> Result<(), String>,
+}
+
+impl Spec {
+    /// The artifact's file name.
+    pub fn file(&self) -> String {
+        format!("BENCH_{}.json", self.name)
+    }
+
+    /// A row from values listed in the spec's field order.
+    pub fn row<const N: usize>(&self, values: [JsonVal; N]) -> Row {
+        assert_eq!(
+            N,
+            self.fields.len(),
+            "{} rows have {} fields",
+            self.name,
+            self.fields.len()
+        );
+        self.fields
+            .iter()
+            .map(|f| f.name.to_string())
+            .zip(values)
+            .collect()
+    }
+}
+
+/// Write `rows` as the artifact's file content: every field of every row,
+/// in spec order, each number with its kind's decimals.
+pub fn render(spec: &Spec, rows: &[Row]) -> String {
+    let mut out = format!("{{\n\"{}\": [\n", spec.name);
+    for (i, row) in rows.iter().enumerate() {
+        let fields: Vec<String> = spec
+            .fields
+            .iter()
+            .map(|f| {
+                let v = row
+                    .get(f.name)
+                    .unwrap_or_else(|| panic!("{} row {i} has no `{}`", spec.name, f.name));
+                match v {
+                    JsonVal::Str(s) => format!("\"{}\": \"{s}\"", f.name),
+                    JsonVal::Num(_) => format!("\"{}\": {}", f.name, f.kind.text(v)),
+                }
+            })
+            .collect();
+        let sep = if i + 1 == rows.len() { "" } else { "," };
+        out.push_str(&format!("  {{{}}}{sep}\n", fields.join(", ")));
+    }
+    out.push_str("]\n}\n");
+    out
+}
+
+/// Check `rows` against `spec`: every declared field present and nothing
+/// else, every value of its kind, then the coverage rule. Returns each
+/// row's identity [`Key`].
+pub fn validate(spec: &Spec, rows: &[Row]) -> Result<Vec<Key>, String> {
     if rows.is_empty() {
-        return Err("exec artifact has no rows".into());
+        return Err(format!("{} artifact has no rows", spec.name));
     }
     let mut keys = Vec::with_capacity(rows.len());
     for (i, row) in rows.iter().enumerate() {
-        let ctx = |e: String| format!("exec row {i}: {e}");
-        let model = string(row, "model").map_err(ctx)?;
-        let scheme = string(row, "scheme").map_err(ctx)?;
-        let batch = num(row, "batch").map_err(ctx)?;
-        let requests = num(row, "requests").map_err(ctx)?;
-        let threads = num(row, "threads").map_err(ctx)?;
-        let pool = num(row, "pool").map_err(ctx)?;
-        let reused = num(row, "reused_ws_rps").map_err(ctx)?;
-        let fresh = num(row, "fresh_ws_rps").map_err(ctx)?;
-        let ws = num(row, "workspace_bytes").map_err(ctx)?;
-        if !scheme.starts_with("APNN-") {
-            return Err(format!("exec row {i}: unexpected scheme `{scheme}`"));
+        let at = |e: String| format!("{} row {i}: {e}", spec.name);
+        if let Some(f) = spec.fields.iter().find(|f| !row.contains_key(f.name)) {
+            return Err(at(format!("missing field `{}`", f.name)));
         }
-        if batch < 1.0 || requests < batch || threads < 1.0 || pool < 1.0 {
-            return Err(format!("exec row {i}: implausible sweep dimensions"));
+        if let Some(name) = row
+            .keys()
+            .find(|k| !spec.fields.iter().any(|f| f.name == k.as_str()))
+        {
+            return Err(at(format!("undeclared field `{name}`")));
         }
-        if reused <= 0.0 || fresh <= 0.0 || ws <= 0.0 {
-            return Err(format!("exec row {i}: non-positive measurement"));
+        for f in spec.fields {
+            f.check(&row[f.name]).map_err(at)?;
         }
-        keys.push((model, scheme, threads as u64));
+        keys.push(
+            spec.fields
+                .iter()
+                .filter(|f| f.key)
+                .map(|f| f.kind.text(&row[f.name]))
+                .collect(),
+        );
     }
-    for want in SERVABLE_MODELS {
-        if !keys.iter().any(|(model, ..)| model == want) {
-            return Err(format!("exec artifact is missing model `{want}`"));
-        }
-    }
+    (spec.cover)(rows)?;
     Ok(keys)
 }
 
-/// Identity key of one `BENCH_kernels.json` row: `(case, p, q, m, n, k)`.
-/// The problem geometry is part of the identity, so silently changing the
-/// sweep size without regenerating the committed artifact breaks the
-/// trajectory gate.
-pub type KernelKey = (String, u64, u64, u64, u64, u64);
+/// Field `name` of a validated row, as a number.
+fn num(row: &Row, name: &str) -> f64 {
+    row[name].as_num().expect("validated numeric field")
+}
+
+/// Field `name` of a validated row, as a string.
+fn text<'a>(row: &'a Row, name: &str) -> &'a str {
+    row[name].as_str().expect("validated string field")
+}
+
+/// Every one of `wants` appears as field `name` of some row.
+fn covers(rows: &[Row], artifact: &str, name: &str, wants: &[&str]) -> Result<(), String> {
+    match wants
+        .iter()
+        .find(|want| !rows.iter().any(|r| text(r, name) == **want))
+    {
+        Some(want) => Err(format!("{artifact} artifact is missing {name} `{want}`")),
+        None => Ok(()),
+    }
+}
+
+/// The servable-zoo model set. The exec artifact must cover all of it: a
+/// sweep that silently drops a model (say, the residual network) is a
+/// broken trajectory even when every surviving row is well-formed.
+pub const SERVABLE_MODELS: [&str; 3] = ["AlexNet-Tiny", "VGG-Variant-Tiny", "ResNet18-Tiny"];
 
 /// The full emulation-case set a kernels artifact must cover: the four
-/// Ampere cases plus the three Turing XOR-only derivations. A sweep that
-/// silently drops one of them is a broken trajectory.
+/// Ampere cases plus the three Turing XOR-only derivations.
 pub const KERNEL_CASES: [&str; 7] = [
     "AndUnsigned",
     "XorSignedBinary",
@@ -214,191 +410,91 @@ pub const KERNEL_CASES: [&str; 7] = [
     "XorDerivedActivationTransformed",
 ];
 
-/// Validate one `BENCH_kernels.json` row set: required fields present
-/// (including the popcount `arm` every row must record), values in sane
-/// ranges, and the full seven-case emulation set covered. Returns the
-/// [`KernelKey`] identity keys.
-pub fn validate_kernels(rows: &[Row]) -> Result<Vec<KernelKey>, String> {
-    if rows.is_empty() {
-        return Err("kernels artifact has no rows".into());
-    }
-    let mut keys = Vec::with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        let ctx = |e: String| format!("kernels row {i}: {e}");
-        let case = string(row, "case").map_err(ctx)?;
-        let op = string(row, "op").map_err(ctx)?;
-        let arm = string(row, "arm").map_err(ctx)?;
-        let p = num(row, "p").map_err(ctx)?;
-        let q = num(row, "q").map_err(ctx)?;
-        let m = num(row, "m").map_err(ctx)?;
-        let n = num(row, "n").map_err(ctx)?;
-        let k = num(row, "k").map_err(ctx)?;
-        let jb = num(row, "jb").map_err(ctx)?;
-        let gbps = num(row, "word_gbps").map_err(ctx)?;
-        let mops = num(row, "pair_mops").map_err(ctx)?;
-        if op != "and" && op != "xor" {
-            return Err(format!("kernels row {i}: unexpected op `{op}`"));
-        }
-        if apnn_bitpack::PopcntArm::parse(&arm).is_none() {
-            return Err(format!("kernels row {i}: unknown popcount arm `{arm}`"));
-        }
-        if !(1.0..=8.0).contains(&p) || !(1.0..=8.0).contains(&q) {
-            return Err(format!("kernels row {i}: plane counts out of range"));
-        }
-        if m < 1.0 || n < 1.0 || k < 1.0 || jb < 1.0 {
-            return Err(format!("kernels row {i}: implausible sweep dimensions"));
-        }
-        if gbps <= 0.0 || mops <= 0.0 {
-            return Err(format!("kernels row {i}: non-positive measurement"));
-        }
-        keys.push((case, p as u64, q as u64, m as u64, n as u64, k as u64));
-    }
-    for want in KERNEL_CASES {
-        if !keys.iter().any(|(case, ..)| case == want) {
-            return Err(format!("kernels artifact is missing case `{want}`"));
-        }
-    }
-    Ok(keys)
-}
+const MODEL: Kind = Kind::OneOf(&SERVABLE_MODELS);
+const SCHEME: Kind = Kind::Label("APNN-");
 
-/// Identity key of one `BENCH_serve.json` row:
-/// `(model, scheme, mode, tenant, burst, threads)`. Overload rows share a
-/// (model, burst, threads) point across tenants, so the tenant label is
-/// part of the identity.
-pub type ServeKey = (String, String, String, String, u64, u64);
+/// `BENCH_exec.json`: steady-state batched throughput per servable model ×
+/// scheme × thread count, warmed workspace pool vs. fresh per call.
+pub static EXEC: Spec = Spec {
+    name: "exec",
+    fields: &[
+        key("model", MODEL),
+        key("scheme", SCHEME),
+        field("batch", DIM),
+        field("requests", DIM),
+        key("threads", DIM),
+        field("pool", DIM),
+        field("reused_ws_rps", positive(1)),
+        field("fresh_ws_rps", positive(1)),
+        field("workspace_bytes", DIM),
+    ],
+    keyed: true,
+    cover: |rows| covers(rows, "exec", "model", &SERVABLE_MODELS),
+};
 
-/// Validate one `BENCH_serve.json` row set: required fields present
-/// (including the precision `scheme` every served plan runs at, the
-/// per-tenant overload accounting and the recovery counters), values in
-/// sane ranges, every [`SERVABLE_MODELS`] entry covered, the overload
-/// sweep actually driven past saturation (a `mode: "overload"` row at
-/// `burst >= 200`, i.e. 2× the measured plateau, from at least two
-/// distinct tenants), and the chaos A/B pair present (`mode: "chaos"`
-/// rows for tenants `baseline` and `faulted`) with the faulted run
-/// retaining at least half the fault-free goodput. Returns the
-/// [`ServeKey`] identity keys.
-pub fn validate_serve(rows: &[Row]) -> Result<Vec<ServeKey>, String> {
-    if rows.is_empty() {
-        return Err("serve artifact has no rows".into());
-    }
-    let mut keys = Vec::with_capacity(rows.len());
-    let mut chaos_rps: Vec<(String, f64)> = Vec::new();
+/// `BENCH_serve.json`: the chaos A/B pair — one closed-loop workload on a
+/// fault-free twin (`baseline`) and under injected faults (`faulted`),
+/// keyed by the fault rate per mille (`burst`).
+pub static SERVE: Spec = Spec {
+    name: "serve",
+    fields: &[
+        key("model", MODEL),
+        key("scheme", SCHEME),
+        key("tenant", Kind::OneOf(&["baseline", "faulted"])),
+        key("burst", DIM),
+        field("pool", DIM),
+        field(
+            "mean_fill",
+            Kind::Real {
+                min: 1.0,
+                max: 1024.0,
+                decimals: 3,
+            },
+        ),
+        field("p50_ticks", COUNT),
+        field("p99_ticks", COUNT),
+        field("offered_rps", positive(1)),
+        field("throughput_rps", positive(1)),
+        field(
+            "shed_rate",
+            Kind::Real {
+                min: 0.0,
+                max: 1.0,
+                decimals: 4,
+            },
+        ),
+        field("expired", COUNT),
+        field("poisoned", COUNT),
+        field("worker_restarts", COUNT),
+        field("rollbacks", COUNT),
+        field("client_retries", COUNT),
+        field("version", DIM),
+    ],
+    keyed: true,
+    cover: serve_cover,
+};
+
+/// Both halves of the chaos pair present, with the faulted run retaining at
+/// least half the fault-free goodput. Losing the pair (or the floor)
+/// silently drops the recovery evidence.
+fn serve_cover(rows: &[Row]) -> Result<(), String> {
     for (i, row) in rows.iter().enumerate() {
-        let ctx = |e: String| format!("serve row {i}: {e}");
-        let model = string(row, "model").map_err(ctx)?;
-        let scheme = string(row, "scheme").map_err(ctx)?;
-        let mode = string(row, "mode").map_err(ctx)?;
-        let tenant = string(row, "tenant").map_err(ctx)?;
-        let burst = num(row, "burst").map_err(ctx)?;
-        let threads = num(row, "threads").map_err(ctx)?;
-        let pool = num(row, "pool").map_err(ctx)?;
-        let fill = num(row, "mean_fill").map_err(ctx)?;
-        let p50 = num(row, "p50_ticks").map_err(ctx)?;
-        let p99 = num(row, "p99_ticks").map_err(ctx)?;
-        let offered = num(row, "offered_rps").map_err(ctx)?;
-        let rps = num(row, "throughput_rps").map_err(ctx)?;
-        let shed_rate = num(row, "shed_rate").map_err(ctx)?;
-        let expired = num(row, "expired").map_err(ctx)?;
-        let poisoned = num(row, "poisoned").map_err(ctx)?;
-        let worker_restarts = num(row, "worker_restarts").map_err(ctx)?;
-        let rollbacks = num(row, "rollbacks").map_err(ctx)?;
-        let client_retries = num(row, "client_retries").map_err(ctx)?;
-        let version = num(row, "version").map_err(ctx)?;
-        if !scheme.starts_with("APNN-") {
-            return Err(format!("serve row {i}: unexpected scheme `{scheme}`"));
-        }
-        if mode != "closed" && mode != "overload" && mode != "chaos" {
-            return Err(format!("serve row {i}: unknown mode `{mode}`"));
-        }
-        if tenant.is_empty() {
-            return Err(format!("serve row {i}: empty tenant label"));
-        }
-        if burst < 1.0 || threads < 1.0 || pool < 1.0 {
-            return Err(format!("serve row {i}: implausible sweep dimensions"));
-        }
-        if !(1.0..=1024.0).contains(&fill) {
-            return Err(format!("serve row {i}: batch fill {fill} out of range"));
-        }
+        let (p50, p99) = (num(row, "p50_ticks"), num(row, "p99_ticks"));
         if p50 > p99 {
             return Err(format!("serve row {i}: p50 {p50} exceeds p99 {p99}"));
         }
-        if offered <= 0.0 {
-            return Err(format!("serve row {i}: non-positive offered load"));
-        }
-        if rps <= 0.0 {
-            return Err(format!("serve row {i}: non-positive goodput"));
-        }
-        if !(0.0..=1.0).contains(&shed_rate) {
-            return Err(format!("serve row {i}: shed rate {shed_rate} out of range"));
-        }
-        if expired < 0.0 {
-            return Err(format!("serve row {i}: negative expired count"));
-        }
-        for (name, v) in [
-            ("poisoned", poisoned),
-            ("worker_restarts", worker_restarts),
-            ("rollbacks", rollbacks),
-            ("client_retries", client_retries),
-        ] {
-            if v < 0.0 {
-                return Err(format!("serve row {i}: negative {name} count"));
-            }
-            if mode != "chaos" && v != 0.0 {
-                return Err(format!(
-                    "serve row {i}: nonzero {name} outside chaos mode ({v})"
-                ));
-            }
-        }
-        if version < 1.0 {
-            return Err(format!("serve row {i}: plan version {version} below 1"));
-        }
-        if mode == "chaos" {
-            chaos_rps.push((tenant.clone(), rps));
-        }
-        keys.push((model, scheme, mode, tenant, burst as u64, threads as u64));
     }
-    for want in SERVABLE_MODELS {
-        if !keys.iter().any(|(model, ..)| model == want) {
-            return Err(format!("serve artifact is missing model `{want}`"));
-        }
-    }
-    let mut overload_tenants: Vec<&str> = keys
-        .iter()
-        .filter(|(_, _, mode, ..)| mode == "overload")
-        .map(|(_, _, _, tenant, ..)| tenant.as_str())
-        .collect();
-    overload_tenants.sort();
-    overload_tenants.dedup();
-    if overload_tenants.len() < 2 {
-        return Err(format!(
-            "serve artifact needs >= 2 distinct overload tenants, got {overload_tenants:?}"
-        ));
-    }
-    if !keys
-        .iter()
-        .any(|(_, _, mode, _, burst, _)| mode == "overload" && *burst >= 200)
-    {
-        return Err("serve artifact has no overload row at >= 2x saturation".into());
-    }
-    // The chaos A/B pair: the same workload on a fault-free twin and under
-    // injected faults, with a hard goodput-retention floor. Losing the pair
-    // (or the floor) silently drops the recovery evidence.
-    let chaos_sum = |tenant: &str| -> f64 {
-        chaos_rps
-            .iter()
-            .filter(|(t, _)| t == tenant)
-            .map(|(_, rps)| rps)
+    let goodput = |tenant: &str| -> f64 {
+        rows.iter()
+            .filter(|r| text(r, "tenant") == tenant)
+            .map(|r| num(r, "throughput_rps"))
             .sum()
     };
-    let (baseline, faulted) = (chaos_sum("baseline"), chaos_sum("faulted"));
+    let (baseline, faulted) = (goodput("baseline"), goodput("faulted"));
     if baseline <= 0.0 || faulted <= 0.0 {
         return Err(format!(
-            "serve artifact needs chaos rows for tenants `baseline` and `faulted`, \
-             got {:?}",
-            chaos_rps
-                .iter()
-                .map(|(t, _)| t.as_str())
-                .collect::<Vec<_>>()
+            "serve artifact needs chaos rows for tenants `baseline` and `faulted`, got {:?}",
+            rows.iter().map(|r| text(r, "tenant")).collect::<Vec<_>>()
         ));
     }
     if faulted < 0.5 * baseline {
@@ -407,64 +503,66 @@ pub fn validate_serve(rows: &[Row]) -> Result<Vec<ServeKey>, String> {
              baseline {baseline:.1} req/s"
         ));
     }
-    Ok(keys)
+    Ok(())
 }
 
-/// Validate one `BENCH_precision.json` row set (the precision autotuner's
-/// Pareto artifact): required fields present, values in sane ranges, the
-/// residual model covered with at least three distinct operating points,
-/// both uniform reference schedules (`APNN-w1a2`, `APNN-w2a2`) present
-/// alongside at least one mixed schedule, and at least one row on the
-/// Pareto front. Returns the identity keys `(model, scheme)`.
+/// `BENCH_kernels.json`: one microkernel measurement per emulation case.
+/// The problem geometry is part of the identity, so changing the sweep
+/// size without regenerating the committed artifact breaks the gate.
+pub static KERNELS: Spec = Spec {
+    name: "kernels",
+    fields: &[
+        key("case", Kind::OneOf(&KERNEL_CASES)),
+        field("op", Kind::OneOf(&["and", "xor"])),
+        field("arm", Kind::Arm),
+        key("p", Kind::Bits),
+        key("q", Kind::Bits),
+        key("m", DIM),
+        key("n", DIM),
+        key("k", DIM),
+        field("jb", DIM),
+        field("word_gbps", positive(2)),
+        field("pair_mops", positive(2)),
+    ],
+    keyed: true,
+    cover: |rows| covers(rows, "kernels", "case", &KERNEL_CASES),
+};
+
+/// `BENCH_precision.json`: the precision autotuner's operating points.
 ///
-/// Unlike the exec/serve artifacts, `repro check-bench` does **not**
-/// require the fresh and committed precision artifacts to cover identical
-/// keys: Pareto membership depends on *measured* microkernel rates, so the
-/// surviving mixed schedules legitimately differ across machines. The
-/// trajectory gate here is shape + coverage of each copy independently.
-pub fn validate_precision(rows: &[Row]) -> Result<Vec<(String, String)>, String> {
-    if rows.is_empty() {
-        return Err("precision artifact has no rows".into());
-    }
-    let mut keys = Vec::with_capacity(rows.len());
-    let mut pareto_rows = 0usize;
-    for (i, row) in rows.iter().enumerate() {
-        let ctx = |e: String| format!("precision row {i}: {e}");
-        let model = string(row, "model").map_err(ctx)?;
-        let scheme = string(row, "scheme").map_err(ctx)?;
-        let segments = string(row, "segments").map_err(ctx)?;
-        let cost = num(row, "est_cost_ms").map_err(ctx)?;
-        let acc = num(row, "accuracy").map_err(ctx)?;
-        let rps = num(row, "exec_rps").map_err(ctx)?;
-        let pareto = num(row, "pareto").map_err(ctx)?;
-        if !scheme.starts_with("APNN-") {
-            return Err(format!("precision row {i}: unexpected scheme `{scheme}`"));
-        }
-        if segments.is_empty() || !segments.split(',').all(|s| s.starts_with('w')) {
-            return Err(format!(
-                "precision row {i}: malformed segments `{segments}`"
-            ));
-        }
-        if cost <= 0.0 {
-            return Err(format!("precision row {i}: non-positive cost estimate"));
-        }
-        if acc <= 0.0 || acc > 1.0 {
-            return Err(format!("precision row {i}: accuracy {acc} out of range"));
-        }
-        if rps <= 0.0 {
-            return Err(format!("precision row {i}: non-positive throughput"));
-        }
-        if pareto != 0.0 && pareto != 1.0 {
-            return Err(format!("precision row {i}: pareto flag must be 0 or 1"));
-        }
-        pareto_rows += (pareto == 1.0) as usize;
-        keys.push((model, scheme));
-    }
+/// Not keyed: Pareto membership depends on *measured* microkernel rates,
+/// so the surviving mixed schedules legitimately differ across machines.
+/// Each copy is gated on shape and coverage alone.
+pub static PRECISION: Spec = Spec {
+    name: "precision",
+    fields: &[
+        key("model", MODEL),
+        key("scheme", SCHEME),
+        field("segments", Kind::Label("w")),
+        field("est_cost_ms", positive(3)),
+        field(
+            "accuracy",
+            Kind::Real {
+                min: f64::MIN_POSITIVE,
+                max: 1.0,
+                decimals: 4,
+            },
+        ),
+        field("pareto", Kind::Flag),
+    ],
+    keyed: false,
+    cover: precision_cover,
+};
+
+/// The residual model covered with at least three distinct operating
+/// points, both uniform references (`APNN-w1a2`, `APNN-w2a2`) alongside at
+/// least one mixed schedule, and at least one row on the Pareto front.
+fn precision_cover(rows: &[Row]) -> Result<(), String> {
     let resnet = "ResNet18-Tiny";
-    let mut schemes: Vec<&str> = keys
+    let mut schemes: Vec<&str> = rows
         .iter()
-        .filter(|(m, _)| m == resnet)
-        .map(|(_, s)| s.as_str())
+        .filter(|r| text(r, "model") == resnet)
+        .map(|r| text(r, "scheme"))
         .collect();
     schemes.sort();
     schemes.dedup();
@@ -483,11 +581,14 @@ pub fn validate_precision(rows: &[Row]) -> Result<Vec<(String, String)>, String>
     if !schemes.iter().any(|s| s.starts_with("APNN-mixed-")) {
         return Err("precision artifact has no mixed-precision schedule".into());
     }
-    if pareto_rows == 0 {
+    if !rows.iter().any(|r| num(r, "pareto") == 1.0) {
         return Err("precision artifact has no Pareto-front row".into());
     }
-    Ok(keys)
+    Ok(())
 }
+
+/// Every committed artifact, in the order `repro check-bench` reports them.
+pub static SPECS: [&Spec; 4] = [&EXEC, &SERVE, &KERNELS, &PRECISION];
 
 /// Assert that two sorted identity-key sets are equal (fresh run vs.
 /// committed artifact): same sweep points, no silent drops or additions.
@@ -513,7 +614,7 @@ pub fn same_keys<K: Ord + std::fmt::Debug + Clone>(
 mod tests {
     use super::*;
 
-    const EXEC: &str = r#"{
+    const EXEC_ROWS: &str = r#"{
 "exec": [
   {"model": "AlexNet-Tiny", "scheme": "APNN-w1a2", "batch": 8, "requests": 32, "threads": 1, "pool": 1, "reused_ws_rps": 100.0, "fresh_ws_rps": 90.0, "workspace_bytes": 4096},
   {"model": "VGG-Variant-Tiny", "scheme": "APNN-w2a2", "batch": 8, "requests": 32, "threads": 4, "pool": 4, "reused_ws_rps": 55.5, "fresh_ws_rps": 50.1, "workspace_bytes": 4096},
@@ -522,58 +623,71 @@ mod tests {
 }
 "#;
 
+    fn check(spec: &Spec, rows: &[String]) -> Result<Vec<Key>, String> {
+        let json = format!(r#"{{"{}": [{}]}}"#, spec.name, rows.join(", "));
+        validate(spec, &parse_rows(&json).unwrap())
+    }
+
     #[test]
     fn parses_and_validates_exec_rows() {
-        let rows = parse_rows(EXEC).unwrap();
+        let rows = parse_rows(EXEC_ROWS).unwrap();
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].get("model").unwrap().as_str(), Some("AlexNet-Tiny"));
         assert_eq!(rows[1].get("threads").unwrap().as_num(), Some(4.0));
-        let keys = validate_exec(&rows).unwrap();
+        let keys = validate(&EXEC, &rows).unwrap();
         assert_eq!(keys.len(), 3);
-        assert_eq!(keys[0], ("AlexNet-Tiny".into(), "APNN-w1a2".into(), 1));
+        assert_eq!(keys[0], ["AlexNet-Tiny", "APNN-w1a2", "1"]);
     }
 
     #[test]
     fn exec_artifact_must_cover_the_servable_zoo() {
         // Dropping the residual model (or any zoo entry) breaks the
         // trajectory even when every surviving row is well-formed.
-        let rows: Vec<Row> = parse_rows(EXEC)
+        let rows: Vec<Row> = parse_rows(EXEC_ROWS)
             .unwrap()
             .into_iter()
             .filter(|r| r.get("model").unwrap().as_str() != Some("ResNet18-Tiny"))
             .collect();
-        let err = validate_exec(&rows).unwrap_err();
+        let err = validate(&EXEC, &rows).unwrap_err();
         assert!(err.contains("missing model `ResNet18-Tiny`"), "{err}");
+    }
+
+    #[test]
+    fn rows_are_strict() {
+        // A fractional or negative count is corrupt, not rounded.
+        for (from, to) in [
+            ("\"threads\": 1,", "\"threads\": 1.5,"),
+            ("\"pool\": 1,", "\"pool\": -1,"),
+        ] {
+            let rows = parse_rows(&EXEC_ROWS.replacen(from, to, 1)).unwrap();
+            let err = validate(&EXEC, &rows).unwrap_err();
+            assert!(err.contains("must be an integer >= 1"), "{err}");
+        }
+        // A field the spec does not declare is a format change nobody
+        // wrote down.
+        let rows =
+            parse_rows(&EXEC_ROWS.replacen("\"pool\": 1,", "\"pool\": 1, \"note\": \"x\",", 1))
+                .unwrap();
+        let err = validate(&EXEC, &rows).unwrap_err();
+        assert!(err.contains("exec row 0: undeclared field `note`"), "{err}");
     }
 
     #[test]
     fn rejects_missing_fields_and_bad_ranges() {
         let rows =
             parse_rows(r#"{"exec": [{"model": "A", "scheme": "APNN-w1a2", "batch": 8}]}"#).unwrap();
-        let err = validate_exec(&rows).unwrap_err();
+        let err = validate(&EXEC, &rows).unwrap_err();
         assert!(err.contains("missing field"), "{err}");
 
-        let rows = parse_rows(
-            r#"{"serve": [{"model": "VGG-Variant-Tiny", "scheme": "APNN-w1a2", "mode": "closed",
-                "tenant": "all", "burst": 8, "threads": 1, "pool": 1, "mean_fill": 0.2,
-                "p50_ticks": 0, "p99_ticks": 1, "offered_rps": 10.0, "throughput_rps": 10.0,
-                "shed_rate": 0.0, "expired": 0, "poisoned": 0, "worker_restarts": 0,
-                "rollbacks": 0, "client_retries": 0, "version": 1}]}"#,
-        )
-        .unwrap();
-        let err = validate_serve(&rows).unwrap_err();
+        let low_fill =
+            chaos_row("baseline", 10.0).replace("\"mean_fill\": 4.0", "\"mean_fill\": 0.2");
+        let err = check(&SERVE, &[low_fill]).unwrap_err();
         assert!(err.contains("out of range"), "{err}");
 
         // Rows that predate the fault-injection harness carry no recovery
         // counters — stale artifacts fail loudly.
-        let rows = parse_rows(
-            r#"{"serve": [{"model": "VGG-Variant-Tiny", "scheme": "APNN-w1a2", "mode": "closed",
-                "tenant": "all", "burst": 8, "threads": 1, "pool": 1, "mean_fill": 2.0,
-                "p50_ticks": 0, "p99_ticks": 1, "offered_rps": 10.0, "throughput_rps": 10.0,
-                "shed_rate": 0.0, "expired": 0, "version": 1}]}"#,
-        )
-        .unwrap();
-        let err = validate_serve(&rows).unwrap_err();
+        let stale = chaos_row("baseline", 10.0).replace("\"poisoned\": 2, ", "");
+        let err = check(&SERVE, &[stale]).unwrap_err();
         assert!(err.contains("missing field `poisoned`"), "{err}");
 
         // Rows that predate the zoo-wide serve sweep carry no `model`.
@@ -582,7 +696,7 @@ mod tests {
                 "p50_ticks": 0, "p99_ticks": 1, "throughput_rps": 10.0}]}"#,
         )
         .unwrap();
-        let err = validate_serve(&rows).unwrap_err();
+        let err = validate(&SERVE, &rows).unwrap_err();
         assert!(err.contains("missing field `model`"), "{err}");
 
         // Rows that predate the mixed-precision registry carry no `scheme`.
@@ -591,270 +705,163 @@ mod tests {
                 "mean_fill": 2.0, "p50_ticks": 0, "p99_ticks": 1, "throughput_rps": 10.0}]}"#,
         )
         .unwrap();
-        let err = validate_serve(&rows).unwrap_err();
+        let err = validate(&SERVE, &rows).unwrap_err();
         assert!(err.contains("missing field `scheme`"), "{err}");
 
         // Rows that predate the multi-tenant serve tier carry no `tenant`
-        // (or `mode`, `shed_rate`, ...) — stale artifacts fail loudly.
+        // (or `shed_rate`, ...) — stale artifacts fail loudly.
         let rows = parse_rows(
             r#"{"serve": [{"model": "VGG-Variant-Tiny", "scheme": "APNN-w1a2", "burst": 8,
                 "threads": 1, "pool": 1, "mean_fill": 2.0, "p50_ticks": 0, "p99_ticks": 1,
                 "throughput_rps": 10.0}]}"#,
         )
         .unwrap();
-        let err = validate_serve(&rows).unwrap_err();
-        assert!(err.contains("missing field `mode`"), "{err}");
-    }
-
-    fn serve_row(model: &str, mode: &str, tenant: &str, burst: u64, shed_rate: f64) -> String {
-        format!(
-            r#"{{"model": "{model}", "scheme": "APNN-w1a2", "mode": "{mode}",
-                "tenant": "{tenant}", "burst": {burst}, "threads": 1, "pool": 1,
-                "mean_fill": 4.0, "p50_ticks": 2, "p99_ticks": 9, "offered_rps": 120.0,
-                "throughput_rps": 60.0, "shed_rate": {shed_rate}, "expired": 3,
-                "poisoned": 0, "worker_restarts": 0, "rollbacks": 0, "client_retries": 0,
-                "version": 1}}"#
-        )
+        let err = validate(&SERVE, &rows).unwrap_err();
+        assert!(err.contains("missing field `tenant`"), "{err}");
     }
 
     fn chaos_row(tenant: &str, rps: f64) -> String {
         format!(
-            r#"{{"model": "AlexNet-Tiny", "scheme": "APNN-w1a2", "mode": "chaos",
-                "tenant": "{tenant}", "burst": 25, "threads": 1, "pool": 4,
-                "mean_fill": 4.0, "p50_ticks": 2, "p99_ticks": 14, "offered_rps": 120.0,
-                "throughput_rps": {rps}, "shed_rate": 0.02, "expired": 1,
-                "poisoned": 2, "worker_restarts": 3, "rollbacks": 0, "client_retries": 1,
-                "version": 1}}"#
+            r#"{{"model": "AlexNet-Tiny", "scheme": "APNN-w1a2", "tenant": "{tenant}",
+                "burst": 25, "pool": 4, "mean_fill": 4.0, "p50_ticks": 2, "p99_ticks": 14,
+                "offered_rps": 120.0, "throughput_rps": {rps}, "shed_rate": 0.02,
+                "expired": 1, "poisoned": 2, "worker_restarts": 3, "rollbacks": 0,
+                "client_retries": 1, "version": 1}}"#
         )
     }
 
     #[test]
-    fn serve_artifact_must_prove_overload_coverage() {
-        let closed: Vec<String> = SERVABLE_MODELS
-            .iter()
-            .map(|m| serve_row(m, "closed", "all", 8, 0.0))
-            .collect();
-        // Closed rows alone — no overload evidence at all.
-        let json = format!(r#"{{"serve": [{}]}}"#, closed.join(", "));
-        let err = validate_serve(&parse_rows(&json).unwrap()).unwrap_err();
-        assert!(err.contains(">= 2 distinct overload tenants"), "{err}");
-
-        // One overload tenant is not a fairness experiment.
-        let json = format!(
-            r#"{{"serve": [{}, {}]}}"#,
-            closed.join(", "),
-            serve_row("AlexNet-Tiny", "overload", "gold", 200, 0.5),
-        );
-        let err = validate_serve(&parse_rows(&json).unwrap()).unwrap_err();
-        assert!(err.contains(">= 2 distinct overload tenants"), "{err}");
-
-        // Two tenants but never pushed to 2x saturation.
-        let json = format!(
-            r#"{{"serve": [{}, {}, {}]}}"#,
-            closed.join(", "),
-            serve_row("AlexNet-Tiny", "overload", "gold", 100, 0.1),
-            serve_row("AlexNet-Tiny", "overload", "bronze", 100, 0.3),
-        );
-        let err = validate_serve(&parse_rows(&json).unwrap()).unwrap_err();
-        assert!(err.contains("no overload row at >= 2x"), "{err}");
-
-        // The full shape passes and the tenant is part of the identity.
-        let json = format!(
-            r#"{{"serve": [{}, {}, {}, {}, {}]}}"#,
-            closed.join(", "),
-            serve_row("AlexNet-Tiny", "overload", "gold", 200, 0.5),
-            serve_row("AlexNet-Tiny", "overload", "bronze", 200, 0.7),
-            chaos_row("baseline", 100.0),
-            chaos_row("faulted", 80.0),
-        );
-        let keys = validate_serve(&parse_rows(&json).unwrap()).unwrap();
-        assert_eq!(keys.len(), 7);
-        assert_eq!(keys[4].3, "bronze");
-        assert_eq!(keys[5].2, "chaos");
-
-        // A shed rate outside [0, 1] is corrupt accounting.
-        let json = format!(
-            r#"{{"serve": [{}, {}, {}]}}"#,
-            closed.join(", "),
-            serve_row("AlexNet-Tiny", "overload", "gold", 200, 1.5),
-            serve_row("AlexNet-Tiny", "overload", "bronze", 200, 0.7),
-        );
-        let err = validate_serve(&parse_rows(&json).unwrap()).unwrap_err();
-        assert!(err.contains("shed rate"), "{err}");
-
-        // Unknown modes are future traffic shapes, not silent passes.
-        let json = format!(
-            r#"{{"serve": [{}, {}, {}]}}"#,
-            closed.join(", "),
-            serve_row("AlexNet-Tiny", "storm", "gold", 200, 0.5),
-            serve_row("AlexNet-Tiny", "overload", "bronze", 200, 0.7),
-        );
-        let err = validate_serve(&parse_rows(&json).unwrap()).unwrap_err();
-        assert!(err.contains("unknown mode `storm`"), "{err}");
-    }
-
-    #[test]
     fn serve_artifact_must_prove_chaos_recovery() {
-        let mut rows: Vec<String> = SERVABLE_MODELS
-            .iter()
-            .map(|m| serve_row(m, "closed", "all", 8, 0.0))
-            .collect();
-        rows.push(serve_row("AlexNet-Tiny", "overload", "gold", 200, 0.5));
-        rows.push(serve_row("AlexNet-Tiny", "overload", "bronze", 200, 0.7));
-
-        // Overload evidence alone: the chaos A/B pair is still missing.
-        let json = format!(r#"{{"serve": [{}]}}"#, rows.join(", "));
-        let err = validate_serve(&parse_rows(&json).unwrap()).unwrap_err();
-        assert!(err.contains("needs chaos rows"), "{err}");
-
-        // A faulted run without its fault-free twin proves nothing.
-        let json = format!(
-            r#"{{"serve": [{}, {}]}}"#,
-            rows.join(", "),
-            chaos_row("faulted", 80.0),
-        );
-        let err = validate_serve(&parse_rows(&json).unwrap()).unwrap_err();
-        assert!(err.contains("needs chaos rows"), "{err}");
+        // A faulted run without its fault-free twin proves nothing, and
+        // vice versa.
+        for tenant in ["baseline", "faulted"] {
+            let err = check(&SERVE, &[chaos_row(tenant, 80.0)]).unwrap_err();
+            assert!(err.contains("needs chaos rows"), "{err}");
+        }
 
         // Goodput collapsing under faults fails the retention floor.
-        let json = format!(
-            r#"{{"serve": [{}, {}, {}]}}"#,
-            rows.join(", "),
-            chaos_row("baseline", 100.0),
-            chaos_row("faulted", 30.0),
-        );
-        let err = validate_serve(&parse_rows(&json).unwrap()).unwrap_err();
+        let err = check(
+            &SERVE,
+            &[chaos_row("baseline", 100.0), chaos_row("faulted", 30.0)],
+        )
+        .unwrap_err();
         assert!(err.contains("retention below floor"), "{err}");
 
-        // Recovery counters outside chaos mode are corrupt accounting.
-        let stray = chaos_row("all", 100.0).replace("\"chaos\"", "\"closed\"");
-        let json = format!(r#"{{"serve": [{}, {}]}}"#, rows.join(", "), stray);
-        let err = validate_serve(&parse_rows(&json).unwrap()).unwrap_err();
-        assert!(err.contains("outside chaos mode"), "{err}");
+        // The full pair passes; the tenant and the rate are the identity.
+        let pair = [chaos_row("baseline", 100.0), chaos_row("faulted", 80.0)];
+        let keys = check(&SERVE, &pair).unwrap();
+        assert_eq!(keys[1], ["AlexNet-Tiny", "APNN-w1a2", "faulted", "25"]);
+
+        // A shed rate outside [0, 1] is corrupt accounting.
+        let bad_shed = pair[1].replace("\"shed_rate\": 0.02", "\"shed_rate\": 1.5");
+        let err = check(&SERVE, &[pair[0].clone(), bad_shed]).unwrap_err();
+        assert!(err.contains("shed rate"), "{err}");
+
+        // Quantiles out of order are corrupt accounting too.
+        let bad_tail = pair[1].replace("\"p99_ticks\": 14", "\"p99_ticks\": 1");
+        let err = check(&SERVE, &[pair[0].clone(), bad_tail]).unwrap_err();
+        assert!(err.contains("exceeds p99"), "{err}");
+
+        // Unknown tenants are future traffic shapes, not silent passes.
+        let err = check(&SERVE, &[pair[0].clone(), chaos_row("storm", 80.0)]).unwrap_err();
+        assert!(err.contains("unexpected tenant `storm`"), "{err}");
     }
 
     fn precision_row(model: &str, scheme: &str, segments: &str, pareto: u32) -> String {
         format!(
             r#"{{"model": "{model}", "scheme": "{scheme}", "segments": "{segments}",
-                "est_cost_ms": 1.5, "accuracy": 0.66, "exec_rps": 300.0, "pareto": {pareto}}}"#
+                "est_cost_ms": 1.5, "accuracy": 0.66, "pareto": {pareto}}}"#
         )
     }
 
     #[test]
     fn validates_precision_artifact_coverage() {
-        let good = format!(
-            r#"{{"precision": [{}, {}, {}]}}"#,
+        let good = [
             precision_row("ResNet18-Tiny", "APNN-w1a2", "w1a2,w1a2,w1a2,w1a2,w1a2", 1),
             precision_row("ResNet18-Tiny", "APNN-w2a2", "w2a2,w2a2,w2a2,w2a2,w2a2", 0),
             precision_row(
                 "ResNet18-Tiny",
                 "APNN-mixed-w1a2x15-w1a3x5-w1a2x1",
                 "w1a2,w1a2,w1a2,w1a3,w1a2",
-                1
+                1,
             ),
-        );
-        let keys = validate_precision(&parse_rows(&good).unwrap()).unwrap();
+        ];
+        let keys = check(&PRECISION, &good).unwrap();
         assert_eq!(keys.len(), 3);
-        assert_eq!(keys[0].1, "APNN-w1a2");
+        assert_eq!(keys[0][1], "APNN-w1a2");
 
         // Dropping the mixed schedule (the whole point of the artifact)
         // fails coverage, as does losing a uniform reference.
-        let no_mixed = format!(
-            r#"{{"precision": [{}, {}, {}]}}"#,
+        let no_mixed = [
             precision_row("ResNet18-Tiny", "APNN-w1a2", "w1a2", 1),
             precision_row("ResNet18-Tiny", "APNN-w2a2", "w2a2", 0),
             precision_row("ResNet18-Tiny", "APNN-w1a3", "w1a3", 0),
-        );
-        let err = validate_precision(&parse_rows(&no_mixed).unwrap()).unwrap_err();
+        ];
+        let err = check(&PRECISION, &no_mixed).unwrap_err();
         assert!(err.contains("no mixed-precision schedule"), "{err}");
 
-        let no_w2a2 = format!(
-            r#"{{"precision": [{}, {}, {}]}}"#,
+        let no_w2a2 = [
             precision_row("ResNet18-Tiny", "APNN-w1a2", "w1a2", 1),
             precision_row("ResNet18-Tiny", "APNN-mixed-a", "w1a3", 0),
             precision_row("ResNet18-Tiny", "APNN-mixed-b", "w1a4", 0),
-        );
-        let err = validate_precision(&parse_rows(&no_w2a2).unwrap()).unwrap_err();
+        ];
+        let err = check(&PRECISION, &no_w2a2).unwrap_err();
         assert!(
             err.contains("missing uniform reference `APNN-w2a2`"),
             "{err}"
         );
 
         // Fewer than three distinct operating points is a broken front.
-        let two = format!(
-            r#"{{"precision": [{}, {}]}}"#,
+        let two = [
             precision_row("ResNet18-Tiny", "APNN-w1a2", "w1a2", 1),
             precision_row("ResNet18-Tiny", "APNN-w2a2", "w2a2", 0),
-        );
-        let err = validate_precision(&parse_rows(&two).unwrap()).unwrap_err();
+        ];
+        let err = check(&PRECISION, &two).unwrap_err();
         assert!(err.contains(">= 3 distinct"), "{err}");
     }
 
     #[test]
     fn rejects_bad_precision_rows() {
-        let bad_acc = precision_row("ResNet18-Tiny", "APNN-w1a2", "w1a2", 1)
-            .replace("\"accuracy\": 0.66", "\"accuracy\": 1.5");
-        let err =
-            validate_precision(&parse_rows(&format!(r#"{{"precision": [{bad_acc}]}}"#)).unwrap())
-                .unwrap_err();
+        let row = precision_row("ResNet18-Tiny", "APNN-w1a2", "w1a2", 1);
+        let bad_acc = row.replace("\"accuracy\": 0.66", "\"accuracy\": 1.5");
+        let err = check(&PRECISION, &[bad_acc]).unwrap_err();
         assert!(err.contains("accuracy"), "{err}");
 
         let bad_flag = precision_row("ResNet18-Tiny", "APNN-w1a2", "w1a2", 3);
-        let err =
-            validate_precision(&parse_rows(&format!(r#"{{"precision": [{bad_flag}]}}"#)).unwrap())
-                .unwrap_err();
+        let err = check(&PRECISION, &[bad_flag]).unwrap_err();
         assert!(err.contains("pareto flag"), "{err}");
 
         let bad_segments = precision_row("ResNet18-Tiny", "APNN-w1a2", "x1,w2", 1);
-        let err = validate_precision(
-            &parse_rows(&format!(r#"{{"precision": [{bad_segments}]}}"#)).unwrap(),
-        )
-        .unwrap_err();
+        let err = check(&PRECISION, &[bad_segments]).unwrap_err();
         assert!(err.contains("malformed segments"), "{err}");
+
+        // The dropped timed column does not slide back in.
+        let timed = row.replace("\"pareto\"", "\"exec_rps\": 4259.0, \"pareto\"");
+        let err = check(&PRECISION, &[timed]).unwrap_err();
+        assert!(err.contains("undeclared field `exec_rps`"), "{err}");
     }
 
     #[test]
     fn rejects_bad_kernels_rows() {
-        let rows = parse_rows(
-            r#"{"kernels": [{"case": "AndUnsigned", "op": "nand", "arm": "avx2", "p": 2, "q": 2,
-                "m": 8, "n": 8, "k": 128, "jb": 4, "word_gbps": 1.0, "pair_mops": 1.0}]}"#,
-        )
-        .unwrap();
-        let err = validate_kernels(&rows).unwrap_err();
+        let row = r#"{"case": "AndUnsigned", "op": "and", "arm": "avx2", "p": 2, "q": 2,
+            "m": 8, "n": 8, "k": 128, "jb": 4, "word_gbps": 1.0, "pair_mops": 1.0}"#;
+        let err = check(&KERNELS, &[row.replace("\"and\"", "\"nand\"")]).unwrap_err();
         assert!(err.contains("unexpected op"), "{err}");
 
-        let rows = parse_rows(
-            r#"{"kernels": [{"case": "AndUnsigned", "op": "and", "arm": "avx2", "p": 9, "q": 2,
-                "m": 8, "n": 8, "k": 128, "jb": 4, "word_gbps": 1.0, "pair_mops": 1.0}]}"#,
-        )
-        .unwrap();
-        let err = validate_kernels(&rows).unwrap_err();
+        let err = check(&KERNELS, &[row.replace("\"p\": 2", "\"p\": 9")]).unwrap_err();
         assert!(err.contains("plane counts"), "{err}");
 
         // Rows that predate the dispatch refactor carry no `arm` — stale
         // artifacts fail loudly instead of sliding through.
-        let rows = parse_rows(
-            r#"{"kernels": [{"case": "AndUnsigned", "op": "and", "p": 2, "q": 2, "m": 8,
-                "n": 8, "k": 128, "jb": 4, "word_gbps": 1.0, "pair_mops": 1.0}]}"#,
-        )
-        .unwrap();
-        let err = validate_kernels(&rows).unwrap_err();
+        let err = check(&KERNELS, &[row.replace("\"arm\": \"avx2\", ", "")]).unwrap_err();
         assert!(err.contains("missing field `arm`"), "{err}");
 
-        let rows = parse_rows(
-            r#"{"kernels": [{"case": "AndUnsigned", "op": "and", "arm": "mmx", "p": 2, "q": 2,
-                "m": 8, "n": 8, "k": 128, "jb": 4, "word_gbps": 1.0, "pair_mops": 1.0}]}"#,
-        )
-        .unwrap();
-        let err = validate_kernels(&rows).unwrap_err();
+        let err = check(&KERNELS, &[row.replace("avx2", "mmx")]).unwrap_err();
         assert!(err.contains("unknown popcount arm"), "{err}");
 
         // A sweep that drops one of the seven emulation cases is a broken
         // trajectory even when every surviving row is well-formed.
-        let one_case = r#"{"kernels": [{"case": "AndUnsigned", "op": "and", "arm": "scalar",
-            "p": 2, "q": 2, "m": 8, "n": 8, "k": 128, "jb": 4,
-            "word_gbps": 1.0, "pair_mops": 1.0}]}"#;
-        let err = validate_kernels(&parse_rows(one_case).unwrap()).unwrap_err();
+        let err = check(&KERNELS, &[row.replace("avx2", "scalar")]).unwrap_err();
         assert!(err.contains("missing case"), "{err}");
     }
 
@@ -870,91 +877,14 @@ mod tests {
 
     #[test]
     fn round_trips_real_artifact_renderers() {
-        use crate::artifacts::{exec_json, serve_json, ExecPoint};
-        use crate::serve_load::LoadPoint;
-        let epoints: Vec<ExecPoint> = SERVABLE_MODELS
-            .iter()
-            .map(|model| ExecPoint {
-                model: (*model).into(),
-                scheme: "APNN-w1a2".into(),
-                batch: 8,
-                requests: 32,
-                threads: 2,
-                pool: 2,
-                reused_ws_rps: 321.0,
-                fresh_ws_rps: 300.0,
-                workspace_bytes: 1024,
-            })
-            .collect();
-        let ejson = exec_json(&epoints);
-        let keys = validate_exec(&parse_rows(&ejson).unwrap()).unwrap();
-        assert_eq!(keys.len(), 3);
-        assert_eq!(keys[0], ("AlexNet-Tiny".into(), "APNN-w1a2".into(), 2));
-
-        let closed_point = |model: &str| LoadPoint {
-            model: model.into(),
-            scheme: "APNN-w1a2".into(),
-            mode: "closed".into(),
-            tenant: "all".into(),
-            burst: 16,
-            threads: 4,
-            pool: 8,
-            mean_fill: 7.5,
-            p50_ticks: 3,
-            p99_ticks: 11,
-            offered_rps: 410.0,
-            throughput_rps: 410.0,
-            shed_rate: 0.0,
-            expired: 0,
-            poisoned: 0,
-            worker_restarts: 0,
-            rollbacks: 0,
-            client_retries: 0,
-            version: 1,
-        };
-        let mut spoints: Vec<LoadPoint> = SERVABLE_MODELS
-            .iter()
-            .map(|model| closed_point(model))
-            .collect();
-        for tenant in ["gold", "bronze"] {
-            spoints.push(LoadPoint {
-                mode: "overload".into(),
-                tenant: tenant.into(),
-                burst: 200,
-                threads: 1,
-                offered_rps: 820.0,
-                throughput_rps: 300.0,
-                shed_rate: 0.55,
-                expired: 7,
-                ..closed_point("AlexNet-Tiny")
-            });
+        // Every committed artifact validates and renders back to itself
+        // byte for byte: the spec pins field order and decimals.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for spec in SPECS {
+            let text = std::fs::read_to_string(root.join(spec.file())).unwrap();
+            let rows = parse_rows(&text).unwrap();
+            validate(spec, &rows).unwrap_or_else(|e| panic!("{}: {e}", spec.file()));
+            assert_eq!(render(spec, &rows), text, "{}", spec.file());
         }
-        for (tenant, rps, restarts) in [("baseline", 400.0, 0), ("faulted", 320.0, 5)] {
-            spoints.push(LoadPoint {
-                mode: "chaos".into(),
-                tenant: tenant.into(),
-                burst: 25,
-                threads: 1,
-                throughput_rps: rps,
-                poisoned: restarts / 2,
-                worker_restarts: restarts,
-                ..closed_point("AlexNet-Tiny")
-            });
-        }
-        let sjson = serve_json(&spoints);
-        let keys = validate_serve(&parse_rows(&sjson).unwrap()).unwrap();
-        assert_eq!(keys.len(), 7);
-        assert_eq!(
-            keys[2],
-            (
-                "ResNet18-Tiny".into(),
-                "APNN-w1a2".into(),
-                "closed".into(),
-                "all".into(),
-                16,
-                4
-            )
-        );
-        assert_eq!(keys[4].3, "bronze");
     }
 }
