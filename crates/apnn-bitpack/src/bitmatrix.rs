@@ -256,31 +256,6 @@ impl BitMatrix {
             .collect()
     }
 
-    /// Copy `src`'s logical contents into a new matrix with at least
-    /// `min_padded_cols` of padding (used to align operands from different
-    /// sources before a kernel call).
-    pub fn with_min_padding(&self, min_padded_cols: usize) -> BitMatrix {
-        if self.padded_cols >= min_padded_cols {
-            return self.clone();
-        }
-        let mut out = BitMatrix::zeros(self.rows, self.cols.max(1));
-        // Force the padded width up by rebuilding with a wider logical width
-        // trick: allocate manually.
-        let padded_cols = pad_to_bmma_k(min_padded_cols);
-        let words_per_row = padded_cols / WORD_BITS;
-        let mut data = vec![0u64; self.rows * words_per_row];
-        for r in 0..self.rows {
-            let src = self.row_words(r);
-            data[r * words_per_row..r * words_per_row + src.len()].copy_from_slice(src);
-        }
-        out.padded_cols = padded_cols;
-        out.words_per_row = words_per_row;
-        out.data = data;
-        out.rows = self.rows;
-        out.cols = self.cols;
-        out
-    }
-
     /// Check the zero-padding invariant (test/debug helper).
     pub fn padding_is_zero(&self) -> bool {
         for r in 0..self.rows {
@@ -379,19 +354,6 @@ mod tests {
         let m = BitMatrix::from_fn(3, 4, |r, c| r == c);
         assert_eq!(m.column_sums(), vec![1, 1, 1, 0]);
         assert_eq!(m.row_sums(), vec![1, 1, 1]);
-    }
-
-    #[test]
-    fn with_min_padding_widens() {
-        let mut m = BitMatrix::zeros(2, 100);
-        m.set(1, 99, true);
-        let wide = m.with_min_padding(512);
-        assert_eq!(wide.padded_cols(), 512);
-        assert!(wide.get(1, 99));
-        assert!(wide.padding_is_zero());
-        // Already-wide matrices pass through unchanged.
-        let same = wide.with_min_padding(128);
-        assert_eq!(same.padded_cols(), 512);
     }
 
     #[test]

@@ -356,13 +356,6 @@ impl BitTensor4 {
         &self.data[base..base + self.words_per_pixel]
     }
 
-    /// Mutable packed channel vector (kernel epilogues write through this).
-    #[inline]
-    pub fn pixel_words_mut(&mut self, n: usize, plane: u32, h: usize, w: usize) -> &mut [u64] {
-        let base = self.pixel_base(n, plane, h, w);
-        &mut self.data[base..base + self.words_per_pixel]
-    }
-
     /// The packed words of plane `plane` of image row `(n, h)`: `w` pixels ×
     /// [`BitTensor4::words_per_pixel`] words, pixel-major.
     #[inline]

@@ -52,29 +52,6 @@ impl Encoding {
             }
         }
     }
-
-    /// Encode an arithmetic value back into a bit (inverse of [`bit_value`]).
-    ///
-    /// [`bit_value`]: Encoding::bit_value
-    #[inline]
-    pub fn value_to_bit(self, value: i32) -> bool {
-        match self {
-            Encoding::ZeroOne => {
-                debug_assert!(value == 0 || value == 1);
-                value != 0
-            }
-            Encoding::PlusMinusOne => {
-                debug_assert!(value == -1 || value == 1);
-                value > 0
-            }
-        }
-    }
-
-    /// True when this operand encodes `{−1,+1}`.
-    #[inline]
-    pub fn is_signed_binary(self) -> bool {
-        matches!(self, Encoding::PlusMinusOne)
-    }
 }
 
 #[cfg(test)]
@@ -94,20 +71,5 @@ mod tests {
         assert_eq!(Encoding::PlusMinusOne.bit_value(true), 1);
         assert_eq!(Encoding::PlusMinusOne.code_value(0, 1), -1);
         assert_eq!(Encoding::PlusMinusOne.code_value(1, 1), 1);
-    }
-
-    #[test]
-    fn value_to_bit_roundtrip() {
-        for enc in [Encoding::ZeroOne, Encoding::PlusMinusOne] {
-            for bit in [false, true] {
-                assert_eq!(enc.value_to_bit(enc.bit_value(bit)), bit);
-            }
-        }
-    }
-
-    #[test]
-    fn signedness_flag() {
-        assert!(!Encoding::ZeroOne.is_signed_binary());
-        assert!(Encoding::PlusMinusOne.is_signed_binary());
     }
 }

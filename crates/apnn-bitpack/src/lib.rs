@@ -22,14 +22,11 @@
 //! * [`Tensor4`] — dense 4-D tensors with NCHW/NHWC layouts, and
 //!   [`BitTensor4`] — the paper's channel-major **NPHWC** packed activation
 //!   layout (§4.2(a), Fig. 4).
-//! * [`ballot`] — an emulation of the `__ballot_sync` inter-thread packing
-//!   routine used by the memory-efficient bit combination (§4.1(b)).
 //!
 //! Everything here is deterministic, pure CPU code; the tensor-core execution
 //! and cost model live in the `apnn-sim` crate, and the kernels in
 //! `apnn-kernels`.
 
-pub mod ballot;
 pub mod bitmatrix;
 pub mod bittensor;
 pub mod buf;

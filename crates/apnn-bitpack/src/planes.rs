@@ -185,26 +185,6 @@ impl BitPlanes {
             .map(|c| self.encoding.code_value(c, self.bits))
             .collect()
     }
-
-    /// Sum of arithmetic values per column — the `J·X` Case III correction.
-    pub fn column_value_sums(&self) -> Vec<i32> {
-        let mut sums = vec![0i32; self.cols];
-        let vals = self.values();
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                sums[c] += vals[r * self.cols + c];
-            }
-        }
-        sums
-    }
-
-    /// Sum of arithmetic values per row.
-    pub fn row_value_sums(&self) -> Vec<i32> {
-        let vals = self.values();
-        (0..self.rows)
-            .map(|r| vals[r * self.cols..(r + 1) * self.cols].iter().sum())
-            .collect()
-    }
 }
 
 /// Combine per-plane BMMA partial outputs `partials[s][t]` (each `m·n` long,
@@ -244,15 +224,6 @@ mod tests {
         let planes = BitPlanes::from_signed_binary(&vals, 2, 2);
         assert_eq!(planes.encoding(), Encoding::PlusMinusOne);
         assert_eq!(planes.values(), vals);
-    }
-
-    #[test]
-    fn column_value_sums_signed() {
-        let vals = [-1i32, 1, -1, -1];
-        let planes = BitPlanes::from_signed_binary(&vals, 2, 2);
-        // col0: -1 + -1 = -2; col1: 1 + -1 = 0
-        assert_eq!(planes.column_value_sums(), vec![-2, 0]);
-        assert_eq!(planes.row_value_sums(), vec![0, -2]);
     }
 
     #[test]

@@ -80,25 +80,6 @@ pub fn and_popcount(a: &[u64], b: &[u64]) -> u32 {
     merged_popcount(a, b, |x, y| x & y)
 }
 
-/// `popc(!(a ^ b))` restricted to `n_valid` bits — the XNOR dot product used
-/// by binary (±1) networks when expressed as a popcount instead of the
-/// `n − 2·popc(xor)` identity.
-#[inline]
-pub fn xnor_popcount(a: &[u64], b: &[u64], n_valid: usize) -> u32 {
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert!(n_valid <= a.len() * WORD_BITS);
-    let mut acc = 0u32;
-    let full = n_valid / WORD_BITS;
-    for i in 0..full {
-        acc += (!(a[i] ^ b[i])).count_ones();
-    }
-    let rem = n_valid % WORD_BITS;
-    if rem != 0 {
-        acc += (!(a[full] ^ b[full]) & low_mask(rem)).count_ones();
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,26 +124,5 @@ mod tests {
         }
         assert_eq!(xor_popcount(&a, &b) as u64, xor_ref);
         assert_eq!(and_popcount(&a, &b) as u64, and_ref);
-    }
-
-    #[test]
-    fn xnor_respects_valid_width() {
-        // All-zero words agree everywhere; only n_valid bits should count.
-        let a = [0u64; 2];
-        let b = [0u64; 2];
-        assert_eq!(xnor_popcount(&a, &b, 100), 100);
-        assert_eq!(xnor_popcount(&a, &b, 128), 128);
-        assert_eq!(xnor_popcount(&a, &b, 64), 64);
-        assert_eq!(xnor_popcount(&a, &b, 0), 0);
-    }
-
-    #[test]
-    fn xnor_identity_vs_xor() {
-        // popc(!(a^b)) over n bits == n - popc(a^b) when a^b has no bits
-        // outside the n valid bits.
-        let a = [0xDEAD_BEEF_0123_4567u64];
-        let b = [0x0F0F_F0F0_AAAA_5555u64];
-        let n = 64;
-        assert_eq!(xnor_popcount(&a, &b, n), n as u32 - xor_popcount(&a, &b));
     }
 }

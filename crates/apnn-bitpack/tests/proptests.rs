@@ -1,6 +1,5 @@
 //! Property-based tests for the bit-packing substrate.
 
-use apnn_bitpack::ballot::{pack_stream, unpack_stream};
 use apnn_bitpack::planes::combine_partials;
 use apnn_bitpack::word::{and_popcount, xor_popcount};
 use apnn_bitpack::{BitMatrix, BitPlanes, BitTensor4, Encoding, Layout, Tensor4};
@@ -93,16 +92,6 @@ proptest! {
         let hat_dot = w_hat.and_popcount_rows(0, &x, 0) as i32;
         let jx: i32 = x_vals.iter().sum();
         prop_assert_eq!(dot_ref, 2 * hat_dot - jx);
-    }
-
-    #[test]
-    fn ballot_stream_roundtrip(
-        codes in proptest::collection::vec(0u32..256, 1..300),
-        q in 1u32..=8,
-    ) {
-        let codes: Vec<u32> = codes.into_iter().map(|c| c % (1 << q)).collect();
-        let words = pack_stream(&codes, q);
-        prop_assert_eq!(unpack_stream(&words, q, codes.len()), codes);
     }
 
     #[test]

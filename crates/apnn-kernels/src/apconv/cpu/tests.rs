@@ -159,6 +159,9 @@ fn case1_unsigned_various_shapes() {
     check_against_reference(&ConvDesc::unsigned(1, 130, 4, 3, 3, 1, 1, 1, 3), 3);
     check_against_reference(&ConvDesc::unsigned(1, 4, 9, 2, 5, 2, 2, 2, 1), 4);
     check_against_reference(&ConvDesc::unsigned(1, 3, 6, 2, 1, 1, 0, 3, 3), 5);
+    // Stride 2 with no padding over a batch: every window in frame, and
+    // the last input row and column read by no window.
+    check_against_reference(&ConvDesc::unsigned(2, 6, 8, 3, 3, 2, 0, 2, 3), 6);
 }
 
 #[test]
@@ -184,6 +187,10 @@ fn case3_signed_weights_unsigned_activations() {
     let mut desc = ConvDesc::unsigned(2, 9, 5, 3, 3, 2, 1, 1, 4);
     desc.w_enc = Encoding::PlusMinusOne;
     check_against_reference(&desc, 10);
+    // An odd map: the 7-wide output row ends in a ragged pixel block.
+    let mut desc = ConvDesc::unsigned(1, 6, 7, 4, 3, 1, 1, 1, 2);
+    desc.w_enc = Encoding::PlusMinusOne;
+    check_against_reference(&desc, 12);
 }
 
 #[test]

@@ -15,8 +15,8 @@
 //!   [`padding`] for the three strategies (including the border-counter
 //!   correction for ±1 features).
 //!
-//! The fragment-aligned `K` above is what the simulator prices and
-//! [`im2row`] materializes. The functional CPU backend ([`cpu`]) reduces
+//! The fragment-aligned `K` above is what the simulator prices. The
+//! functional CPU backend ([`cpu`]) reduces
 //! over a denser one — [`ConvDesc::k_words`]: per kernel column, the `KH`
 //! taps' channel bits packed contiguously, and, where a column is under a
 //! word, the whole window's ([`ConvDesc::window_dense`]) — because its
@@ -32,7 +32,6 @@
 //! packed words (§5.2 + the §4.1(b) ballot).
 
 pub mod cpu;
-pub mod im2row;
 pub mod padding;
 pub mod simmap;
 pub mod tail;

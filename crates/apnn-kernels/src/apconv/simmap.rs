@@ -153,7 +153,7 @@ pub fn estimate_with_efficiency(
 ///
 /// This is the quantity the `halo_reuse` approximation in
 /// [`estimate_with_efficiency`] models as `2·stride²/(KH·KW)` of the naive
-/// im2row traffic; `tests` assert the approximation brackets the measured
+/// once-per-tap traffic; `tests` assert the approximation brackets the measured
 /// value. Exposed for model auditing.
 pub fn measured_input_amplification(desc: &ConvDesc, tile: &TileConfig) -> f64 {
     let g = desc.as_gemm();

@@ -1,6 +1,6 @@
 //! Packed convolution weights: the fragment-aligned implicit-GEMM row
-//! layout ([`ConvWeights::planes`] — the canonical packed form, what
-//! `im2row` and the simulator read), the per-tap popcount tables of the
+//! layout ([`ConvWeights::planes`] — the canonical packed form, what the
+//! simulator reads), the per-tap popcount tables of the
 //! input-aware padding, and the column- or window-dense lane panel the CPU
 //! kernel runs on ([`ConvWeights::lane_panel`]), built from the planes once
 //! per `prepare`.
@@ -12,8 +12,8 @@ use super::ConvDesc;
 /// Convolution weights decomposed into bit planes and packed so that row
 /// `c_out` of each plane is the implicit-GEMM K vector: `KH·KW` channel
 /// segments, each padded to the 128-bit fragment boundary (matching the
-/// NPHWC activation layout word for word — what `im2row` and the simulator
-/// read; the CPU kernel runs on [`ConvWeights::lane_panel`]).
+/// NPHWC activation layout word for word — what the simulator reads; the
+/// CPU kernel runs on [`ConvWeights::lane_panel`]).
 #[derive(Debug, Clone)]
 pub struct ConvWeights {
     planes: BitPlanes,

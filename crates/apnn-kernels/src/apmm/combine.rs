@@ -3,13 +3,14 @@
 //! After the tensor-core passes produce 32-bit partials, two memory
 //! bottlenecks remain: reducing `p·q` partial matrices into the final output
 //! (solved by the in-block shift-add — see `simmap`), and converting 32-bit
-//! values into `q`-bit packed codes for the next layer (solved here by the
-//! ballot-style inter-thread packing, emulated via `apnn_bitpack::ballot`).
-//! Both forms quantize through the chain's compiled [`Steps`] — the same
-//! thing the conv kernels are handed — so a hidden linear stage's codes are
-//! a bisection of its step table, not the f32 chain.
+//! values into `q`-bit packed codes for the next layer (solved here: each
+//! accumulator is quantized to its code in place and the codes are packed
+//! straight into the next layer's bit planes). Both forms quantize through
+//! the chain's compiled [`Steps`] — the same thing the conv kernels are
+//! handed — so a hidden linear stage's codes are a bisection of its step
+//! table, not the f32 chain.
 
-use apnn_bitpack::{ballot, BitPlanes, Encoding};
+use apnn_bitpack::{BitPlanes, Encoding};
 
 use crate::fusion::{Epilogue, Steps};
 
@@ -17,11 +18,9 @@ use crate::fusion::{Epilogue, Steps};
 /// the resulting codes **transposed** (rows = n, cols = m) so the packed
 /// planes can serve directly as the next layer's activation operand.
 ///
-/// The per-element quantization + per-warp ballot packing mirrors the GPU
-/// routine: each output element is quantized in a register, then 32 "lanes"
-/// at a time are packed into aligned words. The channel index passed to the
-/// epilogue is the output-feature index `i` (the row of `Y`). Panics if the
-/// chain is not provably monotone (it then has no [`Steps`]).
+/// The channel index passed to the epilogue is the output-feature index `i`
+/// (the row of `Y`). Panics if the chain is not provably monotone (it then
+/// has no [`Steps`]).
 pub fn quantize_pack_transposed(
     y: &[i32],
     m: usize,
@@ -67,32 +66,9 @@ pub fn quantize_pack_transposed_into(
     out.from_codes_into(codes, n, m, steps.bits(), Encoding::ZeroOne);
 }
 
-/// The warp-level packing route used on the GPU: quantize a stream of 32
-/// accumulators (one per lane) and ballot-pack them into `bits` words.
-/// Functionally equivalent to the element-wise path; exposed for tests that
-/// prove the equivalence and for the NN executor's traffic accounting.
-pub fn quantize_ballot_pack(
-    accs: &[i32; 32],
-    channel_of_lane: &[usize; 32],
-    epi: &Epilogue,
-    bits: u32,
-) -> Vec<u32> {
-    let codes: [u32; 32] =
-        std::array::from_fn(|lane| epi.apply_to_code(accs[lane], channel_of_lane[lane]));
-    ballot::pack_codes(&codes, bits)
-}
-
-/// Bytes of global traffic written per element at `bits` precision — the
-/// quantity the §5.1 minimal-traffic dataflow compares against the 4-byte
-/// i32 alternative (`32n` vs `qn` bits in the paper's intro example).
-pub fn packed_store_bytes(elements: usize, bits: u32) -> u64 {
-    ((elements as u64) * bits as u64).div_ceil(8)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apnn_bitpack::ballot::unpack_codes;
 
     #[test]
     fn pack_transposes_and_quantizes() {
@@ -106,25 +82,5 @@ mod tests {
         // Transposed: (j=0): [q(0), q(10)] = [0, 3(clamped from 5)],
         //             (j=1): [q(5), q(3)] = [2, 1].
         assert_eq!(codes, vec![0, 3, 2, 1]);
-    }
-
-    #[test]
-    fn ballot_route_matches_elementwise() {
-        let epi = Epilogue::quantize(1.5, -2.0, 3);
-        let accs: [i32; 32] = std::array::from_fn(|i| (i as i32) - 16);
-        let chans: [usize; 32] = [0; 32];
-        let words = quantize_ballot_pack(&accs, &chans, &epi, 3);
-        let codes = unpack_codes(&words);
-        for lane in 0..32 {
-            assert_eq!(codes[lane], epi.apply_to_code(accs[lane], 0));
-        }
-    }
-
-    #[test]
-    fn store_bytes_math() {
-        // The paper's dataflow example: n 2-bit activations cost 2n bits.
-        assert_eq!(packed_store_bytes(1000, 2), 250);
-        assert_eq!(packed_store_bytes(1000, 32), 4000);
-        assert_eq!(packed_store_bytes(3, 3), 2); // rounds up
     }
 }

@@ -452,7 +452,7 @@ mod tests {
     /// The selector is a pure closed form: no memo (every call is one
     /// selection, repeats included), no measurement, no mode.
     #[test]
-    fn select_micro_memoizes_and_respects_the_mode() {
+    fn select_micro_is_a_pure_closed_form_that_never_measures() {
         let s = crate::stats::scope();
         for n_cols in [0usize, 1, 2, 3, 5, 8, 16, 97, 4096] {
             let t = select_micro(n_cols);

@@ -97,21 +97,6 @@ pub fn ap_bit_mm(w: &BitPlanes, x: &BitPlanes) -> Vec<i32> {
     y
 }
 
-/// Scalar oracle for a single arbitrary-precision dot product — the
-/// "sequence of 1-bit scalar digits" identity of §3.1 applied directly.
-pub fn ap_scalar_dot(w_vals: &[i32], x_vals: &[i32]) -> i32 {
-    debug_assert_eq!(w_vals.len(), x_vals.len());
-    w_vals.iter().zip(x_vals).map(|(a, b)| a * b).sum()
-}
-
-/// Number of bmma instructions the template issues for an `m×n×k` problem at
-/// `p×q` bits — the §3.1 cost-analysis quantity (`p·q` passes over the
-/// fragment grid).
-pub fn bmma_count(m: usize, n: usize, k_padded: usize, p: u32, q: u32) -> u64 {
-    let frags = m.div_ceil(BMMA_M) as u64 * n.div_ceil(BMMA_N) as u64 * (k_padded / BMMA_K) as u64;
-    frags * p as u64 * q as u64
-}
-
 /// Degenerate-case helper used by tests: decode planes and multiply via the
 /// naive reference.
 pub fn decoded_reference(w: &BitPlanes, x: &BitPlanes) -> Vec<i32> {
@@ -211,22 +196,5 @@ mod tests {
         let x = BitPlanes::from_codes(&[3, 2, 1, 0], 1, 4, 2, Encoding::ZeroOne);
         // w·x = 1*3 + 1*2 + 0*1 + 1*0 = 5.
         assert_eq!(ap_bit_mm(&w, &x), vec![5]);
-    }
-
-    #[test]
-    fn bmma_count_formula() {
-        // 8×8×128 at 1×1 bits = exactly one bmma.
-        assert_eq!(bmma_count(8, 8, 128, 1, 1), 1);
-        // Scaling in every dimension.
-        assert_eq!(bmma_count(16, 8, 128, 1, 1), 2);
-        assert_eq!(bmma_count(8, 8, 256, 1, 1), 2);
-        assert_eq!(bmma_count(8, 8, 128, 2, 3), 6);
-        // Ragged shapes round up.
-        assert_eq!(bmma_count(9, 9, 128, 1, 1), 4);
-    }
-
-    #[test]
-    fn scalar_oracle() {
-        assert_eq!(ap_scalar_dot(&[1, -1, 2], &[3, 4, 5]), 3 - 4 + 10);
     }
 }

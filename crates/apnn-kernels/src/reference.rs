@@ -79,11 +79,6 @@ pub fn conv2d_i32(
     out
 }
 
-/// Output spatial size of a convolution.
-pub fn conv_out_dim(in_dim: usize, kernel: usize, stride: usize, pad: usize) -> usize {
-    (in_dim + 2 * pad - kernel) / stride + 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,12 +128,5 @@ mod tests {
         let weights = vec![1i32]; // 1x1
         let out = conv2d_i32(&input, &weights, 1, 4, 4, 1, 1, 1, 1, 2, 0);
         assert_eq!(out, vec![0, 2, 8, 10]);
-    }
-
-    #[test]
-    fn out_dim_math() {
-        assert_eq!(conv_out_dim(224, 3, 1, 1), 224);
-        assert_eq!(conv_out_dim(224, 11, 4, 2), 55); // AlexNet conv1
-        assert_eq!(conv_out_dim(16, 3, 1, 1), 16);
     }
 }

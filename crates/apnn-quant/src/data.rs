@@ -107,14 +107,6 @@ impl SyntheticDataset {
             self.train_y[i],
         )
     }
-
-    /// One test sample.
-    pub fn test_sample(&self, i: usize) -> (&[f32], usize) {
-        (
-            &self.test_x[i * self.dim..(i + 1) * self.dim],
-            self.test_y[i],
-        )
-    }
 }
 
 #[cfg(test)]
@@ -137,8 +129,9 @@ mod tests {
         assert_eq!(d.train_len(), 100);
         assert_eq!(d.test_len(), 50);
         assert_eq!(d.train_x.len(), 100 * 32);
+        assert_eq!(d.test_x.len(), 50 * 32);
         assert!(d.train_x.iter().all(|&v| (0.0..=1.0).contains(&v)));
-        let (x, y) = d.test_sample(49);
+        let (x, y) = d.train_sample(99);
         assert_eq!(x.len(), 32);
         assert!(y < 5);
     }

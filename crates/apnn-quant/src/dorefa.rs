@@ -34,15 +34,6 @@ pub fn quantize_weights(weights: &[f32], bits: u32) -> Vec<f32> {
         .collect()
 }
 
-/// DoReFa activation quantization: clip to `[0, 1]` then `q_k` — returns the
-/// fake-quantized value and the integer code.
-#[inline]
-pub fn quantize_activation(x: f32, bits: u32) -> (f32, u32) {
-    let levels = ((1u32 << bits) - 1) as f32;
-    let code = (x.clamp(0.0, 1.0) * levels).round() as u32;
-    (code as f32 / levels, code)
-}
-
 /// Symmetric activation quantization over `[−1, 1]` (hard-tanh range): the
 /// `2^k` levels are `−1 + 2·code/(2^k−1)`. For `k = 1` this is exactly the
 /// BNN sign activation `{−1, +1}` — so the Table 1 "Binary" column is the
@@ -90,19 +81,6 @@ mod tests {
     }
 
     #[test]
-    fn activation_codes_roundtrip() {
-        for bits in [1u32, 2, 4] {
-            let levels = ((1u32 << bits) - 1) as f32;
-            for i in 0..=10 {
-                let x = i as f32 / 10.0;
-                let (fake, code) = quantize_activation(x, bits);
-                assert!((fake - code as f32 / levels).abs() < 1e-6);
-                assert!(code <= levels as u32);
-            }
-        }
-    }
-
-    #[test]
     fn symmetric_one_bit_is_sign() {
         assert_eq!(quantize_symmetric(0.7, 1), (1.0, 1));
         assert_eq!(quantize_symmetric(-0.7, 1), (-1.0, 0));
@@ -138,7 +116,7 @@ mod tests {
         let xs: Vec<f32> = (0..100).map(|i| i as f32 / 99.0).collect();
         let err = |bits| {
             xs.iter()
-                .map(|&x| (quantize_activation(x, bits).0 - x).abs())
+                .map(|&x| (quantize_unit(x, bits) - x).abs())
                 .sum::<f32>()
         };
         assert!(err(2) < err(1));

@@ -186,7 +186,8 @@ impl QueuePolicy {
 /// Cloneable; every clone resolves to the same slot. A ticket resolves
 /// exactly once, to one of: the request's logits, [`ServeError::Shed`],
 /// [`ServeError::Expired`], [`ServeError::Cancelled`], or
-/// [`ServeError::ExecutionFailed`].
+/// [`ServeError::Poisoned`] (its batch panicked and bisection convicted
+/// it alone).
 #[derive(Clone)]
 pub struct Ticket {
     inner: Arc<TicketInner>,

@@ -85,9 +85,6 @@ pub enum ServeError {
     BadInput(String),
     /// The server is shutting down; the request was not queued.
     ShuttingDown,
-    /// The worker executing this request's batch panicked; the request
-    /// was consumed but produced no logits.
-    ExecutionFailed(String),
     /// The model exists but has no such registered version.
     UnknownVersion {
         /// Model name.
@@ -141,7 +138,6 @@ impl std::fmt::Display for ServeError {
             ServeError::NotServable(why) => write!(f, "plan is not servable: {why}"),
             ServeError::BadInput(why) => write!(f, "bad request input: {why}"),
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
-            ServeError::ExecutionFailed(why) => write!(f, "batch execution failed: {why}"),
             ServeError::UnknownVersion { model, version } => {
                 write!(f, "model `{model}` has no registered version {version}")
             }

@@ -821,7 +821,7 @@ mod tests {
         // The fill histogram accounts for every request exactly once.
         let total: u64 = stats.batch_fill.iter().map(|&(f, c)| f as u64 * c).sum();
         assert_eq!(total, 6);
-        // The compat shim lands everything on the default tenant.
+        // Unlabelled requests land on `DEFAULT_TENANT`.
         let t = stats.tenant(crate::DEFAULT_TENANT).unwrap();
         assert_eq!(t.submitted, 6);
         assert_eq!(t.completed, 6);

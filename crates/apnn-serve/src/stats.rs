@@ -147,9 +147,11 @@ pub struct ServeStats {
     pub completed: u64,
     /// Requests refused at submit time (shutdown).
     pub rejected: u64,
-    /// Requests consumed by a batch whose execution panicked
-    /// ([`crate::ServeError::ExecutionFailed`] delivered instead of
-    /// logits).
+    /// Requests that failed without a typed outcome. Always 0: a panicking
+    /// batch is bisected, so its culprits resolve as
+    /// [`crate::ServeError::Poisoned`] (counted in `poisoned`) and its
+    /// batch-mates complete. Kept as the zero-failure witness:
+    /// `tests/serve_chaos.rs` asserts it and the benchmark reports it.
     pub failed: u64,
     /// Requests shed by the admission policy
     /// ([`crate::ServeError::Shed`]); counted across every tenant.

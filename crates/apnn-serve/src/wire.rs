@@ -548,10 +548,6 @@ pub fn encode_response(id: u64, result: &Result<Vec<i32>, ServeError>) -> Vec<u8
                 w.str(why);
             }
             ServeError::ShuttingDown => w.u8(4),
-            ServeError::ExecutionFailed(why) => {
-                w.u8(5);
-                w.str(why);
-            }
             ServeError::UnknownVersion { model, version } => {
                 w.u8(6);
                 w.str(model);
@@ -614,7 +610,6 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Result<Vec<i32>, ServeErr
         2 => Err(ServeError::NotServable(r.str("reason")?)),
         3 => Err(ServeError::BadInput(r.str("reason")?)),
         4 => Err(ServeError::ShuttingDown),
-        5 => Err(ServeError::ExecutionFailed(r.str("reason")?)),
         6 => Err(ServeError::UnknownVersion {
             model: r.str("model")?,
             version: r.u32("version")?,
@@ -1013,14 +1008,6 @@ impl Default for WireTimeouts {
 }
 
 impl WireTimeouts {
-    /// No deadlines: block indefinitely (the pre-timeout behaviour).
-    pub fn unbounded() -> WireTimeouts {
-        WireTimeouts {
-            read: None,
-            write: None,
-        }
-    }
-
     /// The same deadline for reads and writes.
     pub fn both(d: Duration) -> WireTimeouts {
         WireTimeouts {
@@ -1336,7 +1323,6 @@ mod tests {
             Err(ServeError::NotServable("why".into())),
             Err(ServeError::BadInput("why".into())),
             Err(ServeError::ShuttingDown),
-            Err(ServeError::ExecutionFailed("why".into())),
             Err(ServeError::UnknownVersion {
                 model: "M".into(),
                 version: 9,
@@ -1412,6 +1398,17 @@ mod tests {
                 context: "spec kind"
             }
         ));
+        // Unassigned response statuses: type(1) + id(8) = offset 9.
+        let mut bad = encode_response(1, &Err(ServeError::ShuttingDown));
+        for status in [5, 12] {
+            bad[9] = status;
+            assert_eq!(
+                decode_response(&bad).unwrap_err(),
+                WireError::BadValue {
+                    context: "response status"
+                }
+            );
+        }
         // Trailing garbage.
         let mut long = encode_request(1, &sample_request());
         long.extend_from_slice(&[0, 0, 0]);

@@ -65,13 +65,6 @@ pub struct CostBreakdown {
     pub hide_efficiency: f64,
 }
 
-impl CostBreakdown {
-    /// The pipeline (non-overhead) portion of the latency.
-    pub fn pipeline_s(&self) -> f64 {
-        self.total_s - self.overhead_s
-    }
-}
-
 /// Price a kernel from its aggregate counters.
 ///
 /// `grid` blocks are assumed statistically uniform (standard for tiled GEMM /

@@ -17,8 +17,8 @@
 //! * [`nn`] — the layer/network framework with minimal-traffic dataflow and
 //!   semantic-aware kernel fusion, plus the AlexNet / VGG-Variant /
 //!   ResNet-18 model zoo.
-//! * [`quant`] — quantization algorithms (affine, LQ-Nets QEM, DoReFa) and
-//!   quantization-aware training on synthetic data.
+//! * [`quant`] — DoReFa quantizers and quantization-aware training on
+//!   synthetic data, exported onto the packed engine.
 //! * [`serve`] — the dynamic-batching multi-model inference server over
 //!   compiled plans (request coalescing, plan cache, per-tenant weighted
 //!   fair queueing with deadlines and load shedding, blue-green plan
