@@ -70,9 +70,10 @@ fn kernels() -> String {
 }
 
 /// Run the precision autotuner for ResNet18-Tiny (per-segment `(w, a)`
-/// search against the measured microkernel cost oracle and the QAT
-/// accuracy harness), write `BENCH_precision.json`, return the Pareto
-/// table.
+/// search pricing each candidate by the plane-pair words one 8-image batch
+/// streams through the popcount kernel, against the QAT accuracy
+/// harness), write `BENCH_precision.json`, return the Pareto table. Both
+/// axes are deterministic: every run writes the same bytes.
 fn precision() -> String {
     let points = precision::precision_bench(8);
     let rows: Vec<Row> = points.iter().map(precision::PrecisionPoint::row).collect();

@@ -18,19 +18,6 @@ pub mod workloads;
 
 use std::fmt::Write as _;
 
-/// Serializes the tests that either *measure* time (the precision cost
-/// oracle's per-word probes, which are memoized process-wide) or *saturate*
-/// the CPU (the chaos A/B pair, which spins up multi-worker servers).
-/// Cargo runs unit tests of one binary in parallel, so without this lock a
-/// chaos run can starve a timing probe on a small runner and poison its
-/// memoized rate. Lock-poisoning is ignored: a panicked holder only means a
-/// failed test, not corrupt data.
-#[cfg(test)]
-pub(crate) fn timing_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Render a labeled series table: one row per label, one column per x.
 pub fn format_series(title: &str, xs: &[usize], rows: &[(String, Vec<f64>)], unit: &str) -> String {
     let mut out = String::new();

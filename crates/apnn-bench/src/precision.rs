@@ -1,9 +1,10 @@
 //! The compile-time **precision autotuner**: search per-layer `(w, a)` bit
-//! assignments for a zoo model against (1) a *measured* microkernel cost
-//! oracle ([`apnn_kernels::stage_cost`], memoized single-tile
-//! microbenchmarks of the tile `select_micro` binds at compile time) and (2) the
-//! `apnn-quant` QAT accuracy harness ([`apnn_quant::schedule_accuracy`]),
-//! and emit the latency/accuracy **Pareto front** as `BENCH_precision.json`.
+//! assignments for a zoo model against (1) a closed-form cost — the
+//! plane-pair 64-bit words the popcount kernel streams per batch
+//! ([`schedule_words`]) — and (2) the `apnn-quant` QAT accuracy harness
+//! ([`apnn_quant::schedule_accuracy`]), and emit the cost/accuracy
+//! **Pareto front** as `BENCH_precision.json`. Both axes are deterministic,
+//! so the artifact is a pure function of the code.
 //!
 //! The search space is *segmented*, not free per layer: ResNet18-Tiny's 21
 //! main layers are grouped into 5 contiguous segments (one per residual
@@ -15,17 +16,16 @@
 //! (`apnn_nn::identity_join_groups`), and every join group of the zoo
 //! models falls inside a single segment (asserted, not assumed).
 //!
-//! Candidates are ranked on the *estimated* cost (the oracle); the Pareto
-//! survivors plus the uniform w1a2/w2a2 reference schedules are emitted
-//! with that estimate and the harness accuracy. The artifact carries no
-//! timed column: end-to-end throughput for these schedules is measured at
-//! a stated operating point by `bench/`'s `nn.images_per_s.resnet18_tiny.*`.
+//! Candidates are ranked on the word count; the Pareto survivors plus the
+//! uniform w1a2/w2a2 reference schedules are emitted with that count and
+//! the harness accuracy. The count covers the K passes only (not the
+//! strip, the fused tail or the joins) and the artifact carries no timed
+//! column: end-to-end throughput for these schedules is measured at a
+//! stated operating point by `bench/`'s `nn.images_per_s.resnet18_tiny.*`.
 
 use std::fmt::Write as _;
 
-use apnn_bitpack::PopcntArm;
-use apnn_kernels::autotune::select_micro;
-use apnn_kernels::{stage_cost, ConvDesc, EmulationCase, StageShape};
+use apnn_kernels::ConvDesc;
 use apnn_nn::models::resnet18_tiny;
 use apnn_nn::{
     identity_join_groups, LayerPrecision, LayerSpec, Network, PrecisionSchedule, ShapeCursor,
@@ -35,8 +35,8 @@ use apnn_quant::{schedule_accuracy, SyntheticDataset};
 use crate::schema::{self, Row};
 
 /// Per-main-layer GEMM geometry in the packed domain, extracted once from
-/// the network description — everything the cost oracle needs to turn a
-/// per-word microkernel rate into a per-layer estimate.
+/// the network description — everything [`layer_words`] needs to count a
+/// layer's popcount work.
 #[derive(Debug, Clone, Copy)]
 pub struct MainGeom {
     /// Output positions per image (`oh·ow` for convs, 1 for linears) —
@@ -45,32 +45,16 @@ pub struct MainGeom {
     /// Output channels / features — the weight rows the kernel spreads
     /// over its lanes.
     pub cols: usize,
-    /// Whether the layer is a convolution: a conv blocks the microkernel
-    /// over the `out_w` pixels of an output row, a linear layer over the
-    /// batch ([`MainGeom::n_cols`]).
+    /// Whether the layer is a convolution.
     pub conv: bool,
-    /// Output row width in pixels (1 for linears).
-    pub out_w: usize,
     /// Packed reduction length in 64-bit words — for convs
     /// [`ConvDesc::k_words`], the same column-dense word count the compiled
-    /// plan's weight panel and tile selection use.
+    /// plan's weight panel uses.
     pub k_words: usize,
     /// `main_index` of the layer whose output activations this layer
     /// consumes (`None` for the first main layer, which reads the 8-bit
     /// quantized input; skip projections point at the branch producer).
     pub producer: Option<usize>,
-}
-
-impl MainGeom {
-    /// The dynamic rows one K pass can block over at `batch` — the `n_cols`
-    /// the compiled plan keys its tile selection with.
-    pub fn n_cols(&self, batch: usize) -> usize {
-        if self.conv {
-            self.out_w
-        } else {
-            batch
-        }
-    }
 }
 
 /// Walk the network and extract [`MainGeom`] for every main layer, in
@@ -84,8 +68,8 @@ pub fn main_geometry(net: &Network) -> Vec<MainGeom> {
     let mut last_main: Option<usize> = None;
     let mut branch: Option<(ShapeCursor, Option<usize>)> = None;
     // A conv's geometry through the kernels' own descriptor (precision
-    // fields are irrelevant to it), so the oracle and the plan cannot
-    // disagree about output width or K.
+    // fields are irrelevant to it), so the count and the plan cannot
+    // disagree about output size or K.
     let conv_geom = |src: ShapeCursor, cout, k, stride, pad, producer| {
         let ShapeCursor::Map { c, h, w } = src else {
             return None;
@@ -96,7 +80,6 @@ pub fn main_geometry(net: &Network) -> Vec<MainGeom> {
             rows: desc.out_h() * desc.out_w(),
             cols: cout,
             conv: true,
-            out_w: desc.out_w(),
             k_words: desc.k_words(),
             producer,
         })
@@ -118,7 +101,6 @@ pub fn main_geometry(net: &Network) -> Vec<MainGeom> {
                     rows: 1,
                     cols: *out_features,
                     conv: false,
-                    out_w: 1,
                     k_words: features.div_ceil(64),
                     producer: last_main,
                 })
@@ -201,38 +183,15 @@ pub fn schedule_from_segments(
     PrecisionSchedule::new(layers)
 }
 
-/// The cost oracle: estimated forward-pass milliseconds for one batch
-/// under `schedule`, from *measured* per-shape microkernel rates.
-///
-/// Per main layer, the streamed popcount work is [`layer_words`]
-/// plane-pair words, and [`apnn_kernels::stage_cost`] prices one word on
-/// this machine for the layer's emulation case, the detected popcount arm,
-/// and the tile `select_micro` picks at compile time for the same
-/// `n_cols` — so the estimate ranks schedules with the same numbers the
-/// compiled plans run on. 1-bit weights run the
-/// ±1-transformed AND case, multi-bit the unsigned one.
-pub fn estimate_cost_ms(geoms: &[MainGeom], schedule: &PrecisionSchedule, batch: usize) -> f64 {
+/// The autotuner's cost: plane-pair 64-bit words the popcount kernel
+/// streams for one `batch`-image batch under `schedule`, summed over the
+/// main layers ([`layer_words`]). Pure integer arithmetic — the same on
+/// every machine and every run.
+pub fn schedule_words(geoms: &[MainGeom], schedule: &PrecisionSchedule, batch: usize) -> u64 {
     assert_eq!(geoms.len(), schedule.len());
-    let arm = PopcntArm::detect();
-    let mut total_ns = 0.0f64;
-    for (i, g) in geoms.iter().enumerate() {
-        let (pa, pb) = plane_counts(geoms, schedule, i);
-        let case = if pa == 1 {
-            EmulationCase::AndWeightTransformed
-        } else {
-            EmulationCase::AndUnsigned
-        };
-        let n_cols = g.n_cols(batch);
-        let tile = select_micro(n_cols);
-        let shape = StageShape {
-            n_cols,
-            k_words: g.k_words,
-            pa,
-            pb,
-        };
-        total_ns += stage_cost(shape, case, arm, tile) * layer_words(geoms, schedule, i, batch);
-    }
-    total_ns / 1e6
+    (0..geoms.len())
+        .map(|i| layer_words(geoms, schedule, i, batch))
+        .sum()
 }
 
 /// Layer `i`'s `(pa, pb)` under `schedule`: its weight bits (the static,
@@ -248,22 +207,21 @@ fn plane_counts(geoms: &[MainGeom], schedule: &PrecisionSchedule, i: usize) -> (
 
 /// The plane-pair 64-bit words layer `i` streams through the popcount
 /// kernel for one batch under `schedule`:
-/// `rows·batch × cols × pa × pb × k_words` — the deterministic factor of
-/// the cost oracle.
+/// `rows·batch × cols × pa × pb × k_words`.
 pub fn layer_words(
     geoms: &[MainGeom],
     schedule: &PrecisionSchedule,
     i: usize,
     batch: usize,
-) -> f64 {
+) -> u64 {
     let (g, (pa, pb)) = (&geoms[i], plane_counts(geoms, schedule, i));
-    (g.rows * batch) as f64 * g.cols as f64 * pa as f64 * pb as f64 * g.k_words as f64
+    (g.rows * batch * g.cols * g.k_words) as u64 * u64::from(pa * pb)
 }
 
 /// Indices of the Pareto-optimal points over `(cost, accuracy)`: a point
 /// survives iff no other point is at most as costly *and* at least as
 /// accurate with one of the two strict. Ties keep the first occurrence.
-pub fn pareto_front(points: &[(f64, f32)]) -> Vec<usize> {
+pub fn pareto_front(points: &[(u64, f32)]) -> Vec<usize> {
     (0..points.len())
         .filter(|&i| {
             let (ci, ai) = points[i];
@@ -287,11 +245,12 @@ pub struct PrecisionPoint {
     pub scheme: String,
     /// Per-segment assignment, e.g. `"w1a2,w1a2,w1a3,w1a3,w1a2"`.
     pub segments: String,
-    /// Cost-oracle estimate for one compiled batch (ms).
-    pub est_cost_ms: f64,
+    /// Plane-pair 64-bit words one batch streams through the popcount
+    /// kernel ([`schedule_words`]; `repro precision` prices 8 images).
+    pub pair_words: u64,
     /// QAT proxy-harness accuracy ([`apnn_quant::schedule_accuracy`]).
     pub accuracy: f32,
-    /// 1 when the point is on the estimated latency/accuracy Pareto front
+    /// 1 when the point is on the word-count/accuracy Pareto front
     /// of the emitted set, 0 for dominated reference rows.
     pub pareto: bool,
 }
@@ -303,7 +262,7 @@ impl PrecisionPoint {
             self.model.as_str().into(),
             self.scheme.as_str().into(),
             self.segments.as_str().into(),
-            self.est_cost_ms.into(),
+            self.pair_words.into(),
             self.accuracy.into(),
             u32::from(self.pareto).into(),
         ])
@@ -355,15 +314,13 @@ pub fn candidate_space() -> Vec<Vec<(u32, u32)>> {
     cands
 }
 
-/// A candidate scored on the two cheap ranking axes: its per-segment
-/// `(w, a)` assignment, the cost-oracle estimate (ms) and the harness
-/// accuracy.
-type ScoredCandidate = (Vec<(u32, u32)>, f64, f32);
+/// A candidate scored on the two ranking axes: its per-segment `(w, a)`
+/// assignment, its word count and the harness accuracy.
+type ScoredCandidate = (Vec<(u32, u32)>, u64, f32);
 
 /// Run the precision autotuner for ResNet18-Tiny, pricing each candidate
 /// for one `batch`-image batch, and return the emitted operating points:
-/// both uniform references (w1a2, w2a2) plus every estimated-Pareto
-/// candidate.
+/// both uniform references (w1a2, w2a2) plus every Pareto candidate.
 pub fn precision_bench(batch: usize) -> Vec<PrecisionPoint> {
     let net = resnet18_tiny();
     let geoms = main_geometry(&net);
@@ -374,13 +331,13 @@ pub fn precision_bench(batch: usize) -> Vec<PrecisionPoint> {
         "segment boundaries must not straddle an identity-join group"
     );
 
-    // Score the whole candidate space on the two cheap axes.
+    // Score the whole candidate space on both axes.
     let cands = candidate_space();
     let scored: Vec<ScoredCandidate> = cands
         .into_iter()
         .map(|seg_bits| {
             let schedule = schedule_from_segments(&ranges, &seg_bits, n);
-            let cost = estimate_cost_ms(&geoms, &schedule, batch);
+            let cost = schedule_words(&geoms, &schedule, batch);
             let acc = segment_accuracy(&seg_bits);
             (seg_bits, cost, acc)
         })
@@ -397,7 +354,7 @@ pub fn precision_bench(batch: usize) -> Vec<PrecisionPoint> {
             chosen.push(s.clone());
         } else {
             let schedule = schedule_from_segments(&ranges, &u, n);
-            let cost = estimate_cost_ms(&geoms, &schedule, batch);
+            let cost = schedule_words(&geoms, &schedule, batch);
             let acc = segment_accuracy(&u);
             chosen.push((u, cost, acc));
         }
@@ -417,7 +374,7 @@ pub fn precision_bench(batch: usize) -> Vec<PrecisionPoint> {
             model: net.name.clone(),
             scheme: schedule_from_segments(&ranges, seg_bits, n).label(),
             segments: seg_label(seg_bits),
-            est_cost_ms: *cost,
+            pair_words: *cost,
             accuracy: *acc,
             pareto: flags.contains(&i),
         })
@@ -427,20 +384,19 @@ pub fn precision_bench(batch: usize) -> Vec<PrecisionPoint> {
 /// Render the autotuner output as a human table (printed by
 /// `repro precision`).
 pub fn precision_report(points: &[PrecisionPoint]) -> String {
-    let mut out =
-        String::from("## Precision autotuner: estimated-Pareto schedules vs. uniform references\n");
+    let mut out = String::from("## Precision autotuner: Pareto schedules vs. uniform references\n");
     let _ = writeln!(
         out,
         "{:<16}{:<34}{:>12}{:>10}{:>8}",
-        "model", "segments", "est ms", "acc", "pareto"
+        "model", "segments", "pair words", "acc", "pareto"
     );
     for p in points {
         let _ = writeln!(
             out,
-            "{:<16}{:<34}{:>12.3}{:>10.4}{:>8}",
+            "{:<16}{:<34}{:>12}{:>10.4}{:>8}",
             p.model,
             p.segments,
-            p.est_cost_ms,
+            p.pair_words,
             p.accuracy,
             if p.pareto { "yes" } else { "" }
         );
@@ -489,7 +445,7 @@ mod tests {
     fn pareto_front_keeps_only_undominated() {
         // (cost, acc): a dominates b; c trades cost for accuracy; d is a
         // duplicate of a and must not resurface.
-        let pts = [(1.0, 0.60), (2.0, 0.55), (3.0, 0.70), (1.0, 0.60)];
+        let pts = [(1, 0.60), (2, 0.55), (3, 0.70), (1, 0.60)];
         assert_eq!(pareto_front(&pts), vec![0, 2]);
         assert_eq!(pareto_front(&[]), Vec::<usize>::new());
     }
@@ -499,13 +455,9 @@ mod tests {
         let net = resnet18_tiny();
         let geoms = main_geometry(&net);
         let n = geoms.len();
-        // The oracle is rate × words, and the per-word rate is the same
-        // three vector instructions at every precision, so what orders
-        // uniform schemes is the word count — compared exactly (an ordering
-        // of wall-clock probes would flake on a loaded machine). Every body
-        // layer's plane-pair work scales with w·a: 2 < 3 < 4 pairs; the
-        // first main keeps its 8-bit input.
-        let words = |w, a| -> Vec<f64> {
+        // Every body layer's plane-pair work scales with w·a: 2 < 3 < 4
+        // pairs; the first main keeps its 8-bit input.
+        let words = |w, a| -> Vec<u64> {
             let schedule = PrecisionSchedule::uniform(w, a, n);
             (0..n)
                 .map(|i| layer_words(&geoms, &schedule, i, 1))
@@ -527,25 +479,25 @@ mod tests {
             "{ks:?}"
         );
         assert_eq!(w1a3[0], w1a2[0]);
-        assert_eq!(w2a2[0], 2.0 * w1a2[0]);
+        assert_eq!(w2a2[0], 2 * w1a2[0]);
         for i in 1..n {
-            assert!(w1a2[i] > 0.0);
-            assert_eq!(2.0 * w1a3[i], 3.0 * w1a2[i], "layer {i}");
-            assert_eq!(w2a2[i], 2.0 * w1a2[i], "layer {i}");
+            assert!(w1a2[i] > 0);
+            assert_eq!(2 * w1a3[i], 3 * w1a2[i], "layer {i}");
+            assert_eq!(w2a2[i], 2 * w1a2[i], "layer {i}");
         }
-        // The timed half: every estimate is a finite positive price. The
-        // probes are memoized process-wide, so keep the CPU-saturating load
-        // sweeps out of this window.
-        let _serialize = crate::timing_test_lock();
-        let costs = [(1, 2), (1, 3), (2, 2)]
-            .map(|(w, a)| estimate_cost_ms(&geoms, &PrecisionSchedule::uniform(w, a, n), 1));
-        assert!(costs.iter().all(|c| c.is_finite() && *c > 0.0), "{costs:?}");
+        // The emitted uniform rows order the same way: w1a2 < the a3 body
+        // (classifier pinned at w1a2) < w2a2.
+        let ranges = segment_ranges(n);
+        let cost = |seg| schedule_words(&geoms, &schedule_from_segments(&ranges, seg, n), 8);
+        let a3_body = [(1, 3), (1, 3), (1, 3), (1, 3), (1, 2)];
+        assert!(cost(&[(1, 2); SEGMENTS]) < cost(&a3_body));
+        assert!(cost(&a3_body) < cost(&[(2, 2); SEGMENTS]));
     }
 
     #[test]
     fn oracle_geometry_matches_every_compiled_zoo_conv() {
-        // The oracle must price — and key its tile/cost memos with — exactly
-        // the K and block width the compiled plan runs.
+        // The count must use exactly the K and output size the compiled
+        // plan runs.
         use apnn_nn::compile::MainKernel;
         use apnn_nn::models::{alexnet_tiny, vgg_variant_tiny};
         use apnn_nn::CompileOptions;
@@ -585,10 +537,9 @@ mod tests {
                     assert_eq!(g.k_words, stem_words, "{at}");
                 }
                 assert_eq!(
-                    (g.k_words, g.out_w, g.rows, g.cols),
+                    (g.k_words, g.rows, g.cols),
                     (
                         prepared.weights().words_per_row(),
-                        desc.out_w(),
                         desc.out_h() * desc.out_w(),
                         desc.cout
                     ),
@@ -607,7 +558,7 @@ mod tests {
                 model: "ResNet18-Tiny".into(),
                 scheme: "APNN-w1a2".into(),
                 segments: "w1a2,w1a2,w1a2,w1a2,w1a2".into(),
-                est_cost_ms: 1.234,
+                pair_words: 1_234_567,
                 accuracy: 0.661,
                 pareto: true,
             },
@@ -615,7 +566,7 @@ mod tests {
                 model: "ResNet18-Tiny".into(),
                 scheme: "APNN-mixed-w1a2x15-w1a3x5-w1a2x1".into(),
                 segments: "w1a2,w1a2,w1a2,w1a3,w1a2".into(),
-                est_cost_ms: 1.5,
+                pair_words: 1_500_000,
                 accuracy: 0.678,
                 pareto: false,
             },
@@ -625,7 +576,7 @@ mod tests {
         assert!(json.contains("\"precision\": ["));
         assert!(json.contains("\"scheme\": \"APNN-w1a2\""));
         assert!(json.contains("\"segments\": \"w1a2,w1a2,w1a2,w1a3,w1a2\""));
-        assert!(json.contains("\"est_cost_ms\": 1.234"));
+        assert!(json.contains("\"pair_words\": 1234567,"));
         assert!(json.contains("\"accuracy\": 0.6610"));
         assert!(json.contains("\"pareto\": 1}"));
         assert!(json.contains("\"pareto\": 0}"));

@@ -252,7 +252,6 @@ mod tests {
 
     #[test]
     fn chaos_sweep_pairs_a_faulted_run_and_its_fault_free_twin() {
-        let _serialize = crate::timing_test_lock();
         let points = chaos_sweep(48);
         assert_eq!(points.len(), 2, "one baseline row, one faulted row");
         for p in &points {

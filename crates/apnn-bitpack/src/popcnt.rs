@@ -29,7 +29,7 @@
 //! ([`Finish`], `Lanes::finish`): it is affine in the counts, so its
 //! offsets fold over the plane pairs ahead of time. What reaches memory is
 //! the finished sum, stored once: [`finish_lanes`] is the single entry
-//! point APMM, APConv and the cost probe share.
+//! point APMM and APConv share.
 //!
 //! The kernel is **one generic body** (`finish_streams`) over one stream
 //! addressing, instantiated once per [`PopcntArm`] under that arm's

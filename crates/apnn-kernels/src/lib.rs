@@ -39,10 +39,7 @@ pub mod stats;
 
 pub use apconv::{ApConv, ConvDesc, PreparedConv};
 pub use apmm::{Apmm, ApmmDesc, PreparedApmm, TileConfig};
-pub use autotune::{
-    autotune, compute_intensity, stage_cost, thread_level_parallelism, MicroTile, StageShape,
-    MICRO_MEMO_CAP,
-};
+pub use autotune::{autotune, compute_intensity, thread_level_parallelism, MicroTile};
 pub use emulate::ap_bit_mm;
 pub use fusion::{Epilogue, EpilogueOp};
 pub use select::{plan, EmulationCase, EmulationPlan};

@@ -7,8 +7,7 @@
 //! primitive, operands are laid out in the fragment's shape (§4.2), and the
 //! §3.2 correction and the shift-add bit combination run on the fragment
 //! before its one store (§4.1(b)). [`apnn_bitpack::popcnt::finish_lanes`]
-//! is the CPU form of that, and the single entry APMM, APConv and the
-//! [`crate::autotune::stage_cost`] probe call:
+//! is the CPU form of that, and the single entry APMM and APConv call:
 //!
 //! * the **static** operand (the weights, in APMM and APConv alike) is an
 //!   [`apnn_bitpack::LanePanel`] — eight rows interleaved word by word, so

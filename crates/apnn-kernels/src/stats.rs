@@ -30,15 +30,12 @@ static WEIGHT_PREPARES: AtomicU64 = AtomicU64::new(0);
 static ROW_SUM_BUILDS: AtomicU64 = AtomicU64::new(0);
 static WORKSPACE_CREATES: AtomicU64 = AtomicU64::new(0);
 static MICRO_TUNES: AtomicU64 = AtomicU64::new(0);
-static MICRO_BENCHES: AtomicU64 = AtomicU64::new(0);
-static MICRO_MEMO_RESIDENT: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static TL_AUTOTUNE: Cell<u64> = const { Cell::new(0) };
     static TL_PREPARES: Cell<u64> = const { Cell::new(0) };
     static TL_ROW_SUMS: Cell<u64> = const { Cell::new(0) };
     static TL_MICRO_TUNES: Cell<u64> = const { Cell::new(0) };
-    static TL_MICRO_BENCHES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Total [`crate::autotune::autotune`] invocations in this process.
@@ -69,25 +66,13 @@ pub fn micro_tunes() -> u64 {
     MICRO_TUNES.load(Ordering::Relaxed)
 }
 
-/// Total microkernel **measurements** in this process: timed
-/// single-candidate probes run by [`crate::autotune::stage_cost`] (the
-/// precision autotuner's cost oracle) on a memo miss. Tile selection is a
-/// closed form and never measures, so compiling and serving plans leave
-/// this at 0.
+/// Microkernel **measurements** in this process: always 0. Tile
+/// selection is a closed form and the precision autotuner prices schedules
+/// by counting words, so nothing in the workspace times a kernel to decide
+/// anything. Kept as a constant because the `bench/` harness reports it
+/// as `kernels.{setup,hot}.micro_benches`.
 pub fn micro_benches() -> u64 {
-    MICRO_BENCHES.load(Ordering::Relaxed)
-}
-
-/// Entries currently resident in the process-global
-/// [`crate::autotune::stage_cost`] probe memo. A gauge, not a counter: the
-/// map is bounded at [`crate::autotune::MICRO_MEMO_CAP`] entries with FIFO
-/// eviction.
-pub fn micro_memo_resident() -> u64 {
-    MICRO_MEMO_RESIDENT.load(Ordering::Relaxed)
-}
-
-pub(crate) fn set_micro_memo_resident(n: u64) {
-    MICRO_MEMO_RESIDENT.store(n, Ordering::Relaxed);
+    0
 }
 
 /// Total execution-workspace constructions in this process (see
@@ -108,7 +93,6 @@ pub fn scope() -> StatsScope {
         prepares0: TL_PREPARES.get(),
         row_sums0: TL_ROW_SUMS.get(),
         micro0: TL_MICRO_TUNES.get(),
-        bench0: TL_MICRO_BENCHES.get(),
         _thread_bound: std::marker::PhantomData,
     }
 }
@@ -126,7 +110,6 @@ pub struct StatsScope {
     prepares0: u64,
     row_sums0: u64,
     micro0: u64,
-    bench0: u64,
     _thread_bound: std::marker::PhantomData<*const ()>,
 }
 
@@ -151,12 +134,6 @@ impl StatsScope {
     pub fn micro_tunes(&self) -> u64 {
         TL_MICRO_TUNES.get() - self.micro0
     }
-
-    /// Microkernel tile measurements (timed candidate sweeps) on this thread
-    /// since the scope opened.
-    pub fn micro_benches(&self) -> u64 {
-        TL_MICRO_BENCHES.get() - self.bench0
-    }
 }
 
 pub(crate) fn count_autotune() {
@@ -177,11 +154,6 @@ pub(crate) fn count_row_sums_build() {
 pub(crate) fn count_micro_tune() {
     MICRO_TUNES.fetch_add(1, Ordering::Relaxed);
     TL_MICRO_TUNES.set(TL_MICRO_TUNES.get() + 1);
-}
-
-pub(crate) fn count_micro_bench() {
-    MICRO_BENCHES.fetch_add(1, Ordering::Relaxed);
-    TL_MICRO_BENCHES.set(TL_MICRO_BENCHES.get() + 1);
 }
 
 /// Record one execution-workspace construction. Called by the workspace
@@ -302,9 +274,6 @@ mod tests {
         let m0 = micro_tunes();
         count_micro_tune();
         assert!(micro_tunes() > m0);
-        let b0 = micro_benches();
-        count_micro_bench();
-        assert!(micro_benches() > b0);
     }
 
     #[test]

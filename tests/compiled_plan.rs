@@ -566,14 +566,12 @@ fn repeated_inference_reuses_the_compiled_plan() {
     assert!(compiling.weight_prepares() > 0);
     assert!(compiling.autotune_calls() > 0);
     // CPU-microkernel tile selection is a closed form of the stage's
-    // dynamic extent: one selection per main stage on every compile, and
-    // never a measurement.
+    // dynamic extent: one selection per main stage on every compile.
     assert_eq!(
         compiling.micro_tunes(),
         plan2.main_stages().count() as u64,
         "one tile selection per main stage"
     );
-    assert_eq!(compiling.micro_benches(), 0, "compiling measured a tile");
     // The per-layer tile *and* popcount arm are surfaced in the plan's
     // debug output.
     assert!(
