@@ -4,20 +4,23 @@
 
 use apnn_bench::gen;
 use apnn_bench::workloads::fig7_conv;
-use apnn_kernels::apconv::{ApConv, ConvOutput, Pool2};
-use apnn_kernels::fusion::Epilogue;
+use apnn_bitpack::{BitTensor4, Encoding};
+use apnn_kernels::apconv::cpu::ConvScratch;
+use apnn_kernels::apconv::{ApConv, Pool2, PreparedConv, Residual};
+use apnn_kernels::fusion::{Epilogue, Steps};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
 /// The unfused pipeline: conv to i32, then pooling pass, then quantize pass
 /// — each a separate traversal (the "w/o fusion" configuration).
 fn unfused(
-    conv: &ApConv,
-    w: &apnn_kernels::apconv::ConvWeights,
-    x: &apnn_bitpack::BitTensor4,
+    conv: &PreparedConv,
+    x: &BitTensor4,
     epi: &Epilogue,
+    scratch: &mut ConvScratch,
+    y: &mut Vec<i32>,
 ) -> u64 {
-    let y = conv.execute(w, x);
+    conv.execute_into(x, scratch, y);
     let (oh, ow) = (conv.desc.out_h(), conv.desc.out_w());
     let cout = conv.desc.cout;
     // Pooling pass.
@@ -53,21 +56,28 @@ fn bench(c: &mut Criterion) {
 
     for &channels in &[128usize, 256] {
         let desc = fig7_conv(channels, 1, 2);
-        let conv = ApConv::new(desc);
         let (w, x) = gen::conv_operands(&desc, 17);
+        let conv = ApConv::new(desc).prepare(w);
         let epi = Epilogue::quantize(8.0, 0.0, 2);
+        let steps = Steps::build(&epi, desc.cout).expect("a quantize-only chain is monotone");
+        let mut scratch = ConvScratch::default();
+        let mut out = BitTensor4::zeros(1, 1, 1, desc.cout, 2, Encoding::ZeroOne);
+        let mut y = Vec::new();
 
         group.bench_with_input(BenchmarkId::new("fused", channels), &channels, |b, _| {
             b.iter(|| {
-                let out = conv.execute_fused(&w, &x, Some(Pool2::Max), &epi);
-                match out {
-                    ConvOutput::Packed(t) => t.packed_bytes(),
-                    ConvOutput::Int32(v) => v.len(),
-                }
+                conv.execute_fused_into(
+                    &x,
+                    Residual::None,
+                    Some(Pool2::Max),
+                    &steps,
+                    &mut scratch,
+                    &mut out,
+                )
             })
         });
         group.bench_with_input(BenchmarkId::new("unfused", channels), &channels, |b, _| {
-            b.iter(|| unfused(&conv, &w, &x, &epi))
+            b.iter(|| unfused(&conv, &x, &epi, &mut scratch, &mut y))
         });
     }
     group.finish();

@@ -5,8 +5,8 @@
 use apnn_bench::gen;
 use apnn_bitpack::planes::combine_partials;
 use apnn_bitpack::{BitPlanes, Encoding};
-use apnn_kernels::apmm::Apmm;
-use apnn_kernels::apmm::ApmmDesc;
+use apnn_kernels::apmm::cpu::ApmmScratch;
+use apnn_kernels::apmm::{Apmm, ApmmDesc};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -30,10 +30,11 @@ fn bench(c: &mut Criterion) {
 
     // Tensor-core-equivalent compute (the dominant term).
     let desc = ApmmDesc::unsigned(m, n, k, 1, q);
-    let apmm = Apmm::new(desc);
     let (w, x) = gen::gemm_operands(&desc, 5);
+    let apmm = Apmm::new(desc).prepare(w);
+    let (mut scratch, mut out) = (ApmmScratch::default(), Vec::new());
     group.bench_function(BenchmarkId::new("matrix-compute", k), |b| {
-        b.iter(|| apmm.execute(&w, &x))
+        b.iter(|| apmm.execute_into(&x, &mut scratch, &mut out))
     });
 
     // Bit combination: shift-add of p·q partial matrices.

@@ -6,6 +6,7 @@
 
 use apnn_bench::gen;
 use apnn_bench::workloads::fig5_gemm;
+use apnn_kernels::apmm::cpu::ApmmScratch;
 use apnn_kernels::apmm::Apmm;
 use apnn_kernels::baselines::cpu::{gemm_f32, gemm_i8};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -20,10 +21,11 @@ fn bench(c: &mut Criterion) {
 
     for &size in &[128usize, 512, 1024] {
         let desc = fig5_gemm(size, 1, 2);
-        let apmm = Apmm::new(desc);
         let (w, x) = gen::gemm_operands(&desc, 42);
+        let apmm = Apmm::new(desc).prepare(w);
+        let (mut scratch, mut out) = (ApmmScratch::default(), Vec::new());
         group.bench_with_input(BenchmarkId::new("APMM-w1a2", size), &size, |b, _| {
-            b.iter(|| apmm.execute(&w, &x))
+            b.iter(|| apmm.execute_into(&x, &mut scratch, &mut out))
         });
 
         let a8 = gen::random_i8(desc.m, size, 1);

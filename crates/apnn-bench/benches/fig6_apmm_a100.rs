@@ -4,6 +4,7 @@
 
 use apnn_bench::gen;
 use apnn_bench::workloads::{fig5_gemm, HIGH_BIT_CONFIGS};
+use apnn_kernels::apmm::cpu::ApmmScratch;
 use apnn_kernels::apmm::Apmm;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -18,12 +19,13 @@ fn bench(c: &mut Criterion) {
     let size = 512usize;
     for (p, q) in HIGH_BIT_CONFIGS {
         let desc = fig5_gemm(size, p, q);
-        let apmm = Apmm::new(desc);
         let (w, x) = gen::gemm_operands(&desc, 7);
+        let apmm = Apmm::new(desc).prepare(w);
+        let (mut scratch, mut out) = (ApmmScratch::default(), Vec::new());
         group.bench_with_input(
             BenchmarkId::new(format!("APMM-w{p}a{q}"), size),
             &size,
-            |b, _| b.iter(|| apmm.execute(&w, &x)),
+            |b, _| b.iter(|| apmm.execute_into(&x, &mut scratch, &mut out)),
         );
     }
     group.finish();

@@ -3,6 +3,7 @@
 
 use apnn_bench::gen;
 use apnn_bench::workloads::fig7_conv;
+use apnn_kernels::apconv::cpu::ConvScratch;
 use apnn_kernels::apconv::ApConv;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -16,12 +17,13 @@ fn bench(c: &mut Criterion) {
 
     for &channels in &[128usize, 256, 512] {
         let desc = fig7_conv(channels, 1, 2);
-        let conv = ApConv::new(desc);
         let (w, x) = gen::conv_operands(&desc, 11);
+        let conv = ApConv::new(desc).prepare(w);
+        let (mut scratch, mut out) = (ConvScratch::default(), Vec::new());
         group.bench_with_input(
             BenchmarkId::new("APConv-w1a2", channels),
             &channels,
-            |b, _| b.iter(|| conv.execute(&w, &x)),
+            |b, _| b.iter(|| conv.execute_into(&x, &mut scratch, &mut out)),
         );
     }
     group.finish();

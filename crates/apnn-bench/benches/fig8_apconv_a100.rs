@@ -3,6 +3,7 @@
 
 use apnn_bench::gen;
 use apnn_bench::workloads::fig7_conv;
+use apnn_kernels::apconv::cpu::ConvScratch;
 use apnn_kernels::apconv::ApConv;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -17,12 +18,13 @@ fn bench(c: &mut Criterion) {
     let channels = 256usize;
     for (p, q) in [(1u32, 5u32), (1, 8), (2, 6), (2, 8)] {
         let desc = fig7_conv(channels, p, q);
-        let conv = ApConv::new(desc);
         let (w, x) = gen::conv_operands(&desc, 13);
+        let conv = ApConv::new(desc).prepare(w);
+        let (mut scratch, mut out) = (ConvScratch::default(), Vec::new());
         group.bench_with_input(
             BenchmarkId::new(format!("APConv-w{p}a{q}"), channels),
             &channels,
-            |b, _| b.iter(|| conv.execute(&w, &x)),
+            |b, _| b.iter(|| conv.execute_into(&x, &mut scratch, &mut out)),
         );
     }
     group.finish();

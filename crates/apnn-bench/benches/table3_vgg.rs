@@ -4,6 +4,7 @@
 
 use apnn_bench::gen;
 use apnn_bitpack::Encoding;
+use apnn_kernels::apconv::cpu::ConvScratch;
 use apnn_kernels::apconv::{ApConv, ConvDesc};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -35,12 +36,13 @@ fn bench(c: &mut Criterion) {
             },
             x_enc: Encoding::ZeroOne,
         };
-        let conv = ApConv::new(desc);
         let (w, x) = gen::conv_operands(&desc, 31);
+        let conv = ApConv::new(desc).prepare(w);
+        let (mut scratch, mut out) = (ConvScratch::default(), Vec::new());
         group.bench_with_input(
             BenchmarkId::new(format!("vgg-conv-w{p}a{q}"), 512),
             &512,
-            |b, _| b.iter(|| conv.execute(&w, &x)),
+            |b, _| b.iter(|| conv.execute_into(&x, &mut scratch, &mut out)),
         );
     }
     group.finish();

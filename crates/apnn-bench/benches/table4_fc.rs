@@ -4,6 +4,7 @@
 
 use apnn_bench::gen;
 use apnn_bench::workloads::table4_fc;
+use apnn_kernels::apmm::cpu::ApmmScratch;
 use apnn_kernels::apmm::Apmm;
 use apnn_kernels::baselines::cpu::{gemm_f32, gemm_i8};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -18,10 +19,11 @@ fn bench(c: &mut Criterion) {
 
     for (p, q) in [(1u32, 2u32), (1, 3), (1, 4), (2, 2)] {
         let desc = table4_fc(p, q);
-        let apmm = Apmm::new(desc);
         let (w, x) = gen::gemm_operands(&desc, 37);
+        let apmm = Apmm::new(desc).prepare(w);
+        let (mut scratch, mut out) = (ApmmScratch::default(), Vec::new());
         group.bench_function(BenchmarkId::new(format!("APMM-w{p}a{q}"), 1024), |b| {
-            b.iter(|| apmm.execute(&w, &x))
+            b.iter(|| apmm.execute_into(&x, &mut scratch, &mut out))
         });
     }
 

@@ -94,8 +94,8 @@ fn axis_classes(
 
 /// Per-call-invariant execution state for a convolution: the emulation
 /// plan, the materialized padding pattern, and every per-window quantity
-/// that does not depend on the input. Compiled plans build this once; the
-/// ad-hoc [`super::ApConv::execute`] entry point rebuilds it per call.
+/// that does not depend on the input. Built once, by
+/// [`super::ApConv::prepare`], and held by the [`super::PreparedConv`].
 #[derive(Debug, Clone)]
 pub struct ConvExecPlan {
     pub(crate) eplan: EmulationPlan,

@@ -1,6 +1,6 @@
 use super::*;
 use crate::apconv::padding::{correct_xor_window, fill_words, PadFill};
-use crate::apconv::{ApConv, ConvOutput, ConvWeights, Residual};
+use crate::apconv::{ApConv, ConvWeights, Residual};
 use crate::fusion::{Epilogue, EpilogueOp, Steps};
 use crate::reference::conv2d_i32;
 use crate::select::plan_xor_only;
@@ -75,7 +75,7 @@ fn operands_and_oracle(desc: &ConvDesc, seed: u64) -> (BitTensor4, ConvWeights, 
 
 fn check_against_reference(desc: &ConvDesc, seed: u64) {
     let (input, weights, want) = operands_and_oracle(desc, seed);
-    let got = ApConv::new(*desc).execute(&weights, &input);
+    let got = ApConv::new(*desc).prepare(weights).execute(&input);
     assert_eq!(got, want, "desc {desc:?}");
 }
 
@@ -202,24 +202,19 @@ fn case3_mirrored_unsigned_weights_signed_activations() {
 
 #[test]
 fn fused_pool_and_quantize() {
-    // Oracle: reference conv → hand-written pool → quantize, for the
-    // allocating wrapper and the workspace form (one packed slot
-    // reused across pool shapes) alike.
+    // Oracle: reference conv → hand-written pool → quantize, through the
+    // fused entry with one packed slot reused across pool shapes.
     let desc = ConvDesc::unsigned(2, 4, 8, 3, 3, 1, 1, 1, 2);
     let (input, weights, y) = operands_and_oracle(&desc, 13);
     let epi = Epilogue::quantize(4.0, 0.0, 2);
     let steps = Steps::build(&epi, desc.cout).unwrap();
-    let prepared = ApConv::new(desc).prepare(weights.clone());
+    let prepared = ApConv::new(desc).prepare(weights);
     let mut scratch = ConvScratch::default();
     let mut slot = BitTensor4::zeros(1, 1, 1, 1, 1, Encoding::ZeroOne);
     for pool in [None, Some(Pool2::Max), Some(Pool2::Avg)] {
         let (want, side) = match pool {
             None => (y.clone(), 8),
             Some(kind) => (pooled_by_hand(&y, &desc, kind), 4),
-        };
-        let out = ApConv::new(desc).execute_fused(&weights, &input, pool, &epi);
-        let ConvOutput::Packed(packed) = out else {
-            panic!("expected packed")
         };
         prepared.execute_fused_into(
             &input,
@@ -229,13 +224,12 @@ fn fused_pool_and_quantize() {
             &mut scratch,
             &mut slot,
         );
-        assert_eq!(packed, slot, "pool {pool:?}");
-        assert_eq!(packed.shape(), (2, side, side, 3));
+        assert_eq!(slot.shape(), (2, side, side, 3));
         for (idx, &acc) in want.iter().enumerate() {
             let (co, px) = (idx % 3, idx / 3);
             let (b, py, px) = (px / (side * side), px / side % side, px % side);
             let code = epi.apply_to_code(acc, co);
-            assert_eq!(packed.get_code(b, py, px, co), code, "pool {pool:?}");
+            assert_eq!(slot.get_code(b, py, px, co), code, "pool {pool:?}");
         }
     }
 }
@@ -255,19 +249,19 @@ fn every_available_arm_is_bit_identical_for_conv() {
 
 #[test]
 fn ad_hoc_conv_entry_binds_the_closed_form_tile() {
-    // Tile selection is a closed form of the output-row width: the ad-hoc
-    // and prepared entries bind the same tile, never wider than `out_w`
-    // rounds up to.
+    // Tile selection is a closed form of the output-row width: two
+    // `prepare`s of one kernel bind the same tile, never wider than
+    // `out_w` rounds up to, and give equal output.
     let desc = ConvDesc::unsigned(1, 37, 5, 13, 3, 1, 1, 2, 2);
     let (input, weights, _) = operands_and_oracle(&desc, 41);
     let conv = ApConv::new(desc);
 
-    let y1 = conv.execute(&weights, &input);
-    let y2 = conv.execute(&weights, &input);
-    assert_eq!(y1, y2);
-    let prepared = conv.prepare(weights);
-    assert_eq!(prepared.micro(), select_micro(desc.out_w()));
-    assert!(prepared.micro().jb <= desc.out_w().next_power_of_two());
+    let first = conv.prepare(weights.clone());
+    let second = conv.prepare(weights);
+    assert_eq!(first.micro(), second.micro());
+    assert_eq!(first.execute(&input), second.execute(&input));
+    assert_eq!(first.micro(), select_micro(desc.out_w()));
+    assert!(first.micro().jb <= desc.out_w().next_power_of_two());
 }
 
 /// Every window of every strip, read the way the kernel reads it (the
@@ -519,8 +513,7 @@ fn residual_adds_into_raw_accumulators_before_the_epilogue() {
 #[test]
 fn avg_pool_floors_toward_neg_infinity() {
     // ±1 weights give negative window sums, so flooring the mean toward
-    // −∞ (not toward zero) is observable. A non-quantizing epilogue
-    // keeps i32 — the output form only the allocating wrappers produce.
+    // −∞ (not toward zero) is observable.
     let desc = with_encodings(
         ConvDesc::unsigned(2, 3, 6, 4, 3, 1, 1, 1, 2),
         Encoding::PlusMinusOne,
@@ -529,15 +522,9 @@ fn avg_pool_floors_toward_neg_infinity() {
     let (input, weights, y) = operands_and_oracle(&desc, 17);
     let pooled = pooled_by_hand(&y, &desc, Pool2::Avg);
     assert!(pooled.iter().any(|&v| v < 0), "negative means exercised");
-    let relu = Epilogue::none().then(EpilogueOp::Relu);
-    let clamped: Vec<i32> = pooled.iter().map(|&v| v.max(0)).collect();
-    for (epi, want) in [(Epilogue::none(), &pooled), (relu, &clamped)] {
-        let out = ApConv::new(desc).execute_fused(&weights, &input, Some(Pool2::Avg), &epi);
-        let ConvOutput::Int32(v) = out else {
-            panic!("expected i32")
-        };
-        assert_eq!(&v, want, "epilogue {epi:?}");
-    }
+    let accs = ApConv::new(desc).prepare(weights).execute(&input);
+    let (n, oh, ow) = (desc.batch, desc.out_h(), desc.out_w());
+    assert_eq!(pool2_i32(&accs, n, oh, ow, desc.cout, Pool2::Avg), pooled);
 }
 
 /// One fused call against the scalar spec of its tail — raw accumulators

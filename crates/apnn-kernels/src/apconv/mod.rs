@@ -207,15 +207,6 @@ impl ConvDesc {
     }
 }
 
-/// Output of a fused convolution.
-#[derive(Debug, Clone)]
-pub enum ConvOutput {
-    /// Raw NHWC i32 accumulators `(batch, oh, ow, cout)`.
-    Int32(Vec<i32>),
-    /// Quantized activations packed channel-major for the next layer.
-    Packed(BitTensor4),
-}
-
 /// Optional 2×2/stride-2 pooling fused between the accumulators and the
 /// quantizing epilogue (the Fig. 10 fusion workload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -248,35 +239,10 @@ impl ApConv {
         ApConv { desc, tile }
     }
 
-    /// Functional CPU convolution over packed operands. Returns NHWC i32.
-    /// Borrows the weights and builds a transient weight panel and scratch;
-    /// serving loops [`ApConv::prepare`] once instead.
-    pub fn execute(&self, weights: &ConvWeights, input: &BitTensor4) -> Vec<i32> {
-        assert_eq!(input.shape().0, self.desc.batch, "batch mismatch");
-        let state = cpu::ConvExecPlan::new(&self.desc, weights.popc());
-        let panel = weights.lane_panel(&self.desc);
-        let (mut scratch, mut out) = (cpu::ConvScratch::default(), Vec::new());
-        cpu::conv_exec_store(&self.desc, &panel, input, &state, &mut scratch, &mut out);
-        out
-    }
-
-    /// Functional CPU convolution with fused pooling + epilogue.
-    pub fn execute_fused(
-        &self,
-        weights: &ConvWeights,
-        input: &BitTensor4,
-        pool: Option<Pool2>,
-        epi: &Epilogue,
-    ) -> ConvOutput {
-        assert_eq!(input.shape().0, self.desc.batch, "batch mismatch");
-        let state = cpu::ConvExecPlan::new(&self.desc, weights.popc());
-        let panel = weights.lane_panel(&self.desc);
-        fused_owned(&self.desc, &panel, input, &state, pool, epi)
-    }
-
-    /// Hoist every per-call invariant out of the serving loop: re-lay the
-    /// packed weights out as the microkernel's lane panel
-    /// ([`ConvWeights::lane_panel`] — the only copy kept) and materialize
+    /// The one way into the CPU kernel. Hoists every per-call invariant
+    /// out of the serving loop: re-lays the packed weights out as the
+    /// microkernel's lane panel
+    /// ([`ConvWeights::lane_panel`] — the only copy kept) and materializes
     /// the emulation plan, the input-aware padding pattern (§4.2(b)) and
     /// the weight side of the correction for every class of window
     /// ([`cpu::ConvExecPlan`]). The result
@@ -382,17 +348,6 @@ impl PreparedConv {
         out
     }
 
-    /// Fused pooling + epilogue execution for an input shard (allocating;
-    /// the only form that serves non-quantizing epilogues).
-    pub fn execute_fused(
-        &self,
-        input: &BitTensor4,
-        pool: Option<Pool2>,
-        epi: &Epilogue,
-    ) -> ConvOutput {
-        fused_owned(&self.desc, &self.panel, input, &self.exec_plan, pool, epi)
-    }
-
     /// Workspace form of [`PreparedConv::execute`]: NHWC i32 accumulators
     /// land in `out`, the activation strip reuses `scratch`, and — once
     /// the buffers have reached the plan's capacity — the call performs
@@ -413,8 +368,8 @@ impl PreparedConv {
         );
     }
 
-    /// Workspace form of [`PreparedConv::execute_fused`] for quantizing
-    /// chains, compiled into their step table `steps`: `residual` is added
+    /// The one fused entry, for quantizing chains compiled once into their
+    /// step table `steps` ([`Steps::build`]): `residual` is added
     /// into the raw i32 accumulators, then each band of rows is pooled,
     /// looked up in `steps` and packed as soon as it is finished
     /// ([`tail`](mod@tail)), and the channel-major activations are rebuilt
@@ -441,54 +396,6 @@ impl PreparedConv {
             out,
         );
     }
-}
-
-/// The allocating fused tail behind both `execute_fused` spellings: a
-/// quantizing epilogue packs through the fused sink, its [`Steps`] compiled
-/// for the call (panics if the chain is not provably monotone and so has
-/// none); a non-quantizing one returns the (pooled, epilogue-transformed)
-/// i32 accumulators — the one output form the workspace entry points never
-/// produce.
-fn fused_owned(
-    desc: &ConvDesc,
-    w: &LanePanel,
-    input: &BitTensor4,
-    state: &cpu::ConvExecPlan,
-    pool: Option<Pool2>,
-    epi: &Epilogue,
-) -> ConvOutput {
-    let mut scratch = cpu::ConvScratch::default();
-    if let Some(bits) = epi.output_bits() {
-        let mut t = BitTensor4::zeros(0, 1, 1, desc.cout, bits, Encoding::ZeroOne);
-        let steps =
-            Steps::build(epi, desc.cout).expect("the quantizing chain is not provably monotone");
-        let none = Residual::None;
-        tail::conv_exec_fused(
-            desc,
-            w,
-            input,
-            state,
-            none,
-            pool,
-            &steps,
-            &mut scratch,
-            &mut t,
-        );
-        return ConvOutput::Packed(t);
-    }
-    let mut v = Vec::new();
-    cpu::conv_exec_store(desc, w, input, state, &mut scratch, &mut v);
-    if let Some(kind) = pool {
-        let (n, oh, ow) = (input.shape().0, desc.out_h(), desc.out_w());
-        v = cpu::pool2_i32(&v, n, oh, ow, desc.cout, kind);
-    }
-    // `Epilogue::apply` goes through f32; an empty chain must stay exact.
-    if !epi.ops().is_empty() {
-        for (idx, e) in v.iter_mut().enumerate() {
-            *e = epi.apply(*e, idx % desc.cout) as i32;
-        }
-    }
-    ConvOutput::Int32(v)
 }
 
 #[cfg(test)]
@@ -556,16 +463,19 @@ mod tests {
         let wcodes: Vec<u32> = (0..3 * 9 * 5).map(|_| next() % 2).collect();
         let weights = ConvWeights::from_codes(&desc, &wcodes);
 
-        let conv = ApConv::new(desc);
-        let adhoc = conv.execute(&weights, &input);
-        let prepared = conv.prepare(weights);
-        assert_eq!(prepared.execute(&input), adhoc);
+        // {0,1} codes are their own values; NHWC order on both sides.
+        let value = |c: &u32| *c as i32;
+        let x_vals: Vec<i32> = codes.data().iter().map(value).collect();
+        let w_vals: Vec<i32> = wcodes.iter().map(value).collect();
+        let want = crate::reference::conv2d_i32(&x_vals, &w_vals, 4, 6, 6, 5, 3, 3, 3, 1, 1);
+        let prepared = ApConv::new(desc).prepare(weights);
+        assert_eq!(prepared.execute(&input), want);
 
         // First image alone — the plan serves a partial shard unchanged.
         let one = input.batch_slice(0, 1);
         let got = prepared.execute(&one);
         let per_image = desc.out_h() * desc.out_w() * desc.cout;
-        assert_eq!(got, adhoc[..per_image].to_vec());
+        assert_eq!(got, want[..per_image].to_vec());
     }
 
     #[test]

@@ -285,9 +285,10 @@ mod tests {
             let w = operand(m, k, p, Encoding::ZeroOne, &mut seed);
             let x = operand(n, k, q, Encoding::ZeroOne, &mut seed);
             let desc = ApmmDesc::unsigned(m, n, k, p, q);
+            let want = decoded_reference(&w, &x);
             assert_eq!(
-                Apmm::new(desc).execute(&w, &x),
-                decoded_reference(&w, &x),
+                Apmm::new(desc).prepare(w).execute(&x),
+                want,
                 "shape {m}x{n}x{k} w{p}a{q}"
             );
         }
@@ -300,7 +301,8 @@ mod tests {
         let w = operand(m, k, 1, Encoding::PlusMinusOne, &mut seed);
         let x = operand(n, k, 1, Encoding::PlusMinusOne, &mut seed);
         let desc = ApmmDesc::w1aq(m, n, k, 1, Encoding::PlusMinusOne);
-        assert_eq!(Apmm::new(desc).execute(&w, &x), decoded_reference(&w, &x));
+        let want = decoded_reference(&w, &x);
+        assert_eq!(Apmm::new(desc).prepare(w).execute(&x), want);
     }
 
     #[test]
@@ -311,11 +313,8 @@ mod tests {
             let w = operand(m, k, 1, Encoding::PlusMinusOne, &mut seed);
             let x = operand(n, k, q, Encoding::ZeroOne, &mut seed);
             let desc = ApmmDesc::w1aq(m, n, k, q, Encoding::ZeroOne);
-            assert_eq!(
-                Apmm::new(desc).execute(&w, &x),
-                decoded_reference(&w, &x),
-                "w1a{q}"
-            );
+            let want = decoded_reference(&w, &x);
+            assert_eq!(Apmm::new(desc).prepare(w).execute(&x), want, "w1a{q}");
         }
     }
 
@@ -334,7 +333,8 @@ mod tests {
             w_enc: Encoding::ZeroOne,
             x_enc: Encoding::PlusMinusOne,
         };
-        assert_eq!(Apmm::new(desc).execute(&w, &x), decoded_reference(&w, &x));
+        let want = decoded_reference(&w, &x);
+        assert_eq!(Apmm::new(desc).prepare(w).execute(&x), want);
     }
 
     #[test]
@@ -355,8 +355,9 @@ mod tests {
             };
             let w = operand(m, k, p, w_enc, &mut seed);
             let x = operand(n, k, q, x_enc, &mut seed);
-            let ampere = Apmm::new(desc).execute(&w, &x);
-            let turing = Apmm::new(desc)
+            let apmm = Apmm::new(desc);
+            let ampere = apmm.prepare(w.clone()).execute(&x);
+            let turing = apmm
                 .prepare(w)
                 .with_plan(plan_xor_only(w_enc, x_enc))
                 .execute(&x);
@@ -423,21 +424,21 @@ mod tests {
 
     #[test]
     fn ad_hoc_entry_binds_the_closed_form_tile() {
-        // Tile selection is a closed form of the batch width: the ad-hoc
-        // and prepared entries bind the same tile, never wider than `n`
-        // rounds up to.
+        // Tile selection is a closed form of the batch width: two
+        // `prepare`s of one kernel bind the same tile, never wider than `n`
+        // rounds up to, and give equal output.
         let mut seed = 53;
         let (m, n, k, p, q) = (6, 3, 331, 2, 2);
         let w = operand(m, k, p, Encoding::ZeroOne, &mut seed);
         let x = operand(n, k, q, Encoding::ZeroOne, &mut seed);
         let apmm = Apmm::new(ApmmDesc::unsigned(m, n, k, p, q));
 
-        let y1 = apmm.execute(&w, &x);
-        let y2 = apmm.execute(&w, &x);
-        assert_eq!(y1, y2);
-        let prepared = apmm.prepare(w);
-        assert_eq!(prepared.micro(), select_micro(n));
-        assert!(prepared.micro().jb <= n.next_power_of_two());
+        let first = apmm.prepare(w.clone());
+        let second = apmm.prepare(w);
+        assert_eq!(first.micro(), second.micro());
+        assert_eq!(first.execute(&x), second.execute(&x));
+        assert_eq!(first.micro(), select_micro(n));
+        assert!(first.micro().jb <= n.next_power_of_two());
     }
 
     #[test]
@@ -447,9 +448,7 @@ mod tests {
         let w = operand(m, k, p, Encoding::ZeroOne, &mut seed);
         let x = operand(n, k, q, Encoding::ZeroOne, &mut seed);
         let desc = ApmmDesc::unsigned(m, n, k, p, q);
-        assert_eq!(
-            Apmm::new(desc).execute(&w, &x),
-            crate::emulate::ap_bit_mm(&w, &x)
-        );
+        let want = crate::emulate::ap_bit_mm(&w, &x);
+        assert_eq!(Apmm::new(desc).prepare(w).execute(&x), want);
     }
 }

@@ -7,9 +7,9 @@
 //! memory/registers (§4.1(b)).
 //!
 //! Three execution paths share one tiling:
-//! * [`Apmm::execute`] — functional CPU compute (bit-serial words +
-//!   popcount) through the one calling-thread driver, the "real" engine
-//!   measured by the Criterion benches.
+//! * [`Apmm::prepare`] → [`PreparedApmm`] — functional CPU compute
+//!   (bit-serial words + popcount) through the one calling-thread driver,
+//!   the "real" engine that plans serve and the Criterion benches time.
 //! * [`Apmm::simulate`] — closed-form counter estimate priced by the
 //!   `apnn-sim` cost model (fast, any problem size).
 //! * [`simmap::run_functional`] — the tiled algorithm executed block-by-block
@@ -123,7 +123,12 @@ impl ApmmDesc {
     }
 }
 
-/// Output of a fused APMM.
+/// Output of [`simmap::run_functional`], the simulator's functional
+/// reference: raw accumulators when it runs without an epilogue, packed
+/// codes when its epilogue quantizes. The CPU kernels never return it — a
+/// [`PreparedApmm`] writes accumulators through
+/// [`PreparedApmm::execute_into`] and packed codes through
+/// [`PreparedApmm::execute_fused_into`].
 #[derive(Debug, Clone)]
 pub enum FusedOutput {
     /// Raw 32-bit accumulators (output layer of a network).
@@ -156,45 +161,12 @@ impl Apmm {
         Apmm { desc, tile }
     }
 
-    /// Functional CPU execution: returns the row-major `m×n` i32 product of
-    /// the decoded operands. Borrows both operands and builds a transient
-    /// weight panel and scratch; serving loops [`Apmm::prepare`] once
-    /// instead.
-    pub fn execute(&self, w: &BitPlanes, x: &BitPlanes) -> Vec<i32> {
-        self.desc.check_operands(w, x);
-        let eplan = self.desc.plan();
-        let panel = LanePanel::from_bitplanes(w);
-        let sides = cpu::weight_sides(&panel, eplan, self.desc.k, self.desc.x_bits as usize);
-        let (arm, micro) = (PopcntArm::detect(), select_micro(self.desc.n));
-        let (mut col_sums, mut out) = (Vec::new(), Vec::new());
-        cpu::apmm_exec(
-            &self.desc,
-            &panel,
-            x,
-            eplan,
-            &sides,
-            micro,
-            arm,
-            &mut col_sums,
-            &mut out,
-        );
-        out
-    }
-
-    /// Functional CPU execution with a fused epilogue. When the epilogue
-    /// ends in quantization the result is packed (transposed) for the next
-    /// layer; otherwise the (epilogue-transformed, rounded) i32 accumulators
-    /// are returned.
-    pub fn execute_fused(&self, w: &BitPlanes, x: &BitPlanes, epi: &Epilogue) -> FusedOutput {
-        let y = self.execute(w, x);
-        finish_fused(y, self.desc.m, self.desc.n, epi)
-    }
-
-    /// Hoist every per-call invariant out of the serving loop: re-lay the
-    /// packed weights out as the microkernel's lane panel (the only copy
-    /// kept), fix the emulation plan, and precompute the weight-side
-    /// correction vectors (§3.2's `W·J` sums). The result executes
-    /// repeatedly without re-packing or re-planning.
+    /// The one way into the CPU kernel. Hoists every per-call invariant
+    /// out of the serving loop: re-lays the packed weights out as the
+    /// microkernel's lane panel (the only copy kept), fixes the emulation
+    /// plan, and precomputes the weight-side correction vectors (§3.2's
+    /// `W·J` sums). The result executes repeatedly without re-packing or
+    /// re-planning.
     pub fn prepare(&self, weights: BitPlanes) -> PreparedApmm {
         assert_eq!(weights.rows(), self.desc.m, "weight rows");
         assert_eq!(weights.cols(), self.desc.k, "weight cols");
@@ -311,13 +283,6 @@ impl PreparedApmm {
         out
     }
 
-    /// [`PreparedApmm::execute`] with a fused epilogue (packed output when
-    /// the chain quantizes).
-    pub fn execute_fused(&self, x: &BitPlanes, epi: &Epilogue) -> FusedOutput {
-        let y = self.execute(x);
-        finish_fused(y, self.desc.m, x.rows(), epi)
-    }
-
     /// Workspace form of [`PreparedApmm::execute`]: the raw
     /// `m × x.rows()` product lands in `out`, every intermediate lives in
     /// `scratch`, and — once the buffers have reached the plan's full-batch
@@ -338,8 +303,8 @@ impl PreparedApmm {
         );
     }
 
-    /// Workspace form of [`PreparedApmm::execute_fused`] for quantizing
-    /// chains, compiled into their step table `steps`: accumulators go
+    /// The one fused entry, for quantizing chains compiled once into their
+    /// step table `steps` ([`Steps::build`]): accumulators go
     /// through `scratch`, the transposed codes `steps` gives them through
     /// `codes`, and the packed next-layer operand is rebuilt in place in
     /// `out` (the output layer, which does not quantize, uses
@@ -366,24 +331,6 @@ impl PreparedApmm {
             acc,
         );
         combine::quantize_pack_transposed_into(acc, self.desc.m, x.rows(), steps, codes, out);
-    }
-}
-
-/// Apply a fused epilogue to raw `m×n` accumulators: packed (transposed)
-/// output when the chain quantizes, epilogue-transformed i32 otherwise.
-/// Single implementation shared by the ad-hoc and prepared paths.
-fn finish_fused(mut y: Vec<i32>, m: usize, n: usize, epi: &Epilogue) -> FusedOutput {
-    match epi.output_bits() {
-        Some(bits) => FusedOutput::Packed(combine::quantize_pack_transposed(&y, m, n, epi, bits)),
-        None => {
-            if !epi.ops().is_empty() {
-                for (idx, v) in y.iter_mut().enumerate() {
-                    let channel = idx / n.max(1);
-                    *v = epi.apply(*v, channel) as i32;
-                }
-            }
-            FusedOutput::Int32(y)
-        }
     }
 }
 
@@ -423,10 +370,9 @@ mod tests {
         let xc: Vec<u32> = (0..desc.n * desc.k).map(|_| next() % 4).collect();
         let x = BitPlanes::from_codes(&xc, desc.n, desc.k, 2, Encoding::ZeroOne);
 
-        let apmm = Apmm::new(desc);
-        let adhoc = apmm.execute(&w, &x);
-        let prepared = apmm.prepare(w);
-        assert_eq!(prepared.execute(&x), adhoc);
+        let want = crate::emulate::decoded_reference(&w, &x);
+        let prepared = Apmm::new(desc).prepare(w);
+        assert_eq!(prepared.execute(&x), want);
 
         // A partial shard (smaller batch) reuses the same prepared weights.
         let half: Vec<u32> = xc[..desc.n / 2 * desc.k].to_vec();
@@ -434,7 +380,7 @@ mod tests {
         let got = prepared.execute(&x_half);
         for i in 0..desc.m {
             for j in 0..desc.n / 2 {
-                assert_eq!(got[i * (desc.n / 2) + j], adhoc[i * desc.n + j]);
+                assert_eq!(got[i * (desc.n / 2) + j], want[i * desc.n + j]);
             }
         }
     }
@@ -443,8 +389,8 @@ mod tests {
     fn row_sums_build_once_at_prepare_never_at_execute() {
         // Mirrored Case III ({0,1} weights, ±1 activations) consumes the
         // W·J weight-row sums: `prepare` must build them exactly once and
-        // `execute` must never rebuild them, while the ad-hoc entry point
-        // rebuilds per call — the hoist the stats counter makes testable.
+        // `execute` must never rebuild them — the hoist the stats counter
+        // makes testable.
         let desc = ApmmDesc {
             m: 6,
             n: 5,
@@ -461,18 +407,9 @@ mod tests {
             .collect();
         let x = BitPlanes::from_signed_binary(&xv, desc.n, desc.k);
 
-        let apmm = Apmm::new(desc);
-        let adhoc_scope = crate::stats::scope();
-        let want = apmm.execute(&w, &x);
-        let _ = apmm.execute(&w, &x);
-        assert_eq!(
-            adhoc_scope.row_sum_builds(),
-            2,
-            "the ad-hoc path rebuilds W·J on every call"
-        );
-
+        let want = crate::emulate::decoded_reference(&w, &x);
         let prepare_scope = crate::stats::scope();
-        let prepared = apmm.prepare(w);
+        let prepared = Apmm::new(desc).prepare(w);
         assert_eq!(prepare_scope.row_sum_builds(), 1, "one build per plan");
         assert_eq!(prepared.execute(&x), want);
         assert_eq!(prepared.execute(&x), want);
@@ -506,17 +443,22 @@ mod tests {
         prepared.execute_into(&x, &mut scratch, &mut out);
         assert_eq!(out, prepared.execute(&x));
 
+        // The fused entry stores, transposed, the code the chain gives each
+        // accumulator of the allocating wrapper.
         let epi = Epilogue::quantize(8.0, 0.0, 2);
         let mut codes = Vec::new();
-        let mut packed = apnn_bitpack::BitPlanes::zeros(desc.n, desc.m, 2, Encoding::ZeroOne);
+        let mut packed = apnn_bitpack::BitPlanes::zeros(1, 1, 1, Encoding::ZeroOne);
         let steps = Steps::build(&epi, desc.m).unwrap();
         prepared.execute_fused_into(&x, &steps, &mut scratch, &mut codes, &mut packed);
-        let FusedOutput::Packed(want) = prepared.execute_fused(&x, &epi) else {
-            panic!("expected packed output")
-        };
-        assert_eq!(packed.reconstruct_codes(), want.reconstruct_codes());
-        assert_eq!(packed.rows(), want.rows());
-        assert_eq!(packed.cols(), want.cols());
+        let y = prepared.execute(&x);
+        let mut want = vec![0; desc.n * desc.m];
+        for i in 0..desc.m {
+            for j in 0..desc.n {
+                want[j * desc.m + i] = epi.apply_to_code(y[i * desc.n + j], i);
+            }
+        }
+        assert_eq!((packed.rows(), packed.cols()), (desc.n, desc.m));
+        assert_eq!(packed.reconstruct_codes(), want);
     }
 
     #[test]

@@ -427,7 +427,7 @@ mod tests {
         let FusedOutput::Int32(y) = out else {
             panic!("expected i32 output")
         };
-        assert_eq!(y, Apmm::new(desc).execute(&w, &x));
+        assert_eq!(y, Apmm::new(desc).prepare(w).execute(&x));
         let est = estimate(&desc, &tile, &spec, None);
         assert_eq!(report.counters, est.counters);
         assert_eq!(report.cost.total_s, est.cost.total_s);
@@ -456,8 +456,17 @@ mod tests {
             panic!("expected packed output")
         };
         // CPU path: full product then quantize+pack.
-        let y = Apmm::new(desc).execute(&w, &x);
-        let expected = crate::apmm::combine::quantize_pack_transposed(&y, desc.m, desc.n, &epi, 2);
+        let y = Apmm::new(desc).prepare(w).execute(&x);
+        let steps = crate::fusion::Steps::build(&epi, desc.m).unwrap();
+        let mut expected = BitPlanes::zeros(1, 1, 1, Encoding::ZeroOne);
+        crate::apmm::combine::quantize_pack_transposed_into(
+            &y,
+            desc.m,
+            desc.n,
+            &steps,
+            &mut Vec::new(),
+            &mut expected,
+        );
         assert_eq!(packed.reconstruct_codes(), expected.reconstruct_codes());
         // Counter equivalence with the closed form.
         let est = estimate(&desc, &tile, &spec, Some(&epi));

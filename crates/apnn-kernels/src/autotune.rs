@@ -103,8 +103,9 @@ impl MicroTile {
 
 /// Pick the microkernel tile for a problem with `n_cols` dynamic rows (the
 /// batch for APMM, an output row's `out_w` pixels for APConv) — the one
-/// selector both the plan compiler and the ad-hoc kernels use, counted as
-/// one [`crate::stats::micro_tunes`] selection.
+/// selector, called once per kernel by `prepare`
+/// ([`crate::apmm::Apmm::prepare`], [`crate::apconv::ApConv::prepare`]),
+/// counted as one [`crate::stats::micro_tunes`] selection.
 ///
 /// A closed form, like the paper's TLP/CI tile rule (§4.3.2): the widest
 /// [`JB_CANDIDATES`] entry the problem fills. Every extra row amortizes

@@ -24,7 +24,7 @@
 //! every denominator positive, every op's result finite at both ends of the
 //! i32 domain — which rules out the `∞ − ∞` and `0 · ∞` NaNs everywhere in
 //! between); a chain that is not has no form a kernel runs, so plan
-//! compilation rejects it and the allocating wrappers panic.
+//! compilation rejects it and [`Steps::build`] returns `None`.
 //!
 //! [`Epilogue::rows`] applies a chain to a whole accumulator row at a time:
 //! one pass per op with the channel innermost, so each pass is a

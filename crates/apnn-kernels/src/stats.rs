@@ -50,8 +50,8 @@ pub fn weight_prepares() -> u64 {
 }
 
 /// Total weight-side correction-vector (`W·J` row sum, §3.2) builds in
-/// this process. Prepared kernels build these once at prepare time; the
-/// ad-hoc entry points rebuild them per call — the counter is how tests
+/// this process. `prepare` (and `PreparedApmm::with_plan`, which swaps the
+/// plan) is the only place they are built — the counter is how tests
 /// prove the hoist (exactly one build per plan, zero during inference).
 pub fn row_sum_builds() -> u64 {
     ROW_SUM_BUILDS.load(Ordering::Relaxed)

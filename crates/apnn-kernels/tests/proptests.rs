@@ -3,15 +3,15 @@
 
 use apnn_bitpack::{BitPlanes, BitTensor4, Encoding, Layout, PopcntArm, Tensor4};
 use apnn_kernels::apconv::cpu::ConvScratch;
-use apnn_kernels::apconv::{ApConv, ConvDesc, ConvOutput, ConvWeights, Pool2};
+use apnn_kernels::apconv::{ApConv, ConvDesc, ConvWeights};
 use apnn_kernels::apmm::cpu::ApmmScratch;
-use apnn_kernels::apmm::{simmap, Apmm, ApmmDesc, FusedOutput, TileConfig};
+use apnn_kernels::apmm::{simmap, Apmm, ApmmDesc, TileConfig};
 use apnn_kernels::autotune::{
     autotune, compute_intensity, thread_level_parallelism, MicroTile, TILE_CANDIDATES,
     TLP_THRESHOLD,
 };
 use apnn_kernels::emulate::decoded_reference;
-use apnn_kernels::fusion::{Epilogue, EpilogueOp};
+use apnn_kernels::fusion::Epilogue;
 use apnn_kernels::reference::conv2d_i32;
 use apnn_kernels::select::plan_for_device;
 use apnn_sim::GpuSpec;
@@ -141,7 +141,7 @@ proptest! {
     /// XOR-only derivations), any row-block size, every available
     /// popcount arm and any partial (down to zero-row) shard, the one
     /// driver is **bit-identical** to the naive decoded i32 oracle —
-    /// through the allocating wrappers and the workspace form alike.
+    /// through the allocating wrapper and the workspace form alike.
     #[test]
     fn microkernel_matches_oracle_across_cases_blocks_and_shards(
         m in 1usize..14, n in 1usize..22, k in 1usize..280,
@@ -163,9 +163,7 @@ proptest! {
         let desc = ApmmDesc { m, n, k, w_bits: p, x_bits: q, w_enc, x_enc };
         let oracle = decoded_reference(&w, &x);
 
-        // Ad-hoc wrapper: device plan, selected tile, detected arm.
-        let apmm = Apmm::with_tile(desc, TileConfig::new(32, 32));
-        prop_assert_eq!(&apmm.execute(&w, &x), &oracle, "ad-hoc");
+        let apmm = Apmm::new(desc);
 
         // Prepared path on a partial shard, Ampere or XOR-only (Turing)
         // plan: `with_plan` must rebuild the weight-row sums the XOR
@@ -177,7 +175,6 @@ proptest! {
         } else {
             BitPlanes::from_codes(&x.reconstruct_codes()[..shard * k], shard, k, q, x_enc)
         };
-        let relu = Epilogue::none().then(EpilogueOp::Relu);
         let mut scratch = ApmmScratch::default();
         let mut out = Vec::new();
         for arm in PopcntArm::available() {
@@ -196,13 +193,6 @@ proptest! {
                     "{:?} jb={} arm={} shard={}", eplan.case, jb, arm.label(), shard
                 );
             }
-            // Non-quantizing epilogue: the i32 output form only the
-            // allocating wrapper produces.
-            let FusedOutput::Int32(fused) = prepared.execute_fused(&xs, &relu) else {
-                panic!("non-quantizing epilogues keep i32")
-            };
-            let clamped: Vec<i32> = got.iter().map(|&v| v.max(0)).collect();
-            prop_assert_eq!(fused, clamped);
         }
     }
 
@@ -256,9 +246,7 @@ proptest! {
             &x_vals, &w_vals, batch, hw, hw, cin, cout, kk, kk, stride, pad,
         );
 
-        // Ad-hoc wrapper: selected tile, detected arm.
         let conv = ApConv::new(desc);
-        prop_assert_eq!(&conv.execute(&weights, &input), &oracle, "ad-hoc conv");
 
         // Prepared path on a partial (down to zero-image) shard, on every
         // available arm.
@@ -266,19 +254,6 @@ proptest! {
         let xs = input.batch_slice(0, shard);
         let (oh, ow) = (desc.out_h(), desc.out_w());
         let want = &oracle[..shard * oh * ow * cout];
-        // Hand-computed 2×2 max pool + ReLU of the oracle accumulators.
-        let mut pooled = Vec::new();
-        for b in 0..shard {
-            for py in 0..oh / 2 {
-                for px in 0..ow / 2 {
-                    for co in 0..cout {
-                        let at = |dy, dx| want[((b * oh + 2 * py + dy) * ow + 2 * px + dx) * cout + co];
-                        pooled.push(at(0, 0).max(at(0, 1)).max(at(1, 0)).max(at(1, 1)).max(0));
-                    }
-                }
-            }
-        }
-        let relu = Epilogue::none().then(EpilogueOp::Relu);
         let mut scratch = ConvScratch::default();
         let mut out = Vec::new();
         for arm in PopcntArm::available() {
@@ -292,13 +267,6 @@ proptest! {
                 "conv jb={} arm={} shard={}", jb, arm.label(), shard
             );
             prop_assert_eq!(&prepared.execute(&xs), &out, "wrapper vs workspace form");
-            // Pool + non-quantizing epilogue: the i32 output form only the
-            // allocating wrapper produces.
-            let ConvOutput::Int32(fused) = prepared.execute_fused(&xs, Some(Pool2::Max), &relu)
-            else {
-                panic!("non-quantizing epilogues keep i32")
-            };
-            prop_assert_eq!(&fused, &pooled);
         }
     }
 

@@ -460,7 +460,9 @@ impl CompiledNet {
 }
 
 /// One contiguous slice of a request batch, at most one compiled batch
-/// wide — the unit a serving worker hands to [`CompiledNet::infer`].
+/// wide, as [`CompiledNet::shards`] cuts it. A serving worker hands its
+/// whole coalesced batch to [`CompiledNet::infer_batched_into`], which cuts
+/// its own shards of this kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Shard {
     /// First request index in the shard.

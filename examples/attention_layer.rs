@@ -9,6 +9,8 @@
 //!
 //! Run with: `cargo run --release --example attention_layer`
 
+use apnn_tc::kernels::apmm::cpu::ApmmScratch;
+use apnn_tc::kernels::fusion::Steps;
 use apnn_tc::kernels::reference::gemm_i32;
 use apnn_tc::kernels::{Apmm, ApmmDesc};
 use apnn_tc::prelude::*;
@@ -25,40 +27,38 @@ fn main() {
     let x_codes: Vec<u32> = (0..seq * d_model).map(|_| rng.gen_range(0..16)).collect();
     let x = BitPlanes::from_codes(&x_codes, seq, d_model, a_bits, Encoding::ZeroOne);
 
-    // Q/K projections: ±1 weights (Case III).
+    // Q/K projections: ±1 weights (Case III), packed once into the
+    // kernel's layout.
     let proj_desc = ApmmDesc::w1aq(d_head, seq, d_model, a_bits, Encoding::ZeroOne);
-    let proj = |seed: u64| -> (Apmm, BitPlanes) {
+    let proj_mm = Apmm::new(proj_desc);
+    let proj = |seed: u64| -> PreparedApmm {
         let mut r = SmallRng::seed_from_u64(seed);
         let w: Vec<i32> = (0..d_head * d_model)
             .map(|_| if r.gen::<bool>() { 1 } else { -1 })
             .collect();
-        (
-            Apmm::new(proj_desc),
-            BitPlanes::from_signed_binary(&w, d_head, d_model),
-        )
+        proj_mm.prepare(BitPlanes::from_signed_binary(&w, d_head, d_model))
     };
-    let (q_mm, wq) = proj(1);
-    let (k_mm, wk) = proj(2);
+    let (wq, wk) = (proj(1), proj(2));
 
-    // Project, then re-quantize Q and K to 4-bit codes for the score GEMM.
+    // Project, then re-quantize Q and K to 4-bit codes for the score GEMM:
+    // the chain compiles once into its step table, and each projection
+    // packs its codes transposed (seq × d_head).
     let quant = apnn_tc::kernels::Epilogue::quantize(64.0, -512.0, a_bits);
-    let q = match q_mm.execute_fused(&wq, &x, &quant) {
-        apnn_tc::kernels::apmm::FusedOutput::Packed(p) => p, // seq × d_head
-        _ => unreachable!(),
-    };
-    let k = match k_mm.execute_fused(&wk, &x, &quant) {
-        apnn_tc::kernels::apmm::FusedOutput::Packed(p) => p,
-        _ => unreachable!(),
-    };
+    let steps = Steps::build(&quant, d_head).expect("a quantize-only chain is monotone");
+    let (mut scratch, mut codes) = (ApmmScratch::default(), Vec::new());
+    let mut q = BitPlanes::zeros(seq, d_head, a_bits, Encoding::ZeroOne);
+    wq.execute_fused_into(&x, &steps, &mut scratch, &mut codes, &mut q);
+    let mut k = BitPlanes::zeros(seq, d_head, a_bits, Encoding::ZeroOne);
+    wk.execute_fused_into(&x, &steps, &mut scratch, &mut codes, &mut k);
+    let qv: Vec<i32> = q.reconstruct_codes().iter().map(|&c| c as i32).collect();
+    let kv: Vec<i32> = k.reconstruct_codes().iter().map(|&c| c as i32).collect();
 
     // Attention scores: S = Q · Kᵀ — activation × activation, Case I.
     let score_desc = ApmmDesc::unsigned(seq, seq, d_head, a_bits, a_bits);
     let score_mm = Apmm::new(score_desc);
-    let scores = score_mm.execute(&q, &k);
+    let scores = score_mm.prepare(q).execute(&k);
 
     // Verify against the oracle on the decoded codes.
-    let qv: Vec<i32> = q.reconstruct_codes().iter().map(|&c| c as i32).collect();
-    let kv: Vec<i32> = k.reconstruct_codes().iter().map(|&c| c as i32).collect();
     assert_eq!(scores, gemm_i32(&qv, &kv, seq, seq, d_head));
     println!("score GEMM ({seq}x{seq}) verified against the i32 oracle");
 
@@ -82,7 +82,7 @@ fn main() {
 
     // Simulated latency budget on the RTX 3090.
     let spec = GpuSpec::rtx3090();
-    let t_proj = q_mm.simulate_fused(&spec, &quant).time_us();
+    let t_proj = proj_mm.simulate_fused(&spec, &quant).time_us();
     let t_score = score_mm.simulate(&spec).time_us();
     println!(
         "\nsimulated {} budget: Q-proj {t_proj:.2} us + K-proj {t_proj:.2} us + scores {t_score:.2} us",

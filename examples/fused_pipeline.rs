@@ -4,9 +4,10 @@
 //!
 //! Run with: `cargo run --release --example fused_pipeline`
 
+use apnn_tc::kernels::apconv::cpu::ConvScratch;
 use apnn_tc::kernels::apconv::simmap::{estimate, unfused_pipeline, ActLayout};
-use apnn_tc::kernels::apconv::{ApConv, ConvOutput, ConvWeights, Pool2};
-use apnn_tc::kernels::fusion::Epilogue;
+use apnn_tc::kernels::apconv::{ApConv, ConvWeights, Pool2, Residual};
+use apnn_tc::kernels::fusion::{Epilogue, Steps};
 use apnn_tc::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -26,15 +27,26 @@ fn main() {
     });
     let input = BitTensor4::from_tensor(&xcodes, 2, Encoding::ZeroOne);
 
+    // Pack the weights once (§4.2) and compile the quantizing chain once
+    // into its per-channel integer step table.
+    let prepared = conv.prepare(weights);
+    let steps = Steps::build(&epi, desc.cout).expect("a quantize-only chain is monotone");
+    let mut scratch = ConvScratch::default();
+
     // Fused: one pass, packed 2-bit output.
-    let fused = conv.execute_fused(&weights, &input, Some(Pool2::Max), &epi);
-    let ConvOutput::Packed(fused_out) = fused else {
-        panic!("expected packed output")
-    };
+    let mut fused_out = BitTensor4::zeros(0, 1, 1, desc.cout, 2, Encoding::ZeroOne);
+    prepared.execute_fused_into(
+        &input,
+        Residual::None,
+        Some(Pool2::Max),
+        &steps,
+        &mut scratch,
+        &mut fused_out,
+    );
 
     // Unfused: conv -> i32 map -> pooling pass -> quantization pass.
-    let y = conv.execute(&weights, &input);
-    let (oh, ow, c) = (16, 16, desc.cout);
+    let y = prepared.execute(&input);
+    let (ow, c) = (16, desc.cout);
     let mut mismatch = 0usize;
     for py in 0..8 {
         for px in 0..8 {
@@ -54,7 +66,6 @@ fn main() {
         8 * 8 * c
     );
     assert_eq!(mismatch, 0);
-    let _ = oh;
 
     // Simulated savings (Fig. 10).
     let spec = GpuSpec::rtx3090();

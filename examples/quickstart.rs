@@ -41,8 +41,9 @@ fn main() {
         apmm.tile.grid_blocks(desc.batched_m(), desc.batched_n())
     );
 
-    // 4. Functional execution + verification against the i32 oracle.
-    let y = apmm.execute(&w, &x);
+    // 4. Pack the weights once into the kernel's layout (§4.1), then run
+    //    the functional engine and verify it against the i32 oracle.
+    let y = apmm.prepare(w).execute(&x);
     let x_vals: Vec<i32> = x_codes.iter().map(|&c| c as i32).collect();
     let y_ref = gemm_i32(&w_vals, &x_vals, m, n, k);
     assert_eq!(y, y_ref, "APMM output must match the full-precision oracle");

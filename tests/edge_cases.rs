@@ -13,7 +13,9 @@ fn one_by_one_by_one_gemm() {
     for (wc, xc, want) in [(0u32, 0u32, 0i32), (1, 1, 1), (1, 0, 0)] {
         let w = BitPlanes::from_codes(&[wc], 1, 1, 1, Encoding::ZeroOne);
         let x = BitPlanes::from_codes(&[xc], 1, 1, 1, Encoding::ZeroOne);
-        let y = Apmm::new(ApmmDesc::unsigned(1, 1, 1, 1, 1)).execute(&w, &x);
+        let y = Apmm::new(ApmmDesc::unsigned(1, 1, 1, 1, 1))
+            .prepare(w)
+            .execute(&x);
         assert_eq!(y, vec![want]);
     }
 }
@@ -26,7 +28,9 @@ fn max_bits_both_operands() {
     let xc: Vec<u32> = (0..n * k).map(|i| (i as u32 * 101) % 256).collect();
     let w = BitPlanes::from_codes(&wc, m, k, 8, Encoding::ZeroOne);
     let x = BitPlanes::from_codes(&xc, n, k, 8, Encoding::ZeroOne);
-    let got = Apmm::new(ApmmDesc::unsigned(m, n, k, 8, 8)).execute(&w, &x);
+    let got = Apmm::new(ApmmDesc::unsigned(m, n, k, 8, 8))
+        .prepare(w)
+        .execute(&x);
     let wv: Vec<i32> = wc.iter().map(|&c| c as i32).collect();
     let xv: Vec<i32> = xc.iter().map(|&c| c as i32).collect();
     assert_eq!(got, gemm_i32(&wv, &xv, m, n, k));
@@ -39,7 +43,7 @@ fn k_smaller_than_one_fragment() {
     let x = BitPlanes::from_signed_binary(&[-1, -1, 1], 1, 3);
     let desc = ApmmDesc::w1aq(1, 1, 3, 1, Encoding::PlusMinusOne);
     // (1·−1) + (−1·−1) + (1·1) = 1.
-    assert_eq!(Apmm::new(desc).execute(&w, &x), vec![1]);
+    assert_eq!(Apmm::new(desc).prepare(w).execute(&x), vec![1]);
 }
 
 #[test]
@@ -105,7 +109,7 @@ fn conv_window_larger_than_input_needs_padding() {
         }
         v
     };
-    let got = ApConv::new(desc).execute(&weights, &input);
+    let got = ApConv::new(desc).prepare(weights).execute(&input);
     let want = apnn_tc::kernels::reference::conv2d_i32(&x_vals, &w_vals, 1, 3, 3, 2, 2, 5, 5, 1, 2);
     assert_eq!(got, want);
 }
@@ -157,7 +161,9 @@ fn accumulator_headroom_at_max_everything() {
     let xc = vec![255u32; kk];
     let w = BitPlanes::from_codes(&wc, m, kk, 8, Encoding::ZeroOne);
     let x = BitPlanes::from_codes(&xc, n, kk, 8, Encoding::ZeroOne);
-    let y = Apmm::new(ApmmDesc::unsigned(m, n, kk, 8, 8)).execute(&w, &x);
+    let y = Apmm::new(ApmmDesc::unsigned(m, n, kk, 8, 8))
+        .prepare(w)
+        .execute(&x);
     assert_eq!(y[0], 255 * 255 * kk as i32);
 }
 

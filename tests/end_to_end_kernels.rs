@@ -69,7 +69,7 @@ fn apmm_all_cases_match_oracle() {
                 (BitPlanes::from_signed_binary(&v, n, k), v)
             }
         };
-        let got = Apmm::new(desc).execute(&w, &x);
+        let got = Apmm::new(desc).prepare(w).execute(&x);
         let want = gemm_i32(&wv, &xv, m, n, k);
         assert_eq!(got, want, "case w{p}a{q} {w_enc:?}/{x_enc:?}");
     }
@@ -125,7 +125,7 @@ fn apconv_matches_oracle_with_padding_and_stride() {
                 }
             }
         }
-        let got = ApConv::new(desc).execute(&weights, &input);
+        let got = ApConv::new(desc).prepare(weights).execute(&input);
         let want = conv2d_i32(&x_vals, &w_vals, 2, hw, hw, cin, cout, kk, kk, stride, pad);
         assert_eq!(got, want, "conv case {desc:?}");
     }
@@ -142,7 +142,9 @@ fn fragment_template_tiled_kernel_and_oracle_triangle() {
     let w = BitPlanes::from_codes(&wc, m, k, p, Encoding::ZeroOne);
     let x = BitPlanes::from_codes(&xc, n, k, q, Encoding::ZeroOne);
 
-    let tiled = Apmm::new(ApmmDesc::unsigned(m, n, k, p, q)).execute(&w, &x);
+    let tiled = Apmm::new(ApmmDesc::unsigned(m, n, k, p, q))
+        .prepare(w.clone())
+        .execute(&x);
     let template = apnn_tc::kernels::emulate::ap_bit_mm(&w, &x);
     let wv: Vec<i32> = wc.iter().map(|&c| c as i32).collect();
     let xv: Vec<i32> = xc.iter().map(|&c| c as i32).collect();

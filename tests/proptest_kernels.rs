@@ -4,7 +4,7 @@
 use apnn_tc::bitpack::{BitPlanes, BitTensor4, Encoding, Layout, Tensor4};
 use apnn_tc::kernels::apconv::{ApConv, ConvDesc, ConvWeights};
 use apnn_tc::kernels::apmm::{Apmm, ApmmDesc};
-use apnn_tc::kernels::fusion::Epilogue;
+use apnn_tc::kernels::fusion::{Epilogue, Steps};
 use apnn_tc::kernels::reference::{conv2d_i32, gemm_i32};
 use proptest::prelude::*;
 
@@ -80,7 +80,7 @@ proptest! {
         };
         let w = BitPlanes::from_codes(&case.w_codes, case.m, case.k, case.p, w_enc);
         let x = BitPlanes::from_codes(&case.x_codes, case.n, case.k, case.q, x_enc);
-        let got = Apmm::new(desc).execute(&w, &x);
+        let got = Apmm::new(desc).prepare(w).execute(&x);
         let want = gemm_i32(
             &decode(&case.w_codes, case.w_signed),
             &decode(&case.x_codes, case.x_signed),
@@ -107,10 +107,15 @@ proptest! {
         let w = BitPlanes::from_codes(&wc, m, k, 1, Encoding::ZeroOne);
         let x = BitPlanes::from_codes(&xc, n, k, q, Encoding::ZeroOne);
         let epi = Epilogue::quantize(scale as f32, 0.0, q);
-        let out = Apmm::new(desc).execute_fused(&w, &x, &epi);
-        let apnn_tc::kernels::apmm::FusedOutput::Packed(packed) = out else {
-            return Err(TestCaseError::fail("expected packed"));
-        };
+        let steps = Steps::build(&epi, m).unwrap();
+        let mut packed = BitPlanes::zeros(1, 1, 1, Encoding::ZeroOne);
+        Apmm::new(desc).prepare(w).execute_fused_into(
+            &x,
+            &steps,
+            &mut Default::default(),
+            &mut Vec::new(),
+            &mut packed,
+        );
         // Oracle: full product, quantize, compare codes (transposed).
         let want = gemm_i32(&decode(&wc, false), &decode(&xc, false), m, n, k);
         for i in 0..m {
@@ -154,7 +159,7 @@ proptest! {
                 }
             }
         }
-        let got = ApConv::new(desc).execute(&weights, &input);
+        let got = ApConv::new(desc).prepare(weights).execute(&input);
         let want = conv2d_i32(&x_vals, &w_vals, 1, hw, hw, cin, cout, kk, kk, stride, pad);
         prop_assert_eq!(got, want);
     }
