@@ -13,8 +13,9 @@
 //!   instrumented copy.
 //!
 //! The shapes the zoo spends its time on are short reductions over small
-//! maps, which the paper-figure benches (`fig7_apconv`) do not cover; size
-//! kernel work against this, not against a throwaway harness.
+//! maps, which `bench/`'s `kernel_paper` workload (the paper's Fig. 7 conv)
+//! does not cover; size kernel work against this, not against a throwaway
+//! harness.
 
 use apnn_bench::gen;
 use apnn_bitpack::{BitTensor4, Encoding, Layout, Tensor4};

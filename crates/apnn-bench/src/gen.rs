@@ -1,40 +1,9 @@
-//! Seeded random operand generators shared by the benches and examples.
+//! Seeded random operands for the `zoo_conv_shapes` bench.
 
-use apnn_bitpack::{BitPlanes, BitTensor4, Encoding, Layout, Tensor4};
+use apnn_bitpack::{BitTensor4, Encoding, Layout, Tensor4};
 use apnn_kernels::apconv::{ConvDesc, ConvWeights};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// Random unsigned `bits`-wide code planes of shape `rows × cols`.
-pub fn random_planes(rows: usize, cols: usize, bits: u32, seed: u64) -> BitPlanes {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let codes: Vec<u32> = (0..rows * cols)
-        .map(|_| rng.gen_range(0..(1u32 << bits)))
-        .collect();
-    BitPlanes::from_codes(&codes, rows, cols, bits, Encoding::ZeroOne)
-}
-
-/// Random ±1 planes of shape `rows × cols`.
-pub fn random_signed_planes(rows: usize, cols: usize, seed: u64) -> BitPlanes {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let vals: Vec<i32> = (0..rows * cols)
-        .map(|_| if rng.gen::<bool>() { 1 } else { -1 })
-        .collect();
-    BitPlanes::from_signed_binary(&vals, rows, cols)
-}
-
-/// Operand planes matching a `wPaQ` GEMM description's encodings.
-pub fn gemm_operands(desc: &apnn_kernels::apmm::ApmmDesc, seed: u64) -> (BitPlanes, BitPlanes) {
-    let w = match desc.w_enc {
-        Encoding::PlusMinusOne => random_signed_planes(desc.m, desc.k, seed),
-        Encoding::ZeroOne => random_planes(desc.m, desc.k, desc.w_bits, seed),
-    };
-    let x = match desc.x_enc {
-        Encoding::PlusMinusOne => random_signed_planes(desc.n, desc.k, seed ^ 0xABCD),
-        Encoding::ZeroOne => random_planes(desc.n, desc.k, desc.x_bits, seed ^ 0xABCD),
-    };
-    (w, x)
-}
 
 /// Random packed weights + input for a convolution description.
 pub fn conv_operands(desc: &ConvDesc, seed: u64) -> (ConvWeights, BitTensor4) {
@@ -66,39 +35,20 @@ pub fn conv_operands(desc: &ConvDesc, seed: u64) -> (ConvWeights, BitTensor4) {
     (weights, input)
 }
 
-/// Random i8 matrix (row-major `rows × cols`).
-pub fn random_i8(rows: usize, cols: usize, seed: u64) -> Vec<i8> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..rows * cols)
-        .map(|_| rng.gen_range(-127i8..=127))
-        .collect()
-}
-
-/// Random f32 matrix (row-major `rows × cols`).
-pub fn random_f32(rows: usize, cols: usize, seed: u64) -> Vec<f32> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..rows * cols)
-        .map(|_| rng.gen_range(-1.0f32..1.0))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apnn_kernels::apmm::ApmmDesc;
 
     #[test]
     fn generators_are_deterministic() {
-        let a = random_planes(8, 64, 3, 9);
-        let b = random_planes(8, 64, 3, 9);
-        assert_eq!(a.reconstruct_codes(), b.reconstruct_codes());
-    }
-
-    #[test]
-    fn gemm_operands_respect_desc() {
-        let desc = ApmmDesc::w1aq(16, 24, 100, 2, Encoding::ZeroOne);
-        let (w, x) = gemm_operands(&desc, 3);
-        desc.check_operands(&w, &x);
+        let desc = ConvDesc::unsigned(1, 8, 6, 4, 3, 1, 1, 2, 3);
+        let (w0, x0) = conv_operands(&desc, 9);
+        let (w1, x1) = conv_operands(&desc, 9);
+        assert_eq!(
+            w0.planes().reconstruct_codes(),
+            w1.planes().reconstruct_codes()
+        );
+        assert_eq!(x0, x1);
     }
 
     #[test]

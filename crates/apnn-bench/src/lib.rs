@@ -5,7 +5,7 @@
 //! Benchmark harness for the APNN-TC reproduction: workload definitions
 //! matching the paper's evaluation section, table/series printers, and the
 //! experiment drivers behind the `repro` binary (one subcommand per paper
-//! table and figure) and the Criterion benches.
+//! table and figure) and the `zoo_conv_shapes` bench.
 
 pub mod artifacts;
 pub mod experiments;

@@ -9,7 +9,7 @@
 //! Three execution paths share one tiling:
 //! * [`Apmm::prepare`] → [`PreparedApmm`] — functional CPU compute
 //!   (bit-serial words + popcount) through the one calling-thread driver,
-//!   the "real" engine that plans serve and the Criterion benches time.
+//!   the "real" engine that plans serve and `bench/` times.
 //! * [`Apmm::simulate`] — closed-form counter estimate priced by the
 //!   `apnn-sim` cost model (fast, any problem size).
 //! * [`simmap::run_functional`] — the tiled algorithm executed block-by-block

@@ -7,12 +7,8 @@
 //! efficiency constants calibrated against the paper's own measured ratios
 //! (§6.1.1 reports cutlass-int1 ≈ 5.9× cublas-int8 at saturation on the
 //! RTX 3090; the constants below reproduce that).
-//!
-//! Functional CPU counterparts (int8/f32 GEMM) live in [`cpu`] and are used
-//! by the Criterion benches and the NN float/int8 oracles.
 
 pub mod conv;
-pub mod cpu;
 pub mod gemm;
 
 use apnn_sim::Precision;

@@ -195,7 +195,6 @@ impl CompiledNet {
                 Some(s) => s.as_uniform(),
                 None => precision,
             },
-            schedule: schedule.cloned(),
             batch: opts.batch,
             stages,
         }

@@ -8,7 +8,7 @@ use apnn_kernels::apmm::{ApmmDesc, PreparedApmm, TileConfig};
 use apnn_kernels::fusion::{Epilogue, Steps};
 
 use crate::fuse::{EwKind, MainOp, ResidualSrc, StageSrc};
-use crate::precision::{NetPrecision, PrecisionSchedule};
+use crate::precision::NetPrecision;
 
 /// How much of the plan to materialize at compile time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -241,7 +241,6 @@ pub struct CompiledNet {
     /// Scheme label (reports).
     pub scheme: String,
     pub(super) precision: Option<NetPrecision>,
-    pub(super) schedule: Option<PrecisionSchedule>,
     pub(super) batch: usize,
     pub(super) stages: Vec<PlanStage>,
 }
@@ -256,7 +255,6 @@ impl CompiledNet {
             model: model.to_string(),
             scheme: scheme.to_string(),
             precision: None,
-            schedule: None,
             batch,
             stages: Vec::new(),
         }
@@ -349,12 +347,6 @@ impl CompiledNet {
     /// their equivalent whole-network scheme).
     pub fn precision(&self) -> Option<NetPrecision> {
         self.precision
-    }
-
-    /// The per-layer schedule this plan was lowered with (`None` for
-    /// uniform-scheme and hand-built plans).
-    pub fn schedule(&self) -> Option<&PrecisionSchedule> {
-        self.schedule.as_ref()
     }
 
     /// The packed feature map the first main stage consumes, as

@@ -2,58 +2,13 @@
 //!
 //! Provides just enough of the Criterion 0.5 API for this workspace's
 //! `harness = false` benches to compile and produce useful wall-clock
-//! numbers under `cargo bench`: benchmark groups, `bench_function` /
-//! `bench_with_input`, `BenchmarkId`, and an iteration timer that reports
-//! the median per-iteration time. No statistics machinery, no plots.
+//! numbers under `cargo bench`: benchmark groups, `bench_function` with a
+//! string id, an element-count throughput annotation, and an iteration
+//! timer that reports the median per-iteration time. No statistics
+//! machinery, no plots.
 
-use std::fmt::Display;
-use std::hint::black_box as std_black_box;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-/// Prevent the optimizer from deleting a benchmarked computation.
-pub fn black_box<T>(x: T) -> T {
-    std_black_box(x)
-}
-
-/// Identifier for one parameterized benchmark case.
-#[derive(Debug, Clone)]
-pub struct BenchmarkId {
-    id: String,
-}
-
-impl BenchmarkId {
-    /// `function_name/parameter` id, matching Criterion's display form.
-    pub fn new(function: impl Into<String>, parameter: impl Display) -> Self {
-        BenchmarkId {
-            id: format!("{}/{}", function.into(), parameter),
-        }
-    }
-
-    /// Id from a bare parameter.
-    pub fn from_parameter(parameter: impl Display) -> Self {
-        BenchmarkId {
-            id: parameter.to_string(),
-        }
-    }
-}
-
-impl Display for BenchmarkId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.id)
-    }
-}
-
-impl From<&str> for BenchmarkId {
-    fn from(s: &str) -> Self {
-        BenchmarkId { id: s.to_string() }
-    }
-}
-
-impl From<String> for BenchmarkId {
-    fn from(s: String) -> Self {
-        BenchmarkId { id: s }
-    }
-}
 
 /// Top-level bench context handed to each `criterion_group!` target.
 #[derive(Debug, Default)]
@@ -108,18 +63,15 @@ impl BenchmarkGroup {
 
     /// Set a throughput annotation for the cases that follow: an element
     /// count adds the time per element to each case's line (criterion
-    /// proper reports elements per second); a byte count is accepted and
-    /// ignored.
+    /// proper reports elements per second).
     pub fn throughput(&mut self, t: Throughput) -> &mut Self {
-        self.elements = match t {
-            Throughput::Elements(n) => Some(n),
-            Throughput::Bytes(_) => None,
-        };
+        let Throughput::Elements(n) = t;
+        self.elements = Some(n);
         self
     }
 
     /// Run one benchmark case.
-    pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, mut f: F) -> &mut Self
+    pub fn bench_function<F>(&mut self, id: impl Into<String>, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
@@ -137,24 +89,9 @@ impl BenchmarkGroup {
         });
         println!(
             "{}/{:<40} {:>12.3?} /iter{per_elem}",
-            self.name,
-            id.to_string(),
-            b.median
+            self.name, id, b.median
         );
         self
-    }
-
-    /// Run one benchmark case with an input value.
-    pub fn bench_with_input<I: ?Sized, F>(
-        &mut self,
-        id: impl Into<BenchmarkId>,
-        input: &I,
-        mut f: F,
-    ) -> &mut Self
-    where
-        F: FnMut(&mut Bencher, &I),
-    {
-        self.bench_function(id, |b| f(b, input))
     }
 
     /// Close the group.
@@ -164,8 +101,6 @@ impl BenchmarkGroup {
 /// Throughput annotations.
 #[derive(Debug, Clone, Copy)]
 pub enum Throughput {
-    /// Bytes processed per iteration.
-    Bytes(u64),
     /// Elements processed per iteration.
     Elements(u64),
 }
@@ -218,13 +153,6 @@ impl Bencher {
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
         fn $name() {
-            let mut c = $crate::Criterion::default();
-            $( $target(&mut c); )+
-        }
-    };
-    (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
-        fn $name() {
-            let _ = $config;
             let mut c = $crate::Criterion::default();
             $( $target(&mut c); )+
         }

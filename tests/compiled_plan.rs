@@ -278,10 +278,27 @@ fn uniform_schedule_lowers_to_the_identical_plan() {
         let uniform = net.compile(NetPrecision::Apnn { w: 2, a: 2 }, &opts);
         let scheduled = net.compile_scheduled(&PrecisionSchedule::uniform(2, 2, n), &opts);
         assert_eq!(uniform.scheme, scheduled.scheme);
+        assert_eq!(uniform.precision(), scheduled.precision());
         assert_eq!(
             format!("{:?}", uniform.stages()),
             format!("{:?}", scheduled.stages()),
             "{}: uniform schedule lowered differently from the uniform plan",
+            net.name
+        );
+        let spec = GpuSpec::rtx3090();
+        assert_eq!(
+            format!("{:?}", uniform.report(&spec)),
+            format!("{:?}", scheduled.report(&spec)),
+            "{}: uniform schedule priced differently from the uniform plan",
+            net.name
+        );
+        let mut mixed = vec![LayerPrecision::new(2, 2); n];
+        mixed[n - 1] = LayerPrecision::new(1, 2);
+        let mixed = net.compile_scheduled(&PrecisionSchedule::new(mixed), &opts);
+        assert_eq!(
+            mixed.precision(),
+            None,
+            "{}: a mixed schedule has no scheme",
             net.name
         );
         let mut seed = 321u64;
