@@ -1,5 +1,4 @@
-//! The exec benchmark (`BENCH_exec.json`) and the file writer every
-//! committed artifact goes through.
+//! The file writer every committed artifact goes through.
 //!
 //! The printed `repro` tables are for humans; the `BENCH_*.json` files are
 //! for the *trajectory* — each is regenerated by its `repro` subcommand
@@ -7,196 +6,12 @@
 //! history instead of living only in terminal scrollback. Each file's
 //! format is its [`crate::schema`] spec: [`write_artifact`] renders rows
 //! through it, and the `bench-trajectory` CI job validates fresh and
-//! committed copies against the same spec — schema-gated rather than
-//! threshold-gated so shared runners cannot flake it.
+//! committed copies against the same spec. CPU throughput is not one of
+//! these artifacts: `bench/` times the engines and gates them on speed.
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::time::Instant;
-
-use apnn_bitpack::{BitTensor4, Encoding, Layout, Tensor4};
-use apnn_nn::models::servable_zoo;
-use apnn_nn::{CompileOptions, NetPrecision};
 
 use crate::schema::{self, Row, Spec};
-
-/// One steady-state execution measurement: a servable zoo model × scheme ×
-/// intra-batch thread count, timed through a warmed
-/// [`apnn_nn::WorkspacePool`] (the zero-allocation parallel path) against
-/// a fresh pool + workspaces per call (the allocating path).
-#[derive(Debug, Clone)]
-pub struct ExecPoint {
-    /// Model name.
-    pub model: String,
-    /// Precision scheme label.
-    pub scheme: String,
-    /// Compiled batch (shard width cap).
-    pub batch: usize,
-    /// Requests per timed call (shards fan out over the Rayon pool).
-    pub requests: usize,
-    /// Intra-batch thread count handed to
-    /// [`apnn_nn::CompiledNet::infer_batched_into`].
-    pub threads: usize,
-    /// Workspace-pool population cap for this point.
-    pub pool: usize,
-    /// Requests/s through the warmed pool (zero-allocation steady state).
-    ///
-    /// Both rates are **paired-window ceiling estimates**: the best
-    /// back-to-back measurement round (see [`exec_bench`]), not a mean —
-    /// read them as "throughput with scheduler noise removed", and
-    /// compare rows across PRs in that light.
-    pub reused_ws_rps: f64,
-    /// Requests/s building a fresh pool (and thus fresh workspaces) per
-    /// call, from the same measurement window as
-    /// [`ExecPoint::reused_ws_rps`].
-    pub fresh_ws_rps: f64,
-    /// Total per-workspace footprint in bytes
-    /// ([`apnn_nn::CompiledNet::workspace_spec`]).
-    pub workspace_bytes: usize,
-}
-
-impl ExecPoint {
-    /// This point as a [`schema::EXEC`] row.
-    pub fn row(&self) -> Row {
-        schema::EXEC.row([
-            self.model.as_str().into(),
-            self.scheme.as_str().into(),
-            self.batch.into(),
-            self.requests.into(),
-            self.threads.into(),
-            self.pool.into(),
-            self.reused_ws_rps.into(),
-            self.fresh_ws_rps.into(),
-            self.workspace_bytes.into(),
-        ])
-    }
-}
-
-/// Measure steady-state batched inference throughput for every servable
-/// zoo model × {w1a2, w2a2} × `threads` sweep point: `iters` timed calls
-/// over a `requests`-image batch, warmed pool vs. fresh pool per call.
-pub fn exec_bench(
-    batch: usize,
-    requests: usize,
-    threads: &[usize],
-    iters: usize,
-) -> Vec<ExecPoint> {
-    let mut points = Vec::new();
-    for net in servable_zoo() {
-        for precision in [NetPrecision::w1a2(), NetPrecision::Apnn { w: 2, a: 2 }] {
-            let plan = net.compile(precision, &CompileOptions::functional(batch, 2021));
-            let input = bench_input(&net.name, requests, net.input_h, net.input_w);
-            let spec = plan.workspace_spec();
-
-            for &t in threads {
-                let pool_size = t.max(1);
-                let mut out = Vec::new();
-
-                // Measure in *paired rounds*: within one round the two
-                // modes run back-to-back blocks under the same machine
-                // state, and the artifact reports the round whose
-                // reused/fresh ratio is best. The reused path's work is a
-                // strict subset of the fresh path's (fresh additionally
-                // builds its pool and workspaces every call), so the true
-                // ratio is ≥ 1; single-round inversions are asymmetric
-                // scheduler noise, and taking the cleanest paired window
-                // converges on the real ordering while keeping both
-                // numbers from the *same* window (no cherry-picking one
-                // side). Each round also rebuilds the reused pool, so the
-                // long-lived workspaces re-roll allocator placement just
-                // like the per-call fresh ones do.
-                let (mut reused, mut fresh) = (0f64, 1f64);
-                let mut prev_pool = None;
-                for round in 0..10 {
-                    let pool = plan.workspace_pool(pool_size);
-                    // Warm (allocating this round's workspaces) while the
-                    // previous round's pool is still alive, so the
-                    // allocator cannot hand back the identical region —
-                    // each round genuinely re-rolls the long-lived
-                    // arenas' placement instead of replaying one draw.
-                    plan.infer_batched_into(&input, &pool, t, &mut out);
-                    drop(prev_pool.take());
-                    let (mut reused_r, mut fresh_r) = (0f64, 0f64);
-                    for _ in 0..3 {
-                        let t0 = Instant::now();
-                        for _ in 0..iters {
-                            plan.infer_batched_into(&input, &pool, t, &mut out);
-                        }
-                        let rps = (iters * requests) as f64 / t0.elapsed().as_secs_f64().max(1e-9);
-                        reused_r = reused_r.max(rps);
-
-                        let t0 = Instant::now();
-                        for _ in 0..iters {
-                            // Fresh pool per call: every shard builds its
-                            // workspace from scratch — the allocating
-                            // baseline.
-                            let fresh_pool = plan.workspace_pool(pool_size);
-                            plan.infer_batched_into(&input, &fresh_pool, t, &mut out);
-                        }
-                        let rps = (iters * requests) as f64 / t0.elapsed().as_secs_f64().max(1e-9);
-                        fresh_r = fresh_r.max(rps);
-                    }
-                    if reused_r / fresh_r > reused / fresh {
-                        (reused, fresh) = (reused_r, fresh_r);
-                    }
-                    if reused >= fresh && round >= 1 {
-                        break;
-                    }
-                    prev_pool = Some(pool);
-                }
-
-                points.push(ExecPoint {
-                    model: net.name.clone(),
-                    scheme: precision.label(),
-                    batch,
-                    requests,
-                    threads: t,
-                    pool: pool_size,
-                    reused_ws_rps: reused,
-                    fresh_ws_rps: fresh,
-                    workspace_bytes: spec.total_bytes,
-                });
-            }
-        }
-    }
-    points
-}
-
-/// Render the exec benchmark as a human table (printed by `repro exec`).
-pub fn exec_report(points: &[ExecPoint]) -> String {
-    let mut out = String::from(
-        "## Exec: steady-state batched throughput, warmed WorkspacePool vs. fresh per call\n",
-    );
-    let _ = writeln!(
-        out,
-        "{:<18}{:<12}{:>7}{:>5}{:>5}{:>14}{:>14}{:>8}{:>12}",
-        "model",
-        "scheme",
-        "batch",
-        "thr",
-        "pool",
-        "reused req/s",
-        "fresh req/s",
-        "gain",
-        "ws bytes"
-    );
-    for p in points {
-        let _ = writeln!(
-            out,
-            "{:<18}{:<12}{:>7}{:>5}{:>5}{:>14.1}{:>14.1}{:>7.2}x{:>12}",
-            p.model,
-            p.scheme,
-            p.batch,
-            p.threads,
-            p.pool,
-            p.reused_ws_rps,
-            p.fresh_ws_rps,
-            p.reused_ws_rps / p.fresh_ws_rps.max(1e-9),
-            p.workspace_bytes
-        );
-    }
-    out
-}
 
 /// Render `rows` through `spec` into its artifact file, in the working
 /// directory (or under `BENCH_DIR` when set). Returns the path written.
@@ -209,46 +24,9 @@ pub fn write_artifact(spec: &Spec, rows: &[Row]) -> std::io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Deterministic 8-bit bench input.
-fn bench_input(tag: &str, batch: usize, h: usize, w: usize) -> BitTensor4 {
-    let salt = tag.len();
-    let codes = Tensor4::<u32>::from_fn(batch, 3, h, w, Layout::Nhwc, |b, c, y, x| {
-        ((salt + 7 * b + 3 * c + 5 * y + 11 * x) % 256) as u32
-    });
-    BitTensor4::from_tensor(&codes, 8, Encoding::ZeroOne)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn exec_json_is_flat_and_complete() {
-        let point = |model: &str, threads, reused_ws_rps| ExecPoint {
-            model: model.into(),
-            scheme: "APNN-w1a2".into(),
-            batch: 4,
-            requests: 16,
-            threads,
-            pool: threads,
-            reused_ws_rps,
-            fresh_ws_rps: 100.0,
-            workspace_bytes: 4096,
-        };
-        let points = [point("A", 1, 123.456), point("B", 4, 50.0)];
-        let rows: Vec<Row> = points.iter().map(ExecPoint::row).collect();
-        let json = schema::render(&schema::EXEC, &rows);
-        assert!(json.starts_with("{\n\"exec\": [\n  {\"model\": \"A\", \"scheme\""));
-        assert!(json.contains("\"reused_ws_rps\": 123.5"));
-        assert!(json.contains("\"threads\": 4"));
-        assert!(json.contains("\"workspace_bytes\": 4096}"));
-        // Two objects, one trailing-comma-free array.
-        assert_eq!(json.matches("{\"model\"").count(), 2);
-        assert!(!json.contains(",\n]"));
-        assert_eq!(schema::parse_rows(&json).unwrap()[1], rows[1]);
-        let table = exec_report(&points);
-        assert!(table.contains("gain"));
-    }
 
     #[test]
     fn serve_json_round_trips_points() {
@@ -289,17 +67,5 @@ mod tests {
         assert_eq!(parsed[1], rows[1]);
         let keys = schema::validate(&schema::SERVE, &parsed).unwrap();
         assert_eq!(keys[0], ["AlexNet-Tiny", "APNN-w1a2", "baseline", "25"]);
-    }
-
-    #[test]
-    fn exec_bench_smoke_reused_wins_or_ties_shape() {
-        // Tiny smoke run: every sweep point present, values positive.
-        let points = exec_bench(2, 4, &[1, 2], 1);
-        assert_eq!(points.len(), 3 * 2 * 2, "zoo × schemes × threads");
-        for p in &points {
-            assert!(p.reused_ws_rps > 0.0 && p.fresh_ws_rps > 0.0);
-            assert!(p.workspace_bytes > 0);
-            assert_eq!(p.pool, p.threads.max(1));
-        }
     }
 }

@@ -2,31 +2,37 @@
 //! simulated Ampere substrate.
 //!
 //! ```text
-//! repro <fig5|...|fig12|table1|...|table4|serve|exec|kernels|precision|all>
+//! repro <fig5|...|fig12|table1|...|table4|serve|precision|all>
 //! repro check-bench <fresh_dir> <committed_dir>
 //! ```
 //!
-//! `serve`, `exec`, `kernels` and `precision` additionally write
-//! machine-readable `BENCH_serve.json` / `BENCH_exec.json` /
-//! `BENCH_kernels.json` / `BENCH_precision.json` artifacts (working
-//! directory, or `BENCH_DIR`) so the bench trajectory is tracked across
-//! PRs; `check-bench` schema-validates freshly generated artifacts against
-//! the committed copies (the `bench-trajectory` CI gate). `serve` needs a
-//! `--features fault-inject` build, and `all` skips it without one.
+//! `serve` and `precision` additionally write the machine-readable
+//! `BENCH_serve.json` (the chaos A/B goodput-retention pair) and
+//! `BENCH_precision.json` (the precision autotuner's front, a pure function
+//! of the code) into the working directory, or `BENCH_DIR`; a failed write
+//! exits 1. `check-bench` schema-validates freshly generated artifacts
+//! against the committed copies (the `bench-trajectory` CI gate). `serve`
+//! needs a `--features fault-inject` build, and `all` skips it without one.
+//! CPU throughput is not timed here: `bench/` times the engines, with a
+//! spread and a regression gate.
 //!
 //! Figures 5/7 run on the RTX 3090 preset, 6/8 on the A100 preset, matching
 //! the paper's panels; everything else defaults to the RTX 3090 (the paper
 //! reports "similar trends" on both GPUs and focuses on the 3090, §6.1.2).
 
 use apnn_bench::schema::{self, Row, Spec};
-use apnn_bench::{artifacts, experiments as exp, kernels, precision};
+use apnn_bench::{artifacts, experiments as exp, precision};
 use apnn_sim::GpuSpec;
 
 /// Write `rows` as `spec`'s artifact; the line reporting where they went.
+/// A failed write exits 1, so the step that lost the artifact fails.
 fn write(spec: &Spec, rows: &[Row]) -> String {
     match artifacts::write_artifact(spec, rows) {
         Ok(path) => format!("wrote {}\n", path.display()),
-        Err(e) => format!("could not write {}: {e}\n", spec.file()),
+        Err(e) => {
+            eprintln!("could not write {}: {e}", spec.file());
+            std::process::exit(1)
+        }
     }
 }
 
@@ -52,23 +58,6 @@ fn serve() -> String {
     }
 }
 
-/// Run the steady-state exec benchmark (thread/pool sweep), write
-/// `BENCH_exec.json`, return the table.
-fn exec() -> String {
-    let points = artifacts::exec_bench(8, 16, &[1, 2, 4], 8);
-    let rows: Vec<Row> = points.iter().map(artifacts::ExecPoint::row).collect();
-    artifacts::exec_report(&points) + &write(&schema::EXEC, &rows)
-}
-
-/// Run the kernel-level microkernel sweep (word GB/s + plane-pair
-/// throughput per emulation case), write `BENCH_kernels.json`, return the
-/// table.
-fn kernels() -> String {
-    let points = kernels::kernel_bench(96, 96, 4096, 20);
-    let rows: Vec<Row> = points.iter().map(kernels::KernelPoint::row).collect();
-    kernels::kernels_report(&points) + &write(&schema::KERNELS, &rows)
-}
-
 /// Run the precision autotuner for ResNet18-Tiny (per-segment `(w, a)`
 /// search pricing each candidate by the plane-pair words one 8-image batch
 /// streams through the popcount kernel, against the QAT accuracy
@@ -78,15 +67,6 @@ fn precision() -> String {
     let points = precision::precision_bench(8);
     let rows: Vec<Row> = points.iter().map(precision::PrecisionPoint::row).collect();
     precision::precision_report(&points) + &write(&schema::PRECISION, &rows)
-}
-
-/// Run the kernel sweep once per available popcount arm and print the
-/// side-by-side word-GB/s comparison (the dispatch-quality check: the
-/// selected SIMD arm should beat the scalar fallback on a build without
-/// hardware `popcnt`). Prints a table only — no committed artifact, since
-/// the per-arm ratios are host-specific.
-fn arms() -> String {
-    kernels::arms_report(96, 96, 4096, 20)
 }
 
 /// Validate freshly generated bench artifacts against the committed ones
@@ -188,10 +168,7 @@ fn main() {
             "ablation-batching" => Some(exp::ablation_batching(&g3090)),
             "turing" => Some(exp::turing(&g3090)),
             "serve" => Some(serve()),
-            "exec" => Some(exec()),
-            "kernels" => Some(kernels()),
             "precision" => Some(precision()),
-            "arms" => Some(arms()),
             _ => None,
         }
     };
@@ -217,8 +194,6 @@ fn main() {
             "turing",
             #[cfg(feature = "fault-inject")]
             "serve",
-            "exec",
-            "kernels",
             "precision",
         ] {
             println!("{}", run(name).unwrap());
@@ -229,7 +204,7 @@ fn main() {
         eprintln!(
             "unknown experiment '{arg}'. Options: fig5..fig12, table1..table4, \
              fusion-ablation, ablation-tiles, ablation-layout, ablation-batching, turing, \
-             serve, exec, kernels, precision, arms, check-bench <fresh_dir> <committed_dir>, all"
+             serve, precision, check-bench <fresh_dir> <committed_dir>, all"
         );
         std::process::exit(2);
     }

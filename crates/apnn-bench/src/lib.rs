@@ -10,7 +10,6 @@
 pub mod artifacts;
 pub mod experiments;
 pub mod gen;
-pub mod kernels;
 pub mod precision;
 pub mod schema;
 pub mod serve_load;

@@ -12,8 +12,8 @@
 //! and validates both the fresh and the committed copies here; for a keyed
 //! artifact the two copies must also cover the same identity keys. The
 //! gate is **schema-shaped, not threshold-shaped** — absolute throughput
-//! on a shared runner is noise, but a silently dropped model, case or
-//! sweep point is a broken trajectory.
+//! on a shared runner is noise (`bench/` gates speed), but a silently
+//! dropped chaos tenant or operating point is a broken trajectory.
 //!
 //! The parser below handles exactly the flat JSON [`render`] emits: one
 //! top-level array of objects whose values are numbers or strings. The
@@ -165,10 +165,6 @@ pub enum Kind {
     Label(&'static str),
     /// A string from a fixed set.
     OneOf(&'static [&'static str]),
-    /// A popcount arm label ([`apnn_bitpack::PopcntArm::parse`]).
-    Arm,
-    /// Operand bits (planes) per value: an integer in `1..=8`.
-    Bits,
     /// A 0/1 flag.
     Flag,
     /// An integer `>= min`.
@@ -253,16 +249,11 @@ impl Field {
             (Kind::OneOf(set), JsonVal::Str(s)) => {
                 (!set.contains(&s.as_str())).then(|| format!("unexpected {name} `{s}`"))
             }
-            (Kind::Arm, JsonVal::Str(s)) => apnn_bitpack::PopcntArm::parse(s)
-                .is_none()
-                .then(|| format!("unknown popcount arm `{s}`")),
-            (Kind::Label(_) | Kind::OneOf(_) | Kind::Arm, JsonVal::Num(_)) => {
+            (Kind::Label(_) | Kind::OneOf(_), JsonVal::Num(_)) => {
                 Some(format!("field `{name}` is not a string"))
             }
             (_, JsonVal::Str(_)) => Some(format!("field `{name}` is not a number")),
             (_, JsonVal::Num(v)) if !v.is_finite() => Some(format!("field `{name}` is not finite")),
-            (Kind::Bits, &JsonVal::Num(v)) => (!(1.0..=8.0).contains(&v) || !whole(v))
-                .then(|| format!("plane counts out of range: `{name}` = {v}")),
             (Kind::Flag, &JsonVal::Num(v)) => {
                 (v != 0.0 && v != 1.0).then(|| format!("{name} flag must be 0 or 1"))
             }
@@ -382,55 +373,11 @@ fn text<'a>(row: &'a Row, name: &str) -> &'a str {
     row[name].as_str().expect("validated string field")
 }
 
-/// Every one of `wants` appears as field `name` of some row.
-fn covers(rows: &[Row], artifact: &str, name: &str, wants: &[&str]) -> Result<(), String> {
-    match wants
-        .iter()
-        .find(|want| !rows.iter().any(|r| text(r, name) == **want))
-    {
-        Some(want) => Err(format!("{artifact} artifact is missing {name} `{want}`")),
-        None => Ok(()),
-    }
-}
-
-/// The servable-zoo model set. The exec artifact must cover all of it: a
-/// sweep that silently drops a model (say, the residual network) is a
-/// broken trajectory even when every surviving row is well-formed.
+/// The servable-zoo model set: the only models an artifact row may name.
 pub const SERVABLE_MODELS: [&str; 3] = ["AlexNet-Tiny", "VGG-Variant-Tiny", "ResNet18-Tiny"];
-
-/// The full emulation-case set a kernels artifact must cover: the four
-/// Ampere cases plus the three Turing XOR-only derivations.
-pub const KERNEL_CASES: [&str; 7] = [
-    "AndUnsigned",
-    "XorSignedBinary",
-    "AndWeightTransformed",
-    "AndActivationTransformed",
-    "XorDerivedUnsigned",
-    "XorDerivedWeightTransformed",
-    "XorDerivedActivationTransformed",
-];
 
 const MODEL: Kind = Kind::OneOf(&SERVABLE_MODELS);
 const SCHEME: Kind = Kind::Label("APNN-");
-
-/// `BENCH_exec.json`: steady-state batched throughput per servable model ×
-/// scheme × thread count, warmed workspace pool vs. fresh per call.
-pub static EXEC: Spec = Spec {
-    name: "exec",
-    fields: &[
-        key("model", MODEL),
-        key("scheme", SCHEME),
-        field("batch", DIM),
-        field("requests", DIM),
-        key("threads", DIM),
-        field("pool", DIM),
-        field("reused_ws_rps", positive(1)),
-        field("fresh_ws_rps", positive(1)),
-        field("workspace_bytes", DIM),
-    ],
-    keyed: true,
-    cover: |rows| covers(rows, "exec", "model", &SERVABLE_MODELS),
-};
 
 /// `BENCH_serve.json`: the chaos A/B pair — one closed-loop workload on a
 /// fault-free twin (`baseline`) and under injected faults (`faulted`),
@@ -506,28 +453,6 @@ fn serve_cover(rows: &[Row]) -> Result<(), String> {
     Ok(())
 }
 
-/// `BENCH_kernels.json`: one microkernel measurement per emulation case.
-/// The problem geometry is part of the identity, so changing the sweep
-/// size without regenerating the committed artifact breaks the gate.
-pub static KERNELS: Spec = Spec {
-    name: "kernels",
-    fields: &[
-        key("case", Kind::OneOf(&KERNEL_CASES)),
-        field("op", Kind::OneOf(&["and", "xor"])),
-        field("arm", Kind::Arm),
-        key("p", Kind::Bits),
-        key("q", Kind::Bits),
-        key("m", DIM),
-        key("n", DIM),
-        key("k", DIM),
-        field("jb", DIM),
-        field("word_gbps", positive(2)),
-        field("pair_mops", positive(2)),
-    ],
-    keyed: true,
-    cover: |rows| covers(rows, "kernels", "case", &KERNEL_CASES),
-};
-
 /// `BENCH_precision.json`: the precision autotuner's operating points.
 ///
 /// Keyed on the word count as well as the scheme: both search axes are
@@ -588,7 +513,7 @@ fn precision_cover(rows: &[Row]) -> Result<(), String> {
 }
 
 /// Every committed artifact, in the order `repro check-bench` reports them.
-pub static SPECS: [&Spec; 4] = [&EXEC, &SERVE, &KERNELS, &PRECISION];
+pub static SPECS: [&Spec; 2] = [&SERVE, &PRECISION];
 
 /// Assert that two sorted identity-key sets are equal (fresh run vs.
 /// committed artifact): same sweep points, no silent drops or additions.
@@ -614,70 +539,37 @@ pub fn same_keys<K: Ord + std::fmt::Debug + Clone>(
 mod tests {
     use super::*;
 
-    const EXEC_ROWS: &str = r#"{
-"exec": [
-  {"model": "AlexNet-Tiny", "scheme": "APNN-w1a2", "batch": 8, "requests": 32, "threads": 1, "pool": 1, "reused_ws_rps": 100.0, "fresh_ws_rps": 90.0, "workspace_bytes": 4096},
-  {"model": "VGG-Variant-Tiny", "scheme": "APNN-w2a2", "batch": 8, "requests": 32, "threads": 4, "pool": 4, "reused_ws_rps": 55.5, "fresh_ws_rps": 50.1, "workspace_bytes": 4096},
-  {"model": "ResNet18-Tiny", "scheme": "APNN-w1a2", "batch": 8, "requests": 32, "threads": 4, "pool": 4, "reused_ws_rps": 45.0, "fresh_ws_rps": 40.0, "workspace_bytes": 8192}
-]
-}
-"#;
-
     fn check(spec: &Spec, rows: &[String]) -> Result<Vec<Key>, String> {
         let json = format!(r#"{{"{}": [{}]}}"#, spec.name, rows.join(", "));
         validate(spec, &parse_rows(&json).unwrap())
     }
 
     #[test]
-    fn parses_and_validates_exec_rows() {
-        let rows = parse_rows(EXEC_ROWS).unwrap();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].get("model").unwrap().as_str(), Some("AlexNet-Tiny"));
-        assert_eq!(rows[1].get("threads").unwrap().as_num(), Some(4.0));
-        let keys = validate(&EXEC, &rows).unwrap();
-        assert_eq!(keys.len(), 3);
-        assert_eq!(keys[0], ["AlexNet-Tiny", "APNN-w1a2", "1"]);
-    }
-
-    #[test]
-    fn exec_artifact_must_cover_the_servable_zoo() {
-        // Dropping the residual model (or any zoo entry) breaks the
-        // trajectory even when every surviving row is well-formed.
-        let rows: Vec<Row> = parse_rows(EXEC_ROWS)
-            .unwrap()
-            .into_iter()
-            .filter(|r| r.get("model").unwrap().as_str() != Some("ResNet18-Tiny"))
-            .collect();
-        let err = validate(&EXEC, &rows).unwrap_err();
-        assert!(err.contains("missing model `ResNet18-Tiny`"), "{err}");
-    }
-
-    #[test]
     fn rows_are_strict() {
+        let pair = [chaos_row("baseline", 100.0), chaos_row("faulted", 80.0)];
         // A fractional or negative count is corrupt, not rounded.
         for (from, to) in [
-            ("\"threads\": 1,", "\"threads\": 1.5,"),
-            ("\"pool\": 1,", "\"pool\": -1,"),
+            ("\"burst\": 25,", "\"burst\": 25.5,"),
+            ("\"pool\": 4,", "\"pool\": -1,"),
         ] {
-            let rows = parse_rows(&EXEC_ROWS.replacen(from, to, 1)).unwrap();
-            let err = validate(&EXEC, &rows).unwrap_err();
+            let err = check(&SERVE, &[pair[0].clone(), pair[1].replacen(from, to, 1)]).unwrap_err();
             assert!(err.contains("must be an integer >= 1"), "{err}");
         }
         // A field the spec does not declare is a format change nobody
         // wrote down.
-        let rows =
-            parse_rows(&EXEC_ROWS.replacen("\"pool\": 1,", "\"pool\": 1, \"note\": \"x\",", 1))
-                .unwrap();
-        let err = validate(&EXEC, &rows).unwrap_err();
-        assert!(err.contains("exec row 0: undeclared field `note`"), "{err}");
+        let noted = pair[1].replacen("\"pool\": 4,", "\"pool\": 4, \"note\": \"x\",", 1);
+        let err = check(&SERVE, &[pair[0].clone(), noted]).unwrap_err();
+        assert!(
+            err.contains("serve row 1: undeclared field `note`"),
+            "{err}"
+        );
     }
 
     #[test]
     fn rejects_missing_fields_and_bad_ranges() {
-        let rows =
-            parse_rows(r#"{"exec": [{"model": "A", "scheme": "APNN-w1a2", "batch": 8}]}"#).unwrap();
-        let err = validate(&EXEC, &rows).unwrap_err();
-        assert!(err.contains("missing field"), "{err}");
+        let truncated = r#"{"model": "ResNet18-Tiny", "scheme": "APNN-w1a2", "segments": "w1a2"}"#;
+        let err = check(&PRECISION, &[truncated.to_string()]).unwrap_err();
+        assert!(err.contains("missing field `pair_words`"), "{err}");
 
         let low_fill =
             chaos_row("baseline", 10.0).replace("\"mean_fill\": 4.0", "\"mean_fill\": 0.2");
@@ -852,30 +744,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_kernels_rows() {
-        let row = r#"{"case": "AndUnsigned", "op": "and", "arm": "avx2", "p": 2, "q": 2,
-            "m": 8, "n": 8, "k": 128, "jb": 4, "word_gbps": 1.0, "pair_mops": 1.0}"#;
-        let err = check(&KERNELS, &[row.replace("\"and\"", "\"nand\"")]).unwrap_err();
-        assert!(err.contains("unexpected op"), "{err}");
-
-        let err = check(&KERNELS, &[row.replace("\"p\": 2", "\"p\": 9")]).unwrap_err();
-        assert!(err.contains("plane counts"), "{err}");
-
-        // Rows that predate the dispatch refactor carry no `arm` — stale
-        // artifacts fail loudly instead of sliding through.
-        let err = check(&KERNELS, &[row.replace("\"arm\": \"avx2\", ", "")]).unwrap_err();
-        assert!(err.contains("missing field `arm`"), "{err}");
-
-        let err = check(&KERNELS, &[row.replace("avx2", "mmx")]).unwrap_err();
-        assert!(err.contains("unknown popcount arm"), "{err}");
-
-        // A sweep that drops one of the seven emulation cases is a broken
-        // trajectory even when every surviving row is well-formed.
-        let err = check(&KERNELS, &[row.replace("avx2", "scalar")]).unwrap_err();
-        assert!(err.contains("missing case"), "{err}");
-    }
-
-    #[test]
     fn key_set_mismatch_is_detected() {
         let a = vec![(1u64, 1u64), (2, 1)];
         let b = vec![(1u64, 1u64), (2, 1)];
@@ -904,6 +772,19 @@ mod tests {
         // Every committed artifact validates and renders back to itself
         // byte for byte: the spec pins field order and decimals.
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        // And every committed artifact has a spec, and every spec its file.
+        let mut committed: Vec<String> = std::fs::read_dir(&root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|f| f.starts_with("BENCH_") && f.ends_with(".json"))
+            .collect();
+        committed.sort();
+        let mut specified: Vec<String> = SPECS.iter().map(|s| s.file()).collect();
+        specified.sort();
+        assert_eq!(
+            committed, specified,
+            "committed artifacts vs. schema::SPECS"
+        );
         for spec in SPECS {
             let text = std::fs::read_to_string(root.join(spec.file())).unwrap();
             let rows = parse_rows(&text).unwrap();
