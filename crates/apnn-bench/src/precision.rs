@@ -1,20 +1,23 @@
 //! The compile-time **precision autotuner**: search per-layer `(w, a)` bit
 //! assignments for a zoo model against (1) a closed-form cost — the
-//! plane-pair 64-bit words the popcount kernel streams per batch
-//! ([`schedule_words`]) — and (2) the `apnn-quant` QAT accuracy harness
-//! ([`apnn_quant::schedule_accuracy`]), and emit the cost/accuracy
-//! **Pareto front** as `BENCH_precision.json`. Both axes are deterministic,
-//! so the artifact is a pure function of the code.
+//! plane-pair 64-bit words the popcount kernel streams per batch, read off
+//! the compiled plan's stages ([`schedule_words`]) — and (2) the
+//! `apnn-quant` QAT accuracy harness ([`apnn_quant::schedule_accuracy`]),
+//! and emit the cost/accuracy **Pareto front** as `BENCH_precision.json`.
+//! Both axes are deterministic, so the artifact is a pure function of the
+//! code.
 //!
 //! The search space is *segmented*, not free per layer: ResNet18-Tiny's 21
-//! main layers are grouped into 5 contiguous segments (one per residual
-//! stage plus the classifier), every layer in a segment sharing one
-//! assignment. Segmentation does two jobs at once: it keeps the space
+//! main layers (in fused `main_index` order, each skip projection ahead of
+//! its joining conv) are grouped into 5 contiguous segments (one per
+//! residual stage plus the classifier), every layer in a segment sharing
+//! one assignment. Segmentation does two jobs at once: it keeps the space
 //! enumerable (3⁴ = 81 candidates instead of 3²¹) and it discharges the
 //! residual-join constraint by construction — an Identity join requires its
-//! producer and joiner to carry equal output bits
-//! (`apnn_nn::identity_join_groups`), and every join group of the zoo
-//! models falls inside a single segment (asserted, not assumed).
+//! producer and joiner to carry equal output bits, and every join group of
+//! the zoo models falls inside a single segment. That is checked, not
+//! assumed: every candidate is compiled to be counted, and
+//! `compile_scheduled` rejects a schedule that splits a join.
 //!
 //! Candidates are ranked on the word count; the Pareto survivors plus the
 //! uniform w1a2/w2a2 reference schedules are emitted with that count and
@@ -25,112 +28,11 @@
 
 use std::fmt::Write as _;
 
-use apnn_kernels::ConvDesc;
 use apnn_nn::models::resnet18_tiny;
-use apnn_nn::{
-    identity_join_groups, LayerPrecision, LayerSpec, Network, PrecisionSchedule, ShapeCursor,
-};
+use apnn_nn::{CompileOptions, LayerPrecision, Network, PrecisionSchedule};
 use apnn_quant::{schedule_accuracy, SyntheticDataset};
 
 use crate::schema::{self, Row};
-
-/// Per-main-layer GEMM geometry in the packed domain, extracted once from
-/// the network description — everything [`layer_words`] needs to count a
-/// layer's popcount work.
-#[derive(Debug, Clone, Copy)]
-pub struct MainGeom {
-    /// Output positions per image (`oh·ow` for convs, 1 for linears) —
-    /// the streamed GEMM row count before the batch factor.
-    pub rows: usize,
-    /// Output channels / features — the weight rows the kernel spreads
-    /// over its lanes.
-    pub cols: usize,
-    /// Whether the layer is a convolution.
-    pub conv: bool,
-    /// Packed reduction length in 64-bit words — for convs
-    /// [`ConvDesc::k_words`], the same column-dense word count the compiled
-    /// plan's weight panel uses.
-    pub k_words: usize,
-    /// `main_index` of the layer whose output activations this layer
-    /// consumes (`None` for the first main layer, which reads the 8-bit
-    /// quantized input; skip projections point at the branch producer).
-    pub producer: Option<usize>,
-}
-
-/// Walk the network and extract [`MainGeom`] for every main layer, in
-/// `main_index` order. Mirrors `Network::macs_per_image`'s branch handling:
-/// a skip projection reads the activation captured at the last
-/// `BranchSave`, so its geometry (and its activation producer) comes from
-/// the branch shape, not the chain shape it happens to sit in.
-pub fn main_geometry(net: &Network) -> Vec<MainGeom> {
-    let shapes = net.shapes();
-    let mut geoms = Vec::new();
-    let mut last_main: Option<usize> = None;
-    let mut branch: Option<(ShapeCursor, Option<usize>)> = None;
-    // A conv's geometry through the kernels' own descriptor (precision
-    // fields are irrelevant to it), so the count and the plan cannot
-    // disagree about output size or K.
-    let conv_geom = |src: ShapeCursor, cout, k, stride, pad, producer| {
-        let ShapeCursor::Map { c, h, w } = src else {
-            return None;
-        };
-        let mut desc = ConvDesc::unsigned(1, c, h, cout, k, stride, pad, 1, 1);
-        desc.w = w;
-        Some(MainGeom {
-            rows: desc.out_h() * desc.out_w(),
-            cols: cout,
-            conv: true,
-            k_words: desc.k_words(),
-            producer,
-        })
-    };
-    for (i, l) in net.layers.iter().enumerate() {
-        let geom = match (shapes[i], l) {
-            (
-                src,
-                LayerSpec::Conv {
-                    cout,
-                    k,
-                    stride,
-                    pad,
-                    ..
-                },
-            ) => conv_geom(src, *cout, *k, *stride, *pad, last_main),
-            (ShapeCursor::Vector { features }, LayerSpec::Linear { out_features, .. }) => {
-                Some(MainGeom {
-                    rows: 1,
-                    cols: *out_features,
-                    conv: false,
-                    k_words: features.div_ceil(64),
-                    producer: last_main,
-                })
-            }
-            (s, LayerSpec::BranchSave) => {
-                branch = Some((s, last_main));
-                None
-            }
-            (
-                _,
-                LayerSpec::SkipConv {
-                    cout,
-                    k,
-                    stride,
-                    pad,
-                    ..
-                },
-            ) => {
-                let (src, src_main) = branch.expect("SkipConv requires a preceding BranchSave");
-                conv_geom(src, *cout, *k, *stride, *pad, src_main)
-            }
-            _ => None,
-        };
-        if let Some(g) = geom {
-            geoms.push(g);
-            last_main = Some(geoms.len() - 1);
-        }
-    }
-    geoms
-}
 
 /// Contiguous `main_index` segments the autotuner assigns bits over:
 /// `n_mains` split into `SEGMENTS` near-equal runs, with the final main
@@ -157,16 +59,6 @@ pub fn segment_ranges(n_mains: usize) -> Vec<std::ops::Range<usize>> {
     ranges
 }
 
-/// Does every identity-join group fall inside a single segment? Joins
-/// constrain producer and joiner to equal output bits
-/// ([`apnn_nn::identity_join_groups`]); segment-uniform assignments
-/// satisfy that automatically iff no group straddles a boundary.
-pub fn segments_respect_joins(ranges: &[std::ops::Range<usize>], groups: &[Vec<usize>]) -> bool {
-    groups
-        .iter()
-        .all(|g| ranges.iter().any(|r| g.iter().all(|&m| r.contains(&m))))
-}
-
 /// Expand per-segment `(w, a)` choices into a full per-layer schedule.
 pub fn schedule_from_segments(
     ranges: &[std::ops::Range<usize>],
@@ -184,38 +76,17 @@ pub fn schedule_from_segments(
 }
 
 /// The autotuner's cost: plane-pair 64-bit words the popcount kernel
-/// streams for one `batch`-image batch under `schedule`, summed over the
-/// main layers ([`layer_words`]). Pure integer arithmetic — the same on
-/// every machine and every run.
-pub fn schedule_words(geoms: &[MainGeom], schedule: &PrecisionSchedule, batch: usize) -> u64 {
-    assert_eq!(geoms.len(), schedule.len());
-    (0..geoms.len())
-        .map(|i| layer_words(geoms, schedule, i, batch))
+/// streams for one `batch`-image batch under `schedule` — the sim-only
+/// plan's [`MainStage::pair_words`](apnn_nn::compile::MainStage::pair_words)
+/// summed over its main stages. Counting the compiled plan, not a model of
+/// it, keeps every stage's K, output size and input bits the ones the plan
+/// runs; compiling also rejects a schedule that splits an identity join.
+/// Pure integer arithmetic — the same on every machine and every run.
+pub fn schedule_words(net: &Network, schedule: &PrecisionSchedule, batch: usize) -> u64 {
+    net.compile_scheduled(schedule, &CompileOptions::sim(batch))
+        .main_stages()
+        .map(|m| m.pair_words())
         .sum()
-}
-
-/// Layer `i`'s `(pa, pb)` under `schedule`: its weight bits (the static,
-/// lane-interleaved side) and its *input* activation bits (the 8-bit
-/// quantized input for the first main, else the producer's `a`).
-fn plane_counts(geoms: &[MainGeom], schedule: &PrecisionSchedule, i: usize) -> (u32, u32) {
-    let pb = match geoms[i].producer {
-        None => 8,
-        Some(p) => schedule.layer(p).a,
-    };
-    (schedule.layer(i).w, pb)
-}
-
-/// The plane-pair 64-bit words layer `i` streams through the popcount
-/// kernel for one batch under `schedule`:
-/// `rows·batch × cols × pa × pb × k_words`.
-pub fn layer_words(
-    geoms: &[MainGeom],
-    schedule: &PrecisionSchedule,
-    i: usize,
-    batch: usize,
-) -> u64 {
-    let (g, (pa, pb)) = (&geoms[i], plane_counts(geoms, schedule, i));
-    (g.rows * batch * g.cols * g.k_words) as u64 * u64::from(pa * pb)
 }
 
 /// Indices of the Pareto-optimal points over `(cost, accuracy)`: a point
@@ -323,42 +194,28 @@ type ScoredCandidate = (Vec<(u32, u32)>, u64, f32);
 /// both uniform references (w1a2, w2a2) plus every Pareto candidate.
 pub fn precision_bench(batch: usize) -> Vec<PrecisionPoint> {
     let net = resnet18_tiny();
-    let geoms = main_geometry(&net);
-    let n = geoms.len();
+    let n = net.num_main_layers();
     let ranges = segment_ranges(n);
-    assert!(
-        segments_respect_joins(&ranges, &identity_join_groups(&net)),
-        "segment boundaries must not straddle an identity-join group"
-    );
 
     // Score the whole candidate space on both axes.
-    let cands = candidate_space();
-    let scored: Vec<ScoredCandidate> = cands
-        .into_iter()
-        .map(|seg_bits| {
-            let schedule = schedule_from_segments(&ranges, &seg_bits, n);
-            let cost = schedule_words(&geoms, &schedule, batch);
-            let acc = segment_accuracy(&seg_bits);
-            (seg_bits, cost, acc)
-        })
-        .collect();
+    let score = |seg_bits: Vec<(u32, u32)>| -> ScoredCandidate {
+        let schedule = schedule_from_segments(&ranges, &seg_bits, n);
+        let cost = schedule_words(&net, &schedule, batch);
+        let acc = segment_accuracy(&seg_bits);
+        (seg_bits, cost, acc)
+    };
+    let scored: Vec<ScoredCandidate> = candidate_space().into_iter().map(score).collect();
     let front = pareto_front(&scored.iter().map(|&(_, c, a)| (c, a)).collect::<Vec<_>>());
 
     // Emit: uniform references first, then the front (skipping schedules
     // already emitted — uniform w1a2 is itself a candidate).
-    let uniform_w2a2: Vec<(u32, u32)> = vec![(2, 2); SEGMENTS];
-    let uniform_w1a2: Vec<(u32, u32)> = vec![(1, 2); SEGMENTS];
-    let mut chosen: Vec<ScoredCandidate> = Vec::new();
-    for u in [uniform_w1a2, uniform_w2a2] {
-        if let Some(s) = scored.iter().find(|(b, _, _)| *b == u) {
-            chosen.push(s.clone());
-        } else {
-            let schedule = schedule_from_segments(&ranges, &u, n);
-            let cost = schedule_words(&geoms, &schedule, batch);
-            let acc = segment_accuracy(&u);
-            chosen.push((u, cost, acc));
-        }
-    }
+    let mut chosen: Vec<ScoredCandidate> = [(1, 2), (2, 2)]
+        .map(|bits| {
+            let u = vec![bits; SEGMENTS];
+            let known = scored.iter().find(|(b, _, _)| *b == u).cloned();
+            known.unwrap_or_else(|| score(u))
+        })
+        .into();
     for &i in &front {
         if !chosen.iter().any(|(b, _, _)| *b == scored[i].0) {
             chosen.push(scored[i].clone());
@@ -407,25 +264,44 @@ pub fn precision_report(points: &[PrecisionPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apnn_nn::compile::MainKernel;
+    use apnn_nn::{CompiledNet, NetPrecision};
+
+    /// ResNet18-Tiny's sim-only plan under `schedule` at `batch`.
+    fn resnet_plan(schedule: &PrecisionSchedule, batch: usize) -> CompiledNet {
+        resnet18_tiny().compile_scheduled(schedule, &CompileOptions::sim(batch))
+    }
+
+    /// `(name, pair_words)` of every main stage, in fused order.
+    fn stage_words(plan: &CompiledNet) -> Vec<(String, u64)> {
+        plan.main_stages()
+            .map(|m| (m.name.clone(), m.pair_words()))
+            .collect()
+    }
 
     #[test]
     fn resnet_geometry_and_segments_line_up() {
-        let net = resnet18_tiny();
-        let geoms = main_geometry(&net);
-        assert_eq!(geoms.len(), net.num_main_layers());
-        assert_eq!(geoms.len(), 21);
-        // First main reads the quantized input; every other has a producer.
-        assert!(geoms[0].producer.is_none());
-        assert!(geoms[1..].iter().all(|g| g.producer.is_some()));
-        // Classifier: one row per image, 10 classes.
-        let fc = geoms.last().unwrap();
-        assert_eq!((fc.rows, fc.cols), (1, 10));
-        let ranges = segment_ranges(geoms.len());
-        assert_eq!(ranges.len(), SEGMENTS);
-        assert_eq!(ranges.last().unwrap().clone(), 20..21);
-        assert!(segments_respect_joins(&ranges, &identity_join_groups(&net)));
-        // A straddling group would be rejected.
-        assert!(!segments_respect_joins(&ranges, &[vec![4, 5]]));
+        let n = resnet18_tiny().num_main_layers();
+        let words = stage_words(&resnet_plan(&PrecisionSchedule::uniform(1, 2, n), 8));
+        assert_eq!(words.len(), 21);
+        // Fused order hoists each downsample projection ahead of its
+        // joining conv — the order schedules are indexed in.
+        let names = words[5..10].iter().map(|(name, _)| name.as_str());
+        let layer2 = [
+            "layer2.0a",
+            "layer2.0ds",
+            "layer2.0b",
+            "layer2.1a",
+            "layer2.1b",
+        ];
+        assert!(names.eq(layer2), "{words:?}");
+        // Classifier: 8 rows × 10 classes × 32 K words × w1 × a2.
+        assert_eq!(words[20], ("fc".to_string(), 5_120));
+        assert_eq!(
+            segment_ranges(n),
+            [0..5, 5..10, 10..15, 15..20, 20..21],
+            "one segment per residual stage plus the classifier"
+        );
     }
 
     #[test]
@@ -453,22 +329,24 @@ mod tests {
     #[test]
     fn cost_oracle_orders_uniform_schemes() {
         let net = resnet18_tiny();
-        let geoms = main_geometry(&net);
-        let n = geoms.len();
-        // Every body layer's plane-pair work scales with w·a: 2 < 3 < 4
+        let n = net.num_main_layers();
+        // Every body stage's plane-pair work scales with w·a: 2 < 3 < 4
         // pairs; the first main keeps its 8-bit input.
-        let words = |w, a| -> Vec<u64> {
-            let schedule = PrecisionSchedule::uniform(w, a, n);
-            (0..n)
-                .map(|i| layer_words(&geoms, &schedule, i, 1))
-                .collect()
-        };
+        let plan = |w, a| resnet_plan(&PrecisionSchedule::uniform(w, a, n), 1);
+        let words =
+            |w, a| -> Vec<u64> { plan(w, a).main_stages().map(|m| m.pair_words()).collect() };
         let (w1a2, w1a3, w2a2) = (words(1, 2), words(1, 3), words(2, 2));
-        // Dense packing shortens K per layer (the 3×3×3 stem's whole
+        // Dense packing shortens K per stage (the 3×3×3 stem's whole
         // window: 1 word; 3×3×16 columns: 3 words, 3×3×32: 6, not 9) — the
         // same for every precision, so the 2 : 3 : 4 ratios below hold on
         // the packed counts.
-        let ks: Vec<usize> = geoms.iter().filter(|g| g.conv).map(|g| g.k_words).collect();
+        let ks: Vec<usize> = plan(1, 2)
+            .main_stages()
+            .filter_map(|m| match &m.kernel {
+                MainKernel::Conv { desc, .. } => Some(desc.k_words()),
+                _ => None,
+            })
+            .collect();
         assert_eq!(
             ks[..2],
             [1, 3],
@@ -482,72 +360,80 @@ mod tests {
         assert_eq!(w2a2[0], 2 * w1a2[0]);
         for i in 1..n {
             assert!(w1a2[i] > 0);
-            assert_eq!(2 * w1a3[i], 3 * w1a2[i], "layer {i}");
-            assert_eq!(w2a2[i], 2 * w1a2[i], "layer {i}");
+            assert_eq!(2 * w1a3[i], 3 * w1a2[i], "stage {i}");
+            assert_eq!(w2a2[i], 2 * w1a2[i], "stage {i}");
         }
         // The emitted uniform rows order the same way: w1a2 < the a3 body
         // (classifier pinned at w1a2) < w2a2.
         let ranges = segment_ranges(n);
-        let cost = |seg| schedule_words(&geoms, &schedule_from_segments(&ranges, seg, n), 8);
+        let cost = |seg| schedule_words(&net, &schedule_from_segments(&ranges, seg, n), 8);
         let a3_body = [(1, 3), (1, 3), (1, 3), (1, 3), (1, 2)];
         assert!(cost(&[(1, 2); SEGMENTS]) < cost(&a3_body));
         assert!(cost(&a3_body) < cost(&[(2, 2); SEGMENTS]));
     }
 
     #[test]
+    fn schedule_words_count_the_fused_main_index() {
+        // Schedules are indexed by fused `main_index`, where layer2's
+        // downsample projection (6) runs ahead of its joining conv (7):
+        // widening main 6 widens `layer2.0ds`, not `layer2.0b`.
+        let net = resnet18_tiny();
+        let n = net.num_main_layers();
+        let mut layers = vec![LayerPrecision::new(1, 2); n];
+        layers[6] = LayerPrecision::new(2, 2);
+        let schedule = PrecisionSchedule::new(layers);
+        let uniform = stage_words(&resnet_plan(&PrecisionSchedule::uniform(1, 2, n), 8));
+        let mixed = stage_words(&resnet_plan(&schedule, 8));
+        let at = |words: &[(String, u64)], name: &str| {
+            words.iter().find(|(s, _)| s == name).expect(name).1
+        };
+        assert_eq!(at(&uniform, "layer2.0ds"), 131_072);
+        assert_eq!(at(&mixed, "layer2.0ds"), 262_144);
+        assert_eq!(at(&uniform, "layer2.0b"), 786_432);
+        assert_eq!(at(&mixed, "layer2.0b"), 786_432);
+        assert_eq!(schedule_words(&net, &schedule, 8), 11_539_456);
+    }
+
+    #[test]
     fn oracle_geometry_matches_every_compiled_zoo_conv() {
-        // The count must use exactly the K and output size the compiled
-        // plan runs.
-        use apnn_nn::compile::MainKernel;
-        use apnn_nn::models::{alexnet_tiny, vgg_variant_tiny};
-        use apnn_nn::CompileOptions;
-        // Each stem's window-dense K: 5×5×3 in two words, 3×3×3 in one.
-        for (net, stem_words) in [
-            (alexnet_tiny(), 2),
-            (vgg_variant_tiny(), 1),
-            (resnet18_tiny(), 1),
-        ] {
-            let geoms = main_geometry(&net);
-            let plan = net.compile(
-                apnn_nn::NetPrecision::w1a2(),
-                &CompileOptions::functional(1, 2021),
-            );
-            // Geometry is in network order; the plan hoists skip
-            // projections, so pair the two by layer name.
-            let names = net.layers.iter().filter(|l| l.is_main()).map(|l| l.name());
-            let geoms: Vec<(String, &MainGeom)> = names.zip(&geoms).collect();
-            assert_eq!(geoms.len(), plan.main_stages().count(), "{}", net.name);
-            let mut convs = 0;
-            for stage in plan.main_stages() {
-                let at = format!("{}/{}", net.name, stage.name);
-                let (_, g) = geoms
-                    .iter()
-                    .find(|(name, _)| *name == stage.name)
-                    .expect(&at);
-                let MainKernel::Conv { desc, prepared, .. } = &stage.kernel else {
-                    assert!(!g.conv, "{at}");
-                    continue;
-                };
-                let prepared = prepared
-                    .as_ref()
-                    .expect("functional plans are materialized");
-                assert!(g.conv, "{at}");
-                if convs == 0 {
-                    assert!(desc.window_dense(), "{at}");
-                    assert_eq!(g.k_words, stem_words, "{at}");
-                }
-                assert_eq!(
-                    (g.k_words, g.rows, g.cols),
-                    (
-                        prepared.weights().words_per_row(),
-                        desc.out_h() * desc.out_w(),
-                        desc.cout
-                    ),
-                    "{at}"
+        // The count must use exactly the K, output size and planes the
+        // compiled plan runs: every stage's closed form against its
+        // prepared weight panel.
+        use apnn_nn::models::servable_zoo;
+        // Each stem's window-dense K: AlexNet-Tiny's 5×5×3 in two words,
+        // VGG-Variant-Tiny's and ResNet18-Tiny's 3×3×3 in one.
+        for (net, stem_words) in servable_zoo().into_iter().zip([2, 1, 1]) {
+            for (w, a) in [(1, 2), (2, 2)] {
+                let plan = net.compile(
+                    NetPrecision::Apnn { w, a },
+                    &CompileOptions::functional(2, 2021),
                 );
-                convs += 1;
+                for (i, stage) in plan.main_stages().enumerate() {
+                    let at = format!("{}/w{w}a{a}/{}", net.name, stage.name);
+                    let (rows, cols, x_bits, panel) = match &stage.kernel {
+                        MainKernel::Conv { desc, prepared, .. } => {
+                            let prepared = prepared.as_ref().expect(&at);
+                            if i == 0 {
+                                assert!(desc.window_dense(), "{at}");
+                                assert_eq!(desc.k_words(), stem_words, "{at}");
+                            }
+                            let rows = desc.batch * desc.out_h() * desc.out_w();
+                            (rows, desc.cout, desc.x_bits, prepared.weights())
+                        }
+                        MainKernel::Linear { desc, prepared, .. } => {
+                            let prepared = prepared.as_ref().expect(&at);
+                            (desc.n, desc.m, desc.x_bits, prepared.weights())
+                        }
+                        MainKernel::Baseline => panic!("{at}: baseline stage"),
+                    };
+                    assert_eq!(
+                        stage.pair_words(),
+                        (rows * cols * panel.words_per_row() * panel.n_planes()) as u64
+                            * u64::from(x_bits),
+                        "{at}"
+                    );
+                }
             }
-            assert!(convs > 0, "{}", net.name);
         }
     }
 

@@ -355,11 +355,6 @@ impl EmulationOverheads {
     pub fn combine_pct(&self) -> f64 {
         100.0 * self.combine_s / self.tc_s
     }
-
-    /// Decomposition overhead relative to TC compute, in percent.
-    pub fn decompose_pct(&self) -> f64 {
-        100.0 * self.decompose_s / self.tc_s
-    }
 }
 
 /// Compute the Fig. 11 overhead components for an APMM problem.

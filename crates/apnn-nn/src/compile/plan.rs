@@ -142,6 +142,26 @@ impl MainStage {
             .as_ref()
             .unwrap_or_else(|| panic!("stage `{}` has no step table", self.name))
     }
+
+    /// The plane-pair 64-bit words this stage's K passes stream for one
+    /// compiled batch: output rows × `cout` × K words × `w_bits` ×
+    /// `x_bits`, where K words are the prepared weight panel's row width
+    /// ([`ConvDesc::k_words`], or `k_padded() / 64` for a linear). A
+    /// closed form of the stage's own desc, so sim-only plans count the
+    /// same as functional ones; a baseline stage streams none.
+    pub fn pair_words(&self) -> u64 {
+        let (rows, cols, k_words, planes) = match &self.kernel {
+            MainKernel::Conv { desc: d, .. } => {
+                let rows = d.batch * d.out_h() * d.out_w();
+                (rows, d.cout, d.k_words(), d.w_bits * d.x_bits)
+            }
+            MainKernel::Linear { desc: d, .. } => {
+                (d.n, d.m, d.k_padded() / 64, d.w_bits * d.x_bits)
+            }
+            MainKernel::Baseline => return 0,
+        };
+        (rows * cols * k_words) as u64 * u64::from(planes)
+    }
 }
 
 /// Why a compiled plan cannot run functionally — the typed form of

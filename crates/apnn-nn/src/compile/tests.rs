@@ -360,3 +360,16 @@ fn a_nan_batch_norm_stage_is_an_unmonotone_tail() {
     assert_eq!(err, CompileError::UnmonotoneTail { name });
     assert!(err.to_string().contains("not provably monotone"), "{err}");
 }
+
+/// ResNet18-Tiny's first identity join group is mains {0, 2, 4}: moving
+/// `layer1.1b` (4) to a3 splits it, and lowering refuses the schedule.
+#[test]
+#[should_panic(expected = "must agree on activation bits")]
+fn a_schedule_that_splits_an_identity_join_is_rejected() {
+    use crate::precision::{LayerPrecision, PrecisionSchedule};
+    let net = crate::models::resnet18_tiny();
+    let mut layers = vec![LayerPrecision::new(1, 2); net.num_main_layers()];
+    layers[4] = LayerPrecision::new(1, 3);
+    let schedule = PrecisionSchedule::new(layers);
+    CompiledNet::compile_scheduled(&net, &schedule, &CompileOptions::sim(1));
+}

@@ -60,6 +60,16 @@ impl MainOp {
         }
     }
 
+    /// MACs per image: `out_elements() · cin · k²` for a conv, `in · out`
+    /// for a linear.
+    pub fn macs(&self) -> u64 {
+        let per_output = match *self {
+            MainOp::Conv { cin, k, .. } => cin * k * k,
+            MainOp::Linear { in_features, .. } => in_features,
+        };
+        (self.out_elements() * per_output) as u64
+    }
+
     /// Output channels/features (the epilogue channel dimension).
     pub fn out_channels(&self) -> usize {
         match *self {

@@ -1,6 +1,7 @@
 //! Sequential network container.
 
 use crate::compile::{CompileOptions, CompiledNet};
+use crate::fuse::{fuse_network, Stage};
 use crate::layer::{LayerSpec, ShapeCursor};
 use crate::precision::{NetPrecision, PrecisionSchedule};
 
@@ -63,46 +64,17 @@ impl Network {
         self.shapes().last().unwrap().elements()
     }
 
-    /// Total MACs of one forward pass per image (main layers only).
+    /// Total MACs of one forward pass per image (main layers only),
+    /// summed over the unfused lowering's main ops — so a skip projection
+    /// is counted at the branch shape it reads.
     pub fn macs_per_image(&self) -> u64 {
-        let shapes = self.shapes();
-        let mut macs = 0u64;
-        // The skip path reads the activation captured at the last
-        // `BranchSave`, so projection MACs are counted against the branch
-        // shape, not the chain shape the projection happens to sit in.
-        let mut branch: Option<ShapeCursor> = None;
-        for (i, l) in self.layers.iter().enumerate() {
-            match (shapes[i], l) {
-                (ShapeCursor::Map { c, .. }, LayerSpec::Conv { cout, k, .. }) => {
-                    if let ShapeCursor::Map { h: oh, w: ow, .. } = shapes[i + 1] {
-                        macs += (cout * oh * ow * c * k * k) as u64;
-                    }
-                }
-                (ShapeCursor::Vector { features }, LayerSpec::Linear { out_features, .. }) => {
-                    macs += (features * out_features) as u64;
-                }
-                (s, LayerSpec::BranchSave) => branch = Some(s),
-                (
-                    _,
-                    LayerSpec::SkipConv {
-                        cout,
-                        k,
-                        stride,
-                        pad,
-                        ..
-                    },
-                ) => {
-                    let src = branch.expect("SkipConv requires a preceding BranchSave");
-                    if let ShapeCursor::Map { c, h, w } = src {
-                        let oh = (h + 2 * pad - k) / stride + 1;
-                        let ow = (w + 2 * pad - k) / stride + 1;
-                        macs += (cout * oh * ow * c * k * k) as u64;
-                    }
-                }
-                _ => {}
-            }
-        }
-        macs
+        fuse_network(self, false)
+            .iter()
+            .filter_map(|s| match s {
+                Stage::Main { op, .. } => Some(op.macs()),
+                Stage::Elementwise { .. } => None,
+            })
+            .sum()
     }
 
     /// Number of main (conv/linear) layers.

@@ -154,8 +154,11 @@ impl LayerPrecision {
 
 /// A per-layer arbitrary mixed-precision assignment: one
 /// [`LayerPrecision`] per *main* (conv/linear, including skip-projection)
-/// layer, indexed by the fused `main_index`. Only APNN-emulated schemes
-/// participate — baselines and BNN stay whole-network.
+/// layer, indexed by the fused `main_index`. Fused order is network order
+/// except that each skip projection comes right before its joining conv
+/// (ResNet18-Tiny: `layer2.0a` = 5, `layer2.0ds` = 6, `layer2.0b` = 7).
+/// Only APNN-emulated schemes participate — baselines and BNN stay
+/// whole-network.
 ///
 /// The schedule fixes each layer's weight bits and *output* activation
 /// bits; a layer's input bits follow from its producer (the previous chain
