@@ -39,7 +39,7 @@
 //! EOF) close the connection, since the boundary itself is lost.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{BufReader, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -77,9 +77,10 @@ const MAX_IDEM_CLIENTS: usize = 1024;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum WireError {
-    /// The frame header announced a payload beyond [`MAX_FRAME`].
+    /// The frame header announced a payload beyond [`MAX_FRAME`], or
+    /// [`write_frame`] was handed one.
     FrameTooLarge {
-        /// The announced payload length.
+        /// The payload length, saturated at `u32::MAX`.
         len: u32,
     },
     /// The payload ended before the named field was complete.
@@ -257,22 +258,48 @@ impl Writer {
 // Framing
 // ---------------------------------------------------------------------------
 
-/// Write one frame (length prefix + payload).
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
-    let len = payload.len() as u32;
+/// The length prefix for a `len`-byte payload, or
+/// [`WireError::FrameTooLarge`] when `len` exceeds [`MAX_FRAME`]. The check
+/// runs on the `usize` — a length past `u32::MAX` reports `u32::MAX` rather
+/// than wrapping into a small, valid-looking prefix.
+fn frame_len(len: usize) -> Result<u32, WireError> {
+    let len = u32::try_from(len).unwrap_or(u32::MAX);
     if len > MAX_FRAME {
         return Err(WireError::FrameTooLarge { len });
     }
-    w.write_all(&len.to_le_bytes()).map_err(io_err)?;
-    w.write_all(payload).map_err(io_err)?;
-    w.flush().map_err(io_err)?;
-    Ok(())
+    Ok(len)
+}
+
+/// Write one frame (length prefix + payload) as one vectored write: on a
+/// `TcpStream` that is a single `writev(2)` — one segment under
+/// `TCP_NODELAY`, with no copy and no allocation. Short writes continue
+/// where they stopped, `Interrupted` retries, and a writer that accepts
+/// no bytes is a [`WireError::Io`], not a spin.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
+    let prefix = frame_len(payload.len())?.to_le_bytes();
+    let mut slices = [IoSlice::new(&prefix), IoSlice::new(payload)];
+    let mut bufs = &mut slices[..];
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(io_err(std::io::ErrorKind::WriteZero.into())),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(io_err(e)),
+        }
+    }
+    w.flush().map_err(io_err)
 }
 
 /// Read one frame's payload. `Ok(None)` is a clean close (EOF exactly at
 /// a frame boundary); EOF *inside* a frame is
 /// [`WireError::UnexpectedEof`] — the boundary is lost and the connection
 /// must drop.
+///
+/// Over a socket, pass a [`BufReader`]: then a frame that is already in
+/// the kernel's receive queue costs at most one `read(2)`, and a frame
+/// pipelined behind it is served from the buffer with none. Every socket
+/// this module owns is read that way. The bulk of a payload larger than
+/// the buffer bypasses it and lands straight in the returned `Vec`.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
     let mut len4 = [0u8; 4];
     let mut got = 0;
@@ -720,7 +747,10 @@ impl Drop for TcpServeHandle {
 /// Each connection gets a reader thread (decode frame → submit into the
 /// batching core) and a writer thread (await tickets → respond **in
 /// submission order**, so a pipelining client sees FIFO responses with
-/// matching correlation ids). Decode failures inside a well-framed
+/// matching correlation ids). The reader reads frames through a
+/// [`BufReader`], so requests a client pipelines into one segment cost
+/// one `read(2)` between them; the writer sends each response as one
+/// vectored write ([`write_frame`]). Decode failures inside a well-framed
 /// payload are answered with a typed error response; frame-boundary
 /// violations close the connection.
 pub fn serve_tcp(
@@ -854,7 +884,7 @@ fn handle_connection(
     faults: Arc<Injector>,
 ) {
     let mut read_half = match stream.try_clone() {
-        Ok(s) => s,
+        Ok(s) => BufReader::new(s),
         Err(_) => return,
     };
     let (tx, rx) = mpsc::channel::<(u64, Outcome)>();
@@ -969,7 +999,7 @@ fn handle_connection(
     // Actively close once the writer has drained: the handle's shutdown
     // registry holds a dup of this socket, so without an explicit shutdown
     // a peer waiting on a dead connection would never see EOF.
-    let _ = read_half.shutdown(Shutdown::Both);
+    let _ = read_half.get_ref().shutdown(Shutdown::Both);
 }
 
 /// Best-effort id extraction from a malformed request payload, so the
@@ -1023,10 +1053,14 @@ impl WireTimeouts {
 /// [`WireClient::recv`] pipeline: the server answers in submission order,
 /// with each response carrying the id `send` returned. Reads and writes
 /// carry the [`WireTimeouts`] deadlines (default 30 s), so a silent peer
-/// is a typed [`WireError::TimedOut`], never an indefinite hang. For
-/// retries and reconnects, wrap the same protocol in [`RetryClient`].
+/// is a typed [`WireError::TimedOut`], never an indefinite hang. Each
+/// request leaves as one vectored write ([`write_frame`]); responses are
+/// read through a [`BufReader`] over a clone of the socket, so replies
+/// that arrive together are parsed from one `read(2)`. For retries and
+/// reconnects, wrap the same protocol in [`RetryClient`].
 pub struct WireClient {
     stream: TcpStream,
+    reader: BufReader<TcpStream>,
     next_id: u64,
 }
 
@@ -1046,7 +1080,12 @@ impl WireClient {
         let _ = stream.set_nodelay(true);
         stream.set_read_timeout(timeouts.read).map_err(io_err)?;
         stream.set_write_timeout(timeouts.write).map_err(io_err)?;
-        Ok(WireClient { stream, next_id: 1 })
+        let reader = BufReader::new(stream.try_clone().map_err(io_err)?);
+        Ok(WireClient {
+            stream,
+            reader,
+            next_id: 1,
+        })
     }
 
     /// Announce a stable client identity for idempotent resubmission:
@@ -1074,7 +1113,7 @@ impl WireClient {
 
     /// Receive the next response `(id, result)` in FIFO order.
     pub fn recv(&mut self) -> Result<(u64, Result<Vec<i32>, ServeError>), WireError> {
-        match read_frame(&mut self.stream)? {
+        match read_frame(&mut self.reader)? {
             Some(payload) => decode_response(&payload),
             None => Err(WireError::Closed),
         }
@@ -1458,6 +1497,137 @@ mod tests {
         short.extend_from_slice(b"abc");
         assert!(matches!(
             read_frame(&mut &short[..]).unwrap_err(),
+            WireError::UnexpectedEof {
+                context: "frame payload"
+            }
+        ));
+    }
+
+    #[test]
+    fn frame_len_saturates_instead_of_wrapping() {
+        assert_eq!(frame_len(0), Ok(0));
+        assert_eq!(frame_len(MAX_FRAME as usize), Ok(MAX_FRAME));
+        assert_eq!(
+            frame_len(MAX_FRAME as usize + 1),
+            Err(WireError::FrameTooLarge { len: MAX_FRAME + 1 })
+        );
+        #[cfg(target_pointer_width = "64")]
+        for len in [1usize << 32, (1usize << 32) + 5] {
+            // `len as u32` would announce 0 and 5 bytes.
+            assert_eq!(
+                frame_len(len),
+                Err(WireError::FrameTooLarge { len: u32::MAX })
+            );
+        }
+    }
+
+    /// A `Write` that counts its calls by kind and keeps what it accepted:
+    /// at most `max` bytes per call, and `Interrupted` instead on the call
+    /// numbered `interrupt_at` (0-based).
+    struct MockWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+        vectored: usize,
+        max: usize,
+        interrupt_at: Option<usize>,
+    }
+
+    impl MockWriter {
+        fn new(max: usize, interrupt_at: Option<usize>) -> Self {
+            MockWriter {
+                bytes: Vec::new(),
+                writes: 0,
+                vectored: 0,
+                max,
+                interrupt_at,
+            }
+        }
+
+        fn accept(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            if self.interrupt_at == Some(self.writes + self.vectored - 1) {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let mut n = 0;
+            for b in bufs {
+                let take = b.len().min(self.max - n);
+                self.bytes.extend_from_slice(&b[..take]);
+                n += take;
+            }
+            Ok(n)
+        }
+    }
+
+    impl Write for MockWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.accept(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.vectored += 1;
+            self.accept(bufs)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_frame_is_one_vectored_write_of_prefix_then_payload() {
+        let payload = encode_request(5, &sample_request());
+        let mut w = MockWriter::new(usize::MAX, None);
+        write_frame(&mut w, &payload).unwrap();
+        assert_eq!((w.vectored, w.writes), (1, 0));
+        let mut expected = (payload.len() as u32).to_le_bytes().to_vec();
+        expected.extend_from_slice(&payload);
+        assert_eq!(w.bytes, expected);
+    }
+
+    #[test]
+    fn short_and_interrupted_writes_still_round_trip() {
+        let mut w = MockWriter::new(3, Some(1));
+        write_frame(&mut w, b"ten bytes!").unwrap();
+        write_frame(&mut w, b"").unwrap();
+        // 14 + 4 bytes at up to 3 per call is 5 + 2 calls, plus the
+        // interrupted one.
+        assert_eq!((w.vectored, w.writes), (8, 0));
+        let mut cursor = &w.bytes[..];
+        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"ten bytes!");
+        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"");
+        assert!(read_frame(&mut cursor).unwrap().is_none());
+    }
+
+    #[test]
+    fn a_writer_that_accepts_nothing_is_an_error_not_a_hang() {
+        let mut w = MockWriter::new(0, None);
+        assert!(matches!(
+            write_frame(&mut w, b"payload"),
+            Err(WireError::Io(_))
+        ));
+        assert_eq!(w.vectored, 1);
+    }
+
+    #[test]
+    fn buffered_reads_split_pipelined_frames_at_their_boundaries() {
+        let big: Vec<u8> = (0..20_000u32).map(|i| (i * 7 % 251) as u8).collect();
+        let mut buf = Vec::new();
+        for payload in [&b"first"[..], &big, b""] {
+            write_frame(&mut buf, payload).unwrap();
+        }
+        // A tiny buffer makes prefixes straddle refills; the default one
+        // holds the first frame and the head of the second.
+        for capacity in [7, 8 * 1024] {
+            let mut r = BufReader::with_capacity(capacity, std::io::Cursor::new(&buf));
+            assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"first");
+            assert_eq!(read_frame(&mut r).unwrap().unwrap(), big);
+            assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
+            assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+        }
+        let mut cut = BufReader::new(std::io::Cursor::new(&buf[..9 + 100]));
+        assert_eq!(read_frame(&mut cut).unwrap().unwrap(), b"first");
+        assert!(matches!(
+            read_frame(&mut cut).unwrap_err(),
             WireError::UnexpectedEof {
                 context: "frame payload"
             }

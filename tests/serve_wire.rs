@@ -267,6 +267,30 @@ fn malformed_frame_gets_typed_error_without_desync() {
 }
 
 #[test]
+fn two_frames_in_one_write_both_get_replies_in_order() {
+    let fix = fixture();
+    let handle = serve_tcp(Arc::clone(&fix.server), "127.0.0.1:0").unwrap();
+    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    // Both requests leave in one write, so the server's buffered reader
+    // typically gets them from one `read(2)` and must carry the second
+    // frame over in its buffer.
+    let cases = [(7u64, 1), (8, 3)];
+    let mut both = Vec::new();
+    for (id, i) in cases {
+        let req = Request::new(fix.key.clone(), fix.input.batch_slice(i, 1));
+        write_frame(&mut both, &encode_request(id, &req)).unwrap();
+    }
+    stream.write_all(&both).unwrap();
+    for (id, i) in cases {
+        let payload = read_frame(&mut stream).unwrap().expect("a reply");
+        let (rid, result) = decode_response(&payload).unwrap();
+        assert_eq!(rid, id);
+        assert_eq!(result.unwrap(), fix.reference[i]);
+    }
+    handle.shutdown();
+}
+
+#[test]
 fn reconnect_resubmission_is_deduplicated_not_reexecuted() {
     let fix = fixture();
     let handle = serve_tcp(Arc::clone(&fix.server), "127.0.0.1:0").unwrap();
