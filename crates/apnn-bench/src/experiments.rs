@@ -3,7 +3,7 @@
 //! Each driver returns a formatted text block with our simulated
 //! measurements next to the paper's published anchors (where the paper
 //! prints concrete numbers). The `repro` binary dispatches to these;
-//! `EXPERIMENTS.md` records the comparison.
+//! DESIGN.md §6 discusses where the two disagree.
 
 use apnn_kernels::apconv::simmap::{unfused_pipeline, ActLayout};
 use apnn_kernels::apconv::{ApConv, Pool2};

@@ -40,7 +40,7 @@ mod tests;
 
 pub use plan::{
     CompileError, CompileOptions, CompiledNet, MainInit, MainKernel, MainStage, Materialize,
-    PlanStage, Shard,
+    PlanStage,
 };
 pub use run::{flatten_map, flatten_map_into, ActInput};
 pub use workspace::{ExecWorkspace, StageWorkspace, WorkspaceSpec};

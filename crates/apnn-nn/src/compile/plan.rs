@@ -382,25 +382,6 @@ impl CompiledNet {
         })
     }
 
-    /// Partition `n` requests into compiled-batch shards: every shard is
-    /// `batch()` wide except the last, which carries the remainder (any
-    /// size down to 1). This is the *widest-legal-shard* contract the
-    /// differential tests exercise; [`CompiledNet::infer_batched_into`]
-    /// may cut narrower shards (`⌈n/threads⌉`) to fill the thread pool —
-    /// any such partition is bit-identical (partition invariance), which
-    /// is exactly what the differential harness proves.
-    pub fn shards(&self, n: usize) -> Vec<Shard> {
-        let width = self.batch.max(1);
-        let mut out = Vec::with_capacity(n.div_ceil(width));
-        let mut start = 0;
-        while start < n {
-            let len = (n - start).min(width);
-            out.push(Shard { start, len });
-            start += len;
-        }
-        out
-    }
-
     /// The compiled stages.
     pub fn stages(&self) -> &[PlanStage] {
         &self.stages
@@ -469,16 +450,4 @@ impl CompiledNet {
         }
         unmonotone.map_or(Ok(()), |name| Err(CompileError::UnmonotoneTail { name }))
     }
-}
-
-/// One contiguous slice of a request batch, at most one compiled batch
-/// wide, as [`CompiledNet::shards`] cuts it. A serving worker hands its
-/// whole coalesced batch to [`CompiledNet::infer_batched_into`], which cuts
-/// its own shards of this kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Shard {
-    /// First request index in the shard.
-    pub start: usize,
-    /// Number of requests (`1..=plan.batch()`).
-    pub len: usize,
 }

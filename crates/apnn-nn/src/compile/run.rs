@@ -5,7 +5,7 @@
 //! identity residual is read from the packed branch slot. One sequential core
 //! (`cpu_execute_stages`) on the calling thread, all mutable state in an
 //! [`ExecWorkspace`]; [`CompiledNet::infer_batched_into`] is the only place
-//! that fans out, one workspace per shard.
+//! that fans out, one workspace per participant.
 
 use apnn_bitpack::{BitPlanes, BitTensor4, Encoding};
 use apnn_kernels::apconv::Residual;
@@ -41,7 +41,9 @@ impl CompiledNet {
         ws: &mut ExecWorkspace,
         out: &mut Vec<i32>,
     ) {
-        cpu_execute_into(self, input.into(), ws, out);
+        let input = input.into();
+        apnn_bitpack::resize_for_overwrite(out, input.rows() * self.classes());
+        cpu_execute_to_slice(self, input, ws, out);
     }
 
     /// Serve a large request batch by sharding it over the Rayon pool with
@@ -61,12 +63,18 @@ impl CompiledNet {
     /// * the coalesced `input` (any number of images) is cut into
     ///   contiguous shards of width `⌈n/threads⌉`, clamped to the compiled
     ///   batch (`threads == 0` uses [`rayon::current_num_threads`]);
-    /// * shards fan out over the Rayon pool; each participant checks a
-    ///   plan-sized workspace out of `pool`, stages its shard with one
-    ///   word-level memcpy ([`BitTensor4::fill_from_batch_range`]) and runs
-    ///   the **same sequential [`CompiledNet::infer_into`] core**, so every
-    ///   request's logits are bit-identical to one-image `infer` — the
-    ///   per-element accumulation order never depends on the partition;
+    /// * consecutive shards are grouped into at most `threads` spans of
+    ///   `⌈shards / min(threads, shards)⌉` shards each, and the spans fan
+    ///   out over the Rayon pool — so at most `threads` participants run,
+    ///   and `threads == 1` runs inline on the calling thread without
+    ///   touching the pool;
+    /// * each participant checks one plan-sized workspace out of `pool`
+    ///   and runs its shards in order through the **same sequential
+    ///   [`CompiledNet::infer_into`] core**: a shard that is the whole
+    ///   input is borrowed, any other is staged with one word-level memcpy
+    ///   ([`BitTensor4::fill_from_batch_range`]). Every request's logits
+    ///   are bit-identical to one-image `infer` — the per-element
+    ///   accumulation order never depends on the partition;
     /// * logits land directly in each shard's disjoint chunk of `out`
     ///   (resized in place, `n × classes` row-major).
     ///
@@ -96,28 +104,23 @@ impl CompiledNet {
         .max(1);
         let peak = self.batch.max(1);
         let width = peak.min(n.div_ceil(threads)).max(1);
-        if n <= width {
-            // Single shard: one checkout, no fan-out — and no staging
-            // copy, since the whole input *is* the shard and the engine
-            // only borrows it.
-            let mut slot = pool.checkout(self);
-            cpu_execute_to_slice(self, ActInput::Map(input), slot.workspace_mut(), out);
-            return;
-        }
-        out.par_chunks_mut(width * classes)
+        let shards = n.div_ceil(width);
+        let span = shards.div_ceil(threads.min(shards));
+        out.par_chunks_mut(span * width * classes)
             .enumerate()
-            .for_each(|(ci, chunk)| {
-                let start = ci * width;
-                let len = (n - start).min(width);
+            .for_each(|(si, span_out)| {
                 let mut slot = pool.checkout(self);
                 let (ws, staged) = slot.parts_mut();
-                stage_shard(staged, input, start, len, peak);
-                cpu_execute_to_slice(
-                    self,
-                    ActInput::Map(&*staged),
-                    ws,
-                    &mut chunk[..len * classes],
-                );
+                for (k, shard_out) in span_out.chunks_mut(width * classes).enumerate() {
+                    let len = shard_out.len() / classes;
+                    let shard = if len == n {
+                        input
+                    } else {
+                        stage_shard(staged, input, (si * span + k) * width, len, peak);
+                        &*staged
+                    };
+                    cpu_execute_to_slice(self, ActInput::Map(shard), ws, shard_out);
+                }
             });
     }
 }
@@ -141,6 +144,16 @@ pub enum ActInput<'a> {
     Vec(&'a BitPlanes),
 }
 
+impl ActInput<'_> {
+    /// Images (or feature rows) in the input: the batch the logits cover.
+    fn rows(self) -> usize {
+        match self {
+            ActInput::Map(t) => t.shape().0,
+            ActInput::Vec(v) => v.rows(),
+        }
+    }
+}
+
 impl<'a> From<&'a BitTensor4> for ActInput<'a> {
     fn from(map: &'a BitTensor4) -> Self {
         ActInput::Map(map)
@@ -154,24 +167,12 @@ impl<'a> From<&'a BitPlanes> for ActInput<'a> {
 }
 
 /// The functional engine core: run `plan` over `input`, all mutable state
-/// in `ws`, logits into `out` (`batch × classes`, row-major; resized in
-/// place without re-zeroing — every element is overwritten). This is the
-/// zero-allocation steady-state path behind [`CompiledNet::infer_into`].
-fn cpu_execute_into(
-    plan: &CompiledNet,
-    input: ActInput<'_>,
-    ws: &mut ExecWorkspace,
-    out: &mut Vec<i32>,
-) {
-    let (shard_n, classes) = cpu_execute_stages(plan, input, ws);
-    apnn_bitpack::resize_for_overwrite(out, shard_n * classes);
-    scatter_logits(ws, shard_n, classes, out);
-}
-
-/// [`cpu_execute_into`] writing into a pre-sized slice — the shard form of
-/// the parallel batched path, where each shard's logits land directly in
-/// its disjoint chunk of the caller's output buffer (no copy, no per-shard
-/// result vector).
+/// in `ws`, logits into the pre-sized `out` (`batch × classes`, row-major;
+/// every element is overwritten). This is the zero-allocation steady-state
+/// path behind [`CompiledNet::infer_into`], and the shard form of the
+/// batched path, where each shard's logits land directly in its disjoint
+/// chunk of the caller's output buffer (no copy, no per-shard result
+/// vector).
 fn cpu_execute_to_slice(
     plan: &CompiledNet,
     input: ActInput<'_>,
@@ -217,7 +218,7 @@ fn cpu_execute_stages(
         ..
     } = ws;
     let n_mains = slots.len();
-    let mut shard_n = 0;
+    let shard_n = input.rows();
     let mut classes = 0;
 
     /// This stage's input activation: the caller's tensor for stage 0, a
@@ -246,14 +247,8 @@ fn cpu_execute_stages(
         };
         let cur = match src_idx {
             None => match input {
-                ActInput::Map(t) => {
-                    shard_n = t.shape().0;
-                    In::Map(t)
-                }
-                ActInput::Vec(v) => {
-                    shard_n = v.rows();
-                    In::Vector(v)
-                }
+                ActInput::Map(t) => In::Map(t),
+                ActInput::Vec(v) => In::Vector(v),
             },
             Some(i) => match &done[i].out {
                 SlotOut::Map(t) => In::Map(t),

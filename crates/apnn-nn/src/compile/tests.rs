@@ -68,20 +68,34 @@ fn sim_engine_matches_for_both_materializations() {
 }
 
 #[test]
-fn shards_cover_the_batch_with_one_remainder() {
-    let plan = CompiledNet::compile(&tiny_net(), NetPrecision::w1a2(), &CompileOptions::sim(4));
-    assert_eq!(plan.shards(0), vec![]);
-    assert_eq!(plan.shards(3), vec![Shard { start: 0, len: 3 }]);
-    assert_eq!(
-        plan.shards(9),
-        vec![
-            Shard { start: 0, len: 4 },
-            Shard { start: 4, len: 4 },
-            Shard { start: 8, len: 1 },
-        ]
+fn batched_inference_runs_at_most_threads_participants() {
+    let plan = CompiledNet::compile(
+        &tiny_net(),
+        NetPrecision::w1a2(),
+        &CompileOptions::functional(4, 9),
     );
-    // Exact multiples have no remainder shard.
-    assert!(plan.shards(8).iter().all(|s| s.len == 4));
+    let n = 9;
+    let codes = Tensor4::<u32>::from_fn(n, 3, 8, 8, Layout::Nhwc, |b, c, h, w| {
+        ((11 * b + 3 * c + 5 * h + 7 * w) % 256) as u32
+    });
+    let input = BitTensor4::from_tensor(&codes, 8, Encoding::ZeroOne);
+    let want: Vec<i32> = (0..n)
+        .flat_map(|i| plan.infer(&input.batch_slice(i, 1)))
+        .collect();
+    let pool = plan.workspace_pool(4);
+    let mut out = Vec::new();
+    // Width min(4, ⌈9/threads⌉) gives 3 shards at every thread count; each
+    // participant checks out one workspace, and there are min(threads, 3).
+    for (threads, participants) in [(1, 1), (2, 2), (3, 3), (4, 3)] {
+        let before = pool.stats().checkouts;
+        plan.infer_batched_into(&input, &pool, threads, &mut out);
+        assert_eq!(out, want, "threads {threads}");
+        assert_eq!(
+            pool.stats().checkouts - before,
+            participants,
+            "threads {threads}"
+        );
+    }
 }
 
 #[test]

@@ -29,7 +29,7 @@ pub mod net;
 pub mod pool;
 pub mod precision;
 
-pub use compile::{ActInput, CompileError, CompileOptions, CompiledNet, Materialize, Shard};
+pub use compile::{ActInput, CompileError, CompileOptions, CompiledNet, Materialize};
 pub use exec::{simulate, simulate_with, NetworkReport, StageReport};
 pub use fuse::{fuse_network, identity_join_groups, MainOp, ResidualSrc, Stage, StageSrc};
 pub use layer::{LayerSpec, ShapeCursor};

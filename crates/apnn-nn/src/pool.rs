@@ -198,11 +198,6 @@ pub struct PooledWorkspace<'p> {
 }
 
 impl PooledWorkspace<'_> {
-    /// The execution workspace.
-    pub fn workspace_mut(&mut self) -> &mut ExecWorkspace {
-        &mut self.slot.as_mut().expect("slot present until drop").ws
-    }
-
     /// Split into the workspace and the shard-staging tensor (disjoint
     /// borrows, so a staged shard can be executed against the workspace).
     pub(crate) fn parts_mut(&mut self) -> (&mut ExecWorkspace, &mut BitTensor4) {

@@ -51,11 +51,11 @@ pub struct ServeConfig {
     pub max_batch_delay: u64,
     /// Worker threads executing batches.
     pub workers: usize,
-    /// Shards a coalesced batch fans out over inside one dispatch
-    /// ([`apnn_nn::CompiledNet::infer_batched_into`]): `1` executes the
-    /// batch sequentially on the dispatching worker (the pre-pool
-    /// behaviour); `N > 1` cuts it into `N` shards run across the Rayon
-    /// pool, each against a workspace checked out of the server's shared
+    /// At most this many participants run one coalesced batch
+    /// ([`apnn_nn::CompiledNet::infer_batched_into`]'s `threads`): `1`
+    /// executes it on the dispatching worker, with one workspace checkout
+    /// and no fan-out; `N > 1` runs it on at most `N` Rayon participants,
+    /// each against one workspace checked out of the server's shared
     /// per-plan [`WorkspacePool`]. Logits are bit-identical either way —
     /// the partition never changes per-element accumulation order.
     pub intra_batch_threads: usize,
@@ -853,7 +853,15 @@ mod tests {
                 "pool overgrew: {} workspaces for workers=2 × intra={intra}",
                 stats.workspace_pool_size
             );
-            assert!(stats.workspace_checkouts >= stats.batches);
+            // One checkout per participant, at most `intra` per batch (so
+            // exactly one per batch at intra = 1).
+            assert!(
+                stats.batches <= stats.workspace_checkouts
+                    && stats.workspace_checkouts <= intra as u64 * stats.batches,
+                "{} checkouts for {} batches at intra={intra}",
+                stats.workspace_checkouts,
+                stats.batches
+            );
             logits_by_mode.push(got);
         }
         assert_eq!(logits_by_mode[0], logits_by_mode[1]);

@@ -4,10 +4,12 @@
 //! workspace ships a minimal, dependency-free implementation of the rayon
 //! API surface the APNN-TC codebase actually uses:
 //!
-//! * `slice.par_chunks_mut(n).enumerate().for_each(f)` — the kernel inner
-//!   loops (APMM rows, APConv pixels, baseline GEMM rows) and the
-//!   batch-shard fan-out of `apnn_nn::CompiledNet::infer_batched_into`;
-//! * [`current_num_threads`] — pool sizing for batch sharding.
+//! * `slice.par_chunks_mut(n).enumerate().for_each(f)` — the one parallel
+//!   loop in the workspace, the shard fan-out of
+//!   `apnn_nn::CompiledNet::infer_batched_into` (the kernels run on the
+//!   calling thread and never call the shim);
+//! * [`current_num_threads`] — the default participant count of that
+//!   fan-out.
 //!
 //! Parallelism is real and, like upstream rayon, runs on a **persistent
 //! global worker pool**: `current_num_threads() - 1` workers are spawned
@@ -70,15 +72,6 @@ impl<'a, T> ParChunksMut<'a, T> {
             chunk: self.chunk,
         }
     }
-
-    /// Visit every chunk (without indices) in parallel.
-    pub fn for_each<F>(self, f: F)
-    where
-        T: Send,
-        F: Fn(&mut [T]) + Sync,
-    {
-        self.enumerate().for_each(|(_, chunk)| f(chunk));
-    }
 }
 
 /// Raw slice base shared with pool workers; chunk claims are disjoint by
@@ -110,20 +103,6 @@ impl<'a, T> EnumerateParChunksMut<'a, T> {
         T: Send,
         F: Fn((usize, &mut [T])) + Sync,
     {
-        self.for_each_init(|| (), |(), item| f(item));
-    }
-
-    /// Visit every `(index, chunk)` pair in parallel, threading a
-    /// per-participant state built by `init` (matching rayon's
-    /// `for_each_init`): each participant builds one state and reuses it
-    /// across every chunk it claims — the hook the kernels use to hoist a
-    /// stack accumulator tile out of the per-chunk work.
-    pub fn for_each_init<I, S, F>(self, init: I, f: F)
-    where
-        T: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, (usize, &mut [T])) + Sync,
-    {
         let len = self.slice.len();
         let chunk = self.chunk;
         if len == 0 {
@@ -131,19 +110,14 @@ impl<'a, T> EnumerateParChunksMut<'a, T> {
         }
         let n_chunks = len.div_ceil(chunk);
         if n_chunks <= 1 || current_num_threads() <= 1 || pool::in_pool() {
-            let mut state = init();
-            for (i, c) in self.slice.chunks_mut(chunk).enumerate() {
-                f(&mut state, (i, c));
-            }
+            self.slice.chunks_mut(chunk).enumerate().for_each(f);
             return;
         }
         let base = SendPtr(self.slice.as_mut_ptr());
         let next = std::sync::atomic::AtomicUsize::new(0);
         // Work-stealing body run by the caller and every pool worker: claim
-        // chunk indices until the counter runs past the end. No allocation
-        // beyond whatever `init` itself performs, once per participant.
+        // chunk indices until the counter runs past the end. No allocation.
         let work = move || {
-            let mut state = init();
             loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if i >= n_chunks {
@@ -157,7 +131,7 @@ impl<'a, T> EnumerateParChunksMut<'a, T> {
                 // before returning.
                 let s =
                     unsafe { std::slice::from_raw_parts_mut(base.get().add(start), end - start) };
-                f(&mut state, (i, s));
+                f((i, s));
             }
         };
         pool::run(&work);
@@ -351,39 +325,9 @@ impl<T> ParallelSliceMut<T> for [T] {
     }
 }
 
-impl<T> ParallelSliceMut<T> for Vec<T> {
-    fn par_chunks_mut(&mut self, chunk: usize) -> ParChunksMut<'_, T> {
-        self.as_mut_slice().par_chunks_mut(chunk)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn for_each_init_builds_one_state_per_participant() {
-        let mut v = vec![0u32; 64];
-        let inits = std::sync::atomic::AtomicUsize::new(0);
-        v.par_chunks_mut(4).enumerate().for_each_init(
-            || {
-                inits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                [0u32; 8]
-            },
-            |scratch, (i, chunk)| {
-                scratch[0] = i as u32 + 1;
-                for c in chunk.iter_mut() {
-                    *c = scratch[0];
-                }
-            },
-        );
-        for (pos, &x) in v.iter().enumerate() {
-            assert_eq!(x, (pos / 4) as u32 + 1);
-        }
-        // One state per dispatch participant (caller + pool workers), not
-        // one per chunk.
-        assert!(inits.load(std::sync::atomic::Ordering::Relaxed) <= current_num_threads() + 1);
-    }
 
     #[test]
     fn chunks_visited_exactly_once_with_indices() {
@@ -400,10 +344,18 @@ mod tests {
 
     #[test]
     fn small_slices_run_inline() {
-        let mut v = vec![1i32; 3];
-        v.par_chunks_mut(8)
-            .for_each(|c| c.iter_mut().for_each(|e| *e = 2));
-        assert_eq!(v, vec![2, 2, 2]);
+        // One chunk — a slice shorter than the chunk, or a longer slice cut
+        // as one chunk (the path `threads = 1` takes) — runs on the caller.
+        let caller = std::thread::current().id();
+        for (len, chunk) in [(3usize, 8usize), (1000, 1000)] {
+            let mut v = vec![1i32; len];
+            v.par_chunks_mut(chunk).enumerate().for_each(|(i, c)| {
+                assert_eq!(i, 0);
+                assert_eq!(std::thread::current().id(), caller, "len {len}");
+                c.iter_mut().for_each(|e| *e = 2);
+            });
+            assert!(v.iter().all(|&e| e == 2), "len {len}");
+        }
     }
 
     #[test]
@@ -481,7 +433,8 @@ mod tests {
         // The pool survives a panicking job.
         let mut v = vec![0u32; 64];
         v.par_chunks_mut(4)
-            .for_each(|c| c.iter_mut().for_each(|e| *e = 1));
+            .enumerate()
+            .for_each(|(_, c)| c.iter_mut().for_each(|e| *e = 1));
         assert!(v.iter().all(|&e| e == 1));
     }
 }

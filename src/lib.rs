@@ -41,7 +41,7 @@ pub mod prelude {
         ApConv, Apmm, ApmmDesc, ConvDesc, Epilogue, EpilogueOp, PreparedApmm, PreparedConv,
         TileConfig,
     };
-    pub use apnn_nn::{CompileOptions, CompiledNet, Materialize, NetPrecision, Network, Shard};
+    pub use apnn_nn::{CompileOptions, CompiledNet, Materialize, NetPrecision, Network};
     pub use apnn_serve::{
         serve_tcp, Admission, ModelKey, PlanRegistry, PlanSpec, QueuePolicy, Request, ServeConfig,
         ServeStats, Server, TcpServeHandle, TenantStats, Ticket, WireClient,

@@ -28,7 +28,7 @@ fn apnn_w1a2_beats_int8_on_the_compute_heavy_model() {
     // measured CUTLASS-INT8 was anomalously slow (slower than fp32). Our
     // int8 baseline is modeled at realistic efficiency, so we assert the
     // robust part of the claim: on the compute-dominated VGG, emulated w1a2
-    // still wins outright (see EXPERIMENTS.md for the discussion).
+    // still wins outright (see DESIGN.md §6 for the discussion).
     let spec = GpuSpec::rtx3090();
     let net = vgg_variant();
     let apnn = simulate(&net, NetPrecision::w1a2(), &spec, 8).total_s;

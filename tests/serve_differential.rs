@@ -264,8 +264,7 @@ fn pooled_parallel_path_matches_sequential_infer_for_every_pool_and_thread_count
 }
 
 /// `infer_batched`'s contiguous sharding is one particular partition — it
-/// must agree with the sequential reference too (and with the shard list
-/// the plan advertises).
+/// must agree with the sequential reference too.
 #[test]
 fn infer_batched_is_one_partition_of_the_differential_space() {
     for combo in combos() {
@@ -279,8 +278,5 @@ fn infer_batched_is_one_partition_of_the_differential_space() {
                 combo.key
             );
         }
-        let shards = combo.plan.shards(N);
-        assert_eq!(shards.iter().map(|s| s.len).sum::<usize>(), N);
-        assert!(shards.iter().all(|s| s.len <= combo.plan.batch()));
     }
 }
