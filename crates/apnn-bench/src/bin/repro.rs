@@ -2,7 +2,9 @@
 //! simulated Ampere substrate.
 //!
 //! ```text
-//! repro <fig5|...|fig12|table1|...|table4|serve|precision|all>
+//! repro <fig5|...|fig12|table1|...|table4|fusion-ablation|ablation-tiles|
+//!        ablation-layout|ablation-batching|turing|serve|precision|all>
+//! repro profile
 //! repro check-bench <fresh_dir> <committed_dir>
 //! ```
 //!
@@ -13,15 +15,19 @@
 //! exits 1. `check-bench` schema-validates freshly generated artifacts
 //! against the committed copies (the `bench-trajectory` CI gate). `serve`
 //! needs a `--features fault-inject` build, and `all` skips it without one.
-//! CPU throughput is not timed here: `bench/` times the engines, with a
-//! spread and a regression gate.
+//! `profile` runs every servable zoo plan at w1a2, w2a2 and w2a8 and prints
+//! one table per plan: each main stage's measured wall time per image (the
+//! engine's own stage timers, median and IQR over a fixed number of
+//! batches) beside its `pair_words` and its simulated price. It writes no
+//! artifact and is not part of `all`, whose output is byte-stable. CPU
+//! throughput is gated by `bench/`, with a spread and a regression bound.
 //!
 //! Figures 5/7 run on the RTX 3090 preset, 6/8 on the A100 preset, matching
 //! the paper's panels; everything else defaults to the RTX 3090 (the paper
 //! reports "similar trends" on both GPUs and focuses on the 3090, §6.1.2).
 
 use apnn_bench::schema::{self, Row, Spec};
-use apnn_bench::{artifacts, experiments as exp, precision};
+use apnn_bench::{artifacts, experiments as exp, precision, profile};
 use apnn_sim::GpuSpec;
 
 /// Write `rows` as `spec`'s artifact; the line reporting where they went.
@@ -169,6 +175,7 @@ fn main() {
             "turing" => Some(exp::turing(&g3090)),
             "serve" => Some(serve()),
             "precision" => Some(precision()),
+            "profile" => Some(profile::render(&profile::profile(profile::BATCHES))),
             _ => None,
         }
     };
@@ -204,7 +211,7 @@ fn main() {
         eprintln!(
             "unknown experiment '{arg}'. Options: fig5..fig12, table1..table4, \
              fusion-ablation, ablation-tiles, ablation-layout, ablation-batching, turing, \
-             serve, precision, check-bench <fresh_dir> <committed_dir>, all"
+             serve, precision, profile, check-bench <fresh_dir> <committed_dir>, all"
         );
         std::process::exit(2);
     }

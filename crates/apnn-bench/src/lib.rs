@@ -2,15 +2,17 @@
 
 //! # apnn-bench
 //!
-//! Benchmark harness for the APNN-TC reproduction: workload definitions
-//! matching the paper's evaluation section, table/series printers, and the
-//! experiment drivers behind the `repro` binary (one subcommand per paper
-//! table and figure) and the `zoo_conv_shapes` bench.
+//! Paper-experiment drivers for the APNN-TC reproduction: workload
+//! definitions matching the paper's evaluation section, table/series
+//! printers, and the drivers behind the `repro` binary — one subcommand per
+//! paper table and figure, the two committed `BENCH_*.json` artifacts, and
+//! `repro profile`, which reads each main stage's wall time off the engine's
+//! own timers. `bench/` is the timing harness with a regression gate.
 
 pub mod artifacts;
 pub mod experiments;
-pub mod gen;
 pub mod precision;
+pub mod profile;
 pub mod schema;
 pub mod serve_load;
 pub mod workloads;

@@ -10,6 +10,7 @@
 use apnn_bitpack::{BitPlanes, BitTensor4, Encoding};
 use apnn_kernels::apconv::Residual;
 use rayon::prelude::*;
+use std::time::Instant;
 
 use super::plan::{CompiledNet, MainKernel};
 use super::workspace::{ExecWorkspace, SlotOut};
@@ -195,7 +196,8 @@ fn scatter_logits(ws: &ExecWorkspace, shard_n: usize, classes: usize, out: &mut 
 }
 
 /// Run every stage of `plan`, leaving raw output-stage accumulators
-/// (features × batch) in `ws.y`; returns `(shard batch, classes)`.
+/// (features × batch) in `ws.y` and adding each stage's wall time to
+/// `ws.stage_ns`; returns `(shard batch, classes)`.
 fn cpu_execute_stages(
     plan: &CompiledNet,
     input: ActInput<'_>,
@@ -215,6 +217,7 @@ fn cpu_execute_stages(
         codes,
         y,
         res,
+        stage_ns,
         ..
     } = ws;
     let n_mains = slots.len();
@@ -235,6 +238,7 @@ fn cpu_execute_stages(
     let mut chain_idx: Option<usize> = None;
     let mut branch_idx: Option<usize> = None;
 
+    let mut clock = Instant::now();
     for (mi, stage) in plan.main_stages().enumerate() {
         let last = mi + 1 == n_mains;
         let (done, rest) = slots.split_at_mut(mi);
@@ -338,6 +342,9 @@ fn cpu_execute_stages(
                 branch_idx = Some(mi);
             }
         }
+        let now = Instant::now();
+        stage_ns[mi] += now.duration_since(clock).as_nanos() as u64;
+        clock = now;
     }
     (shard_n, classes)
 }

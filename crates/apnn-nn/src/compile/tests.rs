@@ -119,6 +119,33 @@ fn workspace_reuse_is_bit_identical_across_shard_sizes() {
     }
 }
 
+/// Every main stage of a residual zoo plan — skip projections included —
+/// has its own timer, and every call adds to every one of them.
+#[test]
+fn stage_times_cover_every_main_stage() {
+    let net = crate::models::resnet18_tiny();
+    let plan = net.compile(NetPrecision::w1a2(), &CompileOptions::functional(2, 5));
+    let codes = Tensor4::<u32>::from_fn(
+        2,
+        3,
+        net.input_h,
+        net.input_w,
+        Layout::Nhwc,
+        |b, c, h, w| ((b + 3 * c + 5 * h + 7 * w) % 256) as u32,
+    );
+    let input = BitTensor4::from_tensor(&codes, 8, Encoding::ZeroOne);
+    let (mut ws, mut out) = (plan.workspace(), Vec::new());
+    assert_eq!(ws.stage_ns().len(), plan.main_stages().count());
+    assert!(ws.stage_ns().iter().all(|&ns| ns == 0));
+    plan.infer_into(&input, &mut ws, &mut out);
+    let first = ws.stage_ns().to_vec();
+    assert!(first.iter().all(|&ns| ns > 0), "{first:?}");
+    plan.infer_into(&input, &mut ws, &mut out);
+    for (i, (&after, &before)) in ws.stage_ns().iter().zip(&first).enumerate() {
+        assert!(after > before, "stage {i}: {before} -> {after}");
+    }
+}
+
 #[test]
 fn workspace_spec_reports_plan_sized_buffers() {
     let plan = CompiledNet::compile(

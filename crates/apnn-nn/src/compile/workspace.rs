@@ -53,7 +53,9 @@ impl CompiledNet {
 /// * the kernel scratch ([`ConvScratch`] — one output row's activation
 ///   strip and accumulator rows — / [`ApmmScratch`] correction table),
 ///   sized at the per-stage peaks;
-/// * the shared dense-code scratch and the raw logits buffer.
+/// * the shared dense-code scratch and the raw logits buffer;
+/// * one cumulative wall-clock timer per main stage
+///   ([`ExecWorkspace::stage_ns`]).
 ///
 /// Keep one workspace per serving thread and pass it to
 /// [`CompiledNet::infer_into`]; partial shards only ever *shrink* shapes,
@@ -78,6 +80,8 @@ pub struct ExecWorkspace {
     /// slot). One buffer suffices — every block's residual is consumed
     /// before the next block's skip runs.
     pub(super) res: Vec<i32>,
+    /// Cumulative wall-clock ns per main stage, in `main_stages()` order.
+    pub(super) stage_ns: Vec<u64>,
 }
 
 #[derive(Debug, Clone)]
@@ -140,7 +144,16 @@ impl ExecWorkspace {
             codes: Vec::with_capacity(peaks.codes),
             y: Vec::with_capacity(peaks.y),
             res: Vec::with_capacity(peaks.res),
+            stage_ns: vec![0; layouts.len()],
         }
+    }
+
+    /// Cumulative wall-clock nanoseconds each main stage has spent in this
+    /// workspace's calls, in [`CompiledNet::main_stages`] order (a skip
+    /// projection is a stage of its own). The runner reads the clock once
+    /// before the stage loop and once after every stage, on every call.
+    pub fn stage_ns(&self) -> &[u64] {
+        &self.stage_ns
     }
 
     /// Panic unless this workspace was built for `plan`.

@@ -109,11 +109,6 @@ impl BlockCtx {
     pub fn counters(&self) -> &Counters {
         &self.counters
     }
-
-    /// Consume the context, returning its counters.
-    pub fn into_counters(self) -> Counters {
-        self.counters
-    }
 }
 
 #[cfg(test)]

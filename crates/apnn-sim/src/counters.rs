@@ -47,22 +47,6 @@ impl Counters {
         self.syncs += other.syncs;
     }
 
-    /// Scale every counter by an integer factor (used to replicate one
-    /// representative block across a uniform grid).
-    pub fn scaled(&self, factor: u64) -> Counters {
-        Counters {
-            bmma_ops: self.bmma_ops * factor,
-            tc_macs: self.tc_macs * factor,
-            global_load_bytes: self.global_load_bytes * factor,
-            global_store_bytes: self.global_store_bytes * factor,
-            global_sectors: self.global_sectors * factor,
-            shmem_bytes: self.shmem_bytes * factor,
-            cuda_int_ops: self.cuda_int_ops * factor,
-            cuda_flops: self.cuda_flops * factor,
-            syncs: self.syncs * factor,
-        }
-    }
-
     /// Total global-memory traffic in bytes.
     #[inline]
     pub fn global_bytes(&self) -> u64 {
@@ -102,9 +86,6 @@ mod tests {
         a.add(&b);
         assert_eq!(a.bmma_ops, 3);
         assert_eq!(a.global_bytes(), 150);
-        let s = a.scaled(4);
-        assert_eq!(s.bmma_ops, 12);
-        assert_eq!(s.tc_macs, 4 * (8192 + 16384));
     }
 
     #[test]

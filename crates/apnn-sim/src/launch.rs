@@ -137,22 +137,6 @@ pub fn launch(
     finish(spec, cfg, totals)
 }
 
-/// Execute a single representative block and scale its counters across a
-/// uniform grid — the fast path for latency estimation on large problems.
-///
-/// Tests in `apnn-kernels` assert that for uniform tilings this produces
-/// exactly the same counters as [`launch`].
-pub fn launch_scaled(
-    spec: &GpuSpec,
-    cfg: &KernelConfig,
-    body: impl FnOnce(&mut BlockCtx),
-) -> KernelReport {
-    let mut ctx = BlockCtx::new();
-    body(&mut ctx);
-    let totals = ctx.into_counters().scaled(cfg.grid_blocks.max(1) as u64);
-    finish(spec, cfg, totals)
-}
-
 /// Price pre-aggregated counters (used by closed-form estimators).
 pub fn finish(spec: &GpuSpec, cfg: &KernelConfig, totals: Counters) -> KernelReport {
     let occupancy = occupancy_for(spec, cfg);
@@ -167,7 +151,6 @@ pub fn finish(spec: &GpuSpec, cfg: &KernelConfig, totals: Counters) -> KernelRep
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::Coalescing;
 
     #[test]
     fn occupancy_limited_by_warps() {
@@ -212,25 +195,6 @@ mod tests {
         let occ = occupancy_for(&spec, &cfg);
         assert_eq!(occ.blocks_per_sm, 4);
         assert_eq!(occ.waves, 3);
-    }
-
-    #[test]
-    fn launch_and_scaled_agree_for_uniform_blocks() {
-        let spec = GpuSpec::rtx3090();
-        let cfg = KernelConfig::new(64, Precision::Int1);
-        let body = |_b: usize, ctx: &mut BlockCtx| {
-            ctx.global_load(4096, Coalescing::Coalesced);
-            ctx.bmma(16);
-            ctx.global_store(256, Coalescing::Coalesced);
-        };
-        let full = launch(&spec, &cfg, body);
-        let scaled = launch_scaled(&spec, &cfg, |ctx| {
-            ctx.global_load(4096, Coalescing::Coalesced);
-            ctx.bmma(16);
-            ctx.global_store(256, Coalescing::Coalesced);
-        });
-        assert_eq!(full.counters, scaled.counters);
-        assert_eq!(full.cost.total_s, scaled.cost.total_s);
     }
 
     #[test]

@@ -80,26 +80,6 @@ proptest! {
     }
 
     #[test]
-    fn launch_scaled_equals_launch_for_uniform_bodies(
-        spec in any_spec(),
-        grid in 1usize..300,
-        bytes in 0u64..1 << 16,
-        bmma in 0u64..1 << 10,
-    ) {
-        let cfg = KernelConfig::new(grid, Precision::Int1);
-        let full = launch(&spec, &cfg, |_, ctx| {
-            ctx.global_load(bytes, Coalescing::Coalesced);
-            ctx.bmma(bmma);
-        });
-        let scaled = apnn_sim::launch::launch_scaled(&spec, &cfg, |ctx| {
-            ctx.global_load(bytes, Coalescing::Coalesced);
-            ctx.bmma(bmma);
-        });
-        prop_assert_eq!(full.counters, scaled.counters);
-        prop_assert_eq!(full.cost.total_s, scaled.cost.total_s);
-    }
-
-    #[test]
     fn strided_never_cheaper_than_coalesced(
         spec in any_spec(),
         bytes in 1u64..1 << 24,

@@ -68,6 +68,9 @@ fn steady_state_inference_performs_zero_heap_allocations() {
 
             // Steady state: interleave every width twice more — zero
             // allocations, bit-identical logits.
+            // The stage timers tick inside the window: they sit on the
+            // measured path, and reading the clock allocates nothing.
+            let timed = ws.stage_ns().to_vec();
             let scope = alloc_scope();
             for _ in 0..2 {
                 for input in &inputs {
@@ -81,6 +84,14 @@ fn steady_state_inference_performs_zero_heap_allocations() {
                 net.name,
                 precision.label()
             );
+            for (stage, (&now, &before)) in ws.stage_ns().iter().zip(&timed).enumerate() {
+                assert!(
+                    now > before,
+                    "{} @ {}: stage {stage}'s timer did not advance",
+                    net.name,
+                    precision.label()
+                );
+            }
             for (input, want) in inputs.iter().zip(&want) {
                 plan.infer_into(input, &mut ws, &mut out);
                 assert_eq!(&out, want, "{} @ {}", net.name, precision.label());
