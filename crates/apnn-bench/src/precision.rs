@@ -397,8 +397,9 @@ mod tests {
     #[test]
     fn oracle_geometry_matches_every_compiled_zoo_conv() {
         // The count must use exactly the K, output size and planes the
-        // compiled plan runs: every stage's closed form against its
-        // prepared weight panel.
+        // compiled plan prices: every emulated stage's closed form against
+        // its prepared weight panel, and each dense stem's against the
+        // window-dense K the GPU emulation would run.
         use apnn_nn::models::servable_zoo;
         // Each stem's window-dense K: AlexNet-Tiny's 5×5×3 in two words,
         // VGG-Variant-Tiny's and ResNet18-Tiny's 3×3×3 in one.
@@ -410,26 +411,39 @@ mod tests {
                 );
                 for (i, stage) in plan.main_stages().enumerate() {
                     let at = format!("{}/w{w}a{a}/{}", net.name, stage.name);
-                    let (rows, cols, x_bits, panel) = match &stage.kernel {
+                    // `(words per row, planes)` of the weight operand.
+                    let (rows, cols, x_bits, (k_words, w_planes)) = match &stage.kernel {
                         MainKernel::Conv { desc, prepared, .. } => {
                             let prepared = prepared.as_ref().expect(&at);
-                            if i == 0 {
-                                assert!(desc.window_dense(), "{at}");
-                                assert_eq!(desc.k_words(), stem_words, "{at}");
-                            }
                             let rows = desc.batch * desc.out_h() * desc.out_w();
-                            (rows, desc.cout, desc.x_bits, prepared.weights())
+                            let weights = if i == 0 {
+                                // A stem runs as dense multiply-adds and
+                                // keeps no panel: its count is the GPU
+                                // emulation's window-dense K.
+                                assert!(desc.window_dense() && prepared.is_dense(), "{at}");
+                                assert!(prepared.weights().is_none(), "{at}");
+                                assert_eq!(desc.k_words(), stem_words, "{at}");
+                                (desc.k_words(), desc.w_bits as usize)
+                            } else {
+                                let panel = prepared.weights().expect(&at);
+                                (panel.words_per_row(), panel.n_planes())
+                            };
+                            (rows, desc.cout, desc.x_bits, weights)
                         }
                         MainKernel::Linear { desc, prepared, .. } => {
-                            let prepared = prepared.as_ref().expect(&at);
-                            (desc.n, desc.m, desc.x_bits, prepared.weights())
+                            let panel = prepared.as_ref().expect(&at).weights();
+                            (
+                                desc.n,
+                                desc.m,
+                                desc.x_bits,
+                                (panel.words_per_row(), panel.n_planes()),
+                            )
                         }
                         MainKernel::Baseline => panic!("{at}: baseline stage"),
                     };
                     assert_eq!(
                         stage.pair_words(),
-                        (rows * cols * panel.words_per_row() * panel.n_planes()) as u64
-                            * u64::from(x_bits),
+                        (rows * cols * k_words * w_planes) as u64 * u64::from(x_bits),
                         "{at}"
                     );
                 }

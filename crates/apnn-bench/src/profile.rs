@@ -7,8 +7,10 @@
 //! ([`apnn_nn::compile::ExecWorkspace::stage_ns`]); this module only reads
 //! the per-batch differences and sets each stage's measured time beside
 //! its closed-form cost ([`apnn_nn::compile::MainStage::pair_words`]) and
-//! its simulated RTX 3090 price ([`CompiledNet::report`]). Geometry comes
-//! from the plan alone, so the rows are the plan's own stages.
+//! its simulated RTX 3090 price ([`CompiledNet::report`]), tagged with its
+//! row producer: `dense` for a stem's 16-bit multiply-adds, else the
+//! popcount arm. Geometry comes from the plan alone, so the rows are the
+//! plan's own stages.
 
 use std::fmt::Write as _;
 
@@ -36,6 +38,9 @@ pub const BATCHES: usize = 41;
 pub struct StageRow {
     /// Stage (layer) name.
     pub name: String,
+    /// What produced the stage's rows: `dense` for exact 16-bit
+    /// multiply-adds, else the popcount arm's label.
+    pub producer: &'static str,
     /// Median wall-clock ns per image over the timed batches.
     pub median_ns: f64,
     /// First and third quartile of the same samples.
@@ -51,11 +56,16 @@ pub struct StageRow {
 }
 
 impl StageRow {
-    /// Median ns per thousand plane-pair words.
-    pub fn ns_per_kword(&self) -> f64 {
-        self.median_ns * 1e3 / self.pair_words as f64
+    /// Median ns per thousand plane-pair words — `None` for a dense stage,
+    /// whose `pair_words` is the GPU emulation's price, not CPU work.
+    pub fn ns_per_kword(&self) -> Option<f64> {
+        (self.producer != DENSE).then(|| self.median_ns * 1e3 / self.pair_words as f64)
     }
 }
+
+/// The [`StageRow::producer`] of a stage whose rows are dense
+/// multiply-adds.
+const DENSE: &str = "dense";
 
 /// One plan's per-stage profile, rows in `main_stages()` order.
 #[derive(Debug, Clone)]
@@ -129,6 +139,7 @@ fn profile_plan(plan: &CompiledNet, batches: usize) -> PlanProfile {
             ns.sort_by(f64::total_cmp);
             StageRow {
                 name: stage.name.clone(),
+                producer: producer(&stage.kernel),
                 median_ns: quantile(ns, 0.5),
                 iqr_ns: (quantile(ns, 0.25), quantile(ns, 0.75)),
                 share_pct: 100.0 * stage_total / total,
@@ -159,19 +170,30 @@ pub fn render(profiles: &[PlanProfile]) -> String {
         );
         let _ = writeln!(
             out,
-            "{:>3} {:<14}{:>11} {:>19}{:>8}{:>12}{:>10}{:>10}{:>7}",
-            "#", "stage", "ns/img", "IQR", "share%", "pairw/img", "ns/kword", "sim ns", "sim%"
+            "{:>3} {:<14}{:<8}{:>11} {:>19}{:>8}{:>12}{:>10}{:>10}{:>7}",
+            "#",
+            "stage",
+            "rows",
+            "ns/img",
+            "IQR",
+            "share%",
+            "pairw/img",
+            "ns/kword",
+            "sim ns",
+            "sim%"
         );
         for (i, r) in p.rows.iter().enumerate() {
             let _ = writeln!(
                 out,
-                "{i:>3} {:<14}{:>11.0} {:>19}{:>8.1}{:>12}{:>10.2}{:>10.1}{:>7.1}",
+                "{i:>3} {:<14}{:<8}{:>11.0} {:>19}{:>8.1}{:>12}{:>10}{:>10.1}{:>7.1}",
                 r.name,
+                r.producer,
                 r.median_ns,
                 format!("[{:.0}–{:.0}]", r.iqr_ns.0, r.iqr_ns.1),
                 r.share_pct,
                 r.pair_words,
-                r.ns_per_kword(),
+                r.ns_per_kword()
+                    .map_or(String::new(), |ns| format!("{ns:.2}")),
                 r.sim_ns,
                 r.sim_share_pct,
             );
@@ -194,6 +216,22 @@ fn images(plan: &CompiledNet) -> BitTensor4 {
         ((13 * b + 3 * ch + 5 * y + 7 * x) % modulus) as u32
     });
     BitTensor4::from_tensor(&codes, bits, enc)
+}
+
+/// What produces a stage's rows ([`StageRow::producer`]).
+fn producer(kernel: &MainKernel) -> &'static str {
+    match kernel {
+        MainKernel::Conv {
+            prepared: Some(p), ..
+        } if p.is_dense() => DENSE,
+        MainKernel::Conv {
+            prepared: Some(p), ..
+        } => p.arm().label(),
+        MainKernel::Linear {
+            prepared: Some(p), ..
+        } => p.arm().label(),
+        _ => "none",
+    }
 }
 
 /// The popcount arm the plan's first kernel was bound to.
@@ -244,7 +282,20 @@ mod tests {
             );
             for (r, m) in p.rows.iter().zip(plan.main_stages()) {
                 assert_eq!(r.pair_words, m.pair_words() / 8, "{}", r.name);
+                // The stems — and only they — are dense, and their rows
+                // carry no words-per-ns figure.
+                let MainKernel::Conv { desc, .. } = &m.kernel else {
+                    assert_eq!(r.producer, p.arm, "{}", r.name);
+                    continue;
+                };
+                let dense = desc.window_dense();
+                assert_eq!(r.producer == DENSE, dense, "{}", r.name);
+                assert_eq!(r.ns_per_kword().is_none(), dense, "{}", r.name);
+                if !dense {
+                    assert_eq!(r.producer, p.arm, "{}", r.name);
+                }
             }
+            assert_eq!(p.rows[0].producer, DENSE, "{} @ {}", p.model, p.scheme);
         }
         let text = render(&profiles);
         assert_eq!(text.matches("## profile ").count(), profiles.len());

@@ -403,22 +403,54 @@ impl BitTensor4 {
         }
     }
 
-    /// Unpack image row `(n, h)` into `out[x·c + ch]` (`u32` codes or the
-    /// `i32` activations they are), a word at a time — inverse of
+    /// Unpack image row `(n, h)` into `out[x·c + ch]` (`u32` codes, or the
+    /// `i32` / `i16` activations they are) — inverse of
     /// [`BitTensor4::pack_row`], the word-level form of
-    /// [`BitTensor4::get_code`].
+    /// [`BitTensor4::get_code`]. Eight channels at a time: each plane's byte
+    /// of them is spread one bit to a byte (a 256-entry table) and OR-ed in
+    /// at its plane's shift, so the eight codes (< 2⁸) build in one `u64`
+    /// and the work per pixel is one table read per plane per eight
+    /// channels, not one pass per channel.
     pub fn unpack_row<T>(&self, n: usize, h: usize, out: &mut [T])
     where
-        T: Copy + From<u8> + std::ops::BitOrAssign,
+        T: Copy + From<u8>,
     {
         assert_eq!(out.len(), self.w * self.c, "one code per (pixel, channel)");
-        let (wpp, stride) = (self.words_per_pixel, self.h * self.w * self.words_per_pixel);
-        let base = self.pixel_base(n, 0, h, 0);
+        match self.bits {
+            1 => self.unpack_planes::<T, 1>(n, h, out),
+            2 => self.unpack_planes::<T, 2>(n, h, out),
+            3 => self.unpack_planes::<T, 3>(n, h, out),
+            4 => self.unpack_planes::<T, 4>(n, h, out),
+            5 => self.unpack_planes::<T, 5>(n, h, out),
+            6 => self.unpack_planes::<T, 6>(n, h, out),
+            7 => self.unpack_planes::<T, 7>(n, h, out),
+            8 => self.unpack_planes::<T, 8>(n, h, out),
+            bits => unreachable!("a map has 1–8 planes, not {bits}"),
+        }
+    }
+
+    /// [`BitTensor4::unpack_row`] at `BITS` planes, a compile-time count so
+    /// a pixel's plane words are registers and its table reads unroll.
+    #[inline(always)]
+    fn unpack_planes<T: Copy + From<u8>, const BITS: usize>(
+        &self,
+        n: usize,
+        h: usize,
+        out: &mut [T],
+    ) {
+        let wpp = self.words_per_pixel;
+        let planes: [&[u64]; BITS] = std::array::from_fn(|t| self.row_words(n, t as u32, h));
         for (x, px) in out.chunks_exact_mut(self.c.max(1)).enumerate() {
             for (j, chunk) in px.chunks_mut(WORD_BITS).enumerate() {
-                chunk.fill(T::from(0));
-                for plane in 0..self.bits as usize {
-                    unpack_word(self.data[base + plane * stride + x * wpp + j], plane, chunk);
+                let words: [u64; BITS] = std::array::from_fn(|t| planes[t][x * wpp + j]);
+                for (g, eight) in chunk.chunks_mut(8).enumerate() {
+                    let mut codes = 0u64;
+                    for (t, word) in words.iter().enumerate() {
+                        codes |= SPREAD[usize::from((word >> (8 * g)) as u8)] << t;
+                    }
+                    for (code, byte) in eight.iter_mut().zip(codes.to_le_bytes()) {
+                        *code = T::from(byte);
+                    }
                 }
             }
         }
@@ -428,7 +460,7 @@ impl BitTensor4 {
     /// tensor as dense NHWC values, `out[((n·h + y)·w + x)·c + ch]`.
     pub fn unpack<T>(&self, out: &mut [T])
     where
-        T: Copy + From<u8> + std::ops::BitOrAssign,
+        T: Copy + From<u8>,
     {
         assert_eq!(out.len(), self.n * self.h * self.w * self.c);
         for (i, row) in out.chunks_exact_mut((self.w * self.c).max(1)).enumerate() {
@@ -518,20 +550,22 @@ fn pack_word(codes: &[u32], bits: u32) -> [u64; 8] {
     words
 }
 
-/// OR bit `i` of `word`, shifted to bit `plane`, into `out[i]` — written
-/// over 32-bit halves so the lane-indexed shifts vectorize.
-#[inline]
-fn unpack_word<T>(word: u64, plane: usize, out: &mut [T])
-where
-    T: Copy + From<u8> + std::ops::BitOrAssign,
-{
-    for (half, out) in out.chunks_mut(32).enumerate() {
-        let w = (word >> (32 * half)) as u32;
-        for (i, code) in out.iter_mut().enumerate() {
-            *code |= T::from((((w >> i) & 1) << plane) as u8);
+/// Byte `k` of `SPREAD[b]` is bit `k` of `b`: one plane's bits of eight
+/// channels, one to a byte — the table [`BitTensor4::unpack_row`] builds
+/// eight codes from.
+static SPREAD: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut k = 0;
+        while k < 8 {
+            table[b] |= ((b as u64 >> k) & 1) << (8 * k);
+            k += 1;
         }
+        b += 1;
     }
-}
+    table
+};
 
 #[cfg(test)]
 mod tests {
@@ -629,6 +663,36 @@ mod tests {
                             .flat_map(|x| got.pixel_words(b, bits - 1, y, x).to_vec())
                             .collect();
                         assert_eq!(got.row_words(b, bits - 1, y), &words[..]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unpack_row_equals_get_code_at_every_width() {
+        // Channel counts under a byte, between bytes, at a word and past
+        // it (two live words, ragged), at every code width.
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        for c in [1usize, 3, 16, 64, 130] {
+            for bits in 1u32..=8 {
+                let (n, h, w) = (2, 2, 3);
+                let codes = Tensor4::<u32>::from_fn(n, c, h, w, Layout::Nhwc, |_, _, _, _| {
+                    seed ^= seed << 13;
+                    seed ^= seed >> 7;
+                    seed ^= seed << 17;
+                    (seed >> 33) as u32 & ((1 << bits) - 1)
+                });
+                let t = BitTensor4::from_tensor(&codes, bits, Encoding::ZeroOne);
+                let (mut as_u32, mut as_i16) = (vec![u32::MAX; w * c], vec![-1i16; w * c]);
+                for b in 0..n {
+                    for y in 0..h {
+                        t.unpack_row(b, y, &mut as_u32);
+                        t.unpack_row(b, y, &mut as_i16);
+                        for (i, (&u, &v)) in as_u32.iter().zip(&as_i16).enumerate() {
+                            let code = t.get_code(b, y, i / c, i % c);
+                            assert_eq!((u, v), (code, code as i16), "c={c} bits={bits} at {i}");
+                        }
                     }
                 }
             }

@@ -23,12 +23,10 @@
 //!
 //! Where a column is under a word and a window fits in fewer words than it
 //! has columns ([`ConvDesc::window_dense`] — the 3-channel stems: 3×3×3 is
-//! 27 bits, 5×5×3 75), the *window* becomes the unit instead: after the
-//! strip, one contiguous pass per `(kx, word)` lays every pixel's `kw`
-//! columns back to back, bit `kx·kh·C_in + ky·C_in + c`, into
-//! [`ConvDesc::k_words`] words per pixel and plane, and the kernel reads
-//! those at `step = k_words`. The strip stays the source of both the
-//! windows and the activation sides.
+//! 27 bits, 5×5×3 75), there is no strip: the rows come from
+//! [`super::dense`]'s exact 16-bit multiply-adds over the unpacked image.
+//! Those layers' operands do not suit emulation — 8-bit codes, 3 live bits
+//! of a word per plane — and the product they need is one CPU instruction.
 //!
 //! Everything a window needs besides the strip is fixed before the first
 //! row ([`ConvExecPlan`]): the weight side of its correction offset, folded
@@ -40,10 +38,11 @@
 //! ([`apnn_bitpack::popcnt::finish_lanes`]) → eight i32 channels stored per
 //! `(pixel, group)`.
 //!
-//! One loop nest — `conv_exec`, on the calling thread — drives it all and
-//! hands every finished accumulator row to a *row sink*: the unfused entry
-//! points store it, [`super::tail`] runs the §5.2 tail on it while it is
-//! cache-hot.
+//! One loop nest — `conv_exec`, on the calling thread — drives it all,
+//! picks the row producer (emulation or dense) from the plan, and hands
+//! every finished accumulator row to a *row sink*: the unfused entry points
+//! store it, [`super::tail`] runs the §5.2 tail on it while it is cache-hot,
+//! whichever producer filled it.
 
 use std::ops::Range;
 
@@ -51,9 +50,10 @@ use apnn_bitpack::popcnt::{finish_lanes, Affine, Finish};
 use apnn_bitpack::{BitTensor4, LanePanel, PopcntArm, LANES};
 use apnn_sim::BmmaOp;
 
+use super::dense::{self, DenseWeights};
 use super::padding::{fill_words, oob_popc, pad_fill, valid_row_popc, PadFill};
 use super::weights::TapPopc;
-use super::{ConvDesc, Pool2};
+use super::{ConvDesc, ConvWeights, Pool2};
 use crate::autotune::{select_micro, MicroTile, MAX_JB};
 use crate::micro::MAX_PLANES;
 use crate::select::{fold_planes, plan, Correction, EmulationPlan};
@@ -92,22 +92,42 @@ fn axis_classes(
     (classes, of)
 }
 
-/// Per-call-invariant execution state for a convolution: the emulation
-/// plan, the materialized padding pattern, and every per-window quantity
-/// that does not depend on the input. Built once, by
+/// Per-call-invariant execution state for a convolution: the row producer
+/// and everything it needs that does not depend on the input, plus the
+/// microkernel tile and popcount arm. Built once, by
 /// [`super::ApConv::prepare`], and held by the [`super::PreparedConv`].
 #[derive(Debug, Clone)]
 pub struct ConvExecPlan {
+    /// CPU microkernel tile: `jb` consecutive output pixels of a row share
+    /// each loaded weight cell (or, dense, weight vector).
+    pub(crate) micro: MicroTile,
+    /// Arm the row producer runs on, bound once at plan time by
+    /// [`PopcntArm::detect`] (exact for any value).
+    pub(crate) arm: PopcntArm,
+    pub(crate) rows: Rows,
+}
+
+/// Where a plan's accumulator rows come from — chosen by the layer's shape
+/// ([`ConvDesc::window_dense`]), not an option.
+#[derive(Debug, Clone)]
+pub(crate) enum Rows {
+    /// The bit-plane emulation: strip + popcount kernel per output row.
+    Emulated(Emulation),
+    /// A window-dense layer's exact i16 multiply-adds ([`super::dense`]).
+    Dense(DenseWeights),
+}
+
+/// An emulated layer's per-call invariants: the weights as the
+/// microkernel's lane panel, the emulation plan, the materialized padding
+/// pattern, and the weight side of the correction of every window class.
+#[derive(Debug, Clone)]
+pub(crate) struct Emulation {
+    /// The weight operand ([`ConvWeights::lane_panel`]).
+    pub(crate) panel: LanePanel,
     pub(crate) eplan: EmulationPlan,
     /// The §4.2(b) fill of one out-of-frame pixel ([`ConvDesc::live_words`]
     /// words).
     pub(crate) fill_pattern: Vec<u64>,
-    /// CPU microkernel tile: `jb` consecutive output pixels of a row share
-    /// each loaded weight cell.
-    pub(crate) micro: MicroTile,
-    /// Popcount arm the microkernel runs on, bound once at plan time by
-    /// [`PopcntArm::detect`] (exact for any value).
-    pub(crate) arm: PopcntArm,
     /// Window class of every output row.
     row_class: Vec<usize>,
     /// Per output pixel of a row, its column class: its entry in a
@@ -121,41 +141,29 @@ pub struct ConvExecPlan {
 }
 
 impl ConvExecPlan {
-    /// Resolve the plan + padding strategy + popcount arm + microkernel
-    /// tile for a layer (an output row is the dynamic extent one K pass can
-    /// block over, so [`select_micro`] sees `out_w`) and sum the
-    /// out-of-frame taps of every window class from the weights' per-tap
-    /// popcounts.
-    pub(crate) fn new(desc: &ConvDesc, popc: &TapPopc) -> Self {
-        Self::for_plan(desc, popc, plan(desc.w_enc, desc.x_enc))
+    /// Resolve the row producer + popcount arm + microkernel tile for a
+    /// layer (an output row is the dynamic extent one pass can block over,
+    /// so [`select_micro`] sees `out_w`): the dense weight table for a
+    /// window-dense layer, else the emulation — its plan, padding strategy
+    /// and the out-of-frame taps of every window class summed from the
+    /// weights' per-tap popcounts.
+    pub(crate) fn new(desc: &ConvDesc, weights: &ConvWeights) -> Self {
+        Self::for_plan(desc, weights, plan(desc.w_enc, desc.x_enc))
     }
 
     /// [`Self::new`] under another emulation plan for the same encodings
-    /// (tests run the XOR-only ones); the fill is still the encodings'.
-    pub(crate) fn for_plan(desc: &ConvDesc, popc: &TapPopc, eplan: EmulationPlan) -> Self {
-        let fill = pad_fill(desc.w_enc, desc.x_enc);
-        let (rows, row_class) = axis_classes(desc.out_h(), desc.stride, desc.pad, desc.h, desc.kh);
-        let (cols, col_class) = axis_classes(desc.out_w(), desc.stride, desc.pad, desc.w, desc.kw);
-        let mut w_sides = Vec::with_capacity(rows.len() * popc.groups() * cols.len());
-        for (rows_in, g) in rows
-            .iter()
-            .flat_map(|r| (0..popc.groups()).map(move |g| (r, g)))
-        {
-            w_sides.extend(cols.iter().map(|cols_in| {
-                weight_sides(desc, popc, eplan, fill, g, |ky, kx| {
-                    !rows_in.contains(&ky) || !cols_in.contains(&kx)
-                })
-            }));
-        }
+    /// (tests run the XOR-only ones); the fill is still the encodings'. A
+    /// window-dense layer emulates nothing, so it ignores `eplan`.
+    pub(crate) fn for_plan(desc: &ConvDesc, weights: &ConvWeights, eplan: EmulationPlan) -> Self {
+        let rows = if desc.window_dense() {
+            Rows::Dense(DenseWeights::new(desc, weights))
+        } else {
+            Rows::Emulated(Emulation::new(desc, weights, eplan))
+        };
         ConvExecPlan {
-            eplan,
-            fill_pattern: fill_words(fill, desc.cin, desc.live_words()),
             micro: select_micro(desc.out_w()),
             arm: PopcntArm::detect(),
-            row_class,
-            col_side: col_class.iter().map(|&class| class as u32).collect(),
-            w_sides,
-            group_sides: cols.len(),
+            rows,
         }
     }
 
@@ -181,6 +189,35 @@ impl ConvExecPlan {
         self.arm = arm.sanitized();
         self
     }
+}
+
+impl Emulation {
+    fn new(desc: &ConvDesc, weights: &ConvWeights, eplan: EmulationPlan) -> Self {
+        let popc = weights.popc();
+        let fill = pad_fill(desc.w_enc, desc.x_enc);
+        let (rows, row_class) = axis_classes(desc.out_h(), desc.stride, desc.pad, desc.h, desc.kh);
+        let (cols, col_class) = axis_classes(desc.out_w(), desc.stride, desc.pad, desc.w, desc.kw);
+        let mut w_sides = Vec::with_capacity(rows.len() * popc.groups() * cols.len());
+        for (rows_in, g) in rows
+            .iter()
+            .flat_map(|r| (0..popc.groups()).map(move |g| (r, g)))
+        {
+            w_sides.extend(cols.iter().map(|cols_in| {
+                weight_sides(desc, popc, eplan, fill, g, |ky, kx| {
+                    !rows_in.contains(&ky) || !cols_in.contains(&kx)
+                })
+            }));
+        }
+        Emulation {
+            panel: weights.lane_panel(desc),
+            eplan,
+            fill_pattern: fill_words(fill, desc.cin, desc.live_words()),
+            row_class,
+            col_side: col_class.iter().map(|&class| class as u32).collect(),
+            w_sides,
+            group_sides: cols.len(),
+        }
+    }
 
     /// The weight sides of row group `g` (of `groups`) for the windows of
     /// an output row of class `rc`: one entry per column class, indexed
@@ -192,27 +229,30 @@ impl ConvExecPlan {
 }
 
 /// Reusable per-call scratch for the `execute_into` entry points — all of
-/// it **row-sized**: the activation strip of the output row in flight (and,
-/// for a window-dense layer, its windows) and its accumulator row (two
-/// under a fused 2×2 pool). Size it once with [`ConvScratch::reserve`];
-/// every later call — full or partial shard — is then allocation-free.
+/// it **row-sized** but the dense image: the activation strip of the output
+/// row in flight, a window-dense layer's unpacked image (a 3-channel
+/// map's, a few KiB) and the accumulator row (two under a fused 2×2 pool).
+/// Size it once with [`ConvScratch::reserve`]; every later call — full or
+/// partial shard — is then allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct ConvScratch {
     pub(super) strip: Strip,
+    /// A window-dense layer's zero-padded i16 image ([`dense::image_len`]).
+    pub(super) image: Vec<i16>,
     /// The accumulator rows handed to the row sink.
     pub(super) acc: Vec<i32>,
 }
 
 impl ConvScratch {
     /// Pre-size the scratch: `strip_words` strip words
-    /// (`x_bits × (w + 2·pad) × col_words`), `windows` window words
-    /// ([`window_words`]), `cols` strip columns (`w + 2·pad` per-column
+    /// (`x_bits × (w + 2·pad) × col_words`), `image` dense-image values
+    /// ([`dense::image_len`]), `cols` strip columns (`w + 2·pad` per-column
     /// offsets), `x_sides` activation-side offsets (`out_w`) and `acc`
     /// accumulator elements (`out_w × cout`, twice under a fused pool).
     pub fn reserve(
         &mut self,
         strip_words: usize,
-        windows: usize,
+        image: usize,
         cols: usize,
         x_sides: usize,
         acc: usize,
@@ -221,23 +261,11 @@ impl ConvScratch {
             v.reserve(len.saturating_sub(v.len()));
         }
         grow(&mut self.strip.words, strip_words);
-        grow(&mut self.strip.windows, windows);
+        grow(&mut self.image, image);
         grow(&mut self.strip.col_sides, cols);
         grow(&mut self.strip.x_sides, x_sides);
         grow(&mut self.acc, acc);
     }
-}
-
-/// The window buffer a layer's output row needs: `q` planes of `out_w`
-/// windows of [`ConvDesc::k_words`] words for a [`ConvDesc::window_dense`]
-/// layer — plus one plane-sized staging region when a window spans more
-/// than one word — and nothing otherwise.
-pub fn window_words(desc: &ConvDesc) -> usize {
-    if !desc.window_dense() {
-        return 0;
-    }
-    let k_words = desc.k_words();
-    (desc.x_bits as usize + usize::from(k_words > 1)) * desc.out_w() * k_words
 }
 
 /// The column-dense activation strip of one output row (see the module
@@ -245,9 +273,6 @@ pub fn window_words(desc: &ConvDesc) -> usize {
 #[derive(Debug, Clone, Default)]
 pub(super) struct Strip {
     words: Vec<u64>,
-    /// A window-dense layer's windows, built from `words`: plane `t` of
-    /// pixel `ox` at `(t·out_w + ox)·k_words`. Empty otherwise.
-    windows: Vec<u64>,
     /// The activation side of every output pixel's correction offset
     /// (`c·J·X` over its window, folded over the plane pairs). Filled only
     /// for the cases that consume it, else empty.
@@ -262,16 +287,9 @@ impl Strip {
     /// place their pixels' live bits, out-of-frame rows and the `pad`
     /// columns either side place the fill — so nothing survives from the
     /// last row and no zeroing pass runs.
-    fn build(
-        &mut self,
-        desc: &ConvDesc,
-        input: &BitTensor4,
-        state: &ConvExecPlan,
-        b: usize,
-        oy: usize,
-    ) {
+    fn build(&mut self, desc: &ConvDesc, input: &BitTensor4, em: &Emulation, b: usize, oy: usize) {
         let (cin, wpp) = (desc.cin, input.words_per_pixel());
-        debug_assert_eq!(state.fill_pattern.len(), desc.live_words());
+        debug_assert_eq!(em.fill_pattern.len(), desc.live_words());
         let (cw, q) = (desc.col_words(), desc.x_bits as usize);
         let cols = desc.w + 2 * desc.pad;
         apnn_bitpack::resize_for_overwrite(&mut self.words, q * cols * cw);
@@ -286,7 +304,7 @@ impl Strip {
                     .then(|| input.row_words(b, t as u32, oy * desc.stride + ky - desc.pad));
                 // Word `j` of a pixel holds channels `64j..`, bound for
                 // column bit `ky·cin + 64j`.
-                for (j, &fill) in state.fill_pattern.iter().enumerate() {
+                for (j, &fill) in em.fill_pattern.iter().enumerate() {
                     let (at, n) = (ky * cin + 64 * j, (cin - 64 * j).min(64));
                     let fills = std::iter::repeat(fill);
                     place(left, cw, at, n, fills.clone());
@@ -304,71 +322,24 @@ impl Strip {
             }
         }
 
-        if desc.window_dense() {
-            self.build_windows(desc);
-        }
         self.x_sides.clear();
-        let corr = state.eplan.case.correction();
+        let corr = em.eplan.case.correction();
         if corr.needs_col_sums() {
             self.build_x_sides(desc, corr);
         }
     }
 
-    /// Lay every pixel's window out from the one-word columns just built:
-    /// column `kx` of pixel `ox` — strip column `ox·stride + kx` — lands at
-    /// window bit `kx·kh·cin`. The words are built *word-major* (word `k` of
-    /// every pixel contiguous), so each `(kx, word)` is one contiguous pass
-    /// over the pixels ([`window_pass`]); a one-word window is then already
-    /// in place, a longer one is staged in the plane-sized region past the
-    /// last plane and interleaved into its pixel-major slot.
-    fn build_windows(&mut self, desc: &ConvDesc) {
-        let (k_words, pitch) = (desc.k_words(), desc.col_pitch());
-        let (cols, ow) = (desc.w + 2 * desc.pad, desc.out_w());
-        let (region, staged) = (ow * k_words, k_words > 1);
-        apnn_bitpack::resize_for_overwrite(&mut self.windows, window_words(desc));
-        let (built, stage) = self.windows.split_at_mut(desc.x_bits as usize * region);
-        let planes = self.words.chunks_exact(cols);
-        for (plane, windows) in planes.zip(built.chunks_exact_mut(region.max(1))) {
-            let rows = if staged { &mut *stage } else { &mut *windows };
-            for kx in 0..desc.kw {
-                let at = kx * pitch;
-                let (row, next) = rows[at / 64 * ow..].split_at_mut(ow);
-                let (bi, cols) = (at % 64, &plane[kx..]);
-                if desc.stride == 1 {
-                    window_pass(row, next, bi, pitch, cols.iter().copied());
-                } else {
-                    let cols = cols.iter().step_by(desc.stride).copied();
-                    window_pass(row, next, bi, pitch, cols);
-                }
-            }
-            if !staged {
-                continue;
-            }
-            for (k, row) in stage.chunks_exact(ow.max(1)).enumerate() {
-                for (win, &word) in windows.chunks_exact_mut(k_words).zip(row) {
-                    win[k] = word;
-                }
-            }
-        }
-    }
-
-    /// The kernel's streams over the strip just laid out: per plane, the
-    /// buffer the windows lie in, and the words from one pixel's window to
-    /// the next — pixel `ox`'s plane-`t` window is `planes[t][ox·step ..]
-    /// [.. k_words]`, overlapping columns of the strip or, window-dense,
-    /// back-to-back windows.
+    /// The kernel's streams over the strip just laid out: per plane, its
+    /// columns, and the words from one pixel's window to the next — pixel
+    /// `ox`'s plane-`t` window is `planes[t][ox·step ..][.. k_words]`,
+    /// overlapping columns of the strip.
     fn streams<'a>(&'a self, desc: &ConvDesc, planes: &mut [&'a [u64]; MAX_PLANES]) -> usize {
-        let (buf, plane_words, step) = if desc.window_dense() {
-            let k_words = desc.k_words();
-            (&self.windows, desc.out_w() * k_words, k_words)
-        } else {
-            let cw = desc.col_words();
-            (&self.words, (desc.w + 2 * desc.pad) * cw, desc.stride * cw)
-        };
+        let cw = desc.col_words();
+        let plane_words = (desc.w + 2 * desc.pad) * cw;
         for (t, plane) in planes[..desc.x_bits as usize].iter_mut().enumerate() {
-            *plane = &buf[t * plane_words..][..plane_words];
+            *plane = &self.words[t * plane_words..][..plane_words];
         }
-        step
+        desc.stride * cw
     }
 
     /// The activation side of every window of the strip just laid out. The
@@ -432,10 +403,16 @@ fn place(
     srcs: impl Iterator<Item = u64> + Clone,
 ) {
     let (wi, bi) = (at / 64, at % 64);
-    if cw == 1 {
-        // One word per column (`kh·cin ≤ 64`, so nothing spills): a
-        // contiguous pass.
-        window_pass(cols, &mut [], bi, n, srcs);
+    // One word per column (`kh·cin ≤ 64`, so nothing spills): contiguous
+    // passes, which vectorize.
+    if cw == 1 && bi == 0 {
+        for (col, src) in cols.iter_mut().zip(srcs) {
+            *col = src;
+        }
+    } else if cw == 1 {
+        for (col, src) in cols.iter_mut().zip(srcs) {
+            *col |= src << bi;
+        }
     } else if bi == 0 {
         for (col, src) in cols.chunks_exact_mut(cw).zip(srcs) {
             col[wi] = src;
@@ -447,36 +424,6 @@ fn place(
             if spills {
                 col[wi + 1] = src >> (64 - bi);
             }
-        }
-    }
-}
-
-/// One contiguous placement pass — a one-word-column tap of [`place`], a
-/// `(kx, word)` of [`Strip::build_windows`]: one `n`-bit source word per
-/// destination word placed at bit `bi` of `row` — **stored** when it starts
-/// the word and OR-ed otherwise (an earlier pass stored it) — and the part
-/// spilling past the word stored into `next`, which it is the first to
-/// reach. Contiguous in both buffers, so it vectorizes.
-#[inline(always)]
-fn window_pass(
-    row: &mut [u64],
-    next: &mut [u64],
-    bi: usize,
-    n: usize,
-    cols: impl Iterator<Item = u64> + Clone,
-) {
-    if bi == 0 {
-        for (word, col) in row.iter_mut().zip(cols) {
-            *word = col;
-        }
-        return;
-    }
-    for (word, col) in row.iter_mut().zip(cols.clone()) {
-        *word |= col << bi;
-    }
-    if bi + n > 64 {
-        for (word, col) in next.iter_mut().zip(cols) {
-            *word = col >> (64 - bi);
         }
     }
 }
@@ -527,22 +474,21 @@ fn weight_sides(
 
 /// The one APConv driver: convolve `input` (whose batch may be ≤
 /// `desc.batch` when a compiled plan serves a partial shard — zero images
-/// included) against the weight panel `w`, on the **calling thread**, and
-/// hand the NHWC i32 accumulators to `sink(image, band, rows)` one *band*
-/// of `band` consecutive output rows at a time (`rows` is `band·out_w·cout`
+/// included) with the plan's weights, on the **calling thread**, and hand
+/// the NHWC i32 accumulators to `sink(image, band, rows)` one *band* of
+/// `band` consecutive output rows at a time (`rows` is `band·out_w·cout`
 /// values the sink may overwrite; a trailing partial band is never
-/// computed — nothing pools it). Zero allocations once `strip` and `acc`
-/// are at capacity. Serving workers are the concurrency unit, not this
-/// loop.
-#[allow(clippy::too_many_arguments)]
+/// computed — nothing pools it). The plan's [`Rows`] pick the producer of
+/// each row: a strip and [`conv_row`]'s popcount passes, or — for a
+/// window-dense layer — [`dense::row`] over the image unpacked once per
+/// image. Zero allocations once `scratch` is at capacity. Serving workers
+/// are the concurrency unit, not this loop.
 pub(super) fn conv_exec(
     desc: &ConvDesc,
-    w: &LanePanel,
     input: &BitTensor4,
     state: &ConvExecPlan,
     band: usize,
-    strip: &mut Strip,
-    acc: &mut Vec<i32>,
+    scratch: &mut ConvScratch,
     mut sink: impl FnMut(usize, usize, &mut [i32]),
 ) {
     let (n, h, wd, c) = input.shape();
@@ -550,24 +496,43 @@ pub(super) fn conv_exec(
     assert_eq!((h, wd, c), (desc.h, desc.w, desc.cin));
     assert_eq!(input.bits(), desc.x_bits);
     assert_eq!(input.encoding(), desc.x_enc);
-    assert_eq!(w.rows(), desc.cout, "weight panel rows");
-    assert_eq!(w.n_planes(), desc.w_bits as usize, "weight panel planes");
-    assert_eq!(w.words_per_row(), desc.k_words(), "weight panel K order");
-    assert_eq!(
-        (state.col_side.len(), state.row_class.len()),
-        (desc.out_w(), desc.out_h()),
-        "plan was built for another layer"
-    );
+    match &state.rows {
+        Rows::Emulated(em) => {
+            let w = &em.panel;
+            assert_eq!(w.rows(), desc.cout, "weight panel rows");
+            assert_eq!(w.n_planes(), desc.w_bits as usize, "weight panel planes");
+            assert_eq!(w.words_per_row(), desc.k_words(), "weight panel K order");
+            assert_eq!(
+                (em.col_side.len(), em.row_class.len()),
+                (desc.out_w(), desc.out_h()),
+                "plan was built for another layer"
+            );
+        }
+        Rows::Dense(_) => {
+            assert!(desc.window_dense(), "plan was built for another layer");
+            dense::clear_image(desc, &mut scratch.image);
+        }
+    }
 
+    let (arm, jb) = (state.arm.sanitized(), state.micro.sanitized().jb);
     let row_len = desc.out_w() * desc.cout;
+    let ConvScratch { strip, image, acc } = scratch;
     // Every element of a band is stored before the sink sees it.
     apnn_bitpack::resize_for_overwrite(acc, band * row_len);
     for b in 0..n {
+        if let Rows::Dense(_) = state.rows {
+            dense::unpack_image(desc, input, b, image);
+        }
         for band_idx in 0..desc.out_h() / band {
             for (r, row) in acc.chunks_exact_mut(row_len.max(1)).enumerate() {
                 let oy = band_idx * band + r;
-                strip.build(desc, input, state, b, oy);
-                conv_row(desc, w, state, strip, oy, row);
+                match &state.rows {
+                    Rows::Emulated(em) => {
+                        strip.build(desc, input, em, b, oy);
+                        conv_row(desc, em, (arm, jb), strip, oy, row);
+                    }
+                    Rows::Dense(w) => dense::row(arm, desc, w, image, oy, jb, row),
+                }
             }
             sink(b, band_idx, acc);
         }
@@ -581,30 +546,28 @@ pub(super) fn conv_exec(
 /// once; each pixel's column class picks among them inside the kernel.
 fn conv_row(
     desc: &ConvDesc,
-    w: &LanePanel,
-    state: &ConvExecPlan,
+    em: &Emulation,
+    (arm, jb): (PopcntArm, usize),
     strip: &Strip,
     oy: usize,
     row: &mut [i32],
 ) {
-    let arm = state.arm.sanitized();
-    let q = desc.x_bits as usize;
-    let jb = state.micro.sanitized().jb;
+    let (w, q) = (&em.panel, desc.x_bits as usize);
     let (ow, cout) = (desc.out_w(), desc.cout);
-    let fin = state.eplan.finish(q);
-    let rc = state.row_class[oy];
+    let fin = em.eplan.finish(q);
+    let rc = em.row_class[oy];
     let mut planes: [&[u64]; MAX_PLANES] = [&[]; MAX_PLANES];
     let step = strip.streams(desc, &mut planes);
 
     let mut block = [[0i32; LANES]; MAX_JB];
     for g in 0..w.groups() {
         let chans = g * LANES..cout.min((g + 1) * LANES);
-        let w_sides = state.class_sides(rc, g, w.groups());
+        let w_sides = em.class_sides(rc, g, w.groups());
         for ox0 in (0..ow).step_by(jb) {
             let n_px = jb.min(ow - ox0);
             let fin = Finish {
                 w_sides,
-                side_at: &state.col_side[ox0..ox0 + n_px],
+                side_at: &em.col_side[ox0..ox0 + n_px],
                 x_sides: if strip.x_sides.is_empty() {
                     &[]
                 } else {
@@ -638,7 +601,6 @@ fn conv_row(
 /// accumulators land in the caller-owned `out`.
 pub(crate) fn conv_exec_store(
     desc: &ConvDesc,
-    w: &LanePanel,
     input: &BitTensor4,
     state: &ConvExecPlan,
     scratch: &mut ConvScratch,
@@ -647,12 +609,10 @@ pub(crate) fn conv_exec_store(
     let (oh, row_len) = (desc.out_h(), desc.out_w() * desc.cout);
     // Every row of every image is stored by the sink — no zeroing pass.
     apnn_bitpack::resize_for_overwrite(out, input.shape().0 * oh * row_len);
-    let ConvScratch { strip, acc } = scratch;
-    conv_exec(desc, w, input, state, 1, strip, acc, |b, oy, row| {
+    conv_exec(desc, input, state, 1, scratch, |b, oy, row| {
         out[(b * oh + oy) * row_len..][..row_len].copy_from_slice(row)
     });
 }
-
 /// 2×2/stride-2 pooling over whole-batch NHWC i32 accumulators (a trailing
 /// odd row or column is dropped) — the scalar spec of the pooling
 /// arithmetic, for the allocating paths (compile-time calibration,

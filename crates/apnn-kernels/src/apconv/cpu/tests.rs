@@ -79,6 +79,14 @@ fn check_against_reference(desc: &ConvDesc, seed: u64) {
     assert_eq!(got, want, "desc {desc:?}");
 }
 
+/// The emulation tables of a plan that emulates.
+fn emulation(state: &ConvExecPlan) -> &Emulation {
+    match &state.rows {
+        Rows::Emulated(em) => em,
+        Rows::Dense(_) => panic!("a window-dense plan emulates nothing"),
+    }
+}
+
 fn with_encodings(mut desc: ConvDesc, w_enc: Encoding, x_enc: Encoding) -> ConvDesc {
     desc.w_enc = w_enc;
     desc.x_enc = x_enc;
@@ -109,22 +117,29 @@ fn pooled_by_hand(y: &[i32], desc: &ConvDesc, kind: Pool2) -> Vec<i32> {
 /// Drive the one driver through every conv emulation case and window
 /// geometry × `tiles` × `arms` × {full, partial, zero-image} shard,
 /// reusing one scratch as shapes shrink and grow, and compare each
-/// result with the naive i32 oracle.
+/// result with the naive i32 oracle. Each emulated shape has a
+/// window-dense twin of under a word's channels per column, which runs
+/// the dense producer through the same grid.
 fn check_every_case(tiles: &[MicroTile], arms: &[PopcntArm]) {
     use Encoding::{PlusMinusOne as Pm, ZeroOne as Zo};
     let descs = [
         // Stride 1 with padding: a ragged last pixel block (7 columns)
         // and a ragged last row group (9 channels).
         ConvDesc::unsigned(2, 5, 7, 9, 3, 1, 1, 2, 2),
+        ConvDesc::unsigned(2, 23, 7, 9, 3, 1, 1, 2, 2),
         // Stride 2, wide kernel, wide channels.
         ConvDesc::unsigned(1, 4, 9, 5, 5, 2, 2, 1, 2),
+        ConvDesc::unsigned(1, 13, 9, 5, 5, 2, 2, 1, 2),
         ConvDesc::unsigned(1, 130, 4, 3, 3, 1, 1, 1, 3),
         // ±1/±1 (pad-1 + counter correction) and the two Case III forms.
         with_encodings(ConvDesc::unsigned(1, 5, 6, 4, 3, 1, 1, 1, 1), Pm, Pm),
+        with_encodings(ConvDesc::unsigned(1, 22, 6, 4, 3, 1, 1, 1, 1), Pm, Pm),
         with_encodings(ConvDesc::unsigned(2, 6, 5, 7, 3, 1, 1, 1, 3), Pm, Zo),
+        with_encodings(ConvDesc::unsigned(2, 24, 5, 7, 3, 1, 1, 1, 3), Pm, Zo),
         with_encodings(ConvDesc::unsigned(2, 5, 5, 3, 3, 1, 1, 2, 1), Zo, Pm),
+        with_encodings(ConvDesc::unsigned(2, 22, 5, 3, 3, 1, 1, 2, 1), Zo, Pm),
     ];
-    let mut cases = Vec::new();
+    let (mut cases, mut dense) = (Vec::new(), 0);
     let mut scratch = ConvScratch::default();
     let mut out = Vec::new();
     for (i, desc) in descs.iter().enumerate() {
@@ -135,9 +150,10 @@ fn check_every_case(tiles: &[MicroTile], arms: &[PopcntArm]) {
                 .prepare(weights.clone())
                 .with_micro(micro)
                 .with_arm(arm);
-            let case = prepared.exec_plan.eplan.case;
-            if !cases.contains(&case) {
-                cases.push(case);
+            match &prepared.exec_plan.rows {
+                Rows::Emulated(em) if !cases.contains(&em.eplan.case) => cases.push(em.eplan.case),
+                Rows::Emulated(_) => {}
+                Rows::Dense(_) => dense += 1,
             }
             for images in [desc.batch, desc.batch - 1, 0] {
                 prepared.execute_into(&input.batch_slice(0, images), &mut scratch, &mut out);
@@ -150,6 +166,11 @@ fn check_every_case(tiles: &[MicroTile], arms: &[PopcntArm]) {
         }
     }
     assert_eq!(cases.len(), 4, "all four conv emulation cases");
+    assert_eq!(
+        dense,
+        5 * tiles.len() * arms.len(),
+        "the window-dense twins"
+    );
 }
 
 #[test]
@@ -268,18 +289,19 @@ fn ad_hoc_conv_entry_binds_the_closed_form_tile() {
 /// strip's [`Affine`] streams), against a tap-by-tap, channel-by-channel
 /// gather of the same window — K bit `kx·col_pitch + ky·cin + c` is channel
 /// `c` of tap `(ky, kx)`, the fill where the tap misses the frame, and
-/// every other bit (a column's pad bits) is zero, whether the layer is
-/// column- or window-dense — plus the in-frame ranges against a per-tap
-/// coordinate test and the folded activation sides against a recount,
-/// plane by plane, for every output pixel.
+/// every other bit (a column's pad bits) is zero — plus the in-frame
+/// ranges against a per-tap coordinate test and the folded activation
+/// sides against a recount, plane by plane, for every output pixel. Only
+/// emulated layers build strips: a window-dense one has none to check.
 fn check_strip_against_tap_gather(desc: &ConvDesc, fill: PadFill, seed: u64) {
     let mut seed = seed;
     let (input, _) = make_input(desc, &mut seed);
     let (weights, _) = make_weights(desc, &mut seed);
-    let mut state = ConvExecPlan::new(desc, weights.popc());
+    let state = ConvExecPlan::new(desc, &weights);
+    let mut em = emulation(&state).clone();
     let fill = fill_words(fill, desc.cin, desc.live_words());
-    state.fill_pattern = fill.clone();
-    let corr = state.eplan.case.correction();
+    em.fill_pattern = fill.clone();
+    let corr = em.eplan.case.correction();
     assert!(
         corr.needs_col_sums(),
         "the case must build activation sides"
@@ -289,7 +311,7 @@ fn check_strip_against_tap_gather(desc: &ConvDesc, fill: PadFill, seed: u64) {
     let mut strip = Strip::default();
     for b in 0..desc.batch {
         for oy in 0..desc.out_h() {
-            strip.build(desc, &input, &state, b, oy);
+            strip.build(desc, &input, &em, b, oy);
             let mut planes = [&[][..]; MAX_PLANES];
             let step = strip.streams(desc, &mut planes);
             let rows_in = in_frame(oy, desc.stride, desc.pad, desc.h, kh);
@@ -361,12 +383,13 @@ fn strip_desc(
 fn shifted_window_gather_matches_full_gather() {
     // Every window equals a tap-by-tap gather: both strides, pads up to
     // windows wholly outside the frame (pad 2 under a 3×3 kernel), square
-    // and oblong kernels, channel counts that fill a fraction of a word —
-    // window-dense where a window needs fewer words than columns (1, 3, 7
-    // channels) — straddle word boundaries mid-column (21, 65, 130) and
-    // fill whole words (64), both fill patterns, 1–3 planes.
+    // and oblong kernels, channel counts that fill a fraction of a word
+    // (1, 3, 7 under one-wide kernels, 16), straddle word boundaries
+    // mid-column (21, 65, 130) and fill whole words (64), both fill
+    // patterns, 1–3 planes. The window-dense draws are skipped: they build
+    // no strip.
     let mut seed = 23;
-    let mut dense = 0;
+    let mut emulated = 0;
     for (stride, pad) in [1usize, 2]
         .into_iter()
         .flat_map(|s| [0, 1, 2].map(|p| (s, p)))
@@ -375,7 +398,10 @@ fn shifted_window_gather_matches_full_gather() {
             for cin in [1usize, 3, 7, 16, 21, 64, 65, 130] {
                 for q in 1u32..=3 {
                     let desc = strip_desc(2, (6, 7), cin, k, (stride, pad), q);
-                    dense += usize::from(desc.window_dense());
+                    if desc.window_dense() {
+                        continue;
+                    }
+                    emulated += 1;
                     for fill in [PadFill::Zeros, PadFill::OnesValidChannels] {
                         seed += 1;
                         check_strip_against_tap_gather(&desc, fill, seed);
@@ -384,7 +410,7 @@ fn shifted_window_gather_matches_full_gather() {
             }
         }
     }
-    assert!(dense > 0, "the grid has window-dense layers");
+    assert!(emulated > 200, "{emulated} emulated layers");
 }
 
 proptest::proptest! {
@@ -400,6 +426,7 @@ proptest::proptest! {
     ) {
         proptest::prop_assume!(h + 2 * pad >= kh && w + 2 * pad >= kw);
         let desc = strip_desc(1, (h, w), cin, (kh, kw), (stride, pad), q);
+        proptest::prop_assume!(!desc.window_dense());
         let fill = if ones { PadFill::OnesValidChannels } else { PadFill::Zeros };
         check_strip_against_tap_gather(&desc, fill, seed);
     }
@@ -423,11 +450,13 @@ fn window_class_table_equals_per_pixel_weight_sides() {
             .flat_map(|s| [0, 1, 2, 3].map(|p| (s, p)))
         {
             for (kh, kw, cout) in [(3usize, 3usize, 11usize), (2, 5, 8), (5, 3, 3), (1, 1, 17)] {
-                let mut desc = ConvDesc::unsigned(1, 5, 7, cout, kh, stride, pad, p, 1);
+                // 65 channels: two-word columns, so the layer emulates.
+                let mut desc = ConvDesc::unsigned(1, 65, 7, cout, kh, stride, pad, p, 1);
                 (desc.w, desc.kw) = (6, kw);
                 let desc = with_encodings(desc, w_enc, x_enc);
                 let (weights, _) = make_weights(&desc, &mut seed);
-                let state = ConvExecPlan::new(&desc, weights.popc());
+                let state = ConvExecPlan::new(&desc, &weights);
+                let state = emulation(&state);
                 let (eplan, fill) = (state.eplan, pad_fill(w_enc, x_enc));
                 let corr = eplan.case.correction();
                 let groups = cout.div_ceil(LANES);
@@ -664,10 +693,10 @@ proptest::proptest! {
 /// One layer through the driver under every emulation plan its encodings
 /// have (the Ampere plan and the XOR-only one), each with the encodings'
 /// fill, × every arm × a full and a partial shard, against the naive i32
-/// oracle; returns the cases it ran.
+/// oracle; returns the cases it ran. A window-dense layer ignores the plan
+/// and runs its dense rows under both.
 fn check_every_plan(desc: &ConvDesc, seed: u64) -> Vec<crate::select::EmulationCase> {
     let (input, weights, want) = operands_and_oracle(desc, seed);
-    let panel = weights.lane_panel(desc);
     let per_image = desc.out_h() * desc.out_w() * desc.cout;
     let (mut scratch, mut out, mut cases) = (ConvScratch::default(), Vec::new(), Vec::new());
     let plans = [
@@ -676,12 +705,12 @@ fn check_every_plan(desc: &ConvDesc, seed: u64) -> Vec<crate::select::EmulationC
     ];
     for eplan in plans {
         cases.push(eplan.case);
-        let state = ConvExecPlan::for_plan(desc, weights.popc(), eplan);
+        let state = ConvExecPlan::for_plan(desc, &weights, eplan);
         for arm in PopcntArm::ALL {
             let state = state.clone().with_arm(arm);
             for images in [desc.batch, desc.batch - 1] {
                 let input = input.batch_slice(0, images);
-                conv_exec_store(desc, &panel, &input, &state, &mut scratch, &mut out);
+                conv_exec_store(desc, &input, &state, &mut scratch, &mut out);
                 assert_eq!(
                     out,
                     want[..images * per_image],
@@ -716,15 +745,16 @@ fn grid_desc(
 }
 
 #[test]
-fn every_plan_and_fill_is_exact_on_the_stems() {
-    // The zoo's window-dense shapes (3×3×3, 5×5×3, 4×4×3 on 8 planes) and
-    // a column-dense neighbour, under all seven cases and both fills (the
-    // ones fill is the ±1/±1 pair's).
+fn every_plan_and_fill_is_exact_on_emulated_convs() {
+    // Column-dense shapes at the stems' 8 planes — one-word columns
+    // (3×3×16), two-word ones that straddle a word (5×5×13, 3×3×24) and
+    // stride 2 (4×4×17) — under all seven cases and both fills (the ones
+    // fill is the ±1/±1 pair's).
     let mut cases = Vec::new();
-    for (k, cin, stride, pad) in [(3, 3, 1, 1), (5, 3, 1, 2), (4, 3, 2, 1), (3, 16, 1, 1)] {
+    for (k, cin, stride, pad) in [(3, 16, 1, 1), (5, 13, 1, 2), (4, 17, 2, 1), (3, 24, 1, 1)] {
         for enc in 0..4 {
             let desc = grid_desc((6, 9), cin, (k, k), (stride, pad), enc, (2, 8), 9);
-            assert_eq!(desc.window_dense(), cin == 3, "{desc:?}");
+            assert!(!desc.window_dense(), "{desc:?}");
             for case in check_every_plan(&desc, 97 + enc as u64) {
                 if !cases.contains(&case) {
                     cases.push(case);
@@ -735,16 +765,103 @@ fn every_plan_and_fill_is_exact_on_the_stems() {
     assert_eq!(cases.len(), 7, "all seven emulation cases");
 }
 
+/// The dense rows of a window-dense layer against the naive oracle on
+/// every arm and tile width, for shards `batch`, `batch − 1` and 0 through
+/// one scratch.
+fn check_dense(desc: &ConvDesc, (input, weights, want): (BitTensor4, ConvWeights, Vec<i32>)) {
+    assert!(desc.window_dense(), "{desc:?}");
+    let per_image = desc.out_h() * desc.out_w() * desc.cout;
+    let (mut scratch, mut out) = (ConvScratch::default(), Vec::new());
+    let prepared = ApConv::new(*desc).prepare(weights);
+    assert!(
+        prepared.is_dense() && prepared.weights().is_none(),
+        "{desc:?}"
+    );
+    for arm in PopcntArm::ALL {
+        for jb in [1, 2, 4, 8] {
+            let prepared = prepared.clone().with_arm(arm).with_micro(MicroTile { jb });
+            for images in [desc.batch, desc.batch - 1, 0] {
+                prepared.execute_into(&input.batch_slice(0, images), &mut scratch, &mut out);
+                assert_eq!(
+                    out,
+                    want[..images * per_image],
+                    "{arm:?} jb {jb} shard {images} of {desc:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn dense_conv_equals_oracle() {
+    // Every window-dense geometry in use — the 3×3×3 → 16 and 5×5×3 → 24
+    // stems, Tiny-Conv's 4×4×3 stride 4 → 8 and the 5×5 kernel over a 3×3
+    // map at pad 2 (every window mostly out of frame) — under all four
+    // encoding pairs at p ∈ {1, 2, 3}, q ∈ {1, 2, 8} where the encoding
+    // allows more than one bit, then at all-max codes and weights.
+    let geometries = [
+        ((9, 7), 3, (3, 3), (1, 1), 16),
+        ((8, 9), 3, (5, 5), (1, 2), 24),
+        ((8, 8), 3, (4, 4), (4, 0), 8),
+        ((3, 3), 2, (5, 5), (1, 2), 2),
+    ];
+    let mut seed = 131;
+    for (hw, cin, k, sp, cout) in geometries {
+        for enc in 0..4 {
+            for (p, q) in [1u32, 2, 3]
+                .into_iter()
+                .flat_map(|p| [1u32, 2, 8].map(|q| (p, q)))
+            {
+                let desc = grid_desc(hw, cin, k, sp, enc, (p, q), cout);
+                seed += 1;
+                check_dense(&desc, operands_and_oracle(&desc, seed));
+            }
+        }
+        // The widest values: every code and weight at its maximum (the
+        // ±1 pairs' +1), so no product or sum may overflow a lane.
+        for enc in 0..4 {
+            let desc = grid_desc(hw, cin, k, sp, enc, (8, 8), cout);
+            let top = |bits: u32| (1u32 << bits) - 1;
+            let codes =
+                Tensor4::<u32>::from_fn(desc.batch, cin, hw.0, hw.1, Layout::Nhwc, |_, _, _, _| {
+                    top(desc.x_bits)
+                });
+            let w_codes = vec![top(desc.w_bits); cout * k.0 * k.1 * cin];
+            let x_vals =
+                vec![desc.x_enc.code_value(top(desc.x_bits), desc.x_bits); codes.data().len()];
+            let w_vals = vec![desc.w_enc.code_value(top(desc.w_bits), desc.w_bits); w_codes.len()];
+            let want = conv2d_i32(
+                &x_vals,
+                &w_vals,
+                desc.batch,
+                desc.h,
+                desc.w,
+                cin,
+                cout,
+                desc.kh,
+                desc.kw,
+                desc.stride,
+                desc.pad,
+            );
+            let input = BitTensor4::from_tensor(&codes, desc.x_bits, desc.x_enc);
+            check_dense(
+                &desc,
+                (input, ConvWeights::from_codes(&desc, &w_codes), want),
+            );
+        }
+    }
+}
+
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-    /// Window-dense K against the naive oracle over the grid the rule
-    /// matters on — `kh, kw ∈ 1..=5`, short channel vectors, strides up to
-    /// 4, pads up to 2, 1, 2 and 8 planes — for all four encoding pairs
-    /// under both plans (all seven cases), each with its encodings' fill
-    /// (so both fills), every arm and a partial shard; column-dense draws
-    /// fall out of the same grid (the nightly deep run drives this at 2048
-    /// cases).
+    /// The dense rows against the naive oracle over the grid the
+    /// window-dense rule matters on — `kh, kw ∈ 1..=5`, short channel
+    /// vectors, strides up to 4, pads up to 2, 1, 2 and 8 planes — for all
+    /// four encoding pairs, every arm and a partial shard; the column-dense
+    /// draws of the same grid emulate, under both plans (all seven cases),
+    /// each with its encodings' fill (so both fills) (the nightly deep run
+    /// drives this at 2048 cases).
     #[test]
     fn window_dense_conv_equals_oracle(
         kh in 1usize..6, kw in 1usize..6, cin in 0usize..6, stride in 0usize..3,

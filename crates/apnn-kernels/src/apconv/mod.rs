@@ -22,7 +22,10 @@
 //! word, the whole window's ([`ConvDesc::window_dense`]) — because its
 //! "fragment" is a 64-bit word, and §4.2's point is to lay operands out so
 //! the fragment is full. Both operands drop the same zero bits, so every
-//! count is unchanged.
+//! count is unchanged. That window-dense K stays the emulation's price
+//! ([`ConvDesc::k_words`]), but the CPU does not emulate those layers: the
+//! 3-channel stems run as exact 16-bit multiply-adds over their unpacked
+//! codes ([`dense`]).
 //!
 //! A fused convolution ends in [`tail`]: the residual ([`Residual`] — a
 //! projection's accumulators, or an identity branch read packed), the 2×2
@@ -32,6 +35,7 @@
 //! packed words (§5.2 + the §4.1(b) ballot).
 
 pub mod cpu;
+pub mod dense;
 pub mod padding;
 pub mod simmap;
 pub mod tail;
@@ -240,14 +244,14 @@ impl ApConv {
     }
 
     /// The one way into the CPU kernel. Hoists every per-call invariant
-    /// out of the serving loop: re-lays the packed weights out as the
-    /// microkernel's lane panel
-    /// ([`ConvWeights::lane_panel`] — the only copy kept) and materializes
-    /// the emulation plan, the input-aware padding pattern (§4.2(b)) and
-    /// the weight side of the correction for every class of window
-    /// ([`cpu::ConvExecPlan`]). The result
-    /// executes repeatedly without re-packing or re-planning, and accepts
-    /// partial batches.
+    /// out of the serving loop ([`cpu::ConvExecPlan`]): for a window-dense
+    /// layer the i16 weight table of its multiply-adds ([`dense`]); for any
+    /// other, the packed weights re-laid out as the microkernel's lane panel
+    /// ([`ConvWeights::lane_panel`] — the only copy kept), the emulation
+    /// plan, the input-aware padding pattern (§4.2(b)) and the weight side
+    /// of the correction for every class of window. The result executes
+    /// repeatedly without re-packing or re-planning, and accepts partial
+    /// batches.
     pub fn prepare(&self, weights: ConvWeights) -> PreparedConv {
         let (cout, taps, cin, _) = weights.dims();
         assert_eq!(cout, self.desc.cout, "weight cout");
@@ -257,8 +261,7 @@ impl ApConv {
         PreparedConv {
             desc: self.desc,
             tile: self.tile,
-            panel: weights.lane_panel(&self.desc),
-            exec_plan: cpu::ConvExecPlan::new(&self.desc, weights.popc()),
+            exec_plan: cpu::ConvExecPlan::new(&self.desc, &weights),
         }
     }
 
@@ -292,25 +295,36 @@ impl ApConv {
     }
 }
 
-/// An APConv kernel compiled for serving: lane-interleaved weight panel +
-/// emulation plan + padding pattern + per-window-class correction offsets,
-/// all materialized once at compile time.
+/// An APConv kernel compiled for serving: its row producer's weights — the
+/// dense i16 table, or the lane-interleaved weight panel + emulation plan +
+/// padding pattern + per-window-class correction offsets — all
+/// materialized once at compile time.
 #[derive(Debug, Clone)]
 pub struct PreparedConv {
     /// Layer description (`batch` is the *compiled* batch; calls may shard).
     pub desc: ConvDesc,
     /// Block tiling chosen at compile time.
     pub tile: TileConfig,
-    panel: LanePanel,
     exec_plan: cpu::ConvExecPlan,
 }
 
 impl PreparedConv {
-    /// The weight operand, in the microkernel's panel layout: tap
-    /// `(ky, kx)`'s channel `c` at K bit `kx·col_pitch + ky·cin + c`
-    /// ([`ConvDesc::col_pitch`], [`ConvWeights::lane_panel`]).
-    pub fn weights(&self) -> &LanePanel {
-        &self.panel
+    /// The weight operand of an emulated layer, in the microkernel's panel
+    /// layout: tap `(ky, kx)`'s channel `c` at K bit `kx·col_pitch + ky·cin
+    /// + c` ([`ConvDesc::col_pitch`], [`ConvWeights::lane_panel`]). `None`
+    /// for a window-dense layer, which runs from its i16 table ([`dense`]).
+    pub fn weights(&self) -> Option<&LanePanel> {
+        match &self.exec_plan.rows {
+            cpu::Rows::Emulated(em) => Some(&em.panel),
+            cpu::Rows::Dense(_) => None,
+        }
+    }
+
+    /// Whether the rows come from exact 16-bit multiply-adds ([`dense`])
+    /// rather than the bit-plane emulation — the shape rule
+    /// [`ConvDesc::window_dense`].
+    pub fn is_dense(&self) -> bool {
+        matches!(self.exec_plan.rows, cpu::Rows::Dense(_))
     }
 
     /// The CPU microkernel tile this plan was compiled with (chosen at
@@ -327,8 +341,9 @@ impl PreparedConv {
         self
     }
 
-    /// The popcount arm this plan executes with (bound at prepare time by
-    /// [`apnn_bitpack::PopcntArm::detect`]).
+    /// The arm this plan executes with (bound at prepare time by
+    /// [`apnn_bitpack::PopcntArm::detect`]): the popcount kernel's, or the
+    /// instantiation of a dense layer's multiply-adds.
     pub fn arm(&self) -> apnn_bitpack::PopcntArm {
         self.exec_plan.arm()
     }
@@ -349,7 +364,7 @@ impl PreparedConv {
     }
 
     /// Workspace form of [`PreparedConv::execute`]: NHWC i32 accumulators
-    /// land in `out`, the activation strip reuses `scratch`, and — once
+    /// land in `out`, the row producer's buffers reuse `scratch`, and — once
     /// the buffers have reached the plan's capacity — the call performs
     /// **zero heap allocations**.
     pub fn execute_into(
@@ -358,14 +373,7 @@ impl PreparedConv {
         scratch: &mut cpu::ConvScratch,
         out: &mut Vec<i32>,
     ) {
-        cpu::conv_exec_store(
-            &self.desc,
-            &self.panel,
-            input,
-            &self.exec_plan,
-            scratch,
-            out,
-        );
+        cpu::conv_exec_store(&self.desc, input, &self.exec_plan, scratch, out);
     }
 
     /// The one fused entry, for quantizing chains compiled once into their
@@ -386,7 +394,6 @@ impl PreparedConv {
     ) {
         tail::conv_exec_fused(
             &self.desc,
-            &self.panel,
             input,
             &self.exec_plan,
             residual,

@@ -32,7 +32,7 @@
 //! masked `vpaddd`, `vpmaxsd`, `vpsrad`, `vpgatherdd`) is avx512f, which
 //! the arm's availability check already covers.
 
-use apnn_bitpack::{BitTensor4, Encoding, LanePanel, PopcntArm};
+use apnn_bitpack::{BitTensor4, Encoding, PopcntArm};
 
 use super::cpu::{conv_exec, ConvExecPlan, ConvScratch};
 use super::{ConvDesc, Pool2};
@@ -159,7 +159,6 @@ struct Pass<'a, 'o>(&'a [i32], &'a BandResidual<'a>, To<'a, 'o>);
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv_exec_fused(
     desc: &ConvDesc,
-    w: &LanePanel,
     input: &BitTensor4,
     state: &ConvExecPlan,
     residual: Residual<'_>,
@@ -183,8 +182,7 @@ pub(crate) fn conv_exec_fused(
     // `reset_zeros`.
     out.reset_for_overwrite(batch, oh / rows, pw, cout, steps.bits(), Encoding::ZeroOne);
     let arm = state.arm.sanitized();
-    let ConvScratch { strip, acc } = scratch;
-    conv_exec(desc, w, input, state, rows, strip, acc, |b, py, accs| {
+    conv_exec(desc, input, state, rows, scratch, |b, py, accs| {
         let res = residual.band(b, py * rows, rows, oh, ow * cout);
         let mut planes = row_planes(out, b, py);
         run(arm, band, Pass(accs, &res, (steps, &mut planes)));

@@ -5,7 +5,8 @@
 
 use apnn_bitpack::word::pad_to_bmma_k;
 use apnn_bitpack::{BitPlanes, BitTensor4, Encoding};
-use apnn_kernels::apconv::cpu::{window_words, ConvScratch};
+use apnn_kernels::apconv::cpu::ConvScratch;
+use apnn_kernels::apconv::dense;
 use apnn_kernels::apmm::cpu::ApmmScratch;
 use apnn_kernels::stats as kstats;
 
@@ -51,8 +52,8 @@ impl CompiledNet {
 ///   [`BitPlanes`] vector), plus a flatten slot where a linear stage
 ///   consumes a map;
 /// * the kernel scratch ([`ConvScratch`] — one output row's activation
-///   strip and accumulator rows — / [`ApmmScratch`] correction table),
-///   sized at the per-stage peaks;
+///   strip and accumulator rows, and a dense stem's unpacked image — /
+///   [`ApmmScratch`] correction table), sized at the per-stage peaks;
 /// * the shared dense-code scratch and the raw logits buffer;
 /// * one cumulative wall-clock timer per main stage
 ///   ([`ExecWorkspace::stage_ns`]).
@@ -126,7 +127,7 @@ impl ExecWorkspace {
         let mut conv = ConvScratch::default();
         conv.reserve(
             peaks.strip,
-            peaks.windows,
+            peaks.image,
             peaks.strip_cols,
             peaks.x_sides,
             peaks.conv_acc,
@@ -182,8 +183,9 @@ impl ExecWorkspace {
 pub struct WorkspaceSpec {
     /// Per-main-stage buffer demands, in execution order.
     pub stages: Vec<StageWorkspace>,
-    /// Shared scratch (activation strip, correction tables, accumulators,
-    /// dense codes, raw logits), sized at the per-stage peaks.
+    /// Shared scratch (activation strip, dense-stem image, correction
+    /// tables, accumulators, dense codes, raw logits), sized at the
+    /// per-stage peaks.
     pub scratch_bytes: usize,
     /// Total workspace footprint: per-stage slots + shared scratch.
     pub total_bytes: usize,
@@ -253,8 +255,8 @@ impl WorkspaceSpec {
 struct ScratchPeaks {
     /// Conv activation-strip words (one output row, all planes).
     strip: usize,
-    /// Window words of a window-dense conv (one output row, all planes).
-    windows: usize,
+    /// A window-dense conv's zero-padded i16 image (one input image).
+    image: usize,
     /// Conv strip-column correction offsets (`i32` each, one plane's).
     strip_cols: usize,
     /// Conv activation-side correction offsets (`i32` each: one per
@@ -280,7 +282,7 @@ impl ScratchPeaks {
         let mut p = ScratchPeaks::default();
         for l in layouts {
             p.strip = p.strip.max(l.conv_strip_words);
-            p.windows = p.windows.max(l.conv_window_words);
+            p.image = p.image.max(l.conv_image);
             p.strip_cols = p.strip_cols.max(l.conv_strip_cols);
             p.x_sides = p.x_sides.max(l.conv_x_sides);
             p.conv_acc = p.conv_acc.max(if l.is_conv { l.acc_elems } else { 0 });
@@ -295,7 +297,8 @@ impl ScratchPeaks {
 
     /// Total bytes of every shared buffer listed above.
     fn bytes(&self) -> usize {
-        (self.strip + self.windows) * 8
+        self.strip * 8
+            + self.image * 2
             + (self.strip_cols
                 + self.x_sides
                 + self.conv_acc
@@ -336,7 +339,7 @@ struct StageLayout {
     y_elems: usize,
     res_elems: usize,
     conv_strip_words: usize,
-    conv_window_words: usize,
+    conv_image: usize,
     conv_strip_cols: usize,
     conv_x_sides: usize,
     apmm_col_sums: usize,
@@ -363,13 +366,17 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                     assert!(!last, "plan did not end in an i32 linear output stage");
                     let (oh, ow) = (desc.out_h(), desc.out_w());
                     let map_elems = desc.batch * oh * ow * desc.cout;
-                    // The kernel scratch is row-sized: one output row's
-                    // strip (and windows) and accumulators, whatever the
-                    // batch.
+                    // The kernel scratch is row-sized, whatever the batch:
+                    // one output row's accumulators, and its strip — or, a
+                    // window-dense stem, which builds none, one image's
+                    // unpacked codes.
+                    let conv_image = dense::image_len(desc);
                     let (q, cols) = (desc.x_bits as usize, desc.w + 2 * desc.pad);
-                    let conv_strip_words = q * cols * desc.col_words();
-                    let conv_window_words = window_words(desc);
-                    let (conv_strip_cols, conv_x_sides) = (cols, ow);
+                    let (conv_strip_words, conv_strip_cols, conv_x_sides) = if conv_image > 0 {
+                        (0, 0, 0)
+                    } else {
+                        (q * cols * desc.col_words(), cols, ow)
+                    };
                     let row_elems = ow * desc.cout;
                     if m.input == StageSrc::Branch {
                         // Skip projection: raw accumulators land straight in
@@ -383,7 +390,7 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                             y_elems: 0,
                             res_elems: map_elems,
                             conv_strip_words,
-                            conv_window_words,
+                            conv_image,
                             conv_strip_cols,
                             conv_x_sides,
                             apmm_col_sums: 0,
@@ -425,7 +432,7 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                                 Some(ResidualSrc::Identity) | None => 0,
                             },
                             conv_strip_words,
-                            conv_window_words,
+                            conv_image,
                             conv_strip_cols,
                             conv_x_sides,
                             apmm_col_sums: 0,
@@ -475,7 +482,7 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                         y_elems: if last { desc.m * desc.n } else { 0 },
                         res_elems: 0,
                         conv_strip_words: 0,
-                        conv_window_words: 0,
+                        conv_image: 0,
                         conv_strip_cols: 0,
                         conv_x_sides: 0,
                         apmm_col_sums: desc.n,
