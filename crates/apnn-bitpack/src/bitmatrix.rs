@@ -55,14 +55,6 @@ impl BitMatrix {
         m
     }
 
-    /// Extract bit-plane `plane` of row-major unsigned codes
-    /// (`bit = (code >> plane) & 1`, Eq. 2 of the paper).
-    pub fn from_codes_plane(codes: &[u32], rows: usize, cols: usize, plane: u32) -> Self {
-        let mut m = Self::zeros(rows, cols);
-        m.fill_from_codes_plane(codes, plane);
-        m
-    }
-
     /// Reshape this matrix to `rows × cols` and zero every bit, **reusing
     /// the existing backing store**: when the new shape fits the already
     /// allocated capacity, no heap allocation happens. This is the
@@ -81,9 +73,9 @@ impl BitMatrix {
 
     /// [`BitMatrix::reset_zeros`] without the zeroing pass, for callers
     /// that immediately overwrite **every** word — in practice
-    /// [`BitMatrix::overwrite_from_codes_plane`], which stores each word
-    /// (including padding words) exactly once. Any region grown beyond the
-    /// previous length is zero-filled; surviving prefix words keep stale
+    /// [`crate::BitPlanes::from_codes_into`], whose transposer stores each
+    /// word (including padding words) exactly once. Any region grown beyond
+    /// the previous length is zero-filled; surviving prefix words keep stale
     /// bits until the overwrite lands.
     pub fn reset_for_overwrite(&mut self, rows: usize, cols: usize) {
         let padded_cols = pad_to_bmma_k(cols);
@@ -95,55 +87,6 @@ impl BitMatrix {
         self.cols = cols;
         self.padded_cols = padded_cols;
         self.words_per_row = words_per_row;
-    }
-
-    /// Rebuild every word of this matrix from bit-plane `plane` of
-    /// row-major `codes`: each packed word — padding words included — is
-    /// *stored*, not OR-merged, so no prior zeroing pass is needed (pair
-    /// with [`BitMatrix::reset_for_overwrite`]). This is the hot-path
-    /// packing primitive: one pass, no memset, padding invariant restored
-    /// by construction.
-    pub fn overwrite_from_codes_plane(&mut self, codes: &[u32], plane: u32) {
-        assert_eq!(
-            codes.len(),
-            self.rows * self.cols,
-            "codes length must be rows*cols"
-        );
-        for r in 0..self.rows {
-            let row = &codes[r * self.cols..(r + 1) * self.cols];
-            let base = r * self.words_per_row;
-            for wi in 0..self.words_per_row {
-                let lo = wi * WORD_BITS;
-                let mut word = 0u64;
-                if lo < self.cols {
-                    let hi = (lo + WORD_BITS).min(self.cols);
-                    for (bit, &code) in row[lo..hi].iter().enumerate() {
-                        word |= (((code >> plane) & 1) as u64) << bit;
-                    }
-                }
-                self.data[base + wi] = word;
-            }
-        }
-    }
-
-    /// Overwrite this (already correctly shaped, zeroed) matrix with
-    /// bit-plane `plane` of `codes`. Allocation-free; pair with
-    /// [`BitMatrix::reset_zeros`].
-    pub fn fill_from_codes_plane(&mut self, codes: &[u32], plane: u32) {
-        assert_eq!(
-            codes.len(),
-            self.rows * self.cols,
-            "codes length must be rows*cols"
-        );
-        for r in 0..self.rows {
-            let row = &codes[r * self.cols..(r + 1) * self.cols];
-            let base = r * self.words_per_row;
-            for (c, &code) in row.iter().enumerate() {
-                if (code >> plane) & 1 != 0 {
-                    self.data[base + c / WORD_BITS] |= 1u64 << (c % WORD_BITS);
-                }
-            }
-        }
     }
 
     /// Logical row count.
@@ -213,6 +156,13 @@ impl BitMatrix {
     #[inline]
     pub fn words(&self) -> &[u64] {
         &self.data
+    }
+
+    /// The backing store, mutably, for a writer that stores every word —
+    /// padding words as zeros — and so keeps the zero-padding invariant.
+    #[inline]
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.data
     }
 
     /// Number of set bits in row `row` (logical columns only — padding is
@@ -319,27 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn from_codes_plane_extracts_bits() {
-        // codes = [5, 2, 7] -> bit0 = [1,0,1], bit1 = [0,1,1], bit2 = [1,0,1]
-        let codes = [5u32, 2, 7];
-        let p0 = BitMatrix::from_codes_plane(&codes, 1, 3, 0);
-        let p1 = BitMatrix::from_codes_plane(&codes, 1, 3, 1);
-        let p2 = BitMatrix::from_codes_plane(&codes, 1, 3, 2);
-        assert_eq!(
-            (p0.get(0, 0), p0.get(0, 1), p0.get(0, 2)),
-            (true, false, true)
-        );
-        assert_eq!(
-            (p1.get(0, 0), p1.get(0, 1), p1.get(0, 2)),
-            (false, true, true)
-        );
-        assert_eq!(
-            (p2.get(0, 0), p2.get(0, 1), p2.get(0, 2)),
-            (true, false, true)
-        );
-    }
-
-    #[test]
     fn and_xor_row_popcounts() {
         let a = BitMatrix::from_fn(2, 10, |_, c| c % 2 == 0); // 5 bits set
         let b = BitMatrix::from_fn(2, 10, |_, c| c < 5); // bits 0..5
@@ -357,27 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn overwrite_from_codes_plane_matches_fresh_build_over_stale_state() {
-        // Fill with garbage at a big shape, then overwrite-rebuild at
-        // several shapes: every word (padding included) must match a fresh
-        // zero+fill build, with no zeroing pass in between.
-        let mut m = BitMatrix::from_fn(5, 300, |r, c| (r * 31 + c * 7) % 2 == 0);
-        for (rows, cols) in [(5, 300), (2, 100), (4, 257), (5, 300)] {
-            let codes: Vec<u32> = (0..rows * cols).map(|i| (i % 4) as u32).collect();
-            for plane in 0..2 {
-                m.reset_for_overwrite(rows, cols);
-                m.overwrite_from_codes_plane(&codes, plane);
-                assert_eq!(
-                    m,
-                    BitMatrix::from_codes_plane(&codes, rows, cols, plane),
-                    "{rows}x{cols} plane {plane}"
-                );
-                assert!(m.padding_is_zero());
-            }
-        }
-    }
-
-    #[test]
     fn reset_zeros_reuses_capacity_and_keeps_invariants() {
         let mut m = BitMatrix::from_fn(4, 200, |r, c| (r + c) % 3 == 0);
         let ptr = m.words().as_ptr();
@@ -386,14 +294,11 @@ mod tests {
         assert_eq!((m.rows(), m.cols(), m.padded_cols()), (2, 130, 256));
         assert!(m.words().iter().all(|&w| w == 0));
         assert_eq!(m.words().as_ptr(), ptr, "shrink must not reallocate");
-        m.fill_from_codes_plane(&vec![1u32; 2 * 130], 0);
-        assert_eq!(m.row_popcount(0), 130);
-        assert!(m.padding_is_zero());
-        // Refilling the original shape matches a fresh build.
-        let codes: Vec<u32> = (0..4 * 200).map(|i| (i % 2) as u32).collect();
+        assert_eq!(m, BitMatrix::zeros(2, 130));
+        // Growing back to the original shape clears the rows it regains.
         m.reset_zeros(4, 200);
-        m.fill_from_codes_plane(&codes, 0);
-        assert_eq!(m, BitMatrix::from_codes_plane(&codes, 4, 200, 0));
+        assert_eq!(m, BitMatrix::zeros(4, 200));
+        assert!(m.padding_is_zero());
     }
 
     #[test]

@@ -379,27 +379,19 @@ impl BitTensor4 {
     }
 
     /// Pack one image row of codes — `codes[x·c + ch]`, each `< 2^bits` —
-    /// into every plane at `(n, h)`, a whole word at a time: 64 channels
-    /// become one word per plane, and every word of every pixel is stored
-    /// (channel padding as zeros), so the row's previous contents never
-    /// matter. The word-level form of [`BitTensor4::set_code`].
+    /// into every plane at `(n, h)`, eight codes per word operation (the one
+    /// bit-plane transposer): every word of every pixel is stored (channel
+    /// padding as zeros), so the row's previous contents never matter. The
+    /// word-level form of [`BitTensor4::set_code`].
     pub fn pack_row(&mut self, n: usize, h: usize, codes: &[u32]) {
         assert_eq!(
             codes.len(),
             self.w * self.c,
             "one code per (pixel, channel)"
         );
-        let (wpp, stride) = (self.words_per_pixel, self.h * self.w * self.words_per_pixel);
-        let base = self.pixel_base(n, 0, h, 0);
-        for (x, px) in codes.chunks_exact(self.c.max(1)).enumerate() {
-            // Live words, then the all-padding words of the fragment.
-            let chunks = px.chunks(WORD_BITS).chain(std::iter::repeat(&[][..]));
-            for (j, chunk) in chunks.take(wpp).enumerate() {
-                let words = pack_word(chunk, self.bits);
-                for (plane, &word) in words[..self.bits as usize].iter().enumerate() {
-                    self.data[base + plane * stride + x * wpp + j] = word;
-                }
-            }
+        let (c, wpp, bits) = (self.c, self.words_per_pixel, self.bits);
+        if self.w > 0 {
+            crate::transpose::codes_to_planes(codes, c, wpp, bits, self.row_planes_mut(n, h));
         }
     }
 
@@ -537,19 +529,6 @@ impl BitTensor4 {
     }
 }
 
-/// One word per plane (`words[..bits]`) from up to 64 channel codes:
-/// channel `i`'s bit `t` lands at bit `i` of `words[t]`.
-#[inline]
-fn pack_word(codes: &[u32], bits: u32) -> [u64; 8] {
-    let mut words = [0u64; 8];
-    for (t, word) in words[..bits as usize].iter_mut().enumerate() {
-        for (i, &code) in codes.iter().enumerate() {
-            *word |= u64::from((code >> t) & 1) << i;
-        }
-    }
-    words
-}
-
 /// Byte `k` of `SPREAD[b]` is bit `k` of `b`: one plane's bits of eight
 /// channels, one to a byte — the table [`BitTensor4::unpack_row`] builds
 /// eight codes from.
@@ -615,9 +594,11 @@ mod tests {
 
     #[test]
     fn row_pack_unpack_round_trips_and_zeroes_padding_over_a_dirty_slot() {
+        // Channel counts under a byte, a ragged group, whole groups, a word
+        // either side of its boundary and past it, at every code width.
         let mut seed = 0x2545_F491_4F6C_DD1Du64;
-        for c in [1usize, 63, 64, 65, 130] {
-            for bits in [1u32, 2, 3, 8] {
+        for c in [1usize, 3, 16, 24, 63, 64, 65, 130] {
+            for bits in 1u32..=8 {
                 let (n, h, w) = (2, 3, 5);
                 let codes = Tensor4::<u32>::from_fn(n, c, h, w, Layout::Nhwc, |_, _, _, _| {
                     seed ^= seed << 13;

@@ -35,6 +35,7 @@ pub mod panel;
 pub mod planes;
 pub mod popcnt;
 pub mod tensor;
+mod transpose;
 pub mod word;
 
 pub use bitmatrix::BitMatrix;

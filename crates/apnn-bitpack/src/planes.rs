@@ -32,25 +32,9 @@ impl BitPlanes {
         bits: u32,
         encoding: Encoding,
     ) -> Self {
-        assert!((1..=8).contains(&bits), "supported plane counts are 1..=8");
-        assert_eq!(codes.len(), rows * cols);
-        if encoding == Encoding::PlusMinusOne {
-            assert_eq!(bits, 1, "±1 encoding is one bit wide");
-        }
-        debug_assert!(
-            bits == 32 || codes.iter().all(|&c| c < (1u32 << bits)),
-            "codes exceed bit width"
-        );
-        let planes = (0..bits)
-            .map(|s| BitMatrix::from_codes_plane(codes, rows, cols, s))
-            .collect();
-        BitPlanes {
-            planes,
-            rows,
-            cols,
-            bits,
-            encoding,
-        }
+        let mut planes = Self::zeros(0, 0, bits, encoding);
+        planes.from_codes_into(codes, rows, cols, bits, encoding);
+        planes
     }
 
     /// All-zero decomposition of the given logical shape — the
@@ -93,18 +77,17 @@ impl BitPlanes {
             bits == 32 || codes.iter().all(|&c| c < (1u32 << bits)),
             "codes exceed bit width"
         );
-        self.planes.truncate(bits as usize);
-        while self.planes.len() < bits as usize {
-            // Empty matrices defer their allocation to `reset_zeros` below.
-            self.planes.push(BitMatrix::zeros(0, 0));
-        }
-        for (s, plane) in self.planes.iter_mut().enumerate() {
-            // Every word (padding included) is stored by the overwrite,
-            // so the reshape skips the zeroing pass — the memset this
-            // avoids was the dominant cost of steady-state slot rebuilds.
+        // Empty matrices defer their allocation to the reshape below. The
+        // transposer stores every word (padding included), all planes in
+        // one pass over the codes, so the reshape skips the zeroing pass.
+        self.planes
+            .resize_with(bits as usize, || BitMatrix::zeros(0, 0));
+        for plane in &mut self.planes {
             plane.reset_for_overwrite(rows, cols);
-            plane.overwrite_from_codes_plane(codes, s as u32);
         }
+        let wpr = self.planes[0].words_per_row();
+        let dst = self.planes.iter_mut().map(BitMatrix::words_mut);
+        crate::transpose::codes_to_planes(codes, cols, wpr, bits, dst);
         self.rows = rows;
         self.cols = cols;
         self.bits = bits;
@@ -216,6 +199,36 @@ mod tests {
         let planes = BitPlanes::from_codes(&codes, 4, 6, 3, Encoding::ZeroOne);
         assert_eq!(planes.bits(), 3);
         assert_eq!(planes.reconstruct_codes(), codes);
+    }
+
+    #[test]
+    fn from_codes_extracts_each_plane() {
+        // codes = [5, 2, 7] -> bit0 = [1,0,1], bit1 = [0,1,1], bit2 = [1,0,1]
+        let planes = BitPlanes::from_codes(&[5, 2, 7], 1, 3, 3, Encoding::ZeroOne);
+        let bits = |s: u32| {
+            (0..3)
+                .map(|c| planes.plane(s).get(0, c))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(0), [true, false, true]);
+        assert_eq!(bits(1), [false, true, true]);
+        assert_eq!(bits(2), [true, false, true]);
+        assert!((0..3).all(|s| planes.plane(s).padding_is_zero()));
+    }
+
+    #[test]
+    fn from_codes_into_overwrites_stale_words_at_every_shape() {
+        // A slot full of ones at a big shape, rebuilt at several shapes:
+        // every word (padding included) must equal a fresh build, with no
+        // zeroing pass in between.
+        let mut m = BitPlanes::from_codes(&[3; 5 * 300], 5, 300, 2, Encoding::ZeroOne);
+        for (rows, cols) in [(5, 300), (2, 100), (4, 257), (5, 300)] {
+            let codes: Vec<u32> = (0..rows * cols).map(|i| (i % 4) as u32).collect();
+            m.from_codes_into(&codes, rows, cols, 2, Encoding::ZeroOne);
+            let fresh = BitPlanes::from_codes(&codes, rows, cols, 2, Encoding::ZeroOne);
+            assert_eq!(m.planes(), fresh.planes(), "{rows}x{cols}");
+            assert!(m.planes().iter().all(BitMatrix::padding_is_zero));
+        }
     }
 
     #[test]

@@ -81,14 +81,11 @@ impl CompiledNet {
                 let enc = precision.map_or(Encoding::ZeroOne, |p| p.activation_encoding(true));
                 let mut t =
                     BitTensor4::zeros(opts.batch, net.input_h, net.input_w, net.input_c, bits, enc);
-                for b in 0..opts.batch {
-                    for y in 0..net.input_h {
-                        for x in 0..net.input_w {
-                            for c in 0..net.input_c {
-                                t.set_code(b, y, x, c, rng.next() as u32 & ((1 << bits) - 1));
-                            }
-                        }
-                    }
+                // Row by row in `(b, y, x, c)` draw order: calibration depends on it.
+                let mut row = vec![0u32; net.input_w * net.input_c];
+                for i in 0..opts.batch * net.input_h {
+                    row.fill_with(|| rng.next() as u32 & ((1 << bits) - 1));
+                    t.pack_row(i / net.input_h, i % net.input_h, &row);
                 }
                 Some(CalibState {
                     chain: Act::Map(t),

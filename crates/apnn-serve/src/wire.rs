@@ -388,12 +388,11 @@ pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
         Encoding::ZeroOne => 0,
         Encoding::PlusMinusOne => 1,
     });
+    let mut row = vec![0u32; wd * c];
+    w.buf.reserve(h * row.len() * 4);
     for hh in 0..h {
-        for ww in 0..wd {
-            for cc in 0..c {
-                w.u32(img.get_code(0, hh, ww, cc));
-            }
-        }
+        img.unpack_row(0, hh, &mut row);
+        w.buf.extend(row.iter().flat_map(|code| code.to_le_bytes()));
     }
     w.buf
 }
@@ -515,19 +514,21 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), WireError> {
             context: "image codes",
         });
     }
+    // A row at a time: parse, range-check the row's OR (a code is in range
+    // iff it has no bit at or above `bits`), then pack every plane at once.
     let mut image = BitTensor4::zeros(1, h, wd, c, bits, enc);
+    let mut row = vec![0u32; wd * c];
     for hh in 0..h {
-        for ww in 0..wd {
-            for cc in 0..c {
-                let code = r.u32("image codes")?;
-                if bits < 32 && code >= (1u32 << bits) {
-                    return Err(WireError::BadValue {
-                        context: "image code out of range for bit width",
-                    });
-                }
-                image.set_code(0, hh, ww, cc, code);
-            }
+        let bytes = r.take(row.len() * 4, "image codes")?;
+        for (code, le) in row.iter_mut().zip(bytes.chunks_exact(4)) {
+            *code = u32::from_le_bytes(le.try_into().expect("chunks of four"));
         }
+        if row.iter().fold(0, |any, &code| any | code) >> bits != 0 {
+            return Err(WireError::BadValue {
+                context: "image code out of range for bit width",
+            });
+        }
+        image.pack_row(0, hh, &row);
     }
     r.finish()?;
     let mut key = ModelKey {

@@ -134,6 +134,43 @@ proptest! {
     }
 }
 
+/// The image range check runs on a whole decoded row: a code at
+/// `2^bits` placed last in a middle row — after codes that pass — is the
+/// same typed error a per-code check gave, and the largest in-range code
+/// at that spot decodes to itself.
+#[test]
+fn out_of_range_code_last_in_a_middle_row_is_a_typed_error() {
+    let (h, w, c) = (5, 4, 3);
+    for bits in 1u32..=8 {
+        let req = Request::new(
+            ModelKey::new("AlexNet-Tiny", NetPrecision::w1a2()),
+            image(u64::from(bits), h, w, c, bits),
+        );
+        let payload = encode_request(3, &req);
+        // Codes are the payload's last `h·w·c` u32s; row 2's last is here.
+        let at = payload.len() - h * w * c * 4 + (3 * w * c - 1) * 4;
+        let with_code = |code: u32| {
+            let mut p = payload.clone();
+            p[at..at + 4].copy_from_slice(&code.to_le_bytes());
+            decode_request(&p)
+        };
+        assert_eq!(
+            with_code(1 << bits).err(),
+            Some(WireError::BadValue {
+                context: "image code out of range for bit width"
+            }),
+            "bits={bits}"
+        );
+        let top = (1 << bits) - 1;
+        let (_, back) = with_code(top).unwrap();
+        assert_eq!(
+            back.image_ref().get_code(0, 2, w - 1, c - 1),
+            top,
+            "bits={bits}"
+        );
+    }
+}
+
 struct Fixture {
     server: Arc<Server>,
     key: ModelKey,
