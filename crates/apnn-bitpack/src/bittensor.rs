@@ -7,17 +7,24 @@
 //!    and memory accesses stay aligned for any precision `P`.
 //! 2. All channels of one spatial location are stored consecutively
 //!    (channel-major). Convolutions read whole channel vectors per pixel,
-//!    which turns the `K×K` window walk into coalesced 128-bit reads.
+//!    so a `K×K` window walk reads whole aligned words.
+//!
+//! The paper pads each pixel's channel vector to the 128-bit K of
+//! `bmma.8x8x128`; the GPU price keeps that fragment
+//! (`ConvDesc::padded_c`). The CPU's fragment is a 64-bit word, so a map
+//! here pads each pixel to whole words only: `⌈c/64⌉` per plane, and a
+//! map of ≤ 64 channels carries no all-padding word.
 
 use crate::encoding::Encoding;
 use crate::tensor::Tensor4;
-use crate::word::{pad_to_bmma_k, WORD_BITS};
+use crate::word::{words_for_bits, WORD_BITS};
 
 /// A bit-packed 4-D activation tensor in NPHWC order:
 /// `[batch][plane][height][width][channel-bits]`.
 ///
-/// The channel dimension is padded to a multiple of 128 bits and padding bits
-/// are always zero (same invariant as [`crate::BitMatrix`]).
+/// The channel dimension is padded to whole 64-bit words
+/// ([`BitTensor4::words_per_pixel`]) and padding bits are always zero (same
+/// invariant as [`crate::BitMatrix`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitTensor4 {
     n: usize,
@@ -25,8 +32,6 @@ pub struct BitTensor4 {
     h: usize,
     w: usize,
     c: usize,
-    padded_c: usize,
-    words_per_pixel: usize,
     encoding: Encoding,
     data: Vec<u64>,
 }
@@ -38,19 +43,23 @@ impl BitTensor4 {
         if encoding == Encoding::PlusMinusOne {
             assert_eq!(bits, 1, "±1 encoding is one bit wide");
         }
-        let padded_c = pad_to_bmma_k(c);
-        let words_per_pixel = padded_c / WORD_BITS;
         BitTensor4 {
             n,
             bits,
             h,
             w,
             c,
-            padded_c,
-            words_per_pixel,
             encoding,
-            data: vec![0u64; n * bits as usize * h * w * words_per_pixel],
+            data: vec![0u64; Self::len_words(n, h, w, c, bits)],
         }
+    }
+
+    /// Packed words of an `(n, h, w, c)` map of `bits` planes — `⌈c/64⌉`
+    /// per pixel per plane: the one size every constructor, reset and
+    /// workspace report uses.
+    #[inline]
+    pub const fn len_words(n: usize, h: usize, w: usize, c: usize, bits: u32) -> usize {
+        n * bits as usize * h * w * words_for_bits(c)
     }
 
     /// Pack a dense tensor of unsigned codes (`< 2^bits`) into NPHWC planes.
@@ -90,16 +99,10 @@ impl BitTensor4 {
         self.encoding
     }
 
-    /// Channel count after 128-bit padding.
-    #[inline]
-    pub fn padded_c(&self) -> usize {
-        self.padded_c
-    }
-
     /// Packed words per (plane, pixel) channel vector.
     #[inline]
     pub fn words_per_pixel(&self) -> usize {
-        self.words_per_pixel
+        words_for_bits(self.c)
     }
 
     /// Total packed size in bytes (the global-memory footprint the paper's
@@ -127,18 +130,13 @@ impl BitTensor4 {
         if encoding == Encoding::PlusMinusOne {
             assert_eq!(bits, 1, "±1 encoding is one bit wide");
         }
-        let padded_c = pad_to_bmma_k(c);
-        let words_per_pixel = padded_c / WORD_BITS;
         self.data.clear();
-        self.data
-            .resize(n * bits as usize * h * w * words_per_pixel, 0);
+        self.data.resize(Self::len_words(n, h, w, c, bits), 0);
         self.n = n;
         self.bits = bits;
         self.h = h;
         self.w = w;
         self.c = c;
-        self.padded_c = padded_c;
-        self.words_per_pixel = words_per_pixel;
         self.encoding = encoding;
     }
 
@@ -162,9 +160,7 @@ impl BitTensor4 {
         if encoding == Encoding::PlusMinusOne {
             assert_eq!(bits, 1, "±1 encoding is one bit wide");
         }
-        let padded_c = pad_to_bmma_k(c);
-        let words_per_pixel = padded_c / WORD_BITS;
-        let len = n * bits as usize * h * w * words_per_pixel;
+        let len = Self::len_words(n, h, w, c, bits);
         self.data.truncate(len);
         self.data.resize(len, 0);
         self.n = n;
@@ -172,8 +168,6 @@ impl BitTensor4 {
         self.h = h;
         self.w = w;
         self.c = c;
-        self.padded_c = padded_c;
-        self.words_per_pixel = words_per_pixel;
         self.encoding = encoding;
     }
 
@@ -205,8 +199,6 @@ impl BitTensor4 {
             h: self.h,
             w: self.w,
             c: self.c,
-            padded_c: self.padded_c,
-            words_per_pixel: self.words_per_pixel,
             encoding: self.encoding,
             data: self.data[start * stride..(start + len) * stride].to_vec(),
         }
@@ -218,7 +210,7 @@ impl BitTensor4 {
     /// reservation at the peak width makes every later fill — any shard
     /// width, in any order — allocation-free.
     pub fn reserve_images(&mut self, n: usize, h: usize, w: usize, c: usize, bits: u32) {
-        let words = n * bits as usize * h * w * (pad_to_bmma_k(c) / WORD_BITS);
+        let words = Self::len_words(n, h, w, c, bits);
         self.data.reserve(words.saturating_sub(self.data.len()));
     }
 
@@ -244,8 +236,6 @@ impl BitTensor4 {
         self.h = src.h;
         self.w = src.w;
         self.c = src.c;
-        self.padded_c = src.padded_c;
-        self.words_per_pixel = src.words_per_pixel;
         self.encoding = src.encoding;
     }
 
@@ -259,7 +249,7 @@ impl BitTensor4 {
     /// Packed words per image (all planes × pixels of one batch entry).
     #[inline]
     fn image_stride(&self) -> usize {
-        self.bits as usize * self.h * self.w * self.words_per_pixel
+        Self::len_words(1, self.h, self.w, self.c, self.bits)
     }
 
     /// Gather images by (possibly non-contiguous, repeated, reordered)
@@ -346,14 +336,14 @@ impl BitTensor4 {
     fn pixel_base(&self, n: usize, plane: u32, h: usize, w: usize) -> usize {
         debug_assert!(n < self.n && plane < self.bits && h < self.h && w < self.w);
         (((n * self.bits as usize + plane as usize) * self.h + h) * self.w + w)
-            * self.words_per_pixel
+            * self.words_per_pixel()
     }
 
     /// The packed channel vector of plane `plane` at pixel `(n, h, w)`.
     #[inline]
     pub fn pixel_words(&self, n: usize, plane: u32, h: usize, w: usize) -> &[u64] {
         let base = self.pixel_base(n, plane, h, w);
-        &self.data[base..base + self.words_per_pixel]
+        &self.data[base..base + self.words_per_pixel()]
     }
 
     /// The packed words of plane `plane` of image row `(n, h)`: `w` pixels ×
@@ -361,7 +351,20 @@ impl BitTensor4 {
     #[inline]
     pub fn row_words(&self, n: usize, plane: u32, h: usize) -> &[u64] {
         let base = self.pixel_base(n, plane, h, 0);
-        &self.data[base..base + self.w * self.words_per_pixel]
+        &self.data[base..base + self.w * self.words_per_pixel()]
+    }
+
+    /// Plane `plane` of every image as one affine stream — the form a
+    /// kernel that reads the map in place takes it in: image `i`'s plane is
+    /// `words[i·stride ..][.. h·w·words_per_pixel]` of the returned
+    /// `(words, stride)`.
+    pub fn plane_stream(&self, plane: u32) -> (&[u64], usize) {
+        assert!(plane < self.bits, "plane out of range");
+        let first = plane as usize * self.h * self.w * self.words_per_pixel();
+        (
+            &self.data[first.min(self.data.len())..],
+            self.image_stride(),
+        )
     }
 
     /// Image row `(n, h)` of every plane, mutably, plane 0 first: each item
@@ -371,7 +374,7 @@ impl BitTensor4 {
     /// bits stay zero.
     pub fn row_planes_mut(&mut self, n: usize, h: usize) -> impl Iterator<Item = &mut [u64]> {
         assert!(n < self.n && h < self.h, "row out of range");
-        let (row, stride) = (self.w * self.words_per_pixel, self.image_stride());
+        let (row, stride) = (self.w * self.words_per_pixel(), self.image_stride());
         let plane = self.h * row;
         self.data[n * stride..(n + 1) * stride]
             .chunks_exact_mut(plane.max(1))
@@ -389,8 +392,8 @@ impl BitTensor4 {
             self.w * self.c,
             "one code per (pixel, channel)"
         );
-        let (c, wpp, bits) = (self.c, self.words_per_pixel, self.bits);
-        if self.w > 0 {
+        let (c, wpp, bits) = (self.c, self.words_per_pixel(), self.bits);
+        if self.w * wpp > 0 {
             crate::transpose::codes_to_planes(codes, c, wpp, bits, self.row_planes_mut(n, h));
         }
     }
@@ -430,7 +433,7 @@ impl BitTensor4 {
         h: usize,
         out: &mut [T],
     ) {
-        let wpp = self.words_per_pixel;
+        let wpp = self.words_per_pixel();
         let planes: [&[u64]; BITS] = std::array::from_fn(|t| self.row_words(n, t as u32, h));
         for (x, px) in out.chunks_exact_mut(self.c.max(1)).enumerate() {
             for (j, chunk) in px.chunks_mut(WORD_BITS).enumerate() {
@@ -516,7 +519,7 @@ impl BitTensor4 {
                 for h in 0..self.h {
                     for w in 0..self.w {
                         let words = self.pixel_words(n, p, h, w);
-                        for c in self.c..self.padded_c {
+                        for c in self.c..self.words_per_pixel() * WORD_BITS {
                             if (words[c / WORD_BITS] >> (c % WORD_BITS)) & 1 != 0 {
                                 return false;
                             }
@@ -550,14 +553,27 @@ static SPREAD: [u64; 256] = {
 mod tests {
     use super::*;
     use crate::tensor::Layout;
+    use crate::word::low_mask;
+
+    /// Channel counts at and either side of every word and fragment
+    /// boundary the layout could round to.
+    const EDGE_CS: [usize; 9] = [1, 3, 16, 63, 64, 65, 127, 128, 129];
 
     #[test]
     fn shape_and_padding() {
-        let t = BitTensor4::zeros(2, 3, 3, 130, 2, Encoding::ZeroOne);
-        assert_eq!(t.shape(), (2, 3, 3, 130));
-        assert_eq!(t.padded_c(), 256);
-        assert_eq!(t.words_per_pixel(), 4);
-        assert!(t.padding_is_zero());
+        for c in EDGE_CS {
+            for (bits, enc) in [(1, Encoding::PlusMinusOne), (2, Encoding::ZeroOne)] {
+                let t = BitTensor4::zeros(2, 3, 5, c, bits, enc);
+                assert_eq!(t.shape(), (2, 3, 5, c));
+                // Whole words per pixel, never a 128-bit fragment's.
+                assert_eq!(t.words_per_pixel(), c.div_ceil(64), "c={c}");
+                let words = 2 * bits as usize * 3 * 5 * c.div_ceil(64);
+                assert_eq!(BitTensor4::len_words(2, 3, 5, c, bits), words);
+                assert_eq!(t.packed_bytes(), 8 * words, "c={c} bits={bits}");
+                assert_eq!(t.row_words(1, bits - 1, 2).len(), 5 * c.div_ceil(64));
+                assert!(t.padding_is_zero());
+            }
+        }
     }
 
     #[test]
@@ -594,10 +610,11 @@ mod tests {
 
     #[test]
     fn row_pack_unpack_round_trips_and_zeroes_padding_over_a_dirty_slot() {
-        // Channel counts under a byte, a ragged group, whole groups, a word
-        // either side of its boundary and past it, at every code width.
+        // Channel counts under a byte, a ragged group, whole groups, and
+        // either side of every word and fragment boundary, at every code
+        // width.
         let mut seed = 0x2545_F491_4F6C_DD1Du64;
-        for c in [1usize, 3, 16, 24, 63, 64, 65, 130] {
+        for c in EDGE_CS.into_iter().chain([24, 130]) {
             for bits in 1u32..=8 {
                 let (n, h, w) = (2, 3, 5);
                 let codes = Tensor4::<u32>::from_fn(n, c, h, w, Layout::Nhwc, |_, _, _, _| {
@@ -682,15 +699,30 @@ mod tests {
 
     #[test]
     fn planes_are_contiguous_per_pixel() {
-        // Channel-major: the packed words of one (plane, pixel) pair hold all
-        // channels; neighbouring channels land in the same word.
-        let mut t = BitTensor4::zeros(1, 1, 1, 64, 1, Encoding::ZeroOne);
-        for c in 0..64 {
-            t.set_code(0, 0, 0, c, (c % 2) as u32);
+        // Channel-major: one (plane, pixel) pair's words hold all its
+        // channels, neighbouring channels share a word, and the next
+        // pixel's words start right after the last live word — there is
+        // no all-padding word in between.
+        for c in EDGE_CS {
+            let mut t = BitTensor4::zeros(1, 1, 2, c, 1, Encoding::ZeroOne);
+            for ch in 0..c {
+                t.set_code(0, 0, 0, ch, (ch % 2) as u32);
+                t.set_code(0, 0, 1, ch, 1);
+            }
+            let wpp = c.div_ceil(64);
+            let row = t.row_words(0, 0, 0);
+            assert_eq!(row.len(), 2 * wpp, "c={c}");
+            for (j, &word) in row[..wpp].iter().enumerate() {
+                let live = (c - 64 * j).min(64);
+                assert_eq!(
+                    word,
+                    0xAAAA_AAAA_AAAA_AAAA & low_mask(live),
+                    "c={c} word {j}"
+                );
+                assert_eq!(row[wpp + j], low_mask(live), "c={c} pixel 1 word {j}");
+            }
+            assert!(t.padding_is_zero());
         }
-        let words = t.pixel_words(0, 0, 0, 0);
-        assert_eq!(words[0], 0xAAAA_AAAA_AAAA_AAAA);
-        assert_eq!(words[1], 0); // padding word
     }
 
     #[test]
@@ -767,7 +799,7 @@ mod tests {
         t.reset_zeros(1, 2, 2, 200, 1, Encoding::ZeroOne);
         assert_eq!(t.shape(), (1, 2, 2, 200));
         assert_eq!(t.bits(), 1);
-        assert_eq!(t.padded_c(), 256);
+        assert_eq!(t.words_per_pixel(), 4);
         assert!(t.padding_is_zero());
         assert_eq!(t.get_code(0, 1, 1, 199), 0);
         assert_eq!(t, BitTensor4::zeros(1, 2, 2, 200, 1, Encoding::ZeroOne));

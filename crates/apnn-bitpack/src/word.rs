@@ -43,6 +43,18 @@ pub const fn low_mask(n: usize) -> u64 {
     }
 }
 
+/// Bits `at..at + n` (`n ≤ 64`) of the bit string whose word `i` is
+/// `word(i)`, as the low bits of one word.
+#[inline]
+pub fn bit_field(word: impl Fn(usize) -> u64, at: usize, n: usize) -> u64 {
+    let (wi, bi) = (at / WORD_BITS, at % WORD_BITS);
+    let mut field = word(wi) >> bi;
+    if bi + n > WORD_BITS {
+        field |= word(wi + 1) << (WORD_BITS - bi);
+    }
+    field & low_mask(n)
+}
+
 /// Total population count of a word slice.
 #[inline]
 pub fn popcount(words: &[u64]) -> u32 {

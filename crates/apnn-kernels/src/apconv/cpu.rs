@@ -309,11 +309,9 @@ impl Strip {
                     let fills = std::iter::repeat(fill);
                     place(left, cw, at, n, fills.clone());
                     match row {
-                        // Most layers (`cin ≤ 128`): a constant source
-                        // stride lets the loop vectorize.
-                        Some(row) if wpp == 2 => {
-                            place(mid, cw, at, n, row[j..].chunks(2).map(|px| px[0]))
-                        }
+                        // Most layers (`cin ≤ 64`): a pixel is one word,
+                        // so the row is the column sources, contiguous.
+                        Some(row) if wpp == 1 => place(mid, cw, at, n, row.iter().copied()),
                         Some(row) => place(mid, cw, at, n, row[j..].chunks(wpp).map(|px| px[0])),
                         None => place(mid, cw, at, n, fills.clone()),
                     }

@@ -556,12 +556,12 @@ fn avg_pool_floors_toward_neg_infinity() {
     assert_eq!(pool2_i32(&accs, n, oh, ow, desc.cout, Pool2::Avg), pooled);
 }
 
-/// One fused call against the scalar spec of its tail — raw accumulators
-/// (+ residual) → [`pool2_i32`] → [`Epilogue::apply_to_code`] →
-/// [`BitTensor4::pack_row`] — on every arm, through the chain's step table.
-/// `residual`: 0 none, 1 a projection's accumulators, 2 an identity branch
-/// of `rbits`-wide codes (checked against its decoded values added as
-/// integers).
+/// One fused call against the scalar spec of its tail over the naive i32
+/// oracle's accumulators — oracle (+ residual) → [`pool2_i32`] →
+/// [`Epilogue::apply_to_code`] → [`BitTensor4::pack_row`] — on every arm,
+/// through the chain's step table. `residual`: 0 none, 1 a projection's
+/// accumulators, 2 an identity branch of `rbits`-wide codes (checked
+/// against its decoded values added as integers).
 fn check_tail(
     desc: &ConvDesc,
     pool: Option<Pool2>,
@@ -569,12 +569,10 @@ fn check_tail(
     bits: u32,
     seed: u64,
 ) {
-    let mut seed = seed;
-    let (input, _) = make_input(desc, &mut seed);
-    let (weights, _) = make_weights(desc, &mut seed);
+    let (input, weights, mut y) = operands_and_oracle(desc, seed);
+    let mut seed = seed ^ 0x9E37_79B9_7F4A_7C15;
     let prepared = ApConv::new(*desc).prepare(weights);
     let (n, oh, ow, cout) = (desc.batch, desc.out_h(), desc.out_w(), desc.cout);
-    let mut y = prepared.execute(&input);
 
     let accs: Vec<i32> = (0..y.len())
         .map(|_| (lcg(&mut seed) % 41) as i32 - 20)
@@ -666,6 +664,23 @@ fn fused_tail_matches_the_scalar_spec_on_the_zoo_corner_shapes() {
                     check_tail(&desc, pool, (residual, 1 + bits % 3), bits, seed);
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn fused_identity_join_is_exact_either_side_of_every_word_boundary() {
+    // Input and output maps of 63–129 channels: a pixel's last word
+    // ragged, full, or one channel into the next word — in the strip's
+    // pixel reads, the branch's `Residual::Codes` reads and the tail's
+    // stores — against the oracle, unpooled and pooled.
+    let mut seed = 90;
+    for cin in [63usize, 64, 65, 128, 129] {
+        for cout in [63usize, 64, 65, 128, 129] {
+            seed += 1;
+            let desc = ConvDesc::unsigned(1, cin, 4, cout, 3, 1, 1, 1, 2);
+            let pool = [None, Some(Pool2::Max)][seed as usize % 2];
+            check_tail(&desc, pool, (2, 2), 2, seed);
         }
     }
 }

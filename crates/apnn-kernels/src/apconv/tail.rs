@@ -18,7 +18,7 @@
 //! bit — a gather of the row half a step above the code so far — gives the
 //! rest, and plane `t` is bit `t` of the code. Either way each plane's
 //! sixteen bits are shifted to bit `c mod 64` of the pixel's word and every
-//! word of the row is stored, channel padding included — the CPU's
+//! word of the row is stored — the CPU's
 //! `__ballot_sync`: comparison results become the packed words of the next
 //! layer's NPHWC map without ever being a code in memory.
 //!
@@ -598,9 +598,9 @@ impl<A: PooledAccs, const BITS: usize> ChunkPlanes for WidePlanes<'_, A, BITS> {
 /// everything a position fixes — its step rows, lane mask, word and shift
 /// — is hoisted out of the loop that runs `out_w` times and what remains
 /// strides by constants. Every word of the row is **stored** by the first
-/// chunk that reaches it and OR-ed into by the rest, and the all-padding
-/// words of the 128-bit fragment are stored as zeros, so nothing survives
-/// from the row's previous contents.
+/// chunk that reaches it and OR-ed into by the rest (a map pads a pixel to
+/// whole words, so every word holds a channel), so nothing survives from
+/// the row's previous contents.
 #[inline(always)]
 fn pack_band<V: Lanes16, S: ChunkPlanes>(
     band: Band,
@@ -622,13 +622,6 @@ fn pack_band<V: Lanes16, S: ChunkPlanes>(
         for px in px..pw {
             let planes = source.planes::<V>(px, c0, n);
             store(out, bits, (px * wpp + j, shift), &planes);
-        }
-    }
-    for j in cout.div_ceil(64)..wpp {
-        for plane in &mut out[..bits] {
-            for px in 0..pw {
-                plane[px * wpp + j] = 0;
-            }
         }
     }
 }

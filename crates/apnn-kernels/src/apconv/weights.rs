@@ -5,6 +5,7 @@
 //! kernel runs on ([`ConvWeights::lane_panel`]), built from the planes once
 //! per `prepare`.
 
+use apnn_bitpack::word::bit_field;
 use apnn_bitpack::{BitPlanes, Encoding, LanePanel, LANES};
 
 use super::ConvDesc;
@@ -166,7 +167,7 @@ impl ConvWeights {
                 let (ky, c) = (in_col / cin, in_col % cin);
                 let n = (cin - c).min(hi - at);
                 let tap = &row[(ky * desc.kw + kx) * wpt..][..wpt];
-                word |= bit_field(tap, c, n) << (at - lo);
+                word |= bit_field(|i| tap[i], c, n) << (at - lo);
                 at += n;
             }
             word
@@ -210,16 +211,6 @@ impl ConvWeights {
             .map(|p| p.rows() * p.words_per_row() * 8)
             .sum()
     }
-}
-
-/// Bits `at..at + n` (`n ≤ 64`) of the bit string packed in `words`.
-fn bit_field(words: &[u64], at: usize, n: usize) -> u64 {
-    let (wi, bi) = (at / 64, at % 64);
-    let mut field = words[wi] >> bi;
-    if bi + n > 64 {
-        field |= words[wi + 1] << (64 - bi);
-    }
-    field & apnn_bitpack::word::low_mask(n)
 }
 
 #[cfg(test)]

@@ -7,9 +7,9 @@
 //! against the fragment-level [`crate::emulate::ap_bit_mm`].
 
 use apnn_bitpack::popcnt::{finish_lanes, Affine, Finish};
-use apnn_bitpack::{BitPlanes, LanePanel, PopcntArm, LANES};
+use apnn_bitpack::{LanePanel, PopcntArm, LANES};
 
-use super::ApmmDesc;
+use super::{ActInput, ApmmDesc};
 use crate::autotune::{MicroTile, MAX_JB};
 use crate::micro::MAX_PLANES;
 use crate::select::{fold_planes, EmulationPlan};
@@ -70,9 +70,10 @@ impl ApmmScratch {
 }
 
 /// The one APMM driver: multiply the weight panel `w` (rows = output
-/// features) against packed `x` (rows = batch; may carry *fewer* rows than
-/// `desc.n` when a compiled plan serves a partial shard — zero rows
-/// included) into the row-major `m × x.rows()` product `out`, on the
+/// features) against packed `x` (rows = batch, or a map's images read in
+/// place; may carry *fewer* rows than `desc.n` when a compiled plan serves
+/// a partial shard — zero rows included) into the row-major `m × x.rows()`
+/// product `out`, on the
 /// **calling thread** with every buffer caller-owned (zero allocations once
 /// `x_sides` and `out` are at capacity). `w_sides` are [`weight_sides`]
 /// for `eplan`. Serving workers are the concurrency unit, not this loop.
@@ -86,7 +87,7 @@ impl ApmmScratch {
 pub(crate) fn apmm_exec(
     desc: &ApmmDesc,
     w: &LanePanel,
-    x: &BitPlanes,
+    x: ActInput<'_>,
     eplan: EmulationPlan,
     w_sides: &[[i32; LANES]],
     micro: MicroTile,
@@ -99,11 +100,6 @@ pub(crate) fn apmm_exec(
     assert!(n <= desc.n, "activation batch exceeds plan batch");
     assert_eq!(w.rows(), m, "weight panel rows");
     let (p, q) = (desc.w_bits as usize, desc.x_bits as usize);
-    assert_eq!(
-        w.words_per_row(),
-        x.plane(0).words_per_row(),
-        "operands must share padded K"
-    );
 
     // Every accumulator is stored by the loop below — no zeroing pass.
     apnn_bitpack::resize_for_overwrite(out, m * n);
@@ -112,11 +108,32 @@ pub(crate) fn apmm_exec(
         return;
     }
 
+    // Row `j` of plane `t` is the panel's `kw` words at `j·step` of the
+    // plane's stream: a feature row's live words (the rest of its 128-bit
+    // row is zero padding), or an image's plane of a map.
+    let kw = w.words_per_row();
+    let mut planes: [&[u64]; MAX_PLANES] = [&[]; MAX_PLANES];
+    let step = match x {
+        ActInput::Vec(v) => {
+            for (t, plane) in planes[..q].iter_mut().enumerate() {
+                *plane = v.plane(t as u32).words();
+            }
+            v.plane(0).words_per_row()
+        }
+        ActInput::Map(map) => {
+            for (t, plane) in planes[..q].iter_mut().enumerate() {
+                *plane = map.plane_stream(t as u32).0;
+            }
+            map.plane_stream(0).1
+        }
+    };
+
     let corr = eplan.case.correction();
     if corr.needs_col_sums() {
         x_sides.extend((0..n).map(|j| {
             fold_planes(q, p, |t| {
-                corr.offset(0, 0, x.plane(t as u32).row_popcount(j) as i32)
+                let row = &planes[t][j * step..][..kw];
+                corr.offset(0, 0, apnn_bitpack::word::popcount(row) as i32)
             })
         }));
     }
@@ -124,20 +141,14 @@ pub(crate) fn apmm_exec(
     let jb = micro.sanitized().jb;
     let arm = arm.sanitized();
     let fin = eplan.finish(q);
-    // Row `j` of plane `t` is `wpr` words at `j·wpr` of the plane's words.
-    let wpr = w.words_per_row();
-    let mut planes: [&[u64]; MAX_PLANES] = [&[]; MAX_PLANES];
-    for (t, plane) in planes[..q].iter_mut().enumerate() {
-        *plane = x.plane(t as u32).words();
-    }
     let mut block = [[0i32; LANES]; MAX_JB];
     for j0 in (0..n).step_by(jb) {
         let jbc = jb.min(n - j0);
         let block = &mut block[..jbc];
         let xs = Affine {
             planes: &planes[..q],
-            first: j0 * wpr,
-            step: wpr,
+            first: j0 * step,
+            step,
         };
         for g in 0..w.groups() {
             let fin = Finish {
@@ -171,7 +182,7 @@ mod tests {
     use crate::autotune::select_micro;
     use crate::emulate::decoded_reference;
     use crate::select::plan_xor_only;
-    use apnn_bitpack::Encoding;
+    use apnn_bitpack::{BitPlanes, BitTensor4, Encoding};
 
     fn lcg(seed: &mut u64) -> u64 {
         *seed = seed
@@ -208,6 +219,18 @@ mod tests {
             let codes = &x.reconstruct_codes()[..rows * k];
             BitPlanes::from_codes(codes, rows, k, x.bits(), x.encoding())
         }
+    }
+
+    /// The first `rows` rows of `x` as a map of `c`-channel pixels, each
+    /// row an image's `(h, w, c)` features.
+    fn as_map(x: &BitPlanes, rows: usize, c: usize) -> BitTensor4 {
+        let k = x.cols();
+        let codes = x.reconstruct_codes();
+        let mut map = BitTensor4::zeros(rows, 1, k / c, c, x.bits(), x.encoding());
+        for (j, row) in codes.chunks_exact(k).take(rows).enumerate() {
+            map.pack_row(j, 0, row);
+        }
+        map
     }
 
     /// One encoding pair per Ampere case; with [`plan_xor_only`] on top
@@ -253,17 +276,29 @@ mod tests {
                         .with_arm(arm);
                     // A forced arm the CPU can run is the one that runs.
                     assert!(!arm.is_available() || prepared.arm() == arm);
+                    // The rows as feature vectors, and as maps read in
+                    // place: ragged 23-channel pixels, and one 230-channel
+                    // pixel (the dense order).
+                    let for_map = prepared.clone().for_map(23);
                     for rows in [n, n / 2, 0] {
-                        prepared.execute_into(&shard(&x, rows), &mut scratch, &mut out);
-                        assert_eq!(out.len(), m * rows);
-                        for (idx, &got) in out.iter().enumerate() {
-                            let (i, j) = (idx / rows, idx % rows);
-                            assert_eq!(
-                                got,
-                                want[i * n + j],
-                                "{:?} {micro:?} {arm:?} shard {rows} at ({i},{j})",
-                                eplan.case
-                            );
+                        let (vecs, ragged, one_px) =
+                            (shard(&x, rows), as_map(&x, rows, 23), as_map(&x, rows, k));
+                        for (form, kernel, x) in [
+                            ("rows", &prepared, ActInput::Vec(&vecs)),
+                            ("23-channel map", &for_map, ActInput::Map(&ragged)),
+                            ("one-pixel map", &prepared, ActInput::Map(&one_px)),
+                        ] {
+                            kernel.execute_into(x, &mut scratch, &mut out);
+                            assert_eq!(out.len(), m * rows);
+                            for (idx, &got) in out.iter().enumerate() {
+                                let (i, j) = (idx / rows, idx % rows);
+                                assert_eq!(
+                                    got,
+                                    want[i * n + j],
+                                    "{:?} {micro:?} {arm:?} {form} shard {rows} at ({i},{j})",
+                                    eplan.case
+                                );
+                            }
                         }
                     }
                 }

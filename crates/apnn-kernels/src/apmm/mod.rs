@@ -23,7 +23,8 @@ pub mod simmap;
 
 pub use config::TileConfig;
 
-use apnn_bitpack::{BitPlanes, Encoding, LanePanel, PopcntArm};
+use apnn_bitpack::word::bit_field;
+use apnn_bitpack::{BitPlanes, BitTensor4, Encoding, LanePanel, PopcntArm};
 use apnn_sim::{GpuSpec, KernelReport};
 
 use crate::autotune::{autotune, select_micro, MicroTile};
@@ -123,6 +124,52 @@ impl ApmmDesc {
     }
 }
 
+/// The activation operand of an APMM call: packed feature rows, or a packed
+/// map read **in place**, one row per image — its `(h, w, c)` features in
+/// the map's own word order (see [`PreparedApmm::for_map`]).
+#[derive(Debug, Clone, Copy)]
+pub enum ActInput<'a> {
+    /// Packed feature map (a linear head after a convolution).
+    Map(&'a BitTensor4),
+    /// Packed feature vectors (rows = batch, cols = features).
+    Vec(&'a BitPlanes),
+}
+
+impl ActInput<'_> {
+    /// `(images, h, w, c)`: a feature row reads as a one-pixel map.
+    pub fn shape(self) -> (usize, usize, usize, usize) {
+        match self {
+            ActInput::Map(t) => t.shape(),
+            ActInput::Vec(v) => (v.rows(), 1, 1, v.cols()),
+        }
+    }
+
+    /// Images (or feature rows) in the operand: the batch a product covers.
+    pub fn rows(self) -> usize {
+        self.shape().0
+    }
+}
+
+impl<'a> From<&'a BitTensor4> for ActInput<'a> {
+    fn from(map: &'a BitTensor4) -> Self {
+        ActInput::Map(map)
+    }
+}
+
+impl<'a> From<&'a BitPlanes> for ActInput<'a> {
+    fn from(vec: &'a BitPlanes) -> Self {
+        ActInput::Vec(vec)
+    }
+}
+
+/// An operand held mutably reads as a shared one, as a `&BitPlanes`
+/// parameter would coerce it.
+impl<'a> From<&'a mut BitPlanes> for ActInput<'a> {
+    fn from(vec: &'a mut BitPlanes) -> Self {
+        ActInput::Vec(vec)
+    }
+}
+
 /// Output of [`simmap::run_functional`], the simulator's functional
 /// reference: raw accumulators when it runs without an epilogue, packed
 /// codes when its epilogue quantizes. The CPU kernels never return it — a
@@ -174,7 +221,10 @@ impl Apmm {
         assert_eq!(weights.encoding(), self.desc.w_enc, "weight encoding");
         crate::stats::count_weight_prepare();
         let plan = self.desc.plan();
-        let panel = LanePanel::from_bitplanes(&weights);
+        let kw = self.desc.k.div_ceil(64);
+        let panel = LanePanel::from_fn(weights.bits() as usize, self.desc.m, kw, |s, row, k| {
+            weights.plane(s as u32).row_words(row)[k]
+        });
         let w_sides = cpu::weight_sides(&panel, plan, self.desc.k, self.desc.x_bits as usize);
         let (arm, micro) = (PopcntArm::detect(), select_micro(self.desc.n));
         PreparedApmm {
@@ -184,6 +234,7 @@ impl Apmm {
             micro,
             arm,
             panel,
+            run: self.desc.k,
             w_sides,
         }
     }
@@ -211,7 +262,13 @@ pub struct PreparedApmm {
     plan: EmulationPlan,
     micro: MicroTile,
     arm: PopcntArm,
+    /// The weights, K in the order of the operand the kernel reads: the
+    /// dense features' live words (`⌈k/64⌉` — the 128-bit fragment's
+    /// padding is a GPU constraint), or a map's ([`PreparedApmm::for_map`]).
     panel: LanePanel,
+    /// Features per word-aligned run of `panel`'s K: `k` in the dense
+    /// order, a map's channel count where its pixels are padded to words.
+    run: usize,
     /// [`cpu::weight_sides`] of `plan`.
     w_sides: Vec<[i32; apnn_bitpack::LANES]>,
 }
@@ -266,18 +323,74 @@ impl PreparedApmm {
         self
     }
 
+    /// Read maps of `c` channels in place: re-lay the panel's K in such a
+    /// map's word order — pixel-major, each pixel's `c` features
+    /// zero-padded to `⌈c/64⌉` words — so one image's plane of the map *is*
+    /// its activation row, K is exactly the map's words per plane, and the
+    /// padding bits are zero in both operands (no count moves, so the
+    /// weight sides stand). Where that order is the dense one — `c` a
+    /// multiple of 64, as in every zoo head, or a single pixel — the panel
+    /// is unchanged and the kernel reads rows and maps alike.
+    pub fn for_map(mut self, c: usize) -> Self {
+        let k = self.desc.k;
+        let run = self
+            .run_of(c)
+            .unwrap_or_else(|| panic!("{c}-channel pixels cannot hold {k} features"));
+        if run == self.run {
+            return self;
+        }
+        assert_eq!(
+            self.run, k,
+            "the weights are laid for {}-channel pixels",
+            self.run
+        );
+        let (wpr, dense) = (run.div_ceil(64), &self.panel);
+        // Word `j` of pixel `px` holds features `px·run + 64j ..`, `n` of them.
+        self.panel =
+            LanePanel::from_fn(dense.n_planes(), dense.rows(), k / run * wpr, |s, r, i| {
+                let (px, j) = (i / wpr, i % wpr);
+                let n = (run - 64 * j).min(64);
+                bit_field(|w| dense.row_word(s, r, w), px * run + 64 * j, n)
+            });
+        self.run = run;
+        self
+    }
+
+    /// The run a map of `c`-channel pixels presents its features in: the
+    /// dense order (`k`) where pixels fill whole words or one pixel is the
+    /// map, else `c`; `None` where such pixels cannot hold `k` features.
+    fn run_of(&self, c: usize) -> Option<usize> {
+        let k = self.desc.k;
+        (c > 0 && k.is_multiple_of(c)).then(|| if c.is_multiple_of(64) { k } else { c })
+    }
+
+    /// Whether the kernel reads a map of `c`-channel pixels in place (its K
+    /// word order is the panel's).
+    pub fn reads_map(&self, c: usize) -> bool {
+        self.run_of(c) == Some(self.run)
+    }
+
     /// Validate an activation operand shard (rows may be ≤ the compiled
-    /// batch; everything else must match).
-    fn check_acts(&self, x: &BitPlanes) {
-        assert!(x.rows() <= self.desc.n, "activation rows exceed plan batch");
-        assert_eq!(x.cols(), self.desc.k, "activation cols");
-        assert_eq!(x.bits(), self.desc.x_bits, "activation bits");
-        assert_eq!(x.encoding(), self.desc.x_enc, "activation encoding");
+    /// batch; everything else must match, the K word order included).
+    fn check_acts(&self, x: ActInput<'_>) {
+        let (rows, h, w, c) = x.shape();
+        let (bits, enc) = match x {
+            ActInput::Map(m) => (m.bits(), m.encoding()),
+            ActInput::Vec(v) => (v.bits(), v.encoding()),
+        };
+        assert!(rows <= self.desc.n, "activation rows exceed plan batch");
+        assert_eq!(h * w * c, self.desc.k, "activation features");
+        assert!(
+            self.reads_map(c),
+            "{c}-channel pixels are not in this kernel's K order"
+        );
+        assert_eq!(bits, self.desc.x_bits, "activation bits");
+        assert_eq!(enc, self.desc.x_enc, "activation encoding");
     }
 
     /// Row-major `m × x.rows()` i32 product, reusing every precomputed
     /// artifact. Allocating convenience over [`PreparedApmm::execute_into`].
-    pub fn execute(&self, x: &BitPlanes) -> Vec<i32> {
+    pub fn execute<'a>(&self, x: impl Into<ActInput<'a>>) -> Vec<i32> {
         let mut out = Vec::new();
         self.execute_into(x, &mut cpu::ApmmScratch::default(), &mut out);
         out
@@ -287,7 +400,13 @@ impl PreparedApmm {
     /// `m × x.rows()` product lands in `out`, every intermediate lives in
     /// `scratch`, and — once the buffers have reached the plan's full-batch
     /// capacity — the call performs **zero heap allocations**.
-    pub fn execute_into(&self, x: &BitPlanes, scratch: &mut cpu::ApmmScratch, out: &mut Vec<i32>) {
+    pub fn execute_into<'a>(
+        &self,
+        x: impl Into<ActInput<'a>>,
+        scratch: &mut cpu::ApmmScratch,
+        out: &mut Vec<i32>,
+    ) {
+        let x = x.into();
         self.check_acts(x);
         let cpu::ApmmScratch { col_sums, .. } = scratch;
         cpu::apmm_exec(
@@ -309,14 +428,15 @@ impl PreparedApmm {
     /// `codes`, and the packed next-layer operand is rebuilt in place in
     /// `out` (the output layer, which does not quantize, uses
     /// [`PreparedApmm::execute_into`]).
-    pub fn execute_fused_into(
+    pub fn execute_fused_into<'a>(
         &self,
-        x: &BitPlanes,
+        x: impl Into<ActInput<'a>>,
         steps: &Steps,
         scratch: &mut cpu::ApmmScratch,
         codes: &mut Vec<u32>,
         out: &mut BitPlanes,
     ) {
+        let x = x.into();
         self.check_acts(x);
         let cpu::ApmmScratch { col_sums, acc } = scratch;
         cpu::apmm_exec(

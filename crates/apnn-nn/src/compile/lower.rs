@@ -14,7 +14,6 @@ use apnn_kernels::fusion::{Epilogue, EpilogueOp, Steps};
 use super::plan::{
     CompileOptions, CompiledNet, MainInit, MainKernel, MainStage, Materialize, PlanStage,
 };
-use super::run::flatten_map;
 use crate::fuse::{fuse_network, FusedTail, MainOp, ResidualSrc, Stage, StageSrc};
 use crate::net::Network;
 use crate::precision::{NetPrecision, PrecisionSchedule};
@@ -101,6 +100,10 @@ impl CompiledNet {
         // skip-projection stage the saved branch producer's.
         let mut chain_bits = 8u32;
         let mut branch_bits = 8u32;
+        // Channels of the map the chain carries (the input image's first),
+        // `None` once a linear stage has made it a vector: a linear stage
+        // reads that map in place, its weights laid in the map's word order.
+        let mut chain_c = Some(net.input_c);
 
         for stage in &fused {
             match stage {
@@ -157,7 +160,7 @@ impl CompiledNet {
                         name,
                         op,
                         tail,
-                        *input,
+                        (*input, chain_c),
                         *save_branch,
                         *residual,
                         stage_precision,
@@ -166,6 +169,12 @@ impl CompiledNet {
                         &mut rng,
                         &mut calib,
                     )));
+                    if *input == StageSrc::Chain {
+                        chain_c = match op {
+                            MainOp::Conv { cout, .. } => Some(*cout),
+                            MainOp::Linear { .. } => None,
+                        };
+                    }
                 }
                 Stage::Elementwise {
                     name,
@@ -298,7 +307,7 @@ fn compile_main(
     name: &str,
     op: &MainOp,
     tail: &FusedTail,
-    src: StageSrc,
+    (src, in_c): (StageSrc, Option<usize>),
     save_branch: bool,
     residual: Option<ResidualSrc>,
     precision: NetPrecision,
@@ -427,8 +436,12 @@ fn compile_main(
                             vals,
                         )
                     };
+                    let prepared = Apmm::with_tile(desc, tile).prepare(weights);
                     (
-                        Some(Apmm::with_tile(desc, tile).prepare(weights)),
+                        Some(match in_c {
+                            Some(c) => prepared.for_map(c),
+                            None => prepared,
+                        }),
                         Some(MainInit { w_vals }),
                     )
                 }
@@ -605,14 +618,13 @@ fn calibrate_stage(
             MainKernel::Linear {
                 prepared: Some(p), ..
             },
-            act @ (Act::Map(_) | Act::Vector(_)),
+            act,
         ) => {
-            let v = match act {
-                Act::Map(m) => flatten_map(&m),
-                Act::Vector(v) => v,
+            let (y, n) = match &act {
+                Act::Map(m) => (p.execute(m), m.shape().0),
+                Act::Vector(v) => (p.execute(v), v.rows()),
             };
-            let n = v.rows();
-            (p.execute(&v), OutShape::Vector { n })
+            (y, OutShape::Vector { n })
         }
         _ => unreachable!(
             "calibration reached an invalid kernel/activation combination \

@@ -42,5 +42,5 @@ pub use plan::{
     CompileError, CompileOptions, CompiledNet, MainInit, MainKernel, MainStage, Materialize,
     PlanStage,
 };
-pub use run::{flatten_map, flatten_map_into, ActInput};
+pub use run::ActInput;
 pub use workspace::{ExecWorkspace, StageWorkspace, WorkspaceSpec};

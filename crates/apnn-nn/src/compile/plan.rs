@@ -306,11 +306,18 @@ impl CompiledNet {
 
     /// Append a prepared fully-connected layer with its fused element-wise
     /// tail: quantizing for hidden layers, non-quantizing for the output
-    /// layer (whose raw i32 accumulators are the logits). Panics if the
-    /// kernel was prepared for a different batch.
+    /// layer (whose raw i32 accumulators are the logits). After a
+    /// convolution the layer reads that stage's map in place, so its
+    /// weights — given in `(h, w, c)` feature order — are re-laid in the
+    /// map's word order ([`PreparedApmm::for_map`]). Panics if the kernel
+    /// was prepared for a different batch.
     pub fn push_linear(&mut self, prepared: PreparedApmm, epi: Epilogue) {
         let desc = prepared.desc;
         self.check_stage_batch(desc.n);
+        let prepared = match self.main_stages().last().map(|m| &m.kernel) {
+            Some(MainKernel::Conv { desc, .. }) => prepared.for_map(desc.cout),
+            _ => prepared,
+        };
         let op = MainOp::Linear {
             in_features: desc.k,
             out_features: desc.m,

@@ -7,8 +7,9 @@
 //! [`ExecWorkspace`]; [`CompiledNet::infer_batched_into`] is the only place
 //! that fans out, one workspace per participant.
 
-use apnn_bitpack::{BitPlanes, BitTensor4, Encoding};
+use apnn_bitpack::BitTensor4;
 use apnn_kernels::apconv::Residual;
+pub use apnn_kernels::apmm::ActInput;
 use rayon::prelude::*;
 use std::time::Instant;
 
@@ -136,37 +137,6 @@ fn stage_shard(staged: &mut BitTensor4, input: &BitTensor4, start: usize, len: u
     staged.fill_from_batch_range(input, start, len);
 }
 
-/// Activation input handed to [`CompiledNet::infer`] and its siblings.
-#[derive(Debug, Clone, Copy)]
-pub enum ActInput<'a> {
-    /// Packed feature map (conv networks).
-    Map(&'a BitTensor4),
-    /// Packed feature vectors (all-linear networks).
-    Vec(&'a BitPlanes),
-}
-
-impl ActInput<'_> {
-    /// Images (or feature rows) in the input: the batch the logits cover.
-    fn rows(self) -> usize {
-        match self {
-            ActInput::Map(t) => t.shape().0,
-            ActInput::Vec(v) => v.rows(),
-        }
-    }
-}
-
-impl<'a> From<&'a BitTensor4> for ActInput<'a> {
-    fn from(map: &'a BitTensor4) -> Self {
-        ActInput::Map(map)
-    }
-}
-
-impl<'a> From<&'a BitPlanes> for ActInput<'a> {
-    fn from(vec: &'a BitPlanes) -> Self {
-        ActInput::Vec(vec)
-    }
-}
-
 /// The functional engine core: run `plan` over `input`, all mutable state
 /// in `ws`, logits into the pre-sized `out` (`batch × classes`, row-major;
 /// every element is overwritten). This is the zero-allocation steady-state
@@ -224,13 +194,6 @@ fn cpu_execute_stages(
     let shard_n = input.rows();
     let mut classes = 0;
 
-    /// This stage's input activation: the caller's tensor for stage 0, a
-    /// finished stage's output slot afterwards.
-    enum In<'x> {
-        Map(&'x BitTensor4),
-        Vector(&'x BitPlanes),
-    }
-
     // Chain/branch cursors: skip-projection stages read the saved branch
     // slot and park raw accumulators in `res` without advancing the chain,
     // so the consuming conv still sees the main path as its input (an
@@ -249,19 +212,18 @@ fn cpu_execute_stages(
         } else {
             chain_idx
         };
+        // This stage's input activation: the caller's for stage 0, a
+        // finished stage's output slot afterwards.
         let cur = match src_idx {
-            None => match input {
-                ActInput::Map(t) => In::Map(t),
-                ActInput::Vec(v) => In::Vector(v),
-            },
-            Some(i) => match &done[i].out {
-                SlotOut::Map(t) => In::Map(t),
-                SlotOut::Vector(v) => In::Vector(v),
+            None => input,
+            Some(i) => match &done[i] {
+                SlotOut::Map(t) => ActInput::Map(t),
+                SlotOut::Vector(v) => ActInput::Vec(v),
                 SlotOut::None => unreachable!("only the output stage has no slot"),
             },
         };
         match (&stage.kernel, cur) {
-            (MainKernel::Conv { prepared, .. }, In::Map(map)) => {
+            (MainKernel::Conv { prepared, .. }, ActInput::Map(map)) => {
                 let prepared = prepared
                     .as_ref()
                     .unwrap_or_else(|| panic!("conv stage {mi} has no materialized weights"));
@@ -271,7 +233,7 @@ fn cpu_execute_stages(
                     // its fused tail. No packed output slot.
                     prepared.execute_into(map, conv, res);
                 } else {
-                    let SlotOut::Map(out_map) = &mut slot.out else {
+                    let SlotOut::Map(out_map) = slot else {
                         unreachable!("conv slots hold packed maps")
                     };
                     let residual = match stage.residual {
@@ -281,7 +243,7 @@ fn cpu_execute_stages(
                         // add: the tail reads them packed, in place.
                         Some(ResidualSrc::Identity) => {
                             let bi = branch_idx.expect("identity residual before any saved branch");
-                            let SlotOut::Map(bmap) = &done[bi].out else {
+                            let SlotOut::Map(bmap) = &done[bi] else {
                                 unreachable!("residual branches are packed maps")
                             };
                             Residual::Codes(bmap)
@@ -297,24 +259,15 @@ fn cpu_execute_stages(
                     );
                 }
             }
-            (MainKernel::Conv { .. }, In::Vector(_)) => {
+            (MainKernel::Conv { .. }, ActInput::Vec(_)) => {
                 panic!("conv stage {mi} after flatten")
             }
-            (MainKernel::Linear { prepared, .. }, cur) => {
+            // A map is read in place: the kernel's K is the map's word
+            // order (`PreparedApmm::for_map`).
+            (MainKernel::Linear { prepared, .. }, v) => {
                 let prepared = prepared
                     .as_ref()
                     .unwrap_or_else(|| panic!("linear stage {mi} has no materialized weights"));
-                let v: &BitPlanes = match cur {
-                    In::Map(map) => {
-                        let flat = slot
-                            .flat
-                            .as_mut()
-                            .expect("linear-after-map stage has a flatten slot");
-                        flatten_map_into(map, codes, flat);
-                        flat
-                    }
-                    In::Vector(v) => v,
-                };
                 if last {
                     assert!(
                         stage.epi.output_bits().is_none(),
@@ -326,7 +279,7 @@ fn cpu_execute_stages(
                     prepared.execute_into(v, apmm, y);
                     classes = prepared.desc.m;
                 } else {
-                    let SlotOut::Vector(out_vec) = &mut slot.out else {
+                    let SlotOut::Vector(out_vec) = slot else {
                         unreachable!("hidden linear slots hold packed vectors")
                     };
                     prepared.execute_fused_into(v, stage.tail(), apmm, codes, out_vec);
@@ -347,27 +300,4 @@ fn cpu_execute_stages(
         clock = now;
     }
     (shard_n, classes)
-}
-
-/// Flatten a packed NHWC map into per-image feature rows, ordered `(h,w,c)`
-/// — the layout linear weights are packed against.
-pub fn flatten_map(map: &BitTensor4) -> BitPlanes {
-    let (n, h, w, c) = map.shape();
-    let mut codes = Vec::new();
-    let mut out = BitPlanes::zeros(n, h * w * c, map.bits(), Encoding::ZeroOne);
-    flatten_map_into(map, &mut codes, &mut out);
-    out
-}
-
-/// [`flatten_map`] writing into caller-owned buffers (the workspace form):
-/// `codes` is the dense-code scratch, `out` the packed per-image feature
-/// rows, rebuilt in place. Allocation-free once both are at capacity.
-pub fn flatten_map_into(map: &BitTensor4, codes: &mut Vec<u32>, out: &mut BitPlanes) {
-    let (n, h, w, c) = map.shape();
-    let features = h * w * c;
-    // Every code is stored by the unpack — no zeroing pass; NHWC order is
-    // the per-image `(h, w, c)` feature order.
-    apnn_bitpack::resize_for_overwrite(codes, n * features);
-    map.unpack(codes);
-    out.from_codes_into(codes, n, features, map.bits(), map.encoding());
 }

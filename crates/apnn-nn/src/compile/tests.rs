@@ -158,17 +158,39 @@ fn workspace_spec_reports_plan_sized_buffers() {
     // Conv stage: packed map out, two accumulator rows under the pool.
     let conv = &spec.stages[0];
     assert_eq!(conv.name, "c1");
-    // 2 images × 2 bits × 4×4 pooled pixels × 1 padded channel word.
-    assert_eq!(conv.out_bytes, 2 * 2 * 4 * 4 * 2 * 8);
-    assert_eq!(conv.flat_bytes, 0);
+    // 2 images × 2 bits × 4×4 pooled pixels × 1 channel word.
+    assert_eq!(conv.out_bytes, 2 * 2 * 4 * 4 * 8);
     // Two 8-pixel × 8-channel accumulator rows, whatever the batch.
     assert_eq!(conv.acc_bytes, 2 * 8 * 8 * 4);
-    // Output stage: no packed slot, flatten slot for the pooled map.
+    // Output stage: no packed slot; it reads the pooled map in place.
     let fc = &spec.stages[1];
     assert_eq!(fc.out_bytes, 0);
-    assert!(fc.flat_bytes > 0);
     assert!(spec.scratch_bytes > 0);
     assert!(spec.total_bytes >= spec.scratch_bytes + conv.out_bytes);
+}
+
+#[test]
+fn workspace_spec_counts_the_words_every_zoo_slot_holds() {
+    use super::workspace::SlotOut;
+    for net in crate::models::servable_zoo() {
+        for precision in [NetPrecision::w1a2(), NetPrecision::Apnn { w: 2, a: 8 }] {
+            let plan = CompiledNet::compile(&net, precision, &CompileOptions::functional(2, 5));
+            let (spec, ws) = (plan.workspace_spec(), plan.workspace());
+            assert_eq!(spec.stages.len(), ws.slots.len());
+            for (stage, slot) in spec.stages.iter().zip(&ws.slots) {
+                let held = match slot {
+                    SlotOut::Map(t) => t.packed_bytes(),
+                    SlotOut::Vector(v) => v.planes().iter().map(|m| 8 * m.words().len()).sum(),
+                    SlotOut::None => 0,
+                };
+                assert_eq!(
+                    stage.out_bytes, held,
+                    "{}@{}: {}",
+                    net.name, plan.scheme, stage.name
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -336,19 +358,34 @@ fn tiny_net_matches_oracle_composition() {
 }
 
 #[test]
-fn flatten_orders_hwc() {
-    let codes = Tensor4::<u32>::from_fn(1, 2, 2, 2, Layout::Nhwc, |_, c, h, w| {
-        (c + 2 * (w + 2 * h)) as u32 % 4
-    });
-    let map = BitTensor4::from_tensor(&codes, 2, Encoding::ZeroOne);
-    let flat = flatten_map(&map);
-    assert_eq!(flat.rows(), 1);
-    assert_eq!(flat.cols(), 8);
-    let got = flat.reconstruct_codes();
-    for h in 0..2 {
-        for w in 0..2 {
-            for c in 0..2 {
-                assert_eq!(got[(h * 2 + w) * 2 + c], codes.get(0, c, h, w));
+fn linear_head_reads_the_map_in_hwc_order() {
+    // One-hot weight rows pick single features of the `(h, w, c)` order: a
+    // kernel re-laid for the map reads feature `(y·w + x)·c + ch` at
+    // channel `ch` of pixel `(y, x)` — across ragged, whole and multi-word
+    // pixels — and a dense kernel reads whole-word pixels as they are.
+    for c in [2usize, 63, 64, 65, 128, 129] {
+        let (h, w) = (2, 3);
+        let k = h * w * c;
+        let codes = Tensor4::<u32>::from_fn(2, c, h, w, Layout::Nhwc, |n, ch, y, x| {
+            ((7 * n + 5 * ch + 3 * y + x) % 4) as u32
+        });
+        let map = BitTensor4::from_tensor(&codes, 2, Encoding::ZeroOne);
+        let picks: Vec<usize> = (0..k).step_by(k / 11 + 1).chain([k - 1]).collect();
+        let mut onehot = vec![0u32; picks.len() * k];
+        for (r, &f) in picks.iter().enumerate() {
+            onehot[r * k + f] = 1;
+        }
+        let weights = BitPlanes::from_codes(&onehot, picks.len(), k, 1, Encoding::ZeroOne);
+        let prepared = Apmm::new(ApmmDesc::unsigned(picks.len(), 2, k, 1, 2)).prepare(weights);
+        assert_eq!(prepared.reads_map(c), c % 64 == 0, "c={c}");
+        let prepared = prepared.for_map(c);
+        assert!(prepared.reads_map(c), "c={c}");
+        let y = prepared.execute(&map);
+        for (r, &f) in picks.iter().enumerate() {
+            let (px, ch) = (f / c, f % c);
+            for n in 0..2 {
+                let want = codes.get(n, ch, px / w, px % w) as i32;
+                assert_eq!(y[r * 2 + n], want, "c={c} feature {f} image {n}");
             }
         }
     }

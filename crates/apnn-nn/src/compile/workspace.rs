@@ -24,8 +24,8 @@ impl CompiledNet {
     }
 
     /// How much memory the functional engine needs to run this plan: one
-    /// entry per main stage (packed activation slot, flatten slot,
-    /// accumulator footprint) plus the shared kernel scratch. This is the
+    /// entry per main stage (packed activation slot, accumulator footprint)
+    /// plus the shared kernel scratch. This is the
     /// sizing contract of [`CompiledNet::workspace`]: the workspace
     /// pre-allocates every buffer at these full-batch peaks, so inference
     /// — including *partial* shards, which only shrink shapes — performs
@@ -49,12 +49,12 @@ impl CompiledNet {
 /// Contents:
 /// * one packed activation slot per main stage (the stage's output — conv
 ///   stages write a [`BitTensor4`] map, hidden linear stages a
-///   [`BitPlanes`] vector), plus a flatten slot where a linear stage
-///   consumes a map;
+///   [`BitPlanes`] vector; a linear head reads its map in place);
 /// * the kernel scratch ([`ConvScratch`] — one output row's activation
 ///   strip and accumulator rows, and a dense stem's unpacked image — /
 ///   [`ApmmScratch`] correction table), sized at the per-stage peaks;
-/// * the shared dense-code scratch and the raw logits buffer;
+/// * the hidden linear stages' transposed-code scratch and the raw logits
+///   buffer;
 /// * one cumulative wall-clock timer per main stage
 ///   ([`ExecWorkspace::stage_ns`]).
 ///
@@ -68,10 +68,11 @@ pub struct ExecWorkspace {
     model: String,
     scheme: String,
     batch: usize,
-    pub(super) slots: Vec<StageSlot>,
+    /// One packed output slot per main stage.
+    pub(super) slots: Vec<SlotOut>,
     pub(super) conv: ConvScratch,
     pub(super) apmm: ApmmScratch,
-    /// Dense-code scratch shared by flattening and quantize-packing.
+    /// Transposed-code scratch of the hidden linear stages' packing.
     pub(super) codes: Vec<u32>,
     /// Raw output-stage accumulators (features × batch).
     pub(super) y: Vec<i32>,
@@ -83,14 +84,6 @@ pub struct ExecWorkspace {
     pub(super) res: Vec<i32>,
     /// Cumulative wall-clock ns per main stage, in `main_stages()` order.
     pub(super) stage_ns: Vec<u64>,
-}
-
-#[derive(Debug, Clone)]
-pub(super) struct StageSlot {
-    /// Flattened map input (linear stages that may consume a map).
-    pub(super) flat: Option<BitPlanes>,
-    /// The stage's packed output.
-    pub(super) out: SlotOut,
 }
 
 #[derive(Debug, Clone)]
@@ -107,23 +100,18 @@ impl ExecWorkspace {
     fn for_plan(plan: &CompiledNet) -> ExecWorkspace {
         let layouts = stage_layouts(plan);
         let peaks = ScratchPeaks::of(&layouts);
-        let mut slots = Vec::with_capacity(layouts.len());
-        for l in &layouts {
-            slots.push(StageSlot {
-                flat: l.flat.map(|(rows, cols, bits)| {
-                    BitPlanes::zeros(rows, cols, bits, Encoding::ZeroOne)
-                }),
-                out: match l.out {
-                    Some(SlotShape::Map { n, h, w, c, bits }) => {
-                        SlotOut::Map(BitTensor4::zeros(n, h, w, c, bits, Encoding::ZeroOne))
-                    }
-                    Some(SlotShape::Vector { rows, cols, bits }) => {
-                        SlotOut::Vector(BitPlanes::zeros(rows, cols, bits, Encoding::ZeroOne))
-                    }
-                    None => SlotOut::None,
-                },
-            });
-        }
+        let slots = layouts
+            .iter()
+            .map(|l| match l.out {
+                Some(SlotShape::Map { n, h, w, c, bits }) => {
+                    SlotOut::Map(BitTensor4::zeros(n, h, w, c, bits, Encoding::ZeroOne))
+                }
+                Some(SlotShape::Vector { rows, cols, bits }) => {
+                    SlotOut::Vector(BitPlanes::zeros(rows, cols, bits, Encoding::ZeroOne))
+                }
+                None => SlotOut::None,
+            })
+            .collect();
         let mut conv = ConvScratch::default();
         conv.reserve(
             peaks.strip,
@@ -184,7 +172,7 @@ pub struct WorkspaceSpec {
     /// Per-main-stage buffer demands, in execution order.
     pub stages: Vec<StageWorkspace>,
     /// Shared scratch (activation strip, dense-stem image, correction
-    /// tables, accumulators, dense codes, raw logits), sized at the
+    /// tables, accumulators, transposed codes, raw logits), sized at the
     /// per-stage peaks.
     pub scratch_bytes: usize,
     /// Total workspace footprint: per-stage slots + shared scratch.
@@ -198,8 +186,6 @@ pub struct StageWorkspace {
     pub name: String,
     /// Packed output slot bytes (0 for the output stage).
     pub out_bytes: usize,
-    /// Flatten-slot bytes (linear stages that may consume a map).
-    pub flat_bytes: usize,
     /// Peak i32 accumulator bytes this stage demands of the shared scratch
     /// (the accumulator rows in flight for conv — one, or two under a
     /// fused pool — plus a skip projection's residual buffer; the raw
@@ -215,30 +201,21 @@ impl WorkspaceSpec {
         for l in &layouts {
             let out_bytes = match l.out {
                 Some(SlotShape::Map { n, h, w, c, bits }) => {
-                    n * bits as usize * h * w * (pad_to_bmma_k(c) / 64) * 8
+                    BitTensor4::len_words(n, h, w, c, bits) * 8
                 }
                 Some(SlotShape::Vector { rows, cols, bits }) => {
                     bits as usize * rows * (pad_to_bmma_k(cols) / 64) * 8
                 }
                 None => 0,
             };
-            let flat_bytes = l
-                .flat
-                .map(|(rows, cols, bits)| bits as usize * rows * (pad_to_bmma_k(cols) / 64) * 8)
-                .unwrap_or(0);
             stages.push(StageWorkspace {
                 name: l.name.clone(),
                 out_bytes,
-                flat_bytes,
                 acc_bytes: (l.acc_elems + l.y_elems + l.res_elems) * 4,
             });
         }
         let scratch_bytes = peaks.bytes();
-        let total_bytes = scratch_bytes
-            + stages
-                .iter()
-                .map(|s| s.out_bytes + s.flat_bytes)
-                .sum::<usize>();
+        let total_bytes = scratch_bytes + stages.iter().map(|s| s.out_bytes).sum::<usize>();
         WorkspaceSpec {
             stages,
             scratch_bytes,
@@ -269,7 +246,7 @@ struct ScratchPeaks {
     col_sums: usize,
     /// APMM accumulator elements (`i32`).
     apmm_acc: usize,
-    /// Dense-code scratch elements (`u32`).
+    /// Transposed-code scratch elements (`u32`).
     codes: usize,
     /// Raw logits elements (`i32`).
     y: usize,
@@ -334,7 +311,6 @@ enum SlotShape {
 struct StageLayout {
     name: String,
     out: Option<SlotShape>,
-    flat: Option<(usize, usize, u32)>,
     acc_elems: usize,
     y_elems: usize,
     res_elems: usize,
@@ -356,12 +332,11 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
         );
     }
     let n_mains = plan.main_stages().count();
-    let mut prev_is_conv = false;
     plan.main_stages()
         .enumerate()
         .map(|(i, m)| {
             let last = i + 1 == n_mains;
-            let layout = match &m.kernel {
+            match &m.kernel {
                 MainKernel::Conv { desc, .. } => {
                     assert!(!last, "plan did not end in an i32 linear output stage");
                     let (oh, ow) = (desc.out_h(), desc.out_w());
@@ -385,7 +360,6 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                         StageLayout {
                             name: m.name.clone(),
                             out: None,
-                            flat: None,
                             acc_elems: row_elems,
                             y_elems: 0,
                             res_elems: map_elems,
@@ -417,7 +391,6 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                                 c: desc.cout,
                                 bits,
                             }),
-                            flat: None,
                             acc_elems: if m.pool.is_some() {
                                 2 * row_elems
                             } else {
@@ -442,10 +415,6 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                     }
                 }
                 MainKernel::Linear { desc, .. } => {
-                    // A flatten slot is needed whenever this stage may see a
-                    // map: always for the first stage (the caller decides at
-                    // call time), and after any conv stage.
-                    let flat_needed = i == 0 || prev_is_conv;
                     let out_bits = if last {
                         assert!(
                             m.epi.output_bits().is_none(),
@@ -459,8 +428,6 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                                 .unwrap_or_else(|| panic!("hidden linear stage {i} must quantize")),
                         )
                     };
-                    let flat_codes = if flat_needed { desc.n * desc.k } else { 0 };
-                    let pack_codes = if last { 0 } else { desc.n * desc.m };
                     // The output stage writes its raw product straight
                     // into the shared logits buffer (`y_elems`); only
                     // hidden linear stages route through the apmm
@@ -473,11 +440,6 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                             cols: desc.m,
                             bits,
                         }),
-                        flat: if flat_needed {
-                            Some((desc.n, desc.k, desc.x_bits))
-                        } else {
-                            None
-                        },
                         acc_elems,
                         y_elems: if last { desc.m * desc.n } else { 0 },
                         res_elems: 0,
@@ -486,16 +448,14 @@ fn stage_layouts(plan: &CompiledNet) -> Vec<StageLayout> {
                         conv_strip_cols: 0,
                         conv_x_sides: 0,
                         apmm_col_sums: desc.n,
-                        codes_elems: flat_codes.max(pack_codes),
+                        codes_elems: if last { 0 } else { desc.n * desc.m },
                         is_conv: false,
                     }
                 }
                 MainKernel::Baseline => {
                     unreachable!("is_executable rejected baseline stages")
                 }
-            };
-            prev_is_conv = matches!(m.kernel, MainKernel::Conv { .. });
-            layout
+            }
         })
         .collect()
 }

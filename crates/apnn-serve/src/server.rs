@@ -428,15 +428,22 @@ fn validate_input(plan: &CompiledNet, image: &BitTensor4) -> Result<(), ServeErr
         }
         return Ok(());
     }
-    // Linear-front plan: the engine flattens the map to h·w·c features.
+    // Linear-front plan: the engine reads the map in place as h·w·c
+    // features, so its word order must be the kernel's.
     let first = plan
         .main_stages()
         .next()
         .expect("servable plan has a main stage");
-    if let MainKernel::Linear { desc, .. } = &first.kernel {
-        if h * w * c != desc.k || image.bits() != desc.x_bits || image.encoding() != desc.x_enc {
+    if let MainKernel::Linear { desc, prepared, .. } = &first.kernel {
+        let in_order = prepared.as_ref().is_some_and(|p| p.reads_map(c));
+        if h * w * c != desc.k
+            || !in_order
+            || image.bits() != desc.x_bits
+            || image.encoding() != desc.x_enc
+        {
             return Err(ServeError::BadInput(format!(
-                "plan expects {} features @ {} bits {:?}, got {h}×{w}×{c} @ {} bits {:?}",
+                "plan expects {} features @ {} bits {:?} in its word order, \
+                 got {h}×{w}×{c} @ {} bits {:?}",
                 desc.k,
                 desc.x_bits,
                 desc.x_enc,
